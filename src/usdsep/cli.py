@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 
 import numpy as np
@@ -65,6 +66,15 @@ def _emit(payload: dict, out_path=None) -> None:
         sys.stdout.write(text)
 
 
+def _tol(args, default: float) -> float:
+    """The --tol override, or ``default`` when it is not given."""
+    if args.tol is None:
+        return default
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
+    return args.tol
+
+
 def _instance_from_args(args) -> "Instance":
     if getattr(args, "instance", None):
         return instance_from_dict(_load_json(args.instance))
@@ -94,11 +104,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    psd_tol = _tol(args, 1e-10)
     inst = _instance_from_args(args)
     r = reciprocal_set(inst)
     if args.weights:
         w = [float(x) for x in args.weights.split(",")]
-        m = build_measurement(inst, w, psd_tol=args.tol or 1e-10)
+        m = build_measurement(inst, w, psd_tol=psd_tol)
     else:
         m = optimal_measurement(inst)
     report = failure_probability(m, r)
@@ -146,7 +157,7 @@ def _product_ops_from_instance(inst, copies: int):
 
 
 def cmd_certify(args) -> int:
-    tol = args.tol or 1e-8
+    tol = _tol(args, 1e-8)
     if args.measurement:
         product_ops = _product_ops_from_file(args.measurement)
         source = {"measurement": args.measurement}
@@ -168,13 +179,14 @@ def cmd_certify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    psd_tol = _tol(args, 1e-10)
     inst = _instance_from_args(args)
     cfg = SimConfig(seed=args.seed, trials=args.trials, copies=args.copies)
     if cfg.copies == 1:
         r = reciprocal_set(inst)
         if args.weights:
             w = [float(x) for x in args.weights.split(",")]
-            m = build_measurement(inst, w, psd_tol=args.tol or 1e-10)
+            m = build_measurement(inst, w, psd_tol=psd_tol)
         else:
             m = optimal_measurement(inst)
         report = run_discrimination(inst, r, m, cfg)

@@ -13,15 +13,19 @@ The certifier counts the left-hand side for a concrete measurement.  Rays
 are grouped up to positive scaling, and a representative is extreme exactly
 when it is not a nonnegative combination of the other classes, which is a
 nonnegative least squares feasibility question in the isometric real
-coordinates of vec_herm.  Rank-1 operators are always extreme (anything
-positive summing to a rank-1 operator must live on its range), which covers
-every family built here, but the NNLS route is kept as the deciding test so
-the certificate never leans on that shortcut.
+coordinates of vec_herm.  Each party's class representatives are vectorized
+once and stacked as the columns of one real matrix V; class c is then
+decided by NNLS of column c over V with that column removed.  Rank-1
+operators are always extreme (anything positive summing to a rank-1
+operator must live on its range), which covers every family built here, but
+the NNLS route is kept as the deciding test so the certificate never leans
+on that shortcut.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,16 +80,21 @@ class RayGroups:
 
     groups: tuple[tuple[int, ...], ...]
     representatives: tuple[np.ndarray, ...]
+    _class: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lookup = {i: c for c, members in enumerate(self.groups) for i in members}
+        object.__setattr__(self, "_class", lookup)
 
     @property
     def count(self) -> int:
         return len(self.groups)
 
     def class_of(self, i: int) -> int:
-        for c, members in enumerate(self.groups):
-            if i in members:
-                return c
-        raise ValueError(f"operator index {i} not present")
+        try:
+            return self._class[i]
+        except KeyError:
+            raise ValueError(f"operator index {i} not present") from None
 
 
 @dataclass(frozen=True)
@@ -138,39 +147,45 @@ def distinct_rays(s: LocalOperatorSet, tol: float = RAY_TOL) -> RayGroups:
 
     Two operators land in one class when their Frobenius-normalized forms
     differ by at most ``tol``; positive operators leave no sign ambiguity.
-    Zero operators are rejected since they name no ray at all.
+    Each operator joins the first class whose representative is that close,
+    and otherwise becomes the representative of a new class.  Zero
+    operators are rejected since they name no ray at all.
     """
     groups: list[list[int]] = []
-    reps: list[np.ndarray] = []
+    reps = np.empty((len(s.ops), s.dim, s.dim), dtype=complex)
     for i, op in enumerate(s.ops):
         unit = _normalized(op)
-        for c, rep in enumerate(reps):
-            if float(np.linalg.norm(unit - rep)) <= tol:
-                groups[c].append(i)
-                break
+        # Distances from differences: 2 - 2 Re<u, r> would round at about
+        # 1e-16, which is the size of tol**2 itself.
+        dist = np.linalg.norm(reps[: len(groups)] - unit, axis=(1, 2))
+        near = np.flatnonzero(dist <= tol)
+        if near.size:
+            groups[near[0]].append(i)
         else:
+            reps[len(groups)] = unit
             groups.append([i])
-            reps.append(unit)
     return RayGroups(
         groups=tuple(tuple(g) for g in groups),
-        representatives=tuple(reps),
+        representatives=tuple(reps[: len(groups)]),
     )
 
 
-def _extremality_residual(rays: RayGroups, c: int, tol: float) -> float:
-    """Relative NNLS residual of writing class c over the other classes.
+def _ray_matrix(rays: RayGroups) -> np.ndarray:
+    """The representatives' vec_herm coordinates as columns, one call each."""
+    return np.column_stack([vec_herm(rep) for rep in rays.representatives])
+
+
+def _extremality_residual(v: np.ndarray, c: int, tol: float) -> float:
+    """Relative NNLS residual of writing column c of v over the other columns.
 
     Representatives are unit Frobenius norm and vec_herm is isometric, so
     the target vector has unit length and the residual is already relative.
     A single-class set resolves to residual infinity: one ray alone is
     always extreme in the cone it generates.
     """
-    others = [rays.representatives[k] for k in range(rays.count) if k != c]
-    if not others:
+    if v.shape[1] == 1:
         return np.inf
-    a = np.column_stack([vec_herm(op) for op in others])
-    b = vec_herm(rays.representatives[c])
-    _, rnorm = nnls(a, b, tol=max(tol * 1e-4, 1e-14))
+    _, rnorm = nnls(np.delete(v, c, axis=1), v[:, c], tol=max(tol * 1e-4, 1e-14))
     return rnorm
 
 
@@ -181,19 +196,20 @@ def is_extreme(i: int, s: LocalOperatorSet, tol: float = RAY_TOL) -> bool:
     the other classes reproduces it within ``tol`` relative residual.
     """
     rays = distinct_rays(s, tol)
-    return _extremality_residual(rays, rays.class_of(i), tol) > tol
+    return _extremality_residual(_ray_matrix(rays), rays.class_of(i), tol) > tol
 
 
 def count_extreme(s: LocalOperatorSet, tol: float = RAY_TOL):
     """Number of extreme ray classes, plus per-class diagnostics.
 
+    Each class representative is vectorized once (one vec_herm call per
+    class); NNLS of each column over the others still decides extremality.
     Returns (count, rays, residuals) where residuals[c] is the relative
     NNLS residual for class c (infinity for a lone class).
     """
     rays = distinct_rays(s, tol)
-    residuals = np.array(
-        [_extremality_residual(rays, c, tol) for c in range(rays.count)]
-    )
+    v = _ray_matrix(rays)
+    residuals = np.array([_extremality_residual(v, c, tol) for c in range(rays.count)])
     return int(np.count_nonzero(residuals > tol)), rays, residuals
 
 
@@ -214,7 +230,7 @@ def certify(
     n_ops : int, optional
         Expected number of outcomes; validated against len(product_ops).
     tol : float
-        Ray-grouping and extremality threshold.
+        Ray-grouping and extremality threshold; must be positive and finite.
     identity_rtol : float
         Relative threshold for treating a factor as proportional to the
         identity.  A party whose factors are all proportional to the
@@ -232,6 +248,8 @@ def certify(
     nothing by itself).  NNLS residuals inside the warning band
     [1e-8, 1e-6] are reported as borderline rather than trusted silently.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     entries = [list(entry) for entry in product_ops]
     if not entries:
         raise ValueError("need at least one product operator")
@@ -252,10 +270,10 @@ def certify(
         ops = LocalOperatorSet(party=alpha, ops=tuple(factors))
         is_id = [_proportional_to_identity(f, identity_rtol) for f in factors]
         skipped = all(is_id)
-        counted_factors = factors
-        if not skipped and not count_identity_generators:
-            counted_factors = [f for f, ident in zip(factors, is_id) if not ident]
-        counted = LocalOperatorSet(party=alpha, ops=tuple(counted_factors))
+        counted = ops
+        if not skipped and not count_identity_generators and any(is_id):
+            kept = tuple(f for f, ident in zip(factors, is_id) if not ident)
+            counted = LocalOperatorSet(party=alpha, ops=kept)
         extreme, rays, residuals = count_extreme(counted, tol)
         lo, hi_band = WARN_BAND
         for c, rn in enumerate(residuals):

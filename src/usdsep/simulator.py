@@ -93,6 +93,7 @@ class MulticopyMeasurement:
     party_factors: tuple
     theoretical_failure: float
     per_state: np.ndarray  # (D, N^n) exact outcome distribution per input
+    inputs: tuple[int, ...]  # (D,) retained label of each per_state row
 
 
 def outcome_distribution(elements, state, tol: float = POVM_TOL) -> np.ndarray:
@@ -265,6 +266,7 @@ def multicopy_measurement(
         party_factors=tuple(party_factors),
         theoretical_failure=theoretical,
         per_state=per_state,
+        inputs=r.indices,
     )
 
 
@@ -276,27 +278,26 @@ def run_multicopy_discrimination(inst: Instance, cfg: SimConfig) -> SimReport:
     ("fail" for inconclusive tuples), mirroring the single-copy report.
     """
     mm = multicopy_measurement(inst, cfg.copies)
-    r = reciprocal_set(inst)
     rows = mm.per_state / mm.per_state.sum(axis=1, keepdims=True)
     true_idx, outcome_idx = _sample_counts(rows, cfg.trials, cfg.seed)
 
     label_arr = np.array([-1 if lab is None else lab for lab in mm.labels])
     named = label_arr[outcome_idx]
-    true_labels = np.array(r.indices)[true_idx]
+    true_labels = np.array(mm.inputs)[true_idx]
     misid = int(np.count_nonzero((named != -1) & (named != true_labels)))
 
-    counts = {str(j): int(np.count_nonzero(named == j)) for j in r.indices}
+    counts = {str(j): int(np.count_nonzero(named == j)) for j in mm.inputs}
     counts["fail"] = int(np.count_nonzero(named == -1))
     empirical_failure = counts["fail"] / cfg.trials
 
     # Aggregated exact marginal over inputs, in the same label order.
     marg_tuples = rows.mean(axis=0)
     marginal = np.array(
-        [float(marg_tuples[label_arr == j].sum()) for j in r.indices]
+        [float(marg_tuples[label_arr == j].sum()) for j in mm.inputs]
         + [float(marg_tuples[label_arr == -1].sum())]
     )
     empirical = np.array(
-        [counts[str(j)] for j in r.indices] + [counts["fail"]], dtype=float
+        [counts[str(j)] for j in mm.inputs] + [counts["fail"]], dtype=float
     ) / cfg.trials
     tv = 0.5 * float(np.abs(empirical - marginal).sum())
     return SimReport(

@@ -137,6 +137,23 @@ def test_certify_family(capsys):
     assert payload["manifest"]["parameters"]["copies"] == 1
 
 
+def test_certify_records_the_tol_it_used(capsys):
+    payload, _ = run_json(capsys, "certify", "--n", "5")
+    assert payload["manifest"]["parameters"]["tol"] == 1e-8
+    payload, _ = run_json(capsys, "certify", "--n", "5", "--tol", "1e-6")
+    assert payload["manifest"]["parameters"]["tol"] == 1e-6
+    assert payload["verdict"] == "VIOLATES"
+
+
+@pytest.mark.parametrize("command", ["optimize", "certify", "simulate"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_nonpositive_tol_is_input_error(capsys, command, tol):
+    rc, out, err = run_cli(capsys, command, "--n", "5", "--tol", tol)
+    assert rc == 2
+    assert out == ""
+    assert "--tol" in err
+
+
 def test_certify_two_copies(capsys):
     payload, _ = run_json(capsys, "certify", "--n", "5", "--copies", "2")
     assert payload["total"] == 50

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import usdsep.cone
 from usdsep import (
     LocalOperatorSet,
     certify,
@@ -13,6 +14,7 @@ from usdsep import (
     multicopy_measurement,
     proj,
 )
+from usdsep.cone import RAY_TOL
 from tests.test_instance import all_instances
 
 pytest.importorskip("scipy")
@@ -45,6 +47,57 @@ def test_distinct_rays_groups_by_positive_scale():
     assert rays.class_of(1) == 0
     with pytest.raises(ValueError):
         rays.class_of(5)
+
+
+def first_match_rays(ops, tol):
+    """Reference grouping: one norm per (operator, representative) pair."""
+    groups, reps = [], []
+    for i, op in enumerate(ops):
+        unit = op / np.linalg.norm(op)
+        for c, rep in enumerate(reps):
+            if np.linalg.norm(unit - rep) <= tol:
+                groups[c].append(i)
+                break
+        else:
+            groups.append([i])
+            reps.append(unit)
+    return tuple(tuple(g) for g in groups), reps
+
+
+def test_distinct_rays_tolerance_boundary_follows_first_match():
+    a = np.diag([1.0, 0.0]).astype(complex)
+    b = np.diag([0.0, 1.0]).astype(complex)
+    bump = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / np.sqrt(2.0)
+    near = a + 0.5 * RAY_TOL * bump  # unit a moves by just under 0.5 RAY_TOL
+    far = a + 2.0 * RAY_TOL * bump  # and here by just under 2 RAY_TOL
+    ops = (a, b, near, far, 7.0 * b, 3.0 * far)
+    rays = distinct_rays(LocalOperatorSet(party=0, ops=ops))
+    groups, reps = first_match_rays(ops, RAY_TOL)
+    assert rays.groups == groups == ((0, 2), (1, 4), (3, 5))
+    assert len(rays.representatives) == len(reps)
+    for got, want in zip(rays.representatives, reps):
+        assert np.array_equal(got, want)
+    assert [rays.class_of(i) for i in range(len(ops))] == [0, 1, 0, 2, 1, 2]
+
+
+def test_count_extreme_vectorizes_each_class_once(monkeypatch):
+    calls = []
+    original = usdsep.cone.vec_herm
+
+    def counting(h):
+        calls.append(1)
+        return original(h)
+
+    monkeypatch.setattr(usdsep.cone, "vec_herm", counting)
+    inst = make_instance(13)
+    s = LocalOperatorSet(party=0, ops=tuple(proj(v) for v in inst.local_states[0]))
+    count, rays, _ = count_extreme(s)
+    assert count == rays.count == 13
+    assert len(calls) == rays.count
+
+    calls.clear()
+    rep = certify(family_product_ops(inst))
+    assert len(calls) == sum(p.rays for p in rep.parties) == 13 * inst.party.party_count
 
 
 def test_distinct_rays_family_has_n_classes():
@@ -218,6 +271,21 @@ def test_certify_input_validation():
         certify([[eye, eye]], n_ops=3)
     with pytest.raises(ValueError):
         certify([[eye, eye], [eye]])
+
+
+def test_certify_rejects_nonpositive_tol():
+    e0 = np.diag([1.0, 0.0]).astype(complex)
+    e1 = np.diag([0.0, 1.0]).astype(complex)
+    half_j = np.full((2, 2), 0.5, dtype=complex)
+    entries = [[e0, e0], [e1, e1], [e0 + e1, half_j], [e0, e0]]
+    rep = certify(entries)
+    assert [s.rays for s in rep.parties] == [3, 3]
+    assert (rep.total, rep.bound, rep.verdict) == (5, 6, "SATISFIES")
+    # A negative tol would keep the duplicate e0 as its own class and count
+    # every class as extreme: 8 > 6, a false VIOLATES.
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol"):
+            certify(entries, tol=bad)
 
 
 def test_borderline_residual_raises_warning_not_verdict_change():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import usdsep.simulator
 from usdsep import (
     InvariantError,
     SimConfig,
@@ -210,6 +211,7 @@ def test_multicopy_zero_error_audit_holds_externally():
     mm = multicopy_measurement(inst, copies=2)
     label_arr = np.array([-1 if lab is None else lab for lab in mm.labels])
     r = reciprocal_set(inst)
+    assert mm.inputs == r.indices
     for i, j in enumerate(r.indices):
         stray = mm.per_state[i][(label_arr != j) & (label_arr != -1)]
         assert stray.max() <= 1e-10
@@ -227,6 +229,21 @@ def test_run_multicopy_discrimination():
     assert sum(rep.counts.values()) == 20_000
     again = run_multicopy_discrimination(inst, cfg)
     assert again.counts == rep.counts
+
+
+def test_run_multicopy_builds_the_reciprocal_set_once(monkeypatch):
+    calls = []
+    original = usdsep.simulator.reciprocal_set
+
+    def counting(inst):
+        calls.append(1)
+        return original(inst)
+
+    monkeypatch.setattr(usdsep.simulator, "reciprocal_set", counting)
+    inst = make_instance(5)
+    rep = run_multicopy_discrimination(inst, SimConfig(seed=3, trials=1000, copies=2))
+    assert len(calls) == 1
+    assert set(rep.counts) == {"2", "3", "4", "5", "fail"}
 
 
 def test_run_multicopy_single_copy_agrees_with_single_path():
