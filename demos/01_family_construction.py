@@ -12,6 +12,7 @@ import numpy as np
 
 from usdsep import (
     check_linear_independence,
+    completeness_residual,
     kron_all,
     make_instance,
     pairwise_overlaps,
@@ -29,9 +30,7 @@ print("\nstate amplitudes (rows are j = 1..5):")
 print(inst.states)
 
 # Scaled by D/N, the five projectors resolve the identity exactly.
-resolution = (inst.total_dim / inst.n) * inst.projectors.sum(axis=0)
-print("\ncompleteness residual:",
-      np.linalg.norm(resolution - np.eye(inst.total_dim)))
+print("\ncompleteness residual:", completeness_residual(inst))
 
 # Every pair overlaps with the same magnitude 1/D; only the phase moves.
 overlaps = pairwise_overlaps(inst)
@@ -59,8 +58,5 @@ print("all five:        independent =", ok, " (five vectors, four dimensions)")
 # factorization of N - 1.
 for n, dims in [(7, None), (13, (2, 6)), (13, (2, 2, 3))]:
     other = make_instance(n, dims)
-    residual = np.linalg.norm(
-        (other.total_dim / other.n) * other.projectors.sum(axis=0)
-        - np.eye(other.total_dim)
-    )
+    residual = completeness_residual(other)
     print(f"N={n} dims={other.dims}: completeness residual {residual:.2e}")

@@ -16,7 +16,6 @@ from usdsep import (
     build_measurement,
     make_instance,
     optimal_measurement,
-    outcome_distribution,
     reciprocal_set,
     run_discrimination,
 )
@@ -25,10 +24,16 @@ inst = make_instance(5)
 r = reciprocal_set(inst)
 m = optimal_measurement(inst)
 
-# The exact outcome distribution for one input: its own outcome and the
-# failure direction split the probability evenly at the symmetric weights.
-povm = list(m.elements) + [m.failure_op]
-probs = outcome_distribution(povm, r.state(3))
+# The exact outcome distribution for one input: outcome j fires with the
+# rank-1 Born weight w_j |<psi_j|phi>|^2, the failure operator takes the
+# rest.  Its own outcome and the failure direction split the probability
+# evenly at the symmetric weights.
+phi = r.state(3)
+named = np.array([inst.state(j) for j in m.indices])
+probs = np.append(
+    m.weights * np.abs(named.conj() @ phi) ** 2,
+    np.real(phi.conj() @ m.failure_op @ phi),
+)
 print("exact outcome distribution for input 3:", np.round(probs, 6))
 
 # A hundred thousand seeded trials.

@@ -12,9 +12,7 @@ finite-round protocol of local operations and classical communication.
 from .numerics import (
     ConvergenceError,
     InvariantError,
-    herm_eigen,
     hermitize,
-    kron,
     kron_all,
     nnls,
     partial_trace,
@@ -30,6 +28,7 @@ from .instance import (
     ReciprocalSet,
     ascending_factorizations,
     check_linear_independence,
+    completeness_residual,
     dual_basis_omit,
     instance_from_dict,
     instance_to_dict,
@@ -47,6 +46,7 @@ from .usd import (
     WeightedMeasurement,
     build_measurement,
     failure_probability,
+    family_product_ops,
     optimal_measurement,
     oracle_optimize,
     q_values,
@@ -69,7 +69,6 @@ from .simulator import (
     classify_tuple,
     complement_decomposition,
     multicopy_measurement,
-    outcome_distribution,
     run_discrimination,
     run_multicopy_discrimination,
 )
@@ -95,11 +94,9 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "MulticopyMeasurement",
-    "kron",
     "kron_all",
     "proj",
     "hermitize",
-    "herm_eigen",
     "rank",
     "partial_trace",
     "vec_herm",
@@ -109,6 +106,7 @@ __all__ = [
     "prime_factors",
     "ascending_factorizations",
     "make_instance",
+    "completeness_residual",
     "shift_unitary",
     "check_linear_independence",
     "pairwise_overlaps",
@@ -122,11 +120,11 @@ __all__ = [
     "verify_pairwise_bound",
     "q_values",
     "oracle_optimize",
+    "family_product_ops",
     "distinct_rays",
     "is_extreme",
     "count_extreme",
     "certify",
-    "outcome_distribution",
     "classify_tuple",
     "run_discrimination",
     "multicopy_measurement",

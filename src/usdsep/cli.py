@@ -19,24 +19,28 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cone import certify
+from .cone import RAY_TOL, certify
 from .instance import (
-    ascending_factorizations,
+    COMPLETENESS_TOL,
+    check_linear_independence,
+    completeness_residual,
     instance_from_dict,
     instance_to_dict,
     make_instance,
-    pairwise_overlaps,
     reciprocal_set,
 )
-from .numerics import ConvergenceError, InvariantError, proj
+from .numerics import ConvergenceError, InvariantError
 from .reference import two_qubit_reciprocal_states, two_qubit_states
-from .serialize import dumps, loads, pairs_to_matrix
+from .serialize import dumps, pairs_to_matrix
 from .simulator import SimConfig, run_discrimination, run_multicopy_discrimination
 from .usd import (
+    PSD_TOL,
     NotPSDError,
     build_measurement,
     failure_probability,
+    family_product_ops,
     optimal_measurement,
+    verify_pairwise_bound,
 )
 
 __all__ = ["main", "entry"]
@@ -54,7 +58,7 @@ def _manifest(command: str, params: dict, seed=None) -> dict:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        return json.load(fh)
 
 
 def _emit(payload: dict, out_path=None) -> None:
@@ -75,6 +79,13 @@ def _tol(args, default: float) -> float:
     return args.tol
 
 
+def _psd_tol(args) -> float:
+    """The --tol override of the PSD tolerance; it only applies to --weights."""
+    if args.tol is not None and not args.weights:
+        raise ValueError("--tol applies only together with --weights")
+    return _tol(args, PSD_TOL)
+
+
 def _instance_from_args(args) -> "Instance":
     if getattr(args, "instance", None):
         return instance_from_dict(_load_json(args.instance))
@@ -91,12 +102,7 @@ def cmd_generate(args) -> int:
     payload["manifest"] = _manifest(
         "generate", {"n": inst.n, "dims": list(inst.dims), "omit": inst.omit}
     )
-    residual = float(
-        np.linalg.norm(
-            (inst.total_dim / inst.n) * inst.projectors.sum(axis=0)
-            - np.eye(inst.total_dim)
-        )
-    )
+    residual = completeness_residual(inst)
     _emit(payload, args.out)
     line = f"completeness residual: {residual:.3e}"
     print(line, file=sys.stdout if args.out else sys.stderr)
@@ -104,7 +110,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    psd_tol = _tol(args, 1e-10)
+    psd_tol = _psd_tol(args)
     inst = _instance_from_args(args)
     r = reciprocal_set(inst)
     if args.weights:
@@ -113,22 +119,22 @@ def cmd_optimize(args) -> int:
     else:
         m = optimal_measurement(inst)
     report = failure_probability(m, r)
+    params = {
+        "instance": args.instance,
+        "n": inst.n,
+        "dims": list(inst.dims),
+        "omit": inst.omit,
+        "weights": args.weights,
+    }
+    if args.tol is not None:
+        params["tol"] = psd_tol
     payload = {
         "failure_probability": report.failure_probability,
         "weights": [float(x) for x in report.weights],
         "q_values": [float(x) for x in report.q_values],
         "optimal": report.optimal,
         "psd_min_eigenvalue": report.psd_min_eigenvalue,
-        "manifest": _manifest(
-            "optimize",
-            {
-                "instance": args.instance,
-                "n": inst.n,
-                "dims": list(inst.dims),
-                "omit": inst.omit,
-                "weights": args.weights,
-            },
-        ),
+        "manifest": _manifest("optimize", params),
     }
     _emit(payload, args.out)
     return 0
@@ -141,29 +147,14 @@ def _product_ops_from_file(path: str):
     return [[pairs_to_matrix(factor) for factor in entry] for entry in raw]
 
 
-def _product_ops_from_instance(inst, copies: int):
-    if copies == 1:
-        scale = inst.total_dim / inst.n
-        ops = []
-        for j in range(1, inst.n + 1):
-            factors = [proj(ls[j - 1]) for ls in inst.local_states]
-            factors[0] = scale * factors[0]
-            ops.append(factors)
-        return ops
-    from .simulator import multicopy_measurement
-
-    mm = multicopy_measurement(inst, copies)
-    return [list(factors) for factors in mm.party_factors]
-
-
 def cmd_certify(args) -> int:
-    tol = _tol(args, 1e-8)
+    tol = _tol(args, RAY_TOL)
     if args.measurement:
         product_ops = _product_ops_from_file(args.measurement)
         source = {"measurement": args.measurement}
     else:
         inst = _instance_from_args(args)
-        product_ops = _product_ops_from_instance(inst, args.copies)
+        product_ops = family_product_ops(inst, args.copies)
         source = {
             "n": inst.n,
             "dims": list(inst.dims),
@@ -179,7 +170,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    psd_tol = _tol(args, 1e-10)
+    psd_tol = _psd_tol(args)
     inst = _instance_from_args(args)
     cfg = SimConfig(seed=args.seed, trials=args.trials, copies=args.copies)
     if cfg.copies == 1:
@@ -207,20 +198,19 @@ def cmd_simulate(args) -> int:
             f"5 sigma from {report.theoretical_failure:.5f}",
             file=sys.stderr,
         )
+    params = {
+        "instance": args.instance,
+        "n": inst.n,
+        "dims": list(inst.dims),
+        "omit": inst.omit,
+        "trials": cfg.trials,
+        "copies": cfg.copies,
+        "weights": args.weights,
+    }
+    if args.tol is not None:
+        params["tol"] = psd_tol
     payload = report.to_dict()
-    payload["manifest"] = _manifest(
-        "simulate",
-        {
-            "instance": args.instance,
-            "n": inst.n,
-            "dims": list(inst.dims),
-            "omit": inst.omit,
-            "trials": cfg.trials,
-            "copies": cfg.copies,
-            "weights": args.weights,
-        },
-        seed=cfg.seed,
-    )
+    payload["manifest"] = _manifest("simulate", params, seed=cfg.seed)
     _emit(payload, args.out)
     return 0
 
@@ -231,12 +221,8 @@ def _verify_one(n: int, rng: np.random.Generator) -> list[tuple[str, bool, str]]
     inst = make_instance(n)
     d = inst.total_dim
 
-    residual = float(
-        np.linalg.norm((d / n) * inst.projectors.sum(axis=0) - np.eye(d))
-    )
-    checks.append(("completeness", residual <= 1e-12, f"residual {residual:.2e}"))
-
-    from .instance import check_linear_independence
+    residual = completeness_residual(inst)
+    checks.append(("completeness", residual <= COMPLETENESS_TOL, f"residual {residual:.2e}"))
 
     ok = True
     for _ in range(50):
@@ -256,8 +242,6 @@ def _verify_one(n: int, rng: np.random.Generator) -> list[tuple[str, bool, str]]
     q_gap = float(np.max(np.abs(r.overlaps - n / (2.0 * d))))
     checks.append(("overlap value", q_gap <= 1e-10, f"|q - N/(2D)| {q_gap:.2e}"))
 
-    from .usd import verify_pairwise_bound
-
     bound_ok = True
     hi = 2.0 * d / n
     for _ in range(200):
@@ -273,8 +257,7 @@ def _verify_one(n: int, rng: np.random.Generator) -> list[tuple[str, bool, str]]
     pr = failure_probability(m, r).failure_probability
     checks.append(("failure 1/2", abs(pr - 0.5) <= 1e-12, f"Pr(fail) {pr:.12f}"))
 
-    ops = _product_ops_from_instance(inst, 1)
-    report = certify(ops)
+    report = certify(family_product_ops(inst))
     rays_ok = all(s.extreme == n for s in report.parties)
     checks.append(("extreme rays", rays_ok, f"per party {[s.extreme for s in report.parties]}"))
     checks.append(

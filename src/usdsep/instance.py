@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import InvariantError, proj
+from .numerics import InvariantError
+from .serialize import pairs_to_matrix
 
 __all__ = [
     "PartyDims",
@@ -36,6 +37,7 @@ __all__ = [
     "prime_factors",
     "ascending_factorizations",
     "make_instance",
+    "completeness_residual",
     "shift_unitary",
     "check_linear_independence",
     "pairwise_overlaps",
@@ -141,7 +143,6 @@ class Instance:
     omit: int
     local_states: tuple[np.ndarray, ...]  # per party: (N, d_alpha), row j-1
     states: np.ndarray  # (N, D), row j-1 holds the global state j
-    projectors: np.ndarray  # (N, D, D)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -160,11 +161,6 @@ class Instance:
         if not 1 <= j <= self.n:
             raise ValueError(f"state label {j} out of range 1..{self.n}")
         return self.states[j - 1]
-
-    def projector(self, j: int) -> np.ndarray:
-        if not 1 <= j <= self.n:
-            raise ValueError(f"state label {j} out of range 1..{self.n}")
-        return self.projectors[j - 1]
 
 
 @dataclass(frozen=True)
@@ -255,9 +251,7 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
             vec = np.kron(vec, factor[i])
         rows.append(vec)
     states = np.array(rows)
-    projectors = np.einsum("ja,jb->jab", states, states.conj())
     states.setflags(write=False)
-    projectors.setflags(write=False)
 
     inst = Instance(
         n=n,
@@ -265,17 +259,25 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
         omit=omit,
         local_states=tuple(local),
         states=states,
-        projectors=projectors,
     )
-    d_total = party.total_dim
-    resolution = (d_total / n) * projectors.sum(axis=0)
-    gap = np.linalg.norm(resolution - np.eye(d_total))
+    gap = completeness_residual(inst)
     if gap > COMPLETENESS_TOL:
         raise InvariantError(f"projectors fail to resolve the identity: residual {gap:.3e}")
     norm_gap = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
     if norm_gap > COMPLETENESS_TOL:
         raise InvariantError(f"states are not unit norm: deviation {norm_gap:.3e}")
     return inst
+
+
+def completeness_residual(inst: Instance) -> float:
+    """Frobenius norm of (D/N) * sum_j |psi_j><psi_j| - identity.
+
+    The projector sum is S^T conj(S) for the (N, D) state matrix S, so the
+    check costs one matmul and never forms the N projectors.
+    """
+    d = inst.total_dim
+    resolution = (d / inst.n) * (inst.states.T @ inst.states.conj())
+    return float(np.linalg.norm(resolution - np.eye(d)))
 
 
 def shift_unitary(inst: Instance, party: int) -> np.ndarray:
@@ -436,7 +438,7 @@ def instance_from_dict(payload: dict) -> Instance:
         raise ValueError(f"malformed instance payload: {exc}") from exc
     inst = make_instance(n, dims, omit)
     try:
-        stored = np.array([[complex(re, im) for re, im in row] for row in raw])
+        stored = pairs_to_matrix(raw)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed state array: {exc}") from exc
     if stored.shape != inst.states.shape:

@@ -12,11 +12,9 @@ import numpy as np
 __all__ = [
     "InvariantError",
     "ConvergenceError",
-    "kron",
     "kron_all",
     "proj",
     "hermitize",
-    "herm_eigen",
     "rank",
     "partial_trace",
     "vec_herm",
@@ -33,11 +31,6 @@ class InvariantError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """An iterative routine hit its iteration cap before converging."""
-
-
-def kron(a, b):
-    """Kronecker product with the first factor as the most significant index."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def kron_all(factors):
@@ -71,17 +64,6 @@ def hermitize(m, rtol=1e-12):
     if gap > rtol * max(scale, 1.0):
         raise ValueError(f"matrix is not Hermitian: asymmetry {gap:.3e}")
     return (m + m.conj().T) / 2.0
-
-
-def herm_eigen(h):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
-
-    Raises np.linalg.LinAlgError if the underlying QR iteration fails to
-    converge, which for finite Hermitian input signals a genuine numerical
-    breakdown rather than anything recoverable here.
-    """
-    vals, vecs = np.linalg.eigh(hermitize(h))
-    return vals, vecs
 
 
 def rank(m, tol=DEFAULT_TOL):

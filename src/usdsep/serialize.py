@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["format_float", "dumps", "loads", "matrix_to_pairs", "pairs_to_matrix"]
+__all__ = ["format_float", "dumps", "matrix_to_pairs", "pairs_to_matrix"]
 
 
 def format_float(x: float) -> str:
@@ -83,16 +83,11 @@ def dumps(obj, indent: int = 2) -> str:
     return "".join(out)
 
 
-def loads(text: str):
-    return json.loads(text)
-
-
 def matrix_to_pairs(m) -> list:
     """Nested [re, im] pairs for a complex matrix."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
 def pairs_to_matrix(rows):
-    import numpy as np
-
+    """Complex matrix from nested [re, im] pairs."""
     return np.array([[complex(re, im) for re, im in row] for row in rows])

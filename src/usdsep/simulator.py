@@ -23,14 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance, ReciprocalSet, reciprocal_set
-from .numerics import InvariantError, kron_all, proj
-from .usd import WeightedMeasurement, failure_probability
+from .numerics import InvariantError, kron_all
+from .usd import WeightedMeasurement, failure_probability, family_product_ops
 
 __all__ = [
     "SimConfig",
     "SimReport",
     "MulticopyMeasurement",
-    "outcome_distribution",
     "run_discrimination",
     "classify_tuple",
     "multicopy_measurement",
@@ -39,7 +38,6 @@ __all__ = [
 ]
 
 POVM_TOL = 1e-10
-DEFAULT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -86,42 +84,27 @@ class MulticopyMeasurement:
     copies: int
     tuples: tuple[tuple[int, ...], ...]
     labels: tuple[object, ...]  # per tuple: retained label j or None (failure)
-    elements: np.ndarray  # (N^n, dim^n, dim^n), copies as the outer factors
-    # Per element: one factor per party, that party's copies tensored
-    # together (the grouping a party holding all its copies acts with).
-    # Relates to ``elements`` by the canonical reordering of tensor factors.
+    # Per tuple: one factor per party, that party's copies tensored together
+    # (the grouping a party holding all its copies acts with).
     party_factors: tuple
     theoretical_failure: float
     per_state: np.ndarray  # (D, N^n) exact outcome distribution per input
     inputs: tuple[int, ...]  # (D,) retained label of each per_state row
 
 
-def outcome_distribution(elements, state, tol: float = POVM_TOL) -> np.ndarray:
-    """Born probabilities of a POVM on a pure state.
+def _checked_rows(rows: np.ndarray) -> np.ndarray:
+    """Exact outcome rows, one per input, validated and clipped at zero.
 
-    ``elements`` must sum to the identity within ``tol`` and the state must
-    be unit norm.  Probabilities in [-1e-12, 0) are clipped to zero; more
-    negative values mean an element was not positive and are an error.
+    A probability below -1e-12 or a row sum off 1 by more than POVM_TOL
+    means the measurement was not a POVM: InvariantError.
     """
-    elements = [np.asarray(e, dtype=complex) for e in elements]
-    if not elements:
-        raise ValueError("POVM needs at least one element")
-    dim = elements[0].shape[0]
-    closure = np.linalg.norm(sum(elements) - np.eye(dim))
-    if closure > tol:
-        raise ValueError(f"incomplete POVM: closure residual {closure:.3e}")
-    state = np.asarray(state, dtype=complex).ravel()
-    if state.shape[0] != dim:
-        raise ValueError("state dimension does not match the POVM")
-    if abs(np.linalg.norm(state) - 1.0) > tol:
-        raise ValueError("state must be unit norm")
-    probs = np.array([float(np.real(state.conj() @ e @ state)) for e in elements])
-    if probs.min() < -1e-12:
-        raise ValueError(f"negative outcome probability {probs.min():.3e}")
-    probs = np.clip(probs, 0.0, None)
-    if abs(float(probs.sum()) - 1.0) > tol:
-        raise InvariantError(f"probabilities sum to {probs.sum():.12f}")
-    return probs
+    low = float(rows.min())
+    if low < -1e-12:
+        raise InvariantError(f"negative outcome probability {low:.3e}")
+    gap = float(np.max(np.abs(rows.sum(axis=1) - 1.0)))
+    if gap > POVM_TOL:
+        raise InvariantError(f"outcome probabilities miss 1 by {gap:.3e}")
+    return np.clip(rows, 0.0, None)
 
 
 def _sample_counts(dists: np.ndarray, trials: int, seed: int):
@@ -156,9 +139,12 @@ def run_discrimination(
         raise ValueError("measurement belongs to a different instance")
     theoretical = failure_probability(m, r).failure_probability
 
-    povm = list(m.elements) + [m.failure_op]
+    # Outcome j weighs w_j |<psi_j|phi>|^2; the failure column is <phi|F|phi>.
+    named = inst.states[[j - 1 for j in m.indices]]
+    conclusive = m.weights * np.abs(r.states.conj() @ named.T) ** 2
+    fail = np.einsum("ia,ab,ib->i", r.states.conj(), m.failure_op, r.states).real
+    dists = _checked_rows(np.column_stack([conclusive, fail]))
     labels = [str(j) for j in m.indices] + ["fail"]
-    dists = np.array([outcome_distribution(povm, phi) for phi in r.states])
 
     true_idx, outcome_idx = _sample_counts(dists, cfg.trials, cfg.seed)
     tallies = np.bincount(outcome_idx, minlength=len(labels))
@@ -194,59 +180,32 @@ def classify_tuple(tup, omit: int):
     return None
 
 
-def multicopy_measurement(
-    inst: Instance, copies: int, budget: int = DEFAULT_BUDGET
-) -> MulticopyMeasurement:
+def multicopy_measurement(inst: Instance, copies: int) -> MulticopyMeasurement:
     """Tensor power of the symmetric single-copy measurement.
 
     One outcome per label tuple (j_1, ..., j_n), with element
-    (D/N)^n * P_(j_1) x ... x P_(j_n).  Tuples are classified by
-    classify_tuple.  The exact per-input outcome distributions are computed
-    by Born traces on the reciprocal tensor powers; they certify that no
-    tuple has weight on an input it does not name and that the failure
-    probability is exactly 2^(-n).
+    (D/N)^n * P_(j_1) x ... x P_(j_n), kept as its per-party factors from
+    family_product_ops.  Tuples are classified by classify_tuple.  An input
+    phi^(x n) gives the tuple the product of its single-copy Born weights
+    (D/N) |<psi_(j_k)|phi>|^2, so the exact per-input distribution is the
+    n-fold outer product of the single-copy N-outcome rows.  It certifies
+    that no tuple has weight on an input it does not name and that the
+    failure probability is exactly 2^(-n).
 
-    The assembled elements take N^n * D^(2n) complex entries; budgets above
-    ``budget`` are rejected up front.
+    Raises ValueError for copies < 1 and for families past
+    usd.MAX_FAMILY_ENTRIES.
     """
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
+    party_factors = tuple(tuple(f) for f in family_product_ops(inst, copies))
     n, d = inst.n, inst.total_dim
-    entries = n**copies * d ** (2 * copies)
-    if entries > budget:
-        raise ValueError(
-            f"multicopy family needs {entries} complex entries, over the budget {budget}"
-        )
-    scale = (d / n) ** copies
     tuples = tuple(itertools.product(range(1, n + 1), repeat=copies))
     labels = tuple(classify_tuple(t, inst.omit) for t in tuples)
 
-    elements = np.array(
-        [scale * kron_all([inst.projector(j) for j in t]) for t in tuples]
-    )
-    closure = np.linalg.norm(elements.sum(axis=0) - np.eye(d**copies))
-    if closure > POVM_TOL:
-        raise InvariantError(f"multicopy closure residual {closure:.3e}")
-
-    party_factors = []
-    for t in tuples:
-        factors = []
-        for alpha in range(inst.party.party_count):
-            blocks = [proj(inst.local_states[alpha][j - 1]) for j in t]
-            factor = kron_all(blocks)
-            if alpha == 0:
-                factor = scale * factor
-            factors.append(factor)
-        party_factors.append(tuple(factors))
-
     r = reciprocal_set(inst)
-    power_states = np.array(
-        [kron_all([phi] * copies) if copies > 1 else phi for phi in r.states]
-    )
-    per_state = np.einsum(
-        "ia,kab,ib->ik", power_states.conj(), elements, power_states
-    ).real
-    per_state = np.clip(per_state, 0.0, None)
+    single = (d / n) * np.abs(r.states.conj() @ inst.states.T) ** 2  # (D, N)
+    per_state = single
+    for _ in range(copies - 1):
+        per_state = (per_state[:, :, None] * single[:, None, :]).reshape(len(r.indices), -1)
+    per_state = _checked_rows(per_state)
 
     # Zero-error audit: an outcome tuple may only weight the input it names.
     label_arr = np.array([-1 if lab is None else lab for lab in labels])
@@ -262,8 +221,7 @@ def multicopy_measurement(
         copies=copies,
         tuples=tuples,
         labels=labels,
-        elements=elements,
-        party_factors=tuple(party_factors),
+        party_factors=party_factors,
         theoretical_failure=theoretical,
         per_state=per_state,
         inputs=r.indices,

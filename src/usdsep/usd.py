@@ -9,16 +9,22 @@ operator (D/N) * P_omit: every outcome of the completed measurement is then
 proportional to a projector onto a product state, so the measurement is
 separable.  The achieved failure probability at the symmetric point is 1/2,
 and no positive-semidefinite choice of weights does better.
+
+Every outcome is rank 1, so the state matrix S (row j-1 = state j) describes
+the whole measurement: sum_j w_j P_j is S^T diag(w) conj(S), one matmul,
+and the N projectors are never stored.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instance import Instance, ReciprocalSet
-from .numerics import InvariantError
+from .numerics import InvariantError, kron_all, proj
 
 __all__ = [
     "NotPSDError",
@@ -31,11 +37,16 @@ __all__ = [
     "verify_pairwise_bound",
     "q_values",
     "oracle_optimize",
+    "family_product_ops",
 ]
 
 PSD_TOL = 1e-10
 CLOSURE_TOL = 1e-12
 PAIRWISE_SLACK = 1e-10
+# Largest product family (outcomes times the entries each carries: its label
+# tuple, one Born weight per reciprocal input and its per-party factors)
+# that family_product_ops builds.
+MAX_FAMILY_ENTRIES = 1_000_000
 
 
 class NotPSDError(ValueError):
@@ -44,20 +55,23 @@ class NotPSDError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedMeasurement:
-    """POVM {w_j P_j for retained j} plus the completing failure operator."""
+    """POVM {w_j P_j for retained j} plus the completing failure operator.
+
+    Outcome j is w_j times the projector onto family state j; only the
+    weights and the failure operator are stored.
+    """
 
     n: int
     dims: tuple[int, ...]
     omit: int
     indices: tuple[int, ...]
     weights: np.ndarray  # (D,), aligned with indices
-    elements: np.ndarray  # (D, dim, dim)
     failure_op: np.ndarray  # (dim, dim)
     min_eigenvalue: float  # smallest eigenvalue of failure_op
 
     @property
     def total_dim(self) -> int:
-        return self.elements.shape[1]
+        return self.failure_op.shape[0]
 
 
 @dataclass(frozen=True)
@@ -97,18 +111,17 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
         raise ValueError(f"expected {len(retained)} weights, got {w.shape[0]}")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
-    projs = inst.projectors[[j - 1 for j in retained]]
-    elements = w[:, None, None] * projs
-    failure = np.eye(inst.total_dim, dtype=complex) - elements.sum(axis=0)
+    named = inst.states[[j - 1 for j in retained]]
+    weighted = (named.T * w) @ named.conj()
+    failure = np.eye(inst.total_dim, dtype=complex) - weighted
     min_eig = float(np.linalg.eigvalsh(failure)[0])
     if min_eig < -psd_tol:
         raise NotPSDError(
             f"failure operator has eigenvalue {min_eig:.3e}; weights are infeasible"
         )
-    closure = np.linalg.norm(elements.sum(axis=0) + failure - np.eye(inst.total_dim))
+    closure = np.linalg.norm(weighted + failure - np.eye(inst.total_dim))
     if closure > CLOSURE_TOL:
         raise InvariantError(f"POVM closure residual {closure:.3e}")
-    elements.setflags(write=False)
     failure.setflags(write=False)
     w.setflags(write=False)
     return WeightedMeasurement(
@@ -117,7 +130,6 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
         omit=inst.omit,
         indices=retained,
         weights=w,
-        elements=elements,
         failure_op=failure,
         min_eigenvalue=min_eig,
     )
@@ -240,7 +252,8 @@ def oracle_optimize(
             raise ValueError(f"extra points must have {count} coordinates")
         pool = np.vstack([pool, extra])
 
-    projs = inst.projectors[[j - 1 for j in inst.retained]]
+    named = inst.states[[j - 1 for j in inst.retained]]
+    columns, rows = named.T, named.conj()
     eye = np.eye(d, dtype=complex)
 
     best_w = None
@@ -250,7 +263,7 @@ def oracle_optimize(
 
     def scan(block: np.ndarray) -> None:
         nonlocal best_w, best_pr, feasible_count, max_weight_sum
-        failure_ops = eye[None] - np.einsum("sj,jab->sab", block, projs)
+        failure_ops = eye[None] - (columns[None] * block[:, None, :]) @ rows
         min_eigs = np.linalg.eigvalsh(failure_ops)[:, 0]
         ok = min_eigs >= -PSD_TOL
         if not ok.any():
@@ -283,3 +296,41 @@ def oracle_optimize(
         max_weight_sum=max_weight_sum,
         samples=int(pool.shape[0]),
     )
+
+
+def family_product_ops(inst: Instance, copies: int = 1) -> list[list[np.ndarray]]:
+    """Per-party factors of the symmetric measurement's n-copy outcomes.
+
+    One entry per label tuple (j_1, ..., j_n), in itertools.product order;
+    it lists, per party, the tensor product over copies of that party's
+    projectors onto its local states j_1, ..., j_n.  The scale (D/N)^n sits
+    on party 0, so the kron of an entry's factors is the outcome operator
+    with each party's copies grouped together.  With copies = 1 these are
+    the N outcomes (D/N) P_j, the omitted label's being the failure
+    operator.
+
+    Raises ValueError for copies < 1 and for families past
+    MAX_FAMILY_ENTRIES, before anything is allocated.
+    """
+    if copies < 1:
+        raise ValueError("copies must be >= 1")
+    n, d = inst.n, inst.total_dim
+    # Past 64 copies every family is over the limit (N^n alone is); the
+    # shortcut keeps a huge copies from forming huge integers.
+    entries = (
+        n**copies * (copies + d + sum(dim ** (2 * copies) for dim in inst.dims))
+        if copies <= 64
+        else math.inf
+    )
+    if entries > MAX_FAMILY_ENTRIES:
+        raise ValueError(
+            f"{copies}-copy family of N = {n} exceeds the limit of {MAX_FAMILY_ENTRIES} entries"
+        )
+    scale = (d / n) ** copies
+    local = [[proj(v) for v in states] for states in inst.local_states]
+    ops = []
+    for t in itertools.product(range(n), repeat=copies):
+        factors = [kron_all([party[j] for j in t]) for party in local]
+        factors[0] = scale * factors[0]
+        ops.append(factors)
+    return ops

@@ -194,7 +194,8 @@ def test_07_multicopy_failure_decay_and_certificate():
         mm = multicopy_measurement(inst, copies=n_copies)
         worst = max(worst, abs(mm.theoretical_failure - 0.5**n_copies))
         dim = inst.total_dim**n_copies
-        closure = float(np.linalg.norm(mm.elements.sum(axis=0) - np.eye(dim)))
+        total = sum(kron_all(factors) for factors in mm.party_factors)
+        closure = float(np.linalg.norm(total - np.eye(dim)))
         worst_closure = max(worst_closure, closure)
     rep = certify(multicopy_measurement(inst, copies=2).party_factors)
     elapsed = time.perf_counter() - t0

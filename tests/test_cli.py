@@ -154,6 +154,33 @@ def test_nonpositive_tol_is_input_error(capsys, command, tol):
     assert "--tol" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["optimize"], ["simulate"], ["simulate", "--copies", "2"]]
+)
+def test_tol_without_weights_is_input_error(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv, "--n", "5", "--tol", "0.5")
+    assert rc == 2
+    assert out == ""
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("argv", [["optimize"], ["simulate", "--trials", "100"]])
+def test_weights_runs_record_the_tol_they_used(capsys, argv):
+    argv = [*argv, "--n", "5", "--weights", "0.5,0.5,0.5,0.5"]
+    payload, _ = run_json(capsys, *argv, "--tol", "1e-6")
+    assert payload["manifest"]["parameters"]["tol"] == 1e-6
+    payload, _ = run_json(capsys, *argv)
+    assert "tol" not in payload["manifest"]["parameters"]
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+def test_copies_past_the_size_limit_is_input_error(capsys, command):
+    rc, out, err = run_cli(capsys, command, "--n", "5", "--copies", "5")
+    assert rc == 2
+    assert out == ""
+    assert "limit" in err
+
+
 def test_certify_two_copies(capsys):
     payload, _ = run_json(capsys, "certify", "--n", "5", "--copies", "2")
     assert payload["total"] == 50

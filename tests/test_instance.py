@@ -14,6 +14,7 @@ from usdsep import (
     make_instance,
     pairwise_overlaps,
     prime_factors,
+    proj,
     reciprocal_set,
     shift_unitary,
 )
@@ -54,7 +55,7 @@ def test_make_instance_default_dims_and_completeness():
     assert inst.dims == (2, 2, 3)
     for got in all_instances():
         d = got.total_dim
-        resolution = (d / got.n) * got.projectors.sum(axis=0)
+        resolution = (d / got.n) * sum(proj(v) for v in got.states)
         assert np.linalg.norm(resolution - np.eye(d)) <= 1e-12
         assert np.max(np.abs(np.linalg.norm(got.states, axis=1) - 1.0)) <= 1e-12
 

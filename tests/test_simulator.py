@@ -1,5 +1,8 @@
 """Tests for the sampling layer and the multicopy measurement."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,11 +13,12 @@ from usdsep import (
     build_measurement,
     classify_tuple,
     complement_decomposition,
+    family_product_ops,
     kron_all,
     make_instance,
     multicopy_measurement,
     optimal_measurement,
-    outcome_distribution,
+    proj,
     reciprocal_set,
     run_discrimination,
     run_multicopy_discrimination,
@@ -32,41 +36,55 @@ def test_config_validation():
         SimConfig(seed=0, trials=10, copies=0)
 
 
+def born_reference(inst, copies):
+    """Dense outcome distributions of the n-copy symmetric measurement.
+
+    Row i, column t: <phi_i^(x n)| (D/N)^n P_(t_1) x ... x P_(t_n) |phi_i^(x n)>
+    for the label tuples t in itertools.product order.
+    """
+    scale = (inst.total_dim / inst.n) ** copies
+    tuples = itertools.product(range(1, inst.n + 1), repeat=copies)
+    elements = [scale * kron_all([proj(inst.state(j)) for j in t]) for t in tuples]
+    inputs = [kron_all([phi] * copies) for phi in reciprocal_set(inst).states]
+    rows = [[np.real(x.conj() @ e @ x) for e in elements] for x in inputs]
+    return np.array(elements), np.array(rows)
+
+
 def test_outcome_distribution_on_omitted_state():
+    # The assembled product outcomes are a POVM; on the omitted state the
+    # failure outcome (label 1) carries 0.8 and each other outcome 0.05.
     inst = make_instance(5)
-    m = optimal_measurement(inst)
-    povm = list(m.elements) + [m.failure_op]
-    probs = outcome_distribution(povm, inst.state(1))
-    assert np.allclose(probs, [0.05, 0.05, 0.05, 0.05, 0.8], atol=1e-12)
+    psi = inst.state(1)
+    probs = [np.real(psi.conj() @ kron_all(f) @ psi) for f in family_product_ops(inst)]
+    assert np.allclose(probs, [0.8, 0.05, 0.05, 0.05, 0.05], atol=1e-12)
 
 
 def test_outcome_distribution_on_reciprocal_input():
     inst = make_instance(5)
-    r = reciprocal_set(inst)
-    m = optimal_measurement(inst)
-    povm = list(m.elements) + [m.failure_op]
-    probs = outcome_distribution(povm, r.state(3))
+    mm = multicopy_measurement(inst, copies=1)
+    probs = mm.per_state[mm.inputs.index(3)]
     expected = np.zeros(5)
-    expected[m.indices.index(3)] = 0.5
-    expected[-1] = 0.5
+    expected[3 - 1] = 0.5
+    expected[inst.omit - 1] = 0.5
     assert np.allclose(probs, expected, atol=1e-12)
 
 
 def test_outcome_distribution_rejections():
+    # Rows that are not a probability distribution are a broken measurement.
+    # The tampering X keeps the average failure (the trace of X against the
+    # summed inputs is zero), so only the per-input rows can catch it.
     inst = make_instance(5)
+    r = reciprocal_set(inst)
     m = optimal_measurement(inst)
-    with pytest.raises(ValueError, match="incomplete"):
-        outcome_distribution(list(m.elements), inst.state(1))
-    povm = list(m.elements) + [m.failure_op]
-    with pytest.raises(ValueError, match="unit norm"):
-        outcome_distribution(povm, 2.0 * inst.state(1))
-    with pytest.raises(ValueError, match="dimension"):
-        outcome_distribution(povm, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        outcome_distribution([], inst.state(1))
-    bad = np.diag([1.5, -0.5]).astype(complex)
-    with pytest.raises(ValueError, match="negative"):
-        outcome_distribution([bad, np.eye(2) - bad], np.array([0.0, 1.0]))
+    cfg = SimConfig(seed=0, trials=10)
+    t = float(np.sum(np.abs(r.states.conj() @ r.states[0]) ** 2)) / len(r.indices)
+    x = proj(r.states[0]) - t * np.eye(inst.total_dim)
+    shifted = dataclasses.replace(m, failure_op=m.failure_op + 0.1 * x)
+    with pytest.raises(InvariantError, match="miss 1"):
+        run_discrimination(inst, r, shifted, cfg)
+    negative = dataclasses.replace(m, failure_op=m.failure_op - 1.0 * x)
+    with pytest.raises(InvariantError, match="negative"):
+        run_discrimination(inst, r, negative, cfg)
 
 
 def test_run_discrimination_frozen_seed():
@@ -153,8 +171,8 @@ def test_multicopy_single_copy_reduces_to_base_measurement():
     mm = multicopy_measurement(inst, copies=1)
     assert mm.tuples == ((1,), (2,), (3,), (4,), (5,))
     assert mm.labels == (None, 2, 3, 4, 5)
-    for t, elem in zip(mm.tuples, mm.elements):
-        assert np.linalg.norm(elem - 0.8 * inst.projector(t[0])) <= 1e-12
+    for t, factors in zip(mm.tuples, mm.party_factors):
+        assert np.linalg.norm(kron_all(factors) - 0.8 * proj(inst.state(t[0]))) <= 1e-12
     assert abs(mm.theoretical_failure - 0.5) <= 1e-12
 
 
@@ -162,33 +180,49 @@ def test_multicopy_two_copies_structure():
     inst = make_instance(5)
     mm = multicopy_measurement(inst, copies=2)
     assert len(mm.tuples) == 25
-    assert mm.elements.shape == (25, 16, 16)
+    assert len(mm.party_factors) == 25
+    assert all(f.shape == (4, 4) for factors in mm.party_factors for f in factors)
+    assert mm.per_state.shape == (4, 25)
     named = [lab for lab in mm.labels if lab is not None]
     assert sorted(named) == sorted([2, 3, 4, 5] * 3)
     assert mm.labels.count(None) == 13
     assert abs(mm.theoretical_failure - 0.25) <= 1e-12
 
 
-def test_multicopy_party_factors_assemble_elements():
-    # elements order the tensor factors copy by copy; party_factors group
-    # each party's copies together.  The two agree after relabeling the
-    # basis by the corresponding axis permutation.
-    inst = make_instance(5)
-    copies = 2
+MULTICOPY_CASES = [(5, 1), (5, 2), (5, 3), (7, 2)]
+
+
+@pytest.mark.parametrize("n, copies", MULTICOPY_CASES)
+def test_multicopy_per_state_matches_dense_born_reference(n, copies):
+    inst = make_instance(n)
     mm = multicopy_measurement(inst, copies=copies)
-    p = inst.party.party_count
-    axes_cm = list(inst.dims) * copies
-    to_party_major = [k * p + alpha for alpha in range(p) for k in range(copies)]
-    relabel = (
-        np.arange(inst.total_dim**copies)
-        .reshape(axes_cm)
-        .transpose(to_party_major)
-        .ravel()
-    )
-    for t in (0, 7, 13, 24):
-        assembled = kron_all(list(mm.party_factors[t]))
-        permuted = mm.elements[t][np.ix_(relabel, relabel)]
-        assert np.linalg.norm(assembled - permuted) <= 1e-12
+    _, rows = born_reference(inst, copies)
+    assert mm.per_state.shape == rows.shape
+    assert np.max(np.abs(mm.per_state - rows)) <= 1e-12
+
+
+def test_multicopy_party_factors_assemble_elements():
+    # The reference elements order the tensor factors copy by copy;
+    # party_factors group each party's copies together.  The two agree
+    # after relabeling the basis by the corresponding axis permutation.
+    for n, copies in MULTICOPY_CASES:
+        inst = make_instance(n)
+        mm = multicopy_measurement(inst, copies=copies)
+        elements, _ = born_reference(inst, copies)
+        p = inst.party.party_count
+        axes_cm = list(inst.dims) * copies
+        to_party_major = [k * p + alpha for alpha in range(p) for k in range(copies)]
+        relabel = (
+            np.arange(inst.total_dim**copies)
+            .reshape(axes_cm)
+            .transpose(to_party_major)
+            .ravel()
+        )
+        assert len(mm.party_factors) == len(elements)
+        for factors, element in zip(mm.party_factors, elements):
+            assembled = kron_all(list(factors))
+            permuted = element[np.ix_(relabel, relabel)]
+            assert np.linalg.norm(assembled - permuted) <= 1e-12
 
 
 def test_multicopy_failure_halves_per_copy():
@@ -198,10 +232,18 @@ def test_multicopy_failure_halves_per_copy():
         assert abs(mm.theoretical_failure - 0.5**n_copies) <= 1e-12
 
 
+def test_multicopy_four_copies_fit():
+    mm = multicopy_measurement(make_instance(5), copies=4)
+    assert len(mm.party_factors) == 625
+    assert abs(mm.theoretical_failure - 1.0 / 16.0) <= 1e-12
+
+
 def test_multicopy_budget_guard():
     inst = make_instance(5)
-    with pytest.raises(ValueError, match="budget"):
-        multicopy_measurement(inst, copies=4)
+    with pytest.raises(ValueError, match="limit"):
+        multicopy_measurement(inst, copies=5)
+    with pytest.raises(ValueError, match="limit"):
+        multicopy_measurement(inst, copies=10**9)
     with pytest.raises(ValueError):
         multicopy_measurement(inst, copies=0)
 

@@ -12,6 +12,7 @@ from usdsep import (
     make_instance,
     optimal_measurement,
     oracle_optimize,
+    proj,
     q_values,
     reciprocal_set,
     verify_pairwise_bound,
@@ -24,11 +25,10 @@ def test_build_measurement_symmetric_point():
     m = optimal_measurement(inst)
     assert np.allclose(m.weights, 0.8, atol=1e-15)
     # The failure operator collapses onto the omitted projector.
-    assert np.linalg.norm(m.failure_op - 0.8 * inst.projector(1)) <= 1e-12
+    assert np.linalg.norm(m.failure_op - 0.8 * proj(inst.state(1))) <= 1e-12
     assert np.linalg.matrix_rank(m.failure_op, tol=1e-10) == 1
-    closure = np.linalg.norm(
-        m.elements.sum(axis=0) + m.failure_op - np.eye(4)
-    )
+    elements = [w * proj(inst.state(j)) for w, j in zip(m.weights, m.indices)]
+    closure = np.linalg.norm(sum(elements) + m.failure_op - np.eye(4))
     assert closure <= 1e-12
 
 
@@ -112,7 +112,7 @@ def test_psd_feasible_weights_respect_pairwise_bound():
     rng = np.random.default_rng(17)
     for inst in all_instances():
         d = inst.total_dim
-        projs = inst.projectors[[j - 1 for j in inst.retained]]
+        projs = np.array([proj(inst.state(j)) for j in inst.retained])
         for _ in range(50):
             ray = rng.uniform(0.0, 1.0, size=d)
             top = np.linalg.eigvalsh(np.einsum("j,jab->ab", ray, projs))[-1]
@@ -191,7 +191,7 @@ def test_low_failure_needs_nearly_symmetric_weights():
     Random grid points outside the box must all be infeasible or >= 0.51.
     """
     inst = make_instance(5)
-    projs = inst.projectors[[1, 2, 3, 4]]
+    projs = np.array([proj(inst.state(j)) for j in (2, 3, 4, 5)])
     eye = np.eye(4, dtype=complex)
     sum_floor = 32.0 / 5.0 * (1.0 - 0.51)  # sum(w) above this iff Pr(f) < 0.51
     pair_cap = 1.6
