@@ -144,7 +144,10 @@ def _product_ops_from_file(path: str):
     raw = _load_json(path)
     if not isinstance(raw, list):
         raise ValueError("measurement file must hold a list of product operators")
-    return [[pairs_to_matrix(factor) for factor in entry] for entry in raw]
+    try:
+        return [[pairs_to_matrix(factor) for factor in entry] for entry in raw]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed product operator array: {exc}") from exc
 
 
 def cmd_certify(args) -> int:

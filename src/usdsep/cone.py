@@ -217,8 +217,6 @@ def certify(
     product_ops,
     n_ops: int | None = None,
     tol: float = RAY_TOL,
-    identity_rtol: float = IDENTITY_RTOL,
-    count_identity_generators: bool = True,
 ) -> ConeReport:
     """Extreme-ray count certificate for a product-operator measurement.
 
@@ -231,14 +229,6 @@ def certify(
         Expected number of outcomes; validated against len(product_ops).
     tol : float
         Ray-grouping and extremality threshold; must be positive and finite.
-    identity_rtol : float
-        Relative threshold for treating a factor as proportional to the
-        identity.  A party whose factors are all proportional to the
-        identity never acts and is excluded from the total.
-    count_identity_generators : bool
-        Whether identity-proportional factors of a counted party still
-        enter that party's cone as generators.  They are genuine factor
-        operators of the measurement, so the default keeps them.
 
     Returns
     -------
@@ -268,13 +258,8 @@ def certify(
     for alpha in range(p):
         factors = [np.asarray(entry[alpha], dtype=complex) for entry in entries]
         ops = LocalOperatorSet(party=alpha, ops=tuple(factors))
-        is_id = [_proportional_to_identity(f, identity_rtol) for f in factors]
-        skipped = all(is_id)
-        counted = ops
-        if not skipped and not count_identity_generators and any(is_id):
-            kept = tuple(f for f, ident in zip(factors, is_id) if not ident)
-            counted = LocalOperatorSet(party=alpha, ops=kept)
-        extreme, rays, residuals = count_extreme(counted, tol)
+        skipped = all(_proportional_to_identity(f) for f in factors)
+        extreme, rays, residuals = count_extreme(ops, tol)
         lo, hi_band = WARN_BAND
         for c, rn in enumerate(residuals):
             if lo <= rn <= hi_band:
@@ -310,9 +295,9 @@ def certify(
     )
 
 
-def _proportional_to_identity(op: np.ndarray, rtol: float) -> bool:
+def _proportional_to_identity(op: np.ndarray) -> bool:
     d = op.shape[0]
     scale = np.trace(op) / d
-    return float(np.linalg.norm(op - scale * np.eye(d))) <= rtol * max(
+    return float(np.linalg.norm(op - scale * np.eye(d))) <= IDENTITY_RTOL * max(
         float(np.linalg.norm(op)), 1e-14
     )

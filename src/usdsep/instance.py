@@ -1,18 +1,25 @@
 """Roots-of-unity product-state families and their reciprocal bases.
 
 A problem instance fixes a prime N >= 5 together with an ascending
-factorization of D = N - 1 into party dimensions.  State j (j = 1..N) is a
-product over parties of uniform-amplitude phase states
+factorization of D = N - 1 into party dimensions.  With omega = exp(2 pi i/N),
+state j (j = 1..N) is a product over parties of uniform-amplitude phase states
 
-    psi_j_alpha = d_alpha^(-1/2) * sum_m exp(2 pi i j p_alpha m / N) |m>,
+    psi_j_alpha = d_alpha^(-1/2) * sum_m omega^(j p_alpha m) |m>,
 
 where p_alpha is the product of the dimensions of the earlier parties.  The
-exponents p_alpha * m_alpha sweep 0..D-1 exactly once, so globally state j
-is the j-th column of a rescaled N-point Fourier matrix restricted to its
-first D rows.  Two consequences drive everything downstream: the N
-projectors sum to (N/D) * identity, and any D of the N states are linearly
+exponents sum_alpha p_alpha m_alpha sweep 0..D-1 exactly once, so globally
+state j is the j-th column of the N-point Fourier matrix restricted to its
+first D rows, over sqrt(D).  Every array here is read from one table of the
+N-th roots of unity at integer exponents reduced mod N.
+
+The Gram entries <psi_k|psi_j> = -omega^(k-j) / D (k != j) give the rest:
+the N projectors sum to (N/D) * identity; any D of the N states are linearly
 independent (no vanishing subsums of distinct N-th roots of unity for prime
-N), so dropping any single state leaves a basis.
+N); and dropping state l leaves a basis whose duals are, for k != l,
+
+    xi_k = (D/N) (psi_k - omega^(l-k) psi_l),
+
+with <xi_k|psi_j> = delta_jk for j != l and <xi_k|psi_l> = -omega^(k-l).
 
 State labels j are 1-based throughout because the phases depend on j mod N;
 party indices are plain 0-based positions.
@@ -50,7 +57,6 @@ __all__ = [
 COMPLETENESS_TOL = 1e-12
 RECIPROCITY_TOL = 1e-10
 INDEPENDENCE_TOL = 1e-10
-CONDITION_LIMIT = 1e8
 
 
 def is_prime(n: int) -> bool:
@@ -236,21 +242,17 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
     if not 1 <= omit <= n:
         raise ValueError(f"omit must be in 1..{n}, got {omit}")
 
-    js = np.arange(1, n + 1)
+    roots = _roots(n)
+    js = np.arange(1, n + 1)[:, None]
     local = []
+    exponents = np.zeros(1, dtype=np.int64)  # sum_alpha p_alpha m_alpha, kron order
     for d, p in zip(party.dims, party.offsets):
-        phases = np.exp(2j * np.pi * np.outer(js, p * np.arange(d)) / n)
-        factor = phases / np.sqrt(d)
+        m = p * np.arange(d)
+        factor = roots[(js * m) % n] / np.sqrt(d)
         factor.setflags(write=False)
         local.append(factor)
-
-    rows = []
-    for i in range(n):
-        vec = local[0][i]
-        for factor in local[1:]:
-            vec = np.kron(vec, factor[i])
-        rows.append(vec)
-    states = np.array(rows)
+        exponents = np.add.outer(exponents, m).ravel()
+    states = roots[(js * exponents) % n] / np.sqrt(party.total_dim)
     states.setflags(write=False)
 
     inst = Instance(
@@ -290,7 +292,7 @@ def shift_unitary(inst: Instance, party: int) -> np.ndarray:
         raise ValueError(f"party {party} out of range")
     d = inst.dims[party]
     p = inst.party.offsets[party]
-    return np.diag(np.exp(2j * np.pi * p * np.arange(d) / inst.n))
+    return np.diag(_roots(inst.n)[(p * np.arange(d)) % inst.n])
 
 
 def check_linear_independence(inst: Instance, subset, tol: float = INDEPENDENCE_TOL):
@@ -318,28 +320,36 @@ def check_linear_independence(inst: Instance, subset, tol: float = INDEPENDENCE_
 def pairwise_overlaps(inst: Instance) -> np.ndarray:
     """Gram matrix G[j-1, k-1] = <state_j | state_k>.
 
-    Off-diagonal entries all have magnitude 1/D: the inner product is a
-    geometric sum of D distinct N-th roots of unity, one term short of the
-    full vanishing sum.
+    Off-diagonal entries are -omega^(j-k) / D, all of magnitude 1/D.
     """
     return inst.states.conj() @ inst.states.T
+
+
+def _roots(n: int) -> np.ndarray:
+    """omega^t = exp(2 pi i t / n) for t = 0..n-1; index with exponents mod n."""
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def _duals(inst: Instance, drop: int):
+    """Labels k != drop and the rows xi_k (module docstring, l = drop)."""
+    labels = np.arange(1, inst.n + 1)
+    ks = labels[labels != drop]
+    phase = _roots(inst.n)[(drop - ks) % inst.n]
+    xi = inst.states[ks - 1] - phase[:, None] * inst.states[drop - 1]
+    return ks, (inst.total_dim / inst.n) * xi
 
 
 def reciprocal_set(inst: Instance) -> ReciprocalSet:
     """Reciprocal states of the retained family.
 
-    Inverting the matrix whose columns are the retained states gives, row by
-    row, the unique directions orthogonal to all partners; normalizing each
-    row yields the reciprocal states.  The partner overlap comes out real
-    positive by construction and its square q_j equals N / (2 D) for every
-    j, a value this routine verifies before returning.
+    The reciprocal state for label k is the dual xi_k with l = omit (module
+    docstring), normalized: the unique direction orthogonal to every other
+    retained state.  Its squared norm is 2D/N, so the partner overlap is
+    real positive with square q_k = N / (2 D) for every k; cross overlaps,
+    partners and q are audited before returning.
     """
-    retained = inst.retained
-    basis = inst.states[[j - 1 for j in retained]].T
-    sv = np.linalg.svd(basis, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > CONDITION_LIMIT:
-        raise ValueError("retained states are too ill-conditioned to invert")
-    dual_rows = np.linalg.inv(basis).conj()
+    retained, dual_rows = _duals(inst, inst.omit)
+    basis = inst.states[retained - 1].T
     norms = np.linalg.norm(dual_rows, axis=1)
     phis = dual_rows / norms[:, None]
 
@@ -365,7 +375,7 @@ def reciprocal_set(inst: Instance) -> ReciprocalSet:
         n=inst.n,
         dims=inst.dims,
         omit=inst.omit,
-        indices=retained,
+        indices=tuple(retained.tolist()),
         states=phis,
         overlaps=overlaps,
     )
@@ -378,34 +388,32 @@ def dual_basis_omit(inst: Instance, drop: int) -> DualBasisOmit:
     these duals is that the originally omitted state stays inside the basis,
     so each dual vector is orthogonal to it while overlapping the dropped
     state with unit magnitude.  Those unimodular overlaps are what pin down
-    the pairwise weight bound on discrimination measurements.
+    the pairwise weight bound on discrimination measurements.  The vectors
+    are the duals xi_k (module docstring, l = drop) for k outside {omit, drop}.
     """
     drop = int(drop)
     if not 1 <= drop <= inst.n:
         raise ValueError(f"drop must be in 1..{inst.n}")
     if drop == inst.omit:
         raise ValueError("drop must differ from the instance's omitted label")
-    kept = [j for j in range(1, inst.n + 1) if j != drop]
-    basis = inst.states[[j - 1 for j in kept]].T
-    dual_rows = np.linalg.inv(basis).conj()
-
-    ks = [k for k in kept if k != inst.omit]
-    vectors = np.array([dual_rows[kept.index(k)] for k in ks])
+    kept, duals = _duals(inst, drop)
+    mine = kept != inst.omit
+    ks, vectors = kept[mine], duals[mine]
 
     # The duals must reproduce delta overlaps on the kept family and a
     # unimodular overlap -exp(2 pi i (k - drop)/N) with the dropped state.
-    cross = vectors.conj() @ inst.states[[j - 1 for j in kept]].T
-    target = np.zeros_like(cross)
-    for i, k in enumerate(ks):
-        target[i, kept.index(k)] = 1.0
+    cross = vectors.conj() @ inst.states[kept - 1].T
+    target = ks[:, None] == kept[None, :]
     if float(np.max(np.abs(cross - target))) > RECIPROCITY_TOL:
         raise InvariantError("dual basis failed its delta-overlap check")
     with_dropped = vectors.conj() @ inst.states[drop - 1]
-    predicted = -np.exp(2j * np.pi * (np.array(ks) - drop) / inst.n)
+    predicted = -np.exp(2j * np.pi * (ks - drop) / inst.n)
     if float(np.max(np.abs(with_dropped - predicted))) > RECIPROCITY_TOL:
         raise InvariantError("dual overlap with the dropped state is off")
     vectors.setflags(write=False)
-    return DualBasisOmit(n=inst.n, omit=inst.omit, omitted=drop, ks=tuple(ks), vectors=vectors)
+    return DualBasisOmit(
+        n=inst.n, omit=inst.omit, omitted=drop, ks=tuple(ks.tolist()), vectors=vectors
+    )
 
 
 def instance_to_dict(inst: Instance) -> dict:

@@ -66,6 +66,15 @@ def test_generate_to_file_round_trips(tmp_path, capsys):
     assert stored["states"] == stored2["states"]
 
 
+@pytest.mark.parametrize("n", ["311", "401"])
+def test_generate_past_the_old_onset(tmp_path, capsys, n):
+    # These sizes once ended in a false InvariantError (exit 3).
+    path = tmp_path / "inst.json"
+    rc, _, _ = run_cli(capsys, "generate", "--n", n, "--out", str(path))
+    assert rc == 0
+    assert len(json.loads(path.read_text())["states"]) == int(n)
+
+
 def test_generate_rejects_nonprime(capsys):
     rc, _, err = run_cli(capsys, "generate", "--n", "6")
     assert rc == 2
@@ -204,9 +213,12 @@ def test_certify_measurement_file(tmp_path, capsys):
 
 def test_certify_measurement_file_must_be_a_list(tmp_path, capsys):
     path = tmp_path / "meas.json"
-    path.write_text(json.dumps({"ops": []}))
-    rc, _, _ = run_cli(capsys, "certify", "--measurement", str(path))
-    assert rc == 2
+    # Not a list; then a pair array one nesting level short, which must be
+    # an input error rather than an uncaught TypeError.
+    for payload in ({"ops": []}, [[[[1, 0]]]]):
+        path.write_text(json.dumps(payload))
+        rc, _, _ = run_cli(capsys, "certify", "--measurement", str(path))
+        assert rc == 2
 
 
 def test_simulate_default(capsys):

@@ -243,24 +243,16 @@ def test_certify_identity_generator_flag():
     eye = np.eye(2, dtype=complex)
 
     # With both basis projectors present, the identity is their sum: it adds
-    # a ray class but never an extreme one, whichever way the flag is set.
+    # a ray class but never an extreme one.
     entries = [[e0, e0], [e1, e1], [eye, e0]]
     kept = certify(entries)
     assert [s.rays for s in kept.parties] == [3, 2]
     assert [s.extreme for s in kept.parties] == [2, 2]
-    dropped = certify(entries, count_identity_generators=False)
-    assert [s.rays for s in dropped.parties] == [2, 2]
-    assert [s.extreme for s in dropped.parties] == [2, 2]
-    assert [s.generators for s in dropped.parties] == [3, 3]
 
     # With only one projector beside it, the identity ray is extreme in the
-    # party's cone, so the flag changes the counted total.
+    # party's cone and counts as a generator.
     entries = [[e0, e0], [eye, e1]]
     assert [s.extreme for s in certify(entries).parties] == [2, 2]
-    assert [
-        s.extreme
-        for s in certify(entries, count_identity_generators=False).parties
-    ] == [1, 2]
 
 
 def test_certify_input_validation():

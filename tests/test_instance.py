@@ -6,6 +6,7 @@ import pytest
 from usdsep import (
     ascending_factorizations,
     check_linear_independence,
+    completeness_residual,
     dual_basis_omit,
     instance_from_dict,
     instance_to_dict,
@@ -18,6 +19,7 @@ from usdsep import (
     reciprocal_set,
     shift_unitary,
 )
+from usdsep.instance import COMPLETENESS_TOL
 
 PRIMES = (5, 7, 11, 13)
 
@@ -58,6 +60,17 @@ def test_make_instance_default_dims_and_completeness():
         resolution = (d / got.n) * sum(proj(v) for v in got.states)
         assert np.linalg.norm(resolution - np.eye(d)) <= 1e-12
         assert np.max(np.abs(np.linalg.norm(got.states, axis=1) - 1.0)) <= 1e-12
+
+
+def test_large_families_pass_their_audits():
+    # Phases are read from one table of N-th roots of unity at exponents
+    # reduced mod N.  Unreduced angles of up to 2 pi D drove the completeness
+    # residual past COMPLETENESS_TOL from N = 307 on.
+    for n in (401, 1009):
+        inst = make_instance(n)
+        assert completeness_residual(inst) <= COMPLETENESS_TOL
+        r = reciprocal_set(inst)
+        assert np.max(np.abs(r.overlaps - n / (2.0 * (n - 1)))) <= 1e-10
 
 
 def test_make_instance_rejects_bad_input():

@@ -48,6 +48,14 @@ def test_build_measurement_rejects_infeasible_and_malformed():
         build_measurement(inst, [0.8, 0.8, 0.8])
 
 
+def test_failure_is_half_at_n_401():
+    inst = make_instance(401)
+    r = reciprocal_set(inst)
+    rep = failure_probability(optimal_measurement(inst), r)
+    assert abs(rep.failure_probability - 0.5) <= 1e-12
+    assert np.max(np.abs(rep.q_values - 401 / 800)) <= 1e-10
+
+
 def test_failure_probability_values():
     inst = make_instance(5)
     r = reciprocal_set(inst)
