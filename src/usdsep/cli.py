@@ -11,6 +11,7 @@ manifest; human-oriented one-liners go to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -95,9 +96,16 @@ def _instance_from_args(args) -> "Instance":
     return make_instance(args.n, dims, args.omit)
 
 
+def _measurement(args, inst, psd_tol: float):
+    """The measurement of --weights, or the optimal one without them."""
+    if not args.weights:
+        return optimal_measurement(inst)
+    w = [float(x) for x in args.weights.split(",")]
+    return build_measurement(inst, w, psd_tol=psd_tol)
+
+
 def cmd_generate(args) -> int:
-    dims = [int(d) for d in args.dims.split(",")] if args.dims else None
-    inst = make_instance(args.n, dims, args.omit)
+    inst = _instance_from_args(args)
     payload = instance_to_dict(inst)
     payload["manifest"] = _manifest(
         "generate", {"n": inst.n, "dims": list(inst.dims), "omit": inst.omit}
@@ -112,13 +120,7 @@ def cmd_generate(args) -> int:
 def cmd_optimize(args) -> int:
     psd_tol = _psd_tol(args)
     inst = _instance_from_args(args)
-    r = reciprocal_set(inst)
-    if args.weights:
-        w = [float(x) for x in args.weights.split(",")]
-        m = build_measurement(inst, w, psd_tol=psd_tol)
-    else:
-        m = optimal_measurement(inst)
-    report = failure_probability(m, r)
+    report = failure_probability(_measurement(args, inst, psd_tol), reciprocal_set(inst))
     params = {
         "instance": args.instance,
         "n": inst.n,
@@ -130,8 +132,8 @@ def cmd_optimize(args) -> int:
         params["tol"] = psd_tol
     payload = {
         "failure_probability": report.failure_probability,
-        "weights": [float(x) for x in report.weights],
-        "q_values": [float(x) for x in report.q_values],
+        "weights": report.weights.tolist(),
+        "q_values": report.q_values.tolist(),
         "optimal": report.optimal,
         "psd_min_eigenvalue": report.psd_min_eigenvalue,
         "manifest": _manifest("optimize", params),
@@ -165,7 +167,7 @@ def cmd_certify(args) -> int:
             "copies": args.copies,
         }
     report = certify(product_ops, tol=tol)
-    payload = report.to_dict()
+    payload = dataclasses.asdict(report)
     payload["manifest"] = _manifest("certify", {**source, "tol": tol})
     print(f"verdict: {report.verdict}", file=sys.stderr)
     _emit(payload, args.out)
@@ -177,13 +179,8 @@ def cmd_simulate(args) -> int:
     inst = _instance_from_args(args)
     cfg = SimConfig(seed=args.seed, trials=args.trials, copies=args.copies)
     if cfg.copies == 1:
-        r = reciprocal_set(inst)
-        if args.weights:
-            w = [float(x) for x in args.weights.split(",")]
-            m = build_measurement(inst, w, psd_tol=psd_tol)
-        else:
-            m = optimal_measurement(inst)
-        report = run_discrimination(inst, r, m, cfg)
+        m = _measurement(args, inst, psd_tol)
+        report = run_discrimination(inst, reciprocal_set(inst), m, cfg)
     else:
         if args.weights:
             raise ValueError("--weights applies to single-copy simulation only")
@@ -212,7 +209,7 @@ def cmd_simulate(args) -> int:
     }
     if args.tol is not None:
         params["tol"] = psd_tol
-    payload = report.to_dict()
+    payload = dataclasses.asdict(report)
     payload["manifest"] = _manifest("simulate", params, seed=cfg.seed)
     _emit(payload, args.out)
     return 0

@@ -115,25 +115,6 @@ class ConeReport:
     warnings: tuple[str, ...]
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "parties": [
-                {
-                    "party": s.party,
-                    "generators": s.generators,
-                    "rays": s.rays,
-                    "extreme": s.extreme,
-                    "skipped": s.skipped,
-                }
-                for s in self.parties
-            ],
-            "total": self.total,
-            "bound": self.bound,
-            "verdict": self.verdict,
-            "warnings": list(self.warnings),
-            "note": self.note,
-        }
-
 
 def _normalized(op: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(op))

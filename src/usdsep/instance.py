@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import InvariantError
-from .serialize import pairs_to_matrix
+from .serialize import matrix_to_pairs, pairs_to_matrix
 
 __all__ = [
     "PartyDims",
@@ -418,15 +418,11 @@ def dual_basis_omit(inst: Instance, drop: int) -> DualBasisOmit:
 
 def instance_to_dict(inst: Instance) -> dict:
     """JSON-ready mapping with states as nested [re, im] pairs, row per state."""
-    states = [
-        [[float(z.real), float(z.imag)] for z in row]
-        for row in inst.states
-    ]
     return {
         "n": inst.n,
         "dims": list(inst.dims),
         "omit": inst.omit,
-        "states": states,
+        "states": matrix_to_pairs(inst.states),
     }
 
 

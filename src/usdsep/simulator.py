@@ -24,7 +24,7 @@ import numpy as np
 
 from .instance import Instance, ReciprocalSet, reciprocal_set
 from .numerics import InvariantError, kron_all
-from .usd import WeightedMeasurement, failure_probability, family_product_ops
+from .usd import WeightedMeasurement, _born_traces, failure_probability, family_product_ops
 
 __all__ = [
     "SimConfig",
@@ -64,18 +64,6 @@ class SimReport:
     theoretical_failure: float
     tv_distance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "copies": self.copies,
-            "counts": dict(self.counts),
-            "misidentifications": self.misidentifications,
-            "empirical_failure": self.empirical_failure,
-            "theoretical_failure": self.theoretical_failure,
-            "tv_distance": self.tv_distance,
-        }
-
 
 @dataclass(frozen=True)
 class MulticopyMeasurement:
@@ -114,12 +102,14 @@ def _sample_counts(dists: np.ndarray, trials: int, seed: int):
     given seed reproduces the tallies bit for bit.
     """
     rng = np.random.default_rng(seed)
-    n_inputs, n_outcomes = dists.shape
-    true_idx = rng.integers(0, n_inputs, size=trials)
+    true_idx = rng.integers(0, len(dists), size=trials)
     u = rng.random(trials)
     cum = np.cumsum(dists, axis=1)
     cum[:, -1] = 1.0  # close the CDF against rounding in the last bin
-    outcome_idx = (cum[true_idx] < u[:, None]).sum(axis=1)
+    outcome_idx = np.empty(trials, dtype=np.intp)
+    for i, row in enumerate(cum):
+        hit = true_idx == i
+        outcome_idx[hit] = np.searchsorted(row, u[hit], side="left")
     return true_idx, outcome_idx
 
 
@@ -142,7 +132,7 @@ def run_discrimination(
     # Outcome j weighs w_j |<psi_j|phi>|^2; the failure column is <phi|F|phi>.
     named = inst.states[[j - 1 for j in m.indices]]
     conclusive = m.weights * np.abs(r.states.conj() @ named.T) ** 2
-    fail = np.einsum("ia,ab,ib->i", r.states.conj(), m.failure_op, r.states).real
+    fail = _born_traces(m.failure_op, r.states)
     dists = _checked_rows(np.column_stack([conclusive, fail]))
     labels = [str(j) for j in m.indices] + ["fail"]
 

@@ -100,15 +100,17 @@ class OracleResult:
 def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> WeightedMeasurement:
     """Assemble the measurement for one weight per retained label.
 
-    Weights must be nonnegative and aligned with ``inst.retained``.  The
-    failure operator identity - sum_j w_j P_j is checked for positivity; its
-    smallest eigenvalue below -psd_tol raises NotPSDError, since the family
-    is then not a measurement at all.
+    Weights must be finite, nonnegative and aligned with ``inst.retained``.
+    The failure operator identity - sum_j w_j P_j is checked for positivity;
+    its smallest eigenvalue below -psd_tol raises NotPSDError, since the
+    family is then not a measurement at all.
     """
     retained = inst.retained
     w = np.asarray(weights, dtype=float).ravel()
     if w.shape[0] != len(retained):
         raise ValueError(f"expected {len(retained)} weights, got {w.shape[0]}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"weights must be finite, got {w.tolist()}")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
     named = inst.states[[j - 1 for j in retained]]
@@ -151,6 +153,11 @@ def _check_match(m: WeightedMeasurement, r: ReciprocalSet) -> None:
         raise ValueError("measurement and reciprocal set belong to different instances")
 
 
+def _born_traces(op: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """<phi|op|phi> for each row phi of ``states``, with one matmul."""
+    return ((states @ op.T) * states.conj()).sum(axis=1).real
+
+
 def failure_probability(m: WeightedMeasurement, r: ReciprocalSet) -> UsdReport:
     """Average failure probability over uniformly likely reciprocal inputs.
 
@@ -160,8 +167,7 @@ def failure_probability(m: WeightedMeasurement, r: ReciprocalSet) -> UsdReport:
     """
     _check_match(m, r)
     d = len(r.indices)
-    traces = np.einsum("ab,jb,ja->j", m.failure_op, r.states, r.states.conj()).real
-    born = float(traces.mean())
+    born = float(_born_traces(m.failure_op, r.states).mean())
     closed = 1.0 - float((r.overlaps * m.weights).sum()) / d
     if abs(born - closed) > 1e-12:
         raise InvariantError(

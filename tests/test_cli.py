@@ -12,7 +12,7 @@ import pytest
 from usdsep import make_instance
 from usdsep.cli import main
 from usdsep.instance import instance_from_dict
-from usdsep.serialize import matrix_to_pairs
+from usdsep.serialize import dumps, matrix_to_pairs
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +110,10 @@ def test_optimize_infeasible_weights(capsys):
     )
     assert rc == 2
     assert "error:" in err
+    for weights in ("0.8,0.8,0.8,nan", "inf,0,0,0"):
+        rc, _, err = run_cli(capsys, "optimize", "--n", "5", "--weights", weights)
+        assert rc == 2
+        assert "weights must be finite" in err
 
 
 def test_optimize_from_instance_file(tmp_path, capsys):
@@ -214,8 +218,15 @@ def test_certify_measurement_file(tmp_path, capsys):
 def test_certify_measurement_file_must_be_a_list(tmp_path, capsys):
     path = tmp_path / "meas.json"
     # Not a list; then a pair array one nesting level short, which must be
-    # an input error rather than an uncaught TypeError.
-    for payload in ({"ops": []}, [[[[1, 0]]]]):
+    # an input error rather than an uncaught TypeError; then an [re, im, x]
+    # triple, a ragged row and string entries.
+    for payload in (
+        {"ops": []},
+        [[[[1, 0]]]],
+        [[[[[1, 0, 0]]]]],
+        [[[[[1, 0], [0, 0]], [[0, 0]]]]],
+        [[[[["1", "0"]]]]],
+    ):
         path.write_text(json.dumps(payload))
         rc, _, _ = run_cli(capsys, "certify", "--measurement", str(path))
         assert rc == 2
@@ -306,6 +317,28 @@ def test_simulate_writes_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(path.read_text())
     assert sum(payload["counts"].values()) == 500
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--n", "13"),
+        ("optimize", "--n", "13"),
+        ("certify", "--n", "13"),
+        ("simulate", "--n", "13", "--trials", "500", "--seed", "4"),
+    ],
+)
+def test_reports_re_emit_byte_identical(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0, err
+    assert out.count("\n") == 1  # one JSON line
+    assert dumps(json.loads(out)) == out
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_dumps_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        dumps({"x": [1.0, value]})
 
 
 def test_verify_passes(capsys):

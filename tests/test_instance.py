@@ -245,3 +245,7 @@ def test_instance_from_dict_rejects_tampering():
         instance_from_dict(payload)
     with pytest.raises(ValueError):
         instance_from_dict({"n": 5, "dims": [2, 2]})
+    good = instance_to_dict(make_instance(5))["states"]
+    for states in ([[["1", "0"]] * 4] * 5, [row[:3] for row in good[:1]] + good[1:]):
+        with pytest.raises(ValueError, match="malformed state array"):
+            instance_from_dict({"n": 5, "dims": [2, 2], "omit": 1, "states": states})

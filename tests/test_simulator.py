@@ -101,6 +101,29 @@ def test_run_discrimination_frozen_seed():
     assert 0.0 <= rep.tv_distance <= 0.01
 
 
+def test_sample_counts_match_the_cdf_gather():
+    # Reference: count the CDF entries below each draw over the gathered
+    # (trials, outcomes) matrix.  Rows include zero bins and a row whose
+    # rounding pushes an inner CDF entry past the closed last bin.
+    rng = np.random.default_rng(0)
+    for case in range(50):
+        n_inputs, n_outcomes = rng.integers(1, 9), rng.integers(1, 12)
+        dists = rng.random((n_inputs, n_outcomes))
+        dists[rng.random(dists.shape) < 0.3] = 0.0
+        dists[:, 0] += 1e-3  # no all-zero row
+        dists /= dists.sum(axis=1, keepdims=True)
+        dists[0, 0] += 1e-12
+        trials = int(rng.integers(1, 3000))
+        true_idx, outcome_idx = usdsep.simulator._sample_counts(dists, trials, case)
+        ref = np.random.default_rng(case)
+        assert np.array_equal(true_idx, ref.integers(0, n_inputs, size=trials))
+        draws = ref.random(trials)
+        cum = np.cumsum(dists, axis=1)
+        cum[:, -1] = 1.0
+        expected = (cum[true_idx] < draws[:, None]).sum(axis=1)
+        assert np.array_equal(outcome_idx, expected)
+
+
 def test_run_discrimination_is_deterministic():
     inst = make_instance(7)
     r = reciprocal_set(inst)

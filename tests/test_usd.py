@@ -46,6 +46,9 @@ def test_build_measurement_rejects_infeasible_and_malformed():
         build_measurement(inst, [-0.1, 0.8, 0.8, 0.8])
     with pytest.raises(ValueError):
         build_measurement(inst, [0.8, 0.8, 0.8])
+    for bad in ([0.8, 0.8, 0.8, np.nan], [np.inf, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            build_measurement(inst, bad)
 
 
 def test_failure_is_half_at_n_401():
