@@ -106,10 +106,8 @@ def _measurement(args, inst, psd_tol: float):
 
 def cmd_generate(args) -> int:
     inst = _instance_from_args(args)
-    payload = instance_to_dict(inst)
-    payload["manifest"] = _manifest(
-        "generate", {"n": inst.n, "dims": list(inst.dims), "omit": inst.omit}
-    )
+    params = instance_to_dict(inst)
+    payload = {**params, "manifest": _manifest("generate", params)}
     residual = completeness_residual(inst)
     _emit(payload, args.out)
     line = f"completeness residual: {residual:.3e}"
@@ -121,13 +119,7 @@ def cmd_optimize(args) -> int:
     psd_tol = _psd_tol(args)
     inst = _instance_from_args(args)
     report = failure_probability(_measurement(args, inst, psd_tol), reciprocal_set(inst))
-    params = {
-        "instance": args.instance,
-        "n": inst.n,
-        "dims": list(inst.dims),
-        "omit": inst.omit,
-        "weights": args.weights,
-    }
+    params = {"instance": args.instance, **instance_to_dict(inst), "weights": args.weights}
     if args.tol is not None:
         params["tol"] = psd_tol
     payload = {
@@ -160,12 +152,7 @@ def cmd_certify(args) -> int:
     else:
         inst = _instance_from_args(args)
         product_ops = family_product_ops(inst, args.copies)
-        source = {
-            "n": inst.n,
-            "dims": list(inst.dims),
-            "omit": inst.omit,
-            "copies": args.copies,
-        }
+        source = {**instance_to_dict(inst), "copies": args.copies}
     report = certify(product_ops, tol=tol)
     payload = dataclasses.asdict(report)
     payload["manifest"] = _manifest("certify", {**source, "tol": tol})
@@ -200,9 +187,7 @@ def cmd_simulate(args) -> int:
         )
     params = {
         "instance": args.instance,
-        "n": inst.n,
-        "dims": list(inst.dims),
-        "omit": inst.omit,
+        **instance_to_dict(inst),
         "trials": cfg.trials,
         "copies": cfg.copies,
         "weights": args.weights,
@@ -242,7 +227,7 @@ def _verify_one(n: int, rng: np.random.Generator) -> list[tuple[str, bool, str]]
     q_gap = float(np.max(np.abs(r.overlaps - n / (2.0 * d))))
     checks.append(("overlap value", q_gap <= 1e-10, f"|q - N/(2D)| {q_gap:.2e}"))
 
-    bound_ok = True
+    bound_ok, psd = True, 0
     hi = 2.0 * d / n
     for _ in range(200):
         w = rng.uniform(0.0, hi, size=d)
@@ -250,8 +235,10 @@ def _verify_one(n: int, rng: np.random.Generator) -> list[tuple[str, bool, str]]
             build_measurement(inst, w)
         except NotPSDError:
             continue
+        psd += 1
         bound_ok = bound_ok and verify_pairwise_bound(inst, w)
-    checks.append(("pairwise bound", bound_ok, "PSD samples respect the pair cap"))
+    within = "all within" if bound_ok else "some beyond"
+    checks.append(("pairwise bound", bound_ok, f"{psd} of 200 samples PSD, {within} the pair cap"))
 
     m = optimal_measurement(inst)
     pr = failure_probability(m, r).failure_probability

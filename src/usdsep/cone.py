@@ -59,11 +59,12 @@ class LocalOperatorSet:
         if not self.ops:
             raise ValueError("operator set must be non-empty")
         dim = self.ops[0].shape[0]
-        for op in self.ops:
-            if op.shape != (dim, dim):
-                raise ValueError("operators must share one square dimension")
-            if float(np.linalg.eigvalsh((op + op.conj().T) / 2.0)[0]) < -PSD_INPUT_TOL:
-                raise ValueError("operators must be positive semidefinite")
+        if any(op.shape != (dim, dim) for op in self.ops):
+            raise ValueError("operators must share one square dimension")
+        stack = np.stack(self.ops)
+        hermitian = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
+        if float(np.linalg.eigvalsh(hermitian)[:, 0].min()) < -PSD_INPUT_TOL:
+            raise ValueError("operators must be positive semidefinite")
 
     @property
     def dim(self) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import InvariantError
-from .serialize import matrix_to_pairs, pairs_to_matrix
+from .serialize import pairs_to_matrix
 
 __all__ = [
     "PartyDims",
@@ -417,32 +417,28 @@ def dual_basis_omit(inst: Instance, drop: int) -> DualBasisOmit:
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    """JSON-ready mapping with states as nested [re, im] pairs, row per state."""
-    return {
-        "n": inst.n,
-        "dims": list(inst.dims),
-        "omit": inst.omit,
-        "states": matrix_to_pairs(inst.states),
-    }
+    """JSON-ready mapping of the parameters that fix the family: n, dims, omit."""
+    return {"n": inst.n, "dims": list(inst.dims), "omit": inst.omit}
 
 
 def instance_from_dict(payload: dict) -> Instance:
-    """Rebuild an instance from its JSON mapping, verifying the stored states.
+    """Rebuild an instance from its JSON mapping through make_instance.
 
-    The family is reconstructed from (n, dims, omit) and compared against
-    the stored arrays; a mismatch beyond 1e-9 means the file was edited or
-    corrupted and is rejected rather than trusted.
+    A ``states`` array, which files of earlier versions carry, is compared
+    against the rebuilt family; a mismatch beyond 1e-9 means the file was
+    edited or corrupted and is rejected rather than trusted.
     """
     try:
         n = int(payload["n"])
         dims = [int(d) for d in payload["dims"]]
         omit = int(payload["omit"])
-        raw = payload["states"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance payload: {exc}") from exc
     inst = make_instance(n, dims, omit)
+    if "states" not in payload:
+        return inst
     try:
-        stored = pairs_to_matrix(raw)
+        stored = pairs_to_matrix(payload["states"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed state array: {exc}") from exc
     if stored.shape != inst.states.shape:

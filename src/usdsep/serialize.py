@@ -1,11 +1,11 @@
-"""JSON emission for instance files and reports, and the [re, im] codec.
+"""JSON emission for instance files and reports, and the [re, im] reader.
 
 Reports and instance files are written by the stdlib json module on one
 line.  Floats take the shortest text that parses back to the same double,
 so loading an emitted file and emitting it again reproduces the same bytes.
 NaN and infinities are not JSON and raise ValueError.  Complex matrices are
-stored as nested [re, im] pairs; matrix_to_pairs writes that format and
-pairs_to_matrix reads it.
+only read, never written: the nested [re, im] pairs of a certify measurement
+file, or of the states in an instance file from an earlier version.
 """
 
 from __future__ import annotations
@@ -14,17 +14,12 @@ import json
 
 import numpy as np
 
-__all__ = ["dumps", "matrix_to_pairs", "pairs_to_matrix"]
+__all__ = ["dumps", "pairs_to_matrix"]
 
 
 def dumps(obj) -> str:
     """One line of JSON text, newline-terminated; non-finite floats raise ValueError."""
     return json.dumps(obj, allow_nan=False) + "\n"
-
-
-def matrix_to_pairs(m: np.ndarray) -> list:
-    """Nested [re, im] pairs for a complex matrix."""
-    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def pairs_to_matrix(rows) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .instance import Instance, ReciprocalSet, reciprocal_set
 from .numerics import InvariantError, kron_all
-from .usd import WeightedMeasurement, _born_traces, failure_probability, family_product_ops
+from .usd import MAX_FAMILY_ENTRIES, WeightedMeasurement, failure_probability, family_product_ops
 
 __all__ = [
     "SimConfig",
@@ -127,13 +127,12 @@ def run_discrimination(
         raise ValueError("run_discrimination handles a single copy; see the multicopy path")
     if (inst.n, inst.dims, inst.omit) != (m.n, m.dims, m.omit):
         raise ValueError("measurement belongs to a different instance")
-    theoretical = failure_probability(m, r).failure_probability
+    exact = failure_probability(m, r)
 
     # Outcome j weighs w_j |<psi_j|phi>|^2; the failure column is <phi|F|phi>.
     named = inst.states[[j - 1 for j in m.indices]]
     conclusive = m.weights * np.abs(r.states.conj() @ named.T) ** 2
-    fail = _born_traces(m.failure_op, r.states)
-    dists = _checked_rows(np.column_stack([conclusive, fail]))
+    dists = _checked_rows(np.column_stack([conclusive, exact.per_state_failure]))
     labels = [str(j) for j in m.indices] + ["fail"]
 
     true_idx, outcome_idx = _sample_counts(dists, cfg.trials, cfg.seed)
@@ -153,7 +152,7 @@ def run_discrimination(
         counts=counts,
         misidentifications=misid,
         empirical_failure=empirical_failure,
-        theoretical_failure=theoretical,
+        theoretical_failure=exact.failure_probability,
         tv_distance=tv,
     )
 
@@ -182,11 +181,18 @@ def multicopy_measurement(inst: Instance, copies: int) -> MulticopyMeasurement:
     that no tuple has weight on an input it does not name and that the
     failure probability is exactly 2^(-n).
 
-    Raises ValueError for copies < 1 and for families past
-    usd.MAX_FAMILY_ENTRIES.
+    Raises ValueError for copies < 1, and for an outcome table of D * N^n
+    entries or per-party factors past usd.MAX_FAMILY_ENTRIES, before
+    anything is allocated.
     """
-    party_factors = tuple(tuple(f) for f in family_product_ops(inst, copies))
     n, d = inst.n, inst.total_dim
+    # Past 64 copies N^n alone is over the limit; the shortcut keeps a huge
+    # copies from forming a huge integer.
+    if copies > 64 or d * n**copies > MAX_FAMILY_ENTRIES:
+        raise ValueError(
+            f"{copies}-copy outcome table of N = {n} exceeds the limit of {MAX_FAMILY_ENTRIES}"
+        )
+    party_factors = tuple(tuple(f) for f in family_product_ops(inst, copies))
     tuples = tuple(itertools.product(range(1, n + 1), repeat=copies))
     labels = tuple(classify_tuple(t, inst.omit) for t in tuples)
 

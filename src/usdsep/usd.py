@@ -44,8 +44,8 @@ PSD_TOL = 1e-10
 CLOSURE_TOL = 1e-12
 PAIRWISE_SLACK = 1e-10
 # Largest product family (outcomes times the entries each carries: its label
-# tuple, one Born weight per reciprocal input and its per-party factors)
-# that family_product_ops builds.
+# tuple and its per-party factors) that family_product_ops builds; the
+# multicopy simulator holds its (D, N^n) outcome table to the same limit.
 MAX_FAMILY_ENTRIES = 1_000_000
 
 
@@ -82,6 +82,7 @@ class UsdReport:
     weights: np.ndarray
     q_values: np.ndarray
     per_state_success: np.ndarray  # q_j * w_j, aligned with weights
+    per_state_failure: np.ndarray  # <phi_j|F|phi_j>, aligned with weights
     optimal: bool
     psd_min_eigenvalue: float
 
@@ -153,21 +154,19 @@ def _check_match(m: WeightedMeasurement, r: ReciprocalSet) -> None:
         raise ValueError("measurement and reciprocal set belong to different instances")
 
 
-def _born_traces(op: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """<phi|op|phi> for each row phi of ``states``, with one matmul."""
-    return ((states @ op.T) * states.conj()).sum(axis=1).real
-
-
 def failure_probability(m: WeightedMeasurement, r: ReciprocalSet) -> UsdReport:
     """Average failure probability over uniformly likely reciprocal inputs.
 
     Evaluated two ways that must agree to 1e-12: the Born-rule average
     (1/D) sum_j Tr(failure_op |phi_j><phi_j|) and the closed form
-    1 - (1/D) sum_j q_j w_j.  The report carries the Born value.
+    1 - (1/D) sum_j q_j w_j.  The report carries the Born value and the
+    per-input traces it averages.
     """
     _check_match(m, r)
     d = len(r.indices)
-    born = float(_born_traces(m.failure_op, r.states).mean())
+    # <phi|F|phi> for each row phi of r.states, with one matmul.
+    traces = ((r.states @ m.failure_op.T) * r.states.conj()).sum(axis=1).real
+    born = float(traces.mean())
     closed = 1.0 - float((r.overlaps * m.weights).sum()) / d
     if abs(born - closed) > 1e-12:
         raise InvariantError(
@@ -180,6 +179,7 @@ def failure_probability(m: WeightedMeasurement, r: ReciprocalSet) -> UsdReport:
         weights=m.weights,
         q_values=r.overlaps,
         per_state_success=r.overlaps * m.weights,
+        per_state_failure=traces,
         optimal=optimal,
         psd_min_eigenvalue=m.min_eigenvalue,
     )
@@ -324,7 +324,7 @@ def family_product_ops(inst: Instance, copies: int = 1) -> list[list[np.ndarray]
     # Past 64 copies every family is over the limit (N^n alone is); the
     # shortcut keeps a huge copies from forming huge integers.
     entries = (
-        n**copies * (copies + d + sum(dim ** (2 * copies) for dim in inst.dims))
+        n**copies * (copies + sum(dim ** (2 * copies) for dim in inst.dims))
         if copies <= 64
         else math.inf
     )

@@ -4,15 +4,21 @@ Everything goes through main(argv) so exit codes and the JSON written to
 stdout are exercised exactly as a shell user would see them.
 """
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from usdsep import make_instance
+from usdsep import ascending_factorizations, is_prime, make_instance
 from usdsep.cli import main
 from usdsep.instance import instance_from_dict
-from usdsep.serialize import dumps, matrix_to_pairs
+from usdsep.serialize import dumps
 
 
 def run_cli(capsys, *argv):
@@ -43,7 +49,7 @@ def test_generate_stdout(capsys):
     assert payload["n"] == 5
     assert payload["dims"] == [2, 2]
     assert payload["omit"] == 1
-    assert len(payload["states"]) == 5
+    assert set(payload) == {"n", "dims", "omit", "manifest"}
     assert payload["manifest"]["command"] == "generate"
     assert "completeness residual" in err
 
@@ -58,12 +64,12 @@ def test_generate_to_file_round_trips(tmp_path, capsys):
     ref = make_instance(5)
     assert np.allclose(inst.states, ref.states, atol=1e-15)
 
-    # Regenerating writes a byte-identical states block (floats use a fixed
-    # round-trip format); only the manifest timestamp may differ.
+    # Regenerating writes the same file; only the manifest timestamp may differ.
     path2 = tmp_path / "inst2.json"
     run_cli(capsys, "generate", "--n", "5", "--out", str(path2))
     stored2 = json.loads(path2.read_text())
-    assert stored["states"] == stored2["states"]
+    del stored["manifest"]["timestamp"], stored2["manifest"]["timestamp"]
+    assert stored == stored2
 
 
 @pytest.mark.parametrize("n", ["311", "401"])
@@ -72,7 +78,15 @@ def test_generate_past_the_old_onset(tmp_path, capsys, n):
     path = tmp_path / "inst.json"
     rc, _, _ = run_cli(capsys, "generate", "--n", n, "--out", str(path))
     assert rc == 0
-    assert len(json.loads(path.read_text())["states"]) == int(n)
+    inst = instance_from_dict(json.loads(path.read_text()))
+    assert inst.states.shape == (int(n), int(n) - 1)
+
+
+def test_generate_writes_parameters_not_amplitudes(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    rc, _, _ = run_cli(capsys, "generate", "--n", "401", "--out", str(path))
+    assert rc == 0
+    assert path.stat().st_size < 1024
 
 
 def test_generate_rejects_nonprime(capsys):
@@ -208,7 +222,9 @@ def test_certify_measurement_file(tmp_path, capsys):
     entries = [[e0, eye], [e1, eye]]
     path = tmp_path / "meas.json"
     path.write_text(
-        json.dumps([[matrix_to_pairs(f) for f in entry] for entry in entries])
+        json.dumps(
+            [[np.stack([f.real, f.imag], -1).tolist() for f in entry] for entry in entries]
+        )
     )
     payload, err = run_json(capsys, "certify", "--measurement", str(path))
     assert payload["verdict"] == "SATISFIES"
@@ -353,3 +369,64 @@ def test_verify_passes(capsys):
 def test_verify_rejects_empty(capsys):
     rc, _, _ = run_cli(capsys, "verify", "--n", ",")
     assert rc == 2
+
+
+def test_verify_pairwise_row_counts_psd_samples(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "--n", "5")
+    assert rc == 0
+    assert "(22 of 200 samples PSD, all within the pair cap)" in out
+
+
+PRIMES = [p for p in range(5, 602) if is_prime(p)]
+
+
+def _run(*argv):
+    """Exit code and stdout of main(argv); stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(data=st.data())
+def test_generate_then_optimize_any_valid_instance(data):
+    n = data.draw(st.sampled_from(PRIMES))
+    dims = data.draw(st.sampled_from(ascending_factorizations(n - 1)))
+    omit = data.draw(st.integers(1, n))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        spec = ["--n", str(n), "--dims", ",".join(map(str, dims)), "--omit", str(omit)]
+        assert _run("generate", *spec, "--out", path)[0] == 0
+        code, out = _run("optimize", "--instance", path)
+    assert code == 0
+    assert abs(json.loads(out)["failure_probability"] - 0.5) <= 1e-12
+
+
+@st.composite
+def bad_parameters(draw):
+    """(n, dims, omit) with exactly one of the four ways to be invalid."""
+    kind = draw(st.sampled_from(["nonprime", "product", "order", "omit"]))
+    if kind == "nonprime":
+        n = draw(st.sampled_from([m for m in range(0, 602) if not is_prime(m)]))
+        return n, [2], 1
+    n = draw(st.sampled_from(PRIMES))
+    dims = list(draw(st.sampled_from(ascending_factorizations(n - 1))))
+    omit = draw(st.integers(1, n))
+    if kind == "product":
+        return n, dims + [dims[-1]], omit
+    if kind == "order":
+        assume(len(set(dims)) > 1)
+        return n, dims[::-1], omit
+    return n, dims, draw(st.one_of(st.integers(-50, 0), st.integers(n + 1, n + 50)))
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(params=bad_parameters())
+def test_invalid_instance_file_is_an_input_error(params):
+    n, dims, omit = params
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"n": n, "dims": dims, "omit": omit}, fh)
+        assert _run("optimize", "--instance", path)[0] == 2

@@ -126,6 +126,16 @@ def test_operator_set_validation():
         LocalOperatorSet(party=0, ops=(not_psd,))
 
 
+def test_operator_set_rejects_one_indefinite_factor_among_many():
+    good = tuple(np.diag([1.0, t]).astype(complex) for t in np.linspace(0.0, 1.0, 20))
+    LocalOperatorSet(party=0, ops=good)
+    bad = np.diag([1.0, -1e-6]).astype(complex)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        LocalOperatorSet(party=0, ops=good[:7] + (bad,) + good[7:])
+    with pytest.raises(ValueError, match="one square dimension"):
+        LocalOperatorSet(party=0, ops=good + (np.eye(2, 3, dtype=complex),))
+
+
 def test_rank_one_projectors_are_extreme():
     inst = make_instance(5)
     s = LocalOperatorSet(party=0, ops=tuple(proj(v) for v in inst.local_states[0]))

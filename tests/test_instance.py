@@ -238,14 +238,27 @@ def test_instance_dict_round_trip():
     assert np.max(np.abs(back.states - inst.states)) <= 1e-12
 
 
+def _legacy_payload(inst):
+    """An instance file as earlier versions wrote it, with [re, im] states."""
+    states = np.stack([inst.states.real, inst.states.imag], -1).tolist()
+    return {**instance_to_dict(inst), "states": states}
+
+
 def test_instance_from_dict_rejects_tampering():
-    payload = instance_to_dict(make_instance(5))
+    payload = _legacy_payload(make_instance(5))
     payload["states"][0][0][0] += 1e-3
     with pytest.raises(ValueError):
         instance_from_dict(payload)
     with pytest.raises(ValueError):
         instance_from_dict({"n": 5, "dims": [2, 2]})
-    good = instance_to_dict(make_instance(5))["states"]
+    good = _legacy_payload(make_instance(5))["states"]
     for states in ([[["1", "0"]] * 4] * 5, [row[:3] for row in good[:1]] + good[1:]):
         with pytest.raises(ValueError, match="malformed state array"):
             instance_from_dict({"n": 5, "dims": [2, 2], "omit": 1, "states": states})
+
+
+def test_instance_from_legacy_dict_with_states():
+    inst = make_instance(13, (2, 6), 4)
+    back = instance_from_dict(_legacy_payload(inst))
+    assert (back.n, back.dims, back.omit) == (13, (2, 6), 4)
+    assert np.array_equal(back.states, inst.states)

@@ -9,6 +9,7 @@ from usdsep import (
     NotPSDError,
     build_measurement,
     failure_probability,
+    family_product_ops,
     make_instance,
     optimal_measurement,
     oracle_optimize,
@@ -242,3 +243,18 @@ def test_measurement_annihilates_unpartnered_reciprocals():
             amps = np.abs(r.states.conj() @ inst.state(j)) ** 2 * m.weights[i]
             stray = np.delete(amps, i)
             assert stray.max() <= 1e-10
+
+
+def test_per_state_failure_is_the_born_trace_of_each_input():
+    inst = make_instance(13, (2, 6), 3)
+    r = reciprocal_set(inst)
+    m = build_measurement(inst, np.linspace(0.2, 0.8, 12))
+    rep = failure_probability(m, r)
+    expected = [np.vdot(phi, m.failure_op @ phi).real for phi in r.states]
+    assert np.allclose(rep.per_state_failure, expected, atol=1e-14)
+    assert rep.per_state_failure.mean() == rep.failure_probability
+
+
+def test_family_product_ops_admits_n_1009():
+    ops = family_product_ops(make_instance(1009))
+    assert len(ops) == 1009
