@@ -5,7 +5,8 @@ probability of the symmetric measurement), certify (extreme-ray count
 certificate), simulate (Monte Carlo discrimination), verify (self-check
 across instance families).  Reports are JSON on stdout with an embedded run
 manifest; human-oriented one-liners go to stderr.  Exit codes: 0 success,
-2 input error, 3 violated internal invariant (including a failed verify).
+2 input error (including a family too large for memory), 3 violated
+internal invariant (a numerics.BOUNDS row, or a failed verify).
 """
 
 from __future__ import annotations
@@ -22,15 +23,13 @@ import numpy as np
 from . import __version__
 from .cone import RAY_TOL, certify
 from .instance import (
-    COMPLETENESS_TOL,
     check_linear_independence,
-    completeness_residual,
     instance_from_dict,
     instance_to_dict,
     make_instance,
     reciprocal_set,
 )
-from .numerics import ConvergenceError, InvariantError
+from .numerics import BOUNDS, ConvergenceError, InvariantError, check
 from .reference import two_qubit_reciprocal_states, two_qubit_states
 from .serialize import dumps, pairs_to_matrix
 from .simulator import SimConfig, run_discrimination, run_multicopy_discrimination
@@ -87,13 +86,26 @@ def _psd_tol(args) -> float:
     return _tol(args, PSD_TOL)
 
 
+def _check_source(args) -> None:
+    """One family source per run, given only the options that apply to it."""
+    sources = ("instance", "n", "measurement")
+    given = [f"--{k}" for k in sources if getattr(args, k, None) is not None]
+    if len(given) > 1:
+        raise ValueError(f"{' and '.join(given)} cannot be used together")
+    stray = [f"--{k}" for k in ("dims", "omit") if getattr(args, k, None) is not None]
+    if stray and given != ["--n"]:
+        raise ValueError(f"{' and '.join(stray)} can only be used with --n")
+    if given == ["--measurement"] and args.copies is not None:
+        raise ValueError("--copies cannot be used with --measurement")
+
+
 def _instance_from_args(args) -> "Instance":
     if getattr(args, "instance", None):
         return instance_from_dict(_load_json(args.instance))
     if getattr(args, "n", None) is None:
         raise ValueError("provide --instance PATH or --n N")
     dims = [int(d) for d in args.dims.split(",")] if args.dims else None
-    return make_instance(args.n, dims, args.omit)
+    return make_instance(args.n, dims, 1 if args.omit is None else args.omit)
 
 
 def _measurement(args, inst, psd_tol: float):
@@ -108,9 +120,8 @@ def cmd_generate(args) -> int:
     inst = _instance_from_args(args)
     params = instance_to_dict(inst)
     payload = {**params, "manifest": _manifest("generate", params)}
-    residual = completeness_residual(inst)
     _emit(payload, args.out)
-    line = f"completeness residual: {residual:.3e}"
+    line = f"completeness residual: {inst.residuals['completeness']:.3e}"
     print(line, file=sys.stdout if args.out else sys.stderr)
     return 0
 
@@ -150,9 +161,10 @@ def cmd_certify(args) -> int:
         product_ops = _product_ops_from_file(args.measurement)
         source = {"measurement": args.measurement}
     else:
+        copies = 1 if args.copies is None else args.copies
         inst = _instance_from_args(args)
-        product_ops = family_product_ops(inst, args.copies)
-        source = {**instance_to_dict(inst), "copies": args.copies}
+        product_ops = family_product_ops(inst, copies)
+        source = {**instance_to_dict(inst), "copies": copies}
     report = certify(product_ops, tol=tol)
     payload = dataclasses.asdict(report)
     payload["manifest"] = _manifest("certify", {**source, "tol": tol})
@@ -172,10 +184,7 @@ def cmd_simulate(args) -> int:
         if args.weights:
             raise ValueError("--weights applies to single-copy simulation only")
         report = run_multicopy_discrimination(inst, cfg)
-    if report.misidentifications:
-        raise InvariantError(
-            f"{report.misidentifications} misidentifications; outcomes must be zero-error"
-        )
+    check("misidentifications", report.misidentifications)
     sigma = np.sqrt(
         report.theoretical_failure * (1.0 - report.theoretical_failure) / cfg.trials
     )
@@ -206,8 +215,11 @@ def _verify_one(n: int, rng: np.random.Generator) -> list[tuple[str, bool, str]]
     inst = make_instance(n)
     d = inst.total_dim
 
-    residual = completeness_residual(inst)
-    checks.append(("completeness", residual <= COMPLETENESS_TOL, f"residual {residual:.2e}"))
+    def row(name: str, measured: float, detail: str) -> None:
+        checks.append((name, measured <= BOUNDS[name], detail))
+
+    residual = inst.residuals["completeness"]
+    row("completeness", residual, f"residual {residual:.2e}")
 
     ok = True
     for _ in range(50):
@@ -220,12 +232,9 @@ def _verify_one(n: int, rng: np.random.Generator) -> list[tuple[str, bool, str]]
     checks.append(("independence", ok, "random subsets of basis size"))
 
     r = reciprocal_set(inst)
-    cross = r.states.conj() @ inst.states[[j - 1 for j in r.indices]].T
-    worst = float(np.max(np.abs(cross - np.diag(np.diag(cross)))))
-    checks.append(("reciprocity", worst <= 1e-10, f"max cross overlap {worst:.2e}"))
-
-    q_gap = float(np.max(np.abs(r.overlaps - n / (2.0 * d))))
-    checks.append(("overlap value", q_gap <= 1e-10, f"|q - N/(2D)| {q_gap:.2e}"))
+    worst, q_gap = r.residuals["reciprocity"], r.residuals["overlap value"]
+    row("reciprocity", worst, f"max cross overlap {worst:.2e}")
+    row("overlap value", q_gap, f"|q - N/(2D)| {q_gap:.2e}")
 
     bound_ok, psd = True, 0
     hi = 2.0 * d / n
@@ -242,7 +251,7 @@ def _verify_one(n: int, rng: np.random.Generator) -> list[tuple[str, bool, str]]
 
     m = optimal_measurement(inst)
     pr = failure_probability(m, r).failure_probability
-    checks.append(("failure 1/2", abs(pr - 0.5) <= 1e-12, f"Pr(fail) {pr:.12f}"))
+    row("failure 1/2", abs(pr - 0.5), f"Pr(fail) {pr:.12f}")
 
     report = certify(family_product_ops(inst))
     rays_ok = all(s.extreme == n for s in report.parties)
@@ -253,14 +262,12 @@ def _verify_one(n: int, rng: np.random.Generator) -> list[tuple[str, bool, str]]
 
     if n == 5 and inst.dims == (2, 2):
         gap = float(np.max(np.abs(inst.states - two_qubit_states())))
-        checks.append(("closed-form states", gap <= 1e-12, f"max entry gap {gap:.2e}"))
+        row("closed-form states", gap, f"max entry gap {gap:.2e}")
         overlap = np.abs(
             np.einsum("ja,ja->j", r.states.conj(), two_qubit_reciprocal_states())
         )
         phase_gap = float(np.max(np.abs(overlap - 1.0)))
-        checks.append(
-            ("closed-form reciprocals", phase_gap <= 1e-9, f"phase-free gap {phase_gap:.2e}")
-        )
+        row("closed-form reciprocals", phase_gap, f"phase-free gap {phase_gap:.2e}")
     return checks
 
 
@@ -294,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--instance", help="path to an instance JSON file")
         p.add_argument("--n", type=int, help="prime number of states (builds the instance)")
         p.add_argument("--dims", help="comma-separated ascending party dimensions")
-        p.add_argument("--omit", type=int, default=1, help="omitted state label (default 1)")
+        p.add_argument("--omit", type=int, help="omitted state label (default 1)")
         if with_weights:
             p.add_argument("--weights", help="comma-separated weights for the retained labels")
         p.add_argument("--tol", type=float, help="override the numeric decision tolerance")
@@ -314,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("certify", help="extreme-ray certificate for a product measurement")
     c.add_argument("--measurement", help="path to a factored measurement JSON file")
     add_instance_opts(c)
-    c.add_argument("--copies", type=int, default=1, help="tensor copies (default 1)")
+    c.add_argument("--copies", type=int, help="tensor copies (default 1)")
     c.set_defaults(func=cmd_certify)
 
     s = sub.add_parser("simulate", help="Monte Carlo discrimination run")
@@ -337,8 +344,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_source(args)
         return args.func(args)
-    except (ValueError, NotPSDError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, NotPSDError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvariantError, ConvergenceError) as exc:

@@ -62,6 +62,8 @@ class LocalOperatorSet:
         if any(op.shape != (dim, dim) for op in self.ops):
             raise ValueError("operators must share one square dimension")
         stack = np.stack(self.ops)
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("operators must have finite entries")
         hermitian = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
         if float(np.linalg.eigvalsh(hermitian)[:, 0].min()) < -PSD_INPUT_TOL:
             raise ValueError("operators must be positive semidefinite")

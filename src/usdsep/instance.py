@@ -28,11 +28,12 @@ party indices are plain 0-based positions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import InvariantError
+from .numerics import check
 from .serialize import pairs_to_matrix
 
 __all__ = [
@@ -54,8 +55,6 @@ __all__ = [
     "instance_from_dict",
 ]
 
-COMPLETENESS_TOL = 1e-12
-RECIPROCITY_TOL = 1e-10
 INDEPENDENCE_TOL = 1e-10
 
 
@@ -149,6 +148,7 @@ class Instance:
     omit: int
     local_states: tuple[np.ndarray, ...]  # per party: (N, d_alpha), row j-1
     states: np.ndarray  # (N, D), row j-1 holds the global state j
+    residuals: dict  # measured audit residuals by numerics.BOUNDS row name
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -185,6 +185,7 @@ class ReciprocalSet:
     indices: tuple[int, ...]
     states: np.ndarray  # (D, D), row i pairs with indices[i]
     overlaps: np.ndarray  # (D,)
+    residuals: dict  # measured audit residuals by numerics.BOUNDS row name
 
     def state(self, j: int) -> np.ndarray:
         return self.states[self.indices.index(j)]
@@ -255,19 +256,10 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
     states = roots[(js * exponents) % n] / np.sqrt(party.total_dim)
     states.setflags(write=False)
 
-    inst = Instance(
-        n=n,
-        party=party,
-        omit=omit,
-        local_states=tuple(local),
-        states=states,
-    )
-    gap = completeness_residual(inst)
-    if gap > COMPLETENESS_TOL:
-        raise InvariantError(f"projectors fail to resolve the identity: residual {gap:.3e}")
+    inst = Instance(n, party, omit, tuple(local), states, residuals={})
     norm_gap = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
-    if norm_gap > COMPLETENESS_TOL:
-        raise InvariantError(f"states are not unit norm: deviation {norm_gap:.3e}")
+    inst.residuals["completeness"] = check("completeness", completeness_residual(inst))
+    inst.residuals["unit norm"] = check("unit norm", norm_gap)
     return inst
 
 
@@ -355,20 +347,15 @@ def reciprocal_set(inst: Instance) -> ReciprocalSet:
 
     cross = phis.conj() @ basis  # entry [i, k] = <phi_i | psi_(retained[k])>
     partner = np.diag(cross).copy()
-    off = cross - np.diag(partner)
-    worst = float(np.max(np.abs(off)))
-    if worst > RECIPROCITY_TOL:
-        raise InvariantError(f"reciprocity violated: cross overlap {worst:.3e}")
-    if np.any(partner.real <= 0.0) or float(np.max(np.abs(partner.imag))) > RECIPROCITY_TOL:
-        raise InvariantError("partner overlaps are not real positive")
-
     overlaps = np.abs(partner) ** 2
-    expected = inst.n / (2.0 * inst.total_dim)
-    gap = float(np.max(np.abs(overlaps - expected)))
-    if gap > RECIPROCITY_TOL:
-        raise InvariantError(
-            f"partner overlap squared deviates from N/(2D) by {gap:.3e}"
-        )
+    residuals = {
+        "reciprocity": check("reciprocity", float(np.max(np.abs(cross - np.diag(partner))))),
+        # With |p|^2 near N/(2D) this fails wherever Re p <= 0 or Im p != 0.
+        "partner phase": check("partner phase", float(np.max(np.abs(partner - np.abs(partner))))),
+        "overlap value": check(
+            "overlap value", float(np.max(np.abs(overlaps - inst.n / (2.0 * inst.total_dim))))
+        ),
+    }
     phis.setflags(write=False)
     overlaps.setflags(write=False)
     return ReciprocalSet(
@@ -378,6 +365,7 @@ def reciprocal_set(inst: Instance) -> ReciprocalSet:
         indices=tuple(retained.tolist()),
         states=phis,
         overlaps=overlaps,
+        residuals=residuals,
     )
 
 
@@ -404,12 +392,10 @@ def dual_basis_omit(inst: Instance, drop: int) -> DualBasisOmit:
     # unimodular overlap -exp(2 pi i (k - drop)/N) with the dropped state.
     cross = vectors.conj() @ inst.states[kept - 1].T
     target = ks[:, None] == kept[None, :]
-    if float(np.max(np.abs(cross - target))) > RECIPROCITY_TOL:
-        raise InvariantError("dual basis failed its delta-overlap check")
+    check("dual delta overlap", float(np.max(np.abs(cross - target))))
     with_dropped = vectors.conj() @ inst.states[drop - 1]
     predicted = -np.exp(2j * np.pi * (ks - drop) / inst.n)
-    if float(np.max(np.abs(with_dropped - predicted))) > RECIPROCITY_TOL:
-        raise InvariantError("dual overlap with the dropped state is off")
+    check("dual dropped overlap", float(np.max(np.abs(with_dropped - predicted))))
     vectors.setflags(write=False)
     return DualBasisOmit(
         n=inst.n, omit=inst.omit, omitted=drop, ks=tuple(ks.tolist()), vectors=vectors
@@ -421,19 +407,28 @@ def instance_to_dict(inst: Instance) -> dict:
     return {"n": inst.n, "dims": list(inst.dims), "omit": inst.omit}
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def instance_from_dict(payload: dict) -> Instance:
     """Rebuild an instance from its JSON mapping through make_instance.
 
+    ``n``, ``omit`` and every entry of the ``dims`` list must be integers;
+    a float, a bool or a string is a malformed payload, not truncated.
     A ``states`` array, which files of earlier versions carry, is compared
     against the rebuilt family; a mismatch beyond 1e-9 means the file was
     edited or corrupted and is rejected rather than trusted.
     """
     try:
-        n = int(payload["n"])
-        dims = [int(d) for d in payload["dims"]]
-        omit = int(payload["omit"])
+        n, dims, omit = payload["n"], payload["dims"], payload["omit"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance payload: {exc}") from exc
+    if not isinstance(dims, list) or not all(map(_is_integer, [n, omit, *dims])):
+        raise ValueError(
+            f"malformed instance payload: n, omit and each of dims must be integers, "
+            f"got n={n!r}, dims={dims!r}, omit={omit!r}"
+        )
     inst = make_instance(n, dims, omit)
     if "states" not in payload:
         return inst

@@ -11,6 +11,8 @@ import numpy as np
 
 __all__ = [
     "InvariantError",
+    "BOUNDS",
+    "check",
     "ConvergenceError",
     "kron_all",
     "proj",
@@ -27,6 +29,43 @@ DEFAULT_TOL = 1e-10
 
 class InvariantError(RuntimeError):
     """A quantity that should hold by construction failed its internal check."""
+
+
+# Every internal invariant, name -> largest residual it may show.  A value
+# past its bound is a defect of the program, never of the input, so check
+# raises InvariantError (CLI exit 3).  Decision tolerances that callers or
+# --tol override stay with the code that decides.
+BOUNDS = {
+    "completeness": 1e-12,  # (D/N) sum_j P_j - I, Frobenius; ~2e-14 at N = 1009
+    "unit norm": 1e-12,  # largest | ||psi_j|| - 1 |
+    "reciprocity": 1e-10,  # reciprocal state against a retained non-partner
+    "partner phase": 1e-10,  # |p - |p||: partner overlaps are real positive
+    "overlap value": 1e-10,  # |q_j - N/(2D)| for the squared partner overlaps
+    "q symmetry": 1e-10,  # partner route of q against the omitted-state route
+    "dual delta overlap": 1e-10,  # dual_basis_omit duals against delta_jk
+    "dual dropped overlap": 1e-10,  # the same duals against -omega^(k - l) on l
+    "closure": 1e-12,  # outcomes plus failure operator against I, Frobenius
+    "born vs closed form": 1e-12,  # Born failure average against 1 - sum q w / D
+    "negative outcome probability": 1e-12,  # most negative exact probability, negated
+    "outcome probabilities miss 1": 1e-10,  # largest |row sum - 1| of the outcome rows
+    "stray outcome weight": 1e-10,  # multicopy tuple weight on an input it does not name
+    "misidentifications": 0,  # sampled conclusive outcomes are exactly zero-error
+    "complement decomposition": 1e-12,  # telescoped terms against I' - P_1 x ... x P_P
+    "failure 1/2": 1e-12,  # verify: |Pr(fail) - 1/2| at the symmetric weights
+    "closed-form states": 1e-12,  # verify: N = 5 states against the two-qubit family
+    "closed-form reciprocals": 1e-9,  # verify: phase-free gap of the N = 5 reciprocals
+}
+
+
+def check(name: str, measured):
+    """Return ``measured`` when it lies within BOUNDS[name], else raise InvariantError.
+
+    NaN fails every bound; an unknown name is a KeyError.
+    """
+    bound = BOUNDS[name]
+    if not measured <= bound:
+        raise InvariantError(f"{name}: {measured:.3e} exceeds the bound {bound:.0e}")
+    return measured
 
 
 class ConvergenceError(RuntimeError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance, ReciprocalSet, reciprocal_set
-from .numerics import InvariantError, kron_all
+from .numerics import check, kron_all
 from .usd import MAX_FAMILY_ENTRIES, WeightedMeasurement, failure_probability, family_product_ops
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "run_multicopy_discrimination",
     "complement_decomposition",
 ]
-
-POVM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -83,15 +81,11 @@ class MulticopyMeasurement:
 def _checked_rows(rows: np.ndarray) -> np.ndarray:
     """Exact outcome rows, one per input, validated and clipped at zero.
 
-    A probability below -1e-12 or a row sum off 1 by more than POVM_TOL
-    means the measurement was not a POVM: InvariantError.
+    A negative probability or a row sum off 1 past its BOUNDS row means the
+    measurement was not a POVM: InvariantError.
     """
-    low = float(rows.min())
-    if low < -1e-12:
-        raise InvariantError(f"negative outcome probability {low:.3e}")
-    gap = float(np.max(np.abs(rows.sum(axis=1) - 1.0)))
-    if gap > POVM_TOL:
-        raise InvariantError(f"outcome probabilities miss 1 by {gap:.3e}")
+    check("negative outcome probability", -float(rows.min()))
+    check("outcome probabilities miss 1", float(np.max(np.abs(rows.sum(axis=1) - 1.0))))
     return np.clip(rows, 0.0, None)
 
 
@@ -205,12 +199,8 @@ def multicopy_measurement(inst: Instance, copies: int) -> MulticopyMeasurement:
 
     # Zero-error audit: an outcome tuple may only weight the input it names.
     label_arr = np.array([-1 if lab is None else lab for lab in labels])
-    for i, j in enumerate(r.indices):
-        stray = per_state[i][(label_arr != j) & (label_arr != -1)]
-        if stray.size and float(stray.max()) > 1e-10:
-            raise InvariantError(
-                f"outcome tuple naming another label has weight {stray.max():.3e}"
-            )
+    other = (label_arr != -1) & (label_arr != np.array(r.indices)[:, None])
+    check("stray outcome weight", float(per_state[other].max(initial=0.0)))
     fail_mass = per_state[:, label_arr == -1].sum(axis=1)
     theoretical = float(fail_mass.mean())
     return MulticopyMeasurement(
@@ -309,7 +299,5 @@ def complement_decomposition(dims, enlarged_dims):
     total = int(np.prod(enlarged))
     assembled = sum(kron_all(t) for t in terms)
     target = np.eye(total) - kron_all(projs)
-    gap = float(np.linalg.norm(assembled - target))
-    if gap > 1e-12:
-        raise InvariantError(f"complement decomposition residual {gap:.3e}")
+    check("complement decomposition", float(np.linalg.norm(assembled - target)))
     return terms

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance, ReciprocalSet
-from .numerics import InvariantError, kron_all, proj
+from .numerics import check, kron_all, proj
 
 __all__ = [
     "NotPSDError",
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 PSD_TOL = 1e-10
-CLOSURE_TOL = 1e-12
 PAIRWISE_SLACK = 1e-10
 # Largest product family (outcomes times the entries each carries: its label
 # tuple and its per-party factors) that family_product_ops builds; the
@@ -122,9 +121,7 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
         raise NotPSDError(
             f"failure operator has eigenvalue {min_eig:.3e}; weights are infeasible"
         )
-    closure = np.linalg.norm(weighted + failure - np.eye(inst.total_dim))
-    if closure > CLOSURE_TOL:
-        raise InvariantError(f"POVM closure residual {closure:.3e}")
+    check("closure", float(np.linalg.norm(weighted + failure - np.eye(inst.total_dim))))
     failure.setflags(write=False)
     w.setflags(write=False)
     return WeightedMeasurement(
@@ -168,10 +165,7 @@ def failure_probability(m: WeightedMeasurement, r: ReciprocalSet) -> UsdReport:
     traces = ((r.states @ m.failure_op.T) * r.states.conj()).sum(axis=1).real
     born = float(traces.mean())
     closed = 1.0 - float((r.overlaps * m.weights).sum()) / d
-    if abs(born - closed) > 1e-12:
-        raise InvariantError(
-            f"failure probability mismatch: born {born!r} vs closed form {closed!r}"
-        )
+    check("born vs closed form", abs(born - closed))
     dn = m.total_dim / m.n
     optimal = bool(np.max(np.abs(m.weights - dn)) <= 1e-12)
     return UsdReport(
@@ -206,26 +200,17 @@ def verify_pairwise_bound(inst: Instance, weights, slack: float = PAIRWISE_SLACK
 def q_values(inst: Instance, r: ReciprocalSet) -> tuple[np.ndarray, np.ndarray]:
     """Squared reciprocal overlaps evaluated two independent ways.
 
-    Returns (partner, with_omitted): |<phi_j|psi_j>|^2 and
-    |<phi_j|psi_omit>|^2.  Both must agree with each other and with
-    N/(2D) within 1e-10; that coincidence is what makes the failure
-    operator's weight budget symmetric between the omitted direction and
-    every retained one.
+    Returns (partner, with_omitted): |<phi_j|psi_j>|^2, which is
+    ``r.overlaps`` (reciprocal_set already held it to N/(2D)), and
+    |<phi_j|psi_omit>|^2.  The two must agree (BOUNDS row "q symmetry");
+    that coincidence is what makes the failure operator's weight budget
+    symmetric between the omitted direction and every retained one.
     """
     if (inst.n, inst.dims, inst.omit) != (r.n, r.dims, r.omit):
         raise ValueError("reciprocal set belongs to a different instance")
-    partner = np.abs(
-        np.einsum("ja,ja->j", r.states.conj(), inst.states[[j - 1 for j in r.indices]])
-    ) ** 2
     with_omitted = np.abs(r.states.conj() @ inst.states[inst.omit - 1]) ** 2
-    expected = inst.n / (2.0 * inst.total_dim)
-    worst = max(
-        float(np.max(np.abs(partner - with_omitted))),
-        float(np.max(np.abs(partner - expected))),
-    )
-    if worst > 1e-10:
-        raise InvariantError(f"reciprocal overlap symmetry broken by {worst:.3e}")
-    return partner, with_omitted
+    check("q symmetry", float(np.max(np.abs(r.overlaps - with_omitted))))
+    return r.overlaps, with_omitted
 
 
 def oracle_optimize(

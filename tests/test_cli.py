@@ -146,6 +146,11 @@ def test_optimize_bad_instance_files(tmp_path, capsys):
     garbled.write_text("{ not json")
     rc, _, _ = run_cli(capsys, "optimize", "--instance", str(garbled))
     assert rc == 2
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text('{"n": 1e400, "dims": [2, 2], "omit": 1}')
+    rc, _, err = run_cli(capsys, "optimize", "--instance", str(overflow))
+    assert rc == 2
+    assert "malformed instance payload" in err
 
 
 def test_optimize_requires_a_source(capsys):
@@ -235,17 +240,56 @@ def test_certify_measurement_file_must_be_a_list(tmp_path, capsys):
     path = tmp_path / "meas.json"
     # Not a list; then a pair array one nesting level short, which must be
     # an input error rather than an uncaught TypeError; then an [re, im, x]
-    # triple, a ragged row and string entries.
+    # triple, a ragged row and string entries; then NaN and Infinity, which
+    # json writes and reads back although they are not JSON.
     for payload in (
         {"ops": []},
         [[[[1, 0]]]],
         [[[[[1, 0, 0]]]]],
         [[[[[1, 0], [0, 0]], [[0, 0]]]]],
         [[[[["1", "0"]]]]],
+        [[[[[float("nan"), 0]]], [[[1, 0]]]], [[[[1, 0]]], [[[1, 0]]]]],
+        [[[[[float("inf"), 0]]], [[[1, 0]]]], [[[[1, 0]]], [[[1, 0]]]]],
     ):
         path.write_text(json.dumps(payload))
         rc, _, _ = run_cli(capsys, "certify", "--measurement", str(path))
         assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["optimize", "--instance", "{inst}", "--n", "7"], ["--instance", "--n"]),
+        (["optimize", "--instance", "{inst}", "--dims", "2,3"], ["--dims"]),
+        (["simulate", "--instance", "{inst}", "--omit", "4"], ["--omit"]),
+        (["certify", "--measurement", "{meas}", "--n", "7"], ["--n", "--measurement"]),
+        (["certify", "--measurement", "{meas}", "--instance", "{inst}"], ["--instance"]),
+        (["certify", "--measurement", "{meas}", "--copies", "3"], ["--copies"]),
+        (["certify", "--measurement", "{meas}", "--omit", "2"], ["--omit"]),
+        (["certify", "--dims", "2,2"], ["--dims"]),
+    ],
+)
+def test_one_family_source_per_run(tmp_path, capsys, argv, named):
+    inst, meas = tmp_path / "five.json", tmp_path / "meas.json"
+    run_cli(capsys, "generate", "--n", "5", "--out", str(inst))
+    eye = np.stack([np.eye(2), np.zeros((2, 2))], -1).tolist()
+    meas.write_text(json.dumps([[eye, eye]]))
+    argv = [a.format(inst=inst, meas=meas) for a in argv]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert all(flag in err for flag in named)
+
+
+def test_out_of_memory_is_an_input_error(capsys, monkeypatch):
+    def too_big(*args):
+        raise MemoryError("Unable to allocate 1.21 TiB for an array")
+
+    monkeypatch.setattr("usdsep.cli.make_instance", too_big)
+    rc, out, err = run_cli(capsys, "optimize", "--n", "1000003")
+    assert rc == 2
+    assert out == ""
+    assert "error: Unable to allocate 1.21 TiB" in err
 
 
 def test_simulate_default(capsys):

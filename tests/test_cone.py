@@ -124,6 +124,9 @@ def test_operator_set_validation():
     not_psd = np.diag([1.0, -0.2]).astype(complex)
     with pytest.raises(ValueError):
         LocalOperatorSet(party=0, ops=(not_psd,))
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LocalOperatorSet(party=0, ops=(np.eye(2), np.diag([1.0, value]).astype(complex)))
 
 
 def test_operator_set_rejects_one_indefinite_factor_among_many():

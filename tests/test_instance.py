@@ -19,7 +19,7 @@ from usdsep import (
     reciprocal_set,
     shift_unitary,
 )
-from usdsep.instance import COMPLETENESS_TOL
+from usdsep.numerics import BOUNDS
 
 PRIMES = (5, 7, 11, 13)
 
@@ -65,12 +65,31 @@ def test_make_instance_default_dims_and_completeness():
 def test_large_families_pass_their_audits():
     # Phases are read from one table of N-th roots of unity at exponents
     # reduced mod N.  Unreduced angles of up to 2 pi D drove the completeness
-    # residual past COMPLETENESS_TOL from N = 307 on.
+    # residual past its bound of 1e-12 from N = 307 on.
     for n in (401, 1009):
         inst = make_instance(n)
-        assert completeness_residual(inst) <= COMPLETENESS_TOL
+        assert completeness_residual(inst) <= BOUNDS["completeness"]
         r = reciprocal_set(inst)
         assert np.max(np.abs(r.overlaps - n / (2.0 * (n - 1)))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [5, 211, 1009])
+def test_audits_keep_what_they_measured(n):
+    inst = make_instance(n)
+    assert inst.residuals["completeness"] == completeness_residual(inst)
+    norms = np.linalg.norm(inst.states, axis=1)
+    assert inst.residuals["unit norm"] == float(np.max(np.abs(norms - 1.0)))
+
+    r = reciprocal_set(inst)
+    cross = r.states.conj() @ inst.states[np.array(r.indices) - 1].T
+    partner = np.diag(cross)
+    assert r.residuals == {
+        "reciprocity": float(np.max(np.abs(cross - np.diag(partner)))),
+        "partner phase": float(np.max(np.abs(partner - np.abs(partner)))),
+        "overlap value": float(np.max(np.abs(np.abs(partner) ** 2 - n / (2.0 * (n - 1))))),
+    }
+    for name, measured in {**inst.residuals, **r.residuals}.items():
+        assert 0.0 <= measured <= BOUNDS[name], name
 
 
 def test_make_instance_rejects_bad_input():
@@ -252,9 +271,28 @@ def test_instance_from_dict_rejects_tampering():
     with pytest.raises(ValueError):
         instance_from_dict({"n": 5, "dims": [2, 2]})
     good = _legacy_payload(make_instance(5))["states"]
-    for states in ([[["1", "0"]] * 4] * 5, [row[:3] for row in good[:1]] + good[1:]):
+    not_a_number = [[[float("nan"), 0.0]] + row[1:] for row in good]
+    for states in (
+        [[["1", "0"]] * 4] * 5,
+        [row[:3] for row in good[:1]] + good[1:],
+        not_a_number,
+    ):
         with pytest.raises(ValueError, match="malformed state array"):
             instance_from_dict({"n": 5, "dims": [2, 2], "omit": 1, "states": states})
+    # Parameters must be JSON integers: floats, bools, strings and an
+    # overflowing 1e400 (which json reads as inf) are not truncated.
+    for params in (
+        {"n": 1e400, "dims": [2, 2], "omit": 1},
+        {"n": 5, "dims": [2, 2], "omit": 1e400},
+        {"n": 5, "dims": [2, 1e400], "omit": 1},
+        {"n": 5.7, "dims": [2, 2], "omit": 1},
+        {"n": 5, "dims": [2, 2], "omit": 1.9},
+        {"n": 5, "dims": [2, 2], "omit": True},
+        {"n": 5, "dims": [2.0, 2], "omit": 1},
+        {"n": 5, "dims": "22", "omit": 1},
+    ):
+        with pytest.raises(ValueError, match="malformed instance payload"):
+            instance_from_dict(params)
 
 
 def test_instance_from_legacy_dict_with_states():

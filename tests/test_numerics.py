@@ -1,10 +1,15 @@
-"""Tests for the dense linear algebra kernel."""
+"""Tests for the dense linear algebra kernel and the table of invariant bounds."""
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
 
+import usdsep
 from usdsep import (
     ConvergenceError,
+    InvariantError,
     kron_all,
     hermitize,
     make_instance,
@@ -15,6 +20,7 @@ from usdsep import (
     vec_herm,
     von_neumann_entropy,
 )
+from usdsep.numerics import BOUNDS, check
 from usdsep.reference import two_qubit_reciprocal_states
 
 W5 = np.exp(2j * np.pi / 5.0)
@@ -200,3 +206,54 @@ def test_entropy_rejects_bad_input():
         von_neumann_entropy(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError):
         von_neumann_entropy(np.eye(2) / 2.0, log_base=1.0)
+
+
+def test_check_returns_the_value_within_its_bound():
+    assert check("completeness", 3e-14) == 3e-14
+    assert check("completeness", BOUNDS["completeness"]) == BOUNDS["completeness"]
+    assert check("misidentifications", 0) == 0
+
+
+@pytest.mark.parametrize(
+    "name, measured",
+    [("completeness", 2e-12), ("closed-form reciprocals", 1.1e-9), ("misidentifications", 1)],
+)
+def test_check_raises_past_the_bound(name, measured):
+    with pytest.raises(InvariantError, match=name):
+        check(name, measured)
+
+
+def test_check_fails_on_nan_and_unknown_names():
+    for name in BOUNDS:
+        with pytest.raises(InvariantError):
+            check(name, float("nan"))
+    with pytest.raises(KeyError):
+        check("no such invariant", 0.0)
+
+
+class _InvariantErrorSites(ast.NodeVisitor):
+    """(module, innermost enclosing function) of every InvariantError(...) call."""
+
+    def __init__(self, module):
+        self.module, self.scope, self.found = module, "<module>", []
+
+    def visit_FunctionDef(self, node):
+        outer, self.scope = self.scope, node.name
+        self.generic_visit(node)
+        self.scope = outer
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) == "InvariantError":
+            self.found.append((self.module, self.scope))
+        self.generic_visit(node)
+
+
+def test_invariant_errors_are_raised_from_one_place():
+    # Every exit-3 check goes through numerics.check; the verify summary is
+    # the one other site, since it sums up rows it has already printed.
+    found = []
+    for path in sorted(pathlib.Path(usdsep.__file__).parent.glob("*.py")):
+        sites = _InvariantErrorSites(path.stem)
+        sites.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += sites.found
+    assert sorted(found) == [("cli", "cmd_verify"), ("numerics", "check")]
