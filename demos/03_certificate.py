@@ -17,20 +17,10 @@ from usdsep import (
     certify,
     count_extreme,
     distinct_rays,
+    family_product_ops,
     make_instance,
     proj,
 )
-
-
-def family_product_ops(inst):
-    scale = inst.total_dim / inst.n
-    ops = []
-    for j in range(1, inst.n + 1):
-        factors = [proj(ls[j - 1]) for ls in inst.local_states]
-        factors[0] = scale * factors[0]
-        ops.append(factors)
-    return ops
-
 
 inst = make_instance(5)
 

@@ -17,7 +17,6 @@ from .numerics import (
     nnls,
     partial_trace,
     proj,
-    rank,
     vec_herm,
     von_neumann_entropy,
 )
@@ -60,7 +59,6 @@ from .cone import (
     certify,
     count_extreme,
     distinct_rays,
-    is_extreme,
 )
 from .simulator import (
     MulticopyMeasurement,
@@ -97,7 +95,6 @@ __all__ = [
     "kron_all",
     "proj",
     "hermitize",
-    "rank",
     "partial_trace",
     "vec_herm",
     "nnls",
@@ -122,7 +119,6 @@ __all__ = [
     "oracle_optimize",
     "family_product_ops",
     "distinct_rays",
-    "is_extreme",
     "count_extreme",
     "certify",
     "classify_tuple",

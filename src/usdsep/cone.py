@@ -9,12 +9,13 @@ outcomes obeys
 
     sum_alpha e_alpha <= 2 (N - 1).
 
-The certifier counts the left-hand side for a concrete measurement.  Rays
-are grouped up to positive scaling, and a representative is extreme exactly
-when it is not a nonnegative combination of the other classes, which is a
-nonnegative least squares feasibility question in the isometric real
-coordinates of vec_herm.  Each party's class representatives are vectorized
-once and stacked as the columns of one real matrix V; class c is then
+The certifier counts the left-hand side for a concrete measurement.  Each
+party's factors travel as one read-only (R, d, d) stack.  Rays are grouped
+up to positive scaling, and a representative is extreme exactly when it is
+not a nonnegative combination of the other classes, which is a nonnegative
+least squares feasibility question in the isometric real coordinates of
+vec_herm.  One vec_herm call per party maps the stack of class
+representatives to the columns of one real matrix V; class c is then
 decided by NNLS of column c over V with that column removed.  Rank-1
 operators are always extreme (anything positive summing to a rank-1
 operator must live on its range), which covers every family built here, but
@@ -25,7 +26,7 @@ on that shortcut.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +38,6 @@ __all__ = [
     "PartyConeStat",
     "ConeReport",
     "distinct_rays",
-    "is_extreme",
     "count_extreme",
     "certify",
 ]
@@ -50,27 +50,33 @@ WARN_BAND = (1e-8, 1e-6)
 
 @dataclass(frozen=True)
 class LocalOperatorSet:
-    """The factors one party contributes across all measurement outcomes."""
+    """The factors one party contributes across all measurement outcomes.
+
+    ``ops`` may be given as any sequence of equal square matrices; it is
+    kept as a validated read-only (R, d, d) complex stack.
+    """
 
     party: int
-    ops: tuple[np.ndarray, ...]
+    ops: np.ndarray
 
     def __post_init__(self):
-        if not self.ops:
+        if len(self.ops) == 0:
             raise ValueError("operator set must be non-empty")
-        dim = self.ops[0].shape[0]
-        if any(op.shape != (dim, dim) for op in self.ops):
+        dim = np.shape(self.ops[0])[0]
+        if any(np.shape(op) != (dim, dim) for op in self.ops):
             raise ValueError("operators must share one square dimension")
-        stack = np.stack(self.ops)
+        stack = np.array(self.ops, dtype=complex)
         if not np.all(np.isfinite(stack)):
             raise ValueError("operators must have finite entries")
         hermitian = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
         if float(np.linalg.eigvalsh(hermitian)[:, 0].min()) < -PSD_INPUT_TOL:
             raise ValueError("operators must be positive semidefinite")
+        stack.setflags(write=False)
+        object.__setattr__(self, "ops", stack)
 
     @property
     def dim(self) -> int:
-        return self.ops[0].shape[0]
+        return self.ops.shape[1]
 
 
 @dataclass(frozen=True)
@@ -78,26 +84,16 @@ class RayGroups:
     """Partition of operator indices into equal-ray classes.
 
     ``groups[c]`` lists the operator indices in class c; ``representatives``
-    holds one Frobenius-normalized operator per class.
+    is the read-only (count, d, d) stack of one Frobenius-normalized
+    operator per class.
     """
 
     groups: tuple[tuple[int, ...], ...]
-    representatives: tuple[np.ndarray, ...]
-    _class: dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        lookup = {i: c for c, members in enumerate(self.groups) for i in members}
-        object.__setattr__(self, "_class", lookup)
+    representatives: np.ndarray
 
     @property
     def count(self) -> int:
         return len(self.groups)
-
-    def class_of(self, i: int) -> int:
-        try:
-            return self._class[i]
-        except KeyError:
-            raise ValueError(f"operator index {i} not present") from None
 
 
 @dataclass(frozen=True)
@@ -119,13 +115,6 @@ class ConeReport:
     note: str = ""
 
 
-def _normalized(op: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(op))
-    if norm < 1e-14:
-        raise ValueError("zero operator has no ray")
-    return op / norm
-
-
 def distinct_rays(s: LocalOperatorSet, tol: float = RAY_TOL) -> RayGroups:
     """Group the operators into classes equal up to positive scale.
 
@@ -135,10 +124,13 @@ def distinct_rays(s: LocalOperatorSet, tol: float = RAY_TOL) -> RayGroups:
     and otherwise becomes the representative of a new class.  Zero
     operators are rejected since they name no ray at all.
     """
+    norms = np.linalg.norm(s.ops, axis=(1, 2))
+    if np.any(norms < 1e-14):
+        raise ValueError("zero operator has no ray")
+    units = s.ops / norms[:, None, None]
     groups: list[list[int]] = []
-    reps = np.empty((len(s.ops), s.dim, s.dim), dtype=complex)
-    for i, op in enumerate(s.ops):
-        unit = _normalized(op)
+    reps = np.empty_like(units)
+    for i, unit in enumerate(units):
         # Distances from differences: 2 - 2 Re<u, r> would round at about
         # 1e-16, which is the size of tol**2 itself.
         dist = np.linalg.norm(reps[: len(groups)] - unit, axis=(1, 2))
@@ -148,52 +140,29 @@ def distinct_rays(s: LocalOperatorSet, tol: float = RAY_TOL) -> RayGroups:
         else:
             reps[len(groups)] = unit
             groups.append([i])
-    return RayGroups(
-        groups=tuple(tuple(g) for g in groups),
-        representatives=tuple(reps[: len(groups)]),
-    )
-
-
-def _ray_matrix(rays: RayGroups) -> np.ndarray:
-    """The representatives' vec_herm coordinates as columns, one call each."""
-    return np.column_stack([vec_herm(rep) for rep in rays.representatives])
-
-
-def _extremality_residual(v: np.ndarray, c: int, tol: float) -> float:
-    """Relative NNLS residual of writing column c of v over the other columns.
-
-    Representatives are unit Frobenius norm and vec_herm is isometric, so
-    the target vector has unit length and the residual is already relative.
-    A single-class set resolves to residual infinity: one ray alone is
-    always extreme in the cone it generates.
-    """
-    if v.shape[1] == 1:
-        return np.inf
-    _, rnorm = nnls(np.delete(v, c, axis=1), v[:, c], tol=max(tol * 1e-4, 1e-14))
-    return rnorm
-
-
-def is_extreme(i: int, s: LocalOperatorSet, tol: float = RAY_TOL) -> bool:
-    """Whether operator i generates an extreme ray of cone(s.ops).
-
-    The operator's ray class is extreme iff no nonnegative combination of
-    the other classes reproduces it within ``tol`` relative residual.
-    """
-    rays = distinct_rays(s, tol)
-    return _extremality_residual(_ray_matrix(rays), rays.class_of(i), tol) > tol
+    reps = reps[: len(groups)]
+    reps.setflags(write=False)
+    return RayGroups(groups=tuple(tuple(g) for g in groups), representatives=reps)
 
 
 def count_extreme(s: LocalOperatorSet, tol: float = RAY_TOL):
     """Number of extreme ray classes, plus per-class diagnostics.
 
-    Each class representative is vectorized once (one vec_herm call per
-    class); NNLS of each column over the others still decides extremality.
-    Returns (count, rays, residuals) where residuals[c] is the relative
-    NNLS residual for class c (infinity for a lone class).
+    One vec_herm call maps the class representatives to the columns of V;
+    class c is extreme when NNLS of column c over the other columns leaves a
+    relative residual above ``tol``.  Representatives are unit Frobenius
+    norm and vec_herm is isometric, so each target column has unit length
+    and its residual is already relative.  Returns (count, rays, residuals)
+    where residuals[c] is that residual for class c; a lone class resolves
+    to infinity, since one ray alone is always extreme in the cone it
+    generates.
     """
     rays = distinct_rays(s, tol)
-    v = _ray_matrix(rays)
-    residuals = np.array([_extremality_residual(v, c, tol) for c in range(rays.count)])
+    v = vec_herm(rays.representatives).T
+    residuals = np.full(rays.count, np.inf)
+    if rays.count > 1:
+        for c in range(rays.count):
+            _, residuals[c] = nnls(np.delete(v, c, axis=1), v[:, c], tol=max(tol * 1e-4, 1e-14))
     return int(np.count_nonzero(residuals > tol)), rays, residuals
 
 
@@ -236,20 +205,22 @@ def certify(
     if any(len(entry) != p for entry in entries):
         raise ValueError("all product operators must have the same party count")
 
+    lo, hi = WARN_BAND
     warnings: list[str] = []
     stats: list[PartyConeStat] = []
     total = 0
     for alpha in range(p):
-        factors = [np.asarray(entry[alpha], dtype=complex) for entry in entries]
-        ops = LocalOperatorSet(party=alpha, ops=tuple(factors))
-        skipped = all(_proportional_to_identity(f) for f in factors)
+        ops = LocalOperatorSet(party=alpha, ops=[entry[alpha] for entry in entries])
         extreme, rays, residuals = count_extreme(ops, tol)
-        lo, hi_band = WARN_BAND
-        for c, rn in enumerate(residuals):
-            if lo <= rn <= hi_band:
-                warnings.append(
-                    f"party {alpha} ray class {c}: NNLS residual {rn:.3e} is borderline"
-                )
+        warnings += [
+            f"party {alpha} ray class {c}: NNLS residual {residuals[c]:.3e} is borderline"
+            for c in np.flatnonzero((lo <= residuals) & (residuals <= hi))
+        ]
+        stack, d = ops.ops, ops.dim
+        scale = np.trace(stack, axis1=1, axis2=2) / d
+        off_identity = np.linalg.norm(stack - scale[:, None, None] * np.eye(d), axis=(1, 2))
+        norms = np.linalg.norm(stack, axis=(1, 2))
+        skipped = bool(np.all(off_identity <= IDENTITY_RTOL * np.maximum(norms, 1e-14)))
         stats.append(
             PartyConeStat(
                 party=alpha,
@@ -278,10 +249,3 @@ def certify(
         note=note,
     )
 
-
-def _proportional_to_identity(op: np.ndarray) -> bool:
-    d = op.shape[0]
-    scale = np.trace(op) / d
-    return float(np.linalg.norm(op - scale * np.eye(d))) <= IDENTITY_RTOL * max(
-        float(np.linalg.norm(op)), 1e-14
-    )

@@ -227,21 +227,30 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
 
     Raises
     ------
-    ValueError for non-prime n, a bad factorization, or omit out of range.
+    ValueError for non-prime n, a bad factorization, or omit out of range;
+    ValueError or MemoryError for an n whose (N, N - 1) state matrix cannot
+    be allocated.  The checks that need no trial division run first.
     """
     n = int(n)
-    if n < 5 or not is_prime(n):
+    if n < 5:
         raise ValueError(f"n must be a prime >= 5, got {n}")
-    if dims is None:
-        dims = prime_factors(n - 1)
-    party = PartyDims(tuple(int(d) for d in dims))
-    if party.total_dim != n - 1:
+    party = None if dims is None else PartyDims(tuple(int(d) for d in dims))
+    if party is not None and party.total_dim != n - 1:
         raise ValueError(
             f"party dimensions {party.dims} multiply to {party.total_dim}, expected {n - 1}"
         )
     omit = int(omit)
     if not 1 <= omit <= n:
         raise ValueError(f"omit must be in 1..{n}, got {omit}")
+    # Allocated before any trial division, so an n past memory fails at once.
+    try:
+        states = np.empty((n, n - 1), dtype=complex)
+    except ValueError as exc:
+        raise ValueError(f"n = {n} is too large for its (N, N - 1) state matrix: {exc}") from None
+    if not is_prime(n):
+        raise ValueError(f"n must be a prime >= 5, got {n}")
+    if party is None:
+        party = PartyDims(prime_factors(n - 1))
 
     roots = _roots(n)
     js = np.arange(1, n + 1)[:, None]
@@ -253,7 +262,7 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
         factor.setflags(write=False)
         local.append(factor)
         exponents = np.add.outer(exponents, m).ravel()
-    states = roots[(js * exponents) % n] / np.sqrt(party.total_dim)
+    np.divide(roots[(js * exponents) % n], np.sqrt(party.total_dim), out=states)
     states.setflags(write=False)
 
     inst = Instance(n, party, omit, tuple(local), states, residuals={})

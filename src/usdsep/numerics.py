@@ -17,7 +17,6 @@ __all__ = [
     "kron_all",
     "proj",
     "hermitize",
-    "rank",
     "partial_trace",
     "vec_herm",
     "nnls",
@@ -90,29 +89,21 @@ def proj(v):
 
 
 def hermitize(m, rtol=1e-12):
-    """Return the Hermitian part (M + M^dag)/2 of a square matrix.
+    """Return the Hermitian part (M + M^dag)/2 of a square matrix or a stack of them.
 
-    Asymmetry beyond ``rtol`` relative to the Frobenius norm is treated as an
-    input error rather than silently averaged away.
+    ``m`` has shape (..., d, d).  Asymmetry of any one matrix beyond ``rtol``
+    relative to its Frobenius norm is treated as an input error rather than
+    silently averaged away.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = np.linalg.norm(m)
-    gap = np.linalg.norm(m - m.conj().T)
-    if gap > rtol * max(scale, 1.0):
-        raise ValueError(f"matrix is not Hermitian: asymmetry {gap:.3e}")
-    return (m + m.conj().T) / 2.0
-
-
-def rank(m, tol=DEFAULT_TOL):
-    """Numerical rank: singular values above ``tol`` relative to the largest."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    sv = np.linalg.svd(np.atleast_2d(np.asarray(m, dtype=complex)), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol * sv[0]))
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    adjoint = m.conj().swapaxes(-1, -2)
+    scale = np.linalg.norm(m, axis=(-2, -1))
+    gap = np.linalg.norm(m - adjoint, axis=(-2, -1))
+    if np.any(gap > rtol * np.maximum(scale, 1.0)):
+        raise ValueError(f"matrix is not Hermitian: asymmetry {np.max(gap):.3e}")
+    return (m + adjoint) / 2.0
 
 
 def partial_trace(h, dims, keep):
@@ -153,22 +144,23 @@ def partial_trace(h, dims, keep):
 
 
 def vec_herm(h):
-    """Isometric real vectorization of a Hermitian matrix.
+    """Isometric real vectorization of a Hermitian matrix or a stack of them.
 
     Coordinates are the diagonal (ascending index), then for each strict
     upper-triangle entry in row-major order its sqrt(2)*Re followed by
     sqrt(2)*Im.  With this scaling Tr(A B) equals the Euclidean inner
     product of vec_herm(A) and vec_herm(B), so Frobenius geometry on
-    Hermitian matrices becomes plain dot-product geometry on R^(d^2).
+    Hermitian matrices becomes plain dot-product geometry on R^(d^2).  A
+    (..., d, d) stack maps to (..., d^2), one row per matrix.
     """
     h = hermitize(h)
-    d = h.shape[0]
-    iu = np.triu_indices(d, k=1)
-    off = h[iu]
-    out = np.empty(d * d, dtype=float)
-    out[:d] = h.diagonal().real
-    out[d::2] = np.sqrt(2.0) * off.real
-    out[d + 1 :: 2] = np.sqrt(2.0) * off.imag
+    d = h.shape[-1]
+    rows, cols = np.triu_indices(d, k=1)
+    off = h[..., rows, cols]
+    out = np.empty(h.shape[:-2] + (d * d,), dtype=float)
+    out[..., :d] = h.diagonal(axis1=-2, axis2=-1).real
+    out[..., d::2] = np.sqrt(2.0) * off.real
+    out[..., d + 1 :: 2] = np.sqrt(2.0) * off.imag
     return out
 
 

@@ -17,14 +17,13 @@ and the N projectors are never stored.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instance import Instance, ReciprocalSet
-from .numerics import check, kron_all, proj
+from .numerics import check
 
 __all__ = [
     "NotPSDError",
@@ -46,6 +45,8 @@ PAIRWISE_SLACK = 1e-10
 # tuple and its per-party factors) that family_product_ops builds; the
 # multicopy simulator holds its (D, N^n) outcome table to the same limit.
 MAX_FAMILY_ENTRIES = 1_000_000
+# Weight vectors oracle_optimize screens per batched eigvalsh call.
+ORACLE_CHUNK = 10_000
 
 
 class NotPSDError(ValueError):
@@ -219,7 +220,6 @@ def oracle_optimize(
     seed: int = 0,
     refine: bool = False,
     extra_points=None,
-    chunk: int = 10_000,
 ) -> OracleResult:
     """Randomized search for the lowest feasible failure probability.
 
@@ -268,8 +268,8 @@ def oracle_optimize(
             best_pr = float(prs[i])
             best_w = block[ok][i].copy()
 
-    for start in range(0, pool.shape[0], chunk):
-        scan(pool[start : start + chunk])
+    for start in range(0, pool.shape[0], ORACLE_CHUNK):
+        scan(pool[start : start + ORACLE_CHUNK])
     if best_w is None:
         raise ValueError("no feasible weight vector found; increase samples")
 
@@ -298,7 +298,9 @@ def family_product_ops(inst: Instance, copies: int = 1) -> list[list[np.ndarray]
     on party 0, so the kron of an entry's factors is the outcome operator
     with each party's copies grouped together.  With copies = 1 these are
     the N outcomes (D/N) P_j, the omitted label's being the failure
-    operator.
+    operator.  Each party's factors are read-only views into one
+    (N^n, d^n, d^n) stack: one reshaped outer product per copy builds the
+    n-copy local states, and one batched outer product their projectors.
 
     Raises ValueError for copies < 1 and for families past
     MAX_FAMILY_ENTRIES, before anything is allocated.
@@ -317,11 +319,16 @@ def family_product_ops(inst: Instance, copies: int = 1) -> list[list[np.ndarray]
         raise ValueError(
             f"{copies}-copy family of N = {n} exceeds the limit of {MAX_FAMILY_ENTRIES} entries"
         )
-    scale = (d / n) ** copies
-    local = [[proj(v) for v in states] for states in inst.local_states]
-    ops = []
-    for t in itertools.product(range(n), repeat=copies):
-        factors = [kron_all([party[j] for j in t]) for party in local]
-        factors[0] = scale * factors[0]
-        ops.append(factors)
-    return ops
+    stacks = []
+    for states in inst.local_states:
+        tensor = np.ones((1, 1), dtype=complex)
+        for _ in range(copies):
+            # Row t * N + j holds tensor row t (x) state j, first copy most significant.
+            tensor = (tensor[:, None, :, None] * states[None, :, None, :]).reshape(
+                len(tensor) * n, -1
+            )
+        stacks.append(tensor[:, :, None] * tensor[:, None, :].conj())
+    stacks[0] *= (d / n) ** copies
+    for stack in stacks:
+        stack.setflags(write=False)
+    return [list(factors) for factors in zip(*stacks)]

@@ -8,7 +8,11 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -290,6 +294,45 @@ def test_out_of_memory_is_an_input_error(capsys, monkeypatch):
     assert rc == 2
     assert out == ""
     assert "error: Unable to allocate 1.21 TiB" in err
+
+
+# The Mersenne prime 2^61 - 1: trial division to its square root would run
+# for minutes, and its (N, N - 1) state matrix cannot even be sized.
+HUGE_PRIME = 2**61 - 1
+# Prints the run's peak resident set size in MiB (ru_maxrss is in KiB).
+PEAK_RSS_MAIN = (
+    "import resource, sys\n"
+    "from usdsep.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize("route", ["generate", "optimize --instance"])
+def test_huge_prime_is_refused_at_once(tmp_path, route):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": HUGE_PRIME, "dims": [2], "omit": 1}))
+    if route == "generate":
+        argv = ["generate", "--n", str(HUGE_PRIME)]
+    else:
+        argv = ["optimize", "--instance", str(path)]
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_MAIN, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert time.monotonic() - start < 2.0
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    if route == "generate":
+        assert f"n = {HUGE_PRIME} is too large" in proc.stderr
+    assert float(proc.stdout) < 200.0  # interpreter and numpy only; no family was built
 
 
 def test_simulate_default(capsys):

@@ -9,7 +9,6 @@ from usdsep import (
     certify,
     count_extreme,
     distinct_rays,
-    is_extreme,
     make_instance,
     multicopy_measurement,
     proj,
@@ -37,16 +36,31 @@ def family_product_ops(inst):
     return out
 
 
+def class_of(rays, i):
+    """The class holding operator i, read from the groups."""
+    (c,) = [c for c, members in enumerate(rays.groups) if i in members]
+    return c
+
+
+def extreme_per_operator(s):
+    """Whether each operator's ray class is extreme, from count_extreme's residuals."""
+    _, rays, residuals = count_extreme(s)
+    return [bool(residuals[class_of(rays, i)] > RAY_TOL) for i in range(len(s.ops))]
+
+
 def test_distinct_rays_groups_by_positive_scale():
     a = np.diag([1.0, 0.0]).astype(complex)
     b = np.diag([0.0, 1.0]).astype(complex)
     s = LocalOperatorSet(party=0, ops=(a, 3.0 * a, b))
+    assert s.ops.shape == (3, 2, 2) and not s.ops.flags.writeable
     rays = distinct_rays(s)
     assert rays.count == 2
     assert rays.groups == ((0, 1), (2,))
-    assert rays.class_of(1) == 0
-    with pytest.raises(ValueError):
-        rays.class_of(5)
+    assert class_of(rays, 1) == 0
+    assert not any(5 in members for members in rays.groups)
+    assert rays.representatives.shape == (2, 2, 2)
+    assert not rays.representatives.flags.writeable
+    assert np.array_equal(rays.representatives, np.stack([a, b]))
 
 
 def first_match_rays(ops, tol):
@@ -77,7 +91,7 @@ def test_distinct_rays_tolerance_boundary_follows_first_match():
     assert len(rays.representatives) == len(reps)
     for got, want in zip(rays.representatives, reps):
         assert np.array_equal(got, want)
-    assert [rays.class_of(i) for i in range(len(ops))] == [0, 1, 0, 2, 1, 2]
+    assert [class_of(rays, i) for i in range(len(ops))] == [0, 1, 0, 2, 1, 2]
 
 
 def test_count_extreme_vectorizes_each_class_once(monkeypatch):
@@ -85,7 +99,7 @@ def test_count_extreme_vectorizes_each_class_once(monkeypatch):
     original = usdsep.cone.vec_herm
 
     def counting(h):
-        calls.append(1)
+        calls.append(np.shape(h))
         return original(h)
 
     monkeypatch.setattr(usdsep.cone, "vec_herm", counting)
@@ -93,11 +107,13 @@ def test_count_extreme_vectorizes_each_class_once(monkeypatch):
     s = LocalOperatorSet(party=0, ops=tuple(proj(v) for v in inst.local_states[0]))
     count, rays, _ = count_extreme(s)
     assert count == rays.count == 13
-    assert len(calls) == rays.count
+    # One call per party, on the stack of all its class representatives.
+    assert calls == [(13, 2, 2)]
 
     calls.clear()
     rep = certify(family_product_ops(inst))
-    assert len(calls) == sum(p.rays for p in rep.parties) == 13 * inst.party.party_count
+    assert sum(p.rays for p in rep.parties) == 13 * inst.party.party_count
+    assert calls == [(13, d, d) for d in inst.dims]
 
 
 def test_distinct_rays_family_has_n_classes():
@@ -142,8 +158,7 @@ def test_operator_set_rejects_one_indefinite_factor_among_many():
 def test_rank_one_projectors_are_extreme():
     inst = make_instance(5)
     s = LocalOperatorSet(party=0, ops=tuple(proj(v) for v in inst.local_states[0]))
-    for i in range(5):
-        assert is_extreme(i, s)
+    assert extreme_per_operator(s) == [True] * 5
     count, rays, residuals = count_extreme(s)
     assert count == rays.count == 5
     assert np.all(residuals > 1e-6)
@@ -155,10 +170,9 @@ def test_planted_combination_is_not_extreme():
     b = rand_psd(rng, 3, rank=1)
     c = 0.4 * a + 0.6 * b
     s = LocalOperatorSet(party=0, ops=(a, b, c))
-    assert is_extreme(0, s)
-    assert is_extreme(1, s)
-    assert not is_extreme(2, s)
-    count, _, _ = count_extreme(s)
+    assert extreme_per_operator(s) == [True, True, False]
+    count, rays, _ = count_extreme(s)
+    assert rays.groups == ((0,), (1,), (2,))
     assert count == 2
 
 

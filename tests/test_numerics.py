@@ -16,7 +16,6 @@ from usdsep import (
     nnls,
     partial_trace,
     proj,
-    rank,
     vec_herm,
     von_neumann_entropy,
 )
@@ -68,15 +67,30 @@ def test_hermitize_symmetrizes_and_rejects():
         hermitize(np.ones((2, 3)))
 
 
-def test_rank_examples():
-    inst = make_instance(5)
-    assert rank(proj(inst.state(1))) == 1
-    assert rank(np.eye(4)) == 4
-    assert rank(np.zeros((3, 3))) == 0
-    two = proj(inst.state(1)) + proj(inst.state(2))
-    assert rank(two) == 2
+def random_hermitian_stack(rng, k, d):
+    a = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+    return (a + a.conj().transpose(0, 2, 1)) / 2.0
+
+
+def test_hermitize_and_vec_herm_stack_equal_per_matrix_results():
+    rng = np.random.default_rng(31)
+    for k, d in [(1, 2), (7, 3), (12, 5)]:
+        stack = random_hermitian_stack(rng, k, d)
+        herm = hermitize(stack)
+        vecs = vec_herm(stack)
+        assert herm.shape == (k, d, d) and vecs.shape == (k, d * d)
+        assert np.array_equal(herm, np.stack([hermitize(h) for h in stack]))
+        assert np.array_equal(vecs, np.stack([vec_herm(h) for h in stack]))
+
+
+def test_stack_with_one_non_hermitian_member_is_rejected():
+    stack = random_hermitian_stack(np.random.default_rng(32), 6, 3)
+    stack[4, 0, 1] += 1e-6
+    for f in (hermitize, vec_herm):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            f(stack)
     with pytest.raises(ValueError):
-        rank(np.eye(2), tol=0.0)
+        hermitize(np.ones((4, 2, 3)))
 
 
 # Eigenvalues of the reduced reciprocal states, frozen from an independent
