@@ -31,6 +31,8 @@ party0 = LocalOperatorSet(
     party=0, ops=tuple(proj(v) for v in inst.local_states[0])
 )
 rays = distinct_rays(party0)
+# A checked Farkas witness decides each class; here its proven bound equals
+# the NNLS residual, so the printed residuals are the NNLS ones.
 extreme, _, residuals = count_extreme(party0)
 print("party 0: %d factors, %d rays, %d extreme" % (len(party0.ops), rays.count, extreme))
 print("NNLS residuals per ray class:", np.round(residuals, 4))

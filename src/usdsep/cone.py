@@ -11,16 +11,24 @@ outcomes obeys
 
 The certifier counts the left-hand side for a concrete measurement.  Each
 party's factors travel as one read-only (R, d, d) stack.  Rays are grouped
-up to positive scaling, and a representative is extreme exactly when it is
-not a nonnegative combination of the other classes, which is a nonnegative
-least squares feasibility question in the isometric real coordinates of
-vec_herm.  One vec_herm call per party maps the stack of class
-representatives to the columns of one real matrix V; class c is then
-decided by NNLS of column c over V with that column removed.  Rank-1
-operators are always extreme (anything positive summing to a rank-1
-operator must live on its range), which covers every family built here, but
-the NNLS route is kept as the deciding test so the certificate never leans
-on that shortcut.
+up to positive scaling, and a representative r_c is extreme exactly when it
+is not a nonnegative combination of the other classes.  One vec_herm call
+per party maps the stack to isometric real coordinates, where that is a
+question about the columns of one real matrix V.
+
+Each class is first put to a Farkas witness (the dual of the active-set
+nonnegative least squares of Lawson & Hanson, Solving Least Squares
+Problems, 1974, ch. 23): a Hermitian Y_c with <Y_c, r_k> >= 0 for every
+other class k proves that the distance from r_c to the cone of the others
+is at least -<Y_c, r_c> / ||Y_c||.  The witness is a guess,
+Y_c = I - (1 + eps_c) |u_c><u_c| with u_c near the top eigenvector of
+r_c, and is trusted only after one matmul against V has checked every
+inequality.
+A class whose checked bound clears both the extremality tolerance and the
+warning band is extreme, with no rank-1 shortcut; every other class is
+decided by NNLS of its column over the remaining columns of V, exactly as
+without the witness.  Counts, verdicts and warnings therefore do not depend
+on the witness, which only saves solves.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from .numerics import nnls, vec_herm
 __all__ = [
     "LocalOperatorSet",
     "RayGroups",
+    "Extremality",
     "PartyConeStat",
     "ConeReport",
     "distinct_rays",
@@ -85,11 +94,13 @@ class RayGroups:
 
     ``groups[c]`` lists the operator indices in class c; ``representatives``
     is the read-only (count, d, d) stack of one Frobenius-normalized
-    operator per class.
+    operator per class, and ``coords`` its read-only (count, d^2) vec_herm
+    rows.
     """
 
     groups: tuple[tuple[int, ...], ...]
     representatives: np.ndarray
+    coords: np.ndarray
 
     @property
     def count(self) -> int:
@@ -97,12 +108,40 @@ class RayGroups:
 
 
 @dataclass(frozen=True)
+class Extremality:
+    """What count_extreme found for one party.
+
+    ``witnessed[c]`` marks the classes a checked witness decided, and
+    ``nnls_solves`` counts the classes NNLS decided.  Unpacks as the triple
+    (count, rays, residuals).
+    """
+
+    count: int
+    rays: RayGroups
+    residuals: np.ndarray
+    witnessed: np.ndarray
+    nnls_solves: int
+
+    def __iter__(self):
+        return iter((self.count, self.rays, self.residuals))
+
+
+@dataclass(frozen=True)
 class PartyConeStat:
+    """One party's line of the certificate.
+
+    ``nnls_solves`` counts the ray classes the witness left to NNLS, and
+    ``min_witness_bound`` is the smallest bound the witness proved, or None
+    when it decided no class.
+    """
+
     party: int
     generators: int
     rays: int
     extreme: int
     skipped: bool
+    nnls_solves: int
+    min_witness_bound: float | None
 
 
 @dataclass(frozen=True)
@@ -128,42 +167,119 @@ def distinct_rays(s: LocalOperatorSet, tol: float = RAY_TOL) -> RayGroups:
     if np.any(norms < 1e-14):
         raise ValueError("zero operator has no ray")
     units = s.ops / norms[:, None, None]
-    groups: list[list[int]] = []
-    reps = np.empty_like(units)
-    for i, unit in enumerate(units):
-        # Distances from differences: 2 - 2 Re<u, r> would round at about
-        # 1e-16, which is the size of tol**2 itself.
-        dist = np.linalg.norm(reps[: len(groups)] - unit, axis=(1, 2))
-        near = np.flatnonzero(dist <= tol)
-        if near.size:
-            groups[near[0]].append(i)
-        else:
-            reps[len(groups)] = unit
-            groups.append([i])
-    reps = reps[: len(groups)]
+    coords = vec_herm(units)
+    # Screen: unit vectors within tol have a Gram entry of at least
+    # 1 - tol**2 / 2.  Rounding in the normalization, in vec_herm and in a
+    # dot product of d**2 terms stays below a small multiple of d**2 eps
+    # (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1), so
+    # 16 d**2 eps of slack never drops a pair; a pair that passes only costs
+    # a confirmation.
+    slack = 16.0 * s.dim**2 * np.finfo(float).eps
+    rows, cols = np.nonzero(coords @ coords.T >= 1.0 - tol**2 / 2.0 - slack)
+    earlier = cols < rows
+    rows, cols = rows[earlier], cols[earlier]
+    head = np.arange(len(units))  # head[i]: the operator representing i's class
+    if rows.size:
+        splits = np.flatnonzero(np.diff(rows)) + 1
+        for i, cand in zip(rows[np.r_[0, splits]], np.split(cols, splits)):
+            cand = cand[head[cand] == cand]
+            # Confirm by difference norms, in class order: 2 - 2 Re<u, r>
+            # would round at about 1e-16, which is the size of tol**2 itself.
+            near = np.flatnonzero(np.linalg.norm(units[cand] - units[i], axis=(1, 2)) <= tol)
+            if near.size:
+                head[i] = cand[near[0]]
+    heads = np.flatnonzero(head == np.arange(len(units)))
+    members: dict[int, list[int]] = {h: [] for h in heads.tolist()}
+    for i, h in enumerate(head.tolist()):
+        members[h].append(i)
+    reps, rep_coords = units[heads], coords[heads]
     reps.setflags(write=False)
-    return RayGroups(groups=tuple(tuple(g) for g in groups), representatives=reps)
+    rep_coords.setflags(write=False)
+    return RayGroups(
+        groups=tuple(tuple(m) for m in members.values()),
+        representatives=reps,
+        coords=rep_coords,
+    )
 
 
-def count_extreme(s: LocalOperatorSet, tol: float = RAY_TOL):
+def _witness_bounds(rays: RayGroups) -> np.ndarray:
+    """Checked Farkas lower bound on each class's NNLS residual, -inf where unchecked.
+
+    The guess for class c is Y_c = I - t_c |u_c><u_c|, u_c close to the
+    top eigenvector of r_c and t_c = 1 + eps_c just below the largest value
+    that keeps <Y_c, r_k> = Tr r_k - t_c <u_c|r_k|u_c> >= 0 for every other
+    k.  Whatever the guess, W = vec_herm(Y) V^T is then computed from Y
+    alone; a row whose off-diagonal entries are all nonnegative proves
+    ||V x - v_c|| >= -W[c, c] / ||Y_c|| for every x >= 0.  W holds rounding
+    of order t_c d**2 eps, and a residual below 1 has ||x||_1 <= 2 sqrt(d)
+    (each Tr r_k >= 1), so rounding moves a bound by far less than 1e-6.
+    """
+    v, reps = rays.coords, rays.representatives
+    d = reps.shape[1]
+    # u_c by power iteration from the column of r_c with the largest
+    # diagonal entry: exact for a rank-1 r_c, and for any other r_c a guess
+    # like the rest of Y_c.  Batched eigh would do as well but adds about
+    # 1 MiB of LAPACK code to the resident set.
+    u = reps[np.arange(len(reps)), :, reps.diagonal(axis1=1, axis2=2).real.argmax(axis=1)]
+    for _ in range(3):
+        u = (reps @ u[:, :, None])[:, :, 0]
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+    # p[c] = vec_herm(|u_c><u_c|), written from u_c in vec_herm's layout:
+    # an (R, d, d) stack and vec_herm's temporaries would set the peak
+    # memory of the whole certificate.
+    rows, cols = np.triu_indices(d, k=1)
+    off = np.sqrt(2.0) * u[:, rows] * u[:, cols].conj()
+    p = np.empty_like(v)
+    p[:, :d] = np.abs(u) ** 2
+    p[:, d::2], p[:, d + 1 :: 2] = off.real, off.imag
+    q = p @ v.T
+    q /= v[:, :d].sum(axis=1)  # <u_c|r_k|u_c> / Tr r_k; vec_herm puts the diagonal first
+    np.fill_diagonal(q, -np.inf)
+    # 1 / t_c is the largest ratio, shrunk by 1e-12 so the binding class
+    # does not land at 0 +- rounding.  A class nearly orthogonal to all the
+    # others would take t_c -> infinity; capping t_c at 1e3 keeps Y finite.
+    t = (1.0 - 1e-12) / np.maximum(q.max(axis=1), 1e-3)
+    y = -t[:, None] * p
+    y[:, :d] += 1.0  # vec_herm(I)
+    w = np.matmul(y, v.T, out=q)
+    own = w.diagonal().copy()
+    np.fill_diagonal(w, np.inf)
+    return np.where(w.min(axis=1) >= 0.0, -own / np.linalg.norm(y, axis=1), -np.inf)
+
+
+def count_extreme(s: LocalOperatorSet, tol: float = RAY_TOL) -> Extremality:
     """Number of extreme ray classes, plus per-class diagnostics.
 
-    One vec_herm call maps the class representatives to the columns of V;
-    class c is extreme when NNLS of column c over the other columns leaves a
-    relative residual above ``tol``.  Representatives are unit Frobenius
-    norm and vec_herm is isometric, so each target column has unit length
-    and its residual is already relative.  Returns (count, rays, residuals)
-    where residuals[c] is that residual for class c; a lone class resolves
-    to infinity, since one ray alone is always extreme in the cone it
-    generates.
+    The class representatives are unit Frobenius norm and their vec_herm
+    rows form V, so each class's distance to the cone of the others is
+    already relative.  Class c is extreme when that distance exceeds
+    ``tol``.  A checked witness decides c first, when it proves a distance
+    above both ``tol`` and the warning band; otherwise NNLS of column c over
+    the other columns of V decides.  ``residuals[c]`` is the witness's
+    proven lower bound where the witness decided and the NNLS residual
+    elsewhere; a lone class resolves to infinity, since one ray alone is
+    always extreme in the cone it generates.  The result unpacks as
+    (count, rays, residuals).
     """
     rays = distinct_rays(s, tol)
-    v = vec_herm(rays.representatives).T
     residuals = np.full(rays.count, np.inf)
+    witnessed = np.zeros(rays.count, dtype=bool)
+    undecided = ()
     if rays.count > 1:
-        for c in range(rays.count):
+        bounds = _witness_bounds(rays)
+        witnessed = bounds > max(tol, WARN_BAND[1])
+        residuals[witnessed] = bounds[witnessed]
+        undecided = np.flatnonzero(~witnessed)
+        v = rays.coords.T
+        for c in undecided:
             _, residuals[c] = nnls(np.delete(v, c, axis=1), v[:, c], tol=max(tol * 1e-4, 1e-14))
-    return int(np.count_nonzero(residuals > tol)), rays, residuals
+    return Extremality(
+        count=int(np.count_nonzero(residuals > tol)),
+        rays=rays,
+        residuals=residuals,
+        witnessed=witnessed,
+        nnls_solves=len(undecided),
+    )
 
 
 def certify(
@@ -211,7 +327,9 @@ def certify(
     total = 0
     for alpha in range(p):
         ops = LocalOperatorSet(party=alpha, ops=[entry[alpha] for entry in entries])
-        extreme, rays, residuals = count_extreme(ops, tol)
+        found = count_extreme(ops, tol)
+        residuals = found.residuals
+        proven = residuals[found.witnessed]
         warnings += [
             f"party {alpha} ray class {c}: NNLS residual {residuals[c]:.3e} is borderline"
             for c in np.flatnonzero((lo <= residuals) & (residuals <= hi))
@@ -225,13 +343,15 @@ def certify(
             PartyConeStat(
                 party=alpha,
                 generators=len(ops.ops),
-                rays=rays.count,
-                extreme=extreme,
+                rays=found.rays.count,
+                extreme=found.count,
                 skipped=skipped,
+                nnls_solves=found.nnls_solves,
+                min_witness_bound=float(proven.min()) if proven.size else None,
             )
         )
         if not skipped:
-            total += extreme
+            total += found.count
 
     bound = 2 * (n_ops - 1)
     note = ""

@@ -173,6 +173,18 @@ def test_certify_family(capsys):
     assert payload["manifest"]["parameters"]["copies"] == 1
 
 
+def test_certify_reports_witness_and_nnls_solves(capsys):
+    payload, _ = run_json(capsys, "certify", "--n", "5")
+    for party in payload["parties"]:
+        assert list(party) == [
+            "party", "generators", "rays", "extreme", "skipped", "nnls_solves", "min_witness_bound"
+        ]
+        # The witness decides every class; at N = 5 its bound equals the
+        # NNLS residual, 0.4668.
+        assert party["nnls_solves"] == 0
+        assert abs(party["min_witness_bound"] - 0.466818288227) < 1e-9
+
+
 def test_certify_records_the_tol_it_used(capsys):
     payload, _ = run_json(capsys, "certify", "--n", "5")
     assert payload["manifest"]["parameters"]["tol"] == 1e-8
@@ -237,6 +249,9 @@ def test_certify_measurement_file(tmp_path, capsys):
     )
     payload, err = run_json(capsys, "certify", "--measurement", str(path))
     assert payload["verdict"] == "SATISFIES"
+    # The idle party's lone class needs neither a witness nor NNLS.
+    assert payload["parties"][1]["nnls_solves"] == 0
+    assert payload["parties"][1]["min_witness_bound"] is None
     assert "verdict: SATISFIES" in err
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import usdsep.cone
 from usdsep import (
@@ -9,12 +11,16 @@ from usdsep import (
     certify,
     count_extreme,
     distinct_rays,
+    family_product_ops as family_factors,
     make_instance,
     multicopy_measurement,
+    nnls,
     proj,
+    vec_herm,
 )
-from usdsep.cone import RAY_TOL
+from usdsep.cone import RAY_TOL, WARN_BAND
 from tests.test_instance import all_instances
+from tests.test_properties import instances
 
 pytest.importorskip("scipy")
 
@@ -202,6 +208,8 @@ def test_certify_every_family_violates():
         assert rep.total == inst.n * inst.party.party_count
         assert rep.bound == 2 * (inst.n - 1)
         assert rep.verdict == "VIOLATES"
+        # The checked witness settles every family class without NNLS.
+        assert [s.nnls_solves for s in rep.parties] == [0] * inst.party.party_count
 
 
 def test_certify_local_control_satisfies():
@@ -337,3 +345,99 @@ def test_nnls_extremality_matches_lp_oracle():
             assert nnls_extreme == lp_extreme, (cases, c)
             cases += 1
     assert cases >= 60
+
+
+def planted_rays(rng, tol):
+    """Rank-1 operators near random rank-1 bases, at distances just under
+    and just over tol, plus chains and rescaled copies, in random order.
+
+    For unit a and b = cos(phi) a + sin(phi) a_perp the projectors are
+    sqrt(2) sin(phi) apart, so each distance is planted exactly.
+    """
+    d = int(rng.integers(2, 5))
+    ops = []
+    for _ in range(int(rng.integers(1, 5))):
+        a, perp = np.linalg.qr(rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2)))[0].T
+        ops.append(proj(a))
+        for factor in (1 - 1e-6, 1 + 1e-6, 0.6, 1.2):
+            phi = np.arcsin(min(factor * tol, 1.0) / np.sqrt(2.0))
+            ops.append(proj(np.cos(phi) * a + np.sin(phi) * perp))
+    ops += [rand_psd(rng, d) for _ in range(int(rng.integers(0, 3)))]
+    ops += [2.5 * ops[k] for k in rng.integers(0, len(ops), size=2)]
+    return tuple(ops[k] * rng.uniform(0.5, 2.0) for k in rng.permutation(len(ops)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5]))
+def test_distinct_rays_screen_matches_first_match(seed, tol):
+    ops = planted_rays(np.random.default_rng(seed), tol)
+    rays = distinct_rays(LocalOperatorSet(party=0, ops=ops), tol)
+    groups, reps = first_match_rays(ops, tol)
+    assert rays.groups == groups
+    assert len(rays.representatives) == len(reps)
+    np.testing.assert_allclose(rays.representatives, np.stack(reps), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rays.coords, vec_herm(rays.representatives), rtol=0, atol=1e-15)
+
+
+def nnls_only_residuals(rays, tol):
+    """Reference: every class decided by NNLS over vec_herm columns."""
+    v = vec_herm(rays.representatives).T
+    residuals = np.full(rays.count, np.inf)
+    if rays.count > 1:
+        for c in range(rays.count):
+            _, residuals[c] = nnls(np.delete(v, c, axis=1), v[:, c], tol=max(tol * 1e-4, 1e-14))
+    return residuals
+
+
+E0, E1, EYE = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex), np.eye(2)
+PHI = np.arcsin(1e-3 / np.sqrt(2.0))
+FIXED_SETS = {
+    "local control, measuring party": (E0, E1),
+    "local control, idle party": (EYE, EYE),
+    # Projectors 1e-3 apart: the witness proves about 5e-7, inside the
+    # warning band, while NNLS finds 1e-3; only NNLS may decide here.
+    "near pair": (E0, proj([np.cos(PHI), np.sin(PHI)])),
+    **{
+        f"two copies of N = 5, party {alpha}": tuple(
+            entry[alpha] for entry in multicopy_measurement(make_instance(5), copies=2).party_factors
+        )
+        for alpha in range(2)
+    },
+}
+
+
+@st.composite
+def operator_sets(draw):
+    kind = draw(st.sampled_from(["family", "rank one", "lp oracle", "fixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "family":
+        inst = draw(instances([5, 7, 11, 13, 29, 31, 37]))
+        alpha = draw(st.integers(0, inst.party.party_count - 1))
+        return tuple(entry[alpha] for entry in family_factors(inst))
+    if kind == "rank one":
+        d = int(rng.integers(2, 5))
+        k = int(rng.integers(2, 10))
+        vecs = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
+        return tuple(proj(v) for v in vecs)
+    if kind == "lp oracle":
+        return next(random_operator_sets(rng, int(rng.integers(1, 4))))
+    return FIXED_SETS[draw(st.sampled_from(sorted(FIXED_SETS)))]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(operator_sets(), st.sampled_from([1e-8, 1e-6, 1e-3, 0.05]))
+def test_witness_decisions_match_nnls_only(ops, tol):
+    found = count_extreme(LocalOperatorSet(party=0, ops=ops), tol)
+    reference = nnls_only_residuals(found.rays, tol)
+    lo, hi = WARN_BAND
+    assert list(found.residuals > tol) == list(reference > tol)
+    assert list((lo <= found.residuals) & (found.residuals <= hi)) == list(
+        (lo <= reference) & (reference <= hi)
+    )
+    decided = found.witnessed
+    assert found.nnls_solves == (np.count_nonzero(~decided) if found.rays.count > 1 else 0)
+    # Where the witness decided, its bound cleared both cuts and stays below
+    # the NNLS residual, up to rounding.
+    assert np.all(found.residuals[decided] > max(tol, hi))
+    assert np.all(found.residuals[decided] <= reference[decided] + 1e-12)
+    assert np.array_equal(found.residuals[~decided], reference[~decided])
