@@ -81,7 +81,7 @@ def _tol(args, default: float) -> float:
 
 def _psd_tol(args) -> float:
     """The --tol override of the PSD tolerance; it only applies to --weights."""
-    if args.tol is not None and not args.weights:
+    if args.tol is not None and args.weights is None:
         raise ValueError("--tol applies only together with --weights")
     return _tol(args, PSD_TOL)
 
@@ -110,9 +110,14 @@ def _instance_from_args(args) -> "Instance":
 
 def _measurement(args, inst, psd_tol: float):
     """The measurement of --weights, or the optimal one without them."""
-    if not args.weights:
+    if args.weights is None:
         return optimal_measurement(inst)
-    w = [float(x) for x in args.weights.split(",")]
+    try:
+        w = [float(x) for x in args.weights.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"--weights must be comma-separated numbers, got {args.weights!r}"
+        ) from None
     return build_measurement(inst, w, psd_tol=psd_tol)
 
 
@@ -181,7 +186,7 @@ def cmd_simulate(args) -> int:
         m = _measurement(args, inst, psd_tol)
         report = run_discrimination(inst, reciprocal_set(inst), m, cfg)
     else:
-        if args.weights:
+        if args.weights is not None:
             raise ValueError("--weights applies to single-copy simulation only")
         report = run_multicopy_discrimination(inst, cfg)
     check("misidentifications", report.misidentifications)

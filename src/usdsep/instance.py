@@ -59,18 +59,7 @@ INDEPENDENCE_TOL = 1e-10
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and prime_factors(n) == (n,)
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -189,6 +178,14 @@ class ReciprocalSet:
 
     def state(self, j: int) -> np.ndarray:
         return self.states[self.indices.index(j)]
+
+
+def _check_match(a, b) -> None:
+    """ValueError unless a and b come from the same (n, dims, omit) family."""
+    if (a.n, a.dims, a.omit) != (b.n, b.dims, b.omit):
+        raise ValueError(
+            f"{type(a).__name__} and {type(b).__name__} belong to different instances"
+        )
 
 
 @dataclass(frozen=True)

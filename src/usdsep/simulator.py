@@ -13,6 +13,10 @@ label all equal j (and at least one entry does).  The all-omitted tuple, and
 any tuple mixing two different retained labels, is inconclusive.  Under the
 symmetric single-copy weights the per-copy conclusive probability is 1/2
 independently per copy, so the failure probability decays as 2^(-n).
+
+Both run functions share one sampling path: each outcome maps to the row
+index of the input it names (one past the last row when inconclusive), and
+one bincount gives the tallies and one weighted bincount the exact marginal.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, ReciprocalSet, reciprocal_set
+from .instance import Instance, ReciprocalSet, _check_match, reciprocal_set
 from .numerics import check, kron_all
 from .usd import MAX_FAMILY_ENTRIES, WeightedMeasurement, failure_probability, family_product_ops
 
@@ -45,6 +49,8 @@ class SimConfig:
     copies: int = 1
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.copies < 1:
@@ -107,6 +113,42 @@ def _sample_counts(dists: np.ndarray, trials: int, seed: int):
     return true_idx, outcome_idx
 
 
+def _label_rows(labels, inputs) -> np.ndarray:
+    """Row index of the input each outcome's label names; len(inputs) for None."""
+    row_of = {j: i for i, j in enumerate(inputs)}
+    return np.array([len(inputs) if lab is None else row_of[lab] for lab in labels])
+
+
+def _sampled_report(rows, names, inputs, theoretical: float, cfg: SimConfig) -> SimReport:
+    """Sample ``rows`` and tally the outcomes by the input each one names.
+
+    rows[i] is the exact outcome distribution of input i (label inputs[i]);
+    names[k] is the row index outcome k names, or len(inputs) when it is
+    inconclusive.  A conclusive outcome naming another row than the true
+    input is a misidentification.
+    """
+    true_idx, outcome_idx = _sample_counts(rows, cfg.trials, cfg.seed)
+    fail = len(inputs)
+    named = names[outcome_idx]
+    tallies = np.bincount(named, minlength=fail + 1)
+    marginal = np.bincount(names, weights=rows.mean(axis=0), minlength=fail + 1)
+    misid = int(np.count_nonzero((named != fail) & (named != true_idx)))
+
+    counts = {str(j): int(t) for j, t in zip(inputs, tallies)}
+    counts["fail"] = int(tallies[fail])
+    tv = 0.5 * float(np.abs(tallies / cfg.trials - marginal).sum())
+    return SimReport(
+        seed=cfg.seed,
+        trials=cfg.trials,
+        copies=cfg.copies,
+        counts=counts,
+        misidentifications=misid,
+        empirical_failure=counts["fail"] / cfg.trials,
+        theoretical_failure=theoretical,
+        tv_distance=tv,
+    )
+
+
 def run_discrimination(
     inst: Instance, r: ReciprocalSet, m: WeightedMeasurement, cfg: SimConfig
 ) -> SimReport:
@@ -119,36 +161,16 @@ def run_discrimination(
     """
     if cfg.copies != 1:
         raise ValueError("run_discrimination handles a single copy; see the multicopy path")
-    if (inst.n, inst.dims, inst.omit) != (m.n, m.dims, m.omit):
-        raise ValueError("measurement belongs to a different instance")
+    _check_match(inst, m)
     exact = failure_probability(m, r)
 
     # Outcome j weighs w_j |<psi_j|phi>|^2; the failure column is <phi|F|phi>.
     named = inst.states[[j - 1 for j in m.indices]]
     conclusive = m.weights * np.abs(r.states.conj() @ named.T) ** 2
     dists = _checked_rows(np.column_stack([conclusive, exact.per_state_failure]))
-    labels = [str(j) for j in m.indices] + ["fail"]
-
-    true_idx, outcome_idx = _sample_counts(dists, cfg.trials, cfg.seed)
-    tallies = np.bincount(outcome_idx, minlength=len(labels))
-    conclusive = outcome_idx < len(m.indices)
-    misid = int(np.count_nonzero(conclusive & (outcome_idx != true_idx)))
-
-    counts = {label: int(t) for label, t in zip(labels, tallies)}
-    empirical_failure = counts["fail"] / cfg.trials
-    marginal = dists.mean(axis=0)
-    empirical = tallies / cfg.trials
-    tv = 0.5 * float(np.abs(empirical - marginal).sum())
-    return SimReport(
-        seed=cfg.seed,
-        trials=cfg.trials,
-        copies=1,
-        counts=counts,
-        misidentifications=misid,
-        empirical_failure=empirical_failure,
-        theoretical_failure=exact.failure_probability,
-        tv_distance=tv,
-    )
+    # Column k names input row k, and the last column is the failure.
+    names = np.arange(len(m.indices) + 1)
+    return _sampled_report(dists, names, m.indices, exact.failure_probability, cfg)
 
 
 def classify_tuple(tup, omit: int):
@@ -198,10 +220,11 @@ def multicopy_measurement(inst: Instance, copies: int) -> MulticopyMeasurement:
     per_state = _checked_rows(per_state)
 
     # Zero-error audit: an outcome tuple may only weight the input it names.
-    label_arr = np.array([-1 if lab is None else lab for lab in labels])
-    other = (label_arr != -1) & (label_arr != np.array(r.indices)[:, None])
+    names = _label_rows(labels, r.indices)
+    fail = len(r.indices)
+    other = (names != fail) & (names != np.arange(fail)[:, None])
     check("stray outcome weight", float(per_state[other].max(initial=0.0)))
-    fail_mass = per_state[:, label_arr == -1].sum(axis=1)
+    fail_mass = per_state[:, names == fail].sum(axis=1)
     theoretical = float(fail_mass.mean())
     return MulticopyMeasurement(
         copies=copies,
@@ -223,37 +246,8 @@ def run_multicopy_discrimination(inst: Instance, cfg: SimConfig) -> SimReport:
     """
     mm = multicopy_measurement(inst, cfg.copies)
     rows = mm.per_state / mm.per_state.sum(axis=1, keepdims=True)
-    true_idx, outcome_idx = _sample_counts(rows, cfg.trials, cfg.seed)
-
-    label_arr = np.array([-1 if lab is None else lab for lab in mm.labels])
-    named = label_arr[outcome_idx]
-    true_labels = np.array(mm.inputs)[true_idx]
-    misid = int(np.count_nonzero((named != -1) & (named != true_labels)))
-
-    counts = {str(j): int(np.count_nonzero(named == j)) for j in mm.inputs}
-    counts["fail"] = int(np.count_nonzero(named == -1))
-    empirical_failure = counts["fail"] / cfg.trials
-
-    # Aggregated exact marginal over inputs, in the same label order.
-    marg_tuples = rows.mean(axis=0)
-    marginal = np.array(
-        [float(marg_tuples[label_arr == j].sum()) for j in mm.inputs]
-        + [float(marg_tuples[label_arr == -1].sum())]
-    )
-    empirical = np.array(
-        [counts[str(j)] for j in mm.inputs] + [counts["fail"]], dtype=float
-    ) / cfg.trials
-    tv = 0.5 * float(np.abs(empirical - marginal).sum())
-    return SimReport(
-        seed=cfg.seed,
-        trials=cfg.trials,
-        copies=cfg.copies,
-        counts=counts,
-        misidentifications=misid,
-        empirical_failure=empirical_failure,
-        theoretical_failure=mm.theoretical_failure,
-        tv_distance=tv,
-    )
+    names = _label_rows(mm.labels, mm.inputs)
+    return _sampled_report(rows, names, mm.inputs, mm.theoretical_failure, cfg)
 
 
 def complement_decomposition(dims, enlarged_dims):

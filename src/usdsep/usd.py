@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, ReciprocalSet
+from .instance import Instance, ReciprocalSet, _check_match
 from .numerics import check
 
 __all__ = [
@@ -147,11 +147,6 @@ def optimal_measurement(inst: Instance) -> WeightedMeasurement:
     return build_measurement(inst, w)
 
 
-def _check_match(m: WeightedMeasurement, r: ReciprocalSet) -> None:
-    if (m.n, m.dims, m.omit) != (r.n, r.dims, r.omit):
-        raise ValueError("measurement and reciprocal set belong to different instances")
-
-
 def failure_probability(m: WeightedMeasurement, r: ReciprocalSet) -> UsdReport:
     """Average failure probability over uniformly likely reciprocal inputs.
 
@@ -207,8 +202,7 @@ def q_values(inst: Instance, r: ReciprocalSet) -> tuple[np.ndarray, np.ndarray]:
     that coincidence is what makes the failure operator's weight budget
     symmetric between the omitted direction and every retained one.
     """
-    if (inst.n, inst.dims, inst.omit) != (r.n, r.dims, r.omit):
-        raise ValueError("reciprocal set belongs to a different instance")
+    _check_match(inst, r)
     with_omitted = np.abs(r.states.conj() @ inst.states[inst.omit - 1]) ** 2
     check("q symmetry", float(np.max(np.abs(r.overlaps - with_omitted))))
     return r.overlaps, with_omitted

@@ -417,6 +417,30 @@ def test_simulate_rejects_weights_with_copies(capsys):
     assert "single-copy" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize"],
+        ["optimize", "--tol", "1e-3"],
+        ["simulate", "--trials", "100"],
+        ["simulate", "--trials", "100", "--copies", "2"],
+    ],
+)
+@pytest.mark.parametrize("weights", ["", "0.8,,0.8"])
+def test_empty_or_malformed_weights_is_input_error(capsys, argv, weights):
+    rc, out, err = run_cli(capsys, *argv, "--n", "5", f"--weights={weights}")
+    assert rc == 2
+    assert out == ""
+    assert "--weights" in err
+
+
+def test_simulate_rejects_a_negative_seed(capsys):
+    rc, out, err = run_cli(capsys, "simulate", "--n", "5", "--seed", "-1")
+    assert rc == 2
+    assert out == ""
+    assert "seed must be >= 0" in err
+
+
 def test_simulate_writes_file(tmp_path, capsys):
     path = tmp_path / "sim.json"
     rc, out, _ = run_cli(

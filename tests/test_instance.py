@@ -36,6 +36,7 @@ def all_instances():
 
 def test_prime_helpers():
     assert is_prime(5) and is_prime(13) and not is_prime(6) and not is_prime(1)
+    assert [n for n in (0, 1, 2, 3, 4, 9, 25, 2003) if is_prime(n)] == [2, 3, 2003]
     assert prime_factors(12) == (2, 2, 3)
     assert sorted(ascending_factorizations(12)) == [(2, 2, 3), (2, 6), (3, 4), (12,)]
 

@@ -1,28 +1,38 @@
 """Property tests over the whole input space: every ascending
 factorization of N - 1, any omit label, random feasible weights or a random
 dropped label, for prime N in 5..251 (dense projector references) or
-5..601 (closed forms).
+5..601 (closed forms), and sampled discrimination runs for N in 5..13.
 
 The references are written out here from the definitions: dense loops over
-the N projectors, a Kronecker product of each state's party factors, and
-the inverse of the matrix whose columns are a basis of the family's states.
+the N projectors, a Kronecker product of each state's party factors, the
+inverse of the matrix whose columns are a basis of the family's states, and
+a per-label tally of classified outcome tuples.
 """
 
+import itertools
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from usdsep import (
+    SimConfig,
     ascending_factorizations,
     build_measurement,
+    classify_tuple,
     completeness_residual,
     dual_basis_omit,
+    failure_probability,
     is_prime,
     kron_all,
     make_instance,
+    multicopy_measurement,
     proj,
     reciprocal_set,
+    run_discrimination,
+    run_multicopy_discrimination,
 )
+from usdsep.simulator import _sample_counts
 
 PRIMES = [p for p in range(5, 252) if is_prime(p)]
 CLOSED_FORM_PRIMES = [p for p in range(5, 602) if is_prime(p)]
@@ -92,3 +102,66 @@ def test_closed_forms_match_the_definitions(inst, data):
     assert list(xi.ks) == [k for k in kept if k != inst.omit]
     reference = np.array([rows[kept.index(k)] for k in xi.ks])
     assert np.max(np.abs(xi.vectors - reference)) <= CLOSURE_BOUND
+
+
+def tally_reference(rows, tuples, inputs, omit, cfg):
+    """Sampled report fields by per-label masks over classified tuples.
+
+    rows[i] is the outcome distribution of input inputs[i]; column k is the
+    outcome tuple tuples[k].  Label 0 stands for an inconclusive tuple.
+    """
+    true_idx, outcome_idx = _sample_counts(rows, cfg.trials, cfg.seed)
+    label_arr = np.array([classify_tuple(t, omit) or 0 for t in tuples])
+    named = label_arr[outcome_idx]
+    true_labels = np.array(inputs)[true_idx]
+    misid = int(np.count_nonzero((named != 0) & (named != true_labels)))
+    counts = {str(j): int(np.count_nonzero(named == j)) for j in inputs}
+    counts["fail"] = int(np.count_nonzero(named == 0))
+    marg = rows.mean(axis=0)
+    marginal = [marg[label_arr == j].sum() for j in inputs] + [marg[label_arr == 0].sum()]
+    empirical = np.array(list(counts.values())) / cfg.trials
+    tv = 0.5 * float(np.abs(empirical - marginal).sum())
+    return counts, misid, counts["fail"] / cfg.trials, tv
+
+
+def assert_report_matches(rep, reference):
+    counts, misid, failure, tv = reference
+    assert rep.counts == counts
+    assert list(rep.counts) == list(counts)
+    assert rep.misidentifications == misid
+    assert rep.empirical_failure == failure
+    assert abs(rep.tv_distance - tv) <= 1e-15
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    instances([5, 7, 11, 13]),
+    st.integers(1, 3),
+    st.sampled_from([1.0, 0.5]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4000),
+)
+def test_sampled_tallies_match_a_per_label_reference(inst, copies, scale, seed, trials):
+    # The reference rebuilds the sampled rows with the simulator's own
+    # arithmetic, so both draw the same outcomes and only the tally differs.
+    r = reciprocal_set(inst)
+    d = inst.total_dim
+    m = build_measurement(inst, np.full(d, scale * d / inst.n))  # 1.0: the optimal one
+    named = inst.states[[j - 1 for j in m.indices]]
+    conclusive = m.weights * np.abs(r.states.conj() @ named.T) ** 2
+    failure = failure_probability(m, r).per_state_failure
+    rows = np.clip(np.column_stack([conclusive, failure]), 0.0, None)
+    tuples = [(j,) for j in m.indices] + [(inst.omit,)]
+    cfg = SimConfig(seed=seed, trials=trials)
+    reference = tally_reference(rows, tuples, m.indices, inst.omit, cfg)
+    assert_report_matches(run_discrimination(inst, r, m, cfg), reference)
+
+    try:
+        mm = multicopy_measurement(inst, copies)
+    except ValueError:
+        assume(False)  # past the size limit
+    rows = mm.per_state / mm.per_state.sum(axis=1, keepdims=True)
+    tuples = itertools.product(range(1, inst.n + 1), repeat=copies)
+    cfg = SimConfig(seed=seed, trials=trials, copies=copies)
+    reference = tally_reference(rows, list(tuples), mm.inputs, inst.omit, cfg)
+    assert_report_matches(run_multicopy_discrimination(inst, cfg), reference)

@@ -34,6 +34,8 @@ def test_config_validation():
         SimConfig(seed=0, trials=0)
     with pytest.raises(ValueError):
         SimConfig(seed=0, trials=10, copies=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SimConfig(seed=-1, trials=10)
 
 
 def born_reference(inst, copies):
