@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import sys
@@ -293,7 +294,9 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="usdsep",
         description="Unambiguous discrimination of roots-of-unity product-state "

@@ -129,7 +129,10 @@ class PartyDims:
 class Instance:
     """One discrimination problem: N product states on a fixed party split.
 
-    Arrays are set read-only at construction; treat the instance as a value.
+    ``exponents`` is the kron-order exponent permutation the states are
+    read with; it makes sum_j w_j P_j the Toeplitz matrix whose entry
+    (m, m') depends only on exponents[m] - exponents[m'] mod N.  Arrays are
+    set read-only at construction; treat the instance as a value.
     """
 
     n: int
@@ -137,6 +140,9 @@ class Instance:
     omit: int
     local_states: tuple[np.ndarray, ...]  # per party: (N, d_alpha), row j-1
     states: np.ndarray  # (N, D), row j-1 holds the global state j
+    # (D,) kron-order exponents: a permutation of 0..D-1 with
+    # states[j-1, m] = omega^(j * exponents[m]) / sqrt(D).
+    exponents: np.ndarray
     residuals: dict  # measured audit residuals by numerics.BOUNDS row name
 
     @property
@@ -261,8 +267,9 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
         exponents = np.add.outer(exponents, m).ravel()
     np.divide(roots[(js * exponents) % n], np.sqrt(party.total_dim), out=states)
     states.setflags(write=False)
+    exponents.setflags(write=False)
 
-    inst = Instance(n, party, omit, tuple(local), states, residuals={})
+    inst = Instance(n, party, omit, tuple(local), states, exponents, residuals={})
     norm_gap = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
     inst.residuals["completeness"] = check("completeness", completeness_residual(inst))
     inst.residuals["unit norm"] = check("unit norm", norm_gap)

@@ -106,10 +106,13 @@ def _sample_counts(dists: np.ndarray, trials: int, seed: int):
     u = rng.random(trials)
     cum = np.cumsum(dists, axis=1)
     cum[:, -1] = 1.0  # close the CDF against rounding in the last bin
+    # Trials grouped by input, once; a trial's outcome depends only on its
+    # own draw, so the order within a group does not matter.
+    ends = np.cumsum(np.bincount(true_idx, minlength=len(dists)))
+    groups = np.split(np.argsort(true_idx), ends[:-1])
     outcome_idx = np.empty(trials, dtype=np.intp)
-    for i, row in enumerate(cum):
-        hit = true_idx == i
-        outcome_idx[hit] = np.searchsorted(row, u[hit], side="left")
+    for row, group in zip(cum, groups):
+        outcome_idx[group] = np.searchsorted(row, u[group], side="left")
     return true_idx, outcome_idx
 
 

@@ -10,9 +10,16 @@ proportional to a projector onto a product state, so the measurement is
 separable.  The achieved failure probability at the symmetric point is 1/2,
 and no positive-semidefinite choice of weights does better.
 
-Every outcome is rank 1, so the state matrix S (row j-1 = state j) describes
-the whole measurement: sum_j w_j P_j is S^T diag(w) conj(S), one matmul,
-and the N projectors are never stored.
+Every outcome is rank 1 and state j has amplitude omega^(j e_m) / sqrt(D)
+on basis row m, e being the instance's exponent permutation.  So
+sum_j w_j P_j is a Hermitian Toeplitz matrix in the e-order: its entry
+(m, m') is w^[(e_m - e_m') mod N] / D, with w^ one length-N FFT of the
+weights, and the N projectors are never stored.  Its nonzero spectrum is
+that of (N/D)(diag(w) - z z^dag) with |z_j|^2 = w_j / N, because the Gram
+matrix of the retained states is (N/D)(I - u u^dag) with |u_j|^2 = 1/N.
+The largest eigenvalue is therefore (N/D) mu for the largest root mu of
+the secular equation 1 = sum_j (w_j/N) / (w_j - mu), found in O(N) per
+bisection step, and positivity is decided with no dense eigensolver.
 """
 
 from __future__ import annotations
@@ -67,7 +74,9 @@ class WeightedMeasurement:
     indices: tuple[int, ...]
     weights: np.ndarray  # (D,), aligned with indices
     failure_op: np.ndarray  # (dim, dim)
-    min_eigenvalue: float  # smallest eigenvalue of failure_op
+    # Smallest eigenvalue of failure_op, 1 - (N/D) mu_max from the secular
+    # equation; it matches a dense eigvalsh of failure_op to a few D * eps.
+    min_eigenvalue: float
 
     @property
     def total_dim(self) -> int:
@@ -104,7 +113,9 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
     Weights must be finite, nonnegative and aligned with ``inst.retained``.
     The failure operator identity - sum_j w_j P_j is checked for positivity;
     its smallest eigenvalue below -psd_tol raises NotPSDError, since the
-    family is then not a measurement at all.
+    family is then not a measurement at all.  The weighted sum is gathered
+    from one FFT of the weights and its top eigenvalue read from the secular
+    equation (module docstring), with no dense matmul or eigensolver.
     """
     retained = inst.retained
     w = np.asarray(weights, dtype=float).ravel()
@@ -114,10 +125,19 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
         raise ValueError(f"weights must be finite, got {w.tolist()}")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
-    named = inst.states[[j - 1 for j in retained]]
-    weighted = (named.T * w) @ named.conj()
-    failure = np.eye(inst.total_dim, dtype=complex) - weighted
-    min_eig = float(np.linalg.eigvalsh(failure)[0])
+    n, d = inst.n, inst.total_dim
+    padded = np.zeros(n)
+    padded[np.array(retained) % n] = w
+    # rfft gives conj(w^[t]) for t <= (N-1)/2; w^[N-t] = conj(w^[t]) fills
+    # the rest, so the gathered matrix is exactly Hermitian.
+    half = np.fft.rfft(padded) / d
+    spectrum = np.concatenate([half.conj(), half[:0:-1]])
+    # Exponent differences run over -(D-1)..D-1: unroll them once mod N.
+    unrolled = spectrum[np.arange(1 - d, d) % n]
+    e = inst.exponents
+    weighted = unrolled[np.subtract.outer(e + (d - 1), e)]
+    failure = np.eye(d, dtype=complex) - weighted
+    min_eig = 1.0 - n / d * _top_secular_root(w, n)
     if min_eig < -psd_tol:
         raise NotPSDError(
             f"failure operator has eigenvalue {min_eig:.3e}; weights are infeasible"
@@ -134,6 +154,37 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
         failure_op=failure,
         min_eigenvalue=min_eig,
     )
+
+
+def _top_secular_root(w: np.ndarray, n: int) -> float:
+    """Largest eigenvalue mu of diag(w) - z z^dag, |z_j|^2 = w_j / n.
+
+    Zero weights deflate: they only add eigenvalues 0.  A group of k
+    exactly tied weights v deflates to one secular term of weight k v / n
+    and leaves k - 1 eigenvalues at v, so a tie at the top weight v_1 is
+    the answer with no iteration (every weight at D/N gives D/N).
+    Otherwise the largest root of 1 = sum_v c_v / (v - mu) is the only one
+    in (v_2, v_1), and it lies above v_1 - sum_v c_v as well; the secular
+    function falls across that bracket, which bisection closes to adjacent
+    floats.
+    """
+    values, counts = np.unique(w[w > 0.0], return_counts=True)
+    if values.size == 0:
+        return 0.0
+    top = float(values[-1])
+    if counts[-1] > 1:
+        return top
+    c = values * counts / n
+    lo = top - float(c.sum())
+    if values.size > 1:
+        lo = max(lo, float(values[-2]))
+    hi = top
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if float((c / (values - mid)).sum()) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def optimal_measurement(inst: Instance) -> WeightedMeasurement:

@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from usdsep import ascending_factorizations, is_prime, make_instance
-from usdsep.cli import main
+from usdsep.cli import build_parser, main
 from usdsep.instance import instance_from_dict
 from usdsep.serialize import dumps
 
@@ -475,6 +475,34 @@ def test_reports_re_emit_byte_identical(capsys, argv):
     assert rc == 0, err
     assert out.count("\n") == 1  # one JSON line
     assert dumps(json.loads(out)) == out
+
+
+def _without_timestamp(out: str) -> dict:
+    payload = json.loads(out)
+    del payload["manifest"]["timestamp"]
+    return payload
+
+
+def test_one_parser_serves_every_call_without_leaking_state(capsys):
+    # main reuses one parser per process; each report must equal the one a
+    # freshly built parser gives, whatever ran before it.
+    sequence = [
+        ("optimize", "--n", "7", "--weights", "0.5,0.5,0.5,0.5,0.5,0.5"),
+        ("optimize", "--n", "7"),
+        ("certify", "--n", "5"),
+        ("generate", "--n", "13", "--dims", "2,6", "--omit", "3"),
+    ]
+    shared = []
+    for argv in sequence:
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 0, err
+        shared.append(_without_timestamp(out))
+    assert build_parser() is build_parser()
+    for argv, report in zip(sequence, shared):
+        build_parser.cache_clear()
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 0, err
+        assert _without_timestamp(out) == report, argv
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

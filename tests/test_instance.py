@@ -34,6 +34,17 @@ def all_instances():
     return out
 
 
+def test_exponents_are_the_read_only_permutation_the_states_are_read_with():
+    for inst in all_instances() + [make_instance(211, (2, 3, 5, 7), 17)]:
+        n, d, e = inst.n, inst.total_dim, inst.exponents
+        assert e.shape == (d,)
+        assert not e.flags.writeable
+        assert np.array_equal(np.sort(e), np.arange(d))
+        roots = np.exp(2j * np.pi * np.arange(n) / n)
+        js = np.arange(1, n + 1)[:, None]
+        assert np.array_equal(inst.states, roots[(js * e) % n] / np.sqrt(d))
+
+
 def test_prime_helpers():
     assert is_prime(5) and is_prime(13) and not is_prime(6) and not is_prime(1)
     assert [n for n in (0, 1, 2, 3, 4, 9, 25, 2003) if is_prime(n)] == [2, 3, 2003]

@@ -126,6 +126,34 @@ def test_sample_counts_match_the_cdf_gather():
         assert np.array_equal(outcome_idx, expected)
 
 
+def masked_sample_counts(dists, trials, seed):
+    """The sampler as one masked pass over all trials per input."""
+    rng = np.random.default_rng(seed)
+    true_idx = rng.integers(0, len(dists), size=trials)
+    u = rng.random(trials)
+    cum = np.cumsum(dists, axis=1)
+    cum[:, -1] = 1.0
+    outcome_idx = np.empty(trials, dtype=np.intp)
+    for i, row in enumerate(cum):
+        hit = true_idx == i
+        outcome_idx[hit] = np.searchsorted(row, u[hit], side="left")
+    return true_idx, outcome_idx
+
+
+@pytest.mark.parametrize("n, copies", [(5, 1), (5, 2), (5, 3), (7, 2), (13, 1), (61, 1)])
+def test_grouped_sampling_matches_the_masked_passes(n, copies):
+    inst = make_instance(n)
+    mm = multicopy_measurement(inst, copies)
+    rows = mm.per_state / mm.per_state.sum(axis=1, keepdims=True)
+    for seed in (0, 1, 7, 2**31 + 5):
+        for trials in (1, 999, 20_000):
+            got = usdsep.simulator._sample_counts(rows, trials, seed)
+            expected = masked_sample_counts(rows, trials, seed)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
+
 def test_run_discrimination_is_deterministic():
     inst = make_instance(7)
     r = reciprocal_set(inst)

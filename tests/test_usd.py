@@ -255,6 +255,26 @@ def test_per_state_failure_is_the_born_trace_of_each_input():
     assert rep.per_state_failure.mean() == rep.failure_probability
 
 
+class DenseEigensolverCalled(RuntimeError):
+    pass
+
+
+def test_build_measurement_needs_no_dense_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise DenseEigensolverCalled
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for n in (5, 61, 211):
+        inst = make_instance(n)
+        d = inst.total_dim
+        assert abs(optimal_measurement(inst).min_eigenvalue) <= d * np.finfo(float).eps
+        m = build_measurement(inst, np.linspace(0.0, d / n, d))
+        assert m.min_eigenvalue >= 0.0
+    # The oracle stays the independent dense route.
+    with pytest.raises(DenseEigensolverCalled):
+        oracle_optimize(make_instance(5), samples=10)
+
+
 def test_family_product_ops_admits_n_1009():
     ops = family_product_ops(make_instance(1009))
     assert len(ops) == 1009
