@@ -41,7 +41,7 @@ print("pairwise overlap magnitudes: min %.6f  max %.6f  (1/D = %.6f)"
 # A product of local diagonal unitaries advances every label by one,
 # wrapping N -> 1.  Each party applies its own block; no party needs to
 # know what the others hold.
-blocks = [shift_unitary(inst, alpha) for alpha in range(inst.party.party_count)]
+blocks = [shift_unitary(inst, alpha) for alpha in range(len(inst.dims))]
 full = kron_all(blocks)
 advanced = full @ inst.state(2)
 gap = np.abs(np.abs(advanced.conj() @ inst.state(3)) - 1.0)

@@ -18,7 +18,6 @@ from usdsep import (
     make_instance,
     optimal_measurement,
     oracle_optimize,
-    q_values,
     reciprocal_set,
     verify_pairwise_bound,
 )
@@ -28,10 +27,11 @@ r = reciprocal_set(inst)
 print("retained labels:", r.indices)
 
 # Each reciprocal state overlaps only its own partner among the retained
-# states, with the universal value |<partner>|^2 = N / (2D).
-q_partner, q_cross_route = q_values(inst, r)
-print("overlap q per label:", np.round(q_partner, 6), " N/(2D) =", inst.n / (2 * inst.total_dim))
-print("independent route agrees:", np.allclose(q_partner, q_cross_route, atol=1e-12))
+# states, with the universal value |<partner>|^2 = N / (2D).  Its overlap
+# with the omitted state has the same square; reciprocal_set checks that
+# independent route and records the largest gap.
+print("overlap q per label:", np.round(r.overlaps, 6), " N/(2D) =", inst.n / (2 * inst.total_dim))
+print("omitted-state route gap: %.1e" % r.residuals["q symmetry"])
 
 # The symmetric weights w_j = D/N make the failure operator a rank-1
 # multiple of the omitted projector and the failure probability exactly 1/2.

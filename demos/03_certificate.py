@@ -33,9 +33,9 @@ party0 = LocalOperatorSet(
 rays = distinct_rays(party0)
 # A checked Farkas witness decides each class; here its proven bound equals
 # the NNLS residual, so the printed residuals are the NNLS ones.
-extreme, _, residuals = count_extreme(party0)
-print("party 0: %d factors, %d rays, %d extreme" % (len(party0.ops), rays.count, extreme))
-print("NNLS residuals per ray class:", np.round(residuals, 4))
+found = count_extreme(party0)
+print("party 0: %d factors, %d rays, %d extreme" % (len(party0.ops), rays.count, found.count))
+print("NNLS residuals per ray class:", np.round(found.residuals, 4))
 
 # Both parties contribute 5 extreme rays; 10 > 2 * (5 - 1) = 8.
 report = certify(family_product_ops(inst), n_ops=5)

@@ -23,7 +23,6 @@ from .numerics import (
 from .instance import (
     DualBasisOmit,
     Instance,
-    PartyDims,
     ReciprocalSet,
     ascending_factorizations,
     check_linear_independence,
@@ -48,7 +47,6 @@ from .usd import (
     family_product_ops,
     optimal_measurement,
     oracle_optimize,
-    q_values,
     verify_pairwise_bound,
 )
 from .cone import (
@@ -78,7 +76,6 @@ __all__ = [
     "ConvergenceError",
     "InvariantError",
     "NotPSDError",
-    "PartyDims",
     "Instance",
     "ReciprocalSet",
     "DualBasisOmit",
@@ -115,7 +112,6 @@ __all__ = [
     "optimal_measurement",
     "failure_probability",
     "verify_pairwise_bound",
-    "q_values",
     "oracle_optimize",
     "family_product_ops",
     "distinct_rays",

@@ -105,7 +105,14 @@ def _instance_from_args(args) -> "Instance":
         return instance_from_dict(_load_json(args.instance))
     if getattr(args, "n", None) is None:
         raise ValueError("provide --instance PATH or --n N")
-    dims = [int(d) for d in args.dims.split(",")] if args.dims else None
+    dims = None
+    if args.dims is not None:
+        try:
+            dims = [int(d) for d in args.dims.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"--dims must be comma-separated integers, got {args.dims!r}"
+            ) from None
     return make_instance(args.n, dims, 1 if args.omit is None else args.omit)
 
 

@@ -62,7 +62,7 @@ class LocalOperatorSet:
     """The factors one party contributes across all measurement outcomes.
 
     ``ops`` may be given as any sequence of equal square matrices; it is
-    kept as a validated read-only (R, d, d) complex stack.
+    kept as a validated read-only (R, d, d) complex stack, copied once.
     """
 
     party: int
@@ -71,10 +71,13 @@ class LocalOperatorSet:
     def __post_init__(self):
         if len(self.ops) == 0:
             raise ValueError("operator set must be non-empty")
-        dim = np.shape(self.ops[0])[0]
-        if any(np.shape(op) != (dim, dim) for op in self.ops):
+        try:
+            stack = np.array(self.ops, dtype=complex)
+            square = stack.ndim == 3 and stack.shape[1] == stack.shape[2]
+        except ValueError:  # ragged: numpy cannot stack operators of different shapes
+            square = False
+        if not square:
             raise ValueError("operators must share one square dimension")
-        stack = np.array(self.ops, dtype=complex)
         if not np.all(np.isfinite(stack)):
             raise ValueError("operators must have finite entries")
         hermitian = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
@@ -112,8 +115,7 @@ class Extremality:
     """What count_extreme found for one party.
 
     ``witnessed[c]`` marks the classes a checked witness decided, and
-    ``nnls_solves`` counts the classes NNLS decided.  Unpacks as the triple
-    (count, rays, residuals).
+    ``nnls_solves`` counts the classes NNLS decided.
     """
 
     count: int
@@ -121,9 +123,6 @@ class Extremality:
     residuals: np.ndarray
     witnessed: np.ndarray
     nnls_solves: int
-
-    def __iter__(self):
-        return iter((self.count, self.rays, self.residuals))
 
 
 @dataclass(frozen=True)
@@ -258,8 +257,7 @@ def count_extreme(s: LocalOperatorSet, tol: float = RAY_TOL) -> Extremality:
     the other columns of V decides.  ``residuals[c]`` is the witness's
     proven lower bound where the witness decided and the NNLS residual
     elsewhere; a lone class resolves to infinity, since one ray alone is
-    always extreme in the cone it generates.  The result unpacks as
-    (count, rays, residuals).
+    always extreme in the cone it generates.
     """
     rays = distinct_rays(s, tol)
     residuals = np.full(rays.count, np.inf)

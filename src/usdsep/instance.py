@@ -20,6 +20,9 @@ N); and dropping state l leaves a basis whose duals are, for k != l,
     xi_k = (D/N) (psi_k - omega^(l-k) psi_l),
 
 with <xi_k|psi_j> = delta_jk for j != l and <xi_k|psi_l> = -omega^(k-l).
+Both overlaps of xi_k with psi_k and with psi_l have unit magnitude, so the
+normalized reciprocal state has one squared overlap q = N/(2D) with its
+partner and with the omitted state alike.
 
 State labels j are 1-based throughout because the phases depend on j mod N;
 party indices are plain 0-based positions.
@@ -37,7 +40,6 @@ from .numerics import check
 from .serialize import pairs_to_matrix
 
 __all__ = [
-    "PartyDims",
     "Instance",
     "ReciprocalSet",
     "DualBasisOmit",
@@ -93,39 +95,6 @@ def ascending_factorizations(d: int, min_factor: int = 2) -> list[tuple[int, ...
 
 
 @dataclass(frozen=True)
-class PartyDims:
-    """Ascending party dimensions plus the derived phase offsets."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if not dims:
-            raise ValueError("at least one party is required")
-        if any(d < 2 for d in dims):
-            raise ValueError("every party dimension must be >= 2")
-        if list(dims) != sorted(dims):
-            raise ValueError("party dimensions must be ascending")
-
-    @property
-    def party_count(self) -> int:
-        return len(self.dims)
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        offs, acc = [], 1
-        for d in self.dims:
-            offs.append(acc)
-            acc *= d
-        return tuple(offs)
-
-
-@dataclass(frozen=True)
 class Instance:
     """One discrimination problem: N product states on a fixed party split.
 
@@ -136,7 +105,7 @@ class Instance:
     """
 
     n: int
-    party: PartyDims
+    dims: tuple[int, ...]  # ascending party dimensions, product D = N - 1
     omit: int
     local_states: tuple[np.ndarray, ...]  # per party: (N, d_alpha), row j-1
     states: np.ndarray  # (N, D), row j-1 holds the global state j
@@ -146,12 +115,8 @@ class Instance:
     residuals: dict  # measured audit residuals by numerics.BOUNDS row name
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return self.party.dims
-
-    @property
     def total_dim(self) -> int:
-        return self.party.total_dim
+        return math.prod(self.dims)
 
     @property
     def retained(self) -> tuple[int, ...]:
@@ -214,6 +179,10 @@ class DualBasisOmit:
         return self.vectors[self.ks.index(k)]
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
     """Build the product-state family for prime n >= 5.
 
@@ -222,27 +191,38 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
     n : int
         Prime number of states, at least 5.
     dims : sequence of int, optional
-        Ascending party dimensions with product n - 1.  Defaults to the
-        full prime factorization of n - 1.
+        Ascending party dimensions, each at least 2, with product n - 1.
+        Defaults to the full prime factorization of n - 1.
     omit : int
         1-based label of the state excluded from discrimination (its
         projector becomes the failure direction).  Default 1.
 
     Raises
     ------
-    ValueError for non-prime n, a bad factorization, or omit out of range;
-    ValueError or MemoryError for an n whose (N, N - 1) state matrix cannot
-    be allocated.  The checks that need no trial division run first.
+    ValueError for a float, bool or string where an integer belongs (it is
+    never truncated), non-prime n, a bad factorization, or omit out of
+    range; ValueError or MemoryError for an n whose (N, N - 1) state matrix
+    cannot be allocated.  The checks that need no trial division run first.
     """
-    n = int(n)
+    if not all(map(_is_integer, [n, omit] if dims is None else [n, omit, *dims])):
+        raise ValueError(
+            f"n, omit and each of dims must be integers, got n={n!r}, dims={dims!r}, omit={omit!r}"
+        )
+    n, omit = int(n), int(omit)
     if n < 5:
         raise ValueError(f"n must be a prime >= 5, got {n}")
-    party = None if dims is None else PartyDims(tuple(int(d) for d in dims))
-    if party is not None and party.total_dim != n - 1:
-        raise ValueError(
-            f"party dimensions {party.dims} multiply to {party.total_dim}, expected {n - 1}"
-        )
-    omit = int(omit)
+    if dims is not None:
+        dims = tuple(int(d) for d in dims)
+        if not dims:
+            raise ValueError("at least one party is required")
+        if any(d < 2 for d in dims):
+            raise ValueError("every party dimension must be >= 2")
+        if list(dims) != sorted(dims):
+            raise ValueError("party dimensions must be ascending")
+        if math.prod(dims) != n - 1:
+            raise ValueError(
+                f"party dimensions {dims} multiply to {math.prod(dims)}, expected {n - 1}"
+            )
     if not 1 <= omit <= n:
         raise ValueError(f"omit must be in 1..{n}, got {omit}")
     # Allocated before any trial division, so an n past memory fails at once.
@@ -252,24 +232,26 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
         raise ValueError(f"n = {n} is too large for its (N, N - 1) state matrix: {exc}") from None
     if not is_prime(n):
         raise ValueError(f"n must be a prime >= 5, got {n}")
-    if party is None:
-        party = PartyDims(prime_factors(n - 1))
+    if dims is None:
+        dims = prime_factors(n - 1)
 
     roots = _roots(n)
     js = np.arange(1, n + 1)[:, None]
     local = []
     exponents = np.zeros(1, dtype=np.int64)  # sum_alpha p_alpha m_alpha, kron order
-    for d, p in zip(party.dims, party.offsets):
+    p = 1  # p_alpha, the product of the earlier dimensions
+    for d in dims:
         m = p * np.arange(d)
         factor = roots[(js * m) % n] / np.sqrt(d)
         factor.setflags(write=False)
         local.append(factor)
         exponents = np.add.outer(exponents, m).ravel()
-    np.divide(roots[(js * exponents) % n], np.sqrt(party.total_dim), out=states)
+        p *= d
+    np.divide(roots[(js * exponents) % n], np.sqrt(n - 1), out=states)
     states.setflags(write=False)
     exponents.setflags(write=False)
 
-    inst = Instance(n, party, omit, tuple(local), states, exponents, residuals={})
+    inst = Instance(n, dims, omit, tuple(local), states, exponents, residuals={})
     norm_gap = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
     inst.residuals["completeness"] = check("completeness", completeness_residual(inst))
     inst.residuals["unit norm"] = check("unit norm", norm_gap)
@@ -293,14 +275,13 @@ def shift_unitary(inst: Instance, party: int) -> np.ndarray:
     Applying it across all parties maps global state j to j + 1 (label N
     wraps to 1, phases being periodic in j mod N).
     """
-    if not 0 <= party < inst.party.party_count:
+    if not 0 <= party < len(inst.dims):
         raise ValueError(f"party {party} out of range")
-    d = inst.dims[party]
-    p = inst.party.offsets[party]
-    return np.diag(_roots(inst.n)[(p * np.arange(d)) % inst.n])
+    p = math.prod(inst.dims[:party])
+    return np.diag(_roots(inst.n)[(p * np.arange(inst.dims[party])) % inst.n])
 
 
-def check_linear_independence(inst: Instance, subset, tol: float = INDEPENDENCE_TOL):
+def check_linear_independence(inst: Instance, subset):
     """Rank test for a subset of state labels.
 
     Returns (independent, min_singular) where min_singular is the smallest
@@ -318,7 +299,7 @@ def check_linear_independence(inst: Instance, subset, tol: float = INDEPENDENCE_
         raise ValueError(f"labels must lie in 1..{inst.n}")
     cols = inst.states[[j - 1 for j in labels]].T
     sv = np.linalg.svd(cols, compute_uv=False)
-    independent = bool(np.count_nonzero(sv > tol * sv[0]) == len(labels))
+    independent = bool(np.count_nonzero(sv > INDEPENDENCE_TOL * sv[0]) == len(labels))
     return independent, float(sv[-1])
 
 
@@ -350,8 +331,11 @@ def reciprocal_set(inst: Instance) -> ReciprocalSet:
     The reciprocal state for label k is the dual xi_k with l = omit (module
     docstring), normalized: the unique direction orthogonal to every other
     retained state.  Its squared norm is 2D/N, so the partner overlap is
-    real positive with square q_k = N / (2 D) for every k; cross overlaps,
-    partners and q are audited before returning.
+    real positive with square q_k = N / (2 D) for every k.  The same q_k
+    is |<phi_k|psi_omit>|^2, the overlap with the omitted state, and that
+    coincidence makes the failure operator's weight budget symmetric
+    between the omitted direction and every retained one.  Cross overlaps,
+    partners, q and that second route to q are audited before returning.
     """
     retained, dual_rows = _duals(inst, inst.omit)
     basis = inst.states[retained - 1].T
@@ -361,6 +345,7 @@ def reciprocal_set(inst: Instance) -> ReciprocalSet:
     cross = phis.conj() @ basis  # entry [i, k] = <phi_i | psi_(retained[k])>
     partner = np.diag(cross).copy()
     overlaps = np.abs(partner) ** 2
+    with_omitted = np.abs(phis.conj() @ inst.states[inst.omit - 1]) ** 2
     residuals = {
         "reciprocity": check("reciprocity", float(np.max(np.abs(cross - np.diag(partner))))),
         # With |p|^2 near N/(2D) this fails wherever Re p <= 0 or Im p != 0.
@@ -368,6 +353,7 @@ def reciprocal_set(inst: Instance) -> ReciprocalSet:
         "overlap value": check(
             "overlap value", float(np.max(np.abs(overlaps - inst.n / (2.0 * inst.total_dim))))
         ),
+        "q symmetry": check("q symmetry", float(np.max(np.abs(overlaps - with_omitted)))),
     }
     phis.setflags(write=False)
     overlaps.setflags(write=False)
@@ -418,10 +404,6 @@ def dual_basis_omit(inst: Instance, drop: int) -> DualBasisOmit:
 def instance_to_dict(inst: Instance) -> dict:
     """JSON-ready mapping of the parameters that fix the family: n, dims, omit."""
     return {"n": inst.n, "dims": list(inst.dims), "omit": inst.omit}
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def instance_from_dict(payload: dict) -> Instance:

@@ -40,7 +40,7 @@ BOUNDS = {
     "reciprocity": 1e-10,  # reciprocal state against a retained non-partner
     "partner phase": 1e-10,  # |p - |p||: partner overlaps are real positive
     "overlap value": 1e-10,  # |q_j - N/(2D)| for the squared partner overlaps
-    "q symmetry": 1e-10,  # partner route of q against the omitted-state route
+    "q symmetry": 1e-10,  # reciprocal_set: partner route of q against the omitted-state route
     "dual delta overlap": 1e-10,  # dual_basis_omit duals against delta_jk
     "dual dropped overlap": 1e-10,  # the same duals against -omega^(k - l) on l
     "closure": 1e-12,  # outcomes plus failure operator against I, Frobenius

@@ -41,7 +41,6 @@ __all__ = [
     "optimal_measurement",
     "failure_probability",
     "verify_pairwise_bound",
-    "q_values",
     "oracle_optimize",
     "family_product_ops",
 ]
@@ -89,7 +88,7 @@ class UsdReport:
 
     failure_probability: float
     weights: np.ndarray
-    q_values: np.ndarray
+    q_values: np.ndarray  # r.overlaps, both routes audited by reciprocal_set
     per_state_success: np.ndarray  # q_j * w_j, aligned with weights
     per_state_failure: np.ndarray  # <phi_j|F|phi_j>, aligned with weights
     optimal: bool
@@ -226,8 +225,8 @@ def failure_probability(m: WeightedMeasurement, r: ReciprocalSet) -> UsdReport:
     )
 
 
-def verify_pairwise_bound(inst: Instance, weights, slack: float = PAIRWISE_SLACK) -> bool:
-    """True iff w_k + w_l <= 2D/N + slack for every pair of retained labels.
+def verify_pairwise_bound(inst: Instance, weights) -> bool:
+    """True iff w_k + w_l <= 2D/N + PAIRWISE_SLACK for every pair of retained labels.
 
     The bound is forced on any positive-semidefinite weight assignment by
     sandwiching the failure operator with the dual vectors of the bases that
@@ -238,25 +237,10 @@ def verify_pairwise_bound(inst: Instance, weights, slack: float = PAIRWISE_SLACK
     w = np.asarray(weights, dtype=float).ravel()
     if w.shape[0] != len(inst.retained):
         raise ValueError(f"expected {len(inst.retained)} weights")
-    bound = 2.0 * inst.total_dim / inst.n + slack
+    bound = 2.0 * inst.total_dim / inst.n + PAIRWISE_SLACK
     pair_sums = w[:, None] + w[None, :]
     np.fill_diagonal(pair_sums, -np.inf)
     return bool(pair_sums.max() <= bound)
-
-
-def q_values(inst: Instance, r: ReciprocalSet) -> tuple[np.ndarray, np.ndarray]:
-    """Squared reciprocal overlaps evaluated two independent ways.
-
-    Returns (partner, with_omitted): |<phi_j|psi_j>|^2, which is
-    ``r.overlaps`` (reciprocal_set already held it to N/(2D)), and
-    |<phi_j|psi_omit>|^2.  The two must agree (BOUNDS row "q symmetry");
-    that coincidence is what makes the failure operator's weight budget
-    symmetric between the omitted direction and every retained one.
-    """
-    _check_match(inst, r)
-    with_omitted = np.abs(r.states.conj() @ inst.states[inst.omit - 1]) ** 2
-    check("q symmetry", float(np.max(np.abs(r.overlaps - with_omitted))))
-    return r.overlaps, with_omitted
 
 
 def oracle_optimize(

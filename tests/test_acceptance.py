@@ -31,7 +31,6 @@ from usdsep import (
     oracle_optimize,
     partial_trace,
     proj,
-    q_values,
     reciprocal_set,
     run_discrimination,
     failure_probability,
@@ -94,7 +93,8 @@ def test_03_overlap_values():
     for inst in all_instances():
         r = reciprocal_set(inst)
         target = inst.n / (2.0 * inst.total_dim)
-        qa, qb = q_values(inst, r)
+        qa = r.overlaps
+        qb = np.abs(r.states.conj() @ inst.state(inst.omit)) ** 2
         worst = max(
             worst,
             float(np.max(np.abs(qa - target))),
@@ -266,7 +266,8 @@ def test_10_extremality_oracle_equivalence():
     disagreements = 0
     for ops in random_operator_sets(rng, 100):
         s = LocalOperatorSet(party=0, ops=ops)
-        _, rays, residuals = count_extreme(s)
+        found = count_extreme(s)
+        rays, residuals = found.rays, found.residuals
         for c in range(rays.count):
             others = [rays.representatives[k] for k in range(rays.count) if k != c]
             nnls_extreme = residuals[c] > 1e-8

@@ -19,7 +19,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from usdsep import ascending_factorizations, is_prime, make_instance
+import usdsep.cli
+import usdsep.numerics
+from usdsep import (
+    ascending_factorizations,
+    complement_decomposition,
+    dual_basis_omit,
+    is_prime,
+    make_instance,
+)
 from usdsep.cli import build_parser, main
 from usdsep.instance import instance_from_dict
 from usdsep.serialize import dumps
@@ -434,6 +442,16 @@ def test_empty_or_malformed_weights_is_input_error(capsys, argv, weights):
     assert "--weights" in err
 
 
+@pytest.mark.parametrize("command", ["generate", "optimize", "certify", "simulate"])
+@pytest.mark.parametrize("dims", ["", "2,,3", "2,x"])
+def test_empty_or_malformed_dims_is_input_error(capsys, command, dims):
+    # An empty --dims= must not fall back to the default factorization.
+    rc, out, err = run_cli(capsys, command, "--n", "7", f"--dims={dims}")
+    assert rc == 2
+    assert out == ""
+    assert f"--dims must be comma-separated integers, got {dims!r}" in err
+
+
 def test_simulate_rejects_a_negative_seed(capsys):
     rc, out, err = run_cli(capsys, "simulate", "--n", "5", "--seed", "-1")
     assert rc == 2
@@ -529,6 +547,36 @@ def test_verify_pairwise_row_counts_psd_samples(capsys):
     rc, out, _ = run_cli(capsys, "verify", "--n", "5")
     assert rc == 0
     assert "(22 of 200 samples PSD, all within the pair cap)" in out
+
+
+def test_every_bounds_row_is_applied(monkeypatch, capsys):
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    bounds = Recording(usdsep.numerics.BOUNDS)
+    monkeypatch.setattr(usdsep.numerics, "BOUNDS", bounds)
+    monkeypatch.setattr(usdsep.cli, "BOUNDS", bounds)
+    for argv in (
+        ["generate", "--n", "7"],
+        ["optimize", "--n", "7"],
+        ["optimize", "--n", "7", "--weights", "0.5,0.5,0.5,0.5,0.5,0.5"],
+        ["certify", "--n", "7"],
+        ["simulate", "--n", "7", "--trials", "1000"],
+        ["simulate", "--n", "5", "--trials", "1000", "--copies", "2"],
+        ["verify", "--n", "5"],
+    ):
+        rc, _, err = run_cli(capsys, *argv)
+        assert rc == 0, (argv, err)
+    # Only the library's dual basis and complement decomposition apply these.
+    library_only = {"dual delta overlap", "dual dropped overlap", "complement decomposition"}
+    assert set(bounds) - library_only <= read
+    dual_basis_omit(make_instance(7), 2)
+    complement_decomposition([2, 2], [3, 2])
+    assert read == set(bounds)
 
 
 PRIMES = [p for p in range(5, 602) if is_prime(p)]

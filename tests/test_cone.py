@@ -33,7 +33,7 @@ def family_product_ops(inst):
     out = []
     for j in range(1, inst.n + 1):
         factors = []
-        for alpha in range(inst.party.party_count):
+        for alpha in range(len(inst.dims)):
             f = proj(inst.local_states[alpha][j - 1])
             if alpha == 0:
                 f = scale * f
@@ -50,8 +50,8 @@ def class_of(rays, i):
 
 def extreme_per_operator(s):
     """Whether each operator's ray class is extreme, from count_extreme's residuals."""
-    _, rays, residuals = count_extreme(s)
-    return [bool(residuals[class_of(rays, i)] > RAY_TOL) for i in range(len(s.ops))]
+    found = count_extreme(s)
+    return [bool(found.residuals[class_of(found.rays, i)] > RAY_TOL) for i in range(len(s.ops))]
 
 
 def test_distinct_rays_groups_by_positive_scale():
@@ -111,14 +111,14 @@ def test_count_extreme_vectorizes_each_class_once(monkeypatch):
     monkeypatch.setattr(usdsep.cone, "vec_herm", counting)
     inst = make_instance(13)
     s = LocalOperatorSet(party=0, ops=tuple(proj(v) for v in inst.local_states[0]))
-    count, rays, _ = count_extreme(s)
-    assert count == rays.count == 13
+    found = count_extreme(s)
+    assert found.count == found.rays.count == 13
     # One call per party, on the stack of all its class representatives.
     assert calls == [(13, 2, 2)]
 
     calls.clear()
     rep = certify(family_product_ops(inst))
-    assert sum(p.rays for p in rep.parties) == 13 * inst.party.party_count
+    assert sum(p.rays for p in rep.parties) == 13 * len(inst.dims)
     assert calls == [(13, d, d) for d in inst.dims]
 
 
@@ -165,9 +165,9 @@ def test_rank_one_projectors_are_extreme():
     inst = make_instance(5)
     s = LocalOperatorSet(party=0, ops=tuple(proj(v) for v in inst.local_states[0]))
     assert extreme_per_operator(s) == [True] * 5
-    count, rays, residuals = count_extreme(s)
-    assert count == rays.count == 5
-    assert np.all(residuals > 1e-6)
+    found = count_extreme(s)
+    assert found.count == found.rays.count == 5
+    assert np.all(found.residuals > 1e-6)
 
 
 def test_planted_combination_is_not_extreme():
@@ -177,17 +177,17 @@ def test_planted_combination_is_not_extreme():
     c = 0.4 * a + 0.6 * b
     s = LocalOperatorSet(party=0, ops=(a, b, c))
     assert extreme_per_operator(s) == [True, True, False]
-    count, rays, _ = count_extreme(s)
-    assert rays.groups == ((0,), (1,), (2,))
-    assert count == 2
+    found = count_extreme(s)
+    assert found.rays.groups == ((0,), (1,), (2,))
+    assert found.count == 2
 
 
 def test_lone_class_is_extreme():
     a = np.diag([1.0, 2.0]).astype(complex)
     s = LocalOperatorSet(party=0, ops=(a, 2.0 * a))
-    count, rays, residuals = count_extreme(s)
-    assert rays.count == 1 and count == 1
-    assert np.isinf(residuals[0])
+    found = count_extreme(s)
+    assert found.rays.count == 1 and found.count == 1
+    assert np.isinf(found.residuals[0])
 
 
 def test_certify_symmetric_family_violates():
@@ -204,12 +204,12 @@ def test_certify_every_family_violates():
     for inst in all_instances():
         rep = certify(family_product_ops(inst), n_ops=inst.n)
         per_party = [s.extreme for s in rep.parties]
-        assert per_party == [inst.n] * inst.party.party_count, (inst.n, inst.dims)
-        assert rep.total == inst.n * inst.party.party_count
+        assert per_party == [inst.n] * len(inst.dims), (inst.n, inst.dims)
+        assert rep.total == inst.n * len(inst.dims)
         assert rep.bound == 2 * (inst.n - 1)
         assert rep.verdict == "VIOLATES"
         # The checked witness settles every family class without NNLS.
-        assert [s.nnls_solves for s in rep.parties] == [0] * inst.party.party_count
+        assert [s.nnls_solves for s in rep.parties] == [0] * len(inst.dims)
 
 
 def test_certify_local_control_satisfies():
@@ -332,7 +332,8 @@ def test_nnls_extremality_matches_lp_oracle():
     cases = 0
     for ops in random_operator_sets(rng, 30):
         s = LocalOperatorSet(party=0, ops=ops)
-        count, rays, residuals = count_extreme(s)
+        found = count_extreme(s)
+        rays, residuals = found.rays, found.residuals
         for c in range(rays.count):
             others = [rays.representatives[k] for k in range(rays.count) if k != c]
             nnls_extreme = residuals[c] > 1e-8
@@ -412,7 +413,7 @@ def operator_sets(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "family":
         inst = draw(instances([5, 7, 11, 13, 29, 31, 37]))
-        alpha = draw(st.integers(0, inst.party.party_count - 1))
+        alpha = draw(st.integers(0, len(inst.dims) - 1))
         return tuple(entry[alpha] for entry in family_factors(inst))
     if kind == "rank one":
         d = int(rng.integers(2, 5))

@@ -95,10 +95,12 @@ def test_audits_keep_what_they_measured(n):
     r = reciprocal_set(inst)
     cross = r.states.conj() @ inst.states[np.array(r.indices) - 1].T
     partner = np.diag(cross)
+    with_omitted = np.abs(r.states.conj() @ inst.state(inst.omit)) ** 2
     assert r.residuals == {
         "reciprocity": float(np.max(np.abs(cross - np.diag(partner)))),
         "partner phase": float(np.max(np.abs(partner - np.abs(partner)))),
         "overlap value": float(np.max(np.abs(np.abs(partner) ** 2 - n / (2.0 * (n - 1))))),
+        "q symmetry": float(np.max(np.abs(r.overlaps - with_omitted))),
     }
     for name, measured in {**inst.residuals, **r.residuals}.items():
         assert 0.0 <= measured <= BOUNDS[name], name
@@ -117,6 +119,46 @@ def test_make_instance_rejects_bad_input():
         make_instance(7, dims=(1, 6))
     with pytest.raises(ValueError):
         make_instance(5, omit=6)
+
+
+@pytest.mark.parametrize(
+    "n, dims, omit",
+    [
+        pytest.param(5.9, None, 1, id="float n"),
+        pytest.param(5, [2.7, 2.2], 1, id="float dims"),
+        pytest.param(5, None, 1.5, id="float omit"),
+        pytest.param(5.9, [2.7, 2.2], 1.5, id="float everywhere"),
+        pytest.param(True, None, 1, id="bool n"),
+        pytest.param(5, [True, 2], 1, id="bool dims"),
+        pytest.param(5, None, True, id="bool omit"),
+        pytest.param("5", None, 1, id="string n"),
+        pytest.param(5, "22", 1, id="string dims"),
+        pytest.param(5, ["2", "2"], 1, id="string dims entries"),
+        pytest.param(5, None, "1", id="string omit"),
+    ],
+)
+def test_make_instance_rejects_non_integers(n, dims, omit):
+    # Never truncated or split: (5.9, [2.7, 2.2], 1.5) is not the N = 5,
+    # dims (2, 2), omit 1 family, and "22" is not dims (2, 2).
+    with pytest.raises(ValueError, match="must be integers"):
+        make_instance(n, dims, omit)
+
+
+def test_make_instance_accepts_numpy_integers():
+    inst = make_instance(np.int64(13), np.array([2, 6]), np.int32(4))
+    assert (inst.n, inst.dims, inst.omit) == (13, (2, 6), 4)
+    assert all(type(v) is int for v in (inst.n, inst.omit, *inst.dims))
+
+
+def test_make_instance_checks_the_party_dimensions():
+    for dims, message in (
+        ((), "at least one party"),
+        ((1, 6), "must be >= 2"),
+        ((3, 2), "ascending"),
+        ((2, 2), "multiply to 4, expected 6"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make_instance(7, dims)
 
 
 def test_shift_unitary_advances_labels():

@@ -262,7 +262,7 @@ def test_multicopy_party_factors_assemble_elements():
         inst = make_instance(n)
         mm = multicopy_measurement(inst, copies=copies)
         elements, _ = born_reference(inst, copies)
-        p = inst.party.party_count
+        p = len(inst.dims)
         axes_cm = list(inst.dims) * copies
         to_party_major = [k * p + alpha for alpha in range(p) for k in range(copies)]
         relabel = (

@@ -14,7 +14,6 @@ from usdsep import (
     optimal_measurement,
     oracle_optimize,
     proj,
-    q_values,
     reciprocal_set,
     verify_pairwise_bound,
 )
@@ -150,15 +149,15 @@ def test_increasing_any_weight_lowers_failure():
 
 
 def test_q_values_two_routes_agree():
-    inst5 = make_instance(5)
-    qa, qb = q_values(inst5, reciprocal_set(inst5))
-    assert np.allclose(qa, 0.625, atol=1e-12)
-    assert np.allclose(qb, 0.625, atol=1e-12)
-    inst7 = make_instance(7)
-    qa, qb = q_values(inst7, reciprocal_set(inst7))
-    assert np.allclose(qa, 7.0 / 12.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        q_values(inst5, reciprocal_set(inst7))
+    # q_j is the squared partner overlap and, equally, the squared overlap
+    # with the omitted state; reciprocal_set records the gap between them.
+    for n, q in ((5, 0.625), (7, 7.0 / 12.0)):
+        inst = make_instance(n)
+        r = reciprocal_set(inst)
+        with_omitted = np.abs(r.states.conj() @ inst.state(inst.omit)) ** 2
+        assert np.allclose(r.overlaps, q, atol=1e-12)
+        assert np.allclose(with_omitted, q, atol=1e-12)
+        assert r.residuals["q symmetry"] == float(np.max(np.abs(r.overlaps - with_omitted)))
 
 
 def test_oracle_optimize_never_beats_half():
