@@ -39,7 +39,7 @@ m = optimal_measurement(inst)
 rep = failure_probability(m, r)
 print("\nsymmetric weights:", m.weights)
 print("failure probability: %.15f" % rep.failure_probability)
-print("per-input success:", np.round(rep.per_state_success, 12))
+print("per-input success:", np.round(r.overlaps * m.weights, 12))
 print("failure operator rank:", np.linalg.matrix_rank(m.failure_op, tol=1e-10))
 
 # Any lower weights stay valid but fail more often.

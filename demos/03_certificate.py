@@ -27,9 +27,7 @@ inst = make_instance(5)
 # Party 0 contributes five factor operators, one per outcome.  They fall
 # into five distinct rays and every one is extreme (rank-1 operators always
 # are).
-party0 = LocalOperatorSet(
-    party=0, ops=tuple(proj(v) for v in inst.local_states[0])
-)
+party0 = LocalOperatorSet(tuple(proj(v) for v in inst.local_states[0]))
 rays = distinct_rays(party0)
 # A checked Farkas witness decides each class; here its proven bound equals
 # the NNLS residual, so the printed residuals are the NNLS ones.
@@ -38,7 +36,7 @@ print("party 0: %d factors, %d rays, %d extreme" % (len(party0.ops), rays.count,
 print("NNLS residuals per ray class:", np.round(found.residuals, 4))
 
 # Both parties contribute 5 extreme rays; 10 > 2 * (5 - 1) = 8.
-report = certify(family_product_ops(inst), n_ops=5)
+report = certify(family_product_ops(inst))
 print("\nfull certificate:")
 for s in report.parties:
     print(f"  party {s.party}: generators {s.generators}, rays {s.rays}, "
@@ -59,6 +57,6 @@ print("\ncontrol (local projective measurement):",
 print("\nacross families:")
 for n, dims in [(5, None), (7, None), (11, None), (13, (2, 6)), (13, (2, 2, 3))]:
     other = make_instance(n, dims)
-    rep = certify(family_product_ops(other), n_ops=other.n)
+    rep = certify(family_product_ops(other))
     print(f"  N={other.n} dims={other.dims}: total {rep.total} "
           f"vs bound {rep.bound} -> {rep.verdict}")

@@ -142,16 +142,17 @@ def cmd_generate(args) -> int:
 def cmd_optimize(args) -> int:
     psd_tol = _psd_tol(args)
     inst = _instance_from_args(args)
-    report = failure_probability(_measurement(args, inst, psd_tol), reciprocal_set(inst))
+    m, r = _measurement(args, inst, psd_tol), reciprocal_set(inst)
+    report = failure_probability(m, r)
     params = {"instance": args.instance, **instance_to_dict(inst), "weights": args.weights}
     if args.tol is not None:
         params["tol"] = psd_tol
     payload = {
         "failure_probability": report.failure_probability,
-        "weights": report.weights.tolist(),
-        "q_values": report.q_values.tolist(),
+        "weights": m.weights.tolist(),
+        "q_values": r.overlaps.tolist(),
         "optimal": report.optimal,
-        "psd_min_eigenvalue": report.psd_min_eigenvalue,
+        "psd_min_eigenvalue": m.min_eigenvalue,
         "manifest": _manifest("optimize", params),
     }
     _emit(payload, args.out)
@@ -249,10 +250,12 @@ def _verify_one(n: int, rng: np.random.Generator) -> list[tuple[str, bool, str]]
     row("reciprocity", worst, f"max cross overlap {worst:.2e}")
     row("overlap value", q_gap, f"|q - N/(2D)| {q_gap:.2e}")
 
+    # Each draw is scaled onto the PSD boundary, where the pair cap is tight.
     bound_ok, psd = True, 0
     hi = 2.0 * d / n
     for _ in range(200):
         w = rng.uniform(0.0, hi, size=d)
+        w /= 1.0 - build_measurement(inst, w, psd_tol=np.inf).min_eigenvalue
         try:
             build_measurement(inst, w)
         except NotPSDError:
@@ -260,7 +263,9 @@ def _verify_one(n: int, rng: np.random.Generator) -> list[tuple[str, bool, str]]
         psd += 1
         bound_ok = bound_ok and verify_pairwise_bound(inst, w)
     within = "all within" if bound_ok else "some beyond"
-    checks.append(("pairwise bound", bound_ok, f"{psd} of 200 samples PSD, {within} the pair cap"))
+    checks.append(
+        ("pairwise bound", bound_ok and psd == 200, f"{psd} of 200 samples PSD, {within} the pair cap")
+    )
 
     m = optimal_measurement(inst)
     pr = failure_probability(m, r).failure_probability

@@ -65,7 +65,6 @@ class LocalOperatorSet:
     kept as a validated read-only (R, d, d) complex stack, copied once.
     """
 
-    party: int
     ops: np.ndarray
 
     def __post_init__(self):
@@ -280,28 +279,23 @@ def count_extreme(s: LocalOperatorSet, tol: float = RAY_TOL) -> Extremality:
     )
 
 
-def certify(
-    product_ops,
-    n_ops: int | None = None,
-    tol: float = RAY_TOL,
-) -> ConeReport:
+def certify(product_ops, tol: float = RAY_TOL) -> ConeReport:
     """Extreme-ray count certificate for a product-operator measurement.
 
     Parameters
     ----------
     product_ops : sequence
         One entry per measurement outcome; each entry is the sequence of
-        its per-party factor matrices (all positive semidefinite).
-    n_ops : int, optional
-        Expected number of outcomes; validated against len(product_ops).
+        its per-party factor matrices (all positive semidefinite).  The
+        number of entries is the outcome count N of the bound.
     tol : float
         Ray-grouping and extremality threshold; must be positive and finite.
 
     Returns
     -------
     ConeReport with verdict "VIOLATES" when the counted extreme rays exceed
-    2 * (n_ops - 1), meaning no finite-round protocol of local operations
-    can realize the measurement, and "SATISFIES" otherwise (which certifies
+    2 * (N - 1), meaning no finite-round protocol of local operations can
+    realize the measurement, and "SATISFIES" otherwise (which certifies
     nothing by itself).  NNLS residuals inside the warning band
     [1e-8, 1e-6] are reported as borderline rather than trusted silently.
     """
@@ -310,9 +304,6 @@ def certify(
     entries = [list(entry) for entry in product_ops]
     if not entries:
         raise ValueError("need at least one product operator")
-    if n_ops is not None and n_ops != len(entries):
-        raise ValueError(f"n_ops={n_ops} but {len(entries)} product operators given")
-    n_ops = len(entries)
     p = len(entries[0])
     if p < 1:
         raise ValueError("product operators need at least one factor")
@@ -324,7 +315,7 @@ def certify(
     stats: list[PartyConeStat] = []
     total = 0
     for alpha in range(p):
-        ops = LocalOperatorSet(party=alpha, ops=[entry[alpha] for entry in entries])
+        ops = LocalOperatorSet([entry[alpha] for entry in entries])
         found = count_extreme(ops, tol)
         residuals = found.residuals
         proven = residuals[found.witnessed]
@@ -351,7 +342,7 @@ def certify(
         if not skipped:
             total += found.count
 
-    bound = 2 * (n_ops - 1)
+    bound = 2 * (len(entries) - 1)
     note = ""
     if p == 1:
         verdict = "SATISFIES"

@@ -169,9 +169,6 @@ class DualBasisOmit:
     overlap with the omitted state l is the unimodular -exp(2 pi i (k-l)/N).
     """
 
-    n: int
-    omit: int
-    omitted: int
     ks: tuple[int, ...]
     vectors: np.ndarray  # (len(ks), D)
 
@@ -396,9 +393,7 @@ def dual_basis_omit(inst: Instance, drop: int) -> DualBasisOmit:
     predicted = -np.exp(2j * np.pi * (ks - drop) / inst.n)
     check("dual dropped overlap", float(np.max(np.abs(with_dropped - predicted))))
     vectors.setflags(write=False)
-    return DualBasisOmit(
-        n=inst.n, omit=inst.omit, omitted=drop, ks=tuple(ks.tolist()), vectors=vectors
-    )
+    return DualBasisOmit(ks=tuple(ks.tolist()), vectors=vectors)
 
 
 def instance_to_dict(inst: Instance) -> dict:

@@ -43,7 +43,7 @@ BOUNDS = {
     "q symmetry": 1e-10,  # reciprocal_set: partner route of q against the omitted-state route
     "dual delta overlap": 1e-10,  # dual_basis_omit duals against delta_jk
     "dual dropped overlap": 1e-10,  # the same duals against -omega^(k - l) on l
-    "closure": 1e-12,  # outcomes plus failure operator against I, Frobenius
+    "closure": 1e-12,  # FFT-gathered sum_j w_j P_j against the state matrix, on psi_omit
     "born vs closed form": 1e-12,  # Born failure average against 1 - sum q w / D
     "negative outcome probability": 1e-12,  # most negative exact probability, negated
     "outcome probabilities miss 1": 1e-10,  # largest |row sum - 1| of the outcome rows

@@ -73,7 +73,6 @@ class SimReport:
 class MulticopyMeasurement:
     """Tensor-power measurement with outcome tuples classified once."""
 
-    copies: int
     tuples: tuple[tuple[int, ...], ...]
     labels: tuple[object, ...]  # per tuple: retained label j or None (failure)
     # Per tuple: one factor per party, that party's copies tensored together
@@ -230,7 +229,6 @@ def multicopy_measurement(inst: Instance, copies: int) -> MulticopyMeasurement:
     fail_mass = per_state[:, names == fail].sum(axis=1)
     theoretical = float(fail_mass.mean())
     return MulticopyMeasurement(
-        copies=copies,
         tuples=tuples,
         labels=labels,
         party_factors=party_factors,

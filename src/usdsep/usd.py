@@ -84,15 +84,16 @@ class WeightedMeasurement:
 
 @dataclass(frozen=True)
 class UsdReport:
-    """Failure probability of a measurement against the reciprocal inputs."""
+    """Failure probability of a measurement against the reciprocal inputs.
+
+    It holds only what failure_probability computes.  The weights, the
+    smallest eigenvalue and the overlaps q_j are read from the measurement
+    and the reciprocal set: m.weights, m.min_eigenvalue and r.overlaps.
+    """
 
     failure_probability: float
-    weights: np.ndarray
-    q_values: np.ndarray  # r.overlaps, both routes audited by reciprocal_set
-    per_state_success: np.ndarray  # q_j * w_j, aligned with weights
-    per_state_failure: np.ndarray  # <phi_j|F|phi_j>, aligned with weights
+    per_state_failure: np.ndarray  # <phi_j|F|phi_j>, aligned with m.weights
     optimal: bool
-    psd_min_eigenvalue: float
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,6 @@ class OracleResult:
     best_failure: float
     feasible_count: int
     max_weight_sum: float
-    samples: int
 
 
 def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> WeightedMeasurement:
@@ -114,7 +114,10 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
     its smallest eigenvalue below -psd_tol raises NotPSDError, since the
     family is then not a measurement at all.  The weighted sum is gathered
     from one FFT of the weights and its top eigenvalue read from the secular
-    equation (module docstring), with no dense matmul or eigensolver.
+    equation (module docstring), with no dense matmul or eigensolver.  The
+    gather is audited on one probe, the omitted state psi: its product with
+    the gathered sum must match S^T (w * conj(S) psi) for the (N, D) state
+    matrix S, with the omitted label's weight zero.
     """
     retained = inst.retained
     w = np.asarray(weights, dtype=float).ravel()
@@ -135,13 +138,17 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
     unrolled = spectrum[np.arange(1 - d, d) % n]
     e = inst.exponents
     weighted = unrolled[np.subtract.outer(e + (d - 1), e)]
-    failure = np.eye(d, dtype=complex) - weighted
     min_eig = 1.0 - n / d * _top_secular_root(w, n)
     if min_eig < -psd_tol:
         raise NotPSDError(
             f"failure operator has eigenvalue {min_eig:.3e}; weights are infeasible"
         )
-    check("closure", float(np.linalg.norm(weighted + failure - np.eye(inst.total_dim))))
+    # Row j - 1 of S is state j, whose weight sits at padded[j mod N].
+    probe = inst.states[inst.omit - 1]
+    by_row = np.concatenate((padded[1:], padded[:1]))
+    direct = inst.states.T @ (by_row * (inst.states @ probe.conj()).conj())
+    check("closure", float(np.linalg.norm(weighted @ probe - direct)))
+    failure = np.eye(d, dtype=complex) - weighted
     failure.setflags(write=False)
     w.setflags(write=False)
     return WeightedMeasurement(
@@ -214,15 +221,7 @@ def failure_probability(m: WeightedMeasurement, r: ReciprocalSet) -> UsdReport:
     check("born vs closed form", abs(born - closed))
     dn = m.total_dim / m.n
     optimal = bool(np.max(np.abs(m.weights - dn)) <= 1e-12)
-    return UsdReport(
-        failure_probability=born,
-        weights=m.weights,
-        q_values=r.overlaps,
-        per_state_success=r.overlaps * m.weights,
-        per_state_failure=traces,
-        optimal=optimal,
-        psd_min_eigenvalue=m.min_eigenvalue,
-    )
+    return UsdReport(failure_probability=born, per_state_failure=traces, optimal=optimal)
 
 
 def verify_pairwise_bound(inst: Instance, weights) -> bool:
@@ -238,9 +237,7 @@ def verify_pairwise_bound(inst: Instance, weights) -> bool:
     if w.shape[0] != len(inst.retained):
         raise ValueError(f"expected {len(inst.retained)} weights")
     bound = 2.0 * inst.total_dim / inst.n + PAIRWISE_SLACK
-    pair_sums = w[:, None] + w[None, :]
-    np.fill_diagonal(pair_sums, -np.inf)
-    return bool(pair_sums.max() <= bound)
+    return bool(np.partition(w, -2)[-2:].sum() <= bound)
 
 
 def oracle_optimize(
@@ -248,16 +245,15 @@ def oracle_optimize(
     samples: int = 100_000,
     seed: int = 0,
     refine: bool = False,
-    extra_points=None,
 ) -> OracleResult:
     """Randomized search for the lowest feasible failure probability.
 
     Draws weight vectors uniformly from [0, 2D/N]^D, keeps the positive
     semidefinite ones, and scores them by the closed-form failure
-    probability.  ``extra_points`` are appended to the sample set verbatim.
-    With ``refine`` the best sample seeds a shrinking Gaussian local search.
-    The search is an oracle check, not a solver: the symmetric point is
-    provably optimal, so the result must never beat 1/2 beyond rounding.
+    probability.  With ``refine`` the best sample seeds a shrinking
+    Gaussian local search.  The search is an oracle check, not a solver:
+    the symmetric point is provably optimal, so the result must never beat
+    1/2 beyond rounding.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -266,11 +262,6 @@ def oracle_optimize(
     hi = 2.0 * d / inst.n
     rng = np.random.default_rng(seed)
     pool = rng.uniform(0.0, hi, size=(samples, count))
-    if extra_points is not None:
-        extra = np.atleast_2d(np.asarray(extra_points, dtype=float))
-        if extra.shape[1] != count:
-            raise ValueError(f"extra points must have {count} coordinates")
-        pool = np.vstack([pool, extra])
 
     named = inst.states[[j - 1 for j in inst.retained]]
     columns, rows = named.T, named.conj()
@@ -297,7 +288,7 @@ def oracle_optimize(
             best_pr = float(prs[i])
             best_w = block[ok][i].copy()
 
-    for start in range(0, pool.shape[0], ORACLE_CHUNK):
+    for start in range(0, samples, ORACLE_CHUNK):
         scan(pool[start : start + ORACLE_CHUNK])
     if best_w is None:
         raise ValueError("no feasible weight vector found; increase samples")
@@ -314,7 +305,6 @@ def oracle_optimize(
         best_failure=best_pr,
         feasible_count=feasible_count,
         max_weight_sum=max_weight_sum,
-        samples=int(pool.shape[0]),
     )
 
 

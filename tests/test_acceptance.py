@@ -140,7 +140,7 @@ def test_05_certificates_violate_for_every_family():
             factors = [proj(ls[j - 1]) for ls in inst.local_states]
             factors[0] = scale * factors[0]
             ops.append(factors)
-        rep = certify(ops, n_ops=inst.n)
+        rep = certify(ops)
         per_party_ok = all(s.extreme == inst.n for s in rep.parties)
         ok = ok and per_party_ok and rep.verdict == "VIOLATES"
         details.append(f"N={inst.n} dims={inst.dims}: {rep.total}>{rep.bound}")
@@ -265,7 +265,7 @@ def test_10_extremality_oracle_equivalence():
     cases = 0
     disagreements = 0
     for ops in random_operator_sets(rng, 100):
-        s = LocalOperatorSet(party=0, ops=ops)
+        s = LocalOperatorSet(ops)
         found = count_extreme(s)
         rays, residuals = found.rays, found.residuals
         for c in range(rays.count):

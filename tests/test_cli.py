@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import usdsep.cli
 import usdsep.numerics
 from usdsep import (
+    SimReport,
     ascending_factorizations,
     complement_decomposition,
     dual_basis_omit,
@@ -544,9 +545,34 @@ def test_verify_rejects_empty(capsys):
 
 
 def test_verify_pairwise_row_counts_psd_samples(capsys):
-    rc, out, _ = run_cli(capsys, "verify", "--n", "5")
+    # Unscaled draws from [0, 2D/N]^D are almost never PSD past N = 7, so
+    # the row only tests the pair cap because each draw is scaled to the
+    # boundary, where the cap is tight.
+    rc, out, _ = run_cli(capsys, "verify", "--n", "5,13,61")
     assert rc == 0
-    assert "(22 of 200 samples PSD, all within the pair cap)" in out
+    rows = [line for line in out.splitlines() if "pairwise bound" in line]
+    assert len(rows) == 3
+    assert all("PASS  (200 of 200 samples PSD, all within the pair cap)" in row for row in rows)
+
+
+def test_failed_bound_is_an_invariant_violation(capsys, monkeypatch):
+    monkeypatch.setitem(usdsep.numerics.BOUNDS, "completeness", -1.0)
+    rc, out, err = run_cli(capsys, "generate", "--n", "5")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("invariant violation: completeness:")
+
+
+def test_simulate_warns_past_five_sigma_and_still_succeeds(capsys, monkeypatch):
+    def skewed(inst, r, m, cfg):
+        counts = {"fail": cfg.trials}
+        return SimReport(cfg.seed, cfg.trials, cfg.copies, counts, 0, 1.0, 0.5, 0.5)
+
+    monkeypatch.setattr(usdsep.cli, "run_discrimination", skewed)
+    rc, out, err = run_cli(capsys, "simulate", "--n", "5", "--trials", "100")
+    assert rc == 0
+    assert "warning: empirical failure 1.00000 is more than 5 sigma from 0.50000" in err
+    assert json.loads(out)["empirical_failure"] == 1.0
 
 
 def test_every_bounds_row_is_applied(monkeypatch, capsys):

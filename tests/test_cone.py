@@ -57,7 +57,7 @@ def extreme_per_operator(s):
 def test_distinct_rays_groups_by_positive_scale():
     a = np.diag([1.0, 0.0]).astype(complex)
     b = np.diag([0.0, 1.0]).astype(complex)
-    s = LocalOperatorSet(party=0, ops=(a, 3.0 * a, b))
+    s = LocalOperatorSet((a, 3.0 * a, b))
     assert s.ops.shape == (3, 2, 2) and not s.ops.flags.writeable
     rays = distinct_rays(s)
     assert rays.count == 2
@@ -91,7 +91,7 @@ def test_distinct_rays_tolerance_boundary_follows_first_match():
     near = a + 0.5 * RAY_TOL * bump  # unit a moves by just under 0.5 RAY_TOL
     far = a + 2.0 * RAY_TOL * bump  # and here by just under 2 RAY_TOL
     ops = (a, b, near, far, 7.0 * b, 3.0 * far)
-    rays = distinct_rays(LocalOperatorSet(party=0, ops=ops))
+    rays = distinct_rays(LocalOperatorSet(ops))
     groups, reps = first_match_rays(ops, RAY_TOL)
     assert rays.groups == groups == ((0, 2), (1, 4), (3, 5))
     assert len(rays.representatives) == len(reps)
@@ -110,7 +110,7 @@ def test_count_extreme_vectorizes_each_class_once(monkeypatch):
 
     monkeypatch.setattr(usdsep.cone, "vec_herm", counting)
     inst = make_instance(13)
-    s = LocalOperatorSet(party=0, ops=tuple(proj(v) for v in inst.local_states[0]))
+    s = LocalOperatorSet(tuple(proj(v) for v in inst.local_states[0]))
     found = count_extreme(s)
     assert found.count == found.rays.count == 13
     # One call per party, on the stack of all its class representatives.
@@ -125,7 +125,7 @@ def test_count_extreme_vectorizes_each_class_once(monkeypatch):
 def test_distinct_rays_family_has_n_classes():
     inst = make_instance(5)
     ops = tuple(proj(v) for v in inst.local_states[0])
-    rays = distinct_rays(LocalOperatorSet(party=0, ops=ops))
+    rays = distinct_rays(LocalOperatorSet(ops))
     assert rays.count == 5
 
 
@@ -133,37 +133,35 @@ def test_zero_operator_has_no_ray():
     z = np.zeros((2, 2), dtype=complex)
     a = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
-        distinct_rays(LocalOperatorSet(party=0, ops=(a, z)))
+        distinct_rays(LocalOperatorSet((a, z)))
 
 
 def test_operator_set_validation():
     with pytest.raises(ValueError):
-        LocalOperatorSet(party=0, ops=())
+        LocalOperatorSet(())
     with pytest.raises(ValueError):
-        LocalOperatorSet(
-            party=0, ops=(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
-        )
+        LocalOperatorSet((np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
     not_psd = np.diag([1.0, -0.2]).astype(complex)
     with pytest.raises(ValueError):
-        LocalOperatorSet(party=0, ops=(not_psd,))
+        LocalOperatorSet((not_psd,))
     for value in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
-            LocalOperatorSet(party=0, ops=(np.eye(2), np.diag([1.0, value]).astype(complex)))
+            LocalOperatorSet((np.eye(2), np.diag([1.0, value]).astype(complex)))
 
 
 def test_operator_set_rejects_one_indefinite_factor_among_many():
     good = tuple(np.diag([1.0, t]).astype(complex) for t in np.linspace(0.0, 1.0, 20))
-    LocalOperatorSet(party=0, ops=good)
+    LocalOperatorSet(good)
     bad = np.diag([1.0, -1e-6]).astype(complex)
     with pytest.raises(ValueError, match="positive semidefinite"):
-        LocalOperatorSet(party=0, ops=good[:7] + (bad,) + good[7:])
+        LocalOperatorSet(good[:7] + (bad,) + good[7:])
     with pytest.raises(ValueError, match="one square dimension"):
-        LocalOperatorSet(party=0, ops=good + (np.eye(2, 3, dtype=complex),))
+        LocalOperatorSet(good + (np.eye(2, 3, dtype=complex),))
 
 
 def test_rank_one_projectors_are_extreme():
     inst = make_instance(5)
-    s = LocalOperatorSet(party=0, ops=tuple(proj(v) for v in inst.local_states[0]))
+    s = LocalOperatorSet(tuple(proj(v) for v in inst.local_states[0]))
     assert extreme_per_operator(s) == [True] * 5
     found = count_extreme(s)
     assert found.count == found.rays.count == 5
@@ -175,7 +173,7 @@ def test_planted_combination_is_not_extreme():
     a = rand_psd(rng, 3, rank=1)
     b = rand_psd(rng, 3, rank=1)
     c = 0.4 * a + 0.6 * b
-    s = LocalOperatorSet(party=0, ops=(a, b, c))
+    s = LocalOperatorSet((a, b, c))
     assert extreme_per_operator(s) == [True, True, False]
     found = count_extreme(s)
     assert found.rays.groups == ((0,), (1,), (2,))
@@ -184,7 +182,7 @@ def test_planted_combination_is_not_extreme():
 
 def test_lone_class_is_extreme():
     a = np.diag([1.0, 2.0]).astype(complex)
-    s = LocalOperatorSet(party=0, ops=(a, 2.0 * a))
+    s = LocalOperatorSet((a, 2.0 * a))
     found = count_extreme(s)
     assert found.rays.count == 1 and found.count == 1
     assert np.isinf(found.residuals[0])
@@ -192,7 +190,7 @@ def test_lone_class_is_extreme():
 
 def test_certify_symmetric_family_violates():
     inst = make_instance(5)
-    rep = certify(family_product_ops(inst), n_ops=5)
+    rep = certify(family_product_ops(inst))
     assert rep.total == 10
     assert rep.bound == 8
     assert rep.verdict == "VIOLATES"
@@ -202,7 +200,7 @@ def test_certify_symmetric_family_violates():
 
 def test_certify_every_family_violates():
     for inst in all_instances():
-        rep = certify(family_product_ops(inst), n_ops=inst.n)
+        rep = certify(family_product_ops(inst))
         per_party = [s.extreme for s in rep.parties]
         assert per_party == [inst.n] * len(inst.dims), (inst.n, inst.dims)
         assert rep.total == inst.n * len(inst.dims)
@@ -228,7 +226,7 @@ def test_certify_local_control_satisfies():
 
 def test_certify_multicopy_pair_violates():
     mc = multicopy_measurement(make_instance(5), copies=2)
-    rep = certify(mc.party_factors, n_ops=25)
+    rep = certify(mc.party_factors)
     assert [s.extreme for s in rep.parties] == [25, 25]
     assert rep.total == 50
     assert rep.bound == 48
@@ -264,7 +262,7 @@ def test_certify_invariances():
 def test_certify_duplicates_do_not_inflate_rays():
     inst = make_instance(5)
     entries = family_product_ops(inst)
-    rep = certify(entries + [entries[0]], n_ops=6)
+    rep = certify(entries + [entries[0]])
     assert [s.generators for s in rep.parties] == [6, 6]
     assert [s.rays for s in rep.parties] == [5, 5]
     assert rep.total == 10
@@ -294,8 +292,6 @@ def test_certify_input_validation():
     eye = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
         certify([])
-    with pytest.raises(ValueError):
-        certify([[eye, eye]], n_ops=3)
     with pytest.raises(ValueError):
         certify([[eye, eye], [eye]])
 
@@ -331,7 +327,7 @@ def test_nnls_extremality_matches_lp_oracle():
     rng = np.random.default_rng(2718)
     cases = 0
     for ops in random_operator_sets(rng, 30):
-        s = LocalOperatorSet(party=0, ops=ops)
+        s = LocalOperatorSet(ops)
         found = count_extreme(s)
         rays, residuals = found.rays, found.residuals
         for c in range(rays.count):
@@ -372,7 +368,7 @@ def planted_rays(rng, tol):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5]))
 def test_distinct_rays_screen_matches_first_match(seed, tol):
     ops = planted_rays(np.random.default_rng(seed), tol)
-    rays = distinct_rays(LocalOperatorSet(party=0, ops=ops), tol)
+    rays = distinct_rays(LocalOperatorSet(ops), tol)
     groups, reps = first_match_rays(ops, tol)
     assert rays.groups == groups
     assert len(rays.representatives) == len(reps)
@@ -428,7 +424,7 @@ def operator_sets(draw):
 @settings(max_examples=60, deadline=None, database=None)
 @given(operator_sets(), st.sampled_from([1e-8, 1e-6, 1e-3, 0.05]))
 def test_witness_decisions_match_nnls_only(ops, tol):
-    found = count_extreme(LocalOperatorSet(party=0, ops=ops), tol)
+    found = count_extreme(LocalOperatorSet(ops), tol)
     reference = nnls_only_residuals(found.rays, tol)
     lo, hi = WARN_BAND
     assert list(found.residuals > tol) == list(reference > tol)

@@ -333,6 +333,9 @@ def test_instance_from_dict_rejects_tampering():
     ):
         with pytest.raises(ValueError, match="malformed state array"):
             instance_from_dict({"n": 5, "dims": [2, 2], "omit": 1, "states": states})
+    for states in (_legacy_payload(make_instance(7))["states"], good[:4]):
+        with pytest.raises(ValueError, match="does not match"):
+            instance_from_dict({"n": 5, "dims": [2, 2], "omit": 1, "states": states})
     # Parameters must be JSON integers: floats, bools, strings and an
     # overflowing 1e400 (which json reads as inf) are not truncated.
     for params in (
