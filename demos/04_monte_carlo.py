@@ -2,11 +2,14 @@
 Sampling discrimination runs
 ============================
 
-A uniformly random reciprocal state is prepared each trial and the weighted
-measurement fires.  Conclusive outcomes are never wrong by construction, so
-the only statistics worth watching are the failure rate and its agreement
-with the closed form.  Everything is seeded: the same configuration
-reproduces the same tallies bit for bit.
+Each trial prepares a uniformly random reciprocal state and fires the
+weighted measurement.  The simulator draws the tallies of all trials at
+once: a multinomial split of the trials over the inputs, then one over each
+input's exact outcome row, so a million trials cost no more than ten.
+Conclusive outcomes are never wrong by construction, so the only statistics
+worth watching are the failure rate and its agreement with the closed form.
+Everything is seeded: the same configuration reproduces the same tallies
+bit for bit.
 """
 
 import numpy as np

@@ -37,6 +37,7 @@ from .simulator import SimConfig, run_discrimination, run_multicopy_discriminati
 from .usd import (
     PSD_TOL,
     NotPSDError,
+    _top_secular_root,
     build_measurement,
     failure_probability,
     family_product_ops,
@@ -255,7 +256,8 @@ def _verify_one(n: int, rng: np.random.Generator) -> list[tuple[str, bool, str]]
     hi = 2.0 * d / n
     for _ in range(200):
         w = rng.uniform(0.0, hi, size=d)
-        w /= 1.0 - build_measurement(inst, w, psd_tol=np.inf).min_eigenvalue
+        min_eig = 1.0 - n / d * _top_secular_root(w, n)  # as build_measurement has it
+        w /= 1.0 - min_eig
         try:
             build_measurement(inst, w)
         except NotPSDError:

@@ -14,9 +14,13 @@ any tuple mixing two different retained labels, is inconclusive.  Under the
 symmetric single-copy weights the per-copy conclusive probability is 1/2
 independently per copy, so the failure probability decays as 2^(-n).
 
-Both run functions share one sampling path: each outcome maps to the row
-index of the input it names (one past the last row when inconclusive), and
-one bincount gives the tallies and one weighted bincount the exact marginal.
+Both run functions share one sampling path, which draws tallies rather
+than trials: one multinomial splits the trials among the inputs and one
+more splits each input's share among its outcomes, so the cost does not
+grow with the number of trials.  Each outcome maps to the row index of the
+input it names (one past the last row when inconclusive); the report sums
+the (input, outcome) tallies by that index, and one weighted bincount gives
+the exact marginal.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ class SimConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials < 2**63:
+            raise ValueError("trials must be >= 1 and < 2**63")
         if self.copies < 1:
             raise ValueError("copies must be >= 1")
 
@@ -94,25 +98,22 @@ def _checked_rows(rows: np.ndarray) -> np.ndarray:
     return np.clip(rows, 0.0, None)
 
 
-def _sample_counts(dists: np.ndarray, trials: int, seed: int):
-    """Draw (true state, outcome) pairs; dists[i] is the outcome row of input i.
+def _stray(names: np.ndarray, fail: int) -> np.ndarray:
+    """(inputs, outcomes) mask of the outcomes that name another input than the row's."""
+    return (names != fail) & (names != np.arange(fail)[:, None])
 
-    Inputs are uniform.  Sampling is inverse-CDF on a fixed draw order, so a
-    given seed reproduces the tallies bit for bit.
+
+def _sample_counts(rows: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """(inputs, outcomes) int64 tallies of ``trials`` runs; rows[i] is input i's outcome row.
+
+    Inputs are uniform.  One multinomial splits the trials among the inputs,
+    then one multinomial per input, over its normalized row, splits that
+    input's share among the outcomes.  The cost is O(inputs x outcomes)
+    whatever ``trials``, and a given seed reproduces the tallies bit for bit.
     """
     rng = np.random.default_rng(seed)
-    true_idx = rng.integers(0, len(dists), size=trials)
-    u = rng.random(trials)
-    cum = np.cumsum(dists, axis=1)
-    cum[:, -1] = 1.0  # close the CDF against rounding in the last bin
-    # Trials grouped by input, once; a trial's outcome depends only on its
-    # own draw, so the order within a group does not matter.
-    ends = np.cumsum(np.bincount(true_idx, minlength=len(dists)))
-    groups = np.split(np.argsort(true_idx), ends[:-1])
-    outcome_idx = np.empty(trials, dtype=np.intp)
-    for row, group in zip(cum, groups):
-        outcome_idx[group] = np.searchsorted(row, u[group], side="left")
-    return true_idx, outcome_idx
+    per_input = rng.multinomial(trials, np.full(len(rows), 1.0 / len(rows)))
+    return rng.multinomial(per_input, rows / rows.sum(axis=1, keepdims=True))
 
 
 def _label_rows(labels, inputs) -> np.ndarray:
@@ -122,19 +123,20 @@ def _label_rows(labels, inputs) -> np.ndarray:
 
 
 def _sampled_report(rows, names, inputs, theoretical: float, cfg: SimConfig) -> SimReport:
-    """Sample ``rows`` and tally the outcomes by the input each one names.
+    """Sample tallies from ``rows`` and sum them by the input each outcome names.
 
     rows[i] is the exact outcome distribution of input i (label inputs[i]);
     names[k] is the row index outcome k names, or len(inputs) when it is
-    inconclusive.  A conclusive outcome naming another row than the true
-    input is a misidentification.
+    inconclusive.  The (input, outcome) tallies from _sample_counts are
+    exact integers: a label's count sums its outcomes' columns, and the
+    misidentifications sum the cells whose outcome names another input.
     """
-    true_idx, outcome_idx = _sample_counts(rows, cfg.trials, cfg.seed)
+    cells = _sample_counts(rows, cfg.trials, cfg.seed)
     fail = len(inputs)
-    named = names[outcome_idx]
-    tallies = np.bincount(named, minlength=fail + 1)
+    tallies = np.zeros(fail + 1, dtype=np.int64)
+    np.add.at(tallies, names, cells.sum(axis=0))
     marginal = np.bincount(names, weights=rows.mean(axis=0), minlength=fail + 1)
-    misid = int(np.count_nonzero((named != fail) & (named != true_idx)))
+    misid = int(cells[_stray(names, fail)].sum())
 
     counts = {str(j): int(t) for j, t in zip(inputs, tallies)}
     counts["fail"] = int(tallies[fail])
@@ -224,8 +226,7 @@ def multicopy_measurement(inst: Instance, copies: int) -> MulticopyMeasurement:
     # Zero-error audit: an outcome tuple may only weight the input it names.
     names = _label_rows(labels, r.indices)
     fail = len(r.indices)
-    other = (names != fail) & (names != np.arange(fail)[:, None])
-    check("stray outcome weight", float(per_state[other].max(initial=0.0)))
+    check("stray outcome weight", float(per_state[_stray(names, fail)].max(initial=0.0)))
     fail_mass = per_state[:, names == fail].sum(axis=1)
     theoretical = float(fail_mass.mean())
     return MulticopyMeasurement(
@@ -246,9 +247,8 @@ def run_multicopy_discrimination(inst: Instance, cfg: SimConfig) -> SimReport:
     ("fail" for inconclusive tuples), mirroring the single-copy report.
     """
     mm = multicopy_measurement(inst, cfg.copies)
-    rows = mm.per_state / mm.per_state.sum(axis=1, keepdims=True)
     names = _label_rows(mm.labels, mm.inputs)
-    return _sampled_report(rows, names, mm.inputs, mm.theoretical_failure, cfg)
+    return _sampled_report(mm.per_state, names, mm.inputs, mm.theoretical_failure, cfg)
 
 
 def complement_decomposition(dims, enlarged_dims):

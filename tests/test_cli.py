@@ -143,6 +143,15 @@ def test_optimize_infeasible_weights(capsys):
         assert "weights must be finite" in err
 
 
+def test_weights_far_past_the_pair_cap_end_without_a_rounding_defect(capsys):
+    # Rounding in the closure and Born rows grows with the weights; at
+    # weights near 1e6 it is no defect of the program, so no exit 3.
+    weights = ",".join(["1e6"] * 6 + ["3e5"] * 6)
+    payload, _ = run_json(capsys, "optimize", "--n", "13", "--weights", weights, "--tol", "1e8")
+    assert payload["failure_probability"] < 0.0  # far from a measurement, as asked
+    assert payload["manifest"]["parameters"]["tol"] == 1e8
+
+
 def test_optimize_from_instance_file(tmp_path, capsys):
     path = tmp_path / "inst.json"
     run_cli(capsys, "generate", "--n", "7", "--out", str(path))
@@ -458,6 +467,13 @@ def test_simulate_rejects_a_negative_seed(capsys):
     assert rc == 2
     assert out == ""
     assert "seed must be >= 0" in err
+
+
+def test_simulate_rejects_trials_past_int64(capsys):
+    rc, out, err = run_cli(capsys, "simulate", "--n", "5", "--trials", "100000000000000000000")
+    assert rc == 2
+    assert out == ""
+    assert "trials must be >= 1 and < 2**63" in err
 
 
 def test_simulate_writes_file(tmp_path, capsys):

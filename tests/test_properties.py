@@ -156,13 +156,12 @@ def tally_reference(rows, tuples, inputs, omit, cfg):
     rows[i] is the outcome distribution of input inputs[i]; column k is the
     outcome tuple tuples[k].  Label 0 stands for an inconclusive tuple.
     """
-    true_idx, outcome_idx = _sample_counts(rows, cfg.trials, cfg.seed)
+    cells = _sample_counts(rows, cfg.trials, cfg.seed)
     label_arr = np.array([classify_tuple(t, omit) or 0 for t in tuples])
-    named = label_arr[outcome_idx]
-    true_labels = np.array(inputs)[true_idx]
-    misid = int(np.count_nonzero((named != 0) & (named != true_labels)))
-    counts = {str(j): int(np.count_nonzero(named == j)) for j in inputs}
-    counts["fail"] = int(np.count_nonzero(named == 0))
+    true_labels = np.array(inputs)[:, None]
+    misid = int(cells[(label_arr != 0) & (label_arr != true_labels)].sum())
+    counts = {str(j): int(cells[:, label_arr == j].sum()) for j in inputs}
+    counts["fail"] = int(cells[:, label_arr == 0].sum())
     marg = rows.mean(axis=0)
     marginal = [marg[label_arr == j].sum() for j in inputs] + [marg[label_arr == 0].sum()]
     empirical = np.array(list(counts.values())) / cfg.trials
@@ -189,7 +188,7 @@ def assert_report_matches(rep, reference):
 )
 def test_sampled_tallies_match_a_per_label_reference(inst, copies, scale, seed, trials):
     # The reference rebuilds the sampled rows with the simulator's own
-    # arithmetic, so both draw the same outcomes and only the tally differs.
+    # arithmetic, so both draw the same cell tallies and only the sums differ.
     r = reciprocal_set(inst)
     d = inst.total_dim
     m = build_measurement(inst, np.full(d, scale * d / inst.n))  # 1.0: the optimal one
@@ -206,8 +205,7 @@ def test_sampled_tallies_match_a_per_label_reference(inst, copies, scale, seed, 
         mm = multicopy_measurement(inst, copies)
     except ValueError:
         assume(False)  # past the size limit
-    rows = mm.per_state / mm.per_state.sum(axis=1, keepdims=True)
     tuples = itertools.product(range(1, inst.n + 1), repeat=copies)
     cfg = SimConfig(seed=seed, trials=trials, copies=copies)
-    reference = tally_reference(rows, list(tuples), mm.inputs, inst.omit, cfg)
+    reference = tally_reference(mm.per_state, list(tuples), mm.inputs, inst.omit, cfg)
     assert_report_matches(run_multicopy_discrimination(inst, cfg), reference)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +38,9 @@ def test_config_validation():
         SimConfig(seed=0, trials=10, copies=0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         SimConfig(seed=-1, trials=10)
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        SimConfig(seed=0, trials=2**63)
+    assert SimConfig(seed=0, trials=2**63 - 1).trials == 2**63 - 1
 
 
 def born_reference(inst, copies):
@@ -95,63 +100,101 @@ def test_run_discrimination_frozen_seed():
     m = optimal_measurement(inst)
     rep = run_discrimination(inst, r, m, SimConfig(seed=7, trials=100_000))
     assert rep.misidentifications == 0
-    assert rep.empirical_failure == 0.50129
+    assert rep.empirical_failure == 0.49941
     assert abs(rep.theoretical_failure - 0.5) <= 1e-12
     assert abs(rep.empirical_failure - 0.5) <= five_sigma_band(0.5, 100_000)
-    assert set(rep.counts) == {"2", "3", "4", "5", "fail"}
+    assert list(rep.counts.items()) == [
+        ("2", 12511), ("3", 12465), ("4", 12518), ("5", 12565), ("fail", 49941)
+    ]
     assert sum(rep.counts.values()) == 100_000
     assert 0.0 <= rep.tv_distance <= 0.01
 
 
-def test_sample_counts_match_the_cdf_gather():
-    # Reference: count the CDF entries below each draw over the gathered
-    # (trials, outcomes) matrix.  Rows include zero bins and a row whose
-    # rounding pushes an inner CDF entry past the closed last bin.
+def per_row_reference(rows, trials, seed):
+    """The sampler's draw order spelled out: inputs first, then one row at a time."""
+    rng = np.random.default_rng(seed)
+    per_input = rng.multinomial(trials, np.full(len(rows), 1.0 / len(rows)))
+    return np.array([rng.multinomial(c, row / row.sum()) for c, row in zip(per_input, rows)])
+
+
+def random_rows(rng):
+    """Outcome rows with zero bins, none all zero, normalized up to rounding."""
+    n_inputs, n_outcomes = rng.integers(1, 9), rng.integers(1, 12)
+    rows = rng.random((n_inputs, n_outcomes))
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    rows[:, 0] += 1e-3
+    rows /= rows.sum(axis=1, keepdims=True)
+    rows[0, 0] += 1e-12
+    return rows
+
+
+def test_sample_counts_match_the_per_row_reference():
     rng = np.random.default_rng(0)
     for case in range(50):
-        n_inputs, n_outcomes = rng.integers(1, 9), rng.integers(1, 12)
-        dists = rng.random((n_inputs, n_outcomes))
-        dists[rng.random(dists.shape) < 0.3] = 0.0
-        dists[:, 0] += 1e-3  # no all-zero row
-        dists /= dists.sum(axis=1, keepdims=True)
-        dists[0, 0] += 1e-12
+        rows = random_rows(rng)
         trials = int(rng.integers(1, 3000))
-        true_idx, outcome_idx = usdsep.simulator._sample_counts(dists, trials, case)
-        ref = np.random.default_rng(case)
-        assert np.array_equal(true_idx, ref.integers(0, n_inputs, size=trials))
-        draws = ref.random(trials)
-        cum = np.cumsum(dists, axis=1)
-        cum[:, -1] = 1.0
-        expected = (cum[true_idx] < draws[:, None]).sum(axis=1)
-        assert np.array_equal(outcome_idx, expected)
-
-
-def masked_sample_counts(dists, trials, seed):
-    """The sampler as one masked pass over all trials per input."""
-    rng = np.random.default_rng(seed)
-    true_idx = rng.integers(0, len(dists), size=trials)
-    u = rng.random(trials)
-    cum = np.cumsum(dists, axis=1)
-    cum[:, -1] = 1.0
-    outcome_idx = np.empty(trials, dtype=np.intp)
-    for i, row in enumerate(cum):
-        hit = true_idx == i
-        outcome_idx[hit] = np.searchsorted(row, u[hit], side="left")
-    return true_idx, outcome_idx
+        cells = usdsep.simulator._sample_counts(rows, trials, case)
+        expected = per_row_reference(rows, trials, case)
+        assert cells.dtype == expected.dtype == np.int64
+        assert np.array_equal(cells, expected)
+        assert cells.sum() == trials
 
 
 @pytest.mark.parametrize("n, copies", [(5, 1), (5, 2), (5, 3), (7, 2), (13, 1), (61, 1)])
 def test_grouped_sampling_matches_the_masked_passes(n, copies):
-    inst = make_instance(n)
-    mm = multicopy_measurement(inst, copies)
-    rows = mm.per_state / mm.per_state.sum(axis=1, keepdims=True)
+    # The sampler draws every input's row in one grouped call; the reference
+    # makes one pass per input, on the same stream.
+    rows = multicopy_measurement(make_instance(n), copies).per_state
     for seed in (0, 1, 7, 2**31 + 5):
         for trials in (1, 999, 20_000):
-            got = usdsep.simulator._sample_counts(rows, trials, seed)
-            expected = masked_sample_counts(rows, trials, seed)
-            for a, b in zip(got, expected):
-                assert a.dtype == b.dtype
-                assert np.array_equal(a, b)
+            cells = usdsep.simulator._sample_counts(rows, trials, seed)
+            expected = per_row_reference(rows, trials, seed)
+            assert cells.dtype == expected.dtype == np.int64
+            assert np.array_equal(cells, expected)
+
+
+def test_sampled_cells_follow_the_born_law():
+    # Over many seeds each cell's mean count is trials * rows[i, k] / D
+    # within 5 sigma of its binomial spread; a zero cell is never hit.
+    rows = random_rows(np.random.default_rng(3))
+    rows /= rows.sum(axis=1, keepdims=True)
+    trials, seeds = 500, 2000
+    total = np.zeros(rows.shape, dtype=np.int64)
+    for seed in range(seeds):
+        cells = usdsep.simulator._sample_counts(rows, trials, seed)
+        assert not cells[rows == 0.0].any()
+        total += cells
+    p = rows / len(rows)
+    sigma = np.sqrt(trials * p * (1.0 - p) / seeds)
+    assert np.all(np.abs(total / seeds - trials * p) <= 5.0 * sigma)
+
+
+def test_sample_counts_cost_does_not_grow_with_trials():
+    rows = multicopy_measurement(make_instance(5), 2).per_state
+    start = time.perf_counter()
+    cells = usdsep.simulator._sample_counts(rows, 2**62, 0)
+    assert time.perf_counter() - start < 1.0
+    assert cells.dtype == np.int64
+    assert int(cells.sum()) == 2**62
+
+
+def test_run_discrimination_allocates_no_per_trial_arrays():
+    # The tallies are drawn directly, so ten million trials at N = 5 need
+    # no more memory than a few small row tables.  A one-trial run first
+    # keeps numpy's lazy imports out of the measured peak.
+    inst = make_instance(5)
+    r = reciprocal_set(inst)
+    m = optimal_measurement(inst)
+    run_discrimination(inst, r, m, SimConfig(seed=0, trials=1))
+    cfg = SimConfig(seed=0, trials=10**7)
+    tracemalloc.start()
+    try:
+        rep = run_discrimination(inst, r, m, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(rep.counts.values()) == 10**7
+    assert peak < 2**20
 
 
 def test_run_discrimination_is_deterministic():
