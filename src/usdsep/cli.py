@@ -101,19 +101,20 @@ def _check_source(args) -> None:
         raise ValueError("--copies cannot be used with --measurement")
 
 
+def _comma_list(option: str, text: str, parse=int, noun: str = "integers") -> list:
+    """The entries of a comma-separated option; an empty or malformed one is an input error."""
+    try:
+        return [parse(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{option} must be comma-separated {noun}, got {text!r}") from None
+
+
 def _instance_from_args(args) -> "Instance":
     if getattr(args, "instance", None):
         return instance_from_dict(_load_json(args.instance))
     if getattr(args, "n", None) is None:
         raise ValueError("provide --instance PATH or --n N")
-    dims = None
-    if args.dims is not None:
-        try:
-            dims = [int(d) for d in args.dims.split(",")]
-        except ValueError:
-            raise ValueError(
-                f"--dims must be comma-separated integers, got {args.dims!r}"
-            ) from None
+    dims = None if args.dims is None else _comma_list("--dims", args.dims)
     return make_instance(args.n, dims, 1 if args.omit is None else args.omit)
 
 
@@ -121,12 +122,7 @@ def _measurement(args, inst, psd_tol: float):
     """The measurement of --weights, or the optimal one without them."""
     if args.weights is None:
         return optimal_measurement(inst)
-    try:
-        w = [float(x) for x in args.weights.split(",")]
-    except ValueError:
-        raise ValueError(
-            f"--weights must be comma-separated numbers, got {args.weights!r}"
-        ) from None
+    w = _comma_list("--weights", args.weights, float, "numbers")
     return build_measurement(inst, w, psd_tol=psd_tol)
 
 
@@ -292,9 +288,7 @@ def _verify_one(n: int, rng: np.random.Generator) -> list[tuple[str, bool, str]]
 
 
 def cmd_verify(args) -> int:
-    ns = [int(x) for x in args.n.split(",") if x.strip()]
-    if not ns:
-        raise ValueError("provide at least one n, e.g. --n 5,7")
+    ns = _comma_list("--n", args.n)
     rng = np.random.default_rng(20_260_817)
     all_ok = True
     for n in ns:

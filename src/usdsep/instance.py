@@ -145,6 +145,7 @@ class ReciprocalSet:
     indices: tuple[int, ...]
     states: np.ndarray  # (D, D), row i pairs with indices[i]
     overlaps: np.ndarray  # (D,)
+    born: np.ndarray  # (D, N) Born table: [i, j - 1] = |<states[i] | psi_j>|^2
     residuals: dict  # measured audit residuals by numerics.BOUNDS row name
 
     def state(self, j: int) -> np.ndarray:
@@ -244,7 +245,7 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
         local.append(factor)
         exponents = np.add.outer(exponents, m).ravel()
         p *= d
-    np.divide(roots[(js * exponents) % n], np.sqrt(n - 1), out=states)
+    np.take(roots / np.sqrt(n - 1), (js * exponents) % n, out=states)
     states.setflags(write=False)
     exponents.setflags(write=False)
 
@@ -262,8 +263,10 @@ def completeness_residual(inst: Instance) -> float:
     check costs one matmul and never forms the N projectors.
     """
     d = inst.total_dim
-    resolution = (d / inst.n) * (inst.states.T @ inst.states.conj())
-    return float(np.linalg.norm(resolution - np.eye(d)))
+    resolution = inst.states.T @ inst.states.conj()
+    resolution *= d / inst.n
+    resolution.flat[:: d + 1] -= 1.0
+    return float(np.linalg.norm(resolution))
 
 
 def shift_unitary(inst: Instance, party: int) -> np.ndarray:
@@ -318,8 +321,10 @@ def _duals(inst: Instance, drop: int):
     labels = np.arange(1, inst.n + 1)
     ks = labels[labels != drop]
     phase = _roots(inst.n)[(drop - ks) % inst.n]
-    xi = inst.states[ks - 1] - phase[:, None] * inst.states[drop - 1]
-    return ks, (inst.total_dim / inst.n) * xi
+    xi = inst.states[ks - 1]
+    xi -= phase[:, None] * inst.states[drop - 1]
+    xi *= inst.total_dim / inst.n
+    return ks, xi
 
 
 def reciprocal_set(inst: Instance) -> ReciprocalSet:
@@ -331,29 +336,27 @@ def reciprocal_set(inst: Instance) -> ReciprocalSet:
     real positive with square q_k = N / (2 D) for every k.  The same q_k
     is |<phi_k|psi_omit>|^2, the overlap with the omitted state, and that
     coincidence makes the failure operator's weight budget symmetric
-    between the omitted direction and every retained one.  Cross overlaps,
-    partners, q and that second route to q are audited before returning.
+    between the omitted direction and every retained one.  All four audits
+    and ``born`` read one product, taken (N, D) to keep q's (D, D) rounding.
     """
-    retained, dual_rows = _duals(inst, inst.omit)
-    basis = inst.states[retained - 1].T
-    norms = np.linalg.norm(dual_rows, axis=1)
-    phis = dual_rows / norms[:, None]
-
-    cross = phis.conj() @ basis  # entry [i, k] = <phi_i | psi_(retained[k])>
-    partner = np.diag(cross).copy()
-    overlaps = np.abs(partner) ** 2
-    with_omitted = np.abs(phis.conj() @ inst.states[inst.omit - 1]) ** 2
+    retained, phis = _duals(inst, inst.omit)
+    phis /= np.linalg.norm(phis, axis=1)[:, None]
+    cross = inst.states.conj() @ phis.T  # [j - 1, i] = <psi_j | phi_i>
+    born = np.abs(cross.T, order="C") ** 2
+    partners, rows = retained - 1, np.arange(len(retained))
+    partner, overlaps = cross[partners, rows], born[rows, partners]
+    cross[partners, rows] = cross[inst.omit - 1] = 0.0
     residuals = {
-        "reciprocity": check("reciprocity", float(np.max(np.abs(cross - np.diag(partner))))),
+        "reciprocity": check("reciprocity", float(np.max(np.abs(cross)))),
         # With |p|^2 near N/(2D) this fails wherever Re p <= 0 or Im p != 0.
         "partner phase": check("partner phase", float(np.max(np.abs(partner - np.abs(partner))))),
         "overlap value": check(
             "overlap value", float(np.max(np.abs(overlaps - inst.n / (2.0 * inst.total_dim))))
         ),
-        "q symmetry": check("q symmetry", float(np.max(np.abs(overlaps - with_omitted)))),
+        "q symmetry": check("q symmetry", float(np.max(np.abs(overlaps - born[:, inst.omit - 1])))),
     }
-    phis.setflags(write=False)
-    overlaps.setflags(write=False)
+    for a in (phis, overlaps, born):
+        a.setflags(write=False)
     return ReciprocalSet(
         n=inst.n,
         dims=inst.dims,
@@ -361,6 +364,7 @@ def reciprocal_set(inst: Instance) -> ReciprocalSet:
         indices=tuple(retained.tolist()),
         states=phis,
         overlaps=overlaps,
+        born=born,
         residuals=residuals,
     )
 
@@ -386,12 +390,12 @@ def dual_basis_omit(inst: Instance, drop: int) -> DualBasisOmit:
 
     # The duals must reproduce delta overlaps on the kept family and a
     # unimodular overlap -exp(2 pi i (k - drop)/N) with the dropped state.
-    cross = vectors.conj() @ inst.states[kept - 1].T
-    target = ks[:, None] == kept[None, :]
-    check("dual delta overlap", float(np.max(np.abs(cross - target))))
-    with_dropped = vectors.conj() @ inst.states[drop - 1]
+    cross = vectors.conj() @ inst.states.T  # entry [i, j - 1] = <xi_(ks[i]) | psi_j>
     predicted = -np.exp(2j * np.pi * (ks - drop) / inst.n)
-    check("dual dropped overlap", float(np.max(np.abs(with_dropped - predicted))))
+    check("dual dropped overlap", float(np.max(np.abs(cross[:, drop - 1] - predicted))))
+    cross[np.arange(len(ks)), ks - 1] -= 1.0
+    cross[:, drop - 1] = 0.0
+    check("dual delta overlap", float(np.max(np.abs(cross))))
     vectors.setflags(write=False)
     return DualBasisOmit(ks=tuple(ks.tolist()), vectors=vectors)
 

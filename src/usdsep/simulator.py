@@ -169,8 +169,7 @@ def run_discrimination(
     exact = failure_probability(m, r)
 
     # Outcome j weighs w_j |<psi_j|phi>|^2; the failure column is <phi|F|phi>.
-    named = inst.states[[j - 1 for j in m.indices]]
-    conclusive = m.weights * np.abs(r.states.conj() @ named.T) ** 2
+    conclusive = m.weights * np.take(r.born, np.subtract(m.indices, 1), axis=1)
     dists = _checked_rows(np.column_stack([conclusive, exact.per_state_failure]))
     # Column k names input row k, and the last column is the failure.
     names = np.arange(len(m.indices) + 1)
@@ -217,7 +216,7 @@ def multicopy_measurement(inst: Instance, copies: int) -> MulticopyMeasurement:
     labels = tuple(classify_tuple(t, inst.omit) for t in tuples)
 
     r = reciprocal_set(inst)
-    single = (d / n) * np.abs(r.states.conj() @ inst.states.T) ** 2  # (D, N)
+    single = (d / n) * r.born
     per_state = single
     for _ in range(copies - 1):
         per_state = (per_state[:, :, None] * single[:, None, :]).reshape(len(r.indices), -1)

@@ -19,7 +19,7 @@ that of (N/D)(diag(w) - z z^dag) with |z_j|^2 = w_j / N, because the Gram
 matrix of the retained states is (N/D)(I - u u^dag) with |u_j|^2 = 1/N.
 The largest eigenvalue is therefore (N/D) mu for the largest root mu of
 the secular equation 1 = sum_j (w_j/N) / (w_j - mu), found in O(N) per
-bisection step, and positivity is decided with no dense eigensolver.
+safeguarded Newton step, and positivity is decided with no dense eigensolver.
 """
 
 from __future__ import annotations
@@ -148,7 +148,8 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
     by_row = np.concatenate((padded[1:], padded[:1]))
     direct = inst.states.T @ (by_row * (inst.states @ probe.conj()).conj())
     check("closure", float(np.linalg.norm(weighted @ probe - direct)) / _cap_units(w, n, d))
-    failure = np.eye(d, dtype=complex) - weighted
+    failure = np.negative(weighted, out=weighted)
+    failure.flat[:: d + 1] += 1.0
     failure.setflags(write=False)
     w.setflags(write=False)
     return WeightedMeasurement(
@@ -181,8 +182,10 @@ def _top_secular_root(w: np.ndarray, n: int) -> float:
     the answer with no iteration (every weight at D/N gives D/N).
     Otherwise the largest root of 1 = sum_v c_v / (v - mu) is the only one
     in (v_2, v_1), and it lies above v_1 - sum_v c_v as well; the secular
-    function falls across that bracket, which bisection closes to adjacent
-    floats.
+    sum rises across that bracket.  Each step evaluates it at mu, moves the
+    bracket end on mu's side to mu, and takes the Newton step when it lands
+    inside the bracket and the midpoint otherwise.  A Newton step too small
+    to move mu, or a bracket closed to adjacent floats, ends the search.
     """
     values, counts = np.unique(w[w > 0.0], return_counts=True)
     if values.size == 0:
@@ -195,11 +198,15 @@ def _top_secular_root(w: np.ndarray, n: int) -> float:
     if values.size > 1:
         lo = max(lo, float(values[-2]))
     hi = top
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if float((c / (values - mid)).sum()) < 1.0:
-            lo = mid
-        else:
-            hi = mid
+    mu = 0.5 * (lo + hi)
+    while lo < mu < hi:
+        terms = c / (values - mu)
+        excess = float(terms.sum()) - 1.0
+        lo, hi = (mu, hi) if excess < 0.0 else (lo, mu)
+        newton = mu - excess / float((terms * terms / c).sum())
+        if newton == mu:
+            return mu
+        mu = newton if lo < newton < hi else 0.5 * (lo + hi)
     return hi
 
 

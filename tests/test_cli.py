@@ -560,6 +560,15 @@ def test_verify_rejects_empty(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("ns", ["5,x", "7,,11"])
+def test_malformed_verify_n_is_input_error(capsys, ns):
+    # An empty entry is an error, not skipped.
+    rc, out, err = run_cli(capsys, "verify", f"--n={ns}")
+    assert rc == 2
+    assert out == ""
+    assert f"--n must be comma-separated integers, got {ns!r}" in err
+
+
 def test_verify_pairwise_row_counts_psd_samples(capsys):
     # Unscaled draws from [0, 2D/N]^D are almost never PSD past N = 7, so
     # the row only tests the pair cap because each draw is scaled to the

@@ -93,14 +93,20 @@ def test_audits_keep_what_they_measured(n):
     assert inst.residuals["unit norm"] == float(np.max(np.abs(norms - 1.0)))
 
     r = reciprocal_set(inst)
-    cross = r.states.conj() @ inst.states[np.array(r.indices) - 1].T
-    partner = np.diag(cross)
-    with_omitted = np.abs(r.states.conj() @ inst.state(inst.omit)) ** 2
+    # The one product reciprocal_set forms, in its (N, D) orientation: entry
+    # [j - 1, i] = <psi_j | phi_i>.  The Born table is its squared magnitude.
+    cross = inst.states.conj() @ r.states.T
+    assert np.array_equal(np.abs(cross.T) ** 2, r.born)
+    rows, partners = np.arange(n - 1), np.array(r.indices) - 1
+    partner = cross[partners, rows]
+    stray = cross[partners]
+    stray[rows, rows] = 0.0
+    assert np.array_equal(r.overlaps, r.born[rows, partners])
     assert r.residuals == {
-        "reciprocity": float(np.max(np.abs(cross - np.diag(partner)))),
+        "reciprocity": float(np.max(np.abs(stray))),
         "partner phase": float(np.max(np.abs(partner - np.abs(partner)))),
-        "overlap value": float(np.max(np.abs(np.abs(partner) ** 2 - n / (2.0 * (n - 1))))),
-        "q symmetry": float(np.max(np.abs(r.overlaps - with_omitted))),
+        "overlap value": float(np.max(np.abs(r.overlaps - n / (2.0 * (n - 1))))),
+        "q symmetry": float(np.max(np.abs(r.overlaps - r.born[:, inst.omit - 1]))),
     }
     for name, measured in {**inst.residuals, **r.residuals}.items():
         assert 0.0 <= measured <= BOUNDS[name], name

@@ -1,8 +1,9 @@
 """Property tests over the whole input space: every ascending
 factorization of N - 1, any omit label, random feasible weights or a random
 dropped label, for prime N in 5..251 (dense projector references), 5..401
-(the structured measurement against dense linear algebra) or 5..601
-(closed forms), and sampled discrimination runs for N in 5..13.
+(the structured measurement against dense linear algebra), 5..601
+(closed forms) or 5..61 (the reciprocal set's Born table), and sampled
+discrimination runs for N in 5..13.
 
 The references are written out here from the definitions: dense loops over
 the N projectors, the dense weighted sum and its eigvalsh, a Kronecker
@@ -150,6 +151,34 @@ def test_closed_forms_match_the_definitions(inst, data):
     assert np.max(np.abs(xi.vectors - reference)) <= CLOSURE_BOUND
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(instances([p for p in PRIMES if p <= 61]))
+def test_born_table_holds_every_overlap_and_the_audits(inst):
+    r = reciprocal_set(inst)
+    n, d = inst.n, inst.total_dim
+    expected = [
+        [abs(r.states[i].conj() @ inst.state(j)) ** 2 for j in range(1, n + 1)]
+        for i in range(d)
+    ]
+    assert r.born.shape == (d, n)
+    assert np.max(np.abs(r.born - np.array(expected))) <= 1e-15
+    with pytest.raises(ValueError):
+        r.born[0, 0] = 0.0
+
+    rows, partners = np.arange(d), np.array(r.indices) - 1
+    assert np.array_equal(r.overlaps, r.born[rows, partners])
+    assert r.residuals["overlap value"] == float(np.max(np.abs(r.overlaps - n / (2.0 * d))))
+    with_omitted = r.born[:, inst.omit - 1]
+    assert r.residuals["q symmetry"] == float(np.max(np.abs(r.overlaps - with_omitted)))
+    # The table keeps squared magnitudes, so the largest stray overlap is
+    # the square root of its largest off-partner retained entry, up to the
+    # rounding of that root.  The partner phase needs the complex overlaps
+    # the table drops; test_instance pins it exactly.
+    stray = r.born[:, partners]
+    stray[rows, rows] = 0.0
+    assert r.residuals["reciprocity"] == pytest.approx(np.sqrt(stray.max()), rel=1e-14)
+
+
 def tally_reference(rows, tuples, inputs, omit, cfg):
     """Sampled report fields by per-label masks over classified tuples.
 
@@ -192,8 +221,7 @@ def test_sampled_tallies_match_a_per_label_reference(inst, copies, scale, seed, 
     r = reciprocal_set(inst)
     d = inst.total_dim
     m = build_measurement(inst, np.full(d, scale * d / inst.n))  # 1.0: the optimal one
-    named = inst.states[[j - 1 for j in m.indices]]
-    conclusive = m.weights * np.abs(r.states.conj() @ named.T) ** 2
+    conclusive = m.weights * np.take(r.born, np.subtract(m.indices, 1), axis=1)
     failure = failure_probability(m, r).per_state_failure
     rows = np.clip(np.column_stack([conclusive, failure]), 0.0, None)
     tuples = [(j,) for j in m.indices] + [(inst.omit,)]

@@ -156,7 +156,7 @@ def test_q_values_two_routes_agree():
     for n, q in ((5, 0.625), (7, 7.0 / 12.0)):
         inst = make_instance(n)
         r = reciprocal_set(inst)
-        with_omitted = np.abs(r.states.conj() @ inst.state(inst.omit)) ** 2
+        with_omitted = r.born[:, inst.omit - 1]
         assert np.allclose(r.overlaps, q, atol=1e-12)
         assert np.allclose(with_omitted, q, atol=1e-12)
         assert r.residuals["q symmetry"] == float(np.max(np.abs(r.overlaps - with_omitted)))
