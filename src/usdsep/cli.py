@@ -33,7 +33,7 @@ from .instance import (
 from .numerics import BOUNDS, ConvergenceError, InvariantError, check
 from .reference import two_qubit_reciprocal_states, two_qubit_states
 from .serialize import dumps, pairs_to_matrix
-from .simulator import SimConfig, run_discrimination, run_multicopy_discrimination
+from .simulator import SimConfig, run_discrimination
 from .usd import (
     PSD_TOL,
     NotPSDError,
@@ -188,13 +188,8 @@ def cmd_simulate(args) -> int:
     psd_tol = _psd_tol(args)
     inst = _instance_from_args(args)
     cfg = SimConfig(seed=args.seed, trials=args.trials, copies=args.copies)
-    if cfg.copies == 1:
-        m = _measurement(args, inst, psd_tol)
-        report = run_discrimination(inst, reciprocal_set(inst), m, cfg)
-    else:
-        if args.weights is not None:
-            raise ValueError("--weights applies to single-copy simulation only")
-        report = run_multicopy_discrimination(inst, cfg)
+    m = _measurement(args, inst, psd_tol)
+    report = run_discrimination(inst, reciprocal_set(inst), m, cfg)
     check("misidentifications", report.misidentifications)
     sigma = np.sqrt(
         report.theoretical_failure * (1.0 - report.theoretical_failure) / cfg.trials

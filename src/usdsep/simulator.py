@@ -10,14 +10,14 @@ nonzero misidentification tally is a build defect rather than bad luck.
 With n copies available the measurement tensors n single-copy outcomes; a
 tuple of labels names state j exactly when its entries outside the omitted
 label all equal j (and at least one entry does).  The all-omitted tuple, and
-any tuple mixing two different retained labels, is inconclusive.  Under the
-symmetric single-copy weights the per-copy conclusive probability is 1/2
-independently per copy, so the failure probability decays as 2^(-n).
+any tuple mixing two different retained labels, is inconclusive.  Input i
+fails on each copy with probability 1 - w_i q independently, so under the
+symmetric weights the failure probability decays as 2^(-n).
 
-Both run functions share one sampling path, which draws tallies rather
-than trials: one multinomial splits the trials among the inputs and one
-more splits each input's share among its outcomes, so the cost does not
-grow with the number of trials.  Each outcome maps to the row index of the
+One copy is copies = 1 of the same path, which draws tallies rather than
+trials: one multinomial splits the trials among the inputs and one more
+splits each input's share among its outcomes, so the cost does not grow
+with the number of trials.  Each outcome maps to the row index of the
 input it names (one past the last row when inconclusive); the report sums
 the (input, outcome) tallies by that index, and one weighted bincount gives
 the exact marginal.
@@ -25,14 +25,14 @@ the exact marginal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, ReciprocalSet, _check_match, reciprocal_set
+from .instance import Instance, ReciprocalSet, _check_match, _is_integer, reciprocal_set
 from .numerics import check, kron_all
-from .usd import MAX_FAMILY_ENTRIES, WeightedMeasurement, failure_probability, family_product_ops
+from .usd import MAX_FAMILY_ENTRIES, WeightedMeasurement, failure_probability
+from .usd import family_product_ops, optimal_measurement
 
 __all__ = [
     "SimConfig",
@@ -53,6 +53,8 @@ class SimConfig:
     copies: int = 1
 
     def __post_init__(self):
+        if not all(map(_is_integer, (self.seed, self.trials, self.copies))):
+            raise ValueError(f"seed, trials and copies must be integers, got {self!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not 1 <= self.trials < 2**63:
@@ -75,9 +77,9 @@ class SimReport:
 
 @dataclass(frozen=True)
 class MulticopyMeasurement:
-    """Tensor-power measurement with outcome tuples classified once."""
+    """Tensor-power measurement; outcome k is the k-th label tuple of
+    itertools.product(range(1, N + 1), repeat=copies)."""
 
-    tuples: tuple[tuple[int, ...], ...]
     labels: tuple[object, ...]  # per tuple: retained label j or None (failure)
     # Per tuple: one factor per party, that party's copies tensored together
     # (the grouping a party holding all its copies acts with).
@@ -116,29 +118,72 @@ def _sample_counts(rows: np.ndarray, trials: int, seed: int) -> np.ndarray:
     return rng.multinomial(per_input, rows / rows.sum(axis=1, keepdims=True))
 
 
-def _label_rows(labels, inputs) -> np.ndarray:
-    """Row index of the input each outcome's label names; len(inputs) for None."""
-    row_of = {j: i for i, j in enumerate(inputs)}
-    return np.array([len(inputs) if lab is None else row_of[lab] for lab in labels])
+def _outcome_rows(r: ReciprocalSet, m: WeightedMeasurement, copies: int):
+    """(rows, names, failure) of ``copies`` copies of ``m`` on the reciprocal inputs.
 
-
-def _sampled_report(rows, names, inputs, theoretical: float, cfg: SimConfig) -> SimReport:
-    """Sample tallies from ``rows`` and sum them by the input each outcome names.
-
-    rows[i] is the exact outcome distribution of input i (label inputs[i]);
-    names[k] is the row index outcome k names, or len(inputs) when it is
-    inconclusive.  The (input, outcome) tallies from _sample_counts are
-    exact integers: a label's count sums its outcomes' columns, and the
-    misidentifications sum the cells whose outcome names another input.
+    rows[i, k] is the probability that input i gives the k-th label tuple
+    (itertools.product order): the product of its single-copy entries, where
+    label j weighs w_j |<psi_j|phi_i>|^2 and the omitted label weighs
+    <phi_i|F|phi_i>, the dense trace that audits m.failure_op.  names[k] is
+    the row of the input tuple k names, D when inconclusive; failure is the
+    mean inconclusive mass.  Past one copy (one copy is the size of r.born),
+    a table over usd.MAX_FAMILY_ENTRIES raises ValueError before allocating.
     """
+    n, d, omit = m.n, len(m.indices), m.omit
+    # Past 64 copies N^n alone is over the limit; the shortcut keeps a huge
+    # copies from forming a huge integer.
+    if copies > 1 and (copies > 64 or d * n**copies > MAX_FAMILY_ENTRIES):
+        raise ValueError(
+            f"{copies}-copy outcome table of N = {n} exceeds the limit of {MAX_FAMILY_ENTRIES}"
+        )
+    retained = np.subtract(m.indices, 1)
+    single = np.empty((d, n))
+    single[:, retained] = m.weights * r.born[:, retained]
+    single[:, omit - 1] = failure_probability(m, r).per_state_failure
+    rows = single
+    for _ in range(copies - 1):
+        rows = (rows[:, :, None] * single[:, None, :]).reshape(d, -1)
+    rows = _checked_rows(rows)
+
+    # A tuple names the one retained label among its entries; with none
+    # (-1 against n) or two (hi > lo) it is inconclusive.
+    digits = np.indices((n,) * copies).reshape(copies, -1)
+    kept = digits != omit - 1
+    hi = np.where(kept, digits, -1).max(axis=0)
+    lo = np.where(kept, digits, n).min(axis=0)
+    row_of = np.full(n, d)
+    row_of[retained] = np.arange(d)
+    names = np.where(hi == lo, row_of[hi], d)
+
+    # Zero-error audit: an outcome tuple may only weight the input it names.
+    check("stray outcome weight", float(rows[_stray(names, d)].max(initial=0.0)))
+    failure = float(rows[:, names == d].sum(axis=1).mean())
+    return rows, names, failure
+
+
+def run_discrimination(
+    inst: Instance, r: ReciprocalSet, m: WeightedMeasurement, cfg: SimConfig
+) -> SimReport:
+    """Monte Carlo discrimination of the reciprocal states with cfg.copies copies of ``m``.
+
+    Outcome labels are the retained state labels plus "fail".  The report
+    compares the empirical failure rate with the exact one, the mean of
+    (1 - w_i q)^n, and carries the total variation distance between the
+    empirical and exact outcome distributions.  The (input, outcome) tallies
+    from _sample_counts are exact integers: a label's count sums the columns
+    of the tuples that name it, and the misidentifications sum the cells
+    whose tuple names another input.
+    """
+    _check_match(inst, m)
+    rows, names, theoretical = _outcome_rows(r, m, cfg.copies)
     cells = _sample_counts(rows, cfg.trials, cfg.seed)
-    fail = len(inputs)
+    fail = len(m.indices)
     tallies = np.zeros(fail + 1, dtype=np.int64)
     np.add.at(tallies, names, cells.sum(axis=0))
     marginal = np.bincount(names, weights=rows.mean(axis=0), minlength=fail + 1)
     misid = int(cells[_stray(names, fail)].sum())
 
-    counts = {str(j): int(t) for j, t in zip(inputs, tallies)}
+    counts = {str(j): int(t) for j, t in zip(m.indices, tallies)}
     counts["fail"] = int(tallies[fail])
     tv = 0.5 * float(np.abs(tallies / cfg.trials - marginal).sum())
     return SimReport(
@@ -153,34 +198,12 @@ def _sampled_report(rows, names, inputs, theoretical: float, cfg: SimConfig) -> 
     )
 
 
-def run_discrimination(
-    inst: Instance, r: ReciprocalSet, m: WeightedMeasurement, cfg: SimConfig
-) -> SimReport:
-    """Monte Carlo single-copy discrimination of the reciprocal states.
-
-    Outcome labels are the retained state labels plus "fail".  The report
-    compares the empirical failure rate with the closed-form value and
-    carries the total variation distance between the empirical and exact
-    outcome distributions.
-    """
-    if cfg.copies != 1:
-        raise ValueError("run_discrimination handles a single copy; see the multicopy path")
-    _check_match(inst, m)
-    exact = failure_probability(m, r)
-
-    # Outcome j weighs w_j |<psi_j|phi>|^2; the failure column is <phi|F|phi>.
-    conclusive = m.weights * np.take(r.born, np.subtract(m.indices, 1), axis=1)
-    dists = _checked_rows(np.column_stack([conclusive, exact.per_state_failure]))
-    # Column k names input row k, and the last column is the failure.
-    names = np.arange(len(m.indices) + 1)
-    return _sampled_report(dists, names, m.indices, exact.failure_probability, cfg)
-
-
 def classify_tuple(tup, omit: int):
     """Label named by an outcome tuple, or None when it is inconclusive.
 
     The non-omitted entries must be nonempty and all equal to name a label;
     the all-omitted tuple and any mix of two retained labels name nothing.
+    This is the scalar reference of the names _outcome_rows computes.
     """
     named = {j for j in tup if j != omit}
     if len(named) == 1:
@@ -193,61 +216,34 @@ def multicopy_measurement(inst: Instance, copies: int) -> MulticopyMeasurement:
 
     One outcome per label tuple (j_1, ..., j_n), with element
     (D/N)^n * P_(j_1) x ... x P_(j_n), kept as its per-party factors from
-    family_product_ops.  Tuples are classified by classify_tuple.  An input
-    phi^(x n) gives the tuple the product of its single-copy Born weights
-    (D/N) |<psi_(j_k)|phi>|^2, so the exact per-input distribution is the
-    n-fold outer product of the single-copy N-outcome rows.  It certifies
-    that no tuple has weight on an input it does not name and that the
-    failure probability is exactly 2^(-n).
+    family_product_ops.  An input phi^(x n) gives the tuple the product of
+    its single-copy Born weights, so the exact per-input distribution is the
+    n-fold outer product of the single-copy N-outcome rows (_outcome_rows).
+    It certifies that no tuple has weight on an input it does not name and
+    that the failure probability is exactly 2^(-n).
 
     Raises ValueError for copies < 1, and for an outcome table of D * N^n
     entries or per-party factors past usd.MAX_FAMILY_ENTRIES, before
     anything is allocated.
     """
-    n, d = inst.n, inst.total_dim
-    # Past 64 copies N^n alone is over the limit; the shortcut keeps a huge
-    # copies from forming a huge integer.
-    if copies > 64 or d * n**copies > MAX_FAMILY_ENTRIES:
-        raise ValueError(
-            f"{copies}-copy outcome table of N = {n} exceeds the limit of {MAX_FAMILY_ENTRIES}"
-        )
-    party_factors = tuple(tuple(f) for f in family_product_ops(inst, copies))
-    tuples = tuple(itertools.product(range(1, n + 1), repeat=copies))
-    labels = tuple(classify_tuple(t, inst.omit) for t in tuples)
-
+    if copies < 1:
+        raise ValueError("copies must be >= 1")
     r = reciprocal_set(inst)
-    single = (d / n) * r.born
-    per_state = single
-    for _ in range(copies - 1):
-        per_state = (per_state[:, :, None] * single[:, None, :]).reshape(len(r.indices), -1)
-    per_state = _checked_rows(per_state)
-
-    # Zero-error audit: an outcome tuple may only weight the input it names.
-    names = _label_rows(labels, r.indices)
-    fail = len(r.indices)
-    check("stray outcome weight", float(per_state[_stray(names, fail)].max(initial=0.0)))
-    fail_mass = per_state[:, names == fail].sum(axis=1)
-    theoretical = float(fail_mass.mean())
+    per_state, names, failure = _outcome_rows(r, optimal_measurement(inst), copies)
+    party_factors = tuple(tuple(f) for f in family_product_ops(inst, copies))
+    label_of = (*r.indices, None)
     return MulticopyMeasurement(
-        tuples=tuples,
-        labels=labels,
+        labels=tuple(label_of[k] for k in names),
         party_factors=party_factors,
-        theoretical_failure=theoretical,
+        theoretical_failure=failure,
         per_state=per_state,
         inputs=r.indices,
     )
 
 
 def run_multicopy_discrimination(inst: Instance, cfg: SimConfig) -> SimReport:
-    """Sampled discrimination with cfg.copies tensor copies per trial.
-
-    The exact outcome distributions come from multicopy_measurement; trials
-    sample them.  Counts aggregate outcome tuples into the label they name
-    ("fail" for inconclusive tuples), mirroring the single-copy report.
-    """
-    mm = multicopy_measurement(inst, cfg.copies)
-    names = _label_rows(mm.labels, mm.inputs)
-    return _sampled_report(mm.per_state, names, mm.inputs, mm.theoretical_failure, cfg)
+    """run_discrimination of the symmetric measurement with cfg.copies copies."""
+    return run_discrimination(inst, reciprocal_set(inst), optimal_measurement(inst), cfg)
 
 
 def complement_decomposition(dims, enlarged_dims):

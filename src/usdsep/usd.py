@@ -48,8 +48,8 @@ __all__ = [
 PSD_TOL = 1e-10
 PAIRWISE_SLACK = 1e-10
 # Largest product family (outcomes times the entries each carries: its label
-# tuple and its per-party factors) that family_product_ops builds; the
-# multicopy simulator holds its (D, N^n) outcome table to the same limit.
+# tuple and its per-party factors) that family_product_ops builds; past one
+# copy the simulator holds its (D, N^n) outcome table to the same limit.
 MAX_FAMILY_ENTRIES = 1_000_000
 # Weight vectors oracle_optimize screens per batched eigvalsh call.
 ORACLE_CHUNK = 10_000

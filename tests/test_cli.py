@@ -239,9 +239,13 @@ def test_weights_runs_record_the_tol_they_used(capsys, argv):
     assert "tol" not in payload["manifest"]["parameters"]
 
 
-@pytest.mark.parametrize("command", ["certify", "simulate"])
-def test_copies_past_the_size_limit_is_input_error(capsys, command):
-    rc, out, err = run_cli(capsys, command, "--n", "5", "--copies", "5")
+@pytest.mark.parametrize(
+    "command, copies", [("certify", "5"), ("simulate", "8")], ids=["certify", "simulate"]
+)
+def test_copies_past_the_size_limit_is_input_error(capsys, command, copies):
+    # certify stops at its per-party factors, simulate at its D * N^n
+    # outcome table (4 * 5^8 > 10^6).
+    rc, out, err = run_cli(capsys, command, "--n", "5", "--copies", copies)
     assert rc == 2
     assert out == ""
     assert "limit" in err
@@ -420,19 +424,22 @@ def test_simulate_weights(capsys):
     assert abs(payload["theoretical_failure"] - 11.0 / 16.0) <= 1e-12
 
 
-def test_simulate_rejects_weights_with_copies(capsys):
-    rc, _, err = run_cli(
-        capsys,
-        "simulate",
-        "--n",
-        "5",
-        "--copies",
-        "2",
-        "--weights",
-        "0.5,0.5,0.5,0.5",
+def test_simulate_weights_with_copies(capsys):
+    # Each copy fails with 1 - w q = 1 - 0.5 * 5/8 = 11/16.
+    payload, _ = run_json(
+        capsys, "simulate", "--n", "5", "--copies", "2", "--weights", "0.5,0.5,0.5,0.5"
     )
-    assert rc == 2
-    assert "single-copy" in err
+    assert abs(payload["theoretical_failure"] - 121.0 / 256.0) <= 1e-12
+    assert payload["misidentifications"] == 0
+
+
+@pytest.mark.parametrize("n, copies", [(61, 2), (5, 7)])
+def test_simulate_copies_up_to_the_table_limit(capsys, n, copies):
+    payload, _ = run_json(
+        capsys, "simulate", "--n", str(n), "--copies", str(copies), "--trials", "1000"
+    )
+    assert abs(payload["theoretical_failure"] - 2.0**-copies) <= 1e-12
+    assert payload["misidentifications"] == 0
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usdsep import (
@@ -31,11 +31,9 @@ from usdsep import (
     is_prime,
     kron_all,
     make_instance,
-    multicopy_measurement,
     proj,
     reciprocal_set,
     run_discrimination,
-    run_multicopy_discrimination,
 )
 from usdsep.simulator import _sample_counts
 from usdsep.usd import PSD_TOL
@@ -218,22 +216,22 @@ def assert_report_matches(rep, reference):
 def test_sampled_tallies_match_a_per_label_reference(inst, copies, scale, seed, trials):
     # The reference rebuilds the sampled rows with the simulator's own
     # arithmetic, so both draw the same cell tallies and only the sums differ.
+    # Column j - 1 of the single-copy row is label j; the omitted label's
+    # column is the failure.  Every run, one copy or several, at either
+    # scale, checks the simulator's vectorized names against classify_tuple.
     r = reciprocal_set(inst)
     d = inst.total_dim
     m = build_measurement(inst, np.full(d, scale * d / inst.n))  # 1.0: the optimal one
-    conclusive = m.weights * np.take(r.born, np.subtract(m.indices, 1), axis=1)
-    failure = failure_probability(m, r).per_state_failure
-    rows = np.clip(np.column_stack([conclusive, failure]), 0.0, None)
-    tuples = [(j,) for j in m.indices] + [(inst.omit,)]
-    cfg = SimConfig(seed=seed, trials=trials)
-    reference = tally_reference(rows, tuples, m.indices, inst.omit, cfg)
-    assert_report_matches(run_discrimination(inst, r, m, cfg), reference)
-
-    try:
-        mm = multicopy_measurement(inst, copies)
-    except ValueError:
-        assume(False)  # past the size limit
-    tuples = itertools.product(range(1, inst.n + 1), repeat=copies)
-    cfg = SimConfig(seed=seed, trials=trials, copies=copies)
-    reference = tally_reference(mm.per_state, list(tuples), mm.inputs, inst.omit, cfg)
-    assert_report_matches(run_multicopy_discrimination(inst, cfg), reference)
+    single = np.empty((d, inst.n))
+    for i, j in enumerate(m.indices):
+        single[:, j - 1] = m.weights[i] * r.born[:, j - 1]
+    single[:, inst.omit - 1] = failure_probability(m, r).per_state_failure
+    for n_copies in sorted({1, copies}):
+        rows = single
+        for _ in range(n_copies - 1):
+            rows = (rows[:, :, None] * single[:, None, :]).reshape(d, -1)
+        rows = np.clip(rows, 0.0, None)
+        tuples = itertools.product(range(1, inst.n + 1), repeat=n_copies)
+        cfg = SimConfig(seed=seed, trials=trials, copies=n_copies)
+        reference = tally_reference(rows, list(tuples), m.indices, inst.omit, cfg)
+        assert_report_matches(run_discrimination(inst, r, m, cfg), reference)

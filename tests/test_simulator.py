@@ -2,12 +2,14 @@
 
 import dataclasses
 import itertools
+import json
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import usdsep.cli
 import usdsep.simulator
 from usdsep import (
     InvariantError,
@@ -41,6 +43,20 @@ def test_config_validation():
     with pytest.raises(ValueError, match=r"2\*\*63"):
         SimConfig(seed=0, trials=2**63)
     assert SimConfig(seed=0, trials=2**63 - 1).trials == 2**63 - 1
+    # Non-integers are refused, as make_instance refuses them, instead of
+    # being truncated by numpy or reaching its TypeError.
+    for bad in (
+        {"seed": 0, "trials": 2.5},
+        {"seed": 0, "trials": True},
+        {"seed": 0, "trials": 10, "copies": True},
+        {"seed": 0.5, "trials": 10},
+        {"seed": 0, "trials": 10, "copies": 2.0},
+        {"seed": "0", "trials": 10},
+        {"seed": 0, "trials": "10"},
+        {"seed": 0, "trials": 10, "copies": "2"},
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            SimConfig(**bad)
 
 
 def born_reference(inst, copies):
@@ -100,11 +116,11 @@ def test_run_discrimination_frozen_seed():
     m = optimal_measurement(inst)
     rep = run_discrimination(inst, r, m, SimConfig(seed=7, trials=100_000))
     assert rep.misidentifications == 0
-    assert rep.empirical_failure == 0.49941
+    assert rep.empirical_failure == 0.50182
     assert abs(rep.theoretical_failure - 0.5) <= 1e-12
     assert abs(rep.empirical_failure - 0.5) <= five_sigma_band(0.5, 100_000)
     assert list(rep.counts.items()) == [
-        ("2", 12511), ("3", 12465), ("4", 12518), ("5", 12565), ("fail", 49941)
+        ("2", 12469), ("3", 12422), ("4", 12211), ("5", 12716), ("fail", 50182)
     ]
     assert sum(rep.counts.values()) == 100_000
     assert 0.0 <= rep.tv_distance <= 0.01
@@ -228,13 +244,6 @@ def test_run_discrimination_rejections():
         run_discrimination(
             inst5,
             reciprocal_set(inst5),
-            optimal_measurement(inst5),
-            SimConfig(seed=0, trials=10, copies=2),
-        )
-    with pytest.raises(ValueError):
-        run_discrimination(
-            inst5,
-            reciprocal_set(inst5),
             optimal_measurement(inst7),
             SimConfig(seed=0, trials=10),
         )
@@ -265,17 +274,16 @@ def test_classify_tuple_cases():
 def test_multicopy_single_copy_reduces_to_base_measurement():
     inst = make_instance(5)
     mm = multicopy_measurement(inst, copies=1)
-    assert mm.tuples == ((1,), (2,), (3,), (4,), (5,))
     assert mm.labels == (None, 2, 3, 4, 5)
-    for t, factors in zip(mm.tuples, mm.party_factors):
-        assert np.linalg.norm(kron_all(factors) - 0.8 * proj(inst.state(t[0]))) <= 1e-12
+    for j, factors in enumerate(mm.party_factors, start=1):
+        assert np.linalg.norm(kron_all(factors) - 0.8 * proj(inst.state(j))) <= 1e-12
     assert abs(mm.theoretical_failure - 0.5) <= 1e-12
 
 
 def test_multicopy_two_copies_structure():
     inst = make_instance(5)
     mm = multicopy_measurement(inst, copies=2)
-    assert len(mm.tuples) == 25
+    assert len(mm.labels) == 25
     assert len(mm.party_factors) == 25
     assert all(f.shape == (4, 4) for factors in mm.party_factors for f in factors)
     assert mm.per_state.shape == (4, 25)
@@ -387,15 +395,25 @@ def test_run_multicopy_builds_the_reciprocal_set_once(monkeypatch):
 def test_run_multicopy_single_copy_agrees_with_single_path():
     inst = make_instance(5)
     r = reciprocal_set(inst)
-    single = run_discrimination(
-        inst, r, optimal_measurement(inst), SimConfig(seed=5, trials=30_000)
-    )
-    multi = run_multicopy_discrimination(inst, SimConfig(seed=5, trials=30_000, copies=1))
-    assert multi.misidentifications == single.misidentifications == 0
-    assert abs(multi.theoretical_failure - single.theoretical_failure) <= 1e-12
-    band = five_sigma_band(0.5, 30_000)
-    assert abs(multi.empirical_failure - 0.5) <= band
-    assert abs(single.empirical_failure - 0.5) <= band
+    m = optimal_measurement(inst)
+    for copies in (1, 2, 3):
+        cfg = SimConfig(seed=5, trials=30_000, copies=copies)
+        multi = run_multicopy_discrimination(inst, cfg)
+        assert multi == run_discrimination(inst, r, m, cfg)
+        assert multi.misidentifications == 0
+
+
+def test_simulation_builds_no_certificate_factors(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("family_product_ops called")
+
+    monkeypatch.setattr(usdsep.simulator, "family_product_ops", refuse)
+    assert usdsep.cli.main(["simulate", "--n", "5", "--copies", "2", "--trials", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["copies"] == 2
+    inst = make_instance(5)
+    for copies in (1, 3):
+        cfg = SimConfig(seed=0, trials=1000, copies=copies)
+        run_discrimination(inst, reciprocal_set(inst), optimal_measurement(inst), cfg)
 
 
 def test_complement_decomposition_example():
