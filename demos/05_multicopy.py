@@ -42,6 +42,15 @@ rep = run_multicopy_discrimination(inst, SimConfig(seed=9, trials=50_000, copies
 print("\ntwo-copy sampling: empirical %.5f, theoretical %.5f, misidentifications %d"
       % (rep.empirical_failure, rep.theoretical_failure, rep.misidentifications))
 
+# Grouped by the label they name, n copies are again an N-outcome
+# measurement, so sampling needs no N^n table: ten copies at N = 61
+# (61^10 label tuples) fail about once in a thousand trials.
+inst61 = make_instance(61)
+rep = run_multicopy_discrimination(inst61, SimConfig(seed=9, trials=1_000_000, copies=10))
+print("ten copies at N = 61: empirical %.6f, theoretical %.6f (2^-10 = %.6f), "
+      "misidentifications %d"
+      % (rep.empirical_failure, rep.theoretical_failure, 0.5 ** 10, rep.misidentifications))
+
 # The two-copy measurement hands each party 25 factor operators: 25 extreme
 # rays per party against a budget of 2 * (25 - 1) = 48.
 mm2 = multicopy_measurement(inst, copies=2)

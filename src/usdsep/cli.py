@@ -37,7 +37,7 @@ from .simulator import SimConfig, run_discrimination
 from .usd import (
     PSD_TOL,
     NotPSDError,
-    _top_secular_root,
+    _min_eigenvalue,
     build_measurement,
     failure_probability,
     family_product_ops,
@@ -247,8 +247,7 @@ def _verify_one(n: int, rng: np.random.Generator) -> list[tuple[str, bool, str]]
     hi = 2.0 * d / n
     for _ in range(200):
         w = rng.uniform(0.0, hi, size=d)
-        min_eig = 1.0 - n / d * _top_secular_root(w, n)  # as build_measurement has it
-        w /= 1.0 - min_eig
+        w /= 1.0 - _min_eigenvalue(w, n, d)
         try:
             build_measurement(inst, w)
         except NotPSDError:

@@ -289,7 +289,9 @@ def check_linear_independence(inst: Instance, subset):
     subset of at most D labels is independent for these families; the full
     set of N never is (N vectors in D = N - 1 dimensions).
     """
-    subset = [int(j) for j in subset]
+    subset = list(subset)
+    if not all(map(_is_integer, subset)):
+        raise ValueError(f"subset labels must be integers, got {subset!r}")
     if not subset:
         raise ValueError("subset must be non-empty")
     labels = sorted(set(subset))
@@ -379,7 +381,8 @@ def dual_basis_omit(inst: Instance, drop: int) -> DualBasisOmit:
     the pairwise weight bound on discrimination measurements.  The vectors
     are the duals xi_k (module docstring, l = drop) for k outside {omit, drop}.
     """
-    drop = int(drop)
+    if not _is_integer(drop):
+        raise ValueError(f"drop must be an integer, got {drop!r}")
     if not 1 <= drop <= inst.n:
         raise ValueError(f"drop must be in 1..{inst.n}")
     if drop == inst.omit:
@@ -391,7 +394,7 @@ def dual_basis_omit(inst: Instance, drop: int) -> DualBasisOmit:
     # The duals must reproduce delta overlaps on the kept family and a
     # unimodular overlap -exp(2 pi i (k - drop)/N) with the dropped state.
     cross = vectors.conj() @ inst.states.T  # entry [i, j - 1] = <xi_(ks[i]) | psi_j>
-    predicted = -np.exp(2j * np.pi * (ks - drop) / inst.n)
+    predicted = -_roots(inst.n)[(ks - drop) % inst.n]
     check("dual dropped overlap", float(np.max(np.abs(cross[:, drop - 1] - predicted))))
     cross[np.arange(len(ks)), ks - 1] -= 1.0
     cross[:, drop - 1] = 0.0

@@ -14,17 +14,17 @@ any tuple mixing two different retained labels, is inconclusive.  Input i
 fails on each copy with probability 1 - w_i q independently, so under the
 symmetric weights the failure probability decays as 2^(-n).
 
-One copy is copies = 1 of the same path, which draws tallies rather than
-trials: one multinomial splits the trials among the inputs and one more
-splits each input's share among its outcomes, so the cost does not grow
-with the number of trials.  Each outcome maps to the row index of the
-input it names (one past the last row when inconclusive); the report sums
-the (input, outcome) tallies by that index, and one weighted bincount gives
-the exact marginal.
+Grouped by the label they name, n copies are again an N-outcome
+measurement over the same labels, so the simulator samples one (D, N) law
+for every copy count and forms no N^n table (multicopy_measurement keeps
+it as the reference).  It draws tallies rather than trials: one
+multinomial splits the trials among the inputs and one more splits each
+input's share among the labels, so the cost does not grow with the trials.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +59,8 @@ class SimConfig:
             raise ValueError("seed must be >= 0")
         if not 1 <= self.trials < 2**63:
             raise ValueError("trials must be >= 1 and < 2**63")
-        if self.copies < 1:
-            raise ValueError("copies must be >= 1")
+        if not 1 <= self.copies < 2**63:
+            raise ValueError("copies must be >= 1 and < 2**63")
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,6 @@ def _checked_rows(rows: np.ndarray) -> np.ndarray:
     return np.clip(rows, 0.0, None)
 
 
-def _stray(names: np.ndarray, fail: int) -> np.ndarray:
-    """(inputs, outcomes) mask of the outcomes that name another input than the row's."""
-    return (names != fail) & (names != np.arange(fail)[:, None])
-
-
 def _sample_counts(rows: np.ndarray, trials: int, seed: int) -> np.ndarray:
     """(inputs, outcomes) int64 tallies of ``trials`` runs; rows[i] is input i's outcome row.
 
@@ -118,47 +113,44 @@ def _sample_counts(rows: np.ndarray, trials: int, seed: int) -> np.ndarray:
     return rng.multinomial(per_input, rows / rows.sum(axis=1, keepdims=True))
 
 
-def _outcome_rows(r: ReciprocalSet, m: WeightedMeasurement, copies: int):
-    """(rows, names, failure) of ``copies`` copies of ``m`` on the reciprocal inputs.
+def _single_rows(r: ReciprocalSet, m: WeightedMeasurement) -> np.ndarray:
+    """Checked (D, N) outcome rows of one copy of ``m`` on the reciprocal inputs.
 
-    rows[i, k] is the probability that input i gives the k-th label tuple
-    (itertools.product order): the product of its single-copy entries, where
-    label j weighs w_j |<psi_j|phi_i>|^2 and the omitted label weighs
-    <phi_i|F|phi_i>, the dense trace that audits m.failure_op.  names[k] is
-    the row of the input tuple k names, D when inconclusive; failure is the
-    mean inconclusive mass.  Past one copy (one copy is the size of r.born),
-    a table over usd.MAX_FAMILY_ENTRIES raises ValueError before allocating.
+    Column j - 1 is label j, weighing w_j |<psi_j|phi_i>|^2; the omitted
+    label's column is <phi_i|F|phi_i>, the dense trace that audits
+    m.failure_op.
     """
-    n, d, omit = m.n, len(m.indices), m.omit
-    # Past 64 copies N^n alone is over the limit; the shortcut keeps a huge
-    # copies from forming a huge integer.
-    if copies > 1 and (copies > 64 or d * n**copies > MAX_FAMILY_ENTRIES):
-        raise ValueError(
-            f"{copies}-copy outcome table of N = {n} exceeds the limit of {MAX_FAMILY_ENTRIES}"
-        )
     retained = np.subtract(m.indices, 1)
-    single = np.empty((d, n))
+    single = np.empty((len(m.indices), m.n))
     single[:, retained] = m.weights * r.born[:, retained]
-    single[:, omit - 1] = failure_probability(m, r).per_state_failure
-    rows = single
-    for _ in range(copies - 1):
-        rows = (rows[:, :, None] * single[:, None, :]).reshape(d, -1)
-    rows = _checked_rows(rows)
+    single[:, m.omit - 1] = failure_probability(m, r).per_state_failure
+    return _checked_rows(single)
 
-    # A tuple names the one retained label among its entries; with none
-    # (-1 against n) or two (hi > lo) it is inconclusive.
-    digits = np.indices((n,) * copies).reshape(copies, -1)
-    kept = digits != omit - 1
-    hi = np.where(kept, digits, -1).max(axis=0)
-    lo = np.where(kept, digits, n).min(axis=0)
-    row_of = np.full(n, d)
-    row_of[retained] = np.arange(d)
-    names = np.where(hi == lo, row_of[hi], d)
 
-    # Zero-error audit: an outcome tuple may only weight the input it names.
-    check("stray outcome weight", float(rows[_stray(names, d)].max(initial=0.0)))
-    failure = float(rows[:, names == d].sum(axis=1).mean())
-    return rows, names, failure
+def _named_rows(r: ReciprocalSet, m: WeightedMeasurement, copies: int) -> np.ndarray:
+    """(D, N) law of the label that ``copies`` copies of ``m`` name, per reciprocal input.
+
+    With p a normalized single-copy row and f its failure cell, label k is
+    named with probability (p_k + f)^n - f^n, so a stray cell sums every
+    tuple naming another input.  With s the mass on those labels, the
+    partner takes (1 - s)^n - f^n and the omitted label's column the rest;
+    expm1 and log1p keep every cell off differences of numbers near 1.  One
+    copy is the single-copy table itself.
+    """
+    law = _single_rows(r, m)
+    fail, rows, partner = m.omit - 1, np.arange(len(m.indices)), np.subtract(m.indices, 1)
+    other = np.ones(law.shape, dtype=bool)  # labels naming another input than the row's
+    other[:, fail] = other[rows, partner] = False
+    if copies > 1:
+        law /= law.sum(axis=1, keepdims=True)
+        f = law[:, fail].copy()  # a copy: the failure column is overwritten below
+        kept = copies * np.log1p(-law.sum(axis=1, where=other))  # log (1 - s)^n
+        np.subtract((law + f[:, None]) ** copies, f[:, None] ** copies, out=law, where=other)
+        law[:, fail] = f**copies - np.expm1(kept) - law.sum(axis=1, where=other)
+        law[rows, partner] = np.exp(kept) - f**copies
+        law = _checked_rows(law)
+    check("stray outcome weight", float(law.max(where=other, initial=0.0)))
+    return law
 
 
 def run_discrimination(
@@ -169,22 +161,21 @@ def run_discrimination(
     Outcome labels are the retained state labels plus "fail".  The report
     compares the empirical failure rate with the exact one, the mean of
     (1 - w_i q)^n, and carries the total variation distance between the
-    empirical and exact outcome distributions.  The (input, outcome) tallies
-    from _sample_counts are exact integers: a label's count sums the columns
-    of the tuples that name it, and the misidentifications sum the cells
-    whose tuple names another input.
+    empirical and exact outcome distributions.  The copies are sampled by
+    the label they name (_named_rows), so the (input, label) tallies from
+    _sample_counts are exact integers: a label's count is its column sum,
+    and the misidentifications are the conclusive cells off the partner.
     """
     _check_match(inst, m)
-    rows, names, theoretical = _outcome_rows(r, m, cfg.copies)
-    cells = _sample_counts(rows, cfg.trials, cfg.seed)
-    fail = len(m.indices)
-    tallies = np.zeros(fail + 1, dtype=np.int64)
-    np.add.at(tallies, names, cells.sum(axis=0))
-    marginal = np.bincount(names, weights=rows.mean(axis=0), minlength=fail + 1)
-    misid = int(cells[_stray(names, fail)].sum())
-
+    law = _named_rows(r, m, cfg.copies)
+    cells = _sample_counts(law, cfg.trials, cfg.seed)
+    fail, partner = m.omit - 1, np.subtract(m.indices, 1)
+    order = [*partner, fail]  # the report's outcomes: retained labels, then "fail"
+    tallies, marginal = cells.sum(axis=0)[order], law.mean(axis=0)[order]
+    named = int(cells[np.arange(len(partner)), partner].sum())
     counts = {str(j): int(t) for j, t in zip(m.indices, tallies)}
-    counts["fail"] = int(tallies[fail])
+    counts["fail"] = int(tallies[-1])
+    misid = cfg.trials - named - counts["fail"]
     tv = 0.5 * float(np.abs(tallies / cfg.trials - marginal).sum())
     return SimReport(
         seed=cfg.seed,
@@ -193,7 +184,7 @@ def run_discrimination(
         counts=counts,
         misidentifications=misid,
         empirical_failure=counts["fail"] / cfg.trials,
-        theoretical_failure=theoretical,
+        theoretical_failure=float(law[:, fail].mean()),
         tv_distance=tv,
     )
 
@@ -203,7 +194,7 @@ def classify_tuple(tup, omit: int):
 
     The non-omitted entries must be nonempty and all equal to name a label;
     the all-omitted tuple and any mix of two retained labels name nothing.
-    This is the scalar reference of the names _outcome_rows computes.
+    multicopy_measurement labels its N^n reference tuples with it.
     """
     named = {j for j in tup if j != omit}
     if len(named) == 1:
@@ -218,24 +209,31 @@ def multicopy_measurement(inst: Instance, copies: int) -> MulticopyMeasurement:
     (D/N)^n * P_(j_1) x ... x P_(j_n), kept as its per-party factors from
     family_product_ops.  An input phi^(x n) gives the tuple the product of
     its single-copy Born weights, so the exact per-input distribution is the
-    n-fold outer product of the single-copy N-outcome rows (_outcome_rows).
-    It certifies that no tuple has weight on an input it does not name and
-    that the failure probability is exactly 2^(-n).
+    n-fold outer product of the single-copy rows (_single_rows), labelled
+    by classify_tuple: the reference for the law that _named_rows samples,
+    from which the failure probability, exactly 2^(-n), is read.
 
-    Raises ValueError for copies < 1, and for an outcome table of D * N^n
-    entries or per-party factors past usd.MAX_FAMILY_ENTRIES, before
-    anything is allocated.
+    Raises ValueError for copies not an integer >= 1, and for an outcome
+    table of D * N^n entries or per-party factors past
+    usd.MAX_FAMILY_ENTRIES, before anything is allocated.
     """
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    r = reciprocal_set(inst)
-    per_state, names, failure = _outcome_rows(r, optimal_measurement(inst), copies)
-    party_factors = tuple(tuple(f) for f in family_product_ops(inst, copies))
-    label_of = (*r.indices, None)
+    if not _is_integer(copies) or copies < 1:
+        raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
+    n, d = inst.n, inst.total_dim
+    # Past 64 copies N^n alone is over the limit: no huge integer is formed.
+    if copies > 64 or d * n**copies > MAX_FAMILY_ENTRIES:
+        raise ValueError(
+            f"{copies}-copy outcome table of N = {n} exceeds the limit of {MAX_FAMILY_ENTRIES}"
+        )
+    r, m = reciprocal_set(inst), optimal_measurement(inst)
+    single = per_state = _single_rows(r, m)
+    for _ in range(copies - 1):
+        per_state = (per_state[:, :, None] * single[:, None, :]).reshape(d, -1)
+    tuples = itertools.product(range(1, n + 1), repeat=copies)
     return MulticopyMeasurement(
-        labels=tuple(label_of[k] for k in names),
-        party_factors=party_factors,
-        theoretical_failure=failure,
+        labels=tuple(classify_tuple(t, inst.omit) for t in tuples),
+        party_factors=tuple(tuple(f) for f in family_product_ops(inst, copies)),
+        theoretical_failure=float(_named_rows(r, m, copies)[:, inst.omit - 1].mean()),
         per_state=per_state,
         inputs=r.indices,
     )
@@ -260,8 +258,9 @@ def complement_decomposition(dims, enlarged_dims):
     Returns the list of terms, each as its list of per-party factors; terms
     where a party was not enlarged are identically zero and still returned.
     """
-    dims = [int(d) for d in dims]
-    enlarged = [int(d) for d in enlarged_dims]
+    dims, enlarged = list(dims), list(enlarged_dims)
+    if not all(map(_is_integer, dims + enlarged)):
+        raise ValueError(f"dimensions must be integers, got {dims!r} and {enlarged!r}")
     if len(dims) != len(enlarged):
         raise ValueError("dims and enlarged_dims must have the same length")
     if any(d < 1 for d in dims):

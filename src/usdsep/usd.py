@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, ReciprocalSet, _check_match
+from .instance import Instance, ReciprocalSet, _check_match, _is_integer
 from .numerics import check
 
 __all__ = [
@@ -48,8 +48,9 @@ __all__ = [
 PSD_TOL = 1e-10
 PAIRWISE_SLACK = 1e-10
 # Largest product family (outcomes times the entries each carries: its label
-# tuple and its per-party factors) that family_product_ops builds; past one
-# copy the simulator holds its (D, N^n) outcome table to the same limit.
+# tuple and its per-party factors) that family_product_ops builds;
+# simulator.multicopy_measurement holds its (D, N^n) reference table to the
+# same limit.  Sampling forms no N^n table and has no copy limit.
 MAX_FAMILY_ENTRIES = 1_000_000
 # Weight vectors oracle_optimize screens per batched eigvalsh call.
 ORACLE_CHUNK = 10_000
@@ -138,7 +139,7 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
     unrolled = spectrum[np.arange(1 - d, d) % n]
     e = inst.exponents
     weighted = unrolled[np.subtract.outer(e + (d - 1), e)]
-    min_eig = 1.0 - n / d * _top_secular_root(w, n)
+    min_eig = _min_eigenvalue(w, n, d)
     if min_eig < -psd_tol:
         raise NotPSDError(
             f"failure operator has eigenvalue {min_eig:.3e}; weights are infeasible"
@@ -171,6 +172,11 @@ def _cap_units(w: np.ndarray, n: int, d: int) -> float:
     it is 1 for every weight vector within the cap.
     """
     return max(1.0, n * float(w.max()) / (2.0 * d))
+
+
+def _min_eigenvalue(w: np.ndarray, n: int, d: int) -> float:
+    """Smallest eigenvalue of the failure operator of weights ``w`` (module docstring)."""
+    return 1.0 - n / d * _top_secular_root(w, n)
 
 
 def _top_secular_root(w: np.ndarray, n: int) -> float:
@@ -338,11 +344,11 @@ def family_product_ops(inst: Instance, copies: int = 1) -> list[list[np.ndarray]
     (N^n, d^n, d^n) stack: one reshaped outer product per copy builds the
     n-copy local states, and one batched outer product their projectors.
 
-    Raises ValueError for copies < 1 and for families past
-    MAX_FAMILY_ENTRIES, before anything is allocated.
+    Raises ValueError for a copies that is not an integer >= 1 and for
+    families past MAX_FAMILY_ENTRIES, before anything is allocated.
     """
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
+    if not _is_integer(copies) or copies < 1:
+        raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
     n, d = inst.n, inst.total_dim
     # Past 64 copies every family is over the limit (N^n alone is); the
     # shortcut keeps a huge copies from forming huge integers.

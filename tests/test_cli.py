@@ -239,12 +239,10 @@ def test_weights_runs_record_the_tol_they_used(capsys, argv):
     assert "tol" not in payload["manifest"]["parameters"]
 
 
-@pytest.mark.parametrize(
-    "command, copies", [("certify", "5"), ("simulate", "8")], ids=["certify", "simulate"]
-)
+@pytest.mark.parametrize("command, copies", [("certify", "5")], ids=["certify"])
 def test_copies_past_the_size_limit_is_input_error(capsys, command, copies):
-    # certify stops at its per-party factors, simulate at its D * N^n
-    # outcome table (4 * 5^8 > 10^6).
+    # certify stops at its per-party factors; simulate has no copy limit
+    # (test_simulate_any_copy_count).
     rc, out, err = run_cli(capsys, command, "--n", "5", "--copies", copies)
     assert rc == 2
     assert out == ""
@@ -433,8 +431,11 @@ def test_simulate_weights_with_copies(capsys):
     assert payload["misidentifications"] == 0
 
 
-@pytest.mark.parametrize("n, copies", [(61, 2), (5, 7)])
-def test_simulate_copies_up_to_the_table_limit(capsys, n, copies):
+@pytest.mark.parametrize(
+    "n, copies", [(61, 2), (5, 7), (61, 3), (5, 8), (211, 2), (61, 10**6)]
+)
+def test_simulate_any_copy_count(capsys, n, copies):
+    # The sampled law is (D, N) whatever the copies: no N^n table, no limit.
     payload, _ = run_json(
         capsys, "simulate", "--n", str(n), "--copies", str(copies), "--trials", "1000"
     )
@@ -481,6 +482,13 @@ def test_simulate_rejects_trials_past_int64(capsys):
     assert rc == 2
     assert out == ""
     assert "trials must be >= 1 and < 2**63" in err
+
+
+def test_simulate_rejects_copies_past_int64(capsys):
+    rc, out, err = run_cli(capsys, "simulate", "--n", "5", "--copies", str(2**63))
+    assert rc == 2
+    assert out == ""
+    assert "copies must be >= 1 and < 2**63" in err
 
 
 def test_simulate_writes_file(tmp_path, capsys):

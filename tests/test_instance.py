@@ -198,6 +198,10 @@ def test_linear_independence_examples():
         check_linear_independence(inst, [1, 1])
     with pytest.raises(ValueError):
         check_linear_independence(inst, [0, 1])
+    # Non-integer labels are refused, not truncated to other labels.
+    for bad in ([1.5, 2.7], [2, True], ["2", "3"]):
+        with pytest.raises(ValueError, match="must be integers"):
+            check_linear_independence(inst, bad)
 
 
 def test_any_basis_sized_subset_is_independent():
@@ -304,6 +308,10 @@ def test_dual_basis_omit_rejects_bad_labels():
         dual_basis_omit(inst, 0)
     with pytest.raises(ValueError):
         dual_basis_omit(inst, 6)
+    for bad in (2.9, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            dual_basis_omit(inst, bad)
+    assert dual_basis_omit(inst, np.int64(2)).ks == (3, 4, 5)
 
 
 def test_instance_dict_round_trip():

@@ -35,7 +35,7 @@ from usdsep import (
     reciprocal_set,
     run_discrimination,
 )
-from usdsep.simulator import _sample_counts
+from usdsep.simulator import _named_rows, _sample_counts
 from usdsep.usd import PSD_TOL
 
 PRIMES = [p for p in range(5, 252) if is_prime(p)]
@@ -217,8 +217,8 @@ def test_sampled_tallies_match_a_per_label_reference(inst, copies, scale, seed, 
     # The reference rebuilds the sampled rows with the simulator's own
     # arithmetic, so both draw the same cell tallies and only the sums differ.
     # Column j - 1 of the single-copy row is label j; the omitted label's
-    # column is the failure.  Every run, one copy or several, at either
-    # scale, checks the simulator's vectorized names against classify_tuple.
+    # column is the failure.  Past one copy the N^n tuple rows, grouped by
+    # the label classify_tuple names, must give the sampled (D, N) law.
     r = reciprocal_set(inst)
     d = inst.total_dim
     m = build_measurement(inst, np.full(d, scale * d / inst.n))  # 1.0: the optimal one
@@ -226,12 +226,20 @@ def test_sampled_tallies_match_a_per_label_reference(inst, copies, scale, seed, 
     for i, j in enumerate(m.indices):
         single[:, j - 1] = m.weights[i] * r.born[:, j - 1]
     single[:, inst.omit - 1] = failure_probability(m, r).per_state_failure
+    single = np.clip(single, 0.0, None)
+    labels = [(j,) for j in range(1, inst.n + 1)]  # column j - 1 names label j
     for n_copies in sorted({1, copies}):
         rows = single
         for _ in range(n_copies - 1):
             rows = (rows[:, :, None] * single[:, None, :]).reshape(d, -1)
-        rows = np.clip(rows, 0.0, None)
-        tuples = itertools.product(range(1, inst.n + 1), repeat=n_copies)
+        if n_copies > 1:
+            law = _named_rows(r, m, n_copies)
+            grouped = np.zeros((d, inst.n))
+            tuples = itertools.product(range(1, inst.n + 1), repeat=n_copies)
+            for k, t in enumerate(tuples):
+                grouped[:, (classify_tuple(t, inst.omit) or inst.omit) - 1] += rows[:, k]
+            assert np.max(np.abs(grouped - law)) <= 1e-14
+            rows = law
         cfg = SimConfig(seed=seed, trials=trials, copies=n_copies)
-        reference = tally_reference(rows, list(tuples), m.indices, inst.omit, cfg)
+        reference = tally_reference(rows, labels, m.indices, inst.omit, cfg)
         assert_report_matches(run_discrimination(inst, r, m, cfg), reference)

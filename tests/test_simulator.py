@@ -43,6 +43,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match=r"2\*\*63"):
         SimConfig(seed=0, trials=2**63)
     assert SimConfig(seed=0, trials=2**63 - 1).trials == 2**63 - 1
+    with pytest.raises(ValueError, match=r"copies must be >= 1 and < 2\*\*63"):
+        SimConfig(seed=0, trials=10, copies=2**63)
+    assert SimConfig(seed=0, trials=10, copies=2**63 - 1).copies == 2**63 - 1
     # Non-integers are refused, as make_instance refuses them, instead of
     # being truncated by numpy or reaching its TypeError.
     for bad in (
@@ -99,15 +102,16 @@ def test_outcome_distribution_rejections():
     inst = make_instance(5)
     r = reciprocal_set(inst)
     m = optimal_measurement(inst)
-    cfg = SimConfig(seed=0, trials=10)
     t = float(np.sum(np.abs(r.states.conj() @ r.states[0]) ** 2)) / len(r.indices)
     x = proj(r.states[0]) - t * np.eye(inst.total_dim)
     shifted = dataclasses.replace(m, failure_op=m.failure_op + 0.1 * x)
-    with pytest.raises(InvariantError, match="miss 1"):
-        run_discrimination(inst, r, shifted, cfg)
     negative = dataclasses.replace(m, failure_op=m.failure_op - 1.0 * x)
-    with pytest.raises(InvariantError, match="negative"):
-        run_discrimination(inst, r, negative, cfg)
+    for copies in (1, 2):
+        cfg = SimConfig(seed=0, trials=10, copies=copies)
+        with pytest.raises(InvariantError, match="miss 1"):
+            run_discrimination(inst, r, shifted, cfg)
+        with pytest.raises(InvariantError, match="negative"):
+            run_discrimination(inst, r, negative, cfg)
 
 
 def test_run_discrimination_frozen_seed():
@@ -195,22 +199,24 @@ def test_sample_counts_cost_does_not_grow_with_trials():
 
 
 def test_run_discrimination_allocates_no_per_trial_arrays():
-    # The tallies are drawn directly, so ten million trials at N = 5 need
-    # no more memory than a few small row tables.  A one-trial run first
-    # keeps numpy's lazy imports out of the measured peak.
-    inst = make_instance(5)
-    r = reciprocal_set(inst)
-    m = optimal_measurement(inst)
-    run_discrimination(inst, r, m, SimConfig(seed=0, trials=1))
-    cfg = SimConfig(seed=0, trials=10**7)
-    tracemalloc.start()
-    try:
-        rep = run_discrimination(inst, r, m, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(rep.counts.values()) == 10**7
-    assert peak < 2**20
+    # The tallies are drawn directly, so ten million trials need no more
+    # memory than a few small row tables, and a million copies no more than
+    # one: the sampled law is (D, N) at every copy count.  A one-trial run
+    # first keeps numpy's lazy imports out of the measured peak.
+    for n, copies in ((5, 1), (61, 10**6)):
+        inst = make_instance(n)
+        r = reciprocal_set(inst)
+        m = optimal_measurement(inst)
+        run_discrimination(inst, r, m, SimConfig(seed=0, trials=1, copies=copies))
+        cfg = SimConfig(seed=0, trials=10**7, copies=copies)
+        tracemalloc.start()
+        try:
+            rep = run_discrimination(inst, r, m, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(rep.counts.values()) == 10**7
+        assert peak < 2**20
 
 
 def test_run_discrimination_is_deterministic():
@@ -348,8 +354,12 @@ def test_multicopy_budget_guard():
         multicopy_measurement(inst, copies=5)
     with pytest.raises(ValueError, match="limit"):
         multicopy_measurement(inst, copies=10**9)
-    with pytest.raises(ValueError):
-        multicopy_measurement(inst, copies=0)
+    # Non-integer copies are refused, not truncated or passed to range().
+    for bad in (0, True, 2.0, 2.5, "2"):
+        with pytest.raises(ValueError):
+            multicopy_measurement(inst, copies=bad)
+        with pytest.raises(ValueError):
+            family_product_ops(inst, bad)
 
 
 def test_multicopy_zero_error_audit_holds_externally():
@@ -461,3 +471,7 @@ def test_complement_decomposition_errors():
         complement_decomposition([2, 2], [2, 1])
     with pytest.raises(ValueError):
         complement_decomposition([0, 2], [2, 2])
+    with pytest.raises(ValueError, match="must be integers"):
+        complement_decomposition([2.5, 2], [3.9, 2])
+    with pytest.raises(ValueError, match="must be integers"):
+        complement_decomposition([2, True], [3, 2])
