@@ -40,7 +40,13 @@ rep = failure_probability(m, r)
 print("\nsymmetric weights:", m.weights)
 print("failure probability: %.15f" % rep.failure_probability)
 print("per-input success:", np.round(r.overlaps * m.weights, 12))
-print("failure operator rank:", np.linalg.matrix_rank(m.failure_op, tol=1e-10))
+# The N projectors sum to (N/D) * identity, so the failure operator is
+# sum_j (D/N - w~_j) P_j over every label, w~ the weights with 0 at the
+# omitted label.  Only the omitted label's coefficient survives: F is
+# (D/N) P_omit, rank 1.
+coefficients = np.full(inst.n, inst.total_dim / inst.n)
+coefficients[np.subtract(m.indices, 1)] -= m.weights
+print("failure coefficients D/N - w~ per label:", np.round(coefficients, 12))
 
 # Any lower weights stay valid but fail more often.
 lazy = failure_probability(build_measurement(inst, np.full(4, 0.5)), r)

@@ -17,6 +17,7 @@ import numpy as np
 from usdsep import (
     SimConfig,
     build_measurement,
+    failure_probability,
     make_instance,
     optimal_measurement,
     reciprocal_set,
@@ -29,13 +30,14 @@ m = optimal_measurement(inst)
 
 # The exact outcome distribution for one input: outcome j fires with the
 # rank-1 Born weight w_j |<psi_j|phi>|^2, the failure operator takes the
-# rest.  Its own outcome and the failure direction split the probability
-# evenly at the symmetric weights.
+# rest, read from failure_probability's per-input cells.  Its own outcome
+# and the failure direction split the probability evenly at the symmetric
+# weights.
 phi = r.state(3)
 named = np.array([inst.state(j) for j in m.indices])
 probs = np.append(
     m.weights * np.abs(named.conj() @ phi) ** 2,
-    np.real(phi.conj() @ m.failure_op @ phi),
+    failure_probability(m, r).per_state_failure[r.indices.index(3)],
 )
 print("exact outcome distribution for input 3:", np.round(probs, 6))
 

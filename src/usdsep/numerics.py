@@ -43,10 +43,9 @@ BOUNDS = {
     "q symmetry": 1e-10,  # reciprocal_set: partner route of q against the omitted-state route
     "dual delta overlap": 1e-10,  # dual_basis_omit duals against delta_jk
     "dual dropped overlap": 1e-10,  # the same duals against -omega^(k - l) on l
-    # The next two residuals grow with the weights, so each is divided by
+    # The next residual grows with the weights, so it is divided by
     # max(1, N max(w) / (2D)).  That is 1 whenever every weight is within the
-    # pair cap 2D/N, as on every PSD measurement, where the bounds are raw.
-    "closure": 1e-12,  # FFT-gathered sum_j w_j P_j against the state matrix, on psi_omit
+    # pair cap 2D/N, as on every PSD measurement, where the bound is raw.
     "born vs closed form": 1e-12,  # Born failure average against 1 - sum q w / D
     "negative outcome probability": 1e-12,  # most negative exact probability, negated
     "outcome probabilities miss 1": 1e-10,  # largest |row sum - 1| of the outcome rows

@@ -117,8 +117,9 @@ def _single_rows(r: ReciprocalSet, m: WeightedMeasurement) -> np.ndarray:
     """Checked (D, N) outcome rows of one copy of ``m`` on the reciprocal inputs.
 
     Column j - 1 is label j, weighing w_j |<psi_j|phi_i>|^2; the omitted
-    label's column is <phi_i|F|phi_i>, the dense trace that audits
-    m.failure_op.
+    label's column is <phi_i|F|phi_i> from failure_probability.  F's
+    coefficients there are not the complement of the weights, so a row
+    that misses 1 shows a Born table that misses completeness.
     """
     retained = np.subtract(m.indices, 1)
     single = np.empty((len(m.indices), m.n))
@@ -127,22 +128,24 @@ def _single_rows(r: ReciprocalSet, m: WeightedMeasurement) -> np.ndarray:
     return _checked_rows(single)
 
 
-def _named_rows(r: ReciprocalSet, m: WeightedMeasurement, copies: int) -> np.ndarray:
+def _named_rows(single: np.ndarray, m: WeightedMeasurement, copies: int) -> np.ndarray:
     """(D, N) law of the label that ``copies`` copies of ``m`` name, per reciprocal input.
 
-    With p a normalized single-copy row and f its failure cell, label k is
-    named with probability (p_k + f)^n - f^n, so a stray cell sums every
-    tuple naming another input.  With s the mass on those labels, the
-    partner takes (1 - s)^n - f^n and the omitted label's column the rest;
-    expm1 and log1p keep every cell off differences of numbers near 1.  One
-    copy is the single-copy table itself.
+    ``single`` is the checked single-copy table of _single_rows, which the
+    caller builds once; it is not modified.  With p a normalized single-copy
+    row and f its failure cell, label k is named with probability
+    (p_k + f)^n - f^n, so a stray cell sums every tuple naming another
+    input.  With s the mass on those labels, the partner takes
+    (1 - s)^n - f^n and the omitted label's column the rest; expm1 and log1p
+    keep every cell off differences of numbers near 1.  One copy is the
+    single-copy table itself.
     """
-    law = _single_rows(r, m)
+    law = single
     fail, rows, partner = m.omit - 1, np.arange(len(m.indices)), np.subtract(m.indices, 1)
     other = np.ones(law.shape, dtype=bool)  # labels naming another input than the row's
     other[:, fail] = other[rows, partner] = False
     if copies > 1:
-        law /= law.sum(axis=1, keepdims=True)
+        law = single / single.sum(axis=1, keepdims=True)
         f = law[:, fail].copy()  # a copy: the failure column is overwritten below
         kept = copies * np.log1p(-law.sum(axis=1, where=other))  # log (1 - s)^n
         np.subtract((law + f[:, None]) ** copies, f[:, None] ** copies, out=law, where=other)
@@ -167,7 +170,7 @@ def run_discrimination(
     and the misidentifications are the conclusive cells off the partner.
     """
     _check_match(inst, m)
-    law = _named_rows(r, m, cfg.copies)
+    law = _named_rows(_single_rows(r, m), m, cfg.copies)
     cells = _sample_counts(law, cfg.trials, cfg.seed)
     fail, partner = m.omit - 1, np.subtract(m.indices, 1)
     order = [*partner, fail]  # the report's outcomes: retained labels, then "fail"
@@ -233,7 +236,7 @@ def multicopy_measurement(inst: Instance, copies: int) -> MulticopyMeasurement:
     return MulticopyMeasurement(
         labels=tuple(classify_tuple(t, inst.omit) for t in tuples),
         party_factors=tuple(tuple(f) for f in family_product_ops(inst, copies)),
-        theoretical_failure=float(_named_rows(r, m, copies)[:, inst.omit - 1].mean()),
+        theoretical_failure=float(_named_rows(single, m, copies)[:, inst.omit - 1].mean()),
         per_state=per_state,
         inputs=r.indices,
     )

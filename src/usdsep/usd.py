@@ -10,16 +10,17 @@ proportional to a projector onto a product state, so the measurement is
 separable.  The achieved failure probability at the symmetric point is 1/2,
 and no positive-semidefinite choice of weights does better.
 
-Every outcome is rank 1 and state j has amplitude omega^(j e_m) / sqrt(D)
-on basis row m, e being the instance's exponent permutation.  So
-sum_j w_j P_j is a Hermitian Toeplitz matrix in the e-order: its entry
-(m, m') is w^[(e_m - e_m') mod N] / D, with w^ one length-N FFT of the
-weights, and the N projectors are never stored.  Its nonzero spectrum is
-that of (N/D)(diag(w) - z z^dag) with |z_j|^2 = w_j / N, because the Gram
-matrix of the retained states is (N/D)(I - u u^dag) with |u_j|^2 = 1/N.
-The largest eigenvalue is therefore (N/D) mu for the largest root mu of
-the secular equation 1 = sum_j (w_j/N) / (w_j - mu), found in O(N) per
-safeguarded Newton step, and positivity is decided with no dense eigensolver.
+The weights are the whole measurement; no operator is stored.  By the same
+completeness identity the failure operator is sum_j (D/N - w~_j) P_j over
+every label, w~ being the weights with 0 at the omitted label, so an
+input's failure <phi|F|phi> is one weighted row of the reciprocal set's
+Born table.  Positivity needs only the spectrum: the nonzero eigenvalues
+of sum_j w_j P_j are those of (N/D)(diag(w) - z z^dag) with
+|z_j|^2 = w_j / N, because the Gram matrix of the retained states is
+(N/D)(I - u u^dag) with |u_j|^2 = 1/N.  The largest eigenvalue is therefore
+(N/D) mu for the largest root mu of the secular equation
+1 = sum_j (w_j/N) / (w_j - mu), found in O(N) per safeguarded Newton step,
+and positivity is decided with no dense eigensolver.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class NotPSDError(ValueError):
 class WeightedMeasurement:
     """POVM {w_j P_j for retained j} plus the completing failure operator.
 
-    Outcome j is w_j times the projector onto family state j; only the
-    weights and the failure operator are stored.
+    Outcome j is w_j times the projector onto family state j and the failure
+    operator is I - sum_j w_j P_j, so only the weights are stored.
     """
 
     n: int
@@ -73,14 +74,13 @@ class WeightedMeasurement:
     omit: int
     indices: tuple[int, ...]
     weights: np.ndarray  # (D,), aligned with indices
-    failure_op: np.ndarray  # (dim, dim)
-    # Smallest eigenvalue of failure_op, 1 - (N/D) mu_max from the secular
-    # equation; it matches a dense eigvalsh of failure_op to a few D * eps.
+    # Smallest eigenvalue of the failure operator, 1 - (N/D) mu_max from the
+    # secular equation; it matches a dense eigvalsh to a few D * eps.
     min_eigenvalue: float
 
     @property
     def total_dim(self) -> int:
-        return self.failure_op.shape[0]
+        return math.prod(self.dims)
 
 
 @dataclass(frozen=True)
@@ -113,12 +113,8 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
     Weights must be finite, nonnegative and aligned with ``inst.retained``.
     The failure operator identity - sum_j w_j P_j is checked for positivity;
     its smallest eigenvalue below -psd_tol raises NotPSDError, since the
-    family is then not a measurement at all.  The weighted sum is gathered
-    from one FFT of the weights and its top eigenvalue read from the secular
-    equation (module docstring), with no dense matmul or eigensolver.  The
-    gather is audited on one probe, the omitted state psi: its product with
-    the gathered sum must match S^T (w * conj(S) psi) for the (N, D) state
-    matrix S, with the omitted label's weight zero.
+    family is then not a measurement at all.  That eigenvalue comes from the
+    secular equation (module docstring), so no operator is formed.
     """
     retained = inst.retained
     w = np.asarray(weights, dtype=float).ravel()
@@ -128,30 +124,11 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
         raise ValueError(f"weights must be finite, got {w.tolist()}")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
-    n, d = inst.n, inst.total_dim
-    padded = np.zeros(n)
-    padded[np.array(retained) % n] = w
-    # rfft gives conj(w^[t]) for t <= (N-1)/2; w^[N-t] = conj(w^[t]) fills
-    # the rest, so the gathered matrix is exactly Hermitian.
-    half = np.fft.rfft(padded) / d
-    spectrum = np.concatenate([half.conj(), half[:0:-1]])
-    # Exponent differences run over -(D-1)..D-1: unroll them once mod N.
-    unrolled = spectrum[np.arange(1 - d, d) % n]
-    e = inst.exponents
-    weighted = unrolled[np.subtract.outer(e + (d - 1), e)]
-    min_eig = _min_eigenvalue(w, n, d)
+    min_eig = _min_eigenvalue(w, inst.n, inst.total_dim)
     if min_eig < -psd_tol:
         raise NotPSDError(
             f"failure operator has eigenvalue {min_eig:.3e}; weights are infeasible"
         )
-    # Row j - 1 of S is state j, whose weight sits at padded[j mod N].
-    probe = inst.states[inst.omit - 1]
-    by_row = np.concatenate((padded[1:], padded[:1]))
-    direct = inst.states.T @ (by_row * (inst.states @ probe.conj()).conj())
-    check("closure", float(np.linalg.norm(weighted @ probe - direct)) / _cap_units(w, n, d))
-    failure = np.negative(weighted, out=weighted)
-    failure.flat[:: d + 1] += 1.0
-    failure.setflags(write=False)
     w.setflags(write=False)
     return WeightedMeasurement(
         n=inst.n,
@@ -159,7 +136,6 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
         omit=inst.omit,
         indices=retained,
         weights=w,
-        failure_op=failure,
         min_eigenvalue=min_eig,
     )
 
@@ -167,9 +143,9 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
 def _cap_units(w: np.ndarray, n: int, d: int) -> float:
     """max(1, N max(w) / (2D)): the largest weight in units of the pair cap 2D/N.
 
-    Rounding in the gathered sum and the Born traces grows with the weights,
-    so the "closure" and "born vs closed form" residuals are divided by this;
-    it is 1 for every weight vector within the cap.
+    Rounding in the Born traces grows with the weights, so the "born vs
+    closed form" residual is divided by this; it is 1 for every weight
+    vector within the cap.
     """
     return max(1.0, n * float(w.max()) / (2.0 * d))
 
@@ -230,20 +206,23 @@ def optimal_measurement(inst: Instance) -> WeightedMeasurement:
 def failure_probability(m: WeightedMeasurement, r: ReciprocalSet) -> UsdReport:
     """Average failure probability over uniformly likely reciprocal inputs.
 
-    Evaluated two ways that must agree to 1e-12: the Born-rule average
-    (1/D) sum_j Tr(failure_op |phi_j><phi_j|) and the closed form
-    1 - (1/D) sum_j q_j w_j.  The report carries the Born value and the
-    per-input traces it averages.
+    Evaluated two ways that must agree to 1e-12: the Born-rule average of
+    the per-input failures <phi_i|F|phi_i> and the closed form
+    1 - (1/D) sum_j q_j w_j.  Each failure is the Born row of input i
+    weighted by the coefficients D/N - w~_j of F over every label (module
+    docstring), so the rows stay an audit of the table's completeness
+    rather than summing to 1 by construction.  The report carries the Born
+    value and the per-input failures it averages.
     """
     _check_match(m, r)
     d = len(r.indices)
-    # <phi|F|phi> for each row phi of r.states, with one matmul.
-    traces = ((r.states @ m.failure_op.T) * r.states.conj()).sum(axis=1).real
+    coefficients = np.full(m.n, d / m.n)
+    coefficients[np.subtract(m.indices, 1)] -= m.weights
+    traces = r.born @ coefficients
     born = float(traces.mean())
     closed = 1.0 - float((r.overlaps * m.weights).sum()) / d
     check("born vs closed form", abs(born - closed) / _cap_units(m.weights, m.n, d))
-    dn = m.total_dim / m.n
-    optimal = bool(np.max(np.abs(m.weights - dn)) <= 1e-12)
+    optimal = bool(np.max(np.abs(m.weights - d / m.n)) <= 1e-12)
     return UsdReport(failure_probability=born, per_state_failure=traces, optimal=optimal)
 
 

@@ -144,7 +144,7 @@ def test_optimize_infeasible_weights(capsys):
 
 
 def test_weights_far_past_the_pair_cap_end_without_a_rounding_defect(capsys):
-    # Rounding in the closure and Born rows grows with the weights; at
+    # Rounding in the Born traces grows with the weights; at
     # weights near 1e6 it is no defect of the program, so no exit 3.
     weights = ",".join(["1e6"] * 6 + ["3e5"] * 6)
     payload, _ = run_json(capsys, "optimize", "--n", "13", "--weights", weights, "--tol", "1e8")

@@ -72,11 +72,13 @@ def instances_and_weights(draw):
 def test_state_matrix_forms_match_dense_projector_sums(case):
     inst, w = case
     d = inst.total_dim
+    r = reciprocal_set(inst)
     m = build_measurement(inst, w)
     reference = np.eye(d, dtype=complex)
     for wj, j in zip(w, inst.retained):
         reference -= wj * proj(inst.state(j))
-    assert np.linalg.norm(m.failure_op - reference) <= CLOSURE_BOUND
+    traces = [np.vdot(phi, reference @ phi).real for phi in r.states]
+    assert np.max(np.abs(failure_probability(m, r).per_state_failure - traces)) <= CLOSURE_BOUND
 
     resolution = sum(proj(v) for v in inst.states) * (d / inst.n)
     dense_residual = np.linalg.norm(resolution - np.eye(d))
@@ -111,7 +113,9 @@ def test_structured_measurement_matches_dense_linear_algebra(case):
     band = EIGENVALUE_BAND * d * np.finfo(float).eps
 
     m = build_measurement(inst, w, psd_tol=np.inf)  # never refuses
-    assert np.linalg.norm(m.failure_op - dense) <= CLOSURE_BOUND
+    r = reciprocal_set(inst)
+    traces = ((r.states.conj() @ dense) * r.states).sum(axis=1).real  # <phi_i|F|phi_i>
+    assert np.max(np.abs(failure_probability(m, r).per_state_failure - traces)) <= CLOSURE_BOUND
     assert abs(m.min_eigenvalue - dense_min) <= band
     if dense_min < -PSD_TOL - band:
         with pytest.raises(NotPSDError):
@@ -233,7 +237,7 @@ def test_sampled_tallies_match_a_per_label_reference(inst, copies, scale, seed, 
         for _ in range(n_copies - 1):
             rows = (rows[:, :, None] * single[:, None, :]).reshape(d, -1)
         if n_copies > 1:
-            law = _named_rows(r, m, n_copies)
+            law = _named_rows(single, m, n_copies)
             grouped = np.zeros((d, inst.n))
             tuples = itertools.product(range(1, inst.n + 1), repeat=n_copies)
             for k, t in enumerate(tuples):

@@ -96,22 +96,25 @@ def test_outcome_distribution_on_reciprocal_input():
 
 
 def test_outcome_distribution_rejections():
-    # Rows that are not a probability distribution are a broken measurement.
-    # The tampering X keeps the average failure (the trace of X against the
-    # summed inputs is zero), so only the per-input rows can catch it.
+    # Rows that are not a probability distribution come from a broken Born
+    # table.  The tampering moves delta from row 1's omitted cell to row 0's,
+    # which keeps the average failure, so only the per-input rows can catch
+    # it; a failure cell read as 1 minus the conclusive cells would not.
     inst = make_instance(5)
     r = reciprocal_set(inst)
     m = optimal_measurement(inst)
-    t = float(np.sum(np.abs(r.states.conj() @ r.states[0]) ** 2)) / len(r.indices)
-    x = proj(r.states[0]) - t * np.eye(inst.total_dim)
-    shifted = dataclasses.replace(m, failure_op=m.failure_op + 0.1 * x)
-    negative = dataclasses.replace(m, failure_op=m.failure_op - 1.0 * x)
+
+    def tampered(delta):
+        born = r.born.copy()
+        born[[0, 1], inst.omit - 1] += [delta, -delta]
+        return dataclasses.replace(r, born=born)
+
     for copies in (1, 2):
         cfg = SimConfig(seed=0, trials=10, copies=copies)
         with pytest.raises(InvariantError, match="miss 1"):
-            run_discrimination(inst, r, shifted, cfg)
+            run_discrimination(inst, tampered(0.1), m, cfg)
         with pytest.raises(InvariantError, match="negative"):
-            run_discrimination(inst, r, negative, cfg)
+            run_discrimination(inst, tampered(1.0), m, cfg)
 
 
 def test_run_discrimination_frozen_seed():
@@ -120,11 +123,11 @@ def test_run_discrimination_frozen_seed():
     m = optimal_measurement(inst)
     rep = run_discrimination(inst, r, m, SimConfig(seed=7, trials=100_000))
     assert rep.misidentifications == 0
-    assert rep.empirical_failure == 0.50182
+    assert rep.empirical_failure == 0.49686
     assert abs(rep.theoretical_failure - 0.5) <= 1e-12
     assert abs(rep.empirical_failure - 0.5) <= five_sigma_band(0.5, 100_000)
     assert list(rep.counts.items()) == [
-        ("2", 12469), ("3", 12422), ("4", 12211), ("5", 12716), ("fail", 50182)
+        ("2", 12511), ("3", 12421), ("4", 12665), ("5", 12717), ("fail", 49686)
     ]
     assert sum(rep.counts.values()) == 100_000
     assert 0.0 <= rep.tv_distance <= 0.01
@@ -400,6 +403,25 @@ def test_run_multicopy_builds_the_reciprocal_set_once(monkeypatch):
     rep = run_multicopy_discrimination(inst, SimConfig(seed=3, trials=1000, copies=2))
     assert len(calls) == 1
     assert set(rep.counts) == {"2", "3", "4", "5", "fail"}
+
+
+def test_single_copy_table_is_built_once(monkeypatch):
+    calls = []
+    original = usdsep.simulator.failure_probability
+
+    def counting(m, r):
+        calls.append(1)
+        return original(m, r)
+
+    monkeypatch.setattr(usdsep.simulator, "failure_probability", counting)
+    inst = make_instance(5)
+    multicopy_measurement(inst, 2)
+    assert len(calls) == 1
+    r, m = reciprocal_set(inst), optimal_measurement(inst)
+    for copies in (1, 2):
+        calls.clear()
+        run_discrimination(inst, r, m, SimConfig(seed=0, trials=10, copies=copies))
+        assert len(calls) == 1
 
 
 def test_run_multicopy_single_copy_agrees_with_single_path():
