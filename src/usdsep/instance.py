@@ -12,17 +12,23 @@ state j is the j-th column of the N-point Fourier matrix restricted to its
 first D rows, over sqrt(D).  Every array here is read from one table of the
 N-th roots of unity at integer exponents reduced mod N.
 
-The Gram entries <psi_k|psi_j> = -omega^(k-j) / D (k != j) give the rest:
-the N projectors sum to (N/D) * identity; any D of the N states are linearly
-independent (no vanishing subsums of distinct N-th roots of unity for prime
-N); and dropping state l leaves a basis whose duals are, for k != l,
+Two identities of the (D, N) matrix Psi of the states give the rest, and
+make_instance audits both: completeness, Psi Psi^dag = (N/D) I, and the one
+linear relation sum_j omega^j psi_j = 0, that is Psi u = 0 for the unit
+vector u_j = omega^j / sqrt(N).  So (D/N) Psi^dag Psi is the rank-D projector
+with kernel u: <psi_j|psi_k> = (N/D) (delta_jk - u_j conj(u_k)), which is
+-omega^(j-k) / D off the diagonal.  Any k <= D of the states then have
+smallest singular value sqrt((N - k)/D) > 0, while all N are dependent.
+Dropping state l leaves a basis whose duals are, for k != l,
 
     xi_k = (D/N) (psi_k - omega^(l-k) psi_l),
 
 with <xi_k|psi_j> = delta_jk for j != l and <xi_k|psi_l> = -omega^(k-l).
 Both overlaps of xi_k with psi_k and with psi_l have unit magnitude, so the
 normalized reciprocal state has one squared overlap q = N/(2D) with its
-partner and with the omitted state alike.
+partner and with the omitted state alike.  As |xi_k|^2 = 2D/N, for l != omit
+the failure operator F = I - sum_j w_j P_j (w_omit = 0) has <xi_k|F|xi_k> =
+2D/N - w_k - w_l, so a PSD F forces the pair cap w_k + w_l <= 2D/N.
 
 State labels j are 1-based throughout because the phases depend on j mod N;
 party indices are plain 0-based positions.
@@ -149,7 +155,7 @@ class ReciprocalSet:
     residuals: dict  # measured audit residuals by numerics.BOUNDS row name
 
     def state(self, j: int) -> np.ndarray:
-        return self.states[self.indices.index(j)]
+        return self.states[_row_of(self.indices, j, self.n)]
 
 
 def _check_match(a, b) -> None:
@@ -174,7 +180,16 @@ class DualBasisOmit:
     vectors: np.ndarray  # (len(ks), D)
 
     def vector(self, k: int) -> np.ndarray:
-        return self.vectors[self.ks.index(k)]
+        # ks is every label of 1..N but omit and drop.
+        return self.vectors[_row_of(self.ks, k, len(self.ks) + 2)]
+
+
+def _row_of(labels: tuple[int, ...], j, n: int) -> int:
+    """Row of label j in ``labels``, a subset of 1..n; a ValueError naming both otherwise."""
+    if j not in labels:
+        absent = sorted(set(range(1, n + 1)).difference(labels))
+        raise ValueError(f"no row for label {j!r}: this holds labels 1..{n} except {absent}")
+    return labels.index(j)
 
 
 def _is_integer(value) -> bool:
@@ -251,8 +266,10 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
 
     inst = Instance(n, dims, omit, tuple(local), states, exponents, residuals={})
     norm_gap = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
+    relation = float(np.linalg.norm(states.T @ roots[js[:, 0] % n])) / math.sqrt(n)  # omega^j
     inst.residuals["completeness"] = check("completeness", completeness_residual(inst))
     inst.residuals["unit norm"] = check("unit norm", norm_gap)
+    inst.residuals["null relation"] = check("null relation", relation)
     return inst
 
 

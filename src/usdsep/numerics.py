@@ -37,6 +37,7 @@ class InvariantError(RuntimeError):
 BOUNDS = {
     "completeness": 1e-12,  # (D/N) sum_j P_j - I, Frobenius; ~2e-14 at N = 1009
     "unit norm": 1e-12,  # largest | ||psi_j|| - 1 |
+    "null relation": 1e-12,  # ||sum_j omega^j psi_j|| / sqrt(N); ~5e-16 up to N = 2003
     "reciprocity": 1e-10,  # reciprocal state against a retained non-partner
     "partner phase": 1e-10,  # |p - |p||: partner overlaps are real positive
     "overlap value": 1e-10,  # |q_j - N/(2D)| for the squared partner overlaps

@@ -124,7 +124,7 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
         raise ValueError(f"weights must be finite, got {w.tolist()}")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
-    min_eig = _min_eigenvalue(w, inst.n, inst.total_dim)
+    min_eig = 1.0 - inst.n / inst.total_dim * _top_secular_root(w, inst.n)
     if min_eig < -psd_tol:
         raise NotPSDError(
             f"failure operator has eigenvalue {min_eig:.3e}; weights are infeasible"
@@ -148,11 +148,6 @@ def _cap_units(w: np.ndarray, n: int, d: int) -> float:
     vector within the cap.
     """
     return max(1.0, n * float(w.max()) / (2.0 * d))
-
-
-def _min_eigenvalue(w: np.ndarray, n: int, d: int) -> float:
-    """Smallest eigenvalue of the failure operator of weights ``w`` (module docstring)."""
-    return 1.0 - n / d * _top_secular_root(w, n)
 
 
 def _top_secular_root(w: np.ndarray, n: int) -> float:
@@ -229,10 +224,8 @@ def failure_probability(m: WeightedMeasurement, r: ReciprocalSet) -> UsdReport:
 def verify_pairwise_bound(inst: Instance, weights) -> bool:
     """True iff w_k + w_l <= 2D/N + PAIRWISE_SLACK for every pair of retained labels.
 
-    The bound is forced on any positive-semidefinite weight assignment by
-    sandwiching the failure operator with the dual vectors of the bases that
-    omit one retained state, so it holds whenever build_measurement accepts
-    the weights; it is still worth checking independently because it pins
+    Every PSD weight vector obeys it, as the duals of dual_basis_omit give
+    <xi_k|F|xi_k> = 2D/N - w_k - w_l (instance module docstring); it pins
     the symmetric point as the only one reaching total weight D^2/N.
     """
     w = np.asarray(weights, dtype=float).ravel()

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import usdsep.cli
 import usdsep.numerics
+import usdsep.usd
 from usdsep import (
     SimReport,
     ascending_factorizations,
@@ -584,15 +585,44 @@ def test_malformed_verify_n_is_input_error(capsys, ns):
     assert f"--n must be comma-separated integers, got {ns!r}" in err
 
 
-def test_verify_pairwise_row_counts_psd_samples(capsys):
-    # Unscaled draws from [0, 2D/N]^D are almost never PSD past N = 7, so
-    # the row only tests the pair cap because each draw is scaled to the
-    # boundary, where the cap is tight.
-    rc, out, _ = run_cli(capsys, "verify", "--n", "5,13,61")
+def test_verify_proof_rows_read_the_null_relation(capsys):
+    # Both rows are corollaries of completeness and the null relation, so
+    # each shows the relation residual make_instance measured.
+    rc, out, _ = run_cli(capsys, "verify", "--n", "5,13,61,1009")
     assert rc == 0
-    rows = [line for line in out.splitlines() if "pairwise bound" in line]
-    assert len(rows) == 3
-    assert all("PASS  (200 of 200 samples PSD, all within the pair cap)" in row for row in rows)
+    for n in (5, 13, 61, 1009):
+        relation = make_instance(n).residuals["null relation"]
+        rows = [line for line in out.splitlines() if line.startswith(f"n={n:<3d} ")]
+        assert rows[1] == (
+            f"n={n:<3d} {'independence':<24s} PASS  "
+            f"(k <= D states: sigma_min sqrt((N-k)/D); relation {relation:.2e})"
+        )
+        assert rows[4] == (
+            f"n={n:<3d} {'pairwise bound':<24s} PASS  "
+            f"(<xi_k|F|xi_k> = 2D/N - w_k - w_l; relation {relation:.2e})"
+        )
+
+
+def test_verify_samples_nothing(capsys, monkeypatch):
+    # The proof rows take no SVD, build no sampled measurement and draw no
+    # random numbers; the one build left is the optimal measurement's.
+    calls = {"svd": 0, "build": 0, "rng": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.random, "default_rng", counted("rng", np.random.default_rng))
+    build = counted("build", usdsep.usd.build_measurement)
+    monkeypatch.setattr(usdsep.usd, "build_measurement", build)
+    monkeypatch.setattr(usdsep.cli, "build_measurement", build)
+    rc, _, _ = run_cli(capsys, "verify", "--n", "13")
+    assert rc == 0
+    assert calls == {"svd": 0, "build": 1, "rng": 0}
 
 
 def test_failed_bound_is_an_invariant_violation(capsys, monkeypatch):
@@ -601,6 +631,14 @@ def test_failed_bound_is_an_invariant_violation(capsys, monkeypatch):
     assert rc == 3
     assert out == ""
     assert err.startswith("invariant violation: completeness:")
+
+
+def test_failed_null_relation_is_an_invariant_violation(capsys, monkeypatch):
+    monkeypatch.setitem(usdsep.numerics.BOUNDS, "null relation", -1.0)
+    rc, out, err = run_cli(capsys, "generate", "--n", "5")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("invariant violation: null relation:")
 
 
 def test_simulate_warns_past_five_sigma_and_still_succeeds(capsys, monkeypatch):

@@ -91,6 +91,10 @@ def test_audits_keep_what_they_measured(n):
     assert inst.residuals["completeness"] == completeness_residual(inst)
     norms = np.linalg.norm(inst.states, axis=1)
     assert inst.residuals["unit norm"] == float(np.max(np.abs(norms - 1.0)))
+    # sum_j omega^j psi_j over the unit coefficient vector omega^j / sqrt(N).
+    omega_j = np.exp(2j * np.pi * (np.arange(1, n + 1) % n) / n)
+    relation = np.linalg.norm(inst.states.T @ omega_j) / np.sqrt(n)
+    assert inst.residuals["null relation"] == relation <= BOUNDS["null relation"]
 
     r = reciprocal_set(inst)
     # The one product reciprocal_set forms, in its (N, D) orientation: entry
@@ -213,9 +217,29 @@ def test_any_basis_sized_subset_is_independent():
             subset = rng.choice(np.arange(1, inst.n + 1), size=size, replace=False)
             indep, sv_min = check_linear_independence(inst, subset)
             assert indep, f"dependent subset {sorted(subset)} at n={inst.n} dims={inst.dims}"
-            assert sv_min > 1e-6
+            assert abs(sv_min - np.sqrt((inst.n - size) / d)) <= 1e-12
         full, _ = check_linear_independence(inst, range(1, inst.n + 1))
         assert not full
+
+
+@pytest.mark.parametrize("n", [5, 13, 211])
+def test_null_relation_residual_sees_a_wrong_relation(n):
+    # The audit's residual is no constant: coefficients other than omega^j
+    # leave one basis entry of size N / sqrt(D), so it reads sqrt(N/D).
+    inst = make_instance(n)
+    j = np.arange(1, n + 1)
+    for coefficients in (np.exp(4j * np.pi * j / n), np.exp(-2j * np.pi * j / n), np.ones(n)):
+        assert np.linalg.norm(inst.states.T @ coefficients) / np.sqrt(n) >= 0.1
+
+
+def test_label_accessors_name_the_missing_label():
+    inst = make_instance(5)
+    with pytest.raises(ValueError, match=r"label 1: this holds labels 1\.\.5 except \[1\]"):
+        reciprocal_set(inst).state(1)
+    xi = dual_basis_omit(inst, 2)
+    with pytest.raises(ValueError, match=r"label 2: this holds labels 1\.\.5 except \[1, 2\]"):
+        xi.vector(2)
+    assert np.array_equal(xi.vector(3), xi.vectors[0])
 
 
 def test_pairwise_overlaps_magnitude_and_phase():

@@ -1,9 +1,10 @@
 """Property tests over the whole input space: every ascending
 factorization of N - 1, any omit label, random feasible weights or a random
 dropped label, for prime N in 5..251 (dense projector references), 5..401
-(the structured measurement against dense linear algebra), 5..601
-(closed forms) or 5..61 (the reciprocal set's Born table), and sampled
-discrimination runs for N in 5..13.
+(the structured measurement against dense linear algebra, and the
+corollaries of the null relation), 5..601 (closed forms) or 5..61 (the
+reciprocal set's Born table), and sampled discrimination runs for N in
+5..13.
 
 The references are written out here from the definitions: dense loops over
 the N projectors, the dense weighted sum and its eigvalsh, a Kronecker
@@ -24,6 +25,7 @@ from usdsep import (
     SimConfig,
     ascending_factorizations,
     build_measurement,
+    check_linear_independence,
     classify_tuple,
     completeness_residual,
     dual_basis_omit,
@@ -122,6 +124,30 @@ def test_structured_measurement_matches_dense_linear_algebra(case):
             build_measurement(inst, w)
     elif dense_min > -PSD_TOL + band:
         assert build_measurement(inst, w).min_eigenvalue == m.min_eigenvalue
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(instances(STRUCTURED_PRIMES), st.data())
+def test_printed_corollaries_of_the_null_relation(inst, data):
+    # The two facts verify prints from completeness and the null relation
+    # (instance module docstring), checked on the arrays.
+    n, d = inst.n, inst.total_dim
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    size = data.draw(st.integers(1, d))
+    subset = rng.choice(np.arange(1, n + 1), size=size, replace=False)
+    _, sv_min = check_linear_independence(inst, subset)
+    assert abs(sv_min - np.sqrt((n - size) / d)) <= 1e-12
+
+    w = rng.uniform(0.0, 2.0 * d / n, size=d)
+    drop = data.draw(st.integers(1, n - 1))
+    drop += drop >= inst.omit  # any label but omit
+    named = inst.states[[j - 1 for j in inst.retained]]
+    dense = np.eye(d) - (named.T * w) @ named.conj()
+    xi = dual_basis_omit(inst, drop)
+    sandwich = ((xi.vectors.conj() @ dense) * xi.vectors).sum(axis=1).real
+    weight = dict(zip(inst.retained, w))
+    predicted = [2.0 * d / n - weight[k] - weight[drop] for k in xi.ks]
+    assert np.max(np.abs(sandwich - predicted)) <= 1e-12
 
 
 def inverse_duals(inst, drop):
