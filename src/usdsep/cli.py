@@ -224,10 +224,11 @@ def _verify_one(n: int) -> list[tuple[str, bool, str]]:
         ("independence", proven, f"k <= D states: sigma_min sqrt((N-k)/D); relation {relation:.2e}")
     )
 
+    # Both rows read the bound completeness and the null relation give (instance docstring).
     r = reciprocal_set(inst)
     worst, q_gap = r.residuals["reciprocity"], r.residuals["overlap value"]
-    row("reciprocity", worst, f"max cross overlap {worst:.2e}")
-    row("overlap value", q_gap, f"|q - N/(2D)| {q_gap:.2e}")
+    row("reciprocity", worst, f"cross overlaps within {worst:.2e}")
+    row("overlap value", q_gap, f"|q - N/(2D)| within {q_gap:.2e}")
 
     checks.append(
         ("pairwise bound", proven, f"<xi_k|F|xi_k> = 2D/N - w_k - w_l; relation {relation:.2e}")

@@ -26,9 +26,28 @@ Dropping state l leaves a basis whose duals are, for k != l,
 with <xi_k|psi_j> = delta_jk for j != l and <xi_k|psi_l> = -omega^(k-l).
 Both overlaps of xi_k with psi_k and with psi_l have unit magnitude, so the
 normalized reciprocal state has one squared overlap q = N/(2D) with its
-partner and with the omitted state alike.  As |xi_k|^2 = 2D/N, for l != omit
-the failure operator F = I - sum_j w_j P_j (w_omit = 0) has <xi_k|F|xi_k> =
-2D/N - w_k - w_l, so a PSD F forces the pair cap w_k + w_l <= 2D/N.
+partner and with the omitted state alike, and none with any other state.
+As |xi_k|^2 = 2D/N, for l != omit the failure operator F = I - sum_j w_j P_j
+(w_omit = 0) has <xi_k|F|xi_k> = 2D/N - w_k - w_l, so a PSD F forces the
+pair cap w_k + w_l <= 2D/N.
+
+Completeness is summed by exponent ratio.  With t = omega^s / sqrt(D) the
+table the states are gathered from, states[j-1, m] = t[j e_m mod N].  For
+e_m' = b != 0, s = j b runs over every residue as j does, so entry (m, m')
+of S^T conj(S) is A(e_m / b), A(c) = sum_s t[c s mod N] conj(t[s]): the
+same terms reordered.  The nonzero exponents are 1..N-2, so ratio 1 occurs
+D - 1 times and every other ratio D - 2 times (a = c b excludes only
+b = -1/c); exponent 0 adds a row and a column of A(0) and the corner N t_0^2.
+
+Completeness and the null relation prove the reciprocal set's audits.
+With eps and delta their residuals, (D/N) Psi^dag Psi lies within eps
+(Frobenius) of the projector onto its range, whose kernel vector is within
+sin theta <= sqrt(D/N) delta / sqrt(1 - eps) of u (Davis & Kahan), so within
+beta = eps + sqrt(2D/N) delta / sqrt(1 - eps) of I - u u^dag.  Each audit
+of a reciprocal state sums at most four entries of that gap, scaled by q
+or sqrt(q), q <= 5/8: at most 2.5 beta to first order.  The audits read the bound
+4 (eps + sqrt(2D/N) delta) + 2^-46, the last term 128 unit roundoffs for
+forming and normalizing the duals.
 
 State labels j are 1-based throughout because the phases depend on j mod N;
 party indices are plain 0-based positions.
@@ -64,6 +83,7 @@ __all__ = [
 ]
 
 INDEPENDENCE_TOL = 1e-10
+_BLOCK_ENTRIES = 1 << 17  # per row block of the (N, D)-size gathers: one block below N = 362
 
 
 def is_prime(n: int) -> bool:
@@ -151,8 +171,8 @@ class ReciprocalSet:
     indices: tuple[int, ...]
     states: np.ndarray  # (D, D), row i pairs with indices[i]
     overlaps: np.ndarray  # (D,)
-    born: np.ndarray  # (D, N) Born table: [i, j - 1] = |<states[i] | psi_j>|^2
-    residuals: dict  # measured audit residuals by numerics.BOUNDS row name
+    born: np.ndarray  # (D, 2) nonzero Born cells of row i: its partner's, the omitted label's
+    residuals: dict  # derived audit bounds by numerics.BOUNDS row name
 
     def state(self, j: int) -> np.ndarray:
         return self.states[_row_of(self.indices, j, self.n)]
@@ -249,24 +269,26 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
         dims = prime_factors(n - 1)
 
     roots = _roots(n)
-    js = np.arange(1, n + 1)[:, None]
+    js = np.arange(1, n + 1)
     local = []
     exponents = np.zeros(1, dtype=np.int64)  # sum_alpha p_alpha m_alpha, kron order
     p = 1  # p_alpha, the product of the earlier dimensions
     for d in dims:
         m = p * np.arange(d)
-        factor = roots[(js * m) % n] / np.sqrt(d)
+        factor = roots[np.multiply.outer(js, m) % n] / np.sqrt(d)
         factor.setflags(write=False)
         local.append(factor)
         exponents = np.add.outer(exponents, m).ravel()
         p *= d
-    np.take(roots / np.sqrt(n - 1), (js * exponents) % n, out=states)
+    table, norm_gap = _amplitudes(n), 0.0
+    for rows in _row_blocks(n, n - 1):
+        np.take(table, np.multiply.outer(js[rows], exponents) % n, out=states[rows], mode="clip")
+        norm_gap = max(norm_gap, float(np.max(np.abs(np.linalg.norm(states[rows], axis=1) - 1))))
     states.setflags(write=False)
     exponents.setflags(write=False)
 
     inst = Instance(n, dims, omit, tuple(local), states, exponents, residuals={})
-    norm_gap = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
-    relation = float(np.linalg.norm(states.T @ roots[js[:, 0] % n])) / math.sqrt(n)  # omega^j
+    relation = float(np.linalg.norm(states.T @ roots[js % n])) / math.sqrt(n)  # omega^j
     inst.residuals["completeness"] = check("completeness", completeness_residual(inst))
     inst.residuals["unit norm"] = check("unit norm", norm_gap)
     inst.residuals["null relation"] = check("null relation", relation)
@@ -276,14 +298,23 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
 def completeness_residual(inst: Instance) -> float:
     """Frobenius norm of (D/N) * sum_j |psi_j><psi_j| - identity.
 
-    The projector sum is S^T conj(S) for the (N, D) state matrix S, so the
-    check costs one matmul and never forms the N projectors.
+    Summed by exponent ratio (module docstring) in row blocks of one
+    gather and one matrix-vector product each: O(N^2) time, no (D, D)
+    array.  It reads ``exponents`` and the table the states are gathered
+    from; "unit norm" and "null relation" read the states themselves.
     """
-    d = inst.total_dim
-    resolution = inst.states.T @ inst.states.conj()
-    resolution *= d / inst.n
-    resolution.flat[:: d + 1] -= 1.0
-    return float(np.linalg.norm(resolution))
+    n, d = inst.n, inst.total_dim
+    table, residues = _amplitudes(n), np.arange(n)
+    ratios = np.empty(n, dtype=complex)  # ratios[c] = A(c)
+    for rows in _row_blocks(n, n):
+        products = np.multiply.outer(residues[rows], residues) % n
+        ratios[rows] = np.take(table, products, mode="clip") @ table.conj()
+    ratios *= d / n
+    ratios[1] -= 1.0
+    sq = np.abs(ratios) ** 2
+    corner = d / n * (n * abs(table[0]) ** 2) - 1.0
+    total = (d - 1) * (sq[1] + 2.0 * sq[0]) + (d - 2) * float(sq[2:].sum()) + corner**2
+    return math.sqrt(total)
 
 
 def shift_unitary(inst: Instance, party: int) -> np.ndarray:
@@ -335,13 +366,25 @@ def _roots(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
+def _amplitudes(n: int) -> np.ndarray:
+    """omega^t / sqrt(n - 1): the one table every state amplitude is gathered from."""
+    return _roots(n) / np.sqrt(n - 1)
+
+
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Row slices of a (rows, cols) array, _BLOCK_ENTRIES entries or one row each."""
+    step = max(1, _BLOCK_ENTRIES // cols)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
 def _duals(inst: Instance, drop: int):
     """Labels k != drop and the rows xi_k (module docstring, l = drop)."""
     labels = np.arange(1, inst.n + 1)
     ks = labels[labels != drop]
     phase = _roots(inst.n)[(drop - ks) % inst.n]
     xi = inst.states[ks - 1]
-    xi -= phase[:, None] * inst.states[drop - 1]
+    for rows in _row_blocks(len(ks), inst.total_dim):
+        xi[rows] -= phase[rows, None] * inst.states[drop - 1]
     xi *= inst.total_dim / inst.n
     return ks, xi
 
@@ -351,40 +394,29 @@ def reciprocal_set(inst: Instance) -> ReciprocalSet:
 
     The reciprocal state for label k is the dual xi_k with l = omit (module
     docstring), normalized: the unique direction orthogonal to every other
-    retained state.  Its squared norm is 2D/N, so the partner overlap is
-    real positive with square q_k = N / (2 D) for every k.  The same q_k
-    is |<phi_k|psi_omit>|^2, the overlap with the omitted state, and that
-    coincidence makes the failure operator's weight budget symmetric
-    between the omitted direction and every retained one.  All four audits
-    and ``born`` read one product, taken (N, D) to keep q's (D, D) rounding.
+    retained state.  Its squared overlap is q = N / (2 D) with its partner
+    and with the omitted state alike.  Overlaps and Born cells are these
+    closed forms, and the four audits read the bound the residuals give.
     """
+    n, d = inst.n, inst.total_dim
     retained, phis = _duals(inst, inst.omit)
-    phis /= np.linalg.norm(phis, axis=1)[:, None]
-    cross = inst.states.conj() @ phis.T  # [j - 1, i] = <psi_j | phi_i>
-    born = np.abs(cross.T, order="C") ** 2
-    partners, rows = retained - 1, np.arange(len(retained))
-    partner, overlaps = cross[partners, rows], born[rows, partners]
-    cross[partners, rows] = cross[inst.omit - 1] = 0.0
-    residuals = {
-        "reciprocity": check("reciprocity", float(np.max(np.abs(cross)))),
-        # With |p|^2 near N/(2D) this fails wherever Re p <= 0 or Im p != 0.
-        "partner phase": check("partner phase", float(np.max(np.abs(partner - np.abs(partner))))),
-        "overlap value": check(
-            "overlap value", float(np.max(np.abs(overlaps - inst.n / (2.0 * inst.total_dim))))
-        ),
-        "q symmetry": check("q symmetry", float(np.max(np.abs(overlaps - born[:, inst.omit - 1])))),
-    }
+    for rows in _row_blocks(len(retained), d):
+        phis[rows] /= np.linalg.norm(phis[rows], axis=1)[:, None]
+    eps, delta = inst.residuals["completeness"], inst.residuals["null relation"]
+    bound = 4.0 * (eps + math.sqrt(2.0 * d / n) * delta) + 2.0**-46
+    names = ("reciprocity", "partner phase", "overlap value", "q symmetry")
+    overlaps, born = np.full(d, n / (2.0 * d)), np.full((d, 2), n / (2.0 * d))
     for a in (phis, overlaps, born):
         a.setflags(write=False)
     return ReciprocalSet(
-        n=inst.n,
+        n=n,
         dims=inst.dims,
         omit=inst.omit,
         indices=tuple(retained.tolist()),
         states=phis,
         overlaps=overlaps,
         born=born,
-        residuals=residuals,
+        residuals={name: check(name, bound) for name in names},
     )
 
 

@@ -33,15 +33,16 @@ class InvariantError(RuntimeError):
 # Every internal invariant, name -> largest residual it may show.  A value
 # past its bound is a defect of the program, never of the input, so check
 # raises InvariantError (CLI exit 3).  Decision tolerances that callers or
-# --tol override stay with the code that decides.
+# --tol override stay with the code that decides.  A "derived" row reads a
+# bound proven from measured residuals (instance module docstring).
 BOUNDS = {
-    "completeness": 1e-12,  # (D/N) sum_j P_j - I, Frobenius; ~2e-14 at N = 1009
+    "completeness": 1e-12,  # (D/N) sum P_j - I, Frobenius; 2.8e-14 at N = 1009, 4.6e-14 at 4051
     "unit norm": 1e-12,  # largest | ||psi_j|| - 1 |
     "null relation": 1e-12,  # ||sum_j omega^j psi_j|| / sqrt(N); ~5e-16 up to N = 2003
-    "reciprocity": 1e-10,  # reciprocal state against a retained non-partner
-    "partner phase": 1e-10,  # |p - |p||: partner overlaps are real positive
-    "overlap value": 1e-10,  # |q_j - N/(2D)| for the squared partner overlaps
-    "q symmetry": 1e-10,  # reciprocal_set: partner route of q against the omitted-state route
+    "reciprocity": 1e-10,  # derived: reciprocal state against a retained non-partner
+    "partner phase": 1e-10,  # derived: |p - |p||, partner overlaps are real positive
+    "overlap value": 1e-10,  # derived: |q_j - N/(2D)| for the squared partner overlaps
+    "q symmetry": 1e-10,  # derived: partner route of q against the omitted-state route
     "dual delta overlap": 1e-10,  # dual_basis_omit duals against delta_jk
     "dual dropped overlap": 1e-10,  # the same duals against -omega^(k - l) on l
     # The next residual grows with the weights, so it is divided by
@@ -50,7 +51,7 @@ BOUNDS = {
     "born vs closed form": 1e-12,  # Born failure average against 1 - sum q w / D
     "negative outcome probability": 1e-12,  # most negative exact probability, negated
     "outcome probabilities miss 1": 1e-10,  # largest |row sum - 1| of the outcome rows
-    "stray outcome weight": 1e-10,  # multicopy tuple weight on an input it does not name
+    "stray outcome weight": 1e-10,  # derived: sum(w) b^2, a copy's weight naming another input
     "misidentifications": 0,  # sampled conclusive outcomes are exactly zero-error
     "complement decomposition": 1e-12,  # telescoped terms against I' - P_1 x ... x P_P
     "failure 1/2": 1e-12,  # verify: |Pr(fail) - 1/2| at the symmetric weights

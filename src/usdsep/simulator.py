@@ -15,11 +15,13 @@ fails on each copy with probability 1 - w_i q independently, so under the
 symmetric weights the failure probability decays as 2^(-n).
 
 Grouped by the label they name, n copies are again an N-outcome
-measurement over the same labels, so the simulator samples one (D, N) law
-for every copy count and forms no N^n table (multicopy_measurement keeps
-it as the reference).  It draws tallies rather than trials: one
-multinomial splits the trials among the inputs and one more splits each
-input's share among the labels, so the cost does not grow with the trials.
+measurement, and an input's Born row has two nonzero cells, its partner
+and the failure (instance module docstring).  So every copy count has a
+(D, 2) law, partner 1 - f^n and failure f^n with f = 1 - w_i q, and the
+simulator samples it with no N^n table (multicopy_measurement keeps that
+as the reference).  It draws tallies rather than trials: one multinomial
+splits the trials among the inputs and one more each input's share
+between its two cells, so the cost does not grow with the trials.
 """
 
 from __future__ import annotations
@@ -114,46 +116,33 @@ def _sample_counts(rows: np.ndarray, trials: int, seed: int) -> np.ndarray:
 
 
 def _single_rows(r: ReciprocalSet, m: WeightedMeasurement) -> np.ndarray:
-    """Checked (D, N) outcome rows of one copy of ``m`` on the reciprocal inputs.
+    """Checked (D, 2) outcome rows of one copy of ``m`` on the reciprocal inputs.
 
-    Column j - 1 is label j, weighing w_j |<psi_j|phi_i>|^2; the omitted
-    label's column is <phi_i|F|phi_i> from failure_probability.  F's
+    Column 0 is input i's partner label, weighing w_i |<psi_i|phi_i>|^2;
+    column 1 is the failure <phi_i|F|phi_i> from failure_probability.  F's
     coefficients there are not the complement of the weights, so a row
-    that misses 1 shows a Born table that misses completeness.
+    that misses 1 shows a Born table that misses completeness.  Labels
+    naming another input weigh at most sum(w) b^2, b the derived overlap bound.
     """
-    retained = np.subtract(m.indices, 1)
-    single = np.empty((len(m.indices), m.n))
-    single[:, retained] = m.weights * r.born[:, retained]
-    single[:, m.omit - 1] = failure_probability(m, r).per_state_failure
+    check("stray outcome weight", float(m.weights.sum()) * r.residuals["reciprocity"] ** 2)
+    single = np.stack([m.weights * r.born[:, 0], failure_probability(m, r).per_state_failure], 1)
     return _checked_rows(single)
 
 
-def _named_rows(single: np.ndarray, m: WeightedMeasurement, copies: int) -> np.ndarray:
-    """(D, N) law of the label that ``copies`` copies of ``m`` name, per reciprocal input.
+def _named_rows(single: np.ndarray, copies: int) -> np.ndarray:
+    """(D, 2) law of the partner and the failure for ``copies`` copies, per reciprocal input.
 
-    ``single`` is the checked single-copy table of _single_rows, which the
-    caller builds once; it is not modified.  With p a normalized single-copy
-    row and f its failure cell, label k is named with probability
-    (p_k + f)^n - f^n, so a stray cell sums every tuple naming another
-    input.  With s the mass on those labels, the partner takes
-    (1 - s)^n - f^n and the omitted label's column the rest; expm1 and log1p
-    keep every cell off differences of numbers near 1.  One copy is the
+    ``single`` is the checked single-copy table of _single_rows.  With p
+    the normalized partner cell each copy fails with f = 1 - p, so n
+    copies fail with f^n and name the partner with 1 - f^n; log1p and
+    expm1 keep both off differences of numbers near 1.  One copy is the
     single-copy table itself.
     """
-    law = single
-    fail, rows, partner = m.omit - 1, np.arange(len(m.indices)), np.subtract(m.indices, 1)
-    other = np.ones(law.shape, dtype=bool)  # labels naming another input than the row's
-    other[:, fail] = other[rows, partner] = False
-    if copies > 1:
-        law = single / single.sum(axis=1, keepdims=True)
-        f = law[:, fail].copy()  # a copy: the failure column is overwritten below
-        kept = copies * np.log1p(-law.sum(axis=1, where=other))  # log (1 - s)^n
-        np.subtract((law + f[:, None]) ** copies, f[:, None] ** copies, out=law, where=other)
-        law[:, fail] = f**copies - np.expm1(kept) - law.sum(axis=1, where=other)
-        law[rows, partner] = np.exp(kept) - f**copies
-        law = _checked_rows(law)
-    check("stray outcome weight", float(law.max(where=other, initial=0.0)))
-    return law
+    if copies == 1:
+        return single
+    with np.errstate(divide="ignore"):  # a partner share of 1: f^n = 0
+        kept = copies * np.log1p(-single[:, 0] / single.sum(axis=1))  # log f^n
+    return _checked_rows(np.stack([-np.expm1(kept), np.exp(kept)], 1))
 
 
 def run_discrimination(
@@ -165,20 +154,19 @@ def run_discrimination(
     compares the empirical failure rate with the exact one, the mean of
     (1 - w_i q)^n, and carries the total variation distance between the
     empirical and exact outcome distributions.  The copies are sampled by
-    the label they name (_named_rows), so the (input, label) tallies from
-    _sample_counts are exact integers: a label's count is its column sum,
-    and the misidentifications are the conclusive cells off the partner.
+    the label they name (_named_rows), so the (input, cell) tallies from
+    _sample_counts are exact integers: label indices[i]'s count is input
+    i's partner cell, and no tally names another input.
     """
     _check_match(inst, m)
-    law = _named_rows(_single_rows(r, m), m, cfg.copies)
+    law = _named_rows(_single_rows(r, m), cfg.copies)
     cells = _sample_counts(law, cfg.trials, cfg.seed)
-    fail, partner = m.omit - 1, np.subtract(m.indices, 1)
-    order = [*partner, fail]  # the report's outcomes: retained labels, then "fail"
-    tallies, marginal = cells.sum(axis=0)[order], law.mean(axis=0)[order]
-    named = int(cells[np.arange(len(partner)), partner].sum())
+    d = len(m.indices)
+    tallies = np.append(cells[:, 0], cells[:, 1].sum())  # retained labels, then "fail"
+    marginal = np.append(law[:, 0] / d, law[:, 1].mean())
     counts = {str(j): int(t) for j, t in zip(m.indices, tallies)}
     counts["fail"] = int(tallies[-1])
-    misid = cfg.trials - named - counts["fail"]
+    misid = cfg.trials - int(tallies.sum())
     tv = 0.5 * float(np.abs(tallies / cfg.trials - marginal).sum())
     return SimReport(
         seed=cfg.seed,
@@ -187,7 +175,7 @@ def run_discrimination(
         counts=counts,
         misidentifications=misid,
         empirical_failure=counts["fail"] / cfg.trials,
-        theoretical_failure=float(law[:, fail].mean()),
+        theoretical_failure=float(marginal[-1]),
         tv_distance=tv,
     )
 
@@ -212,7 +200,8 @@ def multicopy_measurement(inst: Instance, copies: int) -> MulticopyMeasurement:
     (D/N)^n * P_(j_1) x ... x P_(j_n), kept as its per-party factors from
     family_product_ops.  An input phi^(x n) gives the tuple the product of
     its single-copy Born weights, so the exact per-input distribution is the
-    n-fold outer product of the single-copy rows (_single_rows), labelled
+    n-fold outer product of the single-copy rows (_single_rows, its two
+    cells scattered into the N labels), labelled
     by classify_tuple: the reference for the law that _named_rows samples,
     from which the failure probability, exactly 2^(-n), is read.
 
@@ -229,14 +218,17 @@ def multicopy_measurement(inst: Instance, copies: int) -> MulticopyMeasurement:
             f"{copies}-copy outcome table of N = {n} exceeds the limit of {MAX_FAMILY_ENTRIES}"
         )
     r, m = reciprocal_set(inst), optimal_measurement(inst)
-    single = per_state = _single_rows(r, m)
+    cells = _single_rows(r, m)
+    single = np.zeros((d, n))
+    single[np.arange(d), np.subtract(r.indices, 1)], single[:, inst.omit - 1] = cells.T
+    per_state = single
     for _ in range(copies - 1):
         per_state = (per_state[:, :, None] * single[:, None, :]).reshape(d, -1)
     tuples = itertools.product(range(1, n + 1), repeat=copies)
     return MulticopyMeasurement(
         labels=tuple(classify_tuple(t, inst.omit) for t in tuples),
         party_factors=tuple(tuple(f) for f in family_product_ops(inst, copies)),
-        theoretical_failure=float(_named_rows(single, m, copies)[:, inst.omit - 1].mean()),
+        theoretical_failure=float(_named_rows(cells, copies)[:, 1].mean()),
         per_state=per_state,
         inputs=r.indices,
     )
@@ -270,26 +262,10 @@ def complement_decomposition(dims, enlarged_dims):
         raise ValueError("dims must be positive")
     if any(e < d for d, e in zip(dims, enlarged)):
         raise ValueError("every enlarged dimension must be >= the original")
-    p = len(dims)
-    projs = []
-    for d, e in zip(dims, enlarged):
-        pi = np.zeros((e, e), dtype=complex)
-        pi[:d, :d] = np.eye(d)
-        projs.append(pi)
-    terms = []
-    for a in range(p):
-        factors = []
-        for b in range(p):
-            if b < a:
-                factors.append(projs[b])
-            elif b == a:
-                factors.append(np.eye(enlarged[a], dtype=complex) - projs[a])
-            else:
-                factors.append(np.eye(enlarged[b], dtype=complex))
-        terms.append(factors)
-
-    total = int(np.prod(enlarged))
+    projs = [np.diag(np.arange(e) < d).astype(complex) for d, e in zip(dims, enlarged)]
+    eyes = [np.eye(e, dtype=complex) for e in enlarged]
+    terms = [projs[:a] + [eyes[a] - projs[a]] + eyes[a + 1 :] for a in range(len(dims))]
     assembled = sum(kron_all(t) for t in terms)
-    target = np.eye(total) - kron_all(projs)
+    target = np.eye(int(np.prod(enlarged))) - kron_all(projs)
     check("complement decomposition", float(np.linalg.norm(assembled - target)))
     return terms

@@ -14,8 +14,9 @@ The weights are the whole measurement; no operator is stored.  By the same
 completeness identity the failure operator is sum_j (D/N - w~_j) P_j over
 every label, w~ being the weights with 0 at the omitted label, so an
 input's failure <phi|F|phi> is one weighted row of the reciprocal set's
-Born table.  Positivity needs only the spectrum: the nonzero eigenvalues
-of sum_j w_j P_j are those of (N/D)(diag(w) - z z^dag) with
+Born table: its two cells, the partner's and the omitted label's.
+Positivity needs only the spectrum: the nonzero eigenvalues of
+sum_j w_j P_j are those of (N/D)(diag(w) - z z^dag) with
 |z_j|^2 = w_j / N, because the Gram matrix of the retained states is
 (N/D)(I - u u^dag) with |u_j|^2 = 1/N.  The largest eigenvalue is therefore
 (N/D) mu for the largest root mu of the secular equation
@@ -140,16 +141,6 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
     )
 
 
-def _cap_units(w: np.ndarray, n: int, d: int) -> float:
-    """max(1, N max(w) / (2D)): the largest weight in units of the pair cap 2D/N.
-
-    Rounding in the Born traces grows with the weights, so the "born vs
-    closed form" residual is divided by this; it is 1 for every weight
-    vector within the cap.
-    """
-    return max(1.0, n * float(w.max()) / (2.0 * d))
-
-
 def _top_secular_root(w: np.ndarray, n: int) -> float:
     """Largest eigenvalue mu of diag(w) - z z^dag, |z_j|^2 = w_j / n.
 
@@ -203,20 +194,20 @@ def failure_probability(m: WeightedMeasurement, r: ReciprocalSet) -> UsdReport:
 
     Evaluated two ways that must agree to 1e-12: the Born-rule average of
     the per-input failures <phi_i|F|phi_i> and the closed form
-    1 - (1/D) sum_j q_j w_j.  Each failure is the Born row of input i
-    weighted by the coefficients D/N - w~_j of F over every label (module
-    docstring), so the rows stay an audit of the table's completeness
-    rather than summing to 1 by construction.  The report carries the Born
-    value and the per-input failures it averages.
+    1 - (1/D) sum_j q_j w_j.  Each failure is input i's two Born cells
+    weighted by F's coefficients D/N - w~_j (module docstring),
+    q (D/N - w_i) + q D/N in O(D), so a row sums to 1 only if the cells
+    hold completeness.  The report carries the Born value and the per-input
+    failures it averages.
     """
     _check_match(m, r)
     d = len(r.indices)
-    coefficients = np.full(m.n, d / m.n)
-    coefficients[np.subtract(m.indices, 1)] -= m.weights
-    traces = r.born @ coefficients
+    traces = r.born[:, 0] * (d / m.n - m.weights) + r.born[:, 1] * (d / m.n)
     born = float(traces.mean())
     closed = 1.0 - float((r.overlaps * m.weights).sum()) / d
-    check("born vs closed form", abs(born - closed) / _cap_units(m.weights, m.n, d))
+    # Rounding grows with the weights: divide by the largest in units of the pair cap 2D/N.
+    cap_units = max(1.0, m.n * float(m.weights.max()) / (2.0 * d))
+    check("born vs closed form", abs(born - closed) / cap_units)
     optimal = bool(np.max(np.abs(m.weights - d / m.n)) <= 1e-12)
     return UsdReport(failure_probability=born, per_state_failure=traces, optimal=optimal)
 

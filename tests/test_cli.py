@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -639,6 +640,50 @@ def test_failed_null_relation_is_an_invariant_violation(capsys, monkeypatch):
     assert rc == 3
     assert out == ""
     assert err.startswith("invariant violation: null relation:")
+
+
+def test_perturbed_amplitude_table_fails_completeness(capsys, monkeypatch):
+    # The states and the ratio route read one amplitude table, so a table
+    # off by 1e-9 in one entry is a family that misses completeness.
+    exact = usdsep.instance._amplitudes
+
+    def perturbed(n):
+        table = exact(n)
+        table[3] += 1e-9
+        return table
+
+    monkeypatch.setattr(usdsep.instance, "_amplitudes", perturbed)
+    rc, out, err = run_cli(capsys, "generate", "--n", "13")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("invariant violation: completeness:")
+
+
+def test_failed_reciprocal_bound_is_an_invariant_violation(capsys, monkeypatch):
+    # The derived bound is applied like a measured residual.
+    monkeypatch.setitem(usdsep.numerics.BOUNDS, "reciprocity", -1.0)
+    rc, out, err = run_cli(capsys, "optimize", "--n", "7")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("invariant violation: reciprocity:")
+
+
+def test_generate_and_optimize_peak_memory(tmp_path, capsys):
+    # generate holds the (N, D) state matrix (16 B/N^2) and blocks of a few
+    # MiB; optimize adds the (D, D) reciprocal states.  Neither forms a
+    # (D, D) resolution, an (N, D) cross product or (N, D) index arrays.
+    n = 1009
+    path = str(tmp_path / "inst.json")
+    for argv, limit in ((["generate", "--out", path], 24), (["optimize"], 40)):
+        tracemalloc.start()
+        try:
+            rc = main([argv[0], "--n", str(n), *argv[1:]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert rc == 0
+        assert peak <= limit * n * n, (argv[0], peak / n / n)
 
 
 def test_simulate_warns_past_five_sigma_and_still_succeeds(capsys, monkeypatch):

@@ -20,6 +20,15 @@ from usdsep import (
     shift_unitary,
 )
 from usdsep.numerics import BOUNDS
+from tests.oracles import (
+    DENSE_ROUNDING,
+    dense_born_table,
+    dense_completeness_residual,
+    dense_reciprocal_residuals,
+    derived_bound,
+    residuals_agree,
+    two_cell_table,
+)
 
 PRIMES = (5, 7, 11, 13)
 
@@ -89,6 +98,7 @@ def test_large_families_pass_their_audits():
 def test_audits_keep_what_they_measured(n):
     inst = make_instance(n)
     assert inst.residuals["completeness"] == completeness_residual(inst)
+    assert residuals_agree(inst.residuals["completeness"], dense_completeness_residual(inst))
     norms = np.linalg.norm(inst.states, axis=1)
     assert inst.residuals["unit norm"] == float(np.max(np.abs(norms - 1.0)))
     # sum_j omega^j psi_j over the unit coefficient vector omega^j / sqrt(N).
@@ -96,22 +106,14 @@ def test_audits_keep_what_they_measured(n):
     relation = np.linalg.norm(inst.states.T @ omega_j) / np.sqrt(n)
     assert inst.residuals["null relation"] == relation <= BOUNDS["null relation"]
 
+    # reciprocal_set forms no product: its four rows read the bound the two
+    # residuals above give, which the dense cross product stays under.
     r = reciprocal_set(inst)
-    # The one product reciprocal_set forms, in its (N, D) orientation: entry
-    # [j - 1, i] = <psi_j | phi_i>.  The Born table is its squared magnitude.
-    cross = inst.states.conj() @ r.states.T
-    assert np.array_equal(np.abs(cross.T) ** 2, r.born)
-    rows, partners = np.arange(n - 1), np.array(r.indices) - 1
-    partner = cross[partners, rows]
-    stray = cross[partners]
-    stray[rows, rows] = 0.0
-    assert np.array_equal(r.overlaps, r.born[rows, partners])
-    assert r.residuals == {
-        "reciprocity": float(np.max(np.abs(stray))),
-        "partner phase": float(np.max(np.abs(partner - np.abs(partner)))),
-        "overlap value": float(np.max(np.abs(r.overlaps - n / (2.0 * (n - 1))))),
-        "q symmetry": float(np.max(np.abs(r.overlaps - r.born[:, inst.omit - 1]))),
-    }
+    bound = derived_bound(inst)
+    assert r.residuals == dict.fromkeys(dense_reciprocal_residuals(inst, r), bound)
+    for name, measured in dense_reciprocal_residuals(inst, r).items():
+        assert measured <= bound, name
+    assert np.max(np.abs(two_cell_table(r) - dense_born_table(inst, r))) <= DENSE_ROUNDING
     for name, measured in {**inst.residuals, **r.residuals}.items():
         assert 0.0 <= measured <= BOUNDS[name], name
 

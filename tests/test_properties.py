@@ -1,10 +1,10 @@
 """Property tests over the whole input space: every ascending
 factorization of N - 1, any omit label, random feasible weights or a random
 dropped label, for prime N in 5..251 (dense projector references), 5..401
-(the structured measurement against dense linear algebra, and the
-corollaries of the null relation), 5..601 (closed forms) or 5..61 (the
-reciprocal set's Born table), and sampled discrimination runs for N in
-5..13.
+(the structured measurement against dense linear algebra, the corollaries
+of the null relation, and the reciprocal set's two-cell Born table and
+ratio-route completeness against the dense products of tests/oracles.py)
+or 5..601 (closed forms), and sampled discrimination runs for N in 5..13.
 
 The references are written out here from the definitions: dense loops over
 the N projectors, the dense weighted sum and its eigvalsh, a Kronecker
@@ -14,12 +14,14 @@ classified outcome tuples.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import usdsep.instance
 from usdsep import (
     NotPSDError,
     SimConfig,
@@ -37,8 +39,20 @@ from usdsep import (
     reciprocal_set,
     run_discrimination,
 )
-from usdsep.simulator import _named_rows, _sample_counts
+from usdsep.numerics import BOUNDS
+from usdsep.simulator import _named_rows, _sample_counts, _single_rows
 from usdsep.usd import PSD_TOL
+from tests.oracles import (
+    DENSE_ROUNDING,
+    by_label,
+    dense_born_table,
+    dense_completeness_residual,
+    dense_failures,
+    dense_reciprocal_residuals,
+    derived_bound,
+    residuals_agree,
+    two_cell_table,
+)
 
 PRIMES = [p for p in range(5, 252) if is_prime(p)]
 CLOSED_FORM_PRIMES = [p for p in range(5, 602) if is_prime(p)]
@@ -67,6 +81,22 @@ def instances_and_weights(draw):
         0.0, inst.total_dim / inst.n, size=inst.total_dim
     )
     return inst, w
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(instances(STRUCTURED_PRIMES), st.integers(0, 2**32 - 1))
+def test_ratio_route_sums_the_dense_product_of_any_table(inst, seed):
+    # The exponent-ratio identity holds for every amplitude table, not only
+    # the roots of unity.  With a random table the entries A(c) are of
+    # order 1, so a wrong ratio count or a missing row shows far above the
+    # rounding that hides it on the family.
+    n, d = inst.n, inst.total_dim
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=n) + 1j * rng.normal(size=n)
+    states = table[np.multiply.outer(np.arange(1, n + 1), inst.exponents) % n]
+    dense = np.linalg.norm(states.T @ states.conj() * (d / n) - np.eye(d))
+    with mock.patch.object(usdsep.instance, "_amplitudes", lambda _: table):
+        assert completeness_residual(inst) == pytest.approx(dense, rel=1e-12)
 
 
 @settings(max_examples=12, deadline=None, database=None)
@@ -179,51 +209,52 @@ def test_closed_forms_match_the_definitions(inst, data):
     assert np.max(np.abs(xi.vectors - reference)) <= CLOSURE_BOUND
 
 
-@settings(max_examples=40, deadline=None, database=None)
-@given(instances([p for p in PRIMES if p <= 61]))
-def test_born_table_holds_every_overlap_and_the_audits(inst):
+@settings(max_examples=30, deadline=None, database=None)
+@given(instances(STRUCTURED_PRIMES), st.integers(0, 2**32 - 1))
+def test_born_table_holds_every_overlap_and_the_audits(inst, seed):
+    # reciprocal_set and completeness_residual form no product; the dense
+    # ones of tests/oracles.py must agree with their closed forms and stay
+    # under the bound the audits read.
     r = reciprocal_set(inst)
     n, d = inst.n, inst.total_dim
-    expected = [
-        [abs(r.states[i].conj() @ inst.state(j)) ** 2 for j in range(1, n + 1)]
-        for i in range(d)
-    ]
-    assert r.born.shape == (d, n)
-    assert np.max(np.abs(r.born - np.array(expected))) <= 1e-15
+    assert r.born.shape == (d, 2)
     with pytest.raises(ValueError):
         r.born[0, 0] = 0.0
+    assert np.all(r.overlaps == n / (2.0 * d))
+    assert np.array_equal(r.born, np.stack([r.overlaps, r.overlaps], axis=1))
+    assert np.max(np.abs(two_cell_table(r) - dense_born_table(inst, r))) <= DENSE_ROUNDING
 
-    rows, partners = np.arange(d), np.array(r.indices) - 1
-    assert np.array_equal(r.overlaps, r.born[rows, partners])
-    assert r.residuals["overlap value"] == float(np.max(np.abs(r.overlaps - n / (2.0 * d))))
-    with_omitted = r.born[:, inst.omit - 1]
-    assert r.residuals["q symmetry"] == float(np.max(np.abs(r.overlaps - with_omitted)))
-    # The table keeps squared magnitudes, so the largest stray overlap is
-    # the square root of its largest off-partner retained entry, up to the
-    # rounding of that root.  The partner phase needs the complex overlaps
-    # the table drops; test_instance pins it exactly.
-    stray = r.born[:, partners]
-    stray[rows, rows] = 0.0
-    assert r.residuals["reciprocity"] == pytest.approx(np.sqrt(stray.max()), rel=1e-14)
+    bound = derived_bound(inst)
+    for name, measured in dense_reciprocal_residuals(inst, r).items():
+        assert r.residuals[name] == bound
+        assert measured <= bound, name
+
+    m = build_measurement(inst, np.random.default_rng(seed).uniform(0.0, d / n, size=d))
+    failures = failure_probability(m, r).per_state_failure
+    assert np.max(np.abs(failures - dense_failures(inst, r, m))) <= DENSE_ROUNDING
+
+    ratio, dense = completeness_residual(inst), dense_completeness_residual(inst)
+    assert max(ratio, dense) <= BOUNDS["completeness"]
+    assert residuals_agree(ratio, dense)
 
 
-def tally_reference(rows, tuples, inputs, omit, cfg):
-    """Sampled report fields by per-label masks over classified tuples.
+def tally_reference(table, cells, inputs, omit, trials):
+    """Report fields by per-label masks over (D, N) tables by label.
 
-    rows[i] is the outcome distribution of input inputs[i]; column k is the
-    outcome tuple tuples[k].  Label 0 stands for an inconclusive tuple.
+    table[i] is input inputs[i]'s law over the labels and cells[i] its
+    sampled tallies; the omitted label's column is the failure.
     """
-    cells = _sample_counts(rows, cfg.trials, cfg.seed)
-    label_arr = np.array([classify_tuple(t, omit) or 0 for t in tuples])
+    labels = np.arange(1, table.shape[1] + 1)
+    labels[omit - 1] = 0
     true_labels = np.array(inputs)[:, None]
-    misid = int(cells[(label_arr != 0) & (label_arr != true_labels)].sum())
-    counts = {str(j): int(cells[:, label_arr == j].sum()) for j in inputs}
-    counts["fail"] = int(cells[:, label_arr == 0].sum())
-    marg = rows.mean(axis=0)
-    marginal = [marg[label_arr == j].sum() for j in inputs] + [marg[label_arr == 0].sum()]
-    empirical = np.array(list(counts.values())) / cfg.trials
+    misid = int(cells[(labels != 0) & (labels != true_labels)].sum())
+    counts = {str(j): int(cells[:, labels == j].sum()) for j in inputs}
+    counts["fail"] = int(cells[:, labels == 0].sum())
+    marg = table.mean(axis=0)
+    marginal = [marg[labels == j].sum() for j in inputs] + [marg[labels == 0].sum()]
+    empirical = np.array(list(counts.values())) / trials
     tv = 0.5 * float(np.abs(empirical - marginal).sum())
-    return counts, misid, counts["fail"] / cfg.trials, tv
+    return counts, misid, counts["fail"] / trials, tv
 
 
 def assert_report_matches(rep, reference):
@@ -244,32 +275,29 @@ def assert_report_matches(rep, reference):
     st.integers(1, 4000),
 )
 def test_sampled_tallies_match_a_per_label_reference(inst, copies, scale, seed, trials):
-    # The reference rebuilds the sampled rows with the simulator's own
-    # arithmetic, so both draw the same cell tallies and only the sums differ.
-    # Column j - 1 of the single-copy row is label j; the omitted label's
-    # column is the failure.  Past one copy the N^n tuple rows, grouped by
-    # the label classify_tuple names, must give the sampled (D, N) law.
+    # The N^n tuple rows of the dense Born table, grouped by the label
+    # classify_tuple names, must give the sampled two-cell law; and the
+    # report must hold the per-label sums of the cells the law draws.
+    # Column j - 1 of a single-copy row is label j; the omitted label's
+    # column is the failure.
     r = reciprocal_set(inst)
-    d = inst.total_dim
-    m = build_measurement(inst, np.full(d, scale * d / inst.n))  # 1.0: the optimal one
-    single = np.empty((d, inst.n))
-    for i, j in enumerate(m.indices):
-        single[:, j - 1] = m.weights[i] * r.born[:, j - 1]
-    single[:, inst.omit - 1] = failure_probability(m, r).per_state_failure
+    d, n, omit = inst.total_dim, inst.n, inst.omit
+    m = build_measurement(inst, np.full(d, scale * d / n))  # 1.0: the optimal one
+    single = dense_born_table(inst, r)
+    single[:, np.subtract(m.indices, 1)] *= m.weights
+    single[:, omit - 1] = dense_failures(inst, r, m)
     single = np.clip(single, 0.0, None)
-    labels = [(j,) for j in range(1, inst.n + 1)]  # column j - 1 names label j
     for n_copies in sorted({1, copies}):
         rows = single
         for _ in range(n_copies - 1):
             rows = (rows[:, :, None] * single[:, None, :]).reshape(d, -1)
-        if n_copies > 1:
-            law = _named_rows(single, m, n_copies)
-            grouped = np.zeros((d, inst.n))
-            tuples = itertools.product(range(1, inst.n + 1), repeat=n_copies)
-            for k, t in enumerate(tuples):
-                grouped[:, (classify_tuple(t, inst.omit) or inst.omit) - 1] += rows[:, k]
-            assert np.max(np.abs(grouped - law)) <= 1e-14
-            rows = law
+        grouped = np.zeros((d, n))
+        for k, t in enumerate(itertools.product(range(1, n + 1), repeat=n_copies)):
+            grouped[:, (classify_tuple(t, omit) or omit) - 1] += rows[:, k]
+        law = _named_rows(_single_rows(r, m), n_copies)
+        table = by_label(law, m.indices, n, omit)
+        assert np.max(np.abs(grouped - table)) <= 1e-14
+        cells = by_label(_sample_counts(law, trials, seed), m.indices, n, omit)
+        reference = tally_reference(table, cells, m.indices, omit, trials)
         cfg = SimConfig(seed=seed, trials=trials, copies=n_copies)
-        reference = tally_reference(rows, labels, m.indices, inst.omit, cfg)
         assert_report_matches(run_discrimination(inst, r, m, cfg), reference)

@@ -106,7 +106,7 @@ def test_outcome_distribution_rejections():
 
     def tampered(delta):
         born = r.born.copy()
-        born[[0, 1], inst.omit - 1] += [delta, -delta]
+        born[[0, 1], 1] += [delta, -delta]  # column 1: the omitted label's cell
         return dataclasses.replace(r, born=born)
 
     for copies in (1, 2):
@@ -123,11 +123,11 @@ def test_run_discrimination_frozen_seed():
     m = optimal_measurement(inst)
     rep = run_discrimination(inst, r, m, SimConfig(seed=7, trials=100_000))
     assert rep.misidentifications == 0
-    assert rep.empirical_failure == 0.49686
+    assert rep.empirical_failure == 0.50004
     assert abs(rep.theoretical_failure - 0.5) <= 1e-12
     assert abs(rep.empirical_failure - 0.5) <= five_sigma_band(0.5, 100_000)
     assert list(rep.counts.items()) == [
-        ("2", 12511), ("3", 12421), ("4", 12665), ("5", 12717), ("fail", 49686)
+        ("2", 12511), ("3", 12419), ("4", 12458), ("5", 12608), ("fail", 50004)
     ]
     assert sum(rep.counts.values()) == 100_000
     assert 0.0 <= rep.tv_distance <= 0.01
