@@ -39,15 +39,20 @@ same terms reordered.  The nonzero exponents are 1..N-2, so ratio 1 occurs
 D - 1 times and every other ratio D - 2 times (a = c b excludes only
 b = -1/c); exponent 0 adds a row and a column of A(0) and the corner N t_0^2.
 
-Completeness and the null relation prove the reciprocal set's audits.
-With eps and delta their residuals, (D/N) Psi^dag Psi lies within eps
-(Frobenius) of the projector onto its range, whose kernel vector is within
-sin theta <= sqrt(D/N) delta / sqrt(1 - eps) of u (Davis & Kahan), so within
-beta = eps + sqrt(2D/N) delta / sqrt(1 - eps) of I - u u^dag.  Each audit
-of a reciprocal state sums at most four entries of that gap, scaled by q
-or sqrt(q), q <= 5/8: at most 2.5 beta to first order.  The audits read the bound
+Completeness and the null relation prove every overlap audit of the
+reciprocal states and the duals.  With eps and delta their residuals,
+P = (D/N) Psi^dag Psi lies within eps (Frobenius) of the projector onto
+its range, whose kernel vector is within sin theta <= sqrt(D/N) delta /
+sqrt(1 - eps) of u (Davis & Kahan), so within beta = eps + sqrt(2D/N)
+delta / sqrt(1 - eps) of I - u u^dag.  The overlap <xi_k|psi_j> is
+P_kj - omega^(k-l) P_lj, whose closed form is the one above, so it lies
+within 2 beta of it.  The reciprocal states are the closed forms
+phi_k = sqrt(D/(2N)) (psi_k - omega^(l-k) psi_l), normalized by that
+exact scale rather than by a measured norm; each audit of one sums at
+most four entries of the gap, scaled by q or sqrt(q), q <= 5/8: at most
+2.5 beta to first order.  All six audits read the bound
 4 (eps + sqrt(2D/N) delta) + 2^-46, the last term 128 unit roundoffs for
-forming and normalizing the duals.
+forming the closed forms and their normalization in floating point.
 
 State labels j are 1-based throughout because the phases depend on j mod N;
 party indices are plain 0-based positions.
@@ -163,19 +168,32 @@ class ReciprocalSet:
     is orthogonal to every retained state except its own partner, and the
     partner overlap is real positive.  ``overlaps`` holds q_j, the squared
     partner overlap, which for these families is N / (2 D) for every j.
+    Nothing (D, D) is stored: ``states`` and ``state`` build the closed
+    form phi_k (module docstring, l = omit) from the instance's state
+    matrix when read, ``state`` in O(D).
     """
 
     n: int
     dims: tuple[int, ...]
     omit: int
     indices: tuple[int, ...]
-    states: np.ndarray  # (D, D), row i pairs with indices[i]
+    family: np.ndarray  # (N, D) the instance's read-only state matrix, shared
     overlaps: np.ndarray  # (D,)
     born: np.ndarray  # (D, 2) nonzero Born cells of row i: its partner's, the omitted label's
     residuals: dict  # derived audit bounds by numerics.BOUNDS row name
 
+    @property
+    def states(self) -> np.ndarray:
+        """(D, D) reciprocal states, row i pairing with indices[i]; built on each read."""
+        return self._closed_form(self.indices)
+
     def state(self, j: int) -> np.ndarray:
-        return self.states[_row_of(self.indices, j, self.n)]
+        _row_of(self.indices, j, self.n)
+        return self._closed_form([j])[0]
+
+    def _closed_form(self, labels) -> np.ndarray:
+        scale = math.sqrt((self.n - 1) / (2.0 * self.n))  # sqrt(D/(2N)) = 1 / |xi_k|
+        return _duals(self.family, np.asarray(labels), self.omit, scale)
 
 
 def _check_match(a, b) -> None:
@@ -192,8 +210,9 @@ class DualBasisOmit:
 
     Dropping state l != omit leaves a basis of the full space; ``vectors``
     holds the dual vectors xi_k for the labels k outside {omit, l}.  They
-    satisfy <xi_k|state_j> = delta_jk exactly for retained j, and their
-    overlap with the omitted state l is the unimodular -exp(2 pi i (k-l)/N).
+    satisfy <xi_k|state_j> = delta_jk for retained j, and their overlap with
+    the omitted state l is the unimodular -exp(2 pi i (k-l)/N), both within
+    the derived bound (module docstring).
     """
 
     ks: tuple[int, ...]
@@ -377,16 +396,19 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
-def _duals(inst: Instance, drop: int):
-    """Labels k != drop and the rows xi_k (module docstring, l = drop)."""
-    labels = np.arange(1, inst.n + 1)
-    ks = labels[labels != drop]
-    phase = _roots(inst.n)[(drop - ks) % inst.n]
-    xi = inst.states[ks - 1]
-    for rows in _row_blocks(len(ks), inst.total_dim):
-        xi[rows] -= phase[rows, None] * inst.states[drop - 1]
-    xi *= inst.total_dim / inst.n
-    return ks, xi
+def _duals(states: np.ndarray, ks: np.ndarray, l: int, scale: float) -> np.ndarray:
+    """Rows scale * (psi_k - omega^(l-k) psi_l) for the labels ks (module docstring)."""
+    n = len(states)
+    rows = states[ks - 1]
+    rows -= np.multiply.outer(_roots(n)[(l - ks) % n], states[l - 1])
+    rows *= scale
+    return rows
+
+
+def _derived_bound(inst: Instance) -> float:
+    """4 (eps + sqrt(2D/N) delta) + 2^-46: every overlap audit's proven bound (module docstring)."""
+    eps, delta = inst.residuals["completeness"], inst.residuals["null relation"]
+    return 4.0 * (eps + math.sqrt(2.0 * inst.total_dim / inst.n) * delta) + 2.0**-46
 
 
 def reciprocal_set(inst: Instance) -> ReciprocalSet:
@@ -397,26 +419,22 @@ def reciprocal_set(inst: Instance) -> ReciprocalSet:
     retained state.  Its squared overlap is q = N / (2 D) with its partner
     and with the omitted state alike.  Overlaps and Born cells are these
     closed forms, and the four audits read the bound the residuals give.
+    The set shares the instance's state matrix and stores no (D, D) array.
     """
     n, d = inst.n, inst.total_dim
-    retained, phis = _duals(inst, inst.omit)
-    for rows in _row_blocks(len(retained), d):
-        phis[rows] /= np.linalg.norm(phis[rows], axis=1)[:, None]
-    eps, delta = inst.residuals["completeness"], inst.residuals["null relation"]
-    bound = 4.0 * (eps + math.sqrt(2.0 * d / n) * delta) + 2.0**-46
     names = ("reciprocity", "partner phase", "overlap value", "q symmetry")
     overlaps, born = np.full(d, n / (2.0 * d)), np.full((d, 2), n / (2.0 * d))
-    for a in (phis, overlaps, born):
+    for a in (overlaps, born):
         a.setflags(write=False)
     return ReciprocalSet(
         n=n,
         dims=inst.dims,
         omit=inst.omit,
-        indices=tuple(retained.tolist()),
-        states=phis,
+        indices=inst.retained,
+        family=inst.states,
         overlaps=overlaps,
         born=born,
-        residuals={name: check(name, bound) for name in names},
+        residuals={name: check(name, _derived_bound(inst)) for name in names},
     )
 
 
@@ -436,18 +454,11 @@ def dual_basis_omit(inst: Instance, drop: int) -> DualBasisOmit:
         raise ValueError(f"drop must be in 1..{inst.n}")
     if drop == inst.omit:
         raise ValueError("drop must differ from the instance's omitted label")
-    kept, duals = _duals(inst, drop)
-    mine = kept != inst.omit
-    ks, vectors = kept[mine], duals[mine]
-
-    # The duals must reproduce delta overlaps on the kept family and a
-    # unimodular overlap -exp(2 pi i (k - drop)/N) with the dropped state.
-    cross = vectors.conj() @ inst.states.T  # entry [i, j - 1] = <xi_(ks[i]) | psi_j>
-    predicted = -_roots(inst.n)[(ks - drop) % inst.n]
-    check("dual dropped overlap", float(np.max(np.abs(cross[:, drop - 1] - predicted))))
-    cross[np.arange(len(ks)), ks - 1] -= 1.0
-    cross[:, drop - 1] = 0.0
-    check("dual delta overlap", float(np.max(np.abs(cross))))
+    # Both audits read the bound the residuals prove (module docstring).
+    for name in ("dual delta overlap", "dual dropped overlap"):
+        check(name, _derived_bound(inst))
+    ks = np.array([k for k in inst.retained if k != drop])
+    vectors = _duals(inst.states, ks, drop, inst.total_dim / inst.n)
     vectors.setflags(write=False)
     return DualBasisOmit(ks=tuple(ks.tolist()), vectors=vectors)
 

@@ -43,8 +43,8 @@ BOUNDS = {
     "partner phase": 1e-10,  # derived: |p - |p||, partner overlaps are real positive
     "overlap value": 1e-10,  # derived: |q_j - N/(2D)| for the squared partner overlaps
     "q symmetry": 1e-10,  # derived: partner route of q against the omitted-state route
-    "dual delta overlap": 1e-10,  # dual_basis_omit duals against delta_jk
-    "dual dropped overlap": 1e-10,  # the same duals against -omega^(k - l) on l
+    "dual delta overlap": 1e-10,  # derived: dual_basis_omit duals against delta_jk
+    "dual dropped overlap": 1e-10,  # derived: the same duals against -omega^(k - l) on l
     # The next residual grows with the weights, so it is divided by
     # max(1, N max(w) / (2D)).  That is 1 whenever every weight is within the
     # pair cap 2D/N, as on every PSD measurement, where the bound is raw.

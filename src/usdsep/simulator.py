@@ -123,7 +123,15 @@ def _single_rows(r: ReciprocalSet, m: WeightedMeasurement) -> np.ndarray:
     coefficients there are not the complement of the weights, so a row
     that misses 1 shows a Born table that misses completeness.  Labels
     naming another input weigh at most sum(w) b^2, b the derived overlap bound.
+    A weight past the pair cap 2D/N = 1/q, which a loosened positivity
+    tolerance admits, leaves a negative failure cell: ValueError.
     """
+    i, cap = int(np.argmax(m.weights)), 2.0 * len(m.indices) / m.n
+    if m.weights[i] > cap:
+        raise ValueError(
+            f"weight {m.weights[i]:g} of label {m.indices[i]} exceeds the pair cap 2D/N = {cap:g}, "
+            f"so its failure probability 1 - q w would be negative"
+        )
     check("stray outcome weight", float(m.weights.sum()) * r.residuals["reciprocity"] ** 2)
     single = np.stack([m.weights * r.born[:, 0], failure_probability(m, r).per_state_failure], 1)
     return _checked_rows(single)

@@ -1,10 +1,11 @@
 """Dense reference routes for the stages the pipeline computes in closed form.
 
 ``completeness_residual`` sums the entries of S^T conj(S) by exponent
-ratio and ``reciprocal_set`` takes its Born cells, overlaps and audit
-bounds from the proof (instance module docstring).  These helpers form the
-dense products instead: the (D, D) resolution and the (N, D) cross product
-of the states with the reciprocal states, as the pipeline once did.
+ratio, and ``reciprocal_set`` and ``dual_basis_omit`` take their Born
+cells, overlaps and audit bounds from the proof (instance module
+docstring).  These helpers form the dense products instead: the (D, D)
+resolution and the products of the states with the reciprocal states and
+with the duals, as the pipeline once did.
 """
 
 import numpy as np
@@ -69,8 +70,19 @@ def dense_reciprocal_residuals(inst, r) -> dict:
     }
 
 
+def dense_dual_residuals(inst, xi, drop) -> dict:
+    """dual_basis_omit's two audits, measured on the dense product of its duals with the states."""
+    ks = np.array(xi.ks)
+    cross = xi.vectors.conj() @ inst.states.T  # entry [i, j - 1] = <xi_(ks[i]) | psi_j>
+    predicted = -np.exp(2j * np.pi * ((ks - drop) % inst.n) / inst.n)
+    dropped = float(np.max(np.abs(cross[:, drop - 1] - predicted)))
+    cross[np.arange(len(ks)), ks - 1] -= 1.0
+    cross[:, drop - 1] = 0.0
+    return {"dual delta overlap": float(np.max(np.abs(cross))), "dual dropped overlap": dropped}
+
+
 def derived_bound(inst) -> float:
-    """The bound reciprocal_set's audits read: 4 (eps + sqrt(2D/N) delta) + 2^-46."""
+    """The bound every overlap audit reads: 4 (eps + sqrt(2D/N) delta) + 2^-46."""
     eps, delta = inst.residuals["completeness"], inst.residuals["null relation"]
     return 4.0 * (eps + np.sqrt(2.0 * inst.total_dim / inst.n) * delta) + 2.0**-46
 

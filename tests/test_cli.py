@@ -433,6 +433,30 @@ def test_simulate_weights_with_copies(capsys):
     assert payload["misidentifications"] == 0
 
 
+@pytest.mark.parametrize("n, copies", [("5", "1"), ("5", "3"), ("13", "1")])
+def test_simulate_weight_past_the_pair_cap_is_input_error(capsys, n, copies):
+    # A loosened --tol admits a weight above 2D/N = 1/q, whose failure cell
+    # 1 - q w would be negative: an input error, not an invariant violation.
+    weights = ",".join(["2"] + ["0"] * (int(n) - 2))
+    rc, out, err = run_cli(
+        capsys, "simulate", "--n", n, "--weights", weights, "--tol", "10",
+        "--trials", "1000", "--copies", copies,
+    )
+    assert rc == 2
+    assert out == ""
+    assert "weight 2 of label 2 exceeds the pair cap 2D/N" in err
+
+
+@pytest.mark.parametrize("copies", ["1", "3"])
+def test_simulate_weight_at_the_pair_cap_runs(capsys, copies):
+    # w = 2D/N = 1.6 at N = 5: label 2's input never fails, the others always do.
+    payload, _ = run_json(
+        capsys, "simulate", "--n", "5", "--weights", "1.6,0,0,0", "--tol", "1", "--copies", copies
+    )
+    assert abs(payload["theoretical_failure"] - 0.75) <= 1e-12
+    assert payload["misidentifications"] == 0
+
+
 @pytest.mark.parametrize(
     "n, copies", [(61, 2), (5, 7), (61, 3), (5, 8), (211, 2), (61, 10**6)]
 )
@@ -669,12 +693,13 @@ def test_failed_reciprocal_bound_is_an_invariant_violation(capsys, monkeypatch):
 
 
 def test_generate_and_optimize_peak_memory(tmp_path, capsys):
-    # generate holds the (N, D) state matrix (16 B/N^2) and blocks of a few
-    # MiB; optimize adds the (D, D) reciprocal states.  Neither forms a
-    # (D, D) resolution, an (N, D) cross product or (N, D) index arrays.
+    # generate and optimize each hold the (N, D) state matrix (16 B/N^2)
+    # and blocks of a few MiB; the reciprocal set shares that matrix.
+    # Neither forms a (D, D) resolution or reciprocal matrix, an (N, D)
+    # cross product or (N, D) index arrays.
     n = 1009
     path = str(tmp_path / "inst.json")
-    for argv, limit in ((["generate", "--out", path], 24), (["optimize"], 40)):
+    for argv, limit in ((["generate", "--out", path], 24), (["optimize"], 24)):
         tracemalloc.start()
         try:
             rc = main([argv[0], "--n", str(n), *argv[1:]])

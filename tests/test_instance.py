@@ -24,6 +24,7 @@ from tests.oracles import (
     DENSE_ROUNDING,
     dense_born_table,
     dense_completeness_residual,
+    dense_dual_residuals,
     dense_reciprocal_residuals,
     derived_bound,
     residuals_agree,
@@ -106,12 +107,14 @@ def test_audits_keep_what_they_measured(n):
     relation = np.linalg.norm(inst.states.T @ omega_j) / np.sqrt(n)
     assert inst.residuals["null relation"] == relation <= BOUNDS["null relation"]
 
-    # reciprocal_set forms no product: its four rows read the bound the two
-    # residuals above give, which the dense cross product stays under.
+    # reciprocal_set and dual_basis_omit form no product: their six rows
+    # read the bound the two residuals above give, which the dense products
+    # stay under.
     r = reciprocal_set(inst)
     bound = derived_bound(inst)
     assert r.residuals == dict.fromkeys(dense_reciprocal_residuals(inst, r), bound)
-    for name, measured in dense_reciprocal_residuals(inst, r).items():
+    dual = dense_dual_residuals(inst, dual_basis_omit(inst, n), n)
+    for name, measured in {**dense_reciprocal_residuals(inst, r), **dual}.items():
         assert measured <= bound, name
     assert np.max(np.abs(two_cell_table(r) - dense_born_table(inst, r))) <= DENSE_ROUNDING
     for name, measured in {**inst.residuals, **r.residuals}.items():

@@ -47,6 +47,7 @@ from tests.oracles import (
     by_label,
     dense_born_table,
     dense_completeness_residual,
+    dense_dual_residuals,
     dense_failures,
     dense_reciprocal_residuals,
     derived_bound,
@@ -178,6 +179,10 @@ def test_printed_corollaries_of_the_null_relation(inst, data):
     weight = dict(zip(inst.retained, w))
     predicted = [2.0 * d / n - weight[k] - weight[drop] for k in xi.ks]
     assert np.max(np.abs(sandwich - predicted)) <= 1e-12
+    # dual_basis_omit forms no product: the dense audits of its duals stay
+    # under the derived bound its two rows read.
+    for name, measured in dense_dual_residuals(inst, xi, drop).items():
+        assert measured <= derived_bound(inst), name
 
 
 def inverse_duals(inst, drop):
@@ -198,7 +203,10 @@ def test_closed_forms_match_the_definitions(inst, data):
     reference = rows / np.linalg.norm(rows, axis=1)[:, None]
     r = reciprocal_set(inst)
     assert list(r.indices) == kept
-    assert np.max(np.abs(r.states - reference)) <= CLOSURE_BOUND
+    states = r.states
+    assert np.max(np.abs(states - reference)) <= CLOSURE_BOUND
+    for i, j in enumerate(r.indices):
+        assert np.array_equal(r.state(j), states[i])
 
     drop = data.draw(st.integers(1, inst.n - 1))
     drop += drop >= inst.omit  # any label but omit

@@ -448,6 +448,17 @@ def test_simulation_builds_no_certificate_factors(monkeypatch, capsys):
         run_discrimination(inst, reciprocal_set(inst), optimal_measurement(inst), cfg)
 
 
+def test_a_weight_past_the_pair_cap_is_a_value_error():
+    # psd_tol = 10 admits w = 2 > 2D/N = 1.6 at N = 5; the rows are refused
+    # before the negative failure cell reaches an invariant check.
+    inst = make_instance(5)
+    m = build_measurement(inst, [0.0, 0.0, 2.0, 0.0], psd_tol=10.0)
+    for copies in (1, 3):
+        cfg = SimConfig(seed=0, trials=1000, copies=copies)
+        with pytest.raises(ValueError, match=r"weight 2 of label 4 exceeds the pair cap"):
+            run_discrimination(inst, reciprocal_set(inst), m, cfg)
+
+
 def test_complement_decomposition_example():
     terms = complement_decomposition([2, 2], [3, 2])
     assert len(terms) == 2
