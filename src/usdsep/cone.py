@@ -16,6 +16,16 @@ is not a nonnegative combination of the other classes.  One vec_herm call
 per party maps the stack to isometric real coordinates, where that is a
 question about the columns of one real matrix V.
 
+Every factor must be positive semidefinite: lambda_min(H) >= -PSD_INPUT_TOL
+for its Hermitian part H.  One batched Cholesky of H + s I per party proves
+it, s = PSD_INPUT_TOL - 8 d (d + 1) u max ||H||_F with u the unit roundoff:
+the backward error of a completed Cholesky (Higham, Accuracy and Stability
+of Numerical Algorithms, 2nd ed., 2002, Thm 10.3, and sec. 3.6 for complex
+arithmetic) stays below 3.1 d (d + 1) u (max ||H||_F + s), and so, with the
+rounding of the shifted diagonal, below PSD_INPUT_TOL - s once max ||H||_F
+>= PSD_INPUT_TOL (below that, lambda_min(H) >= -||H||_F > -PSD_INPUT_TOL
+outright).  Only where it fails, or s <= 0, does a batched eigvalsh decide.
+
 Each class is first put to a Farkas witness (the dual of the active-set
 nonnegative least squares of Lawson & Hanson, Solving Least Squares
 Problems, 1974, ch. 23): a Hermitian Y_c with <Y_c, r_k> >= 0 for every
@@ -38,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import nnls, vec_herm
+from .numerics import _frob, _strict_upper, nnls, vec_herm
 
 __all__ = [
     "LocalOperatorSet",
@@ -61,8 +71,8 @@ WARN_BAND = (1e-8, 1e-6)
 class LocalOperatorSet:
     """The factors one party contributes across all measurement outcomes.
 
-    ``ops`` may be given as any sequence of equal square matrices; it is
-    kept as a validated read-only (R, d, d) complex stack, copied once.
+    ``ops`` may be given as any sequence of equal square matrices, d >= 1;
+    it is kept as a validated read-only (R, d, d) complex stack, copied once.
     """
 
     ops: np.ndarray
@@ -72,22 +82,35 @@ class LocalOperatorSet:
             raise ValueError("operator set must be non-empty")
         try:
             stack = np.array(self.ops, dtype=complex)
-            square = stack.ndim == 3 and stack.shape[1] == stack.shape[2]
+            square = stack.ndim == 3 and stack.shape[1] == stack.shape[2] > 0
         except ValueError:  # ragged: numpy cannot stack operators of different shapes
             square = False
         if not square:
             raise ValueError("operators must share one square dimension")
         if not np.all(np.isfinite(stack)):
             raise ValueError("operators must have finite entries")
-        hermitian = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
-        if float(np.linalg.eigvalsh(hermitian)[:, 0].min()) < -PSD_INPUT_TOL:
-            raise ValueError("operators must be positive semidefinite")
+        _require_psd(stack)
         stack.setflags(write=False)
         object.__setattr__(self, "ops", stack)
 
     @property
     def dim(self) -> int:
         return self.ops.shape[1]
+
+
+def _require_psd(stack: np.ndarray) -> None:
+    """Raise unless each Hermitian part H has lambda_min(H) >= -PSD_INPUT_TOL (module docstring)."""
+    d = stack.shape[1]
+    hermitian = (stack + np.conjugate(stack.transpose(0, 2, 1), order="C")) / 2.0
+    shift = PSD_INPUT_TOL - 4.0 * d * (d + 1) * np.finfo(float).eps * float(_frob(hermitian).max())
+    if shift > 0.0:
+        try:
+            np.linalg.cholesky(hermitian + shift * np.eye(d))
+            return
+        except np.linalg.LinAlgError:
+            pass
+    if float(np.linalg.eigvalsh(hermitian)[:, 0].min()) < -PSD_INPUT_TOL:
+        raise ValueError("operators must be positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -161,7 +184,7 @@ def distinct_rays(s: LocalOperatorSet, tol: float = RAY_TOL) -> RayGroups:
     and otherwise becomes the representative of a new class.  Zero
     operators are rejected since they name no ray at all.
     """
-    norms = np.linalg.norm(s.ops, axis=(1, 2))
+    norms = _frob(s.ops)
     if np.any(norms < 1e-14):
         raise ValueError("zero operator has no ray")
     units = s.ops / norms[:, None, None]
@@ -176,28 +199,25 @@ def distinct_rays(s: LocalOperatorSet, tol: float = RAY_TOL) -> RayGroups:
     rows, cols = np.nonzero(coords @ coords.T >= 1.0 - tol**2 / 2.0 - slack)
     earlier = cols < rows
     rows, cols = rows[earlier], cols[earlier]
-    head = np.arange(len(units))  # head[i]: the operator representing i's class
     if rows.size:
+        head = np.arange(len(units))  # head[i]: the operator representing i's class
         splits = np.flatnonzero(np.diff(rows)) + 1
         for i, cand in zip(rows[np.r_[0, splits]], np.split(cols, splits)):
             cand = cand[head[cand] == cand]
             # Confirm by difference norms, in class order: 2 - 2 Re<u, r>
             # would round at about 1e-16, which is the size of tol**2 itself.
-            near = np.flatnonzero(np.linalg.norm(units[cand] - units[i], axis=(1, 2)) <= tol)
+            near = np.flatnonzero(_frob(units[cand] - units[i]) <= tol)
             if near.size:
                 head[i] = cand[near[0]]
-    heads = np.flatnonzero(head == np.arange(len(units)))
-    members: dict[int, list[int]] = {h: [] for h in heads.tolist()}
-    for i, h in enumerate(head.tolist()):
-        members[h].append(i)
-    reps, rep_coords = units[heads], coords[heads]
-    reps.setflags(write=False)
-    rep_coords.setflags(write=False)
-    return RayGroups(
-        groups=tuple(tuple(m) for m in members.values()),
-        representatives=reps,
-        coords=rep_coords,
-    )
+        order = np.argsort(head, kind="stable")  # class by class, members ascending
+        heads, starts = np.unique(head[order], return_index=True)
+        groups = tuple(tuple(g.tolist()) for g in np.split(order, starts[1:]))
+        units, coords = units[heads], coords[heads]
+    else:  # no pair passed the screen: every operator is its own class
+        groups = tuple((i,) for i in range(len(units)))
+    units.setflags(write=False)
+    coords.setflags(write=False)
+    return RayGroups(groups=groups, representatives=units, coords=coords)
 
 
 def _witness_bounds(rays: RayGroups) -> np.ndarray:
@@ -220,12 +240,12 @@ def _witness_bounds(rays: RayGroups) -> np.ndarray:
     # 1 MiB of LAPACK code to the resident set.
     u = reps[np.arange(len(reps)), :, reps.diagonal(axis1=1, axis2=2).real.argmax(axis=1)]
     for _ in range(3):
-        u = (reps @ u[:, :, None])[:, :, 0]
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        u = np.einsum("cij,cj->ci", reps, u)
+        u /= _frob(u, 1)[:, None]
     # p[c] = vec_herm(|u_c><u_c|), written from u_c in vec_herm's layout:
     # an (R, d, d) stack and vec_herm's temporaries would set the peak
     # memory of the whole certificate.
-    rows, cols = np.triu_indices(d, k=1)
+    rows, cols = _strict_upper(d)
     off = np.sqrt(2.0) * u[:, rows] * u[:, cols].conj()
     p = np.empty_like(v)
     p[:, :d] = np.abs(u) ** 2
@@ -242,7 +262,7 @@ def _witness_bounds(rays: RayGroups) -> np.ndarray:
     w = np.matmul(y, v.T, out=q)
     own = w.diagonal().copy()
     np.fill_diagonal(w, np.inf)
-    return np.where(w.min(axis=1) >= 0.0, -own / np.linalg.norm(y, axis=1), -np.inf)
+    return np.where(w.min(axis=1) >= 0.0, -own / _frob(y, 1), -np.inf)
 
 
 def count_extreme(s: LocalOperatorSet, tol: float = RAY_TOL) -> Extremality:
@@ -325,9 +345,8 @@ def certify(product_ops, tol: float = RAY_TOL) -> ConeReport:
         ]
         stack, d = ops.ops, ops.dim
         scale = np.trace(stack, axis1=1, axis2=2) / d
-        off_identity = np.linalg.norm(stack - scale[:, None, None] * np.eye(d), axis=(1, 2))
-        norms = np.linalg.norm(stack, axis=(1, 2))
-        skipped = bool(np.all(off_identity <= IDENTITY_RTOL * np.maximum(norms, 1e-14)))
+        off_identity = _frob(stack - scale[:, None, None] * np.eye(d))
+        skipped = bool(np.all(off_identity <= IDENTITY_RTOL * np.maximum(_frob(stack), 1e-14)))
         stats.append(
             PartyConeStat(
                 party=alpha,

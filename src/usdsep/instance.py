@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check
+from .numerics import _frob, check
 from .serialize import pairs_to_matrix
 
 __all__ = [
@@ -302,7 +302,7 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
     table, norm_gap = _amplitudes(n), 0.0
     for rows in _row_blocks(n, n - 1):
         np.take(table, np.multiply.outer(js[rows], exponents) % n, out=states[rows], mode="clip")
-        norm_gap = max(norm_gap, float(np.max(np.abs(np.linalg.norm(states[rows], axis=1) - 1))))
+        norm_gap = max(norm_gap, float(np.max(np.abs(_frob(states[rows], 1) - 1))))
     states.setflags(write=False)
     exponents.setflags(write=False)
 

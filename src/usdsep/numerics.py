@@ -7,6 +7,9 @@ feasibility tests.  All functions are pure; none mutate their arguments.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 __all__ = [
@@ -80,16 +83,43 @@ def kron_all(factors):
     factors = list(factors)
     if not factors:
         raise ValueError("kron_all needs at least one factor")
-    out = np.asarray(factors[0])
-    for f in factors[1:]:
-        out = np.kron(out, np.asarray(f))
-    return out
+    return functools.reduce(np.kron, factors[1:], np.asarray(factors[0]))
 
 
 def proj(v):
     """Rank-1 operator |v><v| built from a (not necessarily unit) vector."""
     v = np.asarray(v, dtype=complex).ravel()
-    return np.outer(v, v.conj())
+    return v[:, None] * v.conj()
+
+
+def _frob(a, axes=2):
+    """Frobenius norms over the last ``axes`` axes: a dot product of the float view with itself."""
+    f = np.ascontiguousarray(a).view(float)
+    f = f.reshape(f.shape[: f.ndim - axes] + (1, math.prod(f.shape[f.ndim - axes :])))
+    return np.sqrt(f @ f.swapaxes(-1, -2))[..., 0, 0]
+
+
+@functools.cache
+def _strict_upper(d):
+    """Read-only (rows, cols) indices of the strict upper triangle of a d x d matrix."""
+    index = np.array(np.triu_indices(d, k=1))
+    index.setflags(write=False)
+    return index
+
+
+def _hermitian_triangles(h, rtol):
+    """hermitize's checks; returns the array m, its diagonal, m_rc and conj(m_cr) for r < c."""
+    m = np.asarray(h, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    rows, cols = _strict_upper(m.shape[-1])
+    diag = m.diagonal(axis1=-2, axis2=-1)
+    upper, lower = m[..., rows, cols], m[..., cols, rows].conj()
+    # ||M - M^dag||_F^2 = 4 sum_i (Im m_ii)^2 + 2 sum_(r<c) |m_rc - conj(m_cr)|^2
+    gap = np.sqrt(4.0 * _frob(diag.imag, 1) ** 2 + 2.0 * _frob(upper - lower, 1) ** 2)
+    if np.any(gap > rtol * np.maximum(_frob(m), 1.0)):
+        raise ValueError(f"matrix is not Hermitian: asymmetry {np.max(gap):.3e}")
+    return m, diag, upper, lower
 
 
 def hermitize(m, rtol=1e-12):
@@ -99,15 +129,8 @@ def hermitize(m, rtol=1e-12):
     relative to its Frobenius norm is treated as an input error rather than
     silently averaged away.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    adjoint = m.conj().swapaxes(-1, -2)
-    scale = np.linalg.norm(m, axis=(-2, -1))
-    gap = np.linalg.norm(m - adjoint, axis=(-2, -1))
-    if np.any(gap > rtol * np.maximum(scale, 1.0)):
-        raise ValueError(f"matrix is not Hermitian: asymmetry {np.max(gap):.3e}")
-    return (m + adjoint) / 2.0
+    m = _hermitian_triangles(m, rtol)[0]
+    return (m + np.conjugate(m.swapaxes(-1, -2), order="C")) / 2.0
 
 
 def partial_trace(h, dims, keep):
@@ -136,15 +159,9 @@ def partial_trace(h, dims, keep):
     total = int(np.prod(dims))
     if h.shape[0] != total:
         raise ValueError(f"operator dim {h.shape[0]} does not match prod(dims)={total}")
-    p = len(dims)
-    t = h.reshape(dims + dims)
-    letters = "abcdefghijklmnopqrstuvwx"
-    row = list(letters[:p])
-    col = list(letters[:p])
-    col[keep] = letters[p]
-    subscripts = "".join(row) + "".join(col) + "->" + row[keep] + col[keep]
-    out = np.einsum(subscripts, t)
-    return hermitize(out, rtol=1e-9)
+    dk = dims[keep]  # move the kept row and column axes last, then trace out the rest
+    t = np.moveaxis(h.reshape(dims + dims), (keep, len(dims) + keep), (-2, -1))
+    return hermitize(np.trace(t.reshape(total // dk, total // dk, dk, dk)), rtol=1e-9)
 
 
 def vec_herm(h):
@@ -156,15 +173,17 @@ def vec_herm(h):
     product of vec_herm(A) and vec_herm(B), so Frobenius geometry on
     Hermitian matrices becomes plain dot-product geometry on R^(d^2).  A
     (..., d, d) stack maps to (..., d^2), one row per matrix.
+
+    It forms no averaged copy: the diagonal and the two triangles of ``h``
+    give the coordinates of hermitize(h) exactly, short of overflow or
+    subnormal entries.
     """
-    h = hermitize(h)
-    d = h.shape[-1]
-    rows, cols = np.triu_indices(d, k=1)
-    off = h[..., rows, cols]
-    out = np.empty(h.shape[:-2] + (d * d,), dtype=float)
-    out[..., :d] = h.diagonal(axis1=-2, axis2=-1).real
-    out[..., d::2] = np.sqrt(2.0) * off.real
-    out[..., d + 1 :: 2] = np.sqrt(2.0) * off.imag
+    m, diag, upper, lower = _hermitian_triangles(h, 1e-12)
+    d = diag.shape[-1]
+    out = np.empty(m.shape[:-2] + (d * d,), dtype=float)
+    out[..., :d] = diag.real
+    out[..., d:] = np.add(upper, lower, order="C").view(float)  # 2 h_rc: Re, Im interleaved
+    out[..., d:] *= np.sqrt(2.0) / 2.0
     return out
 
 

@@ -6,9 +6,19 @@ cells, overlaps and audit bounds from the proof (instance module
 docstring).  These helpers form the dense products instead: the (D, D)
 resolution and the products of the states with the reciprocal states and
 with the duals, as the pipeline once did.
+
+``reference_certify`` is the certificate's earlier per-party route: an
+eigvalsh positivity test, np.linalg.norm over complex stacks, and vec_herm
+by way of an averaged Hermitian copy.  cone.certify must reach the same
+groups, counts, verdicts, warnings and solves by its one-pass route.
 """
 
+import math
+
 import numpy as np
+
+from usdsep import nnls
+from usdsep.cone import IDENTITY_RTOL, PSD_INPUT_TOL, RAY_TOL, WARN_BAND, ConeReport, PartyConeStat
 
 # The ratio route and the dense product sum the same D^2 entries in other
 # orders, so their residuals agree to rounding: within half the larger plus
@@ -92,3 +102,159 @@ def dense_failures(inst, r, m) -> np.ndarray:
     coefficients = np.full(inst.n, inst.total_dim / inst.n)
     coefficients[np.subtract(m.indices, 1)] -= m.weights
     return dense_born_table(inst, r) @ coefficients
+
+
+def reference_hermitize(m, rtol=1e-12):
+    """(M + M^dag)/2 of a stack, rejecting asymmetry past rtol by np.linalg.norm."""
+    m = np.asarray(m, dtype=complex)
+    adjoint = m.conj().swapaxes(-1, -2)
+    scale = np.linalg.norm(m, axis=(-2, -1))
+    gap = np.linalg.norm(m - adjoint, axis=(-2, -1))
+    if np.any(gap > rtol * np.maximum(scale, 1.0)):
+        raise ValueError(f"matrix is not Hermitian: asymmetry {np.max(gap):.3e}")
+    return (m + adjoint) / 2.0
+
+
+def reference_vec_herm(h):
+    """vec_herm of the averaged copy: diagonal, then sqrt(2) Re and Im of the upper triangle."""
+    h = reference_hermitize(h)
+    d = h.shape[-1]
+    rows, cols = np.triu_indices(d, k=1)
+    off = h[..., rows, cols]
+    out = np.empty(h.shape[:-2] + (d * d,), dtype=float)
+    out[..., :d] = h.diagonal(axis1=-2, axis2=-1).real
+    out[..., d::2] = np.sqrt(2.0) * off.real
+    out[..., d + 1 :: 2] = np.sqrt(2.0) * off.imag
+    return out
+
+
+def reference_stack(ops) -> np.ndarray:
+    """The validated (R, d, d) stack, positivity decided by eigvalsh alone."""
+    stack = np.array(ops, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
+        raise ValueError("operators must share one square dimension")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("operators must have finite entries")
+    if eigvalsh_rejects(stack):
+        raise ValueError("operators must be positive semidefinite")
+    return stack
+
+
+def eigvalsh_rejects(stack) -> bool:
+    """The eigvalsh test: some Hermitian part has an eigenvalue below -PSD_INPUT_TOL."""
+    hermitian = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
+    return float(np.linalg.eigvalsh(hermitian)[:, 0].min()) < -PSD_INPUT_TOL
+
+
+def reference_rays(stack, tol):
+    """First-match grouping with np.linalg.norm: (groups, representatives, coords)."""
+    norms = np.linalg.norm(stack, axis=(1, 2))
+    if np.any(norms < 1e-14):
+        raise ValueError("zero operator has no ray")
+    units = stack / norms[:, None, None]
+    coords = reference_vec_herm(units)
+    slack = 16.0 * stack.shape[1] ** 2 * np.finfo(float).eps
+    rows, cols = np.nonzero(coords @ coords.T >= 1.0 - tol**2 / 2.0 - slack)
+    earlier = cols < rows
+    rows, cols = rows[earlier], cols[earlier]
+    head = np.arange(len(units))
+    if rows.size:
+        splits = np.flatnonzero(np.diff(rows)) + 1
+        for i, cand in zip(rows[np.r_[0, splits]], np.split(cols, splits)):
+            cand = cand[head[cand] == cand]
+            near = np.flatnonzero(np.linalg.norm(units[cand] - units[i], axis=(1, 2)) <= tol)
+            if near.size:
+                head[i] = cand[near[0]]
+    heads = np.flatnonzero(head == np.arange(len(units)))
+    members = {h: [] for h in heads.tolist()}
+    for i, h in enumerate(head.tolist()):
+        members[h].append(i)
+    return tuple(tuple(m) for m in members.values()), units[heads], coords[heads]
+
+
+def reference_witness_bounds(reps, v) -> np.ndarray:
+    """The checked Farkas bounds, power iteration by matmul and norms by np.linalg.norm."""
+    d = reps.shape[1]
+    u = reps[np.arange(len(reps)), :, reps.diagonal(axis1=1, axis2=2).real.argmax(axis=1)]
+    for _ in range(3):
+        u = (reps @ u[:, :, None])[:, :, 0]
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+    rows, cols = np.triu_indices(d, k=1)
+    off = np.sqrt(2.0) * u[:, rows] * u[:, cols].conj()
+    p = np.empty_like(v)
+    p[:, :d] = np.abs(u) ** 2
+    p[:, d::2], p[:, d + 1 :: 2] = off.real, off.imag
+    q = p @ v.T
+    q /= v[:, :d].sum(axis=1)
+    np.fill_diagonal(q, -np.inf)
+    t = (1.0 - 1e-12) / np.maximum(q.max(axis=1), 1e-3)
+    y = -t[:, None] * p
+    y[:, :d] += 1.0
+    w = np.matmul(y, v.T, out=q)
+    own = w.diagonal().copy()
+    np.fill_diagonal(w, np.inf)
+    return np.where(w.min(axis=1) >= 0.0, -own / np.linalg.norm(y, axis=1), -np.inf)
+
+
+def reference_party(stack, tol):
+    """One party's (groups, residuals, witnessed, nnls_solves) by the earlier route."""
+    groups, reps, coords = reference_rays(stack, tol)
+    residuals = np.full(len(groups), np.inf)
+    witnessed = np.zeros(len(groups), dtype=bool)
+    undecided = ()
+    if len(groups) > 1:
+        bounds = reference_witness_bounds(reps, coords)
+        witnessed = bounds > max(tol, WARN_BAND[1])
+        residuals[witnessed] = bounds[witnessed]
+        undecided = np.flatnonzero(~witnessed)
+        v = coords.T
+        for c in undecided:
+            _, residuals[c] = nnls(np.delete(v, c, axis=1), v[:, c], tol=max(tol * 1e-4, 1e-14))
+    return groups, residuals, witnessed, len(undecided)
+
+
+def reference_certify(product_ops, tol=RAY_TOL):
+    """cone.certify by the earlier per-party route; also returns each party's groups."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    entries = [list(entry) for entry in product_ops]
+    lo, hi = WARN_BAND
+    warnings, stats, all_groups, total = [], [], [], 0
+    for alpha in range(len(entries[0])):
+        stack = reference_stack([entry[alpha] for entry in entries])
+        groups, residuals, witnessed, solves = reference_party(stack, tol)
+        proven = residuals[witnessed]
+        warnings += [
+            f"party {alpha} ray class {c}: NNLS residual {residuals[c]:.3e} is borderline"
+            for c in np.flatnonzero((lo <= residuals) & (residuals <= hi))
+        ]
+        d = stack.shape[1]
+        scale = np.trace(stack, axis1=1, axis2=2) / d
+        off_identity = np.linalg.norm(stack - scale[:, None, None] * np.eye(d), axis=(1, 2))
+        norms = np.linalg.norm(stack, axis=(1, 2))
+        skipped = bool(np.all(off_identity <= IDENTITY_RTOL * np.maximum(norms, 1e-14)))
+        count = int(np.count_nonzero(residuals > tol))
+        stats.append(
+            PartyConeStat(
+                party=alpha,
+                generators=len(stack),
+                rays=len(groups),
+                extreme=count,
+                skipped=skipped,
+                nnls_solves=solves,
+                min_witness_bound=float(proven.min()) if proven.size else None,
+            )
+        )
+        all_groups.append(groups)
+        total += 0 if skipped else count
+    bound = 2 * (len(entries) - 1)
+    single = len(entries[0]) == 1
+    report = ConeReport(
+        parties=tuple(stats),
+        total=total,
+        bound=bound,
+        verdict="SATISFIES" if single or total <= bound else "VIOLATES",
+        warnings=tuple(warnings),
+        note="single-party measurement: trivially implementable locally" if single else "",
+    )
+    return report, all_groups

@@ -18,7 +18,8 @@ from usdsep import (
     proj,
     vec_herm,
 )
-from usdsep.cone import RAY_TOL, WARN_BAND
+from usdsep.cone import IDENTITY_RTOL, PSD_INPUT_TOL, RAY_TOL, WARN_BAND
+from tests.oracles import eigvalsh_rejects, reference_certify
 from tests.test_instance import all_instances
 from tests.test_properties import instances
 
@@ -147,6 +148,12 @@ def test_operator_set_validation():
     for value in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             LocalOperatorSet((np.eye(2), np.diag([1.0, value]).astype(complex)))
+    # Zero-size operators name no dimension at all.
+    empty = np.zeros((0, 0))
+    with pytest.raises(ValueError, match="one square dimension"):
+        LocalOperatorSet((empty, empty))
+    with pytest.raises(ValueError, match="one square dimension"):
+        certify([[empty, empty]])
 
 
 def test_operator_set_rejects_one_indefinite_factor_among_many():
@@ -438,3 +445,117 @@ def test_witness_decisions_match_nnls_only(ops, tol):
     assert np.all(found.residuals[decided] > max(tol, hi))
     assert np.all(found.residuals[decided] <= reference[decided] + 1e-12)
     assert np.array_equal(found.residuals[~decided], reference[~decided])
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def party_factors(rng, kind, r, tol):
+    """r factors of one party: near-duplicate rays at the tolerance edge, near-identity
+    factors, rank > 1 factors or rank-1 ones, each at a random positive scale."""
+    d = int(rng.integers(2, 6))
+    if kind == "near duplicates":
+        planted = planted_rays(rng, tol)
+        ops = [planted[k % len(planted)] for k in range(r)]
+    elif kind == "near identity":
+        # Off the identity by 0.5 or 2 times IDENTITY_RTOL relative: skipped or not.
+        ops = []
+        for _ in range(r):
+            h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            h = (h + h.conj().T) / 2.0
+            h -= np.trace(h) / d * np.eye(d)
+            gap = rng.choice([0.5, 2.0]) * IDENTITY_RTOL * np.sqrt(d)
+            ops.append(np.eye(d) + gap * h / np.linalg.norm(h))
+    elif kind == "rank > 1":
+        ops = [rand_psd(rng, d, rank=int(rng.integers(2, d + 1))) for _ in range(r)]
+    else:
+        ops = [proj(v) for v in rng.normal(size=(r, d)) + 1j * rng.normal(size=(r, d))]
+    return [op * 10.0 ** rng.uniform(-2.0, 3.0) for op in ops]
+
+
+KINDS = ("near duplicates", "near identity", "rank > 1", "rank one")
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(KINDS), min_size=1, max_size=3),
+    st.integers(2, 12),
+    st.sampled_from([1e-8, 1e-6, 1e-3, 0.05]),
+)
+def test_certify_matches_the_reference_route(seed, kinds, r, tol):
+    rng = np.random.default_rng(seed)
+    parties = [party_factors(rng, kind, r, tol) for kind in kinds]
+    entries = [[party[j] for party in parties] for j in range(r)]
+    want, want_groups = reference_certify(entries, tol)
+    got = certify(entries, tol)
+    assert [distinct_rays(LocalOperatorSet(p), tol).groups for p in parties] == want_groups
+    for g, w in zip(got.parties, want.parties, strict=True):
+        assert (g.party, g.generators, g.rays, g.skipped) == (w.party, w.generators, w.rays, w.skipped)
+    if tol < 1e-6 and "near identity" in kinds:
+        # Near-identity rays lie 0.5e-8 to 4e-8 apart, so at tol = 1e-8 they
+        # stay separate classes whose NNLS columns differ only at 1e-8.  The
+        # reference route's own residual digits, and so its warnings, then
+        # move under a 1-ulp change of one input entry; only the well-posed
+        # outputs above are compared there.
+        return
+    assert (got.total, got.bound, got.verdict) == (want.total, want.bound, want.verdict)
+    assert (got.note, got.warnings) == (want.note, want.warnings)
+    for g, w in zip(got.parties, want.parties, strict=True):
+        assert (g.extreme, g.nnls_solves) == (w.extreme, w.nnls_solves)
+        assert (g.min_witness_bound is None) == (w.min_witness_bound is None)
+        if w.min_witness_bound is not None:
+            # The bound is -<Y, r_c> / ||Y||, a sum of O(1) terms: its rounding is
+            # absolute, a few 1e-16 (seen: 4.3e-16), which for the smallest
+            # bounds (down to the 1e-6 cut) is more than 1e-12 relative.
+            gap = abs(g.min_witness_bound - w.min_witness_bound)
+            assert gap <= 1e-12 * abs(w.min_witness_bound) + 1e-14
+
+
+def test_positivity_at_the_tolerance_edge_follows_eigvalsh():
+    # Factors whose smallest eigenvalue sits 0.1% inside or outside
+    # -PSD_INPUT_TOL, conjugated by random unitaries: the Cholesky route must
+    # accept or reject each exactly where eigvalsh does.
+    rng = np.random.default_rng(2024)
+    decisions = set()
+    for _ in range(40):
+        d = int(rng.integers(2, 9))
+        factor = rng.choice([1.0 - 1e-3, 1.0 + 1e-3])
+        top = 10.0 ** rng.uniform(-1, 2)
+        values = np.r_[-PSD_INPUT_TOL * factor, rng.uniform(0.0, top, size=d - 1)]
+        u = random_unitary(rng, d)
+        edge = (u * values) @ u.conj().T
+        stack = [rand_psd(rng, d) for _ in range(3)] + [edge]
+        rejects = eigvalsh_rejects(np.array(stack))
+        assert rejects == (factor > 1.0)
+        decisions.add(rejects)
+        if rejects:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                LocalOperatorSet(stack)
+        else:
+            LocalOperatorSet(stack)
+    assert decisions == {True, False}
+
+
+def test_certify_decides_positivity_without_eigenvalues(monkeypatch):
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    inst = make_instance(13)
+    rep = certify(family_factors(inst))
+    assert rep.verdict == "VIOLATES"
+    assert calls == []
+
+    # One indefinite factor still fails the Cholesky, and eigvalsh rejects it.
+    entries = [list(entry) for entry in family_factors(inst)]
+    entries[4][1] = entries[4][1] - 1e-6 * np.eye(len(entries[4][1]))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        certify(entries)
+    assert calls

@@ -100,8 +100,12 @@ def test_audits_keep_what_they_measured(n):
     inst = make_instance(n)
     assert inst.residuals["completeness"] == completeness_residual(inst)
     assert residuals_agree(inst.residuals["completeness"], dense_completeness_residual(inst))
-    norms = np.linalg.norm(inst.states, axis=1)
+    # The audit takes each row's dot product over its float view; np.linalg.norm
+    # agrees to rounding.
+    floats = inst.states.view(float)[:, None, :]
+    norms = np.sqrt(floats @ floats.swapaxes(1, 2))[:, 0, 0]
     assert inst.residuals["unit norm"] == float(np.max(np.abs(norms - 1.0)))
+    assert np.max(np.abs(norms - np.linalg.norm(inst.states, axis=1))) <= 4e-15
     # sum_j omega^j psi_j over the unit coefficient vector omega^j / sqrt(N).
     omega_j = np.exp(2j * np.pi * (np.arange(1, n + 1) % n) / n)
     relation = np.linalg.norm(inst.states.T @ omega_j) / np.sqrt(n)
