@@ -39,6 +39,13 @@ same terms reordered.  The nonzero exponents are 1..N-2, so ratio 1 occurs
 D - 1 times and every other ratio D - 2 times (a = c b excludes only
 b = -1/c); exponent 0 adds a row and a column of A(0) and the corner N t_0^2.
 
+The tables come from the multiplicative group mod N (Rader, Proc. IEEE 56,
+1107 (1968)): with pw[k] = g^k mod N for a primitive root g and lg its inverse,
+states[j-1, m] = t[pw[lg j + lg e_m]], an add with no division.  From N = 128
+up, A(g^b) = |t_0|^2 + sum_a x_(a+b) conj(x_a), x_a = t[g^a], is one circular
+autocorrelation (an fft/ifft pair, O(N log N)); below, it would save under
+0.1 ms a family, and loading numpy.fft costs about half a MiB of memory.
+
 Completeness and the null relation prove every overlap audit of the
 reciprocal states and the duals.  With eps and delta their residuals,
 P = (D/N) Psi^dag Psi lies within eps (Frobenius) of the projector onto
@@ -60,6 +67,7 @@ party indices are plain 0-based positions.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -88,7 +96,8 @@ __all__ = [
 ]
 
 INDEPENDENCE_TOL = 1e-10
-_BLOCK_ENTRIES = 1 << 17  # per row block of the (N, D)-size gathers: one block below N = 362
+_BLOCK_ENTRIES = 1 << 17  # per row block of the (N, D) state gather: one block below N = 362
+_RADER_FROM = 128  # least N whose completeness sums are one autocorrelation (module docstring)
 
 
 def is_prime(n: int) -> bool:
@@ -152,7 +161,7 @@ class Instance:
     @property
     def retained(self) -> tuple[int, ...]:
         """State labels kept for discrimination (all j except ``omit``)."""
-        return tuple(j for j in range(1, self.n + 1) if j != self.omit)
+        return (*range(1, self.omit), *range(self.omit + 1, self.n + 1))
 
     def state(self, j: int) -> np.ndarray:
         if not 1 <= j <= self.n:
@@ -287,27 +296,27 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
     if dims is None:
         dims = prime_factors(n - 1)
 
-    roots = _roots(n)
-    js = np.arange(1, n + 1)
-    local = []
-    exponents = np.zeros(1, dtype=np.int64)  # sum_alpha p_alpha m_alpha, kron order
-    p = 1  # p_alpha, the product of the earlier dimensions
+    pw, lg = _log_tables(n)
+    lgj, root_cycle = lg[1:], _roots(n)[pw]  # lg of the labels 1..N; omega^pw
+    # p_alpha, the product of the earlier dimensions; sum_alpha p_alpha m_alpha in kron order
+    local, p, exponents = [], 1, np.zeros(1, dtype=np.int64)
     for d in dims:
         m = p * np.arange(d)
-        factor = roots[np.multiply.outer(js, m) % n] / np.sqrt(d)
+        factor = np.take(root_cycle, np.add.outer(lgj, lg[m]), mode="clip") / np.sqrt(d)
         factor.setflags(write=False)
         local.append(factor)
         exponents = np.add.outer(exponents, m).ravel()
         p *= d
-    table, norm_gap = _amplitudes(n), 0.0
-    for rows in _row_blocks(n, n - 1):
-        np.take(table, np.multiply.outer(js[rows], exponents) % n, out=states[rows], mode="clip")
+    cycle, lge, norm_gap = _amplitudes(n)[pw], lg[exponents], 0.0
+    step = max(1, _BLOCK_ENTRIES // (n - 1))  # rows per block
+    for rows in (slice(start, start + step) for start in range(0, n, step)):
+        np.take(cycle, np.add.outer(lgj[rows], lge), out=states[rows], mode="clip")
         norm_gap = max(norm_gap, float(np.max(np.abs(_frob(states[rows], 1) - 1))))
     states.setflags(write=False)
     exponents.setflags(write=False)
 
     inst = Instance(n, dims, omit, tuple(local), states, exponents, residuals={})
-    relation = float(np.linalg.norm(states.T @ roots[js % n])) / math.sqrt(n)  # omega^j
+    relation = float(np.linalg.norm(states.T @ root_cycle[lgj])) / math.sqrt(n)  # omega^j
     inst.residuals["completeness"] = check("completeness", completeness_residual(inst))
     inst.residuals["unit norm"] = check("unit norm", norm_gap)
     inst.residuals["null relation"] = check("null relation", relation)
@@ -317,17 +326,13 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
 def completeness_residual(inst: Instance) -> float:
     """Frobenius norm of (D/N) * sum_j |psi_j><psi_j| - identity.
 
-    Summed by exponent ratio (module docstring) in row blocks of one
-    gather and one matrix-vector product each: O(N^2) time, no (D, D)
-    array.  It reads ``exponents`` and the table the states are gathered
-    from; "unit norm" and "null relation" read the states themselves.
+    Summed by exponent ratio (module docstring): the N sums A(c), by one
+    (N, N) gather below N = 128 and one autocorrelation from there up, with
+    no (D, D) array.  It reads the table the states are gathered from;
+    "unit norm" and "null relation" read the states themselves.
     """
-    n, d = inst.n, inst.total_dim
-    table, residues = _amplitudes(n), np.arange(n)
-    ratios = np.empty(n, dtype=complex)  # ratios[c] = A(c)
-    for rows in _row_blocks(n, n):
-        products = np.multiply.outer(residues[rows], residues) % n
-        ratios[rows] = np.take(table, products, mode="clip") @ table.conj()
+    n, d, table = inst.n, inst.total_dim, _amplitudes(inst.n)
+    ratios = _rader_sums(table) if n >= _RADER_FROM else _ratio_sums(table)  # ratios[c] = A(c)
     ratios *= d / n
     ratios[1] -= 1.0
     sq = np.abs(ratios) ** 2
@@ -336,14 +341,28 @@ def completeness_residual(inst: Instance) -> float:
     return math.sqrt(total)
 
 
+def _ratio_sums(table: np.ndarray) -> np.ndarray:
+    """A(c) = sum_s t[c s mod N] conj(t[s]) for c = 0..N-1, by one (N, N) gather."""
+    residues = np.arange(len(table))
+    return np.take(table, np.outer(residues, residues) % len(table), mode="clip") @ table.conj()
+
+
+def _rader_sums(table: np.ndarray) -> np.ndarray:
+    """The sums of _ratio_sums as one circular autocorrelation over g^a (module docstring)."""
+    n = len(table)
+    pw, ratios = _log_tables(n)[0][: n - 1], np.full(n, table[0] * table.conj().sum())
+    ratios[pw] = np.fft.ifft(np.abs(np.fft.fft(table[pw])) ** 2) + abs(table[0]) ** 2
+    return ratios
+
+
 def shift_unitary(inst: Instance, party: int) -> np.ndarray:
     """Diagonal unitary advancing every local state of one party by one label.
 
     Applying it across all parties maps global state j to j + 1 (label N
     wraps to 1, phases being periodic in j mod N).
     """
-    if not 0 <= party < len(inst.dims):
-        raise ValueError(f"party {party} out of range")
+    if not (_is_integer(party) and 0 <= party < len(inst.dims)):
+        raise ValueError(f"party must be an integer in 0..{len(inst.dims) - 1}, got {party!r}")
     p = math.prod(inst.dims[:party])
     return np.diag(_roots(inst.n)[(p * np.arange(inst.dims[party])) % inst.n])
 
@@ -385,15 +404,29 @@ def _roots(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
+@functools.lru_cache(maxsize=32)
+def _log_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only pw = g^k mod prime n over two cycles, then 0, and lg[pw[k]] = k.
+
+    g is the least primitive root; lg[0] = lg[n] = 2n - 2 indexes that 0, as
+    does any sum with it, so pw read at lg j + lg e with mode="clip" is j e mod n.
+    """
+    order, qs = n - 1, set(prime_factors(n - 1))
+    g = next(g for g in range(2, n) if all(pow(g, order // q, n) != 1 for q in qs))
+    pw = np.ones(1, dtype=np.int64)
+    while len(pw) < 2 * order:  # doubling: g^(k + len) = g^k g^len
+        pw = np.concatenate((pw, pw * pow(g, len(pw), n) % n))
+    pw = np.append(pw[: 2 * order], 0)
+    lg = np.full(n + 1, 2 * order)
+    lg[pw[:order]] = np.arange(order)
+    for a in (pw, lg):
+        a.setflags(write=False)
+    return pw, lg
+
+
 def _amplitudes(n: int) -> np.ndarray:
     """omega^t / sqrt(n - 1): the one table every state amplitude is gathered from."""
     return _roots(n) / np.sqrt(n - 1)
-
-
-def _row_blocks(rows: int, cols: int) -> list[slice]:
-    """Row slices of a (rows, cols) array, _BLOCK_ENTRIES entries or one row each."""
-    step = max(1, _BLOCK_ENTRIES // cols)
-    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def _duals(states: np.ndarray, ks: np.ndarray, l: int, scale: float) -> np.ndarray:
@@ -448,16 +481,14 @@ def dual_basis_omit(inst: Instance, drop: int) -> DualBasisOmit:
     the pairwise weight bound on discrimination measurements.  The vectors
     are the duals xi_k (module docstring, l = drop) for k outside {omit, drop}.
     """
-    if not _is_integer(drop):
-        raise ValueError(f"drop must be an integer, got {drop!r}")
-    if not 1 <= drop <= inst.n:
-        raise ValueError(f"drop must be in 1..{inst.n}")
+    if not (_is_integer(drop) and 1 <= drop <= inst.n):
+        raise ValueError(f"drop must be an integer in 1..{inst.n}, got {drop!r}")
     if drop == inst.omit:
         raise ValueError("drop must differ from the instance's omitted label")
     # Both audits read the bound the residuals prove (module docstring).
     for name in ("dual delta overlap", "dual dropped overlap"):
         check(name, _derived_bound(inst))
-    ks = np.array([k for k in inst.retained if k != drop])
+    ks = np.delete(np.arange(1, inst.n + 1), [inst.omit - 1, drop - 1])
     vectors = _duals(inst.states, ks, drop, inst.total_dim / inst.n)
     vectors.setflags(write=False)
     return DualBasisOmit(ks=tuple(ks.tolist()), vectors=vectors)

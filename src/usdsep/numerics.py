@@ -39,7 +39,7 @@ class InvariantError(RuntimeError):
 # --tol override stay with the code that decides.  A "derived" row reads a
 # bound proven from measured residuals (instance module docstring).
 BOUNDS = {
-    "completeness": 1e-12,  # (D/N) sum P_j - I, Frobenius; 2.8e-14 at N = 1009, 4.6e-14 at 4051
+    "completeness": 1e-12,  # (D/N) sum P_j - I, Frobenius; 1.9e-14 at N = 1009, 4.1e-14 at 4051
     "unit norm": 1e-12,  # largest | ||psi_j|| - 1 |
     "null relation": 1e-12,  # ||sum_j omega^j psi_j|| / sqrt(N); ~5e-16 up to N = 2003
     "reciprocity": 1e-10,  # derived: reciprocal state against a retained non-partner

@@ -5,7 +5,9 @@ ratio, and ``reciprocal_set`` and ``dual_basis_omit`` take their Born
 cells, overlaps and audit bounds from the proof (instance module
 docstring).  These helpers form the dense products instead: the (D, D)
 resolution and the products of the states with the reciprocal states and
-with the duals, as the pipeline once did.
+with the duals, as the pipeline once did.  ``mod_gather_family`` is the
+family's earlier gather, by products and remainders mod N; make_instance's
+log-table gather must match it bit for bit.
 
 ``reference_certify`` is the certificate's earlier per-party route: an
 eigvalsh positivity test, np.linalg.norm over complex stacks, and vec_herm
@@ -17,6 +19,7 @@ import math
 
 import numpy as np
 
+import usdsep.instance
 from usdsep import nnls
 from usdsep.cone import IDENTITY_RTOL, PSD_INPUT_TOL, RAY_TOL, WARN_BAND, ConeReport, PartyConeStat
 
@@ -31,6 +34,23 @@ def residuals_agree(a: float, b: float) -> bool:
 # seen between the two-cell table and the dense one over every prime up to
 # 401 is 1.2e-15, and between the per-input failures 1.1e-15.
 DENSE_ROUNDING = 4e-15
+
+
+def mod_gather_family(inst):
+    """(states, local_states) by the mod-N gather make_instance once used.
+
+    Entry [j - 1, m] of the states is the amplitude table at j e_m mod N,
+    and party alpha's factor is the roots table at j p_alpha m mod N over
+    sqrt(d_alpha): the products and remainders the log tables replace.
+    """
+    n, js = inst.n, np.arange(1, inst.n + 1)
+    roots, table = usdsep.instance._roots(n), usdsep.instance._amplitudes(n)
+    states = np.take(table, np.multiply.outer(js, inst.exponents) % n, mode="clip")
+    local, p = [], 1
+    for d in inst.dims:
+        local.append(roots[np.multiply.outer(js, p * np.arange(d)) % n] / np.sqrt(d))
+        p *= d
+    return states, local
 
 
 def dense_completeness_residual(inst) -> float:

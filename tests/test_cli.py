@@ -711,6 +711,30 @@ def test_generate_and_optimize_peak_memory(tmp_path, capsys):
         assert peak <= limit * n * n, (argv[0], peak / n / n)
 
 
+def test_small_families_never_load_numpy_fft():
+    # Below the autocorrelation cut completeness is summed without numpy.fft,
+    # whose first use costs about half a MiB of resident memory; N = 131 is past it.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "from usdsep.cli import main\n"
+        "loaded = []\n"
+        "for n in ('101', '131'):\n"
+        "    assert main(['generate', '--n', n]) == 0\n"
+        "    loaded.append('numpy.fft' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, True]"
+
+
 def test_simulate_warns_past_five_sigma_and_still_succeeds(capsys, monkeypatch):
     def skewed(inst, r, m, cfg):
         counts = {"fail": cfg.trials}

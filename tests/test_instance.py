@@ -1,8 +1,12 @@
 """Tests for the product-state family construction and its dual structures."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import usdsep.instance
 from usdsep import (
     ascending_factorizations,
     check_linear_independence,
@@ -27,6 +31,7 @@ from tests.oracles import (
     dense_dual_residuals,
     dense_reciprocal_residuals,
     derived_bound,
+    mod_gather_family,
     residuals_agree,
     two_cell_table,
 )
@@ -53,6 +58,44 @@ def test_exponents_are_the_read_only_permutation_the_states_are_read_with():
         roots = np.exp(2j * np.pi * np.arange(n) / n)
         js = np.arange(1, n + 1)[:, None]
         assert np.array_equal(inst.states, roots[(js * e) % n] / np.sqrt(d))
+
+
+def test_log_tables_of_every_prime_below_20000():
+    # Exact integer checks, each table built afresh rather than read from the cache.
+    for n in (p for p in range(5, 20_000) if is_prime(p)):
+        pw, lg = usdsep.instance._log_tables.__wrapped__(n)
+        order = n - 1
+        assert len(pw) == 2 * order + 1 and len(lg) == n + 1
+        assert np.array_equal(np.sort(pw[:order]), np.arange(1, n)), n
+        assert pw[0] == 1 and np.array_equal(pw[1:-1], pw[1] * pw[:-2] % n), n
+        assert np.array_equal(lg[pw[:order]], np.arange(order)), n
+        assert pw[-1] == 0 and lg[0] == lg[n] == 2 * order, n
+
+
+def test_log_gather_matches_the_mod_gather_bit_for_bit():
+    for n in (p for p in range(5, 402) if is_prime(p)):
+        for dims in ascending_factorizations(n - 1):
+            inst = make_instance(n, dims)
+            states, local = mod_gather_family(inst)
+            assert inst.states.tobytes() == states.tobytes(), (n, dims)
+            assert [f.tobytes() for f in inst.local_states] == [f.tobytes() for f in local]
+
+
+def test_completeness_residual_peak_memory():
+    # The autocorrelation route holds a few length-N arrays, no (N, N)
+    # gather.  The residual reads N and D only, so no 262 MB state matrix
+    # is built; the first call fills the log-table cache and loads numpy.fft.
+    n = 4051
+    inst = SimpleNamespace(n=n, total_dim=n - 1)
+    completeness_residual(inst)
+    tracemalloc.start()
+    try:
+        residual = completeness_residual(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual <= BOUNDS["completeness"]
+    assert peak < 1 << 20, peak
 
 
 def test_prime_helpers():
@@ -192,6 +235,24 @@ def test_shift_unitary_advances_labels():
     assert np.allclose(np.linalg.matrix_power(u, 5), np.eye(4), atol=1e-12)
     with pytest.raises(ValueError):
         shift_unitary(inst, 2)
+    assert np.array_equal(shift_unitary(inst, np.int64(1)), shift_unitary(inst, 1))
+
+
+@pytest.mark.parametrize("party", [True, False, 1.0, 0.0, "0", None])
+def test_shift_unitary_rejects_non_integer_parties(party):
+    # bool is an int subclass, so True would pass the range check as party 1.
+    with pytest.raises(ValueError, match="party must be an integer"):
+        shift_unitary(make_instance(5), party)
+
+
+def test_retained_and_dual_labels_skip_exactly_the_excluded_labels():
+    n = 11
+    for omit in range(1, n + 1):
+        inst = make_instance(n, omit=omit)
+        assert inst.retained == tuple(j for j in range(1, n + 1) if j != omit)
+        for drop in set(range(1, n + 1)) - {omit}:
+            ks = dual_basis_omit(inst, drop).ks
+            assert ks == tuple(k for k in range(1, n + 1) if k not in (omit, drop))
 
 
 def test_linear_independence_examples():

@@ -3,7 +3,8 @@ factorization of N - 1, any omit label, random feasible weights or a random
 dropped label, for prime N in 5..251 (dense projector references), 5..401
 (the structured measurement against dense linear algebra, the corollaries
 of the null relation, and the reciprocal set's two-cell Born table and
-ratio-route completeness against the dense products of tests/oracles.py)
+ratio-route completeness against the dense products of tests/oracles.py;
+both completeness routes on a random table, also at 1009 and 2003)
 or 5..601 (closed forms), and sampled discrimination runs for N in 5..13.
 
 The references are written out here from the definitions: dense loops over
@@ -14,6 +15,7 @@ classified outcome tuples.
 """
 
 import itertools
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -96,6 +98,24 @@ def test_ratio_route_sums_the_dense_product_of_any_table(inst, seed):
     table = rng.normal(size=n) + 1j * rng.normal(size=n)
     states = table[np.multiply.outer(np.arange(1, n + 1), inst.exponents) % n]
     dense = np.linalg.norm(states.T @ states.conj() * (d / n) - np.eye(d))
+    with mock.patch.object(usdsep.instance, "_amplitudes", lambda _: table):
+        assert completeness_residual(inst) == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", STRUCTURED_PRIMES + [1009, 2003])
+def test_rader_and_ratio_routes_sum_the_dense_product_of_any_table(n):
+    # Both routes form the sums A(c) of a random table, on either side of
+    # the cut, and completeness_residual closes them to the dense product's
+    # norm.  The exponents are taken as 0..D-1: the residual does not
+    # depend on their order, so no state matrix of the family is built.
+    d = n - 1
+    rng = np.random.default_rng(n)
+    table = rng.normal(size=n) + 1j * rng.normal(size=n)
+    rader, ratio = usdsep.instance._rader_sums(table), usdsep.instance._ratio_sums(table)
+    assert np.max(np.abs(rader - ratio)) <= 1e-13 * ratio[1].real  # A(1) = sum |t|^2
+    states = table[np.multiply.outer(np.arange(1, n + 1), np.arange(d)) % n]
+    dense = np.linalg.norm(states.T @ states.conj() * (d / n) - np.eye(d))
+    inst = SimpleNamespace(n=n, total_dim=d)
     with mock.patch.object(usdsep.instance, "_amplitudes", lambda _: table):
         assert completeness_residual(inst) == pytest.approx(dense, rel=1e-12)
 
