@@ -10,14 +10,7 @@ unitary and any D of them form a basis.
 
 import numpy as np
 
-from usdsep import (
-    check_linear_independence,
-    completeness_residual,
-    kron_all,
-    make_instance,
-    pairwise_overlaps,
-    shift_unitary,
-)
+from usdsep import completeness_residual, make_instance
 
 # The default splits N - 1 into its full ascending prime factorization.
 inst = make_instance(5)
@@ -33,26 +26,26 @@ print(inst.states)
 print("\ncompleteness residual:", completeness_residual(inst))
 
 # Every pair overlaps with the same magnitude 1/D; only the phase moves.
-overlaps = pairwise_overlaps(inst)
+overlaps = inst.states.conj() @ inst.states.T  # entry [j-1, k-1] = <state_j|state_k>
 off = overlaps[~np.eye(inst.n, dtype=bool)]
 print("pairwise overlap magnitudes: min %.6f  max %.6f  (1/D = %.6f)"
       % (np.abs(off).min(), np.abs(off).max(), 1 / inst.total_dim))
 
 # A product of local diagonal unitaries advances every label by one,
-# wrapping N -> 1.  Each party applies its own block; no party needs to
-# know what the others hold.
-blocks = [shift_unitary(inst, alpha) for alpha in range(len(inst.dims))]
-full = kron_all(blocks)
-advanced = full @ inst.state(2)
-gap = np.abs(np.abs(advanced.conj() @ inst.state(3)) - 1.0)
+# wrapping N -> 1: amplitude m of state j is omega^(j e_m) / sqrt(D), so the
+# shift is diag(omega^e_m), and party alpha's block is diag(omega^(p_alpha m)).
+# Each party applies its own block; no party needs to know what the others hold.
+shift = np.exp(2j * np.pi * inst.exponents / inst.n)
+gap = np.abs(np.abs((shift * inst.state(2)).conj() @ inst.state(3)) - 1.0)
 print("shift unitary maps state 2 onto state 3 (phase-free gap %.2e)" % gap)
 
 # Any D = 4 of the states are linearly independent; all five cannot be,
 # being five vectors in four dimensions.
-ok, sigma = check_linear_independence(inst, [2, 3, 4, 5])
-print("\nsubset {2,3,4,5}: independent =", ok, " min singular value =", round(sigma, 6))
-ok, _ = check_linear_independence(inst, [1, 2, 3, 4, 5])
-print("all five:        independent =", ok, " (five vectors, four dimensions)")
+sigma = np.linalg.svd(inst.states[1:].T, compute_uv=False)[-1]
+print("\nsubset {2,3,4,5}: rank %d, min singular value %.6f (sqrt((N - 4)/D) = 1/2)"
+      % (np.linalg.matrix_rank(inst.states[1:]), sigma))
+rank = np.linalg.matrix_rank(inst.states)
+print("all five:        rank %d (five vectors in four dimensions)" % rank)
 
 # The same construction runs at any prime >= 5 and any ascending
 # factorization of N - 1.

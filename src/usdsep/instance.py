@@ -86,16 +86,12 @@ __all__ = [
     "ascending_factorizations",
     "make_instance",
     "completeness_residual",
-    "shift_unitary",
-    "check_linear_independence",
-    "pairwise_overlaps",
     "reciprocal_set",
     "dual_basis_omit",
     "instance_to_dict",
     "instance_from_dict",
 ]
 
-INDEPENDENCE_TOL = 1e-10
 _BLOCK_ENTRIES = 1 << 17  # per row block of the (N, D) state gather: one block below N = 362
 _RADER_FROM = 128  # least N whose completeness sums are one autocorrelation (module docstring)
 
@@ -355,53 +351,12 @@ def _rader_sums(table: np.ndarray) -> np.ndarray:
     return ratios
 
 
-def shift_unitary(inst: Instance, party: int) -> np.ndarray:
-    """Diagonal unitary advancing every local state of one party by one label.
-
-    Applying it across all parties maps global state j to j + 1 (label N
-    wraps to 1, phases being periodic in j mod N).
-    """
-    if not (_is_integer(party) and 0 <= party < len(inst.dims)):
-        raise ValueError(f"party must be an integer in 0..{len(inst.dims) - 1}, got {party!r}")
-    p = math.prod(inst.dims[:party])
-    return np.diag(_roots(inst.n)[(p * np.arange(inst.dims[party])) % inst.n])
-
-
-def check_linear_independence(inst: Instance, subset):
-    """Rank test for a subset of state labels.
-
-    Returns (independent, min_singular) where min_singular is the smallest
-    singular value of the matrix whose columns are the selected states.  Any
-    subset of at most D labels is independent for these families; the full
-    set of N never is (N vectors in D = N - 1 dimensions).
-    """
-    subset = list(subset)
-    if not all(map(_is_integer, subset)):
-        raise ValueError(f"subset labels must be integers, got {subset!r}")
-    if not subset:
-        raise ValueError("subset must be non-empty")
-    labels = sorted(set(subset))
-    if len(labels) != len(subset):
-        raise ValueError("subset must not contain duplicates")
-    if labels[0] < 1 or labels[-1] > inst.n:
-        raise ValueError(f"labels must lie in 1..{inst.n}")
-    cols = inst.states[[j - 1 for j in labels]].T
-    sv = np.linalg.svd(cols, compute_uv=False)
-    independent = bool(np.count_nonzero(sv > INDEPENDENCE_TOL * sv[0]) == len(labels))
-    return independent, float(sv[-1])
-
-
-def pairwise_overlaps(inst: Instance) -> np.ndarray:
-    """Gram matrix G[j-1, k-1] = <state_j | state_k>.
-
-    Off-diagonal entries are -omega^(j-k) / D, all of magnitude 1/D.
-    """
-    return inst.states.conj() @ inst.states.T
-
-
+@functools.lru_cache(maxsize=32)
 def _roots(n: int) -> np.ndarray:
-    """omega^t = exp(2 pi i t / n) for t = 0..n-1; index with exponents mod n."""
-    return np.exp(2j * np.pi * np.arange(n) / n)
+    """Read-only omega^t = exp(2 pi i t / n) for t = 0..n-1; index with exponents mod n."""
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    roots.setflags(write=False)
+    return roots
 
 
 @functools.lru_cache(maxsize=32)

@@ -19,15 +19,9 @@ __all__ = [
     "ConvergenceError",
     "kron_all",
     "proj",
-    "hermitize",
-    "partial_trace",
     "vec_herm",
     "nnls",
-    "von_neumann_entropy",
 ]
-
-DEFAULT_TOL = 1e-10
-
 
 class InvariantError(RuntimeError):
     """A quantity that should hold by construction failed its internal check."""
@@ -107,8 +101,12 @@ def _strict_upper(d):
     return index
 
 
-def _hermitian_triangles(h, rtol):
-    """hermitize's checks; returns the array m, its diagonal, m_rc and conj(m_cr) for r < c."""
+def _hermitian_triangles(h):
+    """Split a square matrix or stack into its diagonal, m_rc and conj(m_cr) for r < c.
+
+    Returns them after the array m itself.  Asymmetry of any one matrix
+    beyond 1e-12 of its Frobenius norm is an input error, not averaged away.
+    """
     m = np.asarray(h, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
@@ -117,51 +115,9 @@ def _hermitian_triangles(h, rtol):
     upper, lower = m[..., rows, cols], m[..., cols, rows].conj()
     # ||M - M^dag||_F^2 = 4 sum_i (Im m_ii)^2 + 2 sum_(r<c) |m_rc - conj(m_cr)|^2
     gap = np.sqrt(4.0 * _frob(diag.imag, 1) ** 2 + 2.0 * _frob(upper - lower, 1) ** 2)
-    if np.any(gap > rtol * np.maximum(_frob(m), 1.0)):
+    if np.any(gap > 1e-12 * np.maximum(_frob(m), 1.0)):
         raise ValueError(f"matrix is not Hermitian: asymmetry {np.max(gap):.3e}")
     return m, diag, upper, lower
-
-
-def hermitize(m, rtol=1e-12):
-    """Return the Hermitian part (M + M^dag)/2 of a square matrix or a stack of them.
-
-    ``m`` has shape (..., d, d).  Asymmetry of any one matrix beyond ``rtol``
-    relative to its Frobenius norm is treated as an input error rather than
-    silently averaged away.
-    """
-    m = _hermitian_triangles(m, rtol)[0]
-    return (m + np.conjugate(m.swapaxes(-1, -2), order="C")) / 2.0
-
-
-def partial_trace(h, dims, keep):
-    """Trace out all tensor factors of a Hermitian operator except one.
-
-    Parameters
-    ----------
-    h : array, shape (prod(dims), prod(dims))
-        Hermitian operator on the full tensor product space.
-    dims : sequence of int
-        Local dimension of each factor, most significant factor first.
-    keep : int
-        0-based index of the factor to keep.
-
-    Returns
-    -------
-    array, shape (dims[keep], dims[keep])
-        The reduced Hermitian operator.  Its trace equals the trace of ``h``.
-    """
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise ValueError("dimensions must be positive")
-    if not 0 <= keep < len(dims):
-        raise ValueError(f"keep={keep} out of range for {len(dims)} factors")
-    h = hermitize(h)
-    total = int(np.prod(dims))
-    if h.shape[0] != total:
-        raise ValueError(f"operator dim {h.shape[0]} does not match prod(dims)={total}")
-    dk = dims[keep]  # move the kept row and column axes last, then trace out the rest
-    t = np.moveaxis(h.reshape(dims + dims), (keep, len(dims) + keep), (-2, -1))
-    return hermitize(np.trace(t.reshape(total // dk, total // dk, dk, dk)), rtol=1e-9)
 
 
 def vec_herm(h):
@@ -175,10 +131,10 @@ def vec_herm(h):
     (..., d, d) stack maps to (..., d^2), one row per matrix.
 
     It forms no averaged copy: the diagonal and the two triangles of ``h``
-    give the coordinates of hermitize(h) exactly, short of overflow or
-    subnormal entries.
+    give the coordinates of its Hermitian part (h + h^dag)/2 exactly, short
+    of overflow or subnormal entries.
     """
-    m, diag, upper, lower = _hermitian_triangles(h, 1e-12)
+    m, diag, upper, lower = _hermitian_triangles(h)
     d = diag.shape[-1]
     out = np.empty(m.shape[:-2] + (d * d,), dtype=float)
     out[..., :d] = diag.real
@@ -260,21 +216,3 @@ def nnls(a, b, tol=1e-10, max_iter=None):
             x[hit_zero] = 0.0
             passive[hit_zero] = False
     return x, float(np.linalg.norm(b - a @ x))
-
-
-def von_neumann_entropy(rho, log_base=2.0):
-    """Entropy -sum(lam * log(lam)) of a density operator, in the given log base.
-
-    The operator must be positive semidefinite and unit trace within 1e-10;
-    eigenvalues in [-1e-10, 0) are clipped to zero before taking logs.
-    """
-    if log_base <= 0 or log_base == 1.0:
-        raise ValueError("log_base must be positive and != 1")
-    vals = np.linalg.eigvalsh(hermitize(rho))
-    if vals[0] < -DEFAULT_TOL:
-        raise ValueError(f"operator is not PSD: min eigenvalue {vals[0]:.3e}")
-    if abs(float(vals.sum()) - 1.0) > DEFAULT_TOL:
-        raise ValueError(f"operator trace {vals.sum():.12f} is not 1")
-    vals = np.clip(vals, 0.0, None)
-    nz = vals[vals > 0.0]
-    return float(-(nz * np.log(nz)).sum() / np.log(log_base)) + 0.0

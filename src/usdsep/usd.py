@@ -38,24 +38,18 @@ __all__ = [
     "NotPSDError",
     "WeightedMeasurement",
     "UsdReport",
-    "OracleResult",
     "build_measurement",
     "optimal_measurement",
     "failure_probability",
-    "verify_pairwise_bound",
-    "oracle_optimize",
     "family_product_ops",
 ]
 
 PSD_TOL = 1e-10
-PAIRWISE_SLACK = 1e-10
 # Largest product family (outcomes times the entries each carries: its label
 # tuple and its per-party factors) that family_product_ops builds;
 # simulator.multicopy_measurement holds its (D, N^n) reference table to the
 # same limit.  Sampling forms no N^n table and has no copy limit.
 MAX_FAMILY_ENTRIES = 1_000_000
-# Weight vectors oracle_optimize screens per batched eigvalsh call.
-ORACLE_CHUNK = 10_000
 
 
 class NotPSDError(ValueError):
@@ -96,16 +90,6 @@ class UsdReport:
     failure_probability: float
     per_state_failure: np.ndarray  # <phi_j|F|phi_j>, aligned with m.weights
     optimal: bool
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Outcome of the randomized search over feasible weight vectors."""
-
-    best_weights: np.ndarray
-    best_failure: float
-    feasible_count: int
-    max_weight_sum: float
 
 
 def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> WeightedMeasurement:
@@ -210,88 +194,6 @@ def failure_probability(m: WeightedMeasurement, r: ReciprocalSet) -> UsdReport:
     check("born vs closed form", abs(born - closed) / cap_units)
     optimal = bool(np.max(np.abs(m.weights - d / m.n)) <= 1e-12)
     return UsdReport(failure_probability=born, per_state_failure=traces, optimal=optimal)
-
-
-def verify_pairwise_bound(inst: Instance, weights) -> bool:
-    """True iff w_k + w_l <= 2D/N + PAIRWISE_SLACK for every pair of retained labels.
-
-    Every PSD weight vector obeys it, as the duals of dual_basis_omit give
-    <xi_k|F|xi_k> = 2D/N - w_k - w_l (instance module docstring); it pins
-    the symmetric point as the only one reaching total weight D^2/N.
-    """
-    w = np.asarray(weights, dtype=float).ravel()
-    if w.shape[0] != len(inst.retained):
-        raise ValueError(f"expected {len(inst.retained)} weights")
-    bound = 2.0 * inst.total_dim / inst.n + PAIRWISE_SLACK
-    return bool(np.partition(w, -2)[-2:].sum() <= bound)
-
-
-def oracle_optimize(
-    inst: Instance,
-    samples: int = 100_000,
-    seed: int = 0,
-    refine: bool = False,
-) -> OracleResult:
-    """Randomized search for the lowest feasible failure probability.
-
-    Draws weight vectors uniformly from [0, 2D/N]^D, keeps the positive
-    semidefinite ones, and scores them by the closed-form failure
-    probability.  With ``refine`` the best sample seeds a shrinking
-    Gaussian local search.  The search is an oracle check, not a solver:
-    the symmetric point is provably optimal, so the result must never beat
-    1/2 beyond rounding.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    d = inst.total_dim
-    count = len(inst.retained)
-    hi = 2.0 * d / inst.n
-    rng = np.random.default_rng(seed)
-    pool = rng.uniform(0.0, hi, size=(samples, count))
-
-    named = inst.states[[j - 1 for j in inst.retained]]
-    columns, rows = named.T, named.conj()
-    eye = np.eye(d, dtype=complex)
-
-    best_w = None
-    best_pr = np.inf
-    feasible_count = 0
-    max_weight_sum = -np.inf
-
-    def scan(block: np.ndarray) -> None:
-        nonlocal best_w, best_pr, feasible_count, max_weight_sum
-        failure_ops = eye[None] - (columns[None] * block[:, None, :]) @ rows
-        min_eigs = np.linalg.eigvalsh(failure_ops)[:, 0]
-        ok = min_eigs >= -PSD_TOL
-        if not ok.any():
-            return
-        feasible_count += int(ok.sum())
-        sums = block[ok].sum(axis=1)
-        max_weight_sum = max(max_weight_sum, float(sums.max()))
-        prs = 1.0 - inst.n / (2.0 * d * d) * sums
-        i = int(np.argmin(prs))
-        if prs[i] < best_pr:
-            best_pr = float(prs[i])
-            best_w = block[ok][i].copy()
-
-    for start in range(0, samples, ORACLE_CHUNK):
-        scan(pool[start : start + ORACLE_CHUNK])
-    if best_w is None:
-        raise ValueError("no feasible weight vector found; increase samples")
-
-    if refine:
-        sigma = 0.05 * hi
-        for _ in range(120):
-            cloud = rng.normal(best_w, sigma, size=(64, count)).clip(0.0, hi)
-            scan(cloud)
-            sigma *= 0.93
-
-    return OracleResult(
-        best_weights=best_w,
-        best_failure=best_pr,
-        feasible_count=feasible_count,
-        max_weight_sum=max_weight_sum,
-    )
 
 
 def family_product_ops(inst: Instance, copies: int = 1) -> list[list[np.ndarray]]:

@@ -9,6 +9,10 @@ with the duals, as the pipeline once did.  ``mod_gather_family`` is the
 family's earlier gather, by products and remainders mod N; make_instance's
 log-table gather must match it bit for bit.
 
+``dense_search`` screens random weight vectors by a dense eigvalsh of
+each failure operator, the independent check that build_measurement's
+secular equation never admits a failure below 1/2.
+
 ``reference_certify`` is the certificate's earlier per-party route: an
 eigvalsh positivity test, np.linalg.norm over complex stacks, and vec_herm
 by way of an averaged Hermitian copy.  cone.certify must reach the same
@@ -16,6 +20,7 @@ groups, counts, verdicts, warnings and solves by its one-pass route.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -122,6 +127,30 @@ def dense_failures(inst, r, m) -> np.ndarray:
     coefficients = np.full(inst.n, inst.total_dim / inst.n)
     coefficients[np.subtract(m.indices, 1)] -= m.weights
     return dense_born_table(inst, r) @ coefficients
+
+
+def dense_search(inst, samples, seed):
+    """Uniform weights on [0, 2D/N]^D kept where eigvalsh finds I - sum_j w_j P_j PSD.
+
+    Failures are the closed form 1 - N sum(w) / (2 D^2); returns the best
+    weights and failure, the feasible count and the largest feasible weight sum.
+    """
+    d = inst.total_dim
+    named = inst.states[[j - 1 for j in inst.retained]]
+    pool = np.random.default_rng(seed).uniform(0.0, 2.0 * d / inst.n, size=(samples, d))
+    min_eigs = [  # 10^4 (D, D) failure operators at a time
+        np.linalg.eigvalsh(np.eye(d) - (named.T * block[:, None, :]) @ named.conj())[:, 0]
+        for block in np.split(pool, range(10_000, samples, 10_000))
+    ]
+    feasible = pool[np.concatenate(min_eigs) >= -1e-10]
+    sums = feasible.sum(axis=1)
+    best = int(np.argmax(sums))
+    return SimpleNamespace(
+        best_weights=feasible[best],
+        best_failure=1.0 - inst.n / (2.0 * d * d) * float(sums[best]),
+        feasible_count=len(feasible),
+        max_weight_sum=float(sums[best]),
+    )
 
 
 def reference_hermitize(m, rtol=1e-12):

@@ -9,19 +9,15 @@ import pytest
 import usdsep.instance
 from usdsep import (
     ascending_factorizations,
-    check_linear_independence,
     completeness_residual,
     dual_basis_omit,
     instance_from_dict,
     instance_to_dict,
     is_prime,
-    kron_all,
     make_instance,
-    pairwise_overlaps,
     prime_factors,
     proj,
     reciprocal_set,
-    shift_unitary,
 )
 from usdsep.numerics import BOUNDS
 from tests.oracles import (
@@ -79,6 +75,20 @@ def test_log_gather_matches_the_mod_gather_bit_for_bit():
             states, local = mod_gather_family(inst)
             assert inst.states.tobytes() == states.tobytes(), (n, dims)
             assert [f.tobytes() for f in inst.local_states] == [f.tobytes() for f in local]
+
+
+def test_roots_are_evaluated_once_per_n(monkeypatch):
+    # The local factors, the amplitude table and completeness all read the
+    # roots of unity; one cached np.exp per N serves them.
+    exp, calls = np.exp, []
+    monkeypatch.setattr(np, "exp", lambda *args: calls.append(args) or exp(*args))
+    usdsep.instance._roots.cache_clear()
+    first = make_instance(101)
+    assert len(calls) == 1
+    second = make_instance(101)
+    assert len(calls) == 1
+    assert first.states.tobytes() == second.states.tobytes()
+    assert first.residuals == second.residuals
 
 
 def test_completeness_residual_peak_memory():
@@ -224,25 +234,16 @@ def test_make_instance_checks_the_party_dimensions():
 
 
 def test_shift_unitary_advances_labels():
+    # The shift is the diagonal unitary omega^exponents: state j has entries
+    # omega^(j e_m) / sqrt(D), so it maps state j to j + 1 (N wraps to 1).
     inst = make_instance(5)
-    u0 = shift_unitary(inst, 0)
-    assert np.allclose(np.diag(u0), [1.0, np.exp(2j * np.pi / 5.0)])
-    u = kron_all([shift_unitary(inst, a) for a in range(2)])
-    for j in range(1, 6):
-        succ = 1 if j == 5 else j + 1
-        assert np.allclose(u @ inst.state(j), inst.state(succ), atol=1e-12)
+    u = np.exp(2j * np.pi * inst.exponents / 5.0)
+    # Party 0 advances by diag(1, omega), party 1 by diag(1, omega^2).
+    w = np.exp(2j * np.pi / 5.0)
+    assert np.allclose(u, np.kron([1.0, w], [1.0, w**2]), atol=1e-15)
+    assert np.allclose(inst.states * u, np.roll(inst.states, -1, axis=0), atol=1e-12)
     # N applications cycle back to the start exactly.
-    assert np.allclose(np.linalg.matrix_power(u, 5), np.eye(4), atol=1e-12)
-    with pytest.raises(ValueError):
-        shift_unitary(inst, 2)
-    assert np.array_equal(shift_unitary(inst, np.int64(1)), shift_unitary(inst, 1))
-
-
-@pytest.mark.parametrize("party", [True, False, 1.0, 0.0, "0", None])
-def test_shift_unitary_rejects_non_integer_parties(party):
-    # bool is an int subclass, so True would pass the range check as party 1.
-    with pytest.raises(ValueError, match="party must be an integer"):
-        shift_unitary(make_instance(5), party)
+    assert np.allclose(u**5, 1.0, atol=1e-12)
 
 
 def test_retained_and_dual_labels_skip_exactly_the_excluded_labels():
@@ -255,27 +256,20 @@ def test_retained_and_dual_labels_skip_exactly_the_excluded_labels():
             assert ks == tuple(k for k in range(1, n + 1) if k not in (omit, drop))
 
 
+def singular_values(inst, labels):
+    """Descending singular values of the matrix whose columns are the labelled states."""
+    return np.linalg.svd(inst.states[np.subtract(labels, 1)].T, compute_uv=False)
+
+
 def test_linear_independence_examples():
     inst = make_instance(5)
-    indep, sv_min = check_linear_independence(inst, [2, 3, 4, 5])
-    assert indep
+    sv = singular_values(inst, [2, 3, 4, 5])
+    assert sv[-1] > 1e-10 * sv[0]
     # Frozen from the SVD oracle: the smallest singular value is exactly 1/2.
-    assert abs(sv_min - 0.5) <= 1e-9
-    assert sv_min > 0.1
-
-    full, _ = check_linear_independence(inst, range(1, 6))
-    assert not full
-
-    with pytest.raises(ValueError):
-        check_linear_independence(inst, [])
-    with pytest.raises(ValueError):
-        check_linear_independence(inst, [1, 1])
-    with pytest.raises(ValueError):
-        check_linear_independence(inst, [0, 1])
-    # Non-integer labels are refused, not truncated to other labels.
-    for bad in ([1.5, 2.7], [2, True], ["2", "3"]):
-        with pytest.raises(ValueError, match="must be integers"):
-            check_linear_independence(inst, bad)
+    assert abs(sv[-1] - 0.5) <= 1e-9
+    assert sv[-1] > 0.1
+    # All N states span only D = N - 1 dimensions.
+    assert np.linalg.matrix_rank(inst.states) == 4
 
 
 def test_any_basis_sized_subset_is_independent():
@@ -285,11 +279,11 @@ def test_any_basis_sized_subset_is_independent():
         for _ in range(50):
             size = int(rng.integers(1, d + 1))
             subset = rng.choice(np.arange(1, inst.n + 1), size=size, replace=False)
-            indep, sv_min = check_linear_independence(inst, subset)
-            assert indep, f"dependent subset {sorted(subset)} at n={inst.n} dims={inst.dims}"
-            assert abs(sv_min - np.sqrt((inst.n - size) / d)) <= 1e-12
-        full, _ = check_linear_independence(inst, range(1, inst.n + 1))
-        assert not full
+            sv = singular_values(inst, subset)
+            dependent = f"dependent subset {sorted(subset)} at n={inst.n} dims={inst.dims}"
+            assert sv[-1] > 1e-10 * sv[0], dependent
+            assert abs(sv[-1] - np.sqrt((inst.n - size) / d)) <= 1e-12
+        assert np.linalg.matrix_rank(inst.states) == d
 
 
 @pytest.mark.parametrize("n", [5, 13, 211])
@@ -314,7 +308,7 @@ def test_label_accessors_name_the_missing_label():
 
 def test_pairwise_overlaps_magnitude_and_phase():
     inst = make_instance(5)
-    g = pairwise_overlaps(inst)
+    g = inst.states.conj() @ inst.states.T  # G[j-1, k-1] = <state_j | state_k>
     assert np.allclose(np.diag(g), 1.0, atol=1e-12)
     off = g[~np.eye(5, dtype=bool)]
     assert np.max(np.abs(np.abs(off) - 0.25)) <= 1e-12
@@ -363,7 +357,7 @@ def test_reciprocal_set_respects_omit_relabeling():
     # family onto the omit=2 one, so the overlap spectrum cannot move.
     base = make_instance(5, omit=1)
     shifted = make_instance(5, omit=2)
-    u = kron_all([shift_unitary(base, a) for a in range(2)])
+    u = np.exp(2j * np.pi * base.exponents / base.n)  # diagonal of the shift unitary
     r_base = reciprocal_set(base)
     r_shift = reciprocal_set(shifted)
     assert np.allclose(r_shift.overlaps, r_base.overlaps, atol=1e-12)
@@ -371,7 +365,7 @@ def test_reciprocal_set_respects_omit_relabeling():
         succ = 1 if j == base.n else j + 1
         if succ == shifted.omit:
             continue
-        mapped = u @ r_base.state(j)
+        mapped = u * r_base.state(j)
         overlap = abs(mapped.conj() @ r_shift.state(succ))
         assert abs(overlap - 1.0) <= 1e-10
 
