@@ -9,12 +9,14 @@ state j (j = 1..N) is a product over parties of uniform-amplitude phase states
 where p_alpha is the product of the dimensions of the earlier parties.  The
 exponents sum_alpha p_alpha m_alpha sweep 0..D-1 exactly once, so globally
 state j is the j-th column of the N-point Fourier matrix restricted to its
-first D rows, over sqrt(D).  Every array here is read from one table of the
-N-th roots of unity at integer exponents reduced mod N.
+first D rows, over sqrt(D).  Every amplitude is read from one table of the
+N-th roots of unity at integer exponents reduced mod N, so an instance
+stores only O(N): its parameters, the exponents and its audit residuals.
+The states and the party factors are gathers of that table, built on read.
 
 Two identities of the (D, N) matrix Psi of the states give the rest, and
-make_instance audits both: completeness, Psi Psi^dag = (N/D) I, and the one
-linear relation sum_j omega^j psi_j = 0, that is Psi u = 0 for the unit
+each N's table is audited for both: completeness, Psi Psi^dag = (N/D) I,
+and the one linear relation sum_j omega^j psi_j = 0, that is Psi u = 0 for the unit
 vector u_j = omega^j / sqrt(N).  So (D/N) Psi^dag Psi is the rank-D projector
 with kernel u: <psi_j|psi_k> = (N/D) (delta_jk - u_j conj(u_k)), which is
 -omega^(j-k) / D off the diagonal.  Any k <= D of the states then have
@@ -43,8 +45,30 @@ The tables come from the multiplicative group mod N (Rader, Proc. IEEE 56,
 1107 (1968)): with pw[k] = g^k mod N for a primitive root g and lg its inverse,
 states[j-1, m] = t[pw[lg j + lg e_m]], an add with no division.  From N = 128
 up, A(g^b) = |t_0|^2 + sum_a x_(a+b) conj(x_a), x_a = t[g^a], is one circular
-autocorrelation (an fft/ifft pair, O(N log N)); below, it would save under
-0.1 ms a family, and loading numpy.fft costs about half a MiB of memory.
+autocorrelation (an fft/ifft pair, O(N log N)); below, one (N, N) gather
+t[c s mod N] serves instead: there the fft would save under 0.1 ms a
+family, and loading numpy.fft costs about half a MiB of memory.  The fft
+has length D when every prime factor of D has its own numpy.fft pass (at
+most 11), else it is a linear correlation zero-padded to a power of two,
+folded back to circular: below N = 30000 the generic passes for larger
+primes rounded up to 2.2 u sqrt(D) log2 N, the padded route 0.93, and for
+large primes the generic passes take seconds.
+
+The other two audits read the same table.  Row j < N holds t at every
+residue but j (N - 1) = -j, and row N is D copies of t_0, so the squared
+row norms are sum_s |t_s|^2 - |t_(-j)|^2 and D |t_0|^2: unit norm in O(N).
+Column m of the null relation sum_j omega^j psi_j is
+B(e_m) = sum_s omega^s t[s e_m mod N] (s = j mod N); B(0) = t_0 sum_s omega^s,
+and B(g^b) = t_0 + sum_a omega^(g^a) t[g^(a+b)] is one cross-correlation
+sharing the fft of x, or the same (N, N) gather times the roots below 128.
+e = N - 1 is no exponent, so B(N - 1) is dropped.  A state read is
+pw[lg j + lg e], an integer index into the audited amplitudes, and a fourth,
+exact audit counts the entries of pw and lg that break the group tables,
+so the audits cover every amplitude the pipeline reads.  Each N's table
+and its residuals are built once and cached, within _TABLE_BYTES;
+make_instance checks the residuals against numerics.BOUNDS: none may
+break the log tables, and the other three keep the growth laws in N
+stated there.
 
 Completeness and the null relation prove every overlap audit of the
 reciprocal states and the duals.  With eps and delta their residuals,
@@ -67,6 +91,7 @@ party indices are plain 0-based positions.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import numbers
@@ -74,7 +99,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _frob, check
+from .numerics import check
 from .serialize import pairs_to_matrix
 
 __all__ = [
@@ -92,8 +117,11 @@ __all__ = [
     "instance_from_dict",
 ]
 
-_BLOCK_ENTRIES = 1 << 17  # per row block of the (N, D) state gather: one block below N = 362
-_RADER_FROM = 128  # least N whose completeness sums are one autocorrelation (module docstring)
+_RADER_FROM = 128  # least N whose audit sums are correlations (module docstring)
+_FFT_RADIX = 11  # largest prime with its own numpy.fft pass; a larger one costs accuracy
+# The per-N table cache holds at most 64 MiB of records, 56 B N each: the
+# tables of every prime below 4357 at once, or one near N = 1.2 * 10^6.
+_TABLE_BYTES = 1 << 26
 
 
 def is_prime(n: int) -> bool:
@@ -131,20 +159,204 @@ def ascending_factorizations(d: int, min_factor: int = 2) -> list[tuple[int, ...
 
 
 @dataclass(frozen=True)
+class _Table:
+    """Everything a family of prime N reads, all read-only and O(N): 56 B N in all."""
+
+    pw: np.ndarray  # (2N - 1,) g^k mod N over two cycles, then 0
+    lg: np.ndarray  # (N + 1,) lg[pw[k]] = k; lg[0] = lg[N] = 2N - 2 reads that 0
+    roots: np.ndarray  # (N,) omega^t
+    amplitudes: np.ndarray  # (N,) omega^t / sqrt(D), the one table every state reads
+    residuals: dict  # the log-table count and the three audits of amplitudes, measured once
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.pw, self.lg, self.roots, self.amplitudes))
+
+    def read(self, values: np.ndarray, labels, exponents) -> np.ndarray:
+        """values[j e mod N] over the outer grid of labels j and exponents e: pw[lg j + lg e]."""
+        index = np.add.outer(self.lg[labels], self.lg[exponents])
+        return values[np.take(self.pw, index, mode="clip")]
+
+
+class _TableCache:
+    """Per-N table records, least recently used first, of at most _TABLE_BYTES in all.
+
+    The newest record stays even when it alone is larger.
+    """
+
+    def __init__(self):
+        self.records, self.held = collections.OrderedDict(), 0
+
+    def __call__(self, n: int) -> _Table:
+        record = self.records.pop(n, None)
+        if record is None:
+            record = _build_table(n)
+            self.held += record.nbytes
+        self.records[n] = record
+        while self.held > _TABLE_BYTES and len(self.records) > 1:
+            self.held -= self.records.popitem(last=False)[1].nbytes
+        return record
+
+    def cache_clear(self) -> None:
+        self.records.clear()
+        self.held = 0
+
+
+_table = _TableCache()
+
+
+def _build_table(n: int) -> _Table:
+    """The log tables, roots, amplitudes and the four audit residuals of prime n."""
+    pw, lg = _log_tables(n)
+    roots = 2j * np.pi * np.arange(n)
+    roots /= n
+    np.exp(roots, out=roots)
+    amplitudes = _amplitudes(roots)
+    for a in (pw, lg, roots, amplitudes):
+        a.setflags(write=False)
+    residuals = {"log tables": _log_table_errors(pw, lg), **_audits(pw, roots, amplitudes)}
+    return _Table(pw, lg, roots, amplitudes, residuals)
+
+
+def _log_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """pw = g^k mod prime n over two cycles, then 0, and lg[pw[k]] = k.
+
+    g is the least primitive root; lg[0] = lg[n] = 2n - 2 indexes that 0, as
+    does any sum with it, so pw read at lg j + lg e with mode="clip" is j e mod n.
+    Both are allocated before any trial division, so an n past memory is a
+    ValueError or MemoryError at once; a composite n is a ValueError.
+    """
+    try:
+        pw, lg = np.empty(2 * n - 1, dtype=np.int64), np.empty(n + 1, dtype=np.int64)
+    except ValueError as exc:
+        raise ValueError(f"n = {n} is too large for its tables: {exc}") from None
+    if not is_prime(n):
+        raise ValueError(f"n must be a prime >= 5, got {n}")
+    order, qs = n - 1, set(prime_factors(n - 1))
+    g = next(g for g in range(2, n) if all(pow(g, order // q, n) != 1 for q in qs))
+    pw[0], filled = 1, 1
+    while filled < 2 * order:  # doubling: g^(k + filled) = g^k g^filled
+        block = pw[filled : 2 * filled]
+        np.multiply(pw[: len(block)], pow(g, filled, n), out=block)
+        block %= n
+        filled += len(block)
+    pw[-1] = 0
+    lg.fill(2 * order)
+    lg[pw[:order]] = np.arange(order)
+    return pw, lg
+
+
+def _log_table_errors(pw: np.ndarray, lg: np.ndarray) -> int:
+    """Entries of pw and lg that break the tables of _log_tables: 0 unless one is wrong.
+
+    Exact integer checks in O(N): pw[0] = 1 and pw[k + 1] = pw[1] pw[k] mod N
+    over both cycles, then 0; lg[pw[k]] = k on the first cycle, so pw[:N - 1]
+    is a permutation of 1..N-1 (pw[1] is a primitive root) and lg its inverse;
+    and lg[0] = lg[N] = 2N - 2.  With them, every state read pw[lg j + lg e] is
+    j e mod N, so the amplitude audits cover every amplitude a state reads.
+    """
+    n, d = len(lg) - 1, len(lg) - 2
+    steps = pw[: 2 * d - 1] * pw[1]
+    steps %= n
+    ends = [pw[0] != 1, pw[2 * d] != 0, lg[0] != 2 * d, lg[n] != 2 * d]
+    return (
+        int(np.count_nonzero(pw[1 : 2 * d] != steps))
+        + int(np.count_nonzero(np.take(lg, pw[:d], mode="clip") != np.arange(d)))
+        + int(np.count_nonzero(ends))
+    )
+
+
+def _amplitudes(roots: np.ndarray) -> np.ndarray:
+    """omega^t / sqrt(N - 1): the one table every state amplitude is gathered from."""
+    return roots / np.sqrt(len(roots) - 1)
+
+
+def _audits(pw: np.ndarray, roots: np.ndarray, table: np.ndarray) -> dict:
+    """Completeness, unit norm and null relation of an amplitude table (module docstring).
+
+    For any table, not only the roots': each residual is what the (N, D)
+    states gathered from it would measure, from the sums A and B of one
+    route and the missing residue of each row.
+    """
+    n, d = len(table), len(table) - 1
+    ratios, relation = (_rader_sums if n >= _RADER_FROM else _gather_sums)(pw, roots, table)
+    ratios *= d / n
+    ratios[1] -= 1.0
+    sq = np.abs(ratios) ** 2
+    corner = d / n * (n * abs(table[0]) ** 2) - 1.0
+    total = (d - 1) * (sq[1] + 2.0 * sq[0]) + (d - 2) * float(sq[2:].sum()) + corner**2
+    power = table.real**2 + table.imag**2
+    norms = np.sqrt(np.append(power.sum() - power[1:], d * power[0]))
+    return {
+        "completeness": math.sqrt(total),
+        "unit norm": float(np.max(np.abs(norms - 1.0))),
+        "null relation": float(np.linalg.norm(relation[:-1])) / math.sqrt(n),
+    }
+
+
+def _gather_sums(pw, roots, table) -> tuple[np.ndarray, np.ndarray]:
+    """A(c) and B(c) for c = 0..N-1 from one (N, N) gather t[c s mod N]."""
+    residues = np.arange(len(table))
+    gathered = np.take(table, np.outer(residues, residues) % len(table), mode="clip")
+    return gathered @ table.conj(), gathered @ roots
+
+
+def _rader_sums(pw, roots, table) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of _gather_sums as correlations over g^a sharing one fft (module docstring).
+
+    Transforms run in place where they can: at N = 10^6 the peak, the
+    table included, is about 140 B N.
+    """
+    n, d, t0 = len(table), len(table) - 1, table[0]
+    # Length D when its prime factors have fixed fft passes, else a padded power of two.
+    size = d if max(prime_factors(d)) <= _FFT_RADIX else 1 << (2 * d - 1).bit_length()
+    cycle = pw[:d]
+    cross = np.fft.fft(roots[cycle].conj(), size)
+    x = np.fft.fft(table[cycle], size)
+    np.conjugate(cross, out=cross)
+    cross *= x
+    relation = np.full(n, t0 * roots.sum())
+    relation[cycle] = _circular(cross, d, t0)
+    del cross
+    power = np.abs(x)
+    power **= 2
+    x[:] = power  # kept complex for an in-place ifft
+    del power
+    ratios = np.full(n, t0 * table.conj().sum())
+    ratios[cycle] = _circular(x, d, abs(t0) ** 2)
+    return ratios, relation
+
+
+def _circular(spectrum: np.ndarray, d: int, shift) -> np.ndarray:
+    """shift + lags 0..d-1 of the circular correlation with this length-d or padded spectrum.
+
+    Computed in the spectrum's buffer (fft out=, numpy >= 2.0): a padded
+    correlation's lag b - d wraps to b.
+    """
+    lags = np.fft.ifft(spectrum, out=spectrum)
+    head = lags[:d]
+    if len(lags) > d:
+        head += lags[len(lags) - d :]
+    head += shift
+    return head
+
+
+@dataclass(frozen=True)
 class Instance:
     """One discrimination problem: N product states on a fixed party split.
 
     ``exponents`` is the kron-order exponent permutation the states are
     read with; it makes sum_j w_j P_j the Toeplitz matrix whose entry
-    (m, m') depends only on exponents[m] - exponents[m'] mod N.  Arrays are
-    set read-only at construction; treat the instance as a value.
+    (m, m') depends only on exponents[m] - exponents[m'] mod N.  Nothing
+    larger than O(N) is stored: ``states`` and ``state`` gather the N's
+    amplitude table on each read, and ``local_states`` is gathered on the
+    first read and kept.  Stored arrays are read-only; treat the instance as
+    a value.
     """
 
     n: int
     dims: tuple[int, ...]  # ascending party dimensions, product D = N - 1
     omit: int
-    local_states: tuple[np.ndarray, ...]  # per party: (N, d_alpha), row j-1
-    states: np.ndarray  # (N, D), row j-1 holds the global state j
     # (D,) kron-order exponents: a permutation of 0..D-1 with
     # states[j-1, m] = omega^(j * exponents[m]) / sqrt(D).
     exponents: np.ndarray
@@ -154,15 +366,35 @@ class Instance:
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
-    @property
+    @functools.cached_property
     def retained(self) -> tuple[int, ...]:
-        """State labels kept for discrimination (all j except ``omit``)."""
+        """State labels kept for discrimination (all j except ``omit``); built once, shared."""
         return (*range(1, self.omit), *range(self.omit + 1, self.n + 1))
 
+    @property
+    def states(self) -> np.ndarray:
+        """(N, D) states, row j-1 the global state j; 16 B N^2, gathered on each read."""
+        table = _table(self.n)
+        return table.read(table.amplitudes, np.arange(1, self.n + 1), self.exponents)
+
     def state(self, j: int) -> np.ndarray:
+        """The (D,) global state j, gathered in O(D)."""
         if not 1 <= j <= self.n:
             raise ValueError(f"state label {j} out of range 1..{self.n}")
-        return self.states[j - 1]
+        table = _table(self.n)
+        return table.read(table.amplitudes, j, self.exponents)
+
+    @functools.cached_property
+    def local_states(self) -> tuple[np.ndarray, ...]:
+        """Per party, the (N, d_alpha) factors omega^(j p_alpha m) / sqrt(d_alpha), row j-1."""
+        table, local, p = _table(self.n), [], 1
+        for d in self.dims:
+            factor = table.read(table.roots, np.arange(1, self.n + 1), p * np.arange(d))
+            factor /= np.sqrt(d)
+            factor.setflags(write=False)
+            local.append(factor)
+            p *= d
+        return tuple(local)
 
 
 @dataclass(frozen=True)
@@ -174,15 +406,15 @@ class ReciprocalSet:
     partner overlap is real positive.  ``overlaps`` holds q_j, the squared
     partner overlap, which for these families is N / (2 D) for every j.
     Nothing (D, D) is stored: ``states`` and ``state`` build the closed
-    form phi_k (module docstring, l = omit) from the instance's state
-    matrix when read, ``state`` in O(D).
+    form phi_k (module docstring, l = omit) from the amplitude table when
+    read, ``state`` in O(D).
     """
 
     n: int
     dims: tuple[int, ...]
     omit: int
     indices: tuple[int, ...]
-    family: np.ndarray  # (N, D) the instance's read-only state matrix, shared
+    exponents: np.ndarray  # (D,) the instance's read-only exponents, shared
     overlaps: np.ndarray  # (D,)
     born: np.ndarray  # (D, 2) nonzero Born cells of row i: its partner's, the omitted label's
     residuals: dict  # derived audit bounds by numerics.BOUNDS row name
@@ -198,7 +430,7 @@ class ReciprocalSet:
 
     def _closed_form(self, labels) -> np.ndarray:
         scale = math.sqrt((self.n - 1) / (2.0 * self.n))  # sqrt(D/(2N)) = 1 / |xi_k|
-        return _duals(self.family, np.asarray(labels), self.omit, scale)
+        return _duals(self.n, self.exponents, np.asarray(labels), self.omit, scale)
 
 
 def _check_match(a, b) -> None:
@@ -258,8 +490,10 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
     ------
     ValueError for a float, bool or string where an integer belongs (it is
     never truncated), non-prime n, a bad factorization, or omit out of
-    range; ValueError or MemoryError for an n whose (N, N - 1) state matrix
-    cannot be allocated.  The checks that need no trial division run first.
+    range; ValueError or MemoryError for an n whose O(N) tables (56 B N)
+    cannot be allocated.  The checks that need no trial division run
+    first, and the tables are allocated before it.  InvariantError when a
+    residual of n's table is past its numerics.BOUNDS law.
     """
     if not all(map(_is_integer, [n, omit] if dims is None else [n, omit, *dims])):
         raise ValueError(
@@ -282,113 +516,34 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
             )
     if not 1 <= omit <= n:
         raise ValueError(f"omit must be in 1..{n}, got {omit}")
-    # Allocated before any trial division, so an n past memory fails at once.
-    try:
-        states = np.empty((n, n - 1), dtype=complex)
-    except ValueError as exc:
-        raise ValueError(f"n = {n} is too large for its (N, N - 1) state matrix: {exc}") from None
-    if not is_prime(n):
-        raise ValueError(f"n must be a prime >= 5, got {n}")
+    table = _table(n)
     if dims is None:
         dims = prime_factors(n - 1)
-
-    pw, lg = _log_tables(n)
-    lgj, root_cycle = lg[1:], _roots(n)[pw]  # lg of the labels 1..N; omega^pw
     # p_alpha, the product of the earlier dimensions; sum_alpha p_alpha m_alpha in kron order
-    local, p, exponents = [], 1, np.zeros(1, dtype=np.int64)
+    p, exponents = 1, np.zeros(1, dtype=np.int64)
     for d in dims:
-        m = p * np.arange(d)
-        factor = np.take(root_cycle, np.add.outer(lgj, lg[m]), mode="clip") / np.sqrt(d)
-        factor.setflags(write=False)
-        local.append(factor)
-        exponents = np.add.outer(exponents, m).ravel()
+        exponents = np.add.outer(exponents, p * np.arange(d)).ravel()
         p *= d
-    cycle, lge, norm_gap = _amplitudes(n)[pw], lg[exponents], 0.0
-    step = max(1, _BLOCK_ENTRIES // (n - 1))  # rows per block
-    for rows in (slice(start, start + step) for start in range(0, n, step)):
-        np.take(cycle, np.add.outer(lgj[rows], lge), out=states[rows], mode="clip")
-        norm_gap = max(norm_gap, float(np.max(np.abs(_frob(states[rows], 1) - 1))))
-    states.setflags(write=False)
     exponents.setflags(write=False)
-
-    inst = Instance(n, dims, omit, tuple(local), states, exponents, residuals={})
-    relation = float(np.linalg.norm(states.T @ root_cycle[lgj])) / math.sqrt(n)  # omega^j
-    inst.residuals["completeness"] = check("completeness", completeness_residual(inst))
-    inst.residuals["unit norm"] = check("unit norm", norm_gap)
-    inst.residuals["null relation"] = check("null relation", relation)
-    return inst
+    residuals = {name: check(name, value, n) for name, value in table.residuals.items()}
+    return Instance(n, dims, omit, exponents, residuals)
 
 
 def completeness_residual(inst: Instance) -> float:
     """Frobenius norm of (D/N) * sum_j |psi_j><psi_j| - identity.
 
-    Summed by exponent ratio (module docstring): the N sums A(c), by one
-    (N, N) gather below N = 128 and one autocorrelation from there up, with
-    no (D, D) array.  It reads the table the states are gathered from;
-    "unit norm" and "null relation" read the states themselves.
+    Summed by exponent ratio from the amplitude table (module docstring),
+    by one (N, N) gather below N = 128 and one autocorrelation from there
+    up, with no (D, D) array; measured once per N with the other two audits.
     """
-    n, d, table = inst.n, inst.total_dim, _amplitudes(inst.n)
-    ratios = _rader_sums(table) if n >= _RADER_FROM else _ratio_sums(table)  # ratios[c] = A(c)
-    ratios *= d / n
-    ratios[1] -= 1.0
-    sq = np.abs(ratios) ** 2
-    corner = d / n * (n * abs(table[0]) ** 2) - 1.0
-    total = (d - 1) * (sq[1] + 2.0 * sq[0]) + (d - 2) * float(sq[2:].sum()) + corner**2
-    return math.sqrt(total)
+    return _table(inst.n).residuals["completeness"]
 
 
-def _ratio_sums(table: np.ndarray) -> np.ndarray:
-    """A(c) = sum_s t[c s mod N] conj(t[s]) for c = 0..N-1, by one (N, N) gather."""
-    residues = np.arange(len(table))
-    return np.take(table, np.outer(residues, residues) % len(table), mode="clip") @ table.conj()
-
-
-def _rader_sums(table: np.ndarray) -> np.ndarray:
-    """The sums of _ratio_sums as one circular autocorrelation over g^a (module docstring)."""
-    n = len(table)
-    pw, ratios = _log_tables(n)[0][: n - 1], np.full(n, table[0] * table.conj().sum())
-    ratios[pw] = np.fft.ifft(np.abs(np.fft.fft(table[pw])) ** 2) + abs(table[0]) ** 2
-    return ratios
-
-
-@functools.lru_cache(maxsize=32)
-def _roots(n: int) -> np.ndarray:
-    """Read-only omega^t = exp(2 pi i t / n) for t = 0..n-1; index with exponents mod n."""
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    roots.setflags(write=False)
-    return roots
-
-
-@functools.lru_cache(maxsize=32)
-def _log_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only pw = g^k mod prime n over two cycles, then 0, and lg[pw[k]] = k.
-
-    g is the least primitive root; lg[0] = lg[n] = 2n - 2 indexes that 0, as
-    does any sum with it, so pw read at lg j + lg e with mode="clip" is j e mod n.
-    """
-    order, qs = n - 1, set(prime_factors(n - 1))
-    g = next(g for g in range(2, n) if all(pow(g, order // q, n) != 1 for q in qs))
-    pw = np.ones(1, dtype=np.int64)
-    while len(pw) < 2 * order:  # doubling: g^(k + len) = g^k g^len
-        pw = np.concatenate((pw, pw * pow(g, len(pw), n) % n))
-    pw = np.append(pw[: 2 * order], 0)
-    lg = np.full(n + 1, 2 * order)
-    lg[pw[:order]] = np.arange(order)
-    for a in (pw, lg):
-        a.setflags(write=False)
-    return pw, lg
-
-
-def _amplitudes(n: int) -> np.ndarray:
-    """omega^t / sqrt(n - 1): the one table every state amplitude is gathered from."""
-    return _roots(n) / np.sqrt(n - 1)
-
-
-def _duals(states: np.ndarray, ks: np.ndarray, l: int, scale: float) -> np.ndarray:
+def _duals(n: int, exponents: np.ndarray, ks: np.ndarray, l: int, scale: float) -> np.ndarray:
     """Rows scale * (psi_k - omega^(l-k) psi_l) for the labels ks (module docstring)."""
-    n = len(states)
-    rows = states[ks - 1]
-    rows -= np.multiply.outer(_roots(n)[(l - ks) % n], states[l - 1])
+    table = _table(n)
+    rows = table.read(table.amplitudes, ks, exponents)
+    rows -= np.multiply.outer(table.roots[(l - ks) % n], table.read(table.amplitudes, l, exponents))
     rows *= scale
     return rows
 
@@ -407,7 +562,7 @@ def reciprocal_set(inst: Instance) -> ReciprocalSet:
     retained state.  Its squared overlap is q = N / (2 D) with its partner
     and with the omitted state alike.  Overlaps and Born cells are these
     closed forms, and the four audits read the bound the residuals give.
-    The set shares the instance's state matrix and stores no (D, D) array.
+    The set shares the instance's exponents and stores no (D, D) array.
     """
     n, d = inst.n, inst.total_dim
     names = ("reciprocity", "partner phase", "overlap value", "q symmetry")
@@ -419,7 +574,7 @@ def reciprocal_set(inst: Instance) -> ReciprocalSet:
         dims=inst.dims,
         omit=inst.omit,
         indices=inst.retained,
-        family=inst.states,
+        exponents=inst.exponents,
         overlaps=overlaps,
         born=born,
         residuals={name: check(name, _derived_bound(inst)) for name in names},
@@ -444,7 +599,7 @@ def dual_basis_omit(inst: Instance, drop: int) -> DualBasisOmit:
     for name in ("dual delta overlap", "dual dropped overlap"):
         check(name, _derived_bound(inst))
     ks = np.delete(np.arange(1, inst.n + 1), [inst.omit - 1, drop - 1])
-    vectors = _duals(inst.states, ks, drop, inst.total_dim / inst.n)
+    vectors = _duals(inst.n, inst.exponents, ks, drop, inst.total_dim / inst.n)
     vectors.setflags(write=False)
     return DualBasisOmit(ks=tuple(ks.tolist()), vectors=vectors)
 

@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "InvariantError",
     "BOUNDS",
+    "bound",
     "check",
     "ConvergenceError",
     "kron_all",
@@ -32,10 +33,22 @@ class InvariantError(RuntimeError):
 # raises InvariantError (CLI exit 3).  Decision tolerances that callers or
 # --tol override stay with the code that decides.  A "derived" row reads a
 # bound proven from measured residuals (instance module docstring).
+#
+# The three instance rows are rounding laws in the family size N, in unit
+# roundoffs U (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+# ed., chs. 3 and 24): a length-L fft or correlation errs by about
+# U log2 L per entry, and the Frobenius residual of completeness sums D^2
+# entries whose errors share N sums, hence sqrt(D).  Each constant was fit
+# on every prime N < 30000 and 45 primes up to 4.2 * 10^6 so that the
+# largest measured residual sits at least 10x under the law; each law is
+# below the earlier constant 1e-12 at every N <= 4051.
+_U = 2.0**-53  # unit roundoff of a float64
 BOUNDS = {
-    "completeness": 1e-12,  # (D/N) sum P_j - I, Frobenius; 1.9e-14 at N = 1009, 4.1e-14 at 4051
-    "unit norm": 1e-12,  # largest | ||psi_j|| - 1 |
-    "null relation": 1e-12,  # ||sum_j omega^j psi_j|| / sqrt(N); ~5e-16 up to N = 2003
+    "log tables": 0,  # entries of the group tables a state read goes through that are wrong
+    # (D/N) sum P_j - I, Frobenius; 11.5 U sqrt(D) log2 N, 9.7e-13 at N = 4051
+    "completeness": lambda n: 11.5 * _U * math.sqrt(n - 1) * math.log2(n),
+    "unit norm": lambda n: 8 * _U * math.log2(n),  # largest | ||psi_j|| - 1 |
+    "null relation": lambda n: 16 * _U * math.log2(n),  # ||sum_j omega^j psi_j|| / sqrt(N)
     "reciprocity": 1e-10,  # derived: reciprocal state against a retained non-partner
     "partner phase": 1e-10,  # derived: |p - |p||, partner overlaps are real positive
     "overlap value": 1e-10,  # derived: |q_j - N/(2D)| for the squared partner overlaps
@@ -57,14 +70,28 @@ BOUNDS = {
 }
 
 
-def check(name: str, measured):
-    """Return ``measured`` when it lies within BOUNDS[name], else raise InvariantError.
+def bound(name: str, n=None) -> float:
+    """BOUNDS[name], evaluated at the family size n for a row whose bound is a law in N.
 
-    NaN fails every bound; an unknown name is a KeyError.
+    A law row without n is a ValueError; an unknown name is a KeyError.
     """
-    bound = BOUNDS[name]
-    if not measured <= bound:
-        raise InvariantError(f"{name}: {measured:.3e} exceeds the bound {bound:.0e}")
+    value = BOUNDS[name]
+    if not callable(value):
+        return value
+    if n is None:
+        raise ValueError(f"the {name!r} bound is a law in the family size: pass n")
+    return value(n)
+
+
+def check(name: str, measured, n=None):
+    """Return ``measured`` when it lies within bound(name, n), else raise InvariantError.
+
+    NaN fails every bound; an unknown name is a KeyError, and a law row
+    without n a ValueError (see bound).
+    """
+    limit = bound(name, n)
+    if not measured <= limit:
+        raise InvariantError(f"{name}: {measured:.3e} exceeds the bound {limit:.3g}")
     return measured
 
 

@@ -49,7 +49,8 @@ def mod_gather_family(inst):
     sqrt(d_alpha): the products and remainders the log tables replace.
     """
     n, js = inst.n, np.arange(1, inst.n + 1)
-    roots, table = usdsep.instance._roots(n), usdsep.instance._amplitudes(n)
+    record = usdsep.instance._table(n)
+    roots, table = record.roots, record.amplitudes
     states = np.take(table, np.multiply.outer(js, inst.exponents) % n, mode="clip")
     local, p = [], 1
     for d in inst.dims:

@@ -19,7 +19,7 @@ from usdsep import (
     proj,
     reciprocal_set,
 )
-from usdsep.numerics import BOUNDS
+from usdsep.numerics import bound
 from tests.oracles import (
     DENSE_ROUNDING,
     dense_born_table,
@@ -59,7 +59,7 @@ def test_exponents_are_the_read_only_permutation_the_states_are_read_with():
 def test_log_tables_of_every_prime_below_20000():
     # Exact integer checks, each table built afresh rather than read from the cache.
     for n in (p for p in range(5, 20_000) if is_prime(p)):
-        pw, lg = usdsep.instance._log_tables.__wrapped__(n)
+        pw, lg = usdsep.instance._log_tables(n)
         order = n - 1
         assert len(pw) == 2 * order + 1 and len(lg) == n + 1
         assert np.array_equal(np.sort(pw[:order]), np.arange(1, n)), n
@@ -78,33 +78,64 @@ def test_log_gather_matches_the_mod_gather_bit_for_bit():
 
 
 def test_roots_are_evaluated_once_per_n(monkeypatch):
-    # The local factors, the amplitude table and completeness all read the
-    # roots of unity; one cached np.exp per N serves them.
+    # The local factors, the amplitude table and the three audits all read
+    # the roots of unity; one cached table record per N serves them.
     exp, calls = np.exp, []
-    monkeypatch.setattr(np, "exp", lambda *args: calls.append(args) or exp(*args))
-    usdsep.instance._roots.cache_clear()
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    usdsep.instance._table.cache_clear()
     first = make_instance(101)
     assert len(calls) == 1
-    second = make_instance(101)
+    second = make_instance(101, (2, 50), 7)
+    first.local_states, second.states, reciprocal_set(second).states
     assert len(calls) == 1
-    assert first.states.tobytes() == second.states.tobytes()
+    assert first.states.tobytes() == make_instance(101).states.tobytes()
     assert first.residuals == second.residuals
 
 
+def test_local_states_are_built_once_and_kept():
+    inst = make_instance(13, (2, 6))
+    assert inst.local_states is inst.local_states
+    assert [f.shape for f in inst.local_states] == [(13, 2), (13, 6)]
+    assert not any(f.flags.writeable for f in inst.local_states)
+    assert inst.retained is inst.retained
+
+
+def test_table_cache_holds_a_bounded_number_of_bytes(monkeypatch):
+    # A record is 56 B N; past the bound the least recently used records go,
+    # and the newest stays even when it alone is larger.
+    cache = usdsep.instance._table
+    monkeypatch.setattr(usdsep.instance, "_TABLE_BYTES", 56 * 3000)
+    cache.cache_clear()
+    try:
+        for n in (1009, 1013, 1019, 1021):
+            make_instance(n)
+            assert cache.held == sum(r.nbytes for r in cache.records.values()) <= 56 * 3000
+        assert list(cache.records) == [1019, 1021]
+        make_instance(1019)
+        make_instance(4051)
+        assert list(cache.records) == [4051] and cache.held == 56 * 4051 > 56 * 3000
+    finally:
+        cache.cache_clear()
+
+
 def test_completeness_residual_peak_memory():
-    # The autocorrelation route holds a few length-N arrays, no (N, N)
-    # gather.  The residual reads N and D only, so no 262 MB state matrix
-    # is built; the first call fills the log-table cache and loads numpy.fft.
+    # Building and auditing a table holds the 56 B N record and a few
+    # length-N fft buffers, no (N, N) gather and no 262 MB state matrix:
+    # about 700 kB at N = 4051.  The first build loads numpy.fft.
     n = 4051
-    inst = SimpleNamespace(n=n, total_dim=n - 1)
-    completeness_residual(inst)
+    usdsep.instance._build_table(n)
     tracemalloc.start()
     try:
-        residual = completeness_residual(inst)
+        residual = usdsep.instance._build_table(n).residuals["completeness"]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert residual <= BOUNDS["completeness"]
+    assert residual == completeness_residual(SimpleNamespace(n=n)) <= bound("completeness", n)
     assert peak < 1 << 20, peak
 
 
@@ -143,7 +174,7 @@ def test_large_families_pass_their_audits():
     # residual past its bound of 1e-12 from N = 307 on.
     for n in (401, 1009):
         inst = make_instance(n)
-        assert completeness_residual(inst) <= BOUNDS["completeness"]
+        assert completeness_residual(inst) <= bound("completeness", n)
         r = reciprocal_set(inst)
         assert np.max(np.abs(r.overlaps - n / (2.0 * (n - 1)))) <= 1e-10
 
@@ -151,31 +182,34 @@ def test_large_families_pass_their_audits():
 @pytest.mark.parametrize("n", [5, 211, 1009])
 def test_audits_keep_what_they_measured(n):
     inst = make_instance(n)
+    table = usdsep.instance._table(n)
+    audits = usdsep.instance._audits(table.pw, table.roots, table.amplitudes)
+    assert inst.residuals == {"log tables": 0, **audits}
     assert inst.residuals["completeness"] == completeness_residual(inst)
     assert residuals_agree(inst.residuals["completeness"], dense_completeness_residual(inst))
-    # The audit takes each row's dot product over its float view; np.linalg.norm
-    # agrees to rounding.
-    floats = inst.states.view(float)[:, None, :]
-    norms = np.sqrt(floats @ floats.swapaxes(1, 2))[:, 0, 0]
-    assert inst.residuals["unit norm"] == float(np.max(np.abs(norms - 1.0)))
-    assert np.max(np.abs(norms - np.linalg.norm(inst.states, axis=1))) <= 4e-15
-    # sum_j omega^j psi_j over the unit coefficient vector omega^j / sqrt(N).
+    # Unit norm and the null relation are read from the table; the gathered
+    # rows measure the same quantities within the same laws, and the table's
+    # residuals sit 10x under them.
+    norms = np.linalg.norm(inst.states, axis=1)
+    assert float(np.max(np.abs(norms - 1.0))) <= bound("unit norm", n)
     omega_j = np.exp(2j * np.pi * (np.arange(1, n + 1) % n) / n)
     relation = np.linalg.norm(inst.states.T @ omega_j) / np.sqrt(n)
-    assert inst.residuals["null relation"] == relation <= BOUNDS["null relation"]
+    assert relation <= bound("null relation", n)
+    for name in ("unit norm", "null relation"):
+        assert inst.residuals[name] <= bound(name, n) / 10
 
     # reciprocal_set and dual_basis_omit form no product: their six rows
     # read the bound the two residuals above give, which the dense products
     # stay under.
     r = reciprocal_set(inst)
-    bound = derived_bound(inst)
-    assert r.residuals == dict.fromkeys(dense_reciprocal_residuals(inst, r), bound)
+    derived = derived_bound(inst)
+    assert r.residuals == dict.fromkeys(dense_reciprocal_residuals(inst, r), derived)
     dual = dense_dual_residuals(inst, dual_basis_omit(inst, n), n)
     for name, measured in {**dense_reciprocal_residuals(inst, r), **dual}.items():
-        assert measured <= bound, name
+        assert measured <= derived, name
     assert np.max(np.abs(two_cell_table(r) - dense_born_table(inst, r))) <= DENSE_ROUNDING
     for name, measured in {**inst.residuals, **r.residuals}.items():
-        assert 0.0 <= measured <= BOUNDS[name], name
+        assert 0.0 <= measured <= bound(name, n), name
 
 
 def test_make_instance_rejects_bad_input():

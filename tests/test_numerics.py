@@ -16,7 +16,7 @@ from usdsep import (
     proj,
     vec_herm,
 )
-from usdsep.numerics import BOUNDS, check
+from usdsep.numerics import BOUNDS, bound, check
 from usdsep.reference import two_qubit_reciprocal_states
 
 W5 = np.exp(2j * np.pi / 5.0)
@@ -181,8 +181,8 @@ def test_entropy_of_reduced_reciprocal_states():
 
 
 def test_check_returns_the_value_within_its_bound():
-    assert check("completeness", 3e-14) == 3e-14
-    assert check("completeness", BOUNDS["completeness"]) == BOUNDS["completeness"]
+    assert check("completeness", 3e-14, 4051) == 3e-14
+    assert check("completeness", bound("completeness", 4051), 4051) == bound("completeness", 4051)
     assert check("misidentifications", 0) == 0
 
 
@@ -192,15 +192,38 @@ def test_check_returns_the_value_within_its_bound():
 )
 def test_check_raises_past_the_bound(name, measured):
     with pytest.raises(InvariantError, match=name):
-        check(name, measured)
+        check(name, measured, 4051)
 
 
 def test_check_fails_on_nan_and_unknown_names():
     for name in BOUNDS:
         with pytest.raises(InvariantError):
-            check(name, float("nan"))
+            check(name, float("nan"), 5)
     with pytest.raises(KeyError):
         check("no such invariant", 0.0)
+
+
+def test_law_rows_need_the_family_size():
+    for name in ("completeness", "unit norm", "null relation"):
+        with pytest.raises(ValueError, match="pass n"):
+            bound(name)
+        with pytest.raises(ValueError, match="pass n"):
+            check(name, 0.0)
+    assert bound("misidentifications") == 0
+    assert check("log tables", 0) == 0
+
+
+def test_instance_rows_are_laws_no_looser_than_before_up_to_4051():
+    # The three instance rows grow with N; up to N = 4051 each lies under
+    # the constant 1e-12 they replaced, and past about 10^6 completeness
+    # rises above it, where its fft rounding does.
+    rows = ("completeness", "unit norm", "null relation")
+    assert all(callable(BOUNDS[name]) for name in rows)
+    for n in (5, 13, 211, 1009, 4051):
+        assert all(0.0 < bound(name, n) <= 1e-12 for name in rows)
+        assert bound("reciprocity", n) == BOUNDS["reciprocity"]
+    assert bound("completeness", 1000003) > 1e-11
+    assert bound("completeness", 13) < bound("completeness", 14) < bound("completeness", 1009)
 
 
 class _InvariantErrorSites(ast.NodeVisitor):

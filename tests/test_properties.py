@@ -4,8 +4,9 @@ dropped label, for prime N in 5..251 (dense projector references), 5..401
 (the structured measurement against dense linear algebra, the corollaries
 of the null relation, and the reciprocal set's two-cell Born table and
 ratio-route completeness against the dense products of tests/oracles.py;
-both completeness routes on a random table, also at 1009 and 2003)
-or 5..601 (closed forms), and sampled discrimination runs for N in 5..13.
+the table audits of a random table by both routes, also at 1009 and 2003),
+5..2003 (the family's table audits against its gathered rows) or 5..601
+(closed forms), and sampled discrimination runs for N in 5..13.
 
 The references are written out here from the definitions: dense loops over
 the N projectors, the dense weighted sum and its eigvalsh, a Kronecker
@@ -15,8 +16,6 @@ classified outcome tuples.
 """
 
 import itertools
-from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +39,7 @@ from usdsep import (
     reciprocal_set,
     run_discrimination,
 )
-from usdsep.numerics import BOUNDS
+from usdsep.numerics import bound
 from usdsep.simulator import _named_rows, _sample_counts, _single_rows
 from usdsep.usd import PSD_TOL
 from tests.oracles import (
@@ -52,6 +51,7 @@ from tests.oracles import (
     dense_failures,
     dense_reciprocal_residuals,
     derived_bound,
+    mod_gather_family,
     residuals_agree,
     two_cell_table,
 )
@@ -85,38 +85,75 @@ def instances_and_weights(draw):
     return inst, w
 
 
+def gathered_audits(table, exponents):
+    """The three audits as the (N, D) states gathered from ``table`` measure them."""
+    n, d = len(table), len(exponents)
+    states = table[np.multiply.outer(np.arange(1, n + 1), exponents) % n]
+    omega_j = np.exp(2j * np.pi * (np.arange(1, n + 1) % n) / n)
+    return {
+        "completeness": np.linalg.norm(states.T @ states.conj() * (d / n) - np.eye(d)),
+        "unit norm": np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)),
+        "null relation": np.linalg.norm(states.T @ omega_j) / np.sqrt(n),
+    }
+
+
+def table_audits(n, table):
+    """The three audits of ``table`` by the route make_instance takes at n."""
+    record = usdsep.instance._table(n)
+    return usdsep.instance._audits(record.pw, record.roots, table)
+
+
 @settings(max_examples=15, deadline=None, database=None)
 @given(instances(STRUCTURED_PRIMES), st.integers(0, 2**32 - 1))
 def test_ratio_route_sums_the_dense_product_of_any_table(inst, seed):
-    # The exponent-ratio identity holds for every amplitude table, not only
-    # the roots of unity.  With a random table the entries A(c) are of
-    # order 1, so a wrong ratio count or a missing row shows far above the
-    # rounding that hides it on the family.
-    n, d = inst.n, inst.total_dim
+    # The exponent-ratio identity, the missing residue of each row and the
+    # correlation of the null relation hold for every amplitude table, not
+    # only the roots of unity.  With a random table every residual is of
+    # order 1, so a wrong ratio count, a missing row or a dropped exponent
+    # shows far above the rounding that hides it on the family.
     rng = np.random.default_rng(seed)
-    table = rng.normal(size=n) + 1j * rng.normal(size=n)
-    states = table[np.multiply.outer(np.arange(1, n + 1), inst.exponents) % n]
-    dense = np.linalg.norm(states.T @ states.conj() * (d / n) - np.eye(d))
-    with mock.patch.object(usdsep.instance, "_amplitudes", lambda _: table):
-        assert completeness_residual(inst) == pytest.approx(dense, rel=1e-12)
+    table = rng.normal(size=inst.n) + 1j * rng.normal(size=inst.n)
+    dense = gathered_audits(table, inst.exponents)
+    assert table_audits(inst.n, table) == pytest.approx(dense, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", STRUCTURED_PRIMES + [1009, 2003])
 def test_rader_and_ratio_routes_sum_the_dense_product_of_any_table(n):
-    # Both routes form the sums A(c) of a random table, on either side of
-    # the cut, and completeness_residual closes them to the dense product's
-    # norm.  The exponents are taken as 0..D-1: the residual does not
-    # depend on their order, so no state matrix of the family is built.
-    d = n - 1
+    # Both routes form the sums A(c) and B(c) of a random table, on either
+    # side of the cut, padded or not, and _audits closes them to the dense
+    # products' norms.  The exponents are taken as 0..D-1: the residuals do
+    # not depend on their order, so no state matrix of the family is built.
     rng = np.random.default_rng(n)
     table = rng.normal(size=n) + 1j * rng.normal(size=n)
-    rader, ratio = usdsep.instance._rader_sums(table), usdsep.instance._ratio_sums(table)
-    assert np.max(np.abs(rader - ratio)) <= 1e-13 * ratio[1].real  # A(1) = sum |t|^2
-    states = table[np.multiply.outer(np.arange(1, n + 1), np.arange(d)) % n]
-    dense = np.linalg.norm(states.T @ states.conj() * (d / n) - np.eye(d))
-    inst = SimpleNamespace(n=n, total_dim=d)
-    with mock.patch.object(usdsep.instance, "_amplitudes", lambda _: table):
-        assert completeness_residual(inst) == pytest.approx(dense, rel=1e-12)
+    record = usdsep.instance._table(n)
+    rader = usdsep.instance._rader_sums(record.pw, record.roots, table)
+    gather = usdsep.instance._gather_sums(record.pw, record.roots, table)
+    assert np.max(np.abs(rader[0] - gather[0])) <= 1e-13 * gather[0][1].real  # A(1) = sum |t|^2
+    assert np.max(np.abs(rader[1] - gather[1])) <= 1e-13 * np.sqrt(n) * np.abs(table).max()
+    dense = gathered_audits(table, np.arange(n - 1))
+    assert table_audits(n, table) == pytest.approx(dense, rel=1e-12)
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(instances([p for p in range(5, 2004) if is_prime(p)]))
+def test_family_table_audits_agree_with_the_gathered_rows(inst):
+    # On the family itself every residual is rounding: the table's and the
+    # gathered rows' lie within the same laws, the table's 10x under them.
+    # Completeness's dense product is O(N^3) and is compared up to N = 401.
+    n = inst.n
+    states = inst.states
+    assert states.tobytes() == mod_gather_family(inst)[0].tobytes()
+    norms = np.linalg.norm(states, axis=1)
+    omega_j = np.exp(2j * np.pi * (np.arange(1, n + 1) % n) / n)
+    gathered = {
+        "unit norm": float(np.max(np.abs(norms - 1.0))),
+        "null relation": float(np.linalg.norm(states.T @ omega_j)) / np.sqrt(n),
+    }
+    if n <= 401:
+        gathered["completeness"] = dense_completeness_residual(inst)
+    for name, measured in gathered.items():
+        assert measured <= bound(name, n), name
+        assert inst.residuals[name] <= bound(name, n) / 10, name
 
 
 @settings(max_examples=12, deadline=None, database=None)
@@ -251,17 +288,17 @@ def test_born_table_holds_every_overlap_and_the_audits(inst, seed):
     assert np.array_equal(r.born, np.stack([r.overlaps, r.overlaps], axis=1))
     assert np.max(np.abs(two_cell_table(r) - dense_born_table(inst, r))) <= DENSE_ROUNDING
 
-    bound = derived_bound(inst)
+    derived = derived_bound(inst)
     for name, measured in dense_reciprocal_residuals(inst, r).items():
-        assert r.residuals[name] == bound
-        assert measured <= bound, name
+        assert r.residuals[name] == derived
+        assert measured <= derived, name
 
     m = build_measurement(inst, np.random.default_rng(seed).uniform(0.0, d / n, size=d))
     failures = failure_probability(m, r).per_state_failure
     assert np.max(np.abs(failures - dense_failures(inst, r, m))) <= DENSE_ROUNDING
 
     ratio, dense = completeness_residual(inst), dense_completeness_residual(inst)
-    assert max(ratio, dense) <= BOUNDS["completeness"]
+    assert max(ratio, dense) <= bound("completeness", n)
     assert residuals_agree(ratio, dense)
 
 
