@@ -1,12 +1,19 @@
 """JSON emission for instance files and reports, and the [re, im] reader.
 
-Reports and instance files are written by the stdlib json module on one
-line.  Floats take the shortest text that parses back to the same double,
-so loading an emitted file and emitting it again reproduces the same bytes.
-NaN and infinities are not JSON and raise ValueError, both when written and
-when read as [re, im] pairs.  Complex matrices are only read, never
-written: the nested [re, im] pairs of a certify measurement file, or of the
-states in an instance file from an earlier version.
+Reports and instance files are written on one line, as the stdlib json
+module writes them.  Floats take the shortest text that parses back to the
+same double, so loading an emitted file and emitting it again reproduces
+the same bytes.  A 1-D float64 array at the top level of a report (the
+per-label weights and overlaps of ``optimize``) is written here rather than
+as a list: each distinct value, told apart by its bits so that -0.0 and 0.0
+stay two values, is formatted once with float.__repr__, the formatter json
+itself uses, and the texts are joined with json's ", " separator.  The bytes
+are those of ``json.dumps(array.tolist())``; an optimal report's 2D entries
+hold two distinct values, so they cost two formats rather than 2D.  NaN and
+infinities are not JSON and raise ValueError, both when written (in a list
+or in an array) and when read as [re, im] pairs.  Complex matrices are only
+read, never written: the nested [re, im] pairs of a certify measurement
+file, or of the states in an instance file from an earlier version.
 """
 
 from __future__ import annotations
@@ -19,8 +26,41 @@ __all__ = ["dumps", "pairs_to_matrix"]
 
 
 def dumps(obj) -> str:
-    """One line of JSON text, newline-terminated; non-finite floats raise ValueError."""
-    return json.dumps(obj, allow_nan=False) + "\n"
+    """One line of JSON text, newline-terminated; non-finite floats raise ValueError.
+
+    Top-level 1-D float64 array values are written as JSON lists.
+    """
+    if not (isinstance(obj, dict) and any(map(_is_float_vector, obj.values()))):
+        return json.dumps(obj, allow_nan=False) + "\n"
+    # Each item is json's own text of a one-item dict, braces stripped, so keys convert as json's do.
+    parts = [
+        json.dumps({key: 0})[1:-2] + _array_text(value)
+        if _is_float_vector(value)
+        else json.dumps({key: value}, allow_nan=False)[1:-1]
+        for key, value in obj.items()
+    ]
+    # Braces go on the end parts, so the whole text is built by one join, not copied after it.
+    parts[0] = "{" + parts[0]
+    parts[-1] += "}\n"
+    return ", ".join(parts)
+
+
+def _is_float_vector(value) -> bool:
+    return isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64
+
+
+def _array_text(arr: np.ndarray) -> str:
+    """``json.dumps(arr.tolist())``, formatting each distinct value once."""
+    if not np.isfinite(arr).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    bits = arr.view(np.int64)
+    if arr.size > 1 and (bits == bits[0]).all():  # an optimal report's arrays, with no sort
+        return f"[{', '.join([repr(float(arr[0]))] * arr.size)}]"
+    bits, inverse = np.unique(bits, return_inverse=True)
+    if bits.size == arr.size:  # nothing repeats, so json formats each value once too
+        return json.dumps(arr.tolist())
+    texts = np.fromiter(map(repr, bits.view(np.float64).tolist()), dtype=object, count=bits.size)
+    return f"[{', '.join(texts[inverse].tolist())}]"
 
 
 def pairs_to_matrix(rows) -> np.ndarray:

@@ -139,12 +139,12 @@ def _top_secular_root(w: np.ndarray, n: int) -> float:
     inside the bracket and the midpoint otherwise.  A Newton step too small
     to move mu, or a bracket closed to adjacent floats, ends the search.
     """
-    values, counts = np.unique(w[w > 0.0], return_counts=True)
-    if values.size == 0:
+    top = float(w.max())
+    if top <= 0.0:
         return 0.0
-    top = float(values[-1])
-    if counts[-1] > 1:
+    if np.count_nonzero(w == top) > 1:  # the optimal measurement's case, with no sort
         return top
+    values, counts = np.unique(w[w > 0.0], return_counts=True)
     c = values * counts / n
     lo = top - float(c.sum())
     if values.size > 1:

@@ -547,13 +547,19 @@ def test_simulate_writes_file(tmp_path, capsys):
         ("optimize", "--n", "13"),
         ("certify", "--n", "13"),
         ("simulate", "--n", "13", "--trials", "500", "--seed", "4"),
+        # "=" keeps argparse from reading the leading "-0" as an option.
+        ("optimize", "--n", "13", "--weights=-0,0,0.25,0.25,0.1,0.2,0.3,0.3,0.3,0.3,0.3,0.3"),
     ],
 )
 def test_reports_re_emit_byte_identical(capsys, argv):
+    # optimize writes its per-label arrays from numpy; re-emitting the loaded
+    # report writes them as lists, so the two routes must give the same bytes.
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 0, err
     assert out.count("\n") == 1  # one JSON line
     assert dumps(json.loads(out)) == out
+    if argv[-1].startswith("--weights="):
+        assert '"weights": [-0.0, 0.0, 0.25, 0.25, 0.1, ' in out
 
 
 def _without_timestamp(out: str) -> dict:
@@ -588,6 +594,8 @@ def test_one_parser_serves_every_call_without_leaking_state(capsys):
 def test_dumps_rejects_non_finite(value):
     with pytest.raises(ValueError):
         dumps({"x": [1.0, value]})
+    with pytest.raises(ValueError):
+        dumps({"x": np.array([1.0, value]), "y": 1})
 
 
 def test_verify_passes(capsys):
@@ -798,8 +806,10 @@ def test_optimize_at_8101_peaks_under_60_mib():
 @pytest.mark.parametrize("argv", [["generate"], ["optimize", "--out", os.devnull]])
 def test_past_a_million_states(argv):
     # The table and its audits are O(N): both commands peak at building the
-    # table, about 227 MiB at N = 1000003, in 0.9 s (generate) and 3 s
-    # (optimize, whose 32 MB report is not piped back here).
+    # table, about 227 MiB at N = 1000003, in 0.9 s (generate) and 1.3 s
+    # (optimize, whose 32 MB report is not piped back here).  optimize
+    # writes its two per-label arrays from numpy: as 2 x 10^6 Python floats
+    # they would add 64 MB, and formatting each of them took about 1.5 s.
     rc, peak, err = run_peak_rss(*argv, "--n", "1000003")
     assert rc == 0, err
     assert peak < 250.0

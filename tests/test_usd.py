@@ -16,6 +16,7 @@ from usdsep import (
     proj,
     reciprocal_set,
 )
+from usdsep.usd import _top_secular_root
 from tests.oracles import dense_born_table, dense_search
 from tests.test_instance import all_instances
 
@@ -291,6 +292,23 @@ def test_build_measurement_needs_no_dense_eigensolver(monkeypatch):
     # The oracle stays the independent dense route.
     with pytest.raises(DenseEigensolverCalled):
         dense_search(make_instance(5), samples=10, seed=0)
+
+
+def test_tied_top_weight_needs_no_sort(monkeypatch):
+    # Every optimal measurement ties all D weights at D/N: a tie at the top
+    # weight is the root, found by a max and a count, not by np.unique.
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    instances = [make_instance(n) for n in (5, 61, 211)]
+    monkeypatch.setattr(np, "unique", refuse)
+    assert _top_secular_root(np.full(6, 6 / 7), 7) == 6 / 7
+    assert _top_secular_root(np.array([0.0, 0.1, 0.3, 0.3]), 7) == 0.3
+    assert _top_secular_root(np.zeros(4), 7) == 0.0
+    assert _top_secular_root(np.array([-0.0, 0.0]), 7) == 0.0
+    for inst in instances:
+        d = inst.total_dim
+        assert optimal_measurement(inst).min_eigenvalue == 1.0 - inst.n / d * (d / inst.n)
 
 
 def test_family_product_ops_admits_n_1009():
