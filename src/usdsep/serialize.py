@@ -5,15 +5,17 @@ module writes them.  Floats take the shortest text that parses back to the
 same double, so loading an emitted file and emitting it again reproduces
 the same bytes.  A 1-D float64 array at the top level of a report (the
 per-label weights and overlaps of ``optimize``) is written here rather than
-as a list: each distinct value, told apart by its bits so that -0.0 and 0.0
-stay two values, is formatted once with float.__repr__, the formatter json
-itself uses, and the texts are joined with json's ", " separator.  The bytes
-are those of ``json.dumps(array.tolist())``; an optimal report's 2D entries
-hold two distinct values, so they cost two formats rather than 2D.  NaN and
-infinities are not JSON and raise ValueError, both when written (in a list
-or in an array) and when read as [re, im] pairs.  Complex matrices are only
-read, never written: the nested [re, im] pairs of a certify measurement
-file, or of the states in an instance file from an earlier version.
+as a list: the distinct values, told apart by their bits so that -0.0 and
+0.0 stay two values, are written once by json itself, and its texts are
+repeated where the values repeat and joined with json's ", " separator.
+The bytes are those of ``json.dumps(array.tolist())``; an optimal report's
+2D entries hold two distinct values, so they cost two formats rather than
+2D.  An array in which nothing repeats is written as its list, at the cost
+of one sort more.  NaN and infinities are not JSON and raise ValueError,
+both when written (in a list or in an array) and when read as [re, im]
+pairs.  Complex matrices are only read, never written: the nested [re, im]
+pairs of a certify measurement file, or of the states in an instance file
+from an earlier version.
 """
 
 from __future__ import annotations
@@ -50,17 +52,17 @@ def _is_float_vector(value) -> bool:
 
 
 def _array_text(arr: np.ndarray) -> str:
-    """``json.dumps(arr.tolist())``, formatting each distinct value once."""
-    if not np.isfinite(arr).all():
-        raise ValueError("Out of range float values are not JSON compliant")
+    """``json.dumps(arr.tolist(), allow_nan=False)``, formatting each distinct value once."""
     bits = arr.view(np.int64)
-    if arr.size > 1 and (bits == bits[0]).all():  # an optimal report's arrays, with no sort
-        return f"[{', '.join([repr(float(arr[0]))] * arr.size)}]"
+    if arr.size and (bits == bits[0]).all():  # an optimal report's arrays, with no sort
+        return f"[{', '.join([json.dumps(float(arr[0]), allow_nan=False)] * arr.size)}]"
+    ordered = np.sort(bits)
+    if (ordered[1:] != ordered[:-1]).all():  # nothing repeats, so json formats each value once too
+        return json.dumps(arr.tolist(), allow_nan=False)
     bits, inverse = np.unique(bits, return_inverse=True)
-    if bits.size == arr.size:  # nothing repeats, so json formats each value once too
-        return json.dumps(arr.tolist())
-    texts = np.fromiter(map(repr, bits.view(np.float64).tolist()), dtype=object, count=bits.size)
-    return f"[{', '.join(texts[inverse].tolist())}]"
+    # json writes the distinct values as a list, no float text holds ", ", and non-finite ones raise.
+    texts = json.dumps(bits.view(np.float64).tolist(), allow_nan=False)[1:-1].split(", ")
+    return f"[{', '.join(np.array(texts, dtype=object)[inverse].tolist())}]"
 
 
 def pairs_to_matrix(rows) -> np.ndarray:

@@ -806,10 +806,8 @@ def test_optimize_at_8101_peaks_under_60_mib():
 @pytest.mark.parametrize("argv", [["generate"], ["optimize", "--out", os.devnull]])
 def test_past_a_million_states(argv):
     # The table and its audits are O(N): both commands peak at building the
-    # table, about 227 MiB at N = 1000003, in 0.9 s (generate) and 1.3 s
-    # (optimize, whose 32 MB report is not piped back here).  optimize
-    # writes its two per-label arrays from numpy: as 2 x 10^6 Python floats
-    # they would add 64 MB, and formatting each of them took about 1.5 s.
+    # table, about 227 MiB at N = 1000003, in 0.9 s (generate) and 1.5 s
+    # (optimize, whose 32 MB report is not piped back here).
     rc, peak, err = run_peak_rss(*argv, "--n", "1000003")
     assert rc == 0, err
     assert peak < 250.0

@@ -48,14 +48,18 @@ def test_lengths_zero_and_one_and_signed_zeros():
 
 
 def test_a_repeated_value_is_formatted_once(monkeypatch):
+    json_dumps = json.dumps
     formatted = []
 
-    def counting_repr(x):
-        formatted.append(x)
-        return float.__repr__(x)
+    def counting_dumps(obj, **kwargs):
+        if not isinstance(obj, dict):  # dicts are the key texts and the other entries
+            formatted.extend(obj if isinstance(obj, list) else [obj])
+        return json_dumps(obj, **kwargs)
 
-    monkeypatch.setattr("usdsep.serialize.repr", counting_repr, raising=False)
     for arr, distinct in ((np.full(2000, 0.4), [0.4]), (np.repeat([0.5, 0.25], 1000), [0.25, 0.5])):
+        expected = json_dumps({"w": arr.tolist()}) + "\n"
         formatted.clear()
-        assert dumps({"w": arr}) == json.dumps({"w": arr.tolist()}) + "\n"
+        with monkeypatch.context() as m:
+            m.setattr(json, "dumps", counting_dumps)
+            assert dumps({"w": arr}) == expected
         assert sorted(formatted) == distinct
