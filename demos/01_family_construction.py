@@ -10,7 +10,7 @@ unitary and any D of them form a basis.
 
 import numpy as np
 
-from usdsep import completeness_residual, make_instance
+from usdsep import make_instance
 
 # The default splits N - 1 into its full ascending prime factorization.
 inst = make_instance(5)
@@ -23,7 +23,7 @@ print("\nstate amplitudes (rows are j = 1..5):")
 print(inst.states)
 
 # Scaled by D/N, the five projectors resolve the identity exactly.
-print("\ncompleteness residual:", completeness_residual(inst))
+print("\ncompleteness residual:", inst.residuals["completeness"])
 
 # Every pair overlaps with the same magnitude 1/D; only the phase moves.
 overlaps = inst.states.conj() @ inst.states.T  # entry [j-1, k-1] = <state_j|state_k>
@@ -51,5 +51,5 @@ print("all five:        rank %d (five vectors in four dimensions)" % rank)
 # factorization of N - 1.
 for n, dims in [(7, None), (13, (2, 6)), (13, (2, 2, 3))]:
     other = make_instance(n, dims)
-    residual = completeness_residual(other)
+    residual = other.residuals["completeness"]
     print(f"N={n} dims={other.dims}: completeness residual {residual:.2e}")

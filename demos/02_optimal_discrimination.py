@@ -26,10 +26,11 @@ print("retained labels:", r.indices)
 
 # Each reciprocal state overlaps only its own partner among the retained
 # states, with the universal value |<partner>|^2 = N / (2D).  Its overlap
-# with the omitted state has the same square; reciprocal_set checks that
-# independent route and records the largest gap.
+# with the omitted state has the same square.  reciprocal_set records the
+# bound that completeness and the null relation prove for every such
+# overlap against its closed form.
 print("overlap q per label:", np.round(r.overlaps, 6), " N/(2D) =", inst.n / (2 * inst.total_dim))
-print("omitted-state route gap: %.1e" % r.residuals["q symmetry"])
+print("derived overlap bound: %.1e" % r.residuals["derived overlap bound"])
 
 # The symmetric weights w_j = D/N make the failure operator a rank-1
 # multiple of the omitted projector and the failure probability exactly 1/2.

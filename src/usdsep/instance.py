@@ -71,7 +71,7 @@ break the log tables, and the other three keep the growth laws in N
 stated there.
 
 Completeness and the null relation prove every overlap audit of the
-reciprocal states and the duals.  With eps and delta their residuals,
+reciprocal states and of the duals.  With eps and delta their residuals,
 P = (D/N) Psi^dag Psi lies within eps (Frobenius) of the projector onto
 its range, whose kernel vector is within sin theta <= sqrt(D/N) delta /
 sqrt(1 - eps) of u (Davis & Kahan), so within beta = eps + sqrt(2D/N)
@@ -81,9 +81,10 @@ within 2 beta of it.  The reciprocal states are the closed forms
 phi_k = sqrt(D/(2N)) (psi_k - omega^(l-k) psi_l), normalized by that
 exact scale rather than by a measured norm; each audit of one sums at
 most four entries of the gap, scaled by q or sqrt(q), q <= 5/8: at most
-2.5 beta to first order.  All six audits read the bound
-4 (eps + sqrt(2D/N) delta) + 2^-46, the last term 128 unit roundoffs for
-forming the closed forms and their normalization in floating point.
+2.5 beta to first order.  So one numerics.BOUNDS row, "derived overlap
+bound", checks 4 (eps + sqrt(2D/N) delta) + 2^-46 for them all, the last
+term 128 unit roundoffs for forming the closed forms and their
+normalization in floating point.
 
 State labels j are 1-based throughout because the phases depend on j mod N;
 party indices are plain 0-based positions.
@@ -105,14 +106,11 @@ from .serialize import pairs_to_matrix
 __all__ = [
     "Instance",
     "ReciprocalSet",
-    "DualBasisOmit",
     "is_prime",
     "prime_factors",
     "ascending_factorizations",
     "make_instance",
-    "completeness_residual",
     "reciprocal_set",
-    "dual_basis_omit",
     "instance_to_dict",
     "instance_from_dict",
 ]
@@ -417,7 +415,7 @@ class ReciprocalSet:
     exponents: np.ndarray  # (D,) the instance's read-only exponents, shared
     overlaps: np.ndarray  # (D,)
     born: np.ndarray  # (D, 2) nonzero Born cells of row i: its partner's, the omitted label's
-    residuals: dict  # derived audit bounds by numerics.BOUNDS row name
+    residuals: dict  # the derived overlap bound, by its numerics.BOUNDS row name
 
     @property
     def states(self) -> np.ndarray:
@@ -425,12 +423,20 @@ class ReciprocalSet:
         return self._closed_form(self.indices)
 
     def state(self, j: int) -> np.ndarray:
-        _row_of(self.indices, j, self.n)
+        if j not in self.indices:
+            absent = sorted(set(range(1, self.n + 1)).difference(self.indices))
+            raise ValueError(
+                f"no row for label {j!r}: this holds labels 1..{self.n} except {absent}"
+            )
         return self._closed_form([j])[0]
 
     def _closed_form(self, labels) -> np.ndarray:
-        scale = math.sqrt((self.n - 1) / (2.0 * self.n))  # sqrt(D/(2N)) = 1 / |xi_k|
-        return _duals(self.n, self.exponents, np.asarray(labels), self.omit, scale)
+        ks, l, table = np.asarray(labels), self.omit, _table(self.n)
+        rows = table.read(table.amplitudes, ks, self.exponents)
+        omitted = table.read(table.amplitudes, l, self.exponents)
+        rows -= np.multiply.outer(table.roots[(l - ks) % self.n], omitted)
+        rows *= math.sqrt((self.n - 1) / (2.0 * self.n))  # sqrt(D/(2N)) = 1 / |xi_k|
+        return rows
 
 
 def _check_match(a, b) -> None:
@@ -439,33 +445,6 @@ def _check_match(a, b) -> None:
         raise ValueError(
             f"{type(a).__name__} and {type(b).__name__} belong to different instances"
         )
-
-
-@dataclass(frozen=True)
-class DualBasisOmit:
-    """Unnormalized dual vectors for the basis that omits one retained label.
-
-    Dropping state l != omit leaves a basis of the full space; ``vectors``
-    holds the dual vectors xi_k for the labels k outside {omit, l}.  They
-    satisfy <xi_k|state_j> = delta_jk for retained j, and their overlap with
-    the omitted state l is the unimodular -exp(2 pi i (k-l)/N), both within
-    the derived bound (module docstring).
-    """
-
-    ks: tuple[int, ...]
-    vectors: np.ndarray  # (len(ks), D)
-
-    def vector(self, k: int) -> np.ndarray:
-        # ks is every label of 1..N but omit and drop.
-        return self.vectors[_row_of(self.ks, k, len(self.ks) + 2)]
-
-
-def _row_of(labels: tuple[int, ...], j, n: int) -> int:
-    """Row of label j in ``labels``, a subset of 1..n; a ValueError naming both otherwise."""
-    if j not in labels:
-        absent = sorted(set(range(1, n + 1)).difference(labels))
-        raise ValueError(f"no row for label {j!r}: this holds labels 1..{n} except {absent}")
-    return labels.index(j)
 
 
 def _is_integer(value) -> bool:
@@ -529,25 +508,6 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
     return Instance(n, dims, omit, exponents, residuals)
 
 
-def completeness_residual(inst: Instance) -> float:
-    """Frobenius norm of (D/N) * sum_j |psi_j><psi_j| - identity.
-
-    Summed by exponent ratio from the amplitude table (module docstring),
-    by one (N, N) gather below N = 128 and one autocorrelation from there
-    up, with no (D, D) array; measured once per N with the other two audits.
-    """
-    return _table(inst.n).residuals["completeness"]
-
-
-def _duals(n: int, exponents: np.ndarray, ks: np.ndarray, l: int, scale: float) -> np.ndarray:
-    """Rows scale * (psi_k - omega^(l-k) psi_l) for the labels ks (module docstring)."""
-    table = _table(n)
-    rows = table.read(table.amplitudes, ks, exponents)
-    rows -= np.multiply.outer(table.roots[(l - ks) % n], table.read(table.amplitudes, l, exponents))
-    rows *= scale
-    return rows
-
-
 def _derived_bound(inst: Instance) -> float:
     """4 (eps + sqrt(2D/N) delta) + 2^-46: every overlap audit's proven bound (module docstring)."""
     eps, delta = inst.residuals["completeness"], inst.residuals["null relation"]
@@ -561,11 +521,10 @@ def reciprocal_set(inst: Instance) -> ReciprocalSet:
     docstring), normalized: the unique direction orthogonal to every other
     retained state.  Its squared overlap is q = N / (2 D) with its partner
     and with the omitted state alike.  Overlaps and Born cells are these
-    closed forms, and the four audits read the bound the residuals give.
+    closed forms, and the "derived overlap bound" row checks their audits.
     The set shares the instance's exponents and stores no (D, D) array.
     """
     n, d = inst.n, inst.total_dim
-    names = ("reciprocity", "partner phase", "overlap value", "q symmetry")
     overlaps, born = np.full(d, n / (2.0 * d)), np.full((d, 2), n / (2.0 * d))
     for a in (overlaps, born):
         a.setflags(write=False)
@@ -577,31 +536,8 @@ def reciprocal_set(inst: Instance) -> ReciprocalSet:
         exponents=inst.exponents,
         overlaps=overlaps,
         born=born,
-        residuals={name: check(name, _derived_bound(inst)) for name in names},
+        residuals={"derived overlap bound": check("derived overlap bound", _derived_bound(inst))},
     )
-
-
-def dual_basis_omit(inst: Instance, drop: int) -> DualBasisOmit:
-    """Dual vectors for the basis formed by omitting one retained label.
-
-    ``drop`` must differ from the instance's omitted label: the point of
-    these duals is that the originally omitted state stays inside the basis,
-    so each dual vector is orthogonal to it while overlapping the dropped
-    state with unit magnitude.  Those unimodular overlaps are what pin down
-    the pairwise weight bound on discrimination measurements.  The vectors
-    are the duals xi_k (module docstring, l = drop) for k outside {omit, drop}.
-    """
-    if not (_is_integer(drop) and 1 <= drop <= inst.n):
-        raise ValueError(f"drop must be an integer in 1..{inst.n}, got {drop!r}")
-    if drop == inst.omit:
-        raise ValueError("drop must differ from the instance's omitted label")
-    # Both audits read the bound the residuals prove (module docstring).
-    for name in ("dual delta overlap", "dual dropped overlap"):
-        check(name, _derived_bound(inst))
-    ks = np.delete(np.arange(1, inst.n + 1), [inst.omit - 1, drop - 1])
-    vectors = _duals(inst.n, inst.exponents, ks, drop, inst.total_dim / inst.n)
-    vectors.setflags(write=False)
-    return DualBasisOmit(ks=tuple(ks.tolist()), vectors=vectors)
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -634,10 +570,9 @@ def instance_from_dict(payload: dict) -> Instance:
         stored = pairs_to_matrix(payload["states"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed state array: {exc}") from exc
-    if stored.shape != inst.states.shape:
-        raise ValueError(
-            f"state array shape {stored.shape} does not match {inst.states.shape}"
-        )
+    shape = (inst.n, inst.total_dim)
+    if stored.shape != shape:
+        raise ValueError(f"state array shape {stored.shape} does not match {shape}")
     gap = float(np.max(np.abs(stored - inst.states)))
     if gap > 1e-9:
         raise ValueError(f"stored states deviate from the family by {gap:.3e}")

@@ -32,7 +32,8 @@ class InvariantError(RuntimeError):
 # past its bound is a defect of the program, never of the input, so check
 # raises InvariantError (CLI exit 3).  Decision tolerances that callers or
 # --tol override stay with the code that decides.  A "derived" row reads a
-# bound proven from measured residuals (instance module docstring).
+# bound proven from measured residuals; "derived overlap bound" covers every
+# closed-form overlap of the reciprocal states and duals (instance docstring).
 #
 # The three instance rows are rounding laws in the family size N, in unit
 # roundoffs U (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
@@ -49,12 +50,7 @@ BOUNDS = {
     "completeness": lambda n: 11.5 * _U * math.sqrt(n - 1) * math.log2(n),
     "unit norm": lambda n: 8 * _U * math.log2(n),  # largest | ||psi_j|| - 1 |
     "null relation": lambda n: 16 * _U * math.log2(n),  # ||sum_j omega^j psi_j|| / sqrt(N)
-    "reciprocity": 1e-10,  # derived: reciprocal state against a retained non-partner
-    "partner phase": 1e-10,  # derived: |p - |p||, partner overlaps are real positive
-    "overlap value": 1e-10,  # derived: |q_j - N/(2D)| for the squared partner overlaps
-    "q symmetry": 1e-10,  # derived: partner route of q against the omitted-state route
-    "dual delta overlap": 1e-10,  # derived: dual_basis_omit duals against delta_jk
-    "dual dropped overlap": 1e-10,  # derived: the same duals against -omega^(k - l) on l
+    "derived overlap bound": 1e-10,  # derived: 4 (eps + sqrt(2D/N) delta) + 2^-46
     # The next residual grows with the weights, so it is divided by
     # max(1, N max(w) / (2D)).  That is 1 whenever every weight is within the
     # pair cap 2D/N, as on every PSD measurement, where the bound is raw.

@@ -132,7 +132,7 @@ def _single_rows(r: ReciprocalSet, m: WeightedMeasurement) -> np.ndarray:
             f"weight {m.weights[i]:g} of label {m.indices[i]} exceeds the pair cap 2D/N = {cap:g}, "
             f"so its failure probability 1 - q w would be negative"
         )
-    check("stray outcome weight", float(m.weights.sum()) * r.residuals["reciprocity"] ** 2)
+    check("stray outcome weight", float(m.weights.sum()) * r.residuals["derived overlap bound"] ** 2)
     single = np.stack([m.weights * r.born[:, 0], failure_probability(m, r).per_state_failure], 1)
     return _checked_rows(single)
 

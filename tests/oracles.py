@@ -1,11 +1,11 @@
 """Dense reference routes for the stages the pipeline computes in closed form.
 
-``completeness_residual`` sums the entries of S^T conj(S) by exponent
-ratio, and ``reciprocal_set`` and ``dual_basis_omit`` take their Born
-cells, overlaps and audit bounds from the proof (instance module
-docstring).  These helpers form the dense products instead: the (D, D)
-resolution and the products of the states with the reciprocal states and
-with the duals, as the pipeline once did.  ``mod_gather_family`` is the
+make_instance sums the entries of S^T conj(S) by exponent ratio for its
+completeness residual, and ``reciprocal_set`` takes its Born cells,
+overlaps and audit bound from the proof (instance module docstring).
+These helpers form the dense products instead: the (D, D) resolution and
+the products of the states with the reciprocal states and with the duals
+of ``closed_form_duals``, as the pipeline once did.  ``mod_gather_family`` is the
 family's earlier gather, by products and remainders mod N; make_instance's
 log-table gather must match it bit for bit.
 
@@ -92,7 +92,7 @@ def two_cell_table(r) -> np.ndarray:
 
 
 def dense_reciprocal_residuals(inst, r) -> dict:
-    """reciprocal_set's four audits, measured on the dense cross product."""
+    """The four overlap audits the derived bound covers, measured on the dense cross product."""
     cross = dense_cross(inst, r)
     born = np.abs(cross.T) ** 2
     rows, partners = np.arange(len(r.indices)), np.subtract(r.indices, 1)
@@ -106,8 +106,17 @@ def dense_reciprocal_residuals(inst, r) -> dict:
     }
 
 
+def closed_form_duals(inst, drop):
+    """Duals (D/N) (psi_k - omega^(l-k) psi_l), l = drop, as .vectors; k outside {omit, l}: .ks."""
+    n, states = inst.n, inst.states
+    ks = np.array([k for k in range(1, n + 1) if k not in (inst.omit, drop)])
+    phases = np.exp(2j * np.pi * ((drop - ks) % n) / n)[:, None]
+    vectors = inst.total_dim / n * (states[ks - 1] - phases * states[drop - 1])
+    return SimpleNamespace(ks=tuple(ks.tolist()), vectors=vectors)
+
+
 def dense_dual_residuals(inst, xi, drop) -> dict:
-    """dual_basis_omit's two audits, measured on the dense product of its duals with the states."""
+    """Deltas and dropped-state overlaps of the duals xi, measured by their dense product."""
     ks = np.array(xi.ks)
     cross = xi.vectors.conj() @ inst.states.T  # entry [i, j - 1] = <xi_(ks[i]) | psi_j>
     predicted = -np.exp(2j * np.pi * ((ks - drop) % inst.n) / inst.n)

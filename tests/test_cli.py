@@ -9,6 +9,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -27,7 +28,6 @@ from usdsep import (
     SimReport,
     ascending_factorizations,
     complement_decomposition,
-    dual_basis_omit,
     is_prime,
     make_instance,
 )
@@ -220,6 +220,32 @@ def test_nonpositive_tol_is_input_error(capsys, command, tol):
     assert rc == 2
     assert out == ""
     assert "--tol" in err
+
+
+def test_signed_weights_value_is_read_as_the_option_value(capsys):
+    # A value that starts with "-" and a digit is the option's value, as
+    # in the "=" form, not another option: -0 is a valid weight.
+    def stdout(*weights):
+        rc, out, err = run_cli(capsys, "optimize", "--n", "5", *weights)
+        assert rc == 0, err
+        return re.sub(r'"timestamp": "[^"]*"', "", out)
+
+    assert stdout("--weights", "-0,0.8,0.8,0.8") == stdout("--weights=-0,0.8,0.8,0.8")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["optimize", "--weights", "-0.1,0.8,0.8,0.8"], "weights must be nonnegative"),
+        (["certify", "--tol", "-1e-3"], "--tol must be positive and finite"),
+    ],
+    ids=["weights", "tol"],
+)
+def test_signed_values_reach_the_program_checks(capsys, argv, message):
+    rc, out, err = run_cli(capsys, argv[0], "--n", "5", *argv[1:])
+    assert rc == 2
+    assert out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -633,7 +659,7 @@ def test_verify_proof_rows_read_the_null_relation(capsys):
             f"n={n:<3d} {'independence':<24s} PASS  "
             f"(k <= D states: sigma_min sqrt((N-k)/D); relation {relation:.2e})"
         )
-        assert rows[4] == (
+        assert rows[3] == (
             f"n={n:<3d} {'pairwise bound':<24s} PASS  "
             f"(<xi_k|F|xi_k> = 2D/N - w_k - w_l; relation {relation:.2e})"
         )
@@ -755,11 +781,11 @@ def test_corrupted_log_tables_fail_their_audit(capsys, monkeypatch, fresh_tables
 
 def test_failed_reciprocal_bound_is_an_invariant_violation(capsys, monkeypatch):
     # The derived bound is applied like a measured residual.
-    monkeypatch.setitem(usdsep.numerics.BOUNDS, "reciprocity", -1.0)
+    monkeypatch.setitem(usdsep.numerics.BOUNDS, "derived overlap bound", -1.0)
     rc, out, err = run_cli(capsys, "optimize", "--n", "7")
     assert rc == 3
     assert out == ""
-    assert err.startswith("invariant violation: reciprocity:")
+    assert err.startswith("invariant violation: derived overlap bound:")
 
 
 def test_generate_and_optimize_peak_memory(tmp_path, capsys, fresh_tables):
@@ -872,10 +898,9 @@ def test_every_bounds_row_is_applied(monkeypatch, capsys):
     ):
         rc, _, err = run_cli(capsys, *argv)
         assert rc == 0, (argv, err)
-    # Only the library's dual basis and complement decomposition apply these.
-    library_only = {"dual delta overlap", "dual dropped overlap", "complement decomposition"}
+    # Only the library's complement decomposition applies this one.
+    library_only = {"complement decomposition"}
     assert set(bounds) - library_only <= read
-    dual_basis_omit(make_instance(7), 2)
     complement_decomposition([2, 2], [3, 2])
     assert read == set(bounds)
 

@@ -1,7 +1,6 @@
 """Tests for the product-state family construction and its dual structures."""
 
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +8,6 @@ import pytest
 import usdsep.instance
 from usdsep import (
     ascending_factorizations,
-    completeness_residual,
-    dual_basis_omit,
     instance_from_dict,
     instance_to_dict,
     is_prime,
@@ -22,6 +19,7 @@ from usdsep import (
 from usdsep.numerics import bound
 from tests.oracles import (
     DENSE_ROUNDING,
+    closed_form_duals,
     dense_born_table,
     dense_completeness_residual,
     dense_dual_residuals,
@@ -135,7 +133,8 @@ def test_completeness_residual_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert residual == completeness_residual(SimpleNamespace(n=n)) <= bound("completeness", n)
+    assert residual == usdsep.instance._table(n).residuals["completeness"]
+    assert residual <= bound("completeness", n)
     assert peak < 1 << 20, peak
 
 
@@ -174,7 +173,7 @@ def test_large_families_pass_their_audits():
     # residual past its bound of 1e-12 from N = 307 on.
     for n in (401, 1009):
         inst = make_instance(n)
-        assert completeness_residual(inst) <= bound("completeness", n)
+        assert inst.residuals["completeness"] <= bound("completeness", n)
         r = reciprocal_set(inst)
         assert np.max(np.abs(r.overlaps - n / (2.0 * (n - 1)))) <= 1e-10
 
@@ -185,7 +184,7 @@ def test_audits_keep_what_they_measured(n):
     table = usdsep.instance._table(n)
     audits = usdsep.instance._audits(table.pw, table.roots, table.amplitudes)
     assert inst.residuals == {"log tables": 0, **audits}
-    assert inst.residuals["completeness"] == completeness_residual(inst)
+    assert inst.residuals == table.residuals
     assert residuals_agree(inst.residuals["completeness"], dense_completeness_residual(inst))
     # Unit norm and the null relation are read from the table; the gathered
     # rows measure the same quantities within the same laws, and the table's
@@ -198,13 +197,13 @@ def test_audits_keep_what_they_measured(n):
     for name in ("unit norm", "null relation"):
         assert inst.residuals[name] <= bound(name, n) / 10
 
-    # reciprocal_set and dual_basis_omit form no product: their six rows
-    # read the bound the two residuals above give, which the dense products
-    # stay under.
+    # reciprocal_set forms no product: its one row reads the bound the two
+    # residuals above give, which the dense products of its states and of
+    # the closed-form duals stay under.
     r = reciprocal_set(inst)
     derived = derived_bound(inst)
-    assert r.residuals == dict.fromkeys(dense_reciprocal_residuals(inst, r), derived)
-    dual = dense_dual_residuals(inst, dual_basis_omit(inst, n), n)
+    assert r.residuals == {"derived overlap bound": derived}
+    dual = dense_dual_residuals(inst, closed_form_duals(inst, n), n)
     for name, measured in {**dense_reciprocal_residuals(inst, r), **dual}.items():
         assert measured <= derived, name
     assert np.max(np.abs(two_cell_table(r) - dense_born_table(inst, r))) <= DENSE_ROUNDING
@@ -281,13 +280,18 @@ def test_shift_unitary_advances_labels():
 
 
 def test_retained_and_dual_labels_skip_exactly_the_excluded_labels():
+    # The closed-form duals of every drop label are dual to the states of
+    # exactly the labels outside {omit, drop}: deltas there, zero on omit.
     n = 11
     for omit in range(1, n + 1):
         inst = make_instance(n, omit=omit)
         assert inst.retained == tuple(j for j in range(1, n + 1) if j != omit)
         for drop in set(range(1, n + 1)) - {omit}:
-            ks = dual_basis_omit(inst, drop).ks
-            assert ks == tuple(k for k in range(1, n + 1) if k not in (omit, drop))
+            xi = closed_form_duals(inst, drop)
+            assert xi.ks == tuple(k for k in range(1, n + 1) if k not in (omit, drop))
+            cross = xi.vectors.conj() @ inst.states.T
+            cross[:, drop - 1] = 0.0
+            assert np.max(np.abs(cross - np.eye(n)[np.subtract(xi.ks, 1)])) <= 1e-12
 
 
 def singular_values(inst, labels):
@@ -332,12 +336,10 @@ def test_null_relation_residual_sees_a_wrong_relation(n):
 
 def test_label_accessors_name_the_missing_label():
     inst = make_instance(5)
+    r = reciprocal_set(inst)
     with pytest.raises(ValueError, match=r"label 1: this holds labels 1\.\.5 except \[1\]"):
-        reciprocal_set(inst).state(1)
-    xi = dual_basis_omit(inst, 2)
-    with pytest.raises(ValueError, match=r"label 2: this holds labels 1\.\.5 except \[1, 2\]"):
-        xi.vector(2)
-    assert np.array_equal(xi.vector(3), xi.vectors[0])
+        r.state(1)
+    assert np.array_equal(r.state(2), r.states[0])
 
 
 def test_pairwise_overlaps_magnitude_and_phase():
@@ -380,6 +382,20 @@ def test_reciprocal_set_orthogonality_and_overlap():
     assert abs(r.state(2).conj() @ inst.state(3)) <= 1e-12
 
 
+def test_reciprocal_set_checks_its_one_row_once(monkeypatch):
+    reads = []
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    inst = make_instance(7)
+    monkeypatch.setattr(usdsep.numerics, "BOUNDS", Recording(usdsep.numerics.BOUNDS))
+    reciprocal_set(inst)
+    assert reads == ["derived overlap bound"]
+
+
 def test_reciprocal_overlap_value_across_families():
     for inst in all_instances():
         r = reciprocal_set(inst)
@@ -405,11 +421,12 @@ def test_reciprocal_set_respects_omit_relabeling():
 
 
 def test_dual_basis_omit_deltas_and_unimodular_overlap():
+    # The closed-form duals of the basis without state 2 (instance module
+    # docstring): deltas on 3..5, zero on 1, unimodular overlaps with 2.
     inst = make_instance(5)
-    xi = dual_basis_omit(inst, 2)
+    xi = closed_form_duals(inst, 2)
     assert xi.ks == (3, 4, 5)
-    for k in xi.ks:
-        vec = xi.vector(k)
+    for k, vec in zip(xi.ks, xi.vectors):
         for j in range(1, 6):
             got = complex(vec.conj() @ inst.state(j))
             if j == 2:
@@ -420,20 +437,6 @@ def test_dual_basis_omit_deltas_and_unimodular_overlap():
                 assert abs(got - 1.0) <= 1e-10
             else:
                 assert abs(got) <= 1e-10
-
-
-def test_dual_basis_omit_rejects_bad_labels():
-    inst = make_instance(5)
-    with pytest.raises(ValueError):
-        dual_basis_omit(inst, 1)  # the instance's own omitted label
-    with pytest.raises(ValueError):
-        dual_basis_omit(inst, 0)
-    with pytest.raises(ValueError):
-        dual_basis_omit(inst, 6)
-    for bad in (2.9, 2.0, True, "2"):
-        with pytest.raises(ValueError, match="must be an integer"):
-            dual_basis_omit(inst, bad)
-    assert dual_basis_omit(inst, np.int64(2)).ks == (3, 4, 5)
 
 
 def test_instance_dict_round_trip():
@@ -486,6 +489,22 @@ def test_instance_from_dict_rejects_tampering():
     ):
         with pytest.raises(ValueError, match="malformed instance payload"):
             instance_from_dict(params)
+
+
+def test_instance_from_dict_gathers_the_states_once(monkeypatch):
+    # A wrong shape is rejected from the parameters alone; a matching array
+    # is compared against one gather of the (N, D) states.
+    good = _legacy_payload(make_instance(13))
+    wrong = {**good, "states": good["states"][:12]}
+    reads = []
+    gather = usdsep.instance.Instance.states.fget
+    counted = property(lambda inst: reads.append(inst.n) or gather(inst))
+    monkeypatch.setattr(usdsep.instance.Instance, "states", counted)
+    with pytest.raises(ValueError, match=r"shape \(12, 12\) does not match \(13, 12\)"):
+        instance_from_dict(wrong)
+    assert reads == []
+    instance_from_dict(good)
+    assert reads == [13]
 
 
 def test_instance_from_legacy_dict_with_states():

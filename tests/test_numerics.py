@@ -221,7 +221,7 @@ def test_instance_rows_are_laws_no_looser_than_before_up_to_4051():
     assert all(callable(BOUNDS[name]) for name in rows)
     for n in (5, 13, 211, 1009, 4051):
         assert all(0.0 < bound(name, n) <= 1e-12 for name in rows)
-        assert bound("reciprocity", n) == BOUNDS["reciprocity"]
+        assert bound("derived overlap bound", n) == BOUNDS["derived overlap bound"]
     assert bound("completeness", 1000003) > 1e-11
     assert bound("completeness", 13) < bound("completeness", 14) < bound("completeness", 1009)
 

@@ -29,8 +29,6 @@ from usdsep import (
     ascending_factorizations,
     build_measurement,
     classify_tuple,
-    completeness_residual,
-    dual_basis_omit,
     failure_probability,
     is_prime,
     kron_all,
@@ -45,6 +43,7 @@ from usdsep.usd import PSD_TOL
 from tests.oracles import (
     DENSE_ROUNDING,
     by_label,
+    closed_form_duals,
     dense_born_table,
     dense_completeness_residual,
     dense_dual_residuals,
@@ -171,7 +170,7 @@ def test_state_matrix_forms_match_dense_projector_sums(case):
 
     resolution = sum(proj(v) for v in inst.states) * (d / inst.n)
     dense_residual = np.linalg.norm(resolution - np.eye(d))
-    assert abs(completeness_residual(inst) - dense_residual) <= CLOSURE_BOUND
+    assert abs(inst.residuals["completeness"] - dense_residual) <= CLOSURE_BOUND
 
 
 @st.composite
@@ -230,13 +229,12 @@ def test_printed_corollaries_of_the_null_relation(inst, data):
     drop += drop >= inst.omit  # any label but omit
     named = inst.states[[j - 1 for j in inst.retained]]
     dense = np.eye(d) - (named.T * w) @ named.conj()
-    xi = dual_basis_omit(inst, drop)
+    xi = closed_form_duals(inst, drop)
     sandwich = ((xi.vectors.conj() @ dense) * xi.vectors).sum(axis=1).real
     weight = dict(zip(inst.retained, w))
     predicted = [2.0 * d / n - weight[k] - weight[drop] for k in xi.ks]
     assert np.max(np.abs(sandwich - predicted)) <= 1e-12
-    # dual_basis_omit forms no product: the dense audits of its duals stay
-    # under the derived bound its two rows read.
+    # The dense audits of the closed-form duals stay under the derived bound.
     for name, measured in dense_dual_residuals(inst, xi, drop).items():
         assert measured <= derived_bound(inst), name
 
@@ -267,7 +265,7 @@ def test_closed_forms_match_the_definitions(inst, data):
     drop = data.draw(st.integers(1, inst.n - 1))
     drop += drop >= inst.omit  # any label but omit
     kept, rows = inverse_duals(inst, drop)
-    xi = dual_basis_omit(inst, drop)
+    xi = closed_form_duals(inst, drop)
     assert list(xi.ks) == [k for k in kept if k != inst.omit]
     reference = np.array([rows[kept.index(k)] for k in xi.ks])
     assert np.max(np.abs(xi.vectors - reference)) <= CLOSURE_BOUND
@@ -276,7 +274,7 @@ def test_closed_forms_match_the_definitions(inst, data):
 @settings(max_examples=30, deadline=None, database=None)
 @given(instances(STRUCTURED_PRIMES), st.integers(0, 2**32 - 1))
 def test_born_table_holds_every_overlap_and_the_audits(inst, seed):
-    # reciprocal_set and completeness_residual form no product; the dense
+    # reciprocal_set and the completeness audit form no product; the dense
     # ones of tests/oracles.py must agree with their closed forms and stay
     # under the bound the audits read.
     r = reciprocal_set(inst)
@@ -289,15 +287,15 @@ def test_born_table_holds_every_overlap_and_the_audits(inst, seed):
     assert np.max(np.abs(two_cell_table(r) - dense_born_table(inst, r))) <= DENSE_ROUNDING
 
     derived = derived_bound(inst)
+    assert r.residuals == {"derived overlap bound": derived}
     for name, measured in dense_reciprocal_residuals(inst, r).items():
-        assert r.residuals[name] == derived
         assert measured <= derived, name
 
     m = build_measurement(inst, np.random.default_rng(seed).uniform(0.0, d / n, size=d))
     failures = failure_probability(m, r).per_state_failure
     assert np.max(np.abs(failures - dense_failures(inst, r, m))) <= DENSE_ROUNDING
 
-    ratio, dense = completeness_residual(inst), dense_completeness_residual(inst)
+    ratio, dense = inst.residuals["completeness"], dense_completeness_residual(inst)
     assert max(ratio, dense) <= bound("completeness", n)
     assert residuals_agree(ratio, dense)
 

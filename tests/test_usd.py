@@ -178,7 +178,7 @@ def test_q_values_two_routes_agree():
         with_omitted = born[:, inst.omit - 1]
         assert np.allclose(r.overlaps, q, atol=1e-12)
         assert np.allclose(with_omitted, q, atol=1e-12)
-        assert float(np.max(np.abs(partner - with_omitted))) <= r.residuals["q symmetry"]
+        assert float(np.max(np.abs(partner - with_omitted))) <= r.residuals["derived overlap bound"]
 
 
 def test_oracle_optimize_never_beats_half():
