@@ -180,6 +180,11 @@ def cmd_certify(args) -> int:
         source = {**instance_to_dict(inst), "copies": copies}
     report = certify(product_ops, tol=tol)
     payload = dataclasses.asdict(report)
+    # The bound's last digits are rounding: a 1-ulp change of the inputs
+    # moves it by about 3e-16, over 1000 times under the 12th decimal.
+    for party in payload["parties"]:
+        if party["min_witness_bound"] is not None:
+            party["min_witness_bound"] = round(party["min_witness_bound"], 12)
     payload["manifest"] = _manifest("certify", {**source, "tol": tol})
     print(f"verdict: {report.verdict}", file=sys.stderr)
     _emit(payload, args.out)
@@ -332,10 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_signed_values(argv: list[str]) -> list[str]:
-    """argv with "--tol -1e-3" (or --weights) joined by "=": argparse reads -1e-3 as an option."""
+    """argv with "--tol -1e-3" (or --weights) joined by "=": argparse reads -1e-3 as an option.
+
+    An abbreviation of either name joins too.  argparse still resolves it,
+    so one that names two options, as --t names --tol and --trials, stays
+    an input error.
+    """
     out = []
     for arg in argv:
-        if out and out[-1] in ("--weights", "--tol") and re.match(r"-[0-9.]", arg):
+        prev = out[-1] if out else ""
+        if len(prev) > 2 and re.match(r"-[0-9.]", arg) and any(n.startswith(prev) for n in ("--weights", "--tol")):
             out[-1] += "=" + arg
         else:
             out.append(arg)

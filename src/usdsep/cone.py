@@ -16,13 +16,26 @@ is not a nonnegative combination of the other classes.  One vec_herm call
 per party maps the stack to isometric real coordinates, where that is a
 question about the columns of one real matrix V.
 
+A party's pass forms each quantity once and reads it wherever it is needed.
+LocalOperatorSet copies the factors into the stack and forms their Frobenius
+norms: finite norms clear every entry at once, the largest bounds the
+shift of the positivity proof below, and distinct_rays rejects zero
+operators and scales the stack to unit norm from them.  The one vec_herm
+call splits the unit stack into its diagonal and triangles once; both the
+coordinates V and the asymmetry check read that split.  The ray screen is
+one Gram matrix of V, the witness reads V and the representatives, and
+certify's identity test reads the diagonal and the norms (see
+_near_identity), so no pass forms M - (Tr M / d) I.
+
 Every factor must be positive semidefinite: lambda_min(H) >= -PSD_INPUT_TOL
-for its Hermitian part H.  One batched Cholesky of H + s I per party proves
-it, s = PSD_INPUT_TOL - 8 d (d + 1) u max ||H||_F with u the unit roundoff:
+for its Hermitian part H.  One batched Cholesky of 2 (H + s I) per party,
+formed in one buffer, proves it, s = PSD_INPUT_TOL - 8 d (d + 1) u max ||M||_F
+with u the unit roundoff and ||M||_F >= ||H||_F the factors' own norms:
 the backward error of a completed Cholesky (Higham, Accuracy and Stability
 of Numerical Algorithms, 2nd ed., 2002, Thm 10.3, and sec. 3.6 for complex
-arithmetic) stays below 3.1 d (d + 1) u (max ||H||_F + s), and so, with the
-rounding of the shifted diagonal, below PSD_INPUT_TOL - s once max ||H||_F
+arithmetic) stays below 3.1 d (d + 1) u (max ||H||_F + s), relative to the
+scale of the matrix, so the factor 2 changes nothing; with the rounding of
+the shifted diagonal it stays below PSD_INPUT_TOL - s once max ||H||_F
 >= PSD_INPUT_TOL (below that, lambda_min(H) >= -||H||_F > -PSD_INPUT_TOL
 outright).  Only where it fails, or s <= 0, does a batched eigvalsh decide.
 
@@ -44,7 +57,7 @@ on the witness, which only saves solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +78,7 @@ RAY_TOL = 1e-8
 PSD_INPUT_TOL = 1e-10
 IDENTITY_RTOL = 1e-8
 WARN_BAND = (1e-8, 1e-6)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -72,10 +86,12 @@ class LocalOperatorSet:
     """The factors one party contributes across all measurement outcomes.
 
     ``ops`` may be given as any sequence of equal square matrices, d >= 1;
-    it is kept as a validated read-only (R, d, d) complex stack, copied once.
+    it is kept as a validated read-only (R, d, d) complex stack, copied once,
+    beside the read-only Frobenius norms of its operators.
     """
 
     ops: np.ndarray
+    _norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.ops) == 0:
@@ -87,28 +103,37 @@ class LocalOperatorSet:
             square = False
         if not square:
             raise ValueError("operators must share one square dimension")
-        if not np.all(np.isfinite(stack)):
+        norms = _frob(stack)
+        # A non-finite entry makes its operator's norm non-finite, so finite
+        # norms clear every entry; only an infinite norm, which huge finite
+        # entries also give, needs the entries read again.
+        if not np.isfinite(norms).all() and not np.isfinite(stack).all():
             raise ValueError("operators must have finite entries")
-        _require_psd(stack)
+        _require_psd(stack, norms)
         stack.setflags(write=False)
+        norms.setflags(write=False)
         object.__setattr__(self, "ops", stack)
+        object.__setattr__(self, "_norms", norms)
 
     @property
     def dim(self) -> int:
         return self.ops.shape[1]
 
 
-def _require_psd(stack: np.ndarray) -> None:
+def _require_psd(stack: np.ndarray, norms: np.ndarray) -> None:
     """Raise unless each Hermitian part H has lambda_min(H) >= -PSD_INPUT_TOL (module docstring)."""
-    d = stack.shape[1]
-    hermitian = (stack + np.conjugate(stack.transpose(0, 2, 1), order="C")) / 2.0
-    shift = PSD_INPUT_TOL - 4.0 * d * (d + 1) * np.finfo(float).eps * float(_frob(hermitian).max())
+    count, d = stack.shape[:2]
+    shift = PSD_INPUT_TOL - 4.0 * d * (d + 1) * _EPS * float(norms.max())
     if shift > 0.0:
+        twice = np.conjugate(stack.transpose(0, 2, 1), order="C")
+        twice += stack  # 2 H, and below 2 (H + shift I), in the one buffer
+        twice.reshape(count, d * d)[:, :: d + 1] += 2.0 * shift
         try:
-            np.linalg.cholesky(hermitian + shift * np.eye(d))
+            np.linalg.cholesky(twice)
             return
         except np.linalg.LinAlgError:
             pass
+    hermitian = (stack + np.conjugate(stack.transpose(0, 2, 1))) * 0.5
     if float(np.linalg.eigvalsh(hermitian)[:, 0].min()) < -PSD_INPUT_TOL:
         raise ValueError("operators must be positive semidefinite")
 
@@ -184,22 +209,31 @@ def distinct_rays(s: LocalOperatorSet, tol: float = RAY_TOL) -> RayGroups:
     and otherwise becomes the representative of a new class.  Zero
     operators are rejected since they name no ray at all.
     """
-    norms = _frob(s.ops)
-    if np.any(norms < 1e-14):
+    norms = s._norms
+    if norms.min() < 1e-14:
         raise ValueError("zero operator has no ray")
-    units = s.ops / norms[:, None, None]
+    # The float view times 1 / norm: the bits of complex division by a real.
+    units = (s.ops.view(float) * (1.0 / norms)[:, None, None]).view(complex)
     coords = vec_herm(units)
     # Screen: unit vectors within tol have a Gram entry of at least
     # 1 - tol**2 / 2.  Rounding in the normalization, in vec_herm and in a
     # dot product of d**2 terms stays below a small multiple of d**2 eps
     # (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1), so
     # 16 d**2 eps of slack never drops a pair; a pair that passes only costs
-    # a confirmation.
-    slack = 16.0 * s.dim**2 * np.finfo(float).eps
-    rows, cols = np.nonzero(coords @ coords.T >= 1.0 - tol**2 / 2.0 - slack)
-    earlier = cols < rows
-    rows, cols = rows[earlier], cols[earlier]
-    if rows.size:
+    # a confirmation.  Each operator matches itself, so the diagonal is
+    # masked, and the pairs are listed only when some entry passes.
+    slack = 16.0 * s.dim**2 * _EPS
+    gram = coords @ coords.T
+    gram.flat[:: len(gram) + 1] = -np.inf
+    cut = 1.0 - tol**2 / 2.0 - slack
+    rows = cols = np.zeros(0, dtype=np.intp)
+    if gram.max() >= cut:
+        rows, cols = np.nonzero(gram >= cut)
+        earlier = cols < rows
+        rows, cols = rows[earlier], cols[earlier]
+    if not rows.size:  # no pair passed the screen: every operator is its own class
+        groups = tuple((i,) for i in range(len(units)))
+    else:
         head = np.arange(len(units))  # head[i]: the operator representing i's class
         splits = np.flatnonzero(np.diff(rows)) + 1
         for i, cand in zip(rows[np.r_[0, splits]], np.split(cols, splits)):
@@ -213,8 +247,6 @@ def distinct_rays(s: LocalOperatorSet, tol: float = RAY_TOL) -> RayGroups:
         heads, starts = np.unique(head[order], return_index=True)
         groups = tuple(tuple(g.tolist()) for g in np.split(order, starts[1:]))
         units, coords = units[heads], coords[heads]
-    else:  # no pair passed the screen: every operator is its own class
-        groups = tuple((i,) for i in range(len(units)))
     units.setflags(write=False)
     coords.setflags(write=False)
     return RayGroups(groups=groups, representatives=units, coords=coords)
@@ -233,36 +265,38 @@ def _witness_bounds(rays: RayGroups) -> np.ndarray:
     (each Tr r_k >= 1), so rounding moves a bound by far less than 1e-6.
     """
     v, reps = rays.coords, rays.representatives
-    d = reps.shape[1]
+    count, d = reps.shape[:2]
     # u_c by power iteration from the column of r_c with the largest
-    # diagonal entry: exact for a rank-1 r_c, and for any other r_c a guess
-    # like the rest of Y_c.  Batched eigh would do as well but adds about
-    # 1 MiB of LAPACK code to the resident set.
-    u = reps[np.arange(len(reps)), :, reps.diagonal(axis1=1, axis2=2).real.argmax(axis=1)]
+    # diagonal entry (vec_herm puts the diagonal first): exact for a rank-1
+    # r_c, and for any other r_c a guess like the rest of Y_c.  Batched eigh
+    # would do as well but adds about 1 MiB of LAPACK code to the resident
+    # set.  Only the direction matters, so u_c is normalized once, at the end.
+    u = reps[np.arange(count), :, v[:, :d].argmax(axis=1), None]
     for _ in range(3):
-        u = np.einsum("cij,cj->ci", reps, u)
-        u /= _frob(u, 1)[:, None]
-    # p[c] = vec_herm(|u_c><u_c|), written from u_c in vec_herm's layout:
+        u = reps @ u
+    u = u[:, :, 0]
+    u /= np.sqrt(np.vecdot(u, u).real)[:, None]
+    # y[c] = vec_herm(|u_c><u_c|), written from u_c in vec_herm's layout:
     # an (R, d, d) stack and vec_herm's temporaries would set the peak
-    # memory of the whole certificate.
+    # memory of the whole certificate.  It becomes vec_herm(Y_c) in place.
     rows, cols = _strict_upper(d)
-    off = np.sqrt(2.0) * u[:, rows] * u[:, cols].conj()
-    p = np.empty_like(v)
-    p[:, :d] = np.abs(u) ** 2
-    p[:, d::2], p[:, d + 1 :: 2] = off.real, off.imag
-    q = p @ v.T
-    q /= v[:, :d].sum(axis=1)  # <u_c|r_k|u_c> / Tr r_k; vec_herm puts the diagonal first
-    np.fill_diagonal(q, -np.inf)
+    y = np.empty_like(v)
+    np.vecdot(u[:, :, None].view(float), u[:, :, None].view(float), out=y[:, :d])  # |u_i|^2
+    np.multiply(u.take(rows, axis=1), u.conj().take(cols, axis=1), out=y[:, d:].view(complex))
+    y[:, d:] *= np.sqrt(2.0)
+    q = y @ v.T
+    q /= v[:, :d].sum(axis=1)  # <u_c|r_k|u_c> / Tr r_k
+    q.flat[:: count + 1] = -np.inf
     # 1 / t_c is the largest ratio, shrunk by 1e-12 so the binding class
     # does not land at 0 +- rounding.  A class nearly orthogonal to all the
     # others would take t_c -> infinity; capping t_c at 1e3 keeps Y finite.
-    t = (1.0 - 1e-12) / np.maximum(q.max(axis=1), 1e-3)
-    y = -t[:, None] * p
+    y *= ((1e-12 - 1.0) / np.maximum(q.max(axis=1), 1e-3))[:, None]
     y[:, :d] += 1.0  # vec_herm(I)
     w = np.matmul(y, v.T, out=q)
-    own = w.diagonal().copy()
-    np.fill_diagonal(w, np.inf)
-    return np.where(w.min(axis=1) >= 0.0, -own / _frob(y, 1), -np.inf)
+    bounds = -w.diagonal() / np.sqrt(np.vecdot(y, y))
+    w.flat[:: count + 1] = np.inf
+    bounds[w.min(axis=1) < 0.0] = -np.inf
+    return bounds
 
 
 def count_extreme(s: LocalOperatorSet, tol: float = RAY_TOL) -> Extremality:
@@ -279,13 +313,12 @@ def count_extreme(s: LocalOperatorSet, tol: float = RAY_TOL) -> Extremality:
     always extreme in the cone it generates.
     """
     rays = distinct_rays(s, tol)
-    residuals = np.full(rays.count, np.inf)
-    witnessed = np.zeros(rays.count, dtype=bool)
-    undecided = ()
-    if rays.count > 1:
+    if rays.count == 1:
+        residuals, witnessed, undecided = np.full(1, np.inf), np.zeros(1, dtype=bool), ()
+    else:
         bounds = _witness_bounds(rays)
         witnessed = bounds > max(tol, WARN_BAND[1])
-        residuals[witnessed] = bounds[witnessed]
+        residuals = np.where(witnessed, bounds, np.inf)
         undecided = np.flatnonzero(~witnessed)
         v = rays.coords.T
         for c in undecided:
@@ -297,6 +330,28 @@ def count_extreme(s: LocalOperatorSet, tol: float = RAY_TOL) -> Extremality:
         witnessed=witnessed,
         nnls_solves=len(undecided),
     )
+
+
+def _near_identity(s: LocalOperatorSet) -> bool:
+    """Whether every operator M has ||M - (Tr M / d) I|| <= IDENTITY_RTOL ||M||.
+
+    That distance squared is ||M||^2 - |Tr M|^2 / d, so the norms already
+    formed and the trace rule out any operator with |Tr M|^2 below
+    (1 - 1e-6) d ||M||^2, far beyond rounding.  Near the identity that
+    difference keeps no digits, so a party that passes is measured
+    directly: the diagonal's spread about its mean, plus the off-diagonal
+    entries, which in the flattened matrix are the first d of each run of
+    d + 1 entries after a diagonal one.
+    """
+    stack, d, norms = s.ops, s.dim, s._norms
+    diag = stack.diagonal(axis1=1, axis2=2)
+    mean = diag.sum(axis=1) / d
+    if (np.abs(mean) / norms).min() < math.sqrt((1.0 - 1e-6) / d):
+        return False
+    spread = diag - mean[:, None]
+    off = stack.reshape(len(stack), d * d)[:, 1:].reshape(len(stack), d - 1, d + 1)[:, :, :d].view(float)
+    gap = np.vecdot(spread, spread).real + np.vecdot(off, off).sum(axis=1)
+    return bool(np.all(np.sqrt(gap) <= IDENTITY_RTOL * norms))
 
 
 def certify(product_ops, tol: float = RAY_TOL) -> ConeReport:
@@ -339,14 +394,12 @@ def certify(product_ops, tol: float = RAY_TOL) -> ConeReport:
         found = count_extreme(ops, tol)
         residuals = found.residuals
         proven = residuals[found.witnessed]
-        warnings += [
-            f"party {alpha} ray class {c}: NNLS residual {residuals[c]:.3e} is borderline"
-            for c in np.flatnonzero((lo <= residuals) & (residuals <= hi))
-        ]
-        stack, d = ops.ops, ops.dim
-        scale = np.trace(stack, axis1=1, axis2=2) / d
-        off_identity = _frob(stack - scale[:, None, None] * np.eye(d))
-        skipped = bool(np.all(off_identity <= IDENTITY_RTOL * np.maximum(_frob(stack), 1e-14)))
+        if found.nnls_solves:  # a witnessed bound clears the band, and a lone class is infinite
+            warnings += [
+                f"party {alpha} ray class {c}: NNLS residual {residuals[c]:.3e} is borderline"
+                for c in np.flatnonzero((lo <= residuals) & (residuals <= hi))
+            ]
+        skipped = _near_identity(ops)
         stats.append(
             PartyConeStat(
                 party=alpha,

@@ -109,11 +109,11 @@ def proj(v):
     return v[:, None] * v.conj()
 
 
-def _frob(a, axes=2):
-    """Frobenius norms over the last ``axes`` axes: a dot product of the float view with itself."""
+def _frob(a):
+    """Frobenius norms over the last two axes: a dot product of the float view with itself."""
     f = np.ascontiguousarray(a).view(float)
-    f = f.reshape(f.shape[: f.ndim - axes] + (1, math.prod(f.shape[f.ndim - axes :])))
-    return np.sqrt(f @ f.swapaxes(-1, -2))[..., 0, 0]
+    f = f.reshape(f.shape[:-2] + (f.shape[-2] * f.shape[-1],))
+    return np.sqrt(np.vecdot(f, f))
 
 
 @functools.cache
@@ -124,23 +124,13 @@ def _strict_upper(d):
     return index
 
 
-def _hermitian_triangles(h):
-    """Split a square matrix or stack into its diagonal, m_rc and conj(m_cr) for r < c.
-
-    Returns them after the array m itself.  Asymmetry of any one matrix
-    beyond 1e-12 of its Frobenius norm is an input error, not averaged away.
-    """
-    m = np.asarray(h, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    rows, cols = _strict_upper(m.shape[-1])
-    diag = m.diagonal(axis1=-2, axis2=-1)
-    upper, lower = m[..., rows, cols], m[..., cols, rows].conj()
-    # ||M - M^dag||_F^2 = 4 sum_i (Im m_ii)^2 + 2 sum_(r<c) |m_rc - conj(m_cr)|^2
-    gap = np.sqrt(4.0 * _frob(diag.imag, 1) ** 2 + 2.0 * _frob(upper - lower, 1) ** 2)
-    if np.any(gap > 1e-12 * np.maximum(_frob(m), 1.0)):
-        raise ValueError(f"matrix is not Hermitian: asymmetry {np.max(gap):.3e}")
-    return m, diag, upper, lower
+@functools.cache
+def _flat_triangles(d):
+    """Read-only flat indices of m_rc and of m_cr, r < c, in a flattened d x d matrix."""
+    rows, cols = _strict_upper(d)
+    index = np.array([rows * d + cols, cols * d + rows])
+    index.setflags(write=False)
+    return index
 
 
 def vec_herm(h):
@@ -155,14 +145,29 @@ def vec_herm(h):
 
     It forms no averaged copy: the diagonal and the two triangles of ``h``
     give the coordinates of its Hermitian part (h + h^dag)/2 exactly, short
-    of overflow or subnormal entries.
+    of overflow or subnormal entries.  Asymmetry of any one matrix beyond
+    1e-12 of its Frobenius norm is an input error, not averaged away.
     """
-    m, diag, upper, lower = _hermitian_triangles(h)
-    d = diag.shape[-1]
-    out = np.empty(m.shape[:-2] + (d * d,), dtype=float)
+    m = np.asarray(h, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    d = m.shape[-1]
+    flat = m.reshape(m.shape[:-2] + (d * d,))
+    diag = flat[..., :: d + 1]
+    # take, not m[..., rows, cols]: its row-major result streams into out
+    upper, lower = (flat.take(index, axis=-1) for index in _flat_triangles(d))
+    np.conjugate(lower, out=lower)
+    out = np.empty(flat.shape)
     out[..., :d] = diag.real
-    out[..., d:] = np.add(upper, lower, order="C").view(float)  # 2 h_rc: Re, Im interleaved
+    np.add(upper, lower, out=out[..., d:].view(complex))  # 2 h_rc: Re, Im interleaved
     out[..., d:] *= np.sqrt(2.0) / 2.0
+    # ||M - M^dag||_F^2 = 4 sum_i (Im m_ii)^2 + 2 sum_(r<c) |m_rc - conj(m_cr)|^2 may reach
+    # 1e-24 max(||M||_F^2, 1) in each matrix, so a stack whose total is below passes whole.
+    upper -= lower
+    if 4.0 * np.vdot(diag.imag, diag.imag) + 2.0 * np.vdot(upper, upper).real > 1e-24:
+        gap = np.sqrt(4.0 * np.vecdot(diag.imag, diag.imag) + 2.0 * np.vecdot(upper, upper).real)
+        if (gap > 1e-12 * np.maximum(_frob(m), 1.0)).any():
+            raise ValueError(f"matrix is not Hermitian: asymmetry {gap.max():.3e}")
     return out
 
 

@@ -27,7 +27,9 @@ import usdsep.usd
 from usdsep import (
     SimReport,
     ascending_factorizations,
+    certify,
     complement_decomposition,
+    family_product_ops,
     is_prime,
     make_instance,
 )
@@ -205,6 +207,21 @@ def test_certify_reports_witness_and_nnls_solves(capsys):
         assert abs(party["min_witness_bound"] - 0.466818288227) < 1e-9
 
 
+def test_certify_prints_the_witness_bound_to_12_decimals(capsys):
+    # The report keeps the full double; the JSON rounds it to the 12th
+    # decimal, over 1000 times the 3e-16 a 1-ulp input change moves it.
+    for n, dims in ((13, None), (29, (4, 7))):
+        argv = ["--n", str(n)] + (["--dims", "4,7"] if dims else [])
+        rc, out, err = run_cli(capsys, "certify", *argv)
+        assert rc == 0, err
+        printed = re.findall(r'"min_witness_bound": ([0-9.e-]+)', out)
+        report = certify(family_product_ops(make_instance(n, dims)))
+        assert len(printed) == len(report.parties)
+        for text, stat in zip(printed, report.parties):
+            assert float(text) == round(stat.min_witness_bound, 12) != stat.min_witness_bound
+            assert len(text.split(".")[1]) <= 12
+
+
 def test_certify_records_the_tol_it_used(capsys):
     payload, _ = run_json(capsys, "certify", "--n", "5")
     assert payload["manifest"]["parameters"]["tol"] == 1e-8
@@ -231,6 +248,26 @@ def test_signed_weights_value_is_read_as_the_option_value(capsys):
         return re.sub(r'"timestamp": "[^"]*"', "", out)
 
     assert stdout("--weights", "-0,0.8,0.8,0.8") == stdout("--weights=-0,0.8,0.8,0.8")
+    # An abbreviation argparse resolves to --weights reads its value the same way.
+    for name in ("--weight", "--we", "--w"):
+        assert stdout(name, "-0,0.8,0.8,0.8") == stdout("--weights", "-0,0.8,0.8,0.8")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify", "--to", "-1e-3"], "--tol must be positive and finite"),
+        (["optimize", "--we", "-0.1,0.8,0.8,0.8"], "weights must be nonnegative"),
+        # --t names both --tol and --trials of simulate: argparse refuses it.
+        (["simulate", "--t", "-1"], "ambiguous option"),
+        (["simulate", "--t", "-1e-3"], "ambiguous option"),
+    ],
+)
+def test_signed_values_after_abbreviations(capsys, argv, message):
+    rc, out, err = run_cli(capsys, argv[0], "--n", "5", *argv[1:])
+    assert rc == 2
+    assert out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize(

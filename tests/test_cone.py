@@ -351,14 +351,15 @@ def test_nnls_extremality_matches_lp_oracle():
     assert cases >= 60
 
 
-def planted_rays(rng, tol):
+def planted_rays(rng, tol, d=None):
     """Rank-1 operators near random rank-1 bases, at distances just under
     and just over tol, plus chains and rescaled copies, in random order.
 
     For unit a and b = cos(phi) a + sin(phi) a_perp the projectors are
-    sqrt(2) sin(phi) apart, so each distance is planted exactly.
+    sqrt(2) sin(phi) apart, so each distance is planted exactly.  The
+    dimension d >= 2 is drawn from 2..4 unless given.
     """
-    d = int(rng.integers(2, 5))
+    d = int(rng.integers(2, 5)) if d is None else d
     ops = []
     for _ in range(int(rng.integers(1, 5))):
         a, perp = np.linalg.qr(rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2)))[0].T
@@ -453,11 +454,12 @@ def random_unitary(rng, d):
 
 
 def party_factors(rng, kind, r, tol):
-    """r factors of one party: near-duplicate rays at the tolerance edge, near-identity
-    factors, rank > 1 factors or rank-1 ones, each at a random positive scale."""
-    d = int(rng.integers(2, 6))
+    """r factors of one party of dimension 1 to 14: near-duplicate rays at the tolerance
+    edge, near-identity factors, rank > 1 factors or rank-1 ones, each at a random
+    positive scale.  At d = 1 every factor is a positive number: one ray, the identity."""
+    d = int(rng.integers(1, 15))
     if kind == "near duplicates":
-        planted = planted_rays(rng, tol)
+        planted = planted_rays(rng, tol, max(d, 2))
         ops = [planted[k % len(planted)] for k in range(r)]
     elif kind == "near identity":
         # Off the identity by 0.5 or 2 times IDENTITY_RTOL relative: skipped or not.
@@ -467,15 +469,40 @@ def party_factors(rng, kind, r, tol):
             h = (h + h.conj().T) / 2.0
             h -= np.trace(h) / d * np.eye(d)
             gap = rng.choice([0.5, 2.0]) * IDENTITY_RTOL * np.sqrt(d)
-            ops.append(np.eye(d) + gap * h / np.linalg.norm(h))
+            ops.append(np.eye(d) + (gap * h / np.linalg.norm(h) if d > 1 else 0.0))
     elif kind == "rank > 1":
-        ops = [rand_psd(rng, d, rank=int(rng.integers(2, d + 1))) for _ in range(r)]
+        ops = [rand_psd(rng, d, rank=int(rng.integers(min(2, d), d + 1))) for _ in range(r)]
     else:
         ops = [proj(v) for v in rng.normal(size=(r, d)) + 1j * rng.normal(size=(r, d))]
     return [op * 10.0 ** rng.uniform(-2.0, 3.0) for op in ops]
 
 
 KINDS = ("near duplicates", "near identity", "rank > 1", "rank one")
+
+
+def assert_matches_reference(entries, tol, well_posed=True):
+    """certify against reference_certify: groups, rays, skipped and generators always;
+    with ``well_posed`` also counts, verdict, note, warnings, NNLS solves and the
+    witness bound, within 1e-12 relative plus 1e-14 absolute."""
+    want, want_groups = reference_certify(entries, tol)
+    got = certify(entries, tol)
+    parties = [[entry[alpha] for entry in entries] for alpha in range(len(entries[0]))]
+    assert [distinct_rays(LocalOperatorSet(p), tol).groups for p in parties] == want_groups
+    for g, w in zip(got.parties, want.parties, strict=True):
+        assert (g.party, g.generators, g.rays, g.skipped) == (w.party, w.generators, w.rays, w.skipped)
+    if not well_posed:
+        return
+    assert (got.total, got.bound, got.verdict) == (want.total, want.bound, want.verdict)
+    assert (got.note, got.warnings) == (want.note, want.warnings)
+    for g, w in zip(got.parties, want.parties, strict=True):
+        assert (g.extreme, g.nnls_solves) == (w.extreme, w.nnls_solves)
+        assert (g.min_witness_bound is None) == (w.min_witness_bound is None)
+        if w.min_witness_bound is not None:
+            # The bound is -<Y, r_c> / ||Y||, a sum of O(1) terms: its rounding is
+            # absolute, a few 1e-16 (seen: 4.3e-16), which for the smallest
+            # bounds (down to the 1e-6 cut) is more than 1e-12 relative.
+            gap = abs(g.min_witness_bound - w.min_witness_bound)
+            assert gap <= 1e-12 * abs(w.min_witness_bound) + 1e-14
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -489,29 +516,26 @@ def test_certify_matches_the_reference_route(seed, kinds, r, tol):
     rng = np.random.default_rng(seed)
     parties = [party_factors(rng, kind, r, tol) for kind in kinds]
     entries = [[party[j] for party in parties] for j in range(r)]
-    want, want_groups = reference_certify(entries, tol)
-    got = certify(entries, tol)
-    assert [distinct_rays(LocalOperatorSet(p), tol).groups for p in parties] == want_groups
-    for g, w in zip(got.parties, want.parties, strict=True):
-        assert (g.party, g.generators, g.rays, g.skipped) == (w.party, w.generators, w.rays, w.skipped)
-    if tol < 1e-6 and "near identity" in kinds:
-        # Near-identity rays lie 0.5e-8 to 4e-8 apart, so at tol = 1e-8 they
-        # stay separate classes whose NNLS columns differ only at 1e-8.  The
-        # reference route's own residual digits, and so its warnings, then
-        # move under a 1-ulp change of one input entry; only the well-posed
-        # outputs above are compared there.
-        return
-    assert (got.total, got.bound, got.verdict) == (want.total, want.bound, want.verdict)
-    assert (got.note, got.warnings) == (want.note, want.warnings)
-    for g, w in zip(got.parties, want.parties, strict=True):
-        assert (g.extreme, g.nnls_solves) == (w.extreme, w.nnls_solves)
-        assert (g.min_witness_bound is None) == (w.min_witness_bound is None)
-        if w.min_witness_bound is not None:
-            # The bound is -<Y, r_c> / ||Y||, a sum of O(1) terms: its rounding is
-            # absolute, a few 1e-16 (seen: 4.3e-16), which for the smallest
-            # bounds (down to the 1e-6 cut) is more than 1e-12 relative.
-            gap = abs(g.min_witness_bound - w.min_witness_bound)
-            assert gap <= 1e-12 * abs(w.min_witness_bound) + 1e-14
+    # Near-identity rays lie 0.5e-8 to 4e-8 apart, so at tol = 1e-8 they
+    # stay separate classes whose NNLS columns differ only at 1e-8.  The
+    # reference route's own residual digits, and so its warnings, then
+    # move under a 1-ulp change of one input entry; only the well-posed
+    # outputs are compared there.
+    assert_matches_reference(entries, tol, well_posed=not (tol < 1e-6 and "near identity" in kinds))
+
+
+# The nine (N, factorization) families of the certify_sweep benchmark.
+SWEEP_FAMILIES = (
+    (29, (4, 7)), (29, (2, 2, 7)), (37, (3, 3, 4)), (43, (2, 3, 7)), (53, (2, 2, 13)),
+    (71, (5, 14)), (61, (2, 2, 3, 5)), (73, (2, 2, 2, 3, 3)), (101, (4, 5, 5)),
+)
+
+
+@pytest.mark.parametrize(
+    "n, dims, copies", [(n, dims, 1) for n, dims in SWEEP_FAMILIES] + [(5, None, 2)]
+)
+def test_certify_families_match_the_reference_route(n, dims, copies):
+    assert_matches_reference(family_factors(make_instance(n, dims), copies), RAY_TOL)
 
 
 def test_positivity_at_the_tolerance_edge_follows_eigvalsh():

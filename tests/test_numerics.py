@@ -78,6 +78,22 @@ def test_stack_with_one_non_hermitian_member_is_rejected():
             vec_herm(np.ones(shape))
 
 
+def test_asymmetry_is_judged_per_matrix_not_per_stack():
+    # Each matrix sits 10% inside its own asymmetry bound, so the stack's
+    # total asymmetry exceeds any one matrix's bound; only the matrix moved
+    # 10% past its bound is rejected, with its own asymmetry in the message.
+    rng = np.random.default_rng(33)
+    stack = random_hermitian_stack(rng, 8, 3)
+    stack /= np.linalg.norm(stack, axis=(1, 2))[:, None, None]  # ||M|| = 1: each bound is 1e-12
+    skew = np.zeros((3, 3), dtype=complex)
+    skew[0, 1] = 1.0  # ||skew - skew^dag|| = sqrt(2)
+    inside = stack + 0.9e-12 / np.sqrt(2.0) * skew
+    assert np.array_equal(vec_herm(inside), np.stack([vec_herm(h) for h in inside]))
+    inside[5] += 0.2e-12 / np.sqrt(2.0) * skew
+    with pytest.raises(ValueError, match=r"not Hermitian: asymmetry 1\.100e-12"):
+        vec_herm(inside)
+
+
 # Eigenvalues of the reduced reciprocal states, frozen from an independent
 # oracle: explicit-loop partial trace plus the closed-form 2x2 eigenvalue
 # formula (trace/determinant), run against the closed-form state vectors.
