@@ -103,12 +103,18 @@ class LocalOperatorSet:
             square = False
         if not square:
             raise ValueError("operators must share one square dimension")
-        norms = _frob(stack)
+        with np.errstate(over="ignore"):  # an overflowing square is refused below
+            norms = _frob(stack)
         # A non-finite entry makes its operator's norm non-finite, so finite
-        # norms clear every entry; only an infinite norm, which huge finite
-        # entries also give, needs the entries read again.
-        if not np.isfinite(norms).all() and not np.isfinite(stack).all():
-            raise ValueError("operators must have finite entries")
+        # norms clear every entry; only an infinite norm needs the entries
+        # read again, to tell them from finite ones too large to square.
+        if not np.isfinite(norms).all():
+            if not np.isfinite(stack).all():
+                raise ValueError("operators must have finite entries")
+            raise ValueError(
+                "operator entries too large: a squared Frobenius norm overflows float64 "
+                "(entries must stay below about 1e154)"
+            )
         _require_psd(stack, norms)
         stack.setflags(write=False)
         norms.setflags(write=False)

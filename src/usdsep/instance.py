@@ -448,7 +448,10 @@ def _check_match(a, b) -> None:
 
 
 def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """An int or numpy integer, not a bool; the exact type int skips the slow ABC test."""
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
@@ -498,11 +501,10 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
     table = _table(n)
     if dims is None:
         dims = prime_factors(n - 1)
-    # p_alpha, the product of the earlier dimensions; sum_alpha p_alpha m_alpha in kron order
-    p, exponents = 1, np.zeros(1, dtype=np.int64)
-    for d in dims:
-        exponents = np.add.outer(exponents, p * np.arange(d)).ravel()
-        p *= d
+    # sum_alpha p_alpha m_alpha, p_alpha the product of the earlier dimensions, is
+    # mixed radix with party 0 least significant; kron order reads it with
+    # party 0 most significant, so the digits are reversed by one transpose.
+    exponents = np.arange(n - 1, dtype=np.int64).reshape(dims[::-1]).T.ravel()
     exponents.setflags(write=False)
     residuals = {name: check(name, value, n) for name, value in table.residuals.items()}
     return Instance(n, dims, omit, exponents, residuals)
@@ -525,8 +527,9 @@ def reciprocal_set(inst: Instance) -> ReciprocalSet:
     The set shares the instance's exponents and stores no (D, D) array.
     """
     n, d = inst.n, inst.total_dim
-    overlaps, born = np.full(d, n / (2.0 * d)), np.full((d, 2), n / (2.0 * d))
+    overlaps, born = np.empty(d), np.empty((d, 2))
     for a in (overlaps, born):
+        a.fill(n / (2.0 * d))  # q, the one squared overlap
         a.setflags(write=False)
     return ReciprocalSet(
         n=n,

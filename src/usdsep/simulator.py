@@ -22,6 +22,14 @@ simulator samples it with no N^n table (multicopy_measurement keeps that
 as the reference).  It draws tallies rather than trials: one multinomial
 splits the trials among the inputs and one more each input's share
 between its two cells, so the cost does not grow with the trials.
+
+The law is one (D, 2) array: the partner cells w_i |<psi_i|phi_i>|^2 and
+failure_probability's per-input failures are written into it, and n > 1
+copies overwrite it with 1 - f^n and f^n through out= ufuncs.  Each form
+is checked from its min() and the max() of one |row sum - 1| buffer, then
+clipped at zero in place by np.maximum.  The report reads the tallies
+once: the counts from one tolist of the partner cells, the failure from
+their sum, and the total variation distance from one (D + 1,) buffer.
 """
 
 from __future__ import annotations
@@ -92,14 +100,18 @@ class MulticopyMeasurement:
 
 
 def _checked_rows(rows: np.ndarray) -> np.ndarray:
-    """Exact outcome rows, one per input, validated and clipped at zero.
+    """The (D, 2) law ``rows``, validated and clipped at zero in place.
 
     A negative probability or a row sum off 1 past its BOUNDS row means the
-    measurement was not a POVM: InvariantError.
+    measurement was not a POVM: InvariantError.  The checks read rows.min()
+    and the largest |row sum - 1| of one (D,) buffer, and np.maximum clips
+    into ``rows`` itself.
     """
     check("negative outcome probability", -float(rows.min()))
-    check("outcome probabilities miss 1", float(np.max(np.abs(rows.sum(axis=1) - 1.0))))
-    return np.clip(rows, 0.0, None)
+    miss = np.add(rows[:, 0], rows[:, 1])
+    miss -= 1.0
+    check("outcome probabilities miss 1", float(np.abs(miss, out=miss).max()))
+    return np.maximum(rows, 0.0, out=rows)
 
 
 def _sample_counts(rows: np.ndarray, trials: int, seed: int) -> np.ndarray:
@@ -111,7 +123,9 @@ def _sample_counts(rows: np.ndarray, trials: int, seed: int) -> np.ndarray:
     whatever ``trials``, and a given seed reproduces the tallies bit for bit.
     """
     rng = np.random.default_rng(seed)
-    per_input = rng.multinomial(trials, np.full(len(rows), 1.0 / len(rows)))
+    uniform = np.empty(len(rows))
+    uniform.fill(1.0 / len(rows))
+    per_input = rng.multinomial(trials, uniform)
     return rng.multinomial(per_input, rows / rows.sum(axis=1, keepdims=True))
 
 
@@ -124,33 +138,45 @@ def _single_rows(r: ReciprocalSet, m: WeightedMeasurement) -> np.ndarray:
     that misses 1 shows a Born table that misses completeness.  Labels
     naming another input weigh at most sum(w) b^2, b the derived overlap bound.
     A weight past the pair cap 2D/N = 1/q, which a loosened positivity
-    tolerance admits, leaves a negative failure cell: ValueError.
+    tolerance admits, leaves a negative failure cell: ValueError.  Both
+    columns are written into one new (D, 2) array, which _checked_rows
+    then validates and clips in place.
     """
-    i, cap = int(np.argmax(m.weights)), 2.0 * len(m.indices) / m.n
-    if m.weights[i] > cap:
+    d = len(m.indices)
+    top, cap = float(m.weights.max()), 2.0 * d / m.n
+    if top > cap:
         raise ValueError(
-            f"weight {m.weights[i]:g} of label {m.indices[i]} exceeds the pair cap 2D/N = {cap:g}, "
-            f"so its failure probability 1 - q w would be negative"
+            f"weight {top:g} of label {m.indices[int(m.weights.argmax())]} exceeds the pair "
+            f"cap 2D/N = {cap:g}, so its failure probability 1 - q w would be negative"
         )
     check("stray outcome weight", float(m.weights.sum()) * r.residuals["derived overlap bound"] ** 2)
-    single = np.stack([m.weights * r.born[:, 0], failure_probability(m, r).per_state_failure], 1)
+    single = np.empty((d, 2))
+    np.multiply(m.weights, r.born[:, 0], out=single[:, 0])
+    single[:, 1] = failure_probability(m, r).per_state_failure
     return _checked_rows(single)
 
 
 def _named_rows(single: np.ndarray, copies: int) -> np.ndarray:
     """(D, 2) law of the partner and the failure for ``copies`` copies, per reciprocal input.
 
-    ``single`` is the checked single-copy table of _single_rows.  With p
-    the normalized partner cell each copy fails with f = 1 - p, so n
-    copies fail with f^n and name the partner with 1 - f^n; log1p and
-    expm1 keep both off differences of numbers near 1.  One copy is the
-    single-copy table itself.
+    ``single`` is the checked single-copy table of _single_rows, which is
+    overwritten with the law.  With p the normalized partner cell each copy
+    fails with f = 1 - p, so n copies fail with f^n and name the partner
+    with 1 - f^n; log1p and expm1 keep both off differences of numbers near
+    1.  One copy is the single-copy table itself.
     """
     if copies == 1:
         return single
+    partner, failure = single[:, 0], single[:, 1]
+    kept = np.add(partner, failure)
+    np.divide(partner, kept, out=kept)
+    np.negative(kept, out=kept)
     with np.errstate(divide="ignore"):  # a partner share of 1: f^n = 0
-        kept = copies * np.log1p(-single[:, 0] / single.sum(axis=1))  # log f^n
-    return _checked_rows(np.stack([-np.expm1(kept), np.exp(kept)], 1))
+        np.log1p(kept, out=kept)
+    kept *= copies  # log f^n
+    np.negative(np.expm1(kept, out=partner), out=partner)
+    np.exp(kept, out=failure)
+    return _checked_rows(single)
 
 
 def run_discrimination(
@@ -164,26 +190,33 @@ def run_discrimination(
     empirical and exact outcome distributions.  The copies are sampled by
     the label they name (_named_rows), so the (input, cell) tallies from
     _sample_counts are exact integers: label indices[i]'s count is input
-    i's partner cell, and no tally names another input.
+    i's partner cell, and no tally names another input.  The counts come
+    from one tolist of the partner cells; the distance is summed in one
+    (D + 1,) buffer, the retained labels' gaps and then the failure's.
     """
     _check_match(inst, m)
     law = _named_rows(_single_rows(r, m), cfg.copies)
     cells = _sample_counts(law, cfg.trials, cfg.seed)
-    d = len(m.indices)
-    tallies = np.append(cells[:, 0], cells[:, 1].sum())  # retained labels, then "fail"
-    marginal = np.append(law[:, 0] / d, law[:, 1].mean())
-    counts = {str(j): int(t) for j, t in zip(m.indices, tallies)}
-    counts["fail"] = int(tallies[-1])
-    misid = cfg.trials - int(tallies.sum())
-    tv = 0.5 * float(np.abs(tallies / cfg.trials - marginal).sum())
+    d, trials = len(m.indices), cfg.trials
+    fail = int(cells[:, 1].sum())
+    exact = float(law[:, 1].sum()) / d
+    gap = np.empty(d + 1)
+    gap[:d], gap[d] = cells[:, 0], fail
+    gap /= trials
+    gap[:d] -= np.divide(law[:, 0], d, out=law[:, 0])
+    gap[d] -= exact
+    tv = 0.5 * float(np.abs(gap, out=gap).sum())
+    del gap, law  # freed before the counts dict, the peak of a run at large D
+    counts = dict(zip(map(str, m.indices), cells[:, 0].tolist()))
+    counts["fail"] = fail
     return SimReport(
         seed=cfg.seed,
-        trials=cfg.trials,
+        trials=trials,
         copies=cfg.copies,
         counts=counts,
-        misidentifications=misid,
-        empirical_failure=counts["fail"] / cfg.trials,
-        theoretical_failure=float(marginal[-1]),
+        misidentifications=trials - int(cells.sum()),
+        empirical_failure=fail / trials,
+        theoretical_failure=exact,
         tv_distance=tv,
     )
 
@@ -219,7 +252,7 @@ def multicopy_measurement(inst: Instance, copies: int) -> MulticopyMeasurement:
     """
     if not _is_integer(copies) or copies < 1:
         raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
-    n, d = inst.n, inst.total_dim
+    n, d, copies = inst.n, inst.total_dim, int(copies)  # a numpy integer's powers wrap
     # Past 64 copies N^n alone is over the limit: no huge integer is formed.
     if copies > 64 or d * n**copies > MAX_FAMILY_ENTRIES:
         raise ValueError(

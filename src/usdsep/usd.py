@@ -105,9 +105,10 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
     w = np.asarray(weights, dtype=float).ravel()
     if w.shape[0] != len(retained):
         raise ValueError(f"expected {len(retained)} weights, got {w.shape[0]}")
-    if not np.all(np.isfinite(w)):
+    lo, hi = float(w.min()), float(w.max())  # a NaN reads NaN in both
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"weights must be finite, got {w.tolist()}")
-    if np.any(w < 0.0):
+    if lo < 0.0:
         raise ValueError("weights must be nonnegative")
     min_eig = 1.0 - inst.n / inst.total_dim * _top_secular_root(w, inst.n)
     if min_eig < -psd_tol:
@@ -169,7 +170,8 @@ def optimal_measurement(inst: Instance) -> WeightedMeasurement:
     are proportional to projectors onto product states.
     """
     d = inst.total_dim
-    w = np.full(d, d / inst.n)
+    w = np.empty(d)
+    w.fill(d / inst.n)
     return build_measurement(inst, w)
 
 
@@ -185,14 +187,18 @@ def failure_probability(m: WeightedMeasurement, r: ReciprocalSet) -> UsdReport:
     failures it averages.
     """
     _check_match(m, r)
-    d = len(r.indices)
-    traces = r.born[:, 0] * (d / m.n - m.weights) + r.born[:, 1] * (d / m.n)
-    born = float(traces.mean())
-    closed = 1.0 - float((r.overlaps * m.weights).sum()) / d
+    d, w = len(r.indices), m.weights
+    scale = d / m.n
+    traces = np.subtract(scale, w)
+    traces *= r.born[:, 0]
+    traces += r.born[:, 1] * scale
+    born = float(traces.sum()) / d
+    closed = 1.0 - float(np.multiply(r.overlaps, w).sum()) / d
+    top = float(w.max())
     # Rounding grows with the weights: divide by the largest in units of the pair cap 2D/N.
-    cap_units = max(1.0, m.n * float(m.weights.max()) / (2.0 * d))
+    cap_units = max(1.0, m.n * top / (2.0 * d))
     check("born vs closed form", abs(born - closed) / cap_units)
-    optimal = bool(np.max(np.abs(m.weights - d / m.n)) <= 1e-12)
+    optimal = top - scale <= 1e-12 and scale - float(w.min()) <= 1e-12  # max |w - D/N|
     return UsdReport(failure_probability=born, per_state_failure=traces, optimal=optimal)
 
 
@@ -214,7 +220,7 @@ def family_product_ops(inst: Instance, copies: int = 1) -> list[list[np.ndarray]
     """
     if not _is_integer(copies) or copies < 1:
         raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
-    n, d = inst.n, inst.total_dim
+    n, d, copies = inst.n, inst.total_dim, int(copies)  # a numpy integer's powers wrap
     # Past 64 copies every family is over the limit (N^n alone is); the
     # shortcut keeps a huge copies from forming huge integers.
     entries = (

@@ -17,6 +17,13 @@ secular equation never admits a failure below 1/2.
 eigvalsh positivity test, np.linalg.norm over complex stacks, and vec_herm
 by way of an averaged Hermitian copy.  cone.certify must reach the same
 groups, counts, verdicts, warnings and solves by its one-pass route.
+
+``reference_run_discrimination`` is the simulator's earlier route, kept
+as it was: the (D, 2) law formed by np.stack, checked by np.max and
+clipped by np.clip, the tallies and the marginal joined by np.append, the
+failure columns averaged by .mean(), and failure_probability's earlier
+per-input failures.  run_discrimination must return an equal SimReport,
+float for float, and raise the same errors.
 """
 
 import math
@@ -25,8 +32,10 @@ from types import SimpleNamespace
 import numpy as np
 
 import usdsep.instance
-from usdsep import nnls
+from usdsep import SimReport, nnls
 from usdsep.cone import IDENTITY_RTOL, PSD_INPUT_TOL, RAY_TOL, WARN_BAND, ConeReport, PartyConeStat
+from usdsep.instance import _check_match
+from usdsep.numerics import check
 
 # The ratio route and the dense product sum the same D^2 entries in other
 # orders, so their residuals agree to rounding: within half the larger plus
@@ -317,3 +326,72 @@ def reference_certify(product_ops, tol=RAY_TOL):
         note="single-party measurement: trivially implementable locally" if single else "",
     )
     return report, all_groups
+
+
+def reference_failure_probability(m, r):
+    """(Born failure, per-input failures, optimal) as failure_probability once formed them."""
+    _check_match(m, r)
+    d = len(r.indices)
+    traces = r.born[:, 0] * (d / m.n - m.weights) + r.born[:, 1] * (d / m.n)
+    born = float(traces.mean())
+    closed = 1.0 - float((r.overlaps * m.weights).sum()) / d
+    cap_units = max(1.0, m.n * float(m.weights.max()) / (2.0 * d))
+    check("born vs closed form", abs(born - closed) / cap_units)
+    optimal = bool(np.max(np.abs(m.weights - d / m.n)) <= 1e-12)
+    return born, traces, optimal
+
+
+def _reference_checked_rows(rows):
+    check("negative outcome probability", -float(rows.min()))
+    check("outcome probabilities miss 1", float(np.max(np.abs(rows.sum(axis=1) - 1.0))))
+    return np.clip(rows, 0.0, None)
+
+
+def _reference_sample_counts(rows, trials, seed):
+    rng = np.random.default_rng(seed)
+    per_input = rng.multinomial(trials, np.full(len(rows), 1.0 / len(rows)))
+    return rng.multinomial(per_input, rows / rows.sum(axis=1, keepdims=True))
+
+
+def _reference_single_rows(r, m):
+    i, cap = int(np.argmax(m.weights)), 2.0 * len(m.indices) / m.n
+    if m.weights[i] > cap:
+        raise ValueError(
+            f"weight {m.weights[i]:g} of label {m.indices[i]} exceeds the pair cap 2D/N = {cap:g}, "
+            f"so its failure probability 1 - q w would be negative"
+        )
+    check("stray outcome weight", float(m.weights.sum()) * r.residuals["derived overlap bound"] ** 2)
+    single = np.stack([m.weights * r.born[:, 0], reference_failure_probability(m, r)[1]], 1)
+    return _reference_checked_rows(single)
+
+
+def _reference_named_rows(single, copies):
+    if copies == 1:
+        return single
+    with np.errstate(divide="ignore"):
+        kept = copies * np.log1p(-single[:, 0] / single.sum(axis=1))
+    return _reference_checked_rows(np.stack([-np.expm1(kept), np.exp(kept)], 1))
+
+
+def reference_run_discrimination(inst, r, m, cfg):
+    """run_discrimination by the earlier route (module docstring)."""
+    _check_match(inst, m)
+    law = _reference_named_rows(_reference_single_rows(r, m), cfg.copies)
+    cells = _reference_sample_counts(law, cfg.trials, cfg.seed)
+    d = len(m.indices)
+    tallies = np.append(cells[:, 0], cells[:, 1].sum())
+    marginal = np.append(law[:, 0] / d, law[:, 1].mean())
+    counts = {str(j): int(t) for j, t in zip(m.indices, tallies)}
+    counts["fail"] = int(tallies[-1])
+    misid = cfg.trials - int(tallies.sum())
+    tv = 0.5 * float(np.abs(tallies / cfg.trials - marginal).sum())
+    return SimReport(
+        seed=cfg.seed,
+        trials=cfg.trials,
+        copies=cfg.copies,
+        counts=counts,
+        misidentifications=misid,
+        empirical_failure=counts["fail"] / cfg.trials,
+        theoretical_failure=float(marginal[-1]),
+        tv_distance=tv,
+    )

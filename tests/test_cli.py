@@ -360,6 +360,21 @@ def test_certify_measurement_file_must_be_a_list(tmp_path, capsys):
         assert rc == 2
 
 
+def test_certify_measurement_file_with_overflowing_norms(tmp_path, capsys):
+    # Finite entries whose squared norms overflow are an input error, for
+    # rank-1 and full-rank factors alike.
+    path = tmp_path / "meas.json"
+    e0, e1 = np.diag([1e160, 0.0]), np.diag([0.0, 1e160])
+    for first, second in ((e0, e1), (e0 + 0.5 * e1, e1 + 0.5 * e0)):
+        entries = [[first, np.eye(2)], [second, np.eye(2)]]
+        path.write_text(
+            json.dumps([[np.stack([f, 0 * f], -1).tolist() for f in entry] for entry in entries])
+        )
+        rc, _, err = run_cli(capsys, "certify", "--measurement", str(path))
+        assert rc == 2
+        assert "overflows" in err
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [

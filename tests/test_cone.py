@@ -156,6 +156,18 @@ def test_operator_set_validation():
         certify([[empty, empty]])
 
 
+def test_operator_set_rejects_norms_that_overflow():
+    # Entries near 1e160 are finite, but their squares are not: the set is
+    # refused for that, before any positivity test, rank-1 or full rank.
+    rank_one = [1e160 * proj(v) for v in make_instance(5).local_states[0]]
+    full_rank = [1e160 * np.diag([1.0, t]).astype(complex) for t in (0.5, 1.0, 2.0)]
+    for ops in (rank_one, full_rank):
+        with pytest.raises(ValueError, match="squared Frobenius norm overflows"):
+            LocalOperatorSet(ops)
+        with pytest.raises(ValueError, match="squared Frobenius norm overflows"):
+            certify([[op, np.eye(2)] for op in ops])
+
+
 def test_operator_set_rejects_one_indefinite_factor_among_many():
     good = tuple(np.diag([1.0, t]).astype(complex) for t in np.linspace(0.0, 1.0, 20))
     LocalOperatorSet(good)

@@ -7,11 +7,15 @@ import pytest
 
 import usdsep.instance
 from usdsep import (
+    SimConfig,
     ascending_factorizations,
+    complement_decomposition,
+    family_product_ops,
     instance_from_dict,
     instance_to_dict,
     is_prime,
     make_instance,
+    multicopy_measurement,
     prime_factors,
     proj,
     reciprocal_set,
@@ -253,6 +257,61 @@ def test_make_instance_accepts_numpy_integers():
     inst = make_instance(np.int64(13), np.array([2, 6]), np.int32(4))
     assert (inst.n, inst.dims, inst.omit) == (13, (2, 6), 4)
     assert all(type(v) is int for v in (inst.n, inst.omit, *inst.dims))
+
+
+# Every caller of instance._is_integer: a call with the value in one
+# integer slot, a valid value for that slot, and the message a rejected
+# value raises there.
+_FAMILY = "n, omit and each of dims must be integers"
+_SIM = "seed, trials and copies must be integers"
+INTEGER_CALLERS = {
+    "make_instance n": (lambda v: make_instance(v), 5, _FAMILY),
+    "make_instance dims": (lambda v: make_instance(11, [2, v]), 5, _FAMILY),
+    "make_instance omit": (lambda v: make_instance(7, None, v), 5, _FAMILY),
+    "instance_from_dict n": (
+        lambda v: instance_from_dict({"n": v, "dims": [2, 2], "omit": 1}),
+        5,
+        "malformed instance payload: " + _FAMILY,
+    ),
+    "instance_from_dict dims": (
+        lambda v: instance_from_dict({"n": 11, "dims": [2, v], "omit": 1}),
+        5,
+        "malformed instance payload: " + _FAMILY,
+    ),
+    "SimConfig seed": (lambda v: SimConfig(seed=v, trials=10), 5, _SIM),
+    "SimConfig trials": (lambda v: SimConfig(seed=0, trials=v), 5, _SIM),
+    "SimConfig copies": (lambda v: SimConfig(seed=0, trials=10, copies=v), 5, _SIM),
+    "family_product_ops copies": (
+        lambda v: family_product_ops(make_instance(5), v),
+        2,
+        "copies must be an integer >= 1",
+    ),
+    "multicopy_measurement copies": (
+        lambda v: multicopy_measurement(make_instance(5), v),
+        2,
+        "copies must be an integer >= 1",
+    ),
+    "complement_decomposition": (
+        lambda v: complement_decomposition([2, v], [3, 5]),
+        5,
+        "dimensions must be integers",
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", INTEGER_CALLERS)
+@pytest.mark.parametrize("kind", [int, np.int64, np.int32, np.uint8])
+def test_every_integer_slot_accepts_python_and_numpy_integers(caller, kind):
+    call, valid, _ = INTEGER_CALLERS[caller]
+    call(kind(valid))
+
+
+@pytest.mark.parametrize("caller", INTEGER_CALLERS)
+@pytest.mark.parametrize("value", [True, np.bool_(True), 5.0, "5"], ids=repr)
+def test_every_integer_slot_rejects_bools_floats_and_strings(caller, value):
+    call, _, message = INTEGER_CALLERS[caller]
+    with pytest.raises(ValueError, match=message):
+        call(value)
 
 
 def test_make_instance_checks_the_party_dimensions():

@@ -8,16 +8,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import usdsep.cli
 import usdsep.simulator
 from usdsep import (
     InvariantError,
     SimConfig,
+    ascending_factorizations,
     build_measurement,
     classify_tuple,
     complement_decomposition,
+    failure_probability,
     family_product_ops,
+    is_prime,
     kron_all,
     make_instance,
     multicopy_measurement,
@@ -27,6 +32,7 @@ from usdsep import (
     run_discrimination,
     run_multicopy_discrimination,
 )
+from tests.oracles import reference_failure_probability, reference_run_discrimination
 
 
 def five_sigma_band(p, trials):
@@ -457,6 +463,114 @@ def test_a_weight_past_the_pair_cap_is_a_value_error():
         cfg = SimConfig(seed=0, trials=1000, copies=copies)
         with pytest.raises(ValueError, match=r"weight 2 of label 4 exceeds the pair cap"):
             run_discrimination(inst, reciprocal_set(inst), m, cfg)
+
+
+ORACLE_PRIMES = [p for p in range(5, 62) if is_prime(p)]
+ORACLE_COPIES = [1, 2, 3, 4, 5, 6, 10**6]
+
+
+@st.composite
+def weighted_cases(draw):
+    """An instance of prime N in 5..61 (any factorization and omit label) and a measurement.
+
+    The weights are the optimal ones, uniform on [0, D/N] (PSD-feasible:
+    the retained projectors sum to at most (N/D) * identity), a few
+    exactly tied levels, or uniform with zeros, possibly all of them.
+    """
+    n = draw(st.sampled_from(ORACLE_PRIMES))
+    dims = draw(st.sampled_from(ascending_factorizations(n - 1)))
+    inst = make_instance(n, dims, draw(st.integers(1, n)))
+    d, kind = inst.total_dim, draw(st.sampled_from(["optimal", "random", "ties", "zeros"]))
+    if kind == "optimal":
+        return inst, optimal_measurement(inst)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.0, d / n, size=d)
+    if kind == "ties":
+        w = rng.choice([d / n, 0.5 * d / n, float(w[0])], size=d)
+    elif kind == "zeros":
+        w[rng.random(d) < draw(st.sampled_from([0.3, 1.0]))] = 0.0
+    return inst, build_measurement(inst, w)
+
+
+def same_outcome(route, *args):
+    """The route's result, or the type and message of the error it raised."""
+    try:
+        return route(*args)
+    except (InvariantError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_routes_agree(inst, r, m, cfg):
+    rep = same_outcome(run_discrimination, inst, r, m, cfg)
+    ref = same_outcome(reference_run_discrimination, inst, r, m, cfg)
+    assert rep == ref
+    if isinstance(ref, tuple):
+        return
+    assert list(rep.counts.items()) == list(ref.counts.items())
+    for name in ("misidentifications", "empirical_failure", "theoretical_failure", "tv_distance"):
+        assert type(getattr(rep, name)) is type(getattr(ref, name))
+    assert all(type(v) is int for v in rep.counts.values())
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    weighted_cases(),
+    st.sampled_from(ORACLE_COPIES),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 10**7),
+)
+def test_run_discrimination_matches_the_earlier_route(case, copies, seed, trials):
+    # Bit for bit: equal reports, floats compared by ==, counts in the same order.
+    inst, m = case
+    r = reciprocal_set(inst)
+    report = failure_probability(m, r)
+    born, traces, optimal = reference_failure_probability(m, r)
+    assert report.failure_probability == born
+    assert np.array_equal(report.per_state_failure, traces)
+    assert report.optimal is optimal
+    assert_routes_agree(inst, r, m, SimConfig(seed=seed, trials=trials, copies=copies))
+
+
+def test_run_discrimination_matches_the_earlier_route_at_huge_trials():
+    # Tallies past 2^53 round on their way to floats the same way on both routes.
+    inst = make_instance(13)
+    r, m = reciprocal_set(inst), optimal_measurement(inst)
+    for trials in (2**53 + 1, 2**62 + 1, 2**63 - 1):
+        for copies in (1, 3):
+            assert_routes_agree(inst, r, m, SimConfig(seed=5, trials=trials, copies=copies))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    weighted_cases(),
+    st.sampled_from(ORACLE_COPIES),
+    st.sampled_from(["move", "scale", "stray", "cap"]),
+    st.sampled_from([1e-14, 1e-11, 1e-9, 0.1, 1.0]),
+    st.data(),
+)
+def test_tampered_tables_fail_alike_on_both_routes(case, copies, how, delta, data):
+    # "move" shifts delta of failure cell between two rows, keeping the
+    # average, so only the per-row checks can catch it; "scale" grows every
+    # partner cell, which the Born average catches; "stray" inflates the
+    # derived overlap bound; "cap" admits a weight past the pair cap 2D/N.
+    inst, m = case
+    r = reciprocal_set(inst)
+    d = inst.total_dim
+    if how == "move":
+        born = r.born.copy()
+        i, k = data.draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        born[[i, k], 1] += [delta, -delta]
+        r = dataclasses.replace(r, born=born)
+    elif how == "scale":
+        r = dataclasses.replace(r, born=r.born * [1.0 + delta, 1.0])
+    elif how == "stray":
+        r = dataclasses.replace(r, residuals={"derived overlap bound": delta**0.25})
+    else:
+        w = np.zeros(d)
+        w[data.draw(st.integers(0, d - 1))] = (2.0 + delta) * d / inst.n
+        m = build_measurement(inst, w, psd_tol=10.0)
+    cfg = SimConfig(seed=data.draw(st.integers(0, 2**32 - 1)), trials=1000, copies=copies)
+    assert_routes_agree(inst, r, m, cfg)
 
 
 def test_complement_decomposition_example():
