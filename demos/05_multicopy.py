@@ -16,45 +16,47 @@ import numpy as np
 from usdsep import (
     SimConfig,
     certify,
-    classify_tuple,
     complement_decomposition,
+    family_product_ops,
     kron_all,
     make_instance,
-    multicopy_measurement,
-    run_multicopy_discrimination,
+    optimal_measurement,
+    reciprocal_set,
+    run_discrimination,
 )
+
+
+def sample(inst, copies, trials):
+    """Seeded run of `copies` copies of the optimal measurement on the reciprocal states."""
+    cfg = SimConfig(seed=9, trials=trials, copies=copies)
+    return run_discrimination(inst, reciprocal_set(inst), optimal_measurement(inst), cfg)
+
 
 inst = make_instance(5)
 
-# How outcome tuples are read with the omitted label 1.
-for tup in [(2, 2), (1, 4), (1, 1), (2, 3)]:
-    print(f"tuple {tup} names:", classify_tuple(tup, omit=1))
-
-# Failure halves per copy, exactly.
-print("\nexact failure by copies:")
+# With the omitted label 1, the tuple (2, 2) names label 2, and so do
+# (1, 2) and (2, 1): copies that failed say nothing.  The tuple (1, 1)
+# fails on every copy, and (2, 3) points at two labels at once, so both
+# are inconclusive.  Input i is named unless every copy fails, which each
+# does with probability 1/2 on its own, so the failure halves per copy.
+print("exact failure by copies:")
 for n_copies in (1, 2, 3):
-    mm = multicopy_measurement(inst, copies=n_copies)
-    print(f"  {n_copies} copies: {mm.theoretical_failure:.15f}  "
-          f"(2^-{n_copies} = {0.5 ** n_copies})")
-
-# Sampled two-copy runs agree and stay error-free.
-rep = run_multicopy_discrimination(inst, SimConfig(seed=9, trials=50_000, copies=2))
-print("\ntwo-copy sampling: empirical %.5f, theoretical %.5f, misidentifications %d"
-      % (rep.empirical_failure, rep.theoretical_failure, rep.misidentifications))
+    rep = sample(inst, n_copies, 50_000)
+    print(f"  {n_copies} copies: {rep.theoretical_failure:.15f}  "
+          f"(2^-{n_copies} = {0.5 ** n_copies}), sampled {rep.empirical_failure:.5f}, "
+          f"misidentifications {rep.misidentifications}")
 
 # Grouped by the label they name, n copies are again an N-outcome
 # measurement, so sampling needs no N^n table: ten copies at N = 61
 # (61^10 label tuples) fail about once in a thousand trials.
-inst61 = make_instance(61)
-rep = run_multicopy_discrimination(inst61, SimConfig(seed=9, trials=1_000_000, copies=10))
+rep = sample(make_instance(61), 10, 1_000_000)
 print("ten copies at N = 61: empirical %.6f, theoretical %.6f (2^-10 = %.6f), "
       "misidentifications %d"
       % (rep.empirical_failure, rep.theoretical_failure, 0.5 ** 10, rep.misidentifications))
 
 # The two-copy measurement hands each party 25 factor operators: 25 extreme
 # rays per party against a budget of 2 * (25 - 1) = 48.
-mm2 = multicopy_measurement(inst, copies=2)
-report = certify(mm2.party_factors)
+report = certify(family_product_ops(inst, 2))
 print("\ntwo-copy certificate:")
 for s in report.parties:
     print(f"  party {s.party}: extreme rays {s.extreme}")

@@ -17,27 +17,27 @@ per party maps the stack to isometric real coordinates, where that is a
 question about the columns of one real matrix V.
 
 A party's pass forms each quantity once and reads it wherever it is needed.
-LocalOperatorSet copies the factors into the stack and forms their Frobenius
-norms: finite norms clear every entry at once, the largest bounds the
-shift of the positivity proof below, and distinct_rays rejects zero
-operators and scales the stack to unit norm from them.  The one vec_herm
-call splits the unit stack into its diagonal and triangles once; both the
-coordinates V and the asymmetry check read that split.  The ray screen is
-one Gram matrix of V, the witness reads V and the representatives, and
-certify's identity test reads the diagonal and the norms (see
-_near_identity), so no pass forms M - (Tr M / d) I.
+A ray does not depend on scale, and K_1 x K_2 = (c K_1) x (K_2 / c) names
+the same outcome, so LocalOperatorSet divides the scale out once: finite
+Frobenius norms clear every entry at once, a norm of 0 or below the normal
+range names no ray, and every later test reads the unit stack M / ||M||_F.
+The one vec_herm call splits it into its diagonal and triangles once; both
+the coordinates V and the asymmetry check read that split.  The ray screen
+is one Gram matrix of V, the witness reads V and the representatives, and
+certify's identity test reads the unit diagonal (see _near_identity), so
+no pass forms M - (Tr M / d) I.
 
-Every factor must be positive semidefinite: lambda_min(H) >= -PSD_INPUT_TOL
-for its Hermitian part H.  One batched Cholesky of 2 (H + s I) per party,
-formed in one buffer, proves it, s = PSD_INPUT_TOL - 8 d (d + 1) u max ||M||_F
-with u the unit roundoff and ||M||_F >= ||H||_F the factors' own norms:
-the backward error of a completed Cholesky (Higham, Accuracy and Stability
-of Numerical Algorithms, 2nd ed., 2002, Thm 10.3, and sec. 3.6 for complex
-arithmetic) stays below 3.1 d (d + 1) u (max ||H||_F + s), relative to the
-scale of the matrix, so the factor 2 changes nothing; with the rounding of
-the shifted diagonal it stays below PSD_INPUT_TOL - s once max ||H||_F
->= PSD_INPUT_TOL (below that, lambda_min(H) >= -||H||_F > -PSD_INPUT_TOL
-outright).  Only where it fails, or s <= 0, does a batched eigvalsh decide.
+Every factor must be positive semidefinite relative to its scale:
+lambda_min(H) >= -PSD_INPUT_TOL for the Hermitian part H of its unit
+form.  One batched Cholesky of 2 (H + s I) per party, formed in one
+buffer, proves it, s = PSD_INPUT_TOL - 8 d (d + 1) u with u the unit
+roundoff: the backward error of a completed Cholesky (Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., 2002, Thm 10.3, and
+sec. 3.6 for complex arithmetic) stays below 3.1 d (d + 1) u (||H||_F + s),
+relative to the scale of the matrix, so the factor 2 changes nothing, and
+with ||H||_F <= 1 and the rounding of the shifted diagonal it stays below
+PSD_INPUT_TOL - s.  Only where it fails, or s <= 0, does a batched
+eigvalsh decide.
 
 Each class is first put to a Farkas witness (the dual of the active-set
 nonnegative least squares of Lawson & Hanson, Solving Least Squares
@@ -79,6 +79,7 @@ PSD_INPUT_TOL = 1e-10
 IDENTITY_RTOL = 1e-8
 WARN_BAND = (1e-8, 1e-6)
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -87,11 +88,11 @@ class LocalOperatorSet:
 
     ``ops`` may be given as any sequence of equal square matrices, d >= 1;
     it is kept as a validated read-only (R, d, d) complex stack, copied once,
-    beside the read-only Frobenius norms of its operators.
+    beside the read-only stack of its operators scaled to unit Frobenius norm.
     """
 
     ops: np.ndarray
-    _norms: np.ndarray = field(init=False, repr=False, compare=False)
+    _units: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.ops) == 0:
@@ -115,31 +116,35 @@ class LocalOperatorSet:
                 "operator entries too large: a squared Frobenius norm overflows float64 "
                 "(entries must stay below about 1e154)"
             )
-        _require_psd(stack, norms)
+        if norms.min() < _TINY:
+            raise ValueError("zero operator has no ray")
+        # The float view times 1 / norm: the bits of complex division by a real.
+        units = (stack.view(float) * (1.0 / norms)[:, None, None]).view(complex)
+        _require_psd(units)
         stack.setflags(write=False)
-        norms.setflags(write=False)
+        units.setflags(write=False)
         object.__setattr__(self, "ops", stack)
-        object.__setattr__(self, "_norms", norms)
+        object.__setattr__(self, "_units", units)
 
     @property
     def dim(self) -> int:
         return self.ops.shape[1]
 
 
-def _require_psd(stack: np.ndarray, norms: np.ndarray) -> None:
-    """Raise unless each Hermitian part H has lambda_min(H) >= -PSD_INPUT_TOL (module docstring)."""
-    count, d = stack.shape[:2]
-    shift = PSD_INPUT_TOL - 4.0 * d * (d + 1) * _EPS * float(norms.max())
+def _require_psd(units: np.ndarray) -> None:
+    """Raise unless each unit operator's Hermitian part H has lambda_min(H) >= -PSD_INPUT_TOL."""
+    count, d = units.shape[:2]
+    shift = PSD_INPUT_TOL - 4.0 * d * (d + 1) * _EPS
     if shift > 0.0:
-        twice = np.conjugate(stack.transpose(0, 2, 1), order="C")
-        twice += stack  # 2 H, and below 2 (H + shift I), in the one buffer
+        twice = np.conjugate(units.transpose(0, 2, 1), order="C")
+        twice += units  # 2 H, and below 2 (H + shift I), in the one buffer
         twice.reshape(count, d * d)[:, :: d + 1] += 2.0 * shift
         try:
             np.linalg.cholesky(twice)
             return
         except np.linalg.LinAlgError:
             pass
-    hermitian = (stack + np.conjugate(stack.transpose(0, 2, 1))) * 0.5
+    hermitian = (units + np.conjugate(units.transpose(0, 2, 1))) * 0.5
     if float(np.linalg.eigvalsh(hermitian)[:, 0].min()) < -PSD_INPUT_TOL:
         raise ValueError("operators must be positive semidefinite")
 
@@ -212,14 +217,10 @@ def distinct_rays(s: LocalOperatorSet, tol: float = RAY_TOL) -> RayGroups:
     Two operators land in one class when their Frobenius-normalized forms
     differ by at most ``tol``; positive operators leave no sign ambiguity.
     Each operator joins the first class whose representative is that close,
-    and otherwise becomes the representative of a new class.  Zero
-    operators are rejected since they name no ray at all.
+    and otherwise becomes the representative of a new class.  The forms
+    are LocalOperatorSet's unit stack, which refused zero operators.
     """
-    norms = s._norms
-    if norms.min() < 1e-14:
-        raise ValueError("zero operator has no ray")
-    # The float view times 1 / norm: the bits of complex division by a real.
-    units = (s.ops.view(float) * (1.0 / norms)[:, None, None]).view(complex)
+    units = s._units
     coords = vec_herm(units)
     # Screen: unit vectors within tol have a Gram entry of at least
     # 1 - tol**2 / 2.  Rounding in the normalization, in vec_herm and in a
@@ -341,23 +342,23 @@ def count_extreme(s: LocalOperatorSet, tol: float = RAY_TOL) -> Extremality:
 def _near_identity(s: LocalOperatorSet) -> bool:
     """Whether every operator M has ||M - (Tr M / d) I|| <= IDENTITY_RTOL ||M||.
 
-    That distance squared is ||M||^2 - |Tr M|^2 / d, so the norms already
-    formed and the trace rule out any operator with |Tr M|^2 below
-    (1 - 1e-6) d ||M||^2, far beyond rounding.  Near the identity that
-    difference keeps no digits, so a party that passes is measured
-    directly: the diagonal's spread about its mean, plus the off-diagonal
-    entries, which in the flattened matrix are the first d of each run of
-    d + 1 entries after a diagonal one.
+    On the unit forms U = M / ||M|| that distance squared is 1 - |Tr U|^2 / d,
+    so the trace alone rules out any operator with |Tr U|^2 below
+    (1 - 1e-6) d, far beyond rounding.  Near the identity that difference
+    keeps no digits, so a party that passes is measured directly: the
+    diagonal's spread about its mean, plus the off-diagonal entries, which
+    in the flattened matrix are the first d of each run of d + 1 entries
+    after a diagonal one.
     """
-    stack, d, norms = s.ops, s.dim, s._norms
-    diag = stack.diagonal(axis1=1, axis2=2)
+    units, d = s._units, s.dim
+    diag = units.diagonal(axis1=1, axis2=2)
     mean = diag.sum(axis=1) / d
-    if (np.abs(mean) / norms).min() < math.sqrt((1.0 - 1e-6) / d):
+    if np.abs(mean).min() < math.sqrt((1.0 - 1e-6) / d):
         return False
     spread = diag - mean[:, None]
-    off = stack.reshape(len(stack), d * d)[:, 1:].reshape(len(stack), d - 1, d + 1)[:, :, :d].view(float)
+    off = units.reshape(len(units), d * d)[:, 1:].reshape(len(units), d - 1, d + 1)[:, :, :d].view(float)
     gap = np.vecdot(spread, spread).real + np.vecdot(off, off).sum(axis=1)
-    return bool(np.all(np.sqrt(gap) <= IDENTITY_RTOL * norms))
+    return bool(np.all(np.sqrt(gap) <= IDENTITY_RTOL))
 
 
 def certify(product_ops, tol: float = RAY_TOL) -> ConeReport:

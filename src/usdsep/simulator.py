@@ -18,10 +18,10 @@ Grouped by the label they name, n copies are again an N-outcome
 measurement, and an input's Born row has two nonzero cells, its partner
 and the failure (instance module docstring).  So every copy count has a
 (D, 2) law, partner 1 - f^n and failure f^n with f = 1 - w_i q, and the
-simulator samples it with no N^n table (multicopy_measurement keeps that
-as the reference).  It draws tallies rather than trials: one multinomial
-splits the trials among the inputs and one more each input's share
-between its two cells, so the cost does not grow with the trials.
+simulator samples it; no N^n outcome table is formed anywhere.  It draws
+tallies rather than trials: one multinomial splits the trials among the
+inputs and one more each input's share between its two cells, so the
+cost does not grow with the trials.
 
 The law is one (D, 2) array: the partner cells w_i |<psi_i|phi_i>|^2 and
 failure_probability's per-input failures are written into it, and n > 1
@@ -34,22 +34,19 @@ their sum, and the total variation distance from one (D + 1,) buffer.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instance import Instance, ReciprocalSet, _check_match, _is_integer, reciprocal_set
 from .numerics import check, kron_all
-from .usd import MAX_FAMILY_ENTRIES, WeightedMeasurement, failure_probability
-from .usd import family_product_ops, optimal_measurement
+from .usd import WeightedMeasurement, failure_probability, family_product_ops, optimal_measurement
 
 __all__ = [
     "SimConfig",
     "SimReport",
     "MulticopyMeasurement",
     "run_discrimination",
-    "classify_tuple",
     "multicopy_measurement",
     "run_multicopy_discrimination",
     "complement_decomposition",
@@ -87,16 +84,12 @@ class SimReport:
 
 @dataclass(frozen=True)
 class MulticopyMeasurement:
-    """Tensor-power measurement; outcome k is the k-th label tuple of
-    itertools.product(range(1, N + 1), repeat=copies)."""
+    """The symmetric measurement's n copies: the factors certify counts and the exact failure."""
 
-    labels: tuple[object, ...]  # per tuple: retained label j or None (failure)
-    # Per tuple: one factor per party, that party's copies tensored together
-    # (the grouping a party holding all its copies acts with).
+    # Per label tuple, in family_product_ops order: one factor per party,
+    # that party's copies tensored together.
     party_factors: tuple
     theoretical_failure: float
-    per_state: np.ndarray  # (D, N^n) exact outcome distribution per input
-    inputs: tuple[int, ...]  # (D,) retained label of each per_state row
 
 
 def _checked_rows(rows: np.ndarray) -> np.ndarray:
@@ -221,57 +214,23 @@ def run_discrimination(
     )
 
 
-def classify_tuple(tup, omit: int):
-    """Label named by an outcome tuple, or None when it is inconclusive.
-
-    The non-omitted entries must be nonempty and all equal to name a label;
-    the all-omitted tuple and any mix of two retained labels name nothing.
-    multicopy_measurement labels its N^n reference tuples with it.
-    """
-    named = {j for j in tup if j != omit}
-    if len(named) == 1:
-        return named.pop()
-    return None
-
-
 def multicopy_measurement(inst: Instance, copies: int) -> MulticopyMeasurement:
     """Tensor power of the symmetric single-copy measurement.
 
     One outcome per label tuple (j_1, ..., j_n), with element
     (D/N)^n * P_(j_1) x ... x P_(j_n), kept as its per-party factors from
-    family_product_ops.  An input phi^(x n) gives the tuple the product of
-    its single-copy Born weights, so the exact per-input distribution is the
-    n-fold outer product of the single-copy rows (_single_rows, its two
-    cells scattered into the N labels), labelled
-    by classify_tuple: the reference for the law that _named_rows samples,
-    from which the failure probability, exactly 2^(-n), is read.
+    family_product_ops.  The failure probability, exactly 2^(-n), is the
+    mean failure cell of the (D, 2) law that run_discrimination samples.
 
-    Raises ValueError for copies not an integer >= 1, and for an outcome
-    table of D * N^n entries or per-party factors past
-    usd.MAX_FAMILY_ENTRIES, before anything is allocated.
+    Raises ValueError, from family_product_ops and before anything is
+    allocated, for copies not an integer >= 1 and for factors past
+    usd.MAX_FAMILY_ENTRIES.
     """
-    if not _is_integer(copies) or copies < 1:
-        raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
-    n, d, copies = inst.n, inst.total_dim, int(copies)  # a numpy integer's powers wrap
-    # Past 64 copies N^n alone is over the limit: no huge integer is formed.
-    if copies > 64 or d * n**copies > MAX_FAMILY_ENTRIES:
-        raise ValueError(
-            f"{copies}-copy outcome table of N = {n} exceeds the limit of {MAX_FAMILY_ENTRIES}"
-        )
-    r, m = reciprocal_set(inst), optimal_measurement(inst)
-    cells = _single_rows(r, m)
-    single = np.zeros((d, n))
-    single[np.arange(d), np.subtract(r.indices, 1)], single[:, inst.omit - 1] = cells.T
-    per_state = single
-    for _ in range(copies - 1):
-        per_state = (per_state[:, :, None] * single[:, None, :]).reshape(d, -1)
-    tuples = itertools.product(range(1, n + 1), repeat=copies)
+    factors = family_product_ops(inst, copies)
+    cells = _single_rows(reciprocal_set(inst), optimal_measurement(inst))
     return MulticopyMeasurement(
-        labels=tuple(classify_tuple(t, inst.omit) for t in tuples),
-        party_factors=tuple(tuple(f) for f in family_product_ops(inst, copies)),
+        party_factors=tuple(tuple(f) for f in factors),
         theoretical_failure=float(_named_rows(cells, copies)[:, 1].mean()),
-        per_state=per_state,
-        inputs=r.indices,
     )
 
 

@@ -46,9 +46,8 @@ __all__ = [
 
 PSD_TOL = 1e-10
 # Largest product family (outcomes times the entries each carries: its label
-# tuple and its per-party factors) that family_product_ops builds;
-# simulator.multicopy_measurement holds its (D, N^n) reference table to the
-# same limit.  Sampling forms no N^n table and has no copy limit.
+# tuple and its per-party factors) that family_product_ops builds, the one
+# N^n array in the library.  Sampling forms none and has no copy limit.
 MAX_FAMILY_ENTRIES = 1_000_000
 
 
@@ -205,7 +204,7 @@ def failure_probability(m: WeightedMeasurement, r: ReciprocalSet) -> UsdReport:
 def family_product_ops(inst: Instance, copies: int = 1) -> list[list[np.ndarray]]:
     """Per-party factors of the symmetric measurement's n-copy outcomes.
 
-    One entry per label tuple (j_1, ..., j_n), in itertools.product order;
+    One entry per label tuple (j_1, ..., j_n), in lexicographic order;
     it lists, per party, the tensor product over copies of that party's
     projectors onto its local states j_1, ..., j_n.  The scale (D/N)^n sits
     on party 0, so the kron of an entry's factors is the outcome operator

@@ -26,6 +26,7 @@ per-input failures.  run_discrimination must return an equal SimReport,
 float for float, and raise the same errors.
 """
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -93,6 +94,20 @@ def by_label(two_cells, inputs, n, omit) -> np.ndarray:
     table[np.arange(len(inputs)), np.subtract(inputs, 1)] = two_cells[:, 0]
     table[:, omit - 1] = two_cells[:, 1]
     return table
+
+
+def tuple_labels(n, omit, copies) -> np.ndarray:
+    """The label each n-copy outcome tuple names, in lexicographic order: j when every
+    entry outside omit is j, else omit (the failure: all omitted, or two labels)."""
+    named = (set(t) - {omit} for t in itertools.product(range(1, n + 1), repeat=copies))
+    return np.array([s.pop() if len(s) == 1 else omit for s in named])
+
+
+def group_by_label(rows, labels, n) -> np.ndarray:
+    """(D, N) sums of the (D, N^n) tuple rows over the tuples naming each label."""
+    grouped = np.zeros((len(rows), n))
+    np.add.at(grouped, (slice(None), labels - 1), rows)
+    return grouped
 
 
 def two_cell_table(r) -> np.ndarray:
@@ -203,23 +218,24 @@ def reference_stack(ops) -> np.ndarray:
         raise ValueError("operators must share one square dimension")
     if not np.all(np.isfinite(stack)):
         raise ValueError("operators must have finite entries")
+    if np.any(np.linalg.norm(stack, axis=(1, 2)) < np.finfo(float).tiny):
+        raise ValueError("zero operator has no ray")
     if eigvalsh_rejects(stack):
         raise ValueError("operators must be positive semidefinite")
     return stack
 
 
 def eigvalsh_rejects(stack) -> bool:
-    """The eigvalsh test: some Hermitian part has an eigenvalue below -PSD_INPUT_TOL."""
-    hermitian = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
+    """The eigvalsh test: the Hermitian part of some operator scaled to unit Frobenius
+    norm has an eigenvalue below -PSD_INPUT_TOL."""
+    units = stack / np.linalg.norm(stack, axis=(1, 2))[:, None, None]
+    hermitian = (units + units.conj().transpose(0, 2, 1)) / 2.0
     return float(np.linalg.eigvalsh(hermitian)[:, 0].min()) < -PSD_INPUT_TOL
 
 
 def reference_rays(stack, tol):
     """First-match grouping with np.linalg.norm: (groups, representatives, coords)."""
-    norms = np.linalg.norm(stack, axis=(1, 2))
-    if np.any(norms < 1e-14):
-        raise ValueError("zero operator has no ray")
-    units = stack / norms[:, None, None]
+    units = stack / np.linalg.norm(stack, axis=(1, 2))[:, None, None]
     coords = reference_vec_herm(units)
     slack = 16.0 * stack.shape[1] ** 2 * np.finfo(float).eps
     rows, cols = np.nonzero(coords @ coords.T >= 1.0 - tol**2 / 2.0 - slack)

@@ -25,8 +25,8 @@ from usdsep import (
     LocalOperatorSet,
     certify,
     count_extreme,
+    family_product_ops,
     make_instance,
-    multicopy_measurement,
     optimal_measurement,
     proj,
     reciprocal_set,
@@ -186,16 +186,17 @@ def test_06_monte_carlo_band():
 def test_07_multicopy_failure_decay_and_certificate():
     t0 = time.perf_counter()
     inst = make_instance(5)
+    r, m = reciprocal_set(inst), optimal_measurement(inst)
     worst = 0.0
     worst_closure = 0.0
     for n_copies in (1, 2, 3):
-        mm = multicopy_measurement(inst, copies=n_copies)
-        worst = max(worst, abs(mm.theoretical_failure - 0.5**n_copies))
+        sim = run_discrimination(inst, r, m, SimConfig(seed=7, trials=1, copies=n_copies))
+        worst = max(worst, abs(sim.theoretical_failure - 0.5**n_copies))
         dim = inst.total_dim**n_copies
-        total = sum(kron_all(factors) for factors in mm.party_factors)
+        total = sum(kron_all(factors) for factors in family_product_ops(inst, n_copies))
         closure = float(np.linalg.norm(total - np.eye(dim)))
         worst_closure = max(worst_closure, closure)
-    rep = certify(multicopy_measurement(inst, copies=2).party_factors)
+    rep = certify(family_product_ops(inst, 2))
     elapsed = time.perf_counter() - t0
     ok = (
         worst <= 1e-12

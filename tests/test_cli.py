@@ -44,6 +44,13 @@ def run_cli(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def write_measurement(path, entries):
+    """A measurement file: per outcome, its factors as rows of [re, im] pairs."""
+    path.write_text(
+        json.dumps([[np.stack([f.real, f.imag], -1).tolist() for f in entry] for entry in entries])
+    )
+
+
 def run_json(capsys, *argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 0, err
@@ -325,13 +332,8 @@ def test_certify_measurement_file(tmp_path, capsys):
     e0 = np.diag([1.0, 0.0]).astype(complex)
     e1 = np.diag([0.0, 1.0]).astype(complex)
     eye = np.eye(2, dtype=complex)
-    entries = [[e0, eye], [e1, eye]]
     path = tmp_path / "meas.json"
-    path.write_text(
-        json.dumps(
-            [[np.stack([f.real, f.imag], -1).tolist() for f in entry] for entry in entries]
-        )
-    )
+    write_measurement(path, [[e0, eye], [e1, eye]])
     payload, err = run_json(capsys, "certify", "--measurement", str(path))
     assert payload["verdict"] == "SATISFIES"
     # The idle party's lone class needs neither a witness nor NNLS.
@@ -366,13 +368,35 @@ def test_certify_measurement_file_with_overflowing_norms(tmp_path, capsys):
     path = tmp_path / "meas.json"
     e0, e1 = np.diag([1e160, 0.0]), np.diag([0.0, 1e160])
     for first, second in ((e0, e1), (e0 + 0.5 * e1, e1 + 0.5 * e0)):
-        entries = [[first, np.eye(2)], [second, np.eye(2)]]
-        path.write_text(
-            json.dumps([[np.stack([f, 0 * f], -1).tolist() for f in entry] for entry in entries])
-        )
+        write_measurement(path, [[first, np.eye(2)], [second, np.eye(2)]])
         rc, _, err = run_cli(capsys, "certify", "--measurement", str(path))
         assert rc == 2
         assert "overflows" in err
+
+
+@pytest.mark.parametrize(
+    "scales",
+    [(1e6, 1e6, 1e6), (1e6, 1e-6, 1.0), (1e-15, 1e-15, 1e-15)],
+    ids=["x1e6", "split", "x1e-15"],
+)
+def test_certify_measurement_file_at_any_scale(tmp_path, capsys, scales):
+    # A factor's scale names no new ray: a rescaled file of the N = 13
+    # family (three parties) gives the unscaled report, and one indefinite
+    # factor is refused at every scale.
+    path = tmp_path / "meas.json"
+    entries = [list(entry) for entry in family_product_ops(make_instance(13))]
+    reports = []
+    for c in ((1.0, 1.0, 1.0), scales):
+        write_measurement(path, [[s * f for s, f in zip(c, entry)] for entry in entries])
+        rc, out, err = run_cli(capsys, "certify", "--measurement", str(path))
+        assert rc == 0, err
+        reports.append(_without_timestamp(out))
+    assert reports[1] == reports[0]
+    entries[4][1] = entries[4][1] - 1e-6 * np.eye(2)
+    for c in ((1.0, 1.0, 1.0), scales):
+        write_measurement(path, [[s * f for s, f in zip(c, entry)] for entry in entries])
+        rc, _, err = run_cli(capsys, "certify", "--measurement", str(path))
+        assert rc == 2 and "positive semidefinite" in err
 
 
 @pytest.mark.parametrize(

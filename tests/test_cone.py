@@ -11,9 +11,8 @@ from usdsep import (
     certify,
     count_extreme,
     distinct_rays,
-    family_product_ops as family_factors,
+    family_product_ops,
     make_instance,
-    multicopy_measurement,
     nnls,
     proj,
     vec_herm,
@@ -26,21 +25,6 @@ from tests.test_properties import instances
 pytest.importorskip("scipy")
 
 from tests.lp_oracle import conic_representable_lp, rand_psd, random_operator_sets
-
-
-def family_product_ops(inst):
-    """Per-outcome product factors of the symmetric separable measurement."""
-    scale = inst.total_dim / inst.n
-    out = []
-    for j in range(1, inst.n + 1):
-        factors = []
-        for alpha in range(len(inst.dims)):
-            f = proj(inst.local_states[alpha][j - 1])
-            if alpha == 0:
-                f = scale * f
-            factors.append(f)
-        out.append(factors)
-    return out
 
 
 def class_of(rays, i):
@@ -244,8 +228,7 @@ def test_certify_local_control_satisfies():
 
 
 def test_certify_multicopy_pair_violates():
-    mc = multicopy_measurement(make_instance(5), copies=2)
-    rep = certify(mc.party_factors)
+    rep = certify(family_product_ops(make_instance(5), 2))
     assert [s.extreme for s in rep.parties] == [25, 25]
     assert rep.total == 50
     assert rep.bound == 48
@@ -261,17 +244,24 @@ def test_certify_single_party_note():
 
 
 def test_certify_invariances():
+    # Rays do not depend on scale, and K_1 x K_2 = (c K_1) x (K_2 / c) is
+    # the same outcome: with every factor scaled on its own over 200
+    # decades, certify still gives the reference route's unscaled report,
+    # on the benchmark's families, two copies of N = 5 and generated inputs.
+    rng = np.random.default_rng(12)
+    for n, dims, copies in FAMILY_CASES:
+        entries = family_product_ops(make_instance(n, dims), copies)
+        assert_matches_reference(entries, RAY_TOL, rng=rng)
+    for _ in range(30):
+        kinds = rng.choice(KINDS, size=int(rng.integers(1, 4)))
+        r, tol = int(rng.integers(2, 13)), float(rng.choice([1e-8, 1e-6, 1e-3, 0.05]))
+        parties = [party_factors(rng, kind, r, tol) for kind in kinds]
+        entries = [[party[j] for party in parties] for j in range(r)]
+        well_posed = not (tol < 1e-6 and "near identity" in kinds)
+        assert_matches_reference(entries, tol, well_posed, rng=rng)
+
     inst = make_instance(5)
     base = certify(family_product_ops(inst))
-    rng = np.random.default_rng(12)
-
-    scaled = []
-    for entry in family_product_ops(inst):
-        c = rng.uniform(0.5, 2.0, size=len(entry))
-        scaled.append([ci * f for ci, f in zip(c, entry)])
-    rep = certify(scaled)
-    assert rep.total == base.total and rep.verdict == base.verdict
-
     perm = list(rng.permutation(5))
     shuffled = [family_product_ops(inst)[i] for i in perm]
     rep = certify(shuffled)
@@ -416,7 +406,7 @@ FIXED_SETS = {
     "near pair": (E0, proj([np.cos(PHI), np.sin(PHI)])),
     **{
         f"two copies of N = 5, party {alpha}": tuple(
-            entry[alpha] for entry in multicopy_measurement(make_instance(5), copies=2).party_factors
+            entry[alpha] for entry in family_product_ops(make_instance(5), 2)
         )
         for alpha in range(2)
     },
@@ -430,7 +420,7 @@ def operator_sets(draw):
     if kind == "family":
         inst = draw(instances([5, 7, 11, 13, 29, 31, 37]))
         alpha = draw(st.integers(0, len(inst.dims) - 1))
-        return tuple(entry[alpha] for entry in family_factors(inst))
+        return tuple(entry[alpha] for entry in family_product_ops(inst))
     if kind == "rank one":
         d = int(rng.integers(2, 5))
         k = int(rng.integers(2, 10))
@@ -492,11 +482,14 @@ def party_factors(rng, kind, r, tol):
 KINDS = ("near duplicates", "near identity", "rank > 1", "rank one")
 
 
-def assert_matches_reference(entries, tol, well_posed=True):
+def assert_matches_reference(entries, tol, well_posed=True, rng=None):
     """certify against reference_certify: groups, rays, skipped and generators always;
     with ``well_posed`` also counts, verdict, note, warnings, NNLS solves and the
-    witness bound, within 1e-12 relative plus 1e-14 absolute."""
+    witness bound, within 1e-12 relative plus 1e-14 absolute.  With ``rng``,
+    certify reads every factor times its own 10^U(-100, 100)."""
     want, want_groups = reference_certify(entries, tol)
+    if rng is not None:
+        entries = [[f * 10.0 ** rng.uniform(-100.0, 100.0) for f in entry] for entry in entries]
     got = certify(entries, tol)
     parties = [[entry[alpha] for entry in entries] for alpha in range(len(entries[0]))]
     assert [distinct_rays(LocalOperatorSet(p), tol).groups for p in parties] == want_groups
@@ -541,26 +534,28 @@ SWEEP_FAMILIES = (
     (29, (4, 7)), (29, (2, 2, 7)), (37, (3, 3, 4)), (43, (2, 3, 7)), (53, (2, 2, 13)),
     (71, (5, 14)), (61, (2, 2, 3, 5)), (73, (2, 2, 2, 3, 3)), (101, (4, 5, 5)),
 )
+FAMILY_CASES = [(n, dims, 1) for n, dims in SWEEP_FAMILIES] + [(5, None, 2)]
 
 
-@pytest.mark.parametrize(
-    "n, dims, copies", [(n, dims, 1) for n, dims in SWEEP_FAMILIES] + [(5, None, 2)]
-)
+@pytest.mark.parametrize("n, dims, copies", FAMILY_CASES)
 def test_certify_families_match_the_reference_route(n, dims, copies):
-    assert_matches_reference(family_factors(make_instance(n, dims), copies), RAY_TOL)
+    assert_matches_reference(family_product_ops(make_instance(n, dims), copies), RAY_TOL)
 
 
 def test_positivity_at_the_tolerance_edge_follows_eigvalsh():
-    # Factors whose smallest eigenvalue sits 0.1% inside or outside
-    # -PSD_INPUT_TOL, conjugated by random unitaries: the Cholesky route must
-    # accept or reject each exactly where eigvalsh does.
+    # Factors at any scale whose smallest eigenvalue, over their Frobenius
+    # norm, sits 0.1% inside or outside -PSD_INPUT_TOL, conjugated by random
+    # unitaries: the Cholesky route must accept or reject each exactly where
+    # eigvalsh does.
     rng = np.random.default_rng(2024)
     decisions = set()
     for _ in range(40):
         d = int(rng.integers(2, 9))
         factor = rng.choice([1.0 - 1e-3, 1.0 + 1e-3])
-        top = 10.0 ** rng.uniform(-1, 2)
-        values = np.r_[-PSD_INPUT_TOL * factor, rng.uniform(0.0, top, size=d - 1)]
+        rest = rng.uniform(0.0, 10.0 ** rng.uniform(-100, 100), size=d - 1)
+        # c = -lambda_min / ||edge||, where ||edge||^2 = lambda_min^2 + |rest|^2.
+        c = PSD_INPUT_TOL * factor
+        values = np.r_[-c * np.linalg.norm(rest) / np.sqrt(1.0 - c * c), rest]
         u = random_unitary(rng, d)
         edge = (u * values) @ u.conj().T
         stack = [rand_psd(rng, d) for _ in range(3)] + [edge]
@@ -585,12 +580,12 @@ def test_certify_decides_positivity_without_eigenvalues(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     inst = make_instance(13)
-    rep = certify(family_factors(inst))
+    rep = certify(family_product_ops(inst))
     assert rep.verdict == "VIOLATES"
     assert calls == []
 
     # One indefinite factor still fails the Cholesky, and eigvalsh rejects it.
-    entries = [list(entry) for entry in family_factors(inst)]
+    entries = [list(entry) for entry in family_product_ops(inst)]
     entries[4][1] = entries[4][1] - 1e-6 * np.eye(len(entries[4][1]))
     with pytest.raises(ValueError, match="positive semidefinite"):
         certify(entries)

@@ -15,8 +15,6 @@ columns are a basis of the family's states, and a per-label tally of
 classified outcome tuples.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +26,6 @@ from usdsep import (
     SimConfig,
     ascending_factorizations,
     build_measurement,
-    classify_tuple,
     failure_probability,
     is_prime,
     kron_all,
@@ -50,8 +47,10 @@ from tests.oracles import (
     dense_failures,
     dense_reciprocal_residuals,
     derived_bound,
+    group_by_label,
     mod_gather_family,
     residuals_agree,
+    tuple_labels,
     two_cell_table,
 )
 
@@ -338,7 +337,7 @@ def assert_report_matches(rep, reference):
 )
 def test_sampled_tallies_match_a_per_label_reference(inst, copies, scale, seed, trials):
     # The N^n tuple rows of the dense Born table, grouped by the label
-    # classify_tuple names, must give the sampled two-cell law; and the
+    # each tuple names, must give the sampled two-cell law; and the
     # report must hold the per-label sums of the cells the law draws.
     # Column j - 1 of a single-copy row is label j; the omitted label's
     # column is the failure.
@@ -353,9 +352,7 @@ def test_sampled_tallies_match_a_per_label_reference(inst, copies, scale, seed, 
         rows = single
         for _ in range(n_copies - 1):
             rows = (rows[:, :, None] * single[:, None, :]).reshape(d, -1)
-        grouped = np.zeros((d, n))
-        for k, t in enumerate(itertools.product(range(1, n + 1), repeat=n_copies)):
-            grouped[:, (classify_tuple(t, omit) or omit) - 1] += rows[:, k]
+        grouped = group_by_label(rows, tuple_labels(n, omit, n_copies), n)
         law = _named_rows(_single_rows(r, m), n_copies)
         table = by_label(law, m.indices, n, omit)
         assert np.max(np.abs(grouped - table)) <= 1e-14

@@ -18,7 +18,6 @@ from usdsep import (
     SimConfig,
     ascending_factorizations,
     build_measurement,
-    classify_tuple,
     complement_decomposition,
     failure_probability,
     family_product_ops,
@@ -32,7 +31,14 @@ from usdsep import (
     run_discrimination,
     run_multicopy_discrimination,
 )
-from tests.oracles import reference_failure_probability, reference_run_discrimination
+from usdsep.simulator import _named_rows, _single_rows
+from tests.oracles import (
+    by_label,
+    group_by_label,
+    reference_failure_probability,
+    reference_run_discrimination,
+    tuple_labels,
+)
 
 
 def five_sigma_band(p, trials):
@@ -93,8 +99,8 @@ def test_outcome_distribution_on_omitted_state():
 
 def test_outcome_distribution_on_reciprocal_input():
     inst = make_instance(5)
-    mm = multicopy_measurement(inst, copies=1)
-    probs = mm.per_state[mm.inputs.index(3)]
+    _, rows = born_reference(inst, 1)
+    probs = rows[reciprocal_set(inst).indices.index(3)]
     expected = np.zeros(5)
     expected[3 - 1] = 0.5
     expected[inst.omit - 1] = 0.5
@@ -172,8 +178,9 @@ def test_sample_counts_match_the_per_row_reference():
 @pytest.mark.parametrize("n, copies", [(5, 1), (5, 2), (5, 3), (7, 2), (13, 1), (61, 1)])
 def test_grouped_sampling_matches_the_masked_passes(n, copies):
     # The sampler draws every input's row in one grouped call; the reference
-    # makes one pass per input, on the same stream.
-    rows = multicopy_measurement(make_instance(n), copies).per_state
+    # makes one pass per input, on the same stream.  The dense rows hold
+    # rounding of about -1e-17 where they vanish, clipped as the law is.
+    rows = np.maximum(born_reference(make_instance(n), copies)[1], 0.0)
     for seed in (0, 1, 7, 2**31 + 5):
         for trials in (1, 999, 20_000):
             cells = usdsep.simulator._sample_counts(rows, trials, seed)
@@ -199,7 +206,7 @@ def test_sampled_cells_follow_the_born_law():
 
 
 def test_sample_counts_cost_does_not_grow_with_trials():
-    rows = multicopy_measurement(make_instance(5), 2).per_state
+    rows = np.maximum(born_reference(make_instance(5), 2)[1], 0.0)
     start = time.perf_counter()
     cells = usdsep.simulator._sample_counts(rows, 2**62, 0)
     assert time.perf_counter() - start < 1.0
@@ -276,20 +283,9 @@ def test_run_discrimination_suboptimal_weights():
     assert abs(rep.empirical_failure - 11.0 / 16.0) <= band
 
 
-def test_classify_tuple_cases():
-    assert classify_tuple((2, 2), omit=1) == 2
-    assert classify_tuple((1, 4), omit=1) == 4
-    assert classify_tuple((4, 1), omit=1) == 4
-    assert classify_tuple((1, 1, 5), omit=1) == 5
-    assert classify_tuple((1, 1), omit=1) is None
-    assert classify_tuple((2, 3), omit=1) is None
-    assert classify_tuple((2, 2, 3), omit=1) is None
-
-
 def test_multicopy_single_copy_reduces_to_base_measurement():
     inst = make_instance(5)
     mm = multicopy_measurement(inst, copies=1)
-    assert mm.labels == (None, 2, 3, 4, 5)
     for j, factors in enumerate(mm.party_factors, start=1):
         assert np.linalg.norm(kron_all(factors) - 0.8 * proj(inst.state(j))) <= 1e-12
     assert abs(mm.theoretical_failure - 0.5) <= 1e-12
@@ -298,13 +294,8 @@ def test_multicopy_single_copy_reduces_to_base_measurement():
 def test_multicopy_two_copies_structure():
     inst = make_instance(5)
     mm = multicopy_measurement(inst, copies=2)
-    assert len(mm.labels) == 25
     assert len(mm.party_factors) == 25
     assert all(f.shape == (4, 4) for factors in mm.party_factors for f in factors)
-    assert mm.per_state.shape == (4, 25)
-    named = [lab for lab in mm.labels if lab is not None]
-    assert sorted(named) == sorted([2, 3, 4, 5] * 3)
-    assert mm.labels.count(None) == 13
     assert abs(mm.theoretical_failure - 0.25) <= 1e-12
 
 
@@ -313,11 +304,27 @@ MULTICOPY_CASES = [(5, 1), (5, 2), (5, 3), (7, 2)]
 
 @pytest.mark.parametrize("n, copies", MULTICOPY_CASES)
 def test_multicopy_per_state_matches_dense_born_reference(n, copies):
+    # The N^n tuple rows of the dense Born table, grouped by the label each
+    # tuple names, are the (D, 2) law run_discrimination samples.
     inst = make_instance(n)
-    mm = multicopy_measurement(inst, copies=copies)
+    r = reciprocal_set(inst)
     _, rows = born_reference(inst, copies)
-    assert mm.per_state.shape == rows.shape
-    assert np.max(np.abs(mm.per_state - rows)) <= 1e-12
+    labels = tuple_labels(n, inst.omit, copies)
+    law = _named_rows(_single_rows(r, optimal_measurement(inst)), copies)
+    grouped = group_by_label(rows, labels, n)
+    assert np.max(np.abs(grouped - by_label(law, r.indices, n, inst.omit))) <= 1e-12
+
+
+def test_multicopy_zero_error_audit_holds_externally():
+    # No tuple that names another input's label carries weight in the
+    # dense Born table.
+    for n, copies in MULTICOPY_CASES:
+        inst = make_instance(n)
+        r = reciprocal_set(inst)
+        _, rows = born_reference(inst, copies)
+        labels = tuple_labels(n, inst.omit, copies)
+        for i, j in enumerate(r.indices):
+            assert rows[i][(labels != j) & (labels != inst.omit)].max() <= 1e-10
 
 
 def test_multicopy_party_factors_assemble_elements():
@@ -369,17 +376,6 @@ def test_multicopy_budget_guard():
             multicopy_measurement(inst, copies=bad)
         with pytest.raises(ValueError):
             family_product_ops(inst, bad)
-
-
-def test_multicopy_zero_error_audit_holds_externally():
-    inst = make_instance(5)
-    mm = multicopy_measurement(inst, copies=2)
-    label_arr = np.array([-1 if lab is None else lab for lab in mm.labels])
-    r = reciprocal_set(inst)
-    assert mm.inputs == r.indices
-    for i, j in enumerate(r.indices):
-        stray = mm.per_state[i][(label_arr != j) & (label_arr != -1)]
-        assert stray.max() <= 1e-10
 
 
 def test_run_multicopy_discrimination():
