@@ -79,7 +79,7 @@ PSD_INPUT_TOL = 1e-10
 IDENTITY_RTOL = 1e-8
 WARN_BAND = (1e-8, 1e-6)
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)  # the smallest normal float64
+_TINY_NORM = float(np.finfo(float).tiny) ** 0.5  # the least norm whose square is a normal float64
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,14 @@ class LocalOperatorSet:
                 "operator entries too large: a squared Frobenius norm overflows float64 "
                 "(entries must stay below about 1e154)"
             )
-        if norms.min() < _TINY:
-            raise ValueError("zero operator has no ray")
+        # Below _TINY_NORM the squares lose their digits, and the unit forms with them.
+        if norms.min() < _TINY_NORM:
+            if not stack[norms < _TINY_NORM].any(axis=(1, 2)).all():
+                raise ValueError("zero operator has no ray")
+            raise ValueError(
+                "operator entries too small: a squared Frobenius norm underflows float64 "
+                "(a nonzero operator needs an entry above about 1e-154)"
+            )
         # The float view times 1 / norm: the bits of complex division by a real.
         units = (stack.view(float) * (1.0 / norms)[:, None, None]).view(complex)
         _require_psd(units)
@@ -228,11 +234,12 @@ def distinct_rays(s: LocalOperatorSet, tol: float = RAY_TOL) -> RayGroups:
     # (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1), so
     # 16 d**2 eps of slack never drops a pair; a pair that passes only costs
     # a confirmation.  Each operator matches itself, so the diagonal is
-    # masked, and the pairs are listed only when some entry passes.
+    # masked, and the pairs are listed only when some entry passes.  Unit
+    # vectors lie at most 2 apart: a tol past 2, whose square may overflow, screens as 2.
     slack = 16.0 * s.dim**2 * _EPS
     gram = coords @ coords.T
     gram.flat[:: len(gram) + 1] = -np.inf
-    cut = 1.0 - tol**2 / 2.0 - slack
+    cut = 1.0 - min(tol, 2.0) ** 2 / 2.0 - slack
     rows = cols = np.zeros(0, dtype=np.intp)
     if gram.max() >= cut:
         rows, cols = np.nonzero(gram >= cut)

@@ -9,10 +9,11 @@ state j (j = 1..N) is a product over parties of uniform-amplitude phase states
 where p_alpha is the product of the dimensions of the earlier parties.  The
 exponents sum_alpha p_alpha m_alpha sweep 0..D-1 exactly once, so globally
 state j is the j-th column of the N-point Fourier matrix restricted to its
-first D rows, over sqrt(D).  Every amplitude is read from one table of the
-N-th roots of unity at integer exponents reduced mod N, so an instance
-stores only O(N): its parameters, the exponents and its audit residuals.
-The states and the party factors are gathers of that table, built on read.
+first D rows, over sqrt(D).  Every amplitude is read by one rule from one
+table of the N-th roots of unity, roots[j e mod N] / sqrt(d) for a label j,
+an exponent e and a dimension d, so an instance stores only O(N): its
+parameters, the exponents and its audit residuals.  The states, the party
+factors and the reciprocal states are gathers of that table, built on read.
 
 Two identities of the (D, N) matrix Psi of the states give the rest, and
 each N's table is audited for both: completeness, Psi Psi^dag = (N/D) I,
@@ -41,18 +42,17 @@ same terms reordered.  The nonzero exponents are 1..N-2, so ratio 1 occurs
 D - 1 times and every other ratio D - 2 times (a = c b excludes only
 b = -1/c); exponent 0 adds a row and a column of A(0) and the corner N t_0^2.
 
-The tables come from the multiplicative group mod N (Rader, Proc. IEEE 56,
-1107 (1968)): with pw[k] = g^k mod N for a primitive root g and lg its inverse,
-states[j-1, m] = t[pw[lg j + lg e_m]], an add with no division.  From N = 128
-up, A(g^b) = |t_0|^2 + sum_a x_(a+b) conj(x_a), x_a = t[g^a], is one circular
-autocorrelation (an fft/ifft pair, O(N log N)); below, one (N, N) gather
-t[c s mod N] serves instead: there the fft would save under 0.1 ms a
-family, and loading numpy.fft costs about half a MiB of memory.  The fft
-has length D when every prime factor of D has its own numpy.fft pass (at
-most 11), else it is a linear correlation zero-padded to a power of two,
-folded back to circular: below N = 30000 the generic passes for larger
-primes rounded up to 2.2 u sqrt(D) log2 N, the padded route 0.93, and for
-large primes the generic passes take seconds.
+The sums run over the multiplicative group mod N (Rader, Proc. IEEE 56,
+1107 (1968)), the cycle pw[k] = g^k mod N of a primitive root g.  From
+N = 128 up, A(g^b) = |t_0|^2 + sum_a x_(a+b) conj(x_a), x_a = t[g^a], is
+one circular autocorrelation (an fft/ifft pair, O(N log N)); below, one
+(N, N) gather t[c s mod N] serves instead: there the fft would save under
+0.1 ms a family, and loading numpy.fft costs about half a MiB of memory.
+The fft has length D when every prime factor of D has its own numpy.fft
+pass (at most 11), else it is a linear correlation zero-padded to a power
+of two, folded back to circular: below N = 30000 the generic passes for
+larger primes rounded up to 2.2 u sqrt(D) log2 N, the padded route 0.93,
+and for large primes the generic passes take seconds.
 
 The other two audits read the same table.  Row j < N holds t at every
 residue but j (N - 1) = -j, and row N is D copies of t_0, so the squared
@@ -61,14 +61,16 @@ Column m of the null relation sum_j omega^j psi_j is
 B(e_m) = sum_s omega^s t[s e_m mod N] (s = j mod N); B(0) = t_0 sum_s omega^s,
 and B(g^b) = t_0 + sum_a omega^(g^a) t[g^(a+b)] is one cross-correlation
 sharing the fft of x, or the same (N, N) gather times the roots below 128.
-e = N - 1 is no exponent, so B(N - 1) is dropped.  A state read is
-pw[lg j + lg e], an integer index into the audited amplitudes, and a fourth,
-exact audit counts the entries of pw and lg that break the group tables,
-so the audits cover every amplitude the pipeline reads.  Each N's table
-and its residuals are built once and cached, within _TABLE_BYTES;
+e = N - 1 is no exponent, so B(N - 1) is dropped.  The audits read
+t = roots / sqrt(D) itself, which is bitwise every state a read returns (a
+gather and an elementwise divide commute), and a fourth, exact audit
+counts the entries of pw that break the cycle, so the sums run over every
+residue.  The index j e of a read is below N^2, which must fit in int64:
+an N with N^2 >= 2^63 is refused before anything is allocated.  Each N's
+roots, cycle and residuals are built once and cached, within _TABLE_BYTES;
 make_instance checks the residuals against numerics.BOUNDS: none may
-break the log tables, and the other three keep the growth laws in N
-stated there.
+break the cycle (the "log tables" row), and the other three keep the
+growth laws in N stated there.
 
 Completeness and the null relation prove every overlap audit of the
 reciprocal states and of the duals.  With eps and delta their residuals,
@@ -117,8 +119,8 @@ __all__ = [
 
 _RADER_FROM = 128  # least N whose audit sums are correlations (module docstring)
 _FFT_RADIX = 11  # largest prime with its own numpy.fft pass; a larger one costs accuracy
-# The per-N table cache holds at most 64 MiB of records, 56 B N each: the
-# tables of every prime below 4357 at once, or one near N = 1.2 * 10^6.
+# The per-N table cache holds at most 64 MiB of records, 24 B N each: the
+# tables of every prime below 6833 at once, or one near N = 2.8 * 10^6.
 _TABLE_BYTES = 1 << 26
 
 
@@ -158,22 +160,23 @@ def ascending_factorizations(d: int, min_factor: int = 2) -> list[tuple[int, ...
 
 @dataclass(frozen=True)
 class _Table:
-    """Everything a family of prime N reads, all read-only and O(N): 56 B N in all."""
+    """Everything a family of prime N reads, all read-only and O(N): 24 B N in all."""
 
-    pw: np.ndarray  # (2N - 1,) g^k mod N over two cycles, then 0
-    lg: np.ndarray  # (N + 1,) lg[pw[k]] = k; lg[0] = lg[N] = 2N - 2 reads that 0
-    roots: np.ndarray  # (N,) omega^t
-    amplitudes: np.ndarray  # (N,) omega^t / sqrt(D), the one table every state reads
-    residuals: dict  # the log-table count and the three audits of amplitudes, measured once
+    pw: np.ndarray  # (N - 1,) g^k mod N over one cycle, read only by _rader_sums
+    roots: np.ndarray  # (N,) omega^t, the one table every read gathers
+    residuals: dict  # the cycle count and the three audits of roots / sqrt(D), measured once
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.pw, self.lg, self.roots, self.amplitudes))
+        return self.pw.nbytes + self.roots.nbytes
 
-    def read(self, values: np.ndarray, labels, exponents) -> np.ndarray:
-        """values[j e mod N] over the outer grid of labels j and exponents e: pw[lg j + lg e]."""
-        index = np.add.outer(self.lg[labels], self.lg[exponents])
-        return values[np.take(self.pw, index, mode="clip")]
+    def read(self, labels, exponents, dim: int) -> np.ndarray:
+        """roots[j e mod N] / sqrt(dim) over the outer grid of labels j and exponents e."""
+        index = np.multiply.outer(labels, exponents, dtype=np.int64)
+        index %= len(self.roots)
+        values = self.roots[index]
+        values /= np.sqrt(dim)
+        return values
 
 
 class _TableCache:
@@ -204,69 +207,58 @@ _table = _TableCache()
 
 
 def _build_table(n: int) -> _Table:
-    """The log tables, roots, amplitudes and the four audit residuals of prime n."""
-    pw, lg = _log_tables(n)
-    roots = 2j * np.pi * np.arange(n)
-    roots /= n
-    np.exp(roots, out=roots)
-    amplitudes = _amplitudes(roots)
-    for a in (pw, lg, roots, amplitudes):
+    """The power cycle, the roots and the four audit residuals of prime n (module docstring)."""
+    pw, roots = _power_cycle(n), _roots(n)
+    for a in (pw, roots):
         a.setflags(write=False)
-    residuals = {"log tables": _log_table_errors(pw, lg), **_audits(pw, roots, amplitudes)}
-    return _Table(pw, lg, roots, amplitudes, residuals)
+    # roots / sqrt(D) is bitwise every state read: a gather and a divide commute.
+    residuals = {"log tables": _cycle_errors(pw), **_audits(pw, roots, roots / np.sqrt(n - 1))}
+    return _Table(pw, roots, residuals)
 
 
-def _log_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """pw = g^k mod prime n over two cycles, then 0, and lg[pw[k]] = k.
+def _power_cycle(n: int) -> np.ndarray:
+    """pw[k] = g^k mod prime n for k < n - 1, g the least primitive root.
 
-    g is the least primitive root; lg[0] = lg[n] = 2n - 2 indexes that 0, as
-    does any sum with it, so pw read at lg j + lg e with mode="clip" is j e mod n.
-    Both are allocated before any trial division, so an n past memory is a
-    ValueError or MemoryError at once; a composite n is a ValueError.
+    An n with n^2 >= 2^63 is refused first, as a read's index j e < n^2 must
+    fit in int64; pw is then allocated before any trial division, so an n
+    past memory is a MemoryError at once; a composite n is a ValueError.
     """
-    try:
-        pw, lg = np.empty(2 * n - 1, dtype=np.int64), np.empty(n + 1, dtype=np.int64)
-    except ValueError as exc:
-        raise ValueError(f"n = {n} is too large for its tables: {exc}") from None
+    if n * n >= 1 << 63:
+        raise ValueError(f"n = {n} is too large for its tables: n^2 must stay below 2^63")
+    pw = np.empty(n - 1, dtype=np.int64)
     if not is_prime(n):
         raise ValueError(f"n must be a prime >= 5, got {n}")
     order, qs = n - 1, set(prime_factors(n - 1))
     g = next(g for g in range(2, n) if all(pow(g, order // q, n) != 1 for q in qs))
     pw[0], filled = 1, 1
-    while filled < 2 * order:  # doubling: g^(k + filled) = g^k g^filled
+    while filled < order:  # doubling: g^(k + filled) = g^k g^filled
         block = pw[filled : 2 * filled]
         np.multiply(pw[: len(block)], pow(g, filled, n), out=block)
         block %= n
         filled += len(block)
-    pw[-1] = 0
-    lg.fill(2 * order)
-    lg[pw[:order]] = np.arange(order)
-    return pw, lg
+    return pw
 
 
-def _log_table_errors(pw: np.ndarray, lg: np.ndarray) -> int:
-    """Entries of pw and lg that break the tables of _log_tables: 0 unless one is wrong.
+def _cycle_errors(pw: np.ndarray) -> int:
+    """Entries of pw that break the cycle of _power_cycle: 0 unless one is wrong.
 
-    Exact integer checks in O(N): pw[0] = 1 and pw[k + 1] = pw[1] pw[k] mod N
-    over both cycles, then 0; lg[pw[k]] = k on the first cycle, so pw[:N - 1]
-    is a permutation of 1..N-1 (pw[1] is a primitive root) and lg its inverse;
-    and lg[0] = lg[N] = 2N - 2.  With them, every state read pw[lg j + lg e] is
-    j e mod N, so the amplitude audits cover every amplitude a state reads.
+    Exact integer checks in O(N): pw[0] = 1; pw[k + 1] = pw[1] pw[k] mod N,
+    so pw[k] = pw[1]^k mod N with 0 <= pw[1] < N; and no pw[k] <= 1 for
+    0 < k < N - 1, so pw[1] is nonzero of order N - 1 and the cycle is a
+    permutation of 1..N-1, the one the correlations of _rader_sums run over.
     """
-    n, d = len(lg) - 1, len(lg) - 2
-    steps = pw[: 2 * d - 1] * pw[1]
-    steps %= n
-    ends = [pw[0] != 1, pw[2 * d] != 0, lg[0] != 2 * d, lg[n] != 2 * d]
-    return (
-        int(np.count_nonzero(pw[1 : 2 * d] != steps))
-        + int(np.count_nonzero(np.take(lg, pw[:d], mode="clip") != np.arange(d)))
-        + int(np.count_nonzero(ends))
-    )
+    steps = pw[:-1] * pw[1]
+    steps %= len(pw) + 1
+    wrong = np.count_nonzero(pw[1:] != steps) + np.count_nonzero(pw[1:] <= 1)
+    return int(pw[0] != 1) + int(wrong)
 
 
-def _amplitudes(roots: np.ndarray) -> np.ndarray:
-    """omega^t / sqrt(N - 1): the one table every state amplitude is gathered from."""
-    return roots / np.sqrt(len(roots) - 1)
+def _roots(n: int) -> np.ndarray:
+    """omega^t for t = 0..n-1: the one table every amplitude is gathered from."""
+    roots = 2j * np.pi * np.arange(n)
+    roots /= n
+    np.exp(roots, out=roots)
+    return roots
 
 
 def _audits(pw: np.ndarray, roots: np.ndarray, table: np.ndarray) -> dict:
@@ -302,26 +294,25 @@ def _gather_sums(pw, roots, table) -> tuple[np.ndarray, np.ndarray]:
 def _rader_sums(pw, roots, table) -> tuple[np.ndarray, np.ndarray]:
     """The sums of _gather_sums as correlations over g^a sharing one fft (module docstring).
 
-    Transforms run in place where they can: at N = 10^6 the peak, the
-    table included, is about 140 B N.
+    Transforms run in place where they can: at N = 10^6 the peak of a
+    table's build and audits, the record included, is about 125 B N.
     """
     n, d, t0 = len(table), len(table) - 1, table[0]
     # Length D when its prime factors have fixed fft passes, else a padded power of two.
     size = d if max(prime_factors(d)) <= _FFT_RADIX else 1 << (2 * d - 1).bit_length()
-    cycle = pw[:d]
-    cross = np.fft.fft(roots[cycle].conj(), size)
-    x = np.fft.fft(table[cycle], size)
+    cross = np.fft.fft(roots[pw].conj(), size)
+    x = np.fft.fft(table[pw], size)
     np.conjugate(cross, out=cross)
     cross *= x
     relation = np.full(n, t0 * roots.sum())
-    relation[cycle] = _circular(cross, d, t0)
+    relation[pw] = _circular(cross, d, t0)
     del cross
     power = np.abs(x)
     power **= 2
     x[:] = power  # kept complex for an in-place ifft
     del power
     ratios = np.full(n, t0 * table.conj().sum())
-    ratios[cycle] = _circular(x, d, abs(t0) ** 2)
+    ratios[pw] = _circular(x, d, abs(t0) ** 2)
     return ratios, relation
 
 
@@ -347,7 +338,7 @@ class Instance:
     read with; it makes sum_j w_j P_j the Toeplitz matrix whose entry
     (m, m') depends only on exponents[m] - exponents[m'] mod N.  Nothing
     larger than O(N) is stored: ``states`` and ``state`` gather the N's
-    amplitude table on each read, and ``local_states`` is gathered on the
+    table of roots on each read, and ``local_states`` is gathered on the
     first read and kept.  Stored arrays are read-only; treat the instance as
     a value.
     """
@@ -372,23 +363,20 @@ class Instance:
     @property
     def states(self) -> np.ndarray:
         """(N, D) states, row j-1 the global state j; 16 B N^2, gathered on each read."""
-        table = _table(self.n)
-        return table.read(table.amplitudes, np.arange(1, self.n + 1), self.exponents)
+        return _table(self.n).read(np.arange(1, self.n + 1), self.exponents, self.total_dim)
 
     def state(self, j: int) -> np.ndarray:
         """The (D,) global state j, gathered in O(D)."""
         if not 1 <= j <= self.n:
             raise ValueError(f"state label {j} out of range 1..{self.n}")
-        table = _table(self.n)
-        return table.read(table.amplitudes, j, self.exponents)
+        return _table(self.n).read(j, self.exponents, self.total_dim)
 
     @functools.cached_property
     def local_states(self) -> tuple[np.ndarray, ...]:
         """Per party, the (N, d_alpha) factors omega^(j p_alpha m) / sqrt(d_alpha), row j-1."""
         table, local, p = _table(self.n), [], 1
         for d in self.dims:
-            factor = table.read(table.roots, np.arange(1, self.n + 1), p * np.arange(d))
-            factor /= np.sqrt(d)
+            factor = table.read(np.arange(1, self.n + 1), p * np.arange(d), d)
             factor.setflags(write=False)
             local.append(factor)
             p *= d
@@ -404,7 +392,7 @@ class ReciprocalSet:
     partner overlap is real positive.  ``overlaps`` holds q_j, the squared
     partner overlap, which for these families is N / (2 D) for every j.
     Nothing (D, D) is stored: ``states`` and ``state`` build the closed
-    form phi_k (module docstring, l = omit) from the amplitude table when
+    form phi_k (module docstring, l = omit) from the table of roots when
     read, ``state`` in O(D).
     """
 
@@ -431,9 +419,9 @@ class ReciprocalSet:
         return self._closed_form([j])[0]
 
     def _closed_form(self, labels) -> np.ndarray:
-        ks, l, table = np.asarray(labels), self.omit, _table(self.n)
-        rows = table.read(table.amplitudes, ks, self.exponents)
-        omitted = table.read(table.amplitudes, l, self.exponents)
+        ks, l, table, d = np.asarray(labels), self.omit, _table(self.n), self.n - 1
+        rows = table.read(ks, self.exponents, d)
+        omitted = table.read(l, self.exponents, d)
         rows -= np.multiply.outer(table.roots[(l - ks) % self.n], omitted)
         rows *= math.sqrt((self.n - 1) / (2.0 * self.n))  # sqrt(D/(2N)) = 1 / |xi_k|
         return rows
@@ -472,10 +460,10 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
     ------
     ValueError for a float, bool or string where an integer belongs (it is
     never truncated), non-prime n, a bad factorization, or omit out of
-    range; ValueError or MemoryError for an n whose O(N) tables (56 B N)
-    cannot be allocated.  The checks that need no trial division run
-    first, and the tables are allocated before it.  InvariantError when a
-    residual of n's table is past its numerics.BOUNDS law.
+    range or n^2 >= 2^63; MemoryError for an n whose tables (24 B N) cannot
+    be allocated.  The checks that need no trial division run first, and
+    the tables are allocated before it.  InvariantError when a residual of
+    n's table is past its numerics.BOUNDS law.
     """
     if not all(map(_is_integer, [n, omit] if dims is None else [n, omit, *dims])):
         raise ValueError(

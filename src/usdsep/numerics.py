@@ -45,7 +45,7 @@ class InvariantError(RuntimeError):
 # below the earlier constant 1e-12 at every N <= 4051.
 _U = 2.0**-53  # unit roundoff of a float64
 BOUNDS = {
-    "log tables": 0,  # entries of the group tables a state read goes through that are wrong
+    "log tables": 0,  # entries of the power cycle the audits' sums run over that are wrong
     # (D/N) sum P_j - I, Frobenius; 11.5 U sqrt(D) log2 N, 9.7e-13 at N = 4051
     "completeness": lambda n: 11.5 * _U * math.sqrt(n - 1) * math.log2(n),
     "unit norm": lambda n: 8 * _U * math.log2(n),  # largest | ||psi_j|| - 1 |

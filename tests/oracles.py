@@ -6,8 +6,9 @@ overlaps and audit bound from the proof (instance module docstring).
 These helpers form the dense products instead: the (D, D) resolution and
 the products of the states with the reciprocal states and with the duals
 of ``closed_form_duals``, as the pipeline once did.  ``mod_gather_family`` is the
-family's earlier gather, by products and remainders mod N; make_instance's
-log-table gather must match it bit for bit.
+family's gather by products and remainders mod N from the audited table
+roots / sqrt(D); every read, which gathers the roots and then divides, must
+match it bit for bit.
 
 ``dense_search`` screens random weight vectors by a dense eigvalsh of
 each failure operator, the independent check that build_measurement's
@@ -52,15 +53,15 @@ DENSE_ROUNDING = 4e-15
 
 
 def mod_gather_family(inst):
-    """(states, local_states) by the mod-N gather make_instance once used.
+    """(states, local_states) by the mod-N gather of the audited amplitude table.
 
-    Entry [j - 1, m] of the states is the amplitude table at j e_m mod N,
-    and party alpha's factor is the roots table at j p_alpha m mod N over
-    sqrt(d_alpha): the products and remainders the log tables replace.
+    Entry [j - 1, m] of the states is roots / sqrt(D), the table the audits
+    read, at j e_m mod N, and party alpha's factor is the roots table at
+    j p_alpha m mod N over sqrt(d_alpha).
     """
     n, js = inst.n, np.arange(1, inst.n + 1)
-    record = usdsep.instance._table(n)
-    roots, table = record.roots, record.amplitudes
+    roots = usdsep.instance._table(n).roots
+    table = roots / np.sqrt(n - 1)
     states = np.take(table, np.multiply.outer(js, inst.exponents) % n, mode="clip")
     local, p = [], 1
     for d in inst.dims:

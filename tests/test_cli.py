@@ -237,6 +237,15 @@ def test_certify_records_the_tol_it_used(capsys):
     assert payload["verdict"] == "VIOLATES"
 
 
+@pytest.mark.parametrize("tol", ["1e100", "1e300", "1.7976931348623157e308"])
+def test_certify_takes_any_finite_tol(capsys, tol):
+    # A tol whose square overflows screens like any tol past 2: every
+    # factor of a party is one ray class.
+    payload, _ = run_json(capsys, "certify", "--n", "5", "--tol", tol)
+    assert payload["verdict"] == "SATISFIES"
+    assert [p["rays"] for p in payload["parties"]] == [1, 1]
+
+
 @pytest.mark.parametrize("command", ["optimize", "certify", "simulate"])
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_nonpositive_tol_is_input_error(capsys, command, tol):
@@ -375,6 +384,24 @@ def test_certify_measurement_file_with_overflowing_norms(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "scale, message",
+    [
+        (1e-160, "operator entries too small: a squared Frobenius norm underflows"),
+        (0.0, "zero operator has no ray"),
+    ],
+)
+def test_certify_measurement_file_with_underflowing_norms(tmp_path, capsys, scale, message):
+    # A nonzero factor whose squared norm underflows is refused as too small,
+    # not as zero and not as a ray of its own; an exact zero stays a zero operator.
+    path = tmp_path / "meas.json"
+    write_measurement(path, [[scale * np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)]])
+    rc, out, err = run_cli(capsys, "certify", "--measurement", str(path))
+    assert rc == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "scales",
     [(1e6, 1e6, 1e6), (1e6, 1e-6, 1.0), (1e-15, 1e-15, 1e-15)],
     ids=["x1e6", "split", "x1e-15"],
@@ -475,6 +502,15 @@ def test_huge_prime_is_refused_at_once(tmp_path, route):
     if route == "generate":
         assert f"n = {HUGE_PRIME} is too large" in proc.stderr
     assert float(proc.stdout) < 200.0  # interpreter and numpy only; no family was built
+
+
+def test_family_whose_reads_pass_int64_is_an_input_error(capsys):
+    # A read's index j e is below N^2; the least prime with N^2 >= 2^63 is
+    # refused before its tables are allocated.
+    rc, out, err = run_cli(capsys, "generate", "--n", "3037000507")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: n = 3037000507 is too large for its tables")
 
 
 def test_simulate_default(capsys):
@@ -788,25 +824,28 @@ def fresh_tables():
 
 
 def perturb_amplitude_table(monkeypatch):
-    """Make every table built from now on off by 1e-9 in one amplitude."""
-    exact = usdsep.instance._amplitudes
+    """Make every table built from now on off by 1e-9 in one root, the one every read gathers."""
+    exact = usdsep.instance._roots
 
-    def perturbed(roots):
-        table = exact(roots)
-        table[3] += 1e-9
-        return table
+    def perturbed(n):
+        roots = exact(n)
+        roots[3] += 1e-9
+        return roots
 
-    monkeypatch.setattr(usdsep.instance, "_amplitudes", perturbed)
+    monkeypatch.setattr(usdsep.instance, "_roots", perturbed)
 
 
 def test_perturbed_amplitude_table_fails_completeness(capsys, monkeypatch, fresh_tables):
-    # The states and the ratio route read one amplitude table, so a table
-    # off by 1e-9 in one entry is a family that misses completeness.
+    # The reads and the audits go through one table of roots, so a root off
+    # by 1e-9 is a family that misses completeness.
     perturb_amplitude_table(monkeypatch)
     rc, out, err = run_cli(capsys, "generate", "--n", "13")
     assert rc == 3
     assert out == ""
     assert err.startswith("invariant violation: completeness:")
+    # The record the run refused stays cached: its reads at j e = 3 mod N hold the perturbed root.
+    record = usdsep.instance._table(13)
+    assert record.read(1, np.arange(12), 1)[3] == record.roots[3] != np.exp(6j * np.pi / 13)
 
 
 @pytest.mark.parametrize(
@@ -828,26 +867,29 @@ def test_perturbed_amplitude_table_fails_each_table_audit(
         assert err.startswith(f"invariant violation: {row}:")
 
 
-def swap_power_entries(pw, lg):
+def swap_power_entries(pw, n):
     pw[[2, 3]] = pw[[3, 2]]
 
 
-def shift_one_log(pw, lg):
-    lg[5] += 1
+def square_the_root(pw, n):
+    # pw[k]^2 = (g^2)^k: a cycle that keeps the recurrence, but of order (N - 1) / 2.
+    pw **= 2
+    pw %= n
 
 
-@pytest.mark.parametrize("corrupt", [swap_power_entries, shift_one_log])
+@pytest.mark.parametrize("corrupt", [swap_power_entries, square_the_root])
 def test_corrupted_log_tables_fail_their_audit(capsys, monkeypatch, fresh_tables, corrupt):
-    # Every state is read at pw[lg j + lg e]; the amplitude audits never read
-    # lg, so a wrong entry of either table is caught by the exact count alone.
-    exact = usdsep.instance._log_tables
+    # The correlations of the audits run over the power cycle; a wrong entry
+    # or a root that is not primitive is caught by the exact count, checked
+    # before the audits the cycle would spoil.
+    exact = usdsep.instance._power_cycle
 
     def corrupted(n):
-        pw, lg = exact(n)
-        corrupt(pw, lg)
-        return pw, lg
+        pw = exact(n)
+        corrupt(pw, n)
+        return pw
 
-    monkeypatch.setattr(usdsep.instance, "_log_tables", corrupted)
+    monkeypatch.setattr(usdsep.instance, "_power_cycle", corrupted)
     for n in ("13", "211"):
         rc, out, err = run_cli(capsys, "generate", "--n", n)
         assert rc == 3
@@ -865,7 +907,7 @@ def test_failed_reciprocal_bound_is_an_invariant_violation(capsys, monkeypatch):
 
 
 def test_generate_and_optimize_peak_memory(tmp_path, capsys, fresh_tables):
-    # Nothing of either command is O(N^2): the table record (56 B N), its
+    # Nothing of either command is O(N^2): the table record (24 B N), its
     # audits' fft buffers, the exponents and the label tuple, and for
     # optimize the report's 2D floats as Python objects and JSON text.
     # Measured with the table built afresh: about 145 B N for generate and

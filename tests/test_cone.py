@@ -152,6 +152,19 @@ def test_operator_set_rejects_norms_that_overflow():
             certify([[op, np.eye(2)] for op in ops])
 
 
+def test_operator_set_tells_an_underflowing_norm_from_a_zero_operator():
+    # Below about 1e-154 the squared norm leaves the normal range and the
+    # unit form loses its digits (1e-160 I would split off a second ray
+    # class), so a nonzero factor there is refused as too small; an exact
+    # zero stays a zero operator.
+    for scale in (1e-155, 1e-160, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="too small: a squared Frobenius norm underflows"):
+            certify([[scale * np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)]])
+    with pytest.raises(ValueError, match="zero operator has no ray"):
+        LocalOperatorSet((np.eye(2), np.zeros((2, 2)), 1e-160 * np.eye(2)))
+    assert distinct_rays(LocalOperatorSet((1e-150 * np.eye(2), np.eye(2)))).count == 1
+
+
 def test_operator_set_rejects_one_indefinite_factor_among_many():
     good = tuple(np.diag([1.0, t]).astype(complex) for t in np.linspace(0.0, 1.0, 20))
     LocalOperatorSet(good)
@@ -318,6 +331,18 @@ def test_certify_rejects_nonpositive_tol():
     for bad in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="tol"):
             certify(entries, tol=bad)
+
+
+def test_certify_takes_a_tol_whose_square_overflows():
+    # Unit rays lie at most 2 apart, so every tol past 2 joins each party's
+    # factors into one class, 1e300 and the largest float included.
+    e0 = np.diag([1.0, 0.0]).astype(complex)
+    e1 = np.diag([0.0, 1.0]).astype(complex)
+    entries = [[e0, e0], [e1, e1], [e0 + e1, np.full((2, 2), 0.5, dtype=complex)]]
+    for tol in (3.0, 1e100, 1e300, np.finfo(float).max, np.float64(1e300)):
+        rep = certify(entries, tol=tol)
+        assert [s.rays for s in rep.parties] == [1, 1], tol
+        assert rep.verdict == "SATISFIES"
 
 
 def test_borderline_residual_raises_warning_not_verdict_change():

@@ -59,18 +59,37 @@ def test_exponents_are_the_read_only_permutation_the_states_are_read_with():
 
 
 def test_log_tables_of_every_prime_below_20000():
-    # Exact integer checks, each table built afresh rather than read from the cache.
+    # The "log tables" row audits one power cycle.  Exact integer checks,
+    # each cycle built afresh rather than read from the cache.
+    errors = usdsep.instance._cycle_errors
     for n in (p for p in range(5, 20_000) if is_prime(p)):
-        pw, lg = usdsep.instance._log_tables(n)
-        order = n - 1
-        assert len(pw) == 2 * order + 1 and len(lg) == n + 1
-        assert np.array_equal(np.sort(pw[:order]), np.arange(1, n)), n
-        assert pw[0] == 1 and np.array_equal(pw[1:-1], pw[1] * pw[:-2] % n), n
-        assert np.array_equal(lg[pw[:order]], np.arange(order)), n
-        assert pw[-1] == 0 and lg[0] == lg[n] == 2 * order, n
+        pw = usdsep.instance._power_cycle(n)
+        assert len(pw) == n - 1
+        assert np.array_equal(np.sort(pw), np.arange(1, n)), n
+        assert pw[0] == 1 and np.array_equal(pw[1:], pw[1] * pw[:-1] % n), n
+        assert errors(pw) == 0, n
+        # The cycle of g^2 keeps the recurrence; only its order, (N - 1) / 2, is caught.
+        assert errors(pw**2 % n) == 1, n
 
 
-def test_log_gather_matches_the_mod_gather_bit_for_bit():
+def test_a_family_whose_reads_pass_int64_is_refused_before_any_allocation():
+    # A read's index j e is below N^2, so N^2 must stay below 2^63; the
+    # least prime past that bound is refused before any table exists.
+    n = 3037000507
+    assert is_prime(n) and (n - 8) ** 2 < 2**63 <= n * n
+    usdsep.instance._table.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"n = {n} is too large for its tables"):
+            make_instance(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
+    assert not usdsep.instance._table.records
+
+
+def test_reads_match_the_mod_gather_bit_for_bit():
     for n in (p for p in range(5, 402) if is_prime(p)):
         for dims in ascending_factorizations(n - 1):
             inst = make_instance(n, dims)
@@ -80,8 +99,8 @@ def test_log_gather_matches_the_mod_gather_bit_for_bit():
 
 
 def test_roots_are_evaluated_once_per_n(monkeypatch):
-    # The local factors, the amplitude table and the three audits all read
-    # the roots of unity; one cached table record per N serves them.
+    # The states, the local factors and the three audits all read the
+    # roots of unity; one cached table record per N serves them.
     exp, calls = np.exp, []
 
     def counted(*args, **kwargs):
@@ -99,6 +118,12 @@ def test_roots_are_evaluated_once_per_n(monkeypatch):
     assert first.residuals == second.residuals
 
 
+def test_a_state_label_of_any_integer_type_reads_the_same_row():
+    inst = make_instance(13, (2, 6))
+    for j in (np.int32(3), np.int64(3), np.uint8(3), np.uint64(3)):
+        assert inst.state(j).tobytes() == inst.state(3).tobytes() == inst.states[2].tobytes()
+
+
 def test_local_states_are_built_once_and_kept():
     inst = make_instance(13, (2, 6))
     assert inst.local_states is inst.local_states
@@ -108,27 +133,29 @@ def test_local_states_are_built_once_and_kept():
 
 
 def test_table_cache_holds_a_bounded_number_of_bytes(monkeypatch):
-    # A record is 56 B N; past the bound the least recently used records go,
-    # and the newest stays even when it alone is larger.
+    # A record is 24 B N - 8 (the cycle has N - 1 entries); past the bound
+    # the least recently used records go, and the newest stays even when it
+    # alone is larger.
     cache = usdsep.instance._table
-    monkeypatch.setattr(usdsep.instance, "_TABLE_BYTES", 56 * 3000)
+    monkeypatch.setattr(usdsep.instance, "_TABLE_BYTES", 24 * 3000)
     cache.cache_clear()
     try:
         for n in (1009, 1013, 1019, 1021):
             make_instance(n)
-            assert cache.held == sum(r.nbytes for r in cache.records.values()) <= 56 * 3000
+            assert cache.held == sum(r.nbytes for r in cache.records.values()) <= 24 * 3000
         assert list(cache.records) == [1019, 1021]
         make_instance(1019)
         make_instance(4051)
-        assert list(cache.records) == [4051] and cache.held == 56 * 4051 > 56 * 3000
+        assert list(cache.records) == [4051] and cache.held == 24 * 4051 - 8 > 24 * 3000
     finally:
         cache.cache_clear()
 
 
 def test_completeness_residual_peak_memory():
-    # Building and auditing a table holds the 56 B N record and a few
-    # length-N fft buffers, no (N, N) gather and no 262 MB state matrix:
-    # about 700 kB at N = 4051.  The first build loads numpy.fft.
+    # Building and auditing a table holds the 24 B N record, the audited
+    # roots / sqrt(D) and a few length-N fft buffers, no (N, N) gather and
+    # no 262 MB state matrix: about 460 kB at N = 4051.  The first build
+    # loads numpy.fft.
     n = 4051
     usdsep.instance._build_table(n)
     tracemalloc.start()
@@ -186,7 +213,7 @@ def test_large_families_pass_their_audits():
 def test_audits_keep_what_they_measured(n):
     inst = make_instance(n)
     table = usdsep.instance._table(n)
-    audits = usdsep.instance._audits(table.pw, table.roots, table.amplitudes)
+    audits = usdsep.instance._audits(table.pw, table.roots, table.roots / np.sqrt(n - 1))
     assert inst.residuals == {"log tables": 0, **audits}
     assert inst.residuals == table.residuals
     assert residuals_agree(inst.residuals["completeness"], dense_completeness_residual(inst))

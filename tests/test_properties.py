@@ -15,6 +15,10 @@ columns are a basis of the family's states, and a per-label tally of
 classified outcome tuples.
 """
 
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,9 +252,10 @@ def inverse_duals(inst, drop):
 @settings(max_examples=12, deadline=None, database=None)
 @given(instances(CLOSED_FORM_PRIMES), st.data())
 def test_closed_forms_match_the_definitions(inst, data):
+    states = inst.states
     for j in range(inst.n):
         got = kron_all([factor[j] for factor in inst.local_states])
-        assert np.max(np.abs(got - inst.states[j])) <= CLOSURE_BOUND
+        assert np.max(np.abs(got - states[j])) <= CLOSURE_BOUND
 
     kept, rows = inverse_duals(inst, inst.omit)
     reference = rows / np.linalg.norm(rows, axis=1)[:, None]
@@ -360,3 +365,35 @@ def test_sampled_tallies_match_a_per_label_reference(inst, copies, scale, seed, 
         reference = tally_reference(table, cells, m.indices, omit, trials)
         cfg = SimConfig(seed=seed, trials=trials, copies=n_copies)
         assert_report_matches(run_discrimination(inst, r, m, cfg), reference)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_is_reported_and_the_session_goes_on(tmp_path):
+    # To report a failing example hypothesis imports libcst, which warns a
+    # DeprecationWarning of its own; under this repo's warning filters that
+    # must be neither an error of the run nor hide the tests after it.
+    config = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(FAILING_PROPERTY)
+    options = ["-q", "-p", "no:cacheprovider", "-c", str(config), "--rootdir", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", *options, str(probe)],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout[-2000:]
