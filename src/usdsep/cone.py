@@ -20,7 +20,8 @@ A party's pass forms each quantity once and reads it wherever it is needed.
 A ray does not depend on scale, and K_1 x K_2 = (c K_1) x (K_2 / c) names
 the same outcome, so LocalOperatorSet divides the scale out once: finite
 Frobenius norms clear every entry at once, a norm of 0 or below the normal
-range names no ray, and every later test reads the unit stack M / ||M||_F.
+range names no ray, and it keeps only the unit stack M / ||M||_F, which
+every later test reads.
 The one vec_herm call splits it into its diagonal and triangles once; both
 the coordinates V and the asymmetry check read that split.  The ray screen
 is one Gram matrix of V, the witness reads V and the representatives, and
@@ -57,7 +58,7 @@ on the witness, which only saves solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,15 +85,15 @@ _TINY_NORM = float(np.finfo(float).tiny) ** 0.5  # the least norm whose square i
 
 @dataclass(frozen=True)
 class LocalOperatorSet:
-    """The factors one party contributes across all measurement outcomes.
+    """The factors one party contributes across all measurement outcomes, as rays.
 
-    ``ops`` may be given as any sequence of equal square matrices, d >= 1;
-    it is kept as a validated read-only (R, d, d) complex stack, copied once,
-    beside the read-only stack of its operators scaled to unit Frobenius norm.
+    ``ops`` may be given as any sequence of equal square matrices, d >= 1.
+    It is kept as one validated read-only (R, d, d) complex stack, copied
+    once, of their unit forms M / ||M||_F: a ray does not depend on scale,
+    so the raw scale is not kept.
     """
 
     ops: np.ndarray
-    _units: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.ops) == 0:
@@ -124,13 +125,12 @@ class LocalOperatorSet:
                 "operator entries too small: a squared Frobenius norm underflows float64 "
                 "(a nonzero operator needs an entry above about 1e-154)"
             )
-        # The float view times 1 / norm: the bits of complex division by a real.
-        units = (stack.view(float) * (1.0 / norms)[:, None, None]).view(complex)
-        _require_psd(units)
+        # The float view times 1 / norm, in place: the bits of complex division by a real.
+        flat = stack.view(float)
+        flat *= (1.0 / norms)[:, None, None]
+        _require_psd(stack)
         stack.setflags(write=False)
-        units.setflags(write=False)
         object.__setattr__(self, "ops", stack)
-        object.__setattr__(self, "_units", units)
 
     @property
     def dim(self) -> int:
@@ -224,9 +224,9 @@ def distinct_rays(s: LocalOperatorSet, tol: float = RAY_TOL) -> RayGroups:
     differ by at most ``tol``; positive operators leave no sign ambiguity.
     Each operator joins the first class whose representative is that close,
     and otherwise becomes the representative of a new class.  The forms
-    are LocalOperatorSet's unit stack, which refused zero operators.
+    are ``s.ops``, already of unit norm; LocalOperatorSet refused zero operators.
     """
-    units = s._units
+    units = s.ops
     coords = vec_herm(units)
     # Screen: unit vectors within tol have a Gram entry of at least
     # 1 - tol**2 / 2.  Rounding in the normalization, in vec_herm and in a
@@ -357,7 +357,7 @@ def _near_identity(s: LocalOperatorSet) -> bool:
     in the flattened matrix are the first d of each run of d + 1 entries
     after a diagonal one.
     """
-    units, d = s._units, s.dim
+    units, d = s.ops, s.dim
     diag = units.diagonal(axis1=1, axis2=2)
     mean = diag.sum(axis=1) / d
     if np.abs(mean).min() < math.sqrt((1.0 - 1e-6) / d):

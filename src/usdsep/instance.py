@@ -67,10 +67,10 @@ gather and an elementwise divide commute), and a fourth, exact audit
 counts the entries of pw that break the cycle, so the sums run over every
 residue.  The index j e of a read is below N^2, which must fit in int64:
 an N with N^2 >= 2^63 is refused before anything is allocated.  Each N's
-roots, cycle and residuals are built once and cached, within _TABLE_BYTES;
-make_instance checks the residuals against numerics.BOUNDS: none may
-break the cycle (the "log tables" row), and the other three keep the
-growth laws in N stated there.
+roots and residuals are built once and cached, within _TABLE_BYTES, and
+the cycle lives only while they are built; make_instance checks the
+residuals against numerics.BOUNDS: none may break the cycle (the "log
+tables" row), and the other three keep the growth laws in N stated there.
 
 Completeness and the null relation prove every overlap audit of the
 reciprocal states and of the duals.  With eps and delta their residuals,
@@ -119,8 +119,8 @@ __all__ = [
 
 _RADER_FROM = 128  # least N whose audit sums are correlations (module docstring)
 _FFT_RADIX = 11  # largest prime with its own numpy.fft pass; a larger one costs accuracy
-# The per-N table cache holds at most 64 MiB of records, 24 B N each: the
-# tables of every prime below 6833 at once, or one near N = 2.8 * 10^6.
+# The per-N table cache holds at most 64 MiB of records, 16 B N each: the
+# tables of every prime below 8527 at once, or one near N = 4.2 * 10^6.
 _TABLE_BYTES = 1 << 26
 
 
@@ -160,15 +160,14 @@ def ascending_factorizations(d: int, min_factor: int = 2) -> list[tuple[int, ...
 
 @dataclass(frozen=True)
 class _Table:
-    """Everything a family of prime N reads, all read-only and O(N): 24 B N in all."""
+    """Everything a family of prime N reads: its read-only roots, 16 B N, and their audits."""
 
-    pw: np.ndarray  # (N - 1,) g^k mod N over one cycle, read only by _rader_sums
     roots: np.ndarray  # (N,) omega^t, the one table every read gathers
     residuals: dict  # the cycle count and the three audits of roots / sqrt(D), measured once
 
     @property
     def nbytes(self) -> int:
-        return self.pw.nbytes + self.roots.nbytes
+        return self.roots.nbytes
 
     def read(self, labels, exponents, dim: int) -> np.ndarray:
         """roots[j e mod N] / sqrt(dim) over the outer grid of labels j and exponents e."""
@@ -207,13 +206,12 @@ _table = _TableCache()
 
 
 def _build_table(n: int) -> _Table:
-    """The power cycle, the roots and the four audit residuals of prime n (module docstring)."""
+    """The roots and four audit residuals of prime n; the power cycle they read is dropped."""
     pw, roots = _power_cycle(n), _roots(n)
-    for a in (pw, roots):
-        a.setflags(write=False)
+    roots.setflags(write=False)
     # roots / sqrt(D) is bitwise every state read: a gather and a divide commute.
     residuals = {"log tables": _cycle_errors(pw), **_audits(pw, roots, roots / np.sqrt(n - 1))}
-    return _Table(pw, roots, residuals)
+    return _Table(roots, residuals)
 
 
 def _power_cycle(n: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Tests for the extreme-ray certificate against finite-round protocols."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,20 @@ def test_distinct_rays_groups_by_positive_scale():
     assert rays.representatives.shape == (2, 2, 2)
     assert not rays.representatives.flags.writeable
     assert np.array_equal(rays.representatives, np.stack([a, b]))
+
+
+def test_operator_set_keeps_one_unit_stack():
+    # A ray does not depend on scale, so the set keeps the unit forms
+    # M / ||M||_F in place of the operators: one read-only (R, d, d) array.
+    rng = np.random.default_rng(35)
+    ops = [10.0 ** rng.uniform(-100, 100) * rand_psd(rng, 4) for _ in range(6)]
+    s = LocalOperatorSet(ops)
+    assert s.ops.shape == (6, 4, 4) and not s.ops.flags.writeable
+    assert np.max(np.abs(np.linalg.norm(s.ops, axis=(1, 2)) - 1.0)) <= 1e-15
+    for got, op in zip(s.ops, ops):
+        assert np.allclose(got, op / np.linalg.norm(op), rtol=0.0, atol=1e-15)
+    arrays = [v for v in vars(s).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0] is s.ops
 
 
 def first_match_rays(ops, tol):
@@ -615,3 +631,70 @@ def test_certify_decides_positivity_without_eigenvalues(monkeypatch):
     with pytest.raises(ValueError, match="positive semidefinite"):
         certify(entries)
     assert calls
+
+
+def test_certify_peak_memory_holds_one_stack_per_party():
+    # Each party holds one (R, d, d) stack of unit forms, with no copy of
+    # the raw operators beside it: on (71; 5, 14), whose d = 14 stack is
+    # 218 KiB, the traced peak of certify is about 807 KiB (1025 KiB with
+    # both stacks held).
+    entries = family_product_ops(make_instance(71, (5, 14)))
+    certify(entries)
+    tracemalloc.start()
+    try:
+        certify(entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 850 * 1024, peak
+
+
+# certify on the benchmark's families and two copies of N = 5, pinned from
+# the route that held the raw stack beside the unit forms: (total, bound,
+# each party's least witness bound).  Every report there VIOLATES with no
+# warning and no note, and every party counts its R generators as R rays,
+# all extreme, none skipped and none left to NNLS.
+PINNED_REPORTS = {
+    (29, (4, 7), 1): (58, 56, (0.035111490689432624, 0.08588872603859213)),
+    (29, (2, 2, 7), 1): (
+        87, 56, (0.011827160748996028, 0.011827160748996025, 0.08588872603859213),
+    ),
+    (37, (3, 3, 4), 1): (
+        111, 72, (0.013757741071913, 0.013757741071913031, 0.021275239180257755),
+    ),
+    (43, (2, 3, 7), 1): (
+        129, 84, (0.005356782140362735, 0.010154737601671914, 0.036717515244317045),
+    ),
+    (53, (2, 2, 13), 1): (
+        159, 104, (0.0035217897804662363, 0.003521789780466362, 0.06407493015548534),
+    ),
+    (71, (5, 14), 1): (142, 140, (0.007906412386725603, 0.038141197051932654)),
+    (61, (2, 2, 3, 5), 1): (
+        244, 120,
+        (0.0026570943019222503, 0.002657094301922252, 0.005023551880848293, 0.010747387755618556),
+    ),
+    (73, (2, 2, 2, 3, 3), 1): (
+        365, 144,
+        (0.0018543415734935972, 0.001854341573493544, 0.001854341573493544,
+         0.0035030550836789498, 0.0035030550836789498),
+    ),
+    (101, (4, 5, 5), 1): (
+        303, 200, (0.0028012663898126402, 0.0038883156688963344, 0.0038883156688963344),
+    ),
+    (5, None, 2): (50, 48, (0.2915245845340475, 0.29152458453404767)),
+}
+
+
+@pytest.mark.parametrize("n, dims, copies", FAMILY_CASES)
+def test_certify_families_match_the_pinned_reports(n, dims, copies):
+    total, bound, bounds = PINNED_REPORTS[n, dims, copies]
+    rep = certify(family_product_ops(make_instance(n, dims), copies))
+    assert (rep.total, rep.bound, rep.verdict) == (total, bound, "VIOLATES")
+    assert (rep.warnings, rep.note) == ((), "")
+    r = n**copies
+    for alpha, stat in enumerate(rep.parties):
+        assert (stat.party, stat.generators, stat.rays, stat.extreme) == (alpha, r, r, r)
+        assert (stat.skipped, stat.nnls_solves) == (False, 0)
+    # The bound sums O(1) terms through BLAS: equal here, and within 1e-12
+    # relative wherever another BLAS kernel rounds them differently.
+    assert [s.min_witness_bound for s in rep.parties] == pytest.approx(bounds, rel=1e-12)

@@ -1,5 +1,6 @@
 """Tests for the product-state family construction and its dual structures."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -132,27 +133,37 @@ def test_local_states_are_built_once_and_kept():
     assert inst.retained is inst.retained
 
 
+def test_a_table_record_is_its_roots():
+    # The power cycle is read only while the record is built, so a record
+    # keeps the roots and the residuals: 16 B N.
+    record = usdsep.instance._table(1009)
+    assert [f.name for f in dataclasses.fields(record)] == ["roots", "residuals"]
+    assert not hasattr(record, "pw")
+    assert record.nbytes == record.roots.nbytes == 16 * 1009
+    assert not record.roots.flags.writeable
+
+
 def test_table_cache_holds_a_bounded_number_of_bytes(monkeypatch):
-    # A record is 24 B N - 8 (the cycle has N - 1 entries); past the bound
+    # A record is its 16 B N of roots; past the bound
     # the least recently used records go, and the newest stays even when it
     # alone is larger.
     cache = usdsep.instance._table
-    monkeypatch.setattr(usdsep.instance, "_TABLE_BYTES", 24 * 3000)
+    monkeypatch.setattr(usdsep.instance, "_TABLE_BYTES", 16 * 3000)
     cache.cache_clear()
     try:
         for n in (1009, 1013, 1019, 1021):
             make_instance(n)
-            assert cache.held == sum(r.nbytes for r in cache.records.values()) <= 24 * 3000
+            assert cache.held == sum(r.nbytes for r in cache.records.values()) <= 16 * 3000
         assert list(cache.records) == [1019, 1021]
         make_instance(1019)
         make_instance(4051)
-        assert list(cache.records) == [4051] and cache.held == 24 * 4051 - 8 > 24 * 3000
+        assert list(cache.records) == [4051] and cache.held == 16 * 4051 > 16 * 3000
     finally:
         cache.cache_clear()
 
 
 def test_completeness_residual_peak_memory():
-    # Building and auditing a table holds the 24 B N record, the audited
+    # Building and auditing a table holds the 16 B N record, the audited
     # roots / sqrt(D) and a few length-N fft buffers, no (N, N) gather and
     # no 262 MB state matrix: about 460 kB at N = 4051.  The first build
     # loads numpy.fft.
@@ -213,7 +224,8 @@ def test_large_families_pass_their_audits():
 def test_audits_keep_what_they_measured(n):
     inst = make_instance(n)
     table = usdsep.instance._table(n)
-    audits = usdsep.instance._audits(table.pw, table.roots, table.roots / np.sqrt(n - 1))
+    pw = usdsep.instance._power_cycle(n)
+    audits = usdsep.instance._audits(pw, table.roots, table.roots / np.sqrt(n - 1))
     assert inst.residuals == {"log tables": 0, **audits}
     assert inst.residuals == table.residuals
     assert residuals_agree(inst.residuals["completeness"], dense_completeness_residual(inst))

@@ -101,8 +101,8 @@ def gathered_audits(table, exponents):
 
 def table_audits(n, table):
     """The three audits of ``table`` by the route make_instance takes at n."""
-    record = usdsep.instance._table(n)
-    return usdsep.instance._audits(record.pw, record.roots, table)
+    pw, roots = usdsep.instance._power_cycle(n), usdsep.instance._table(n).roots
+    return usdsep.instance._audits(pw, roots, table)
 
 
 @settings(max_examples=15, deadline=None, database=None)
@@ -127,9 +127,9 @@ def test_rader_and_ratio_routes_sum_the_dense_product_of_any_table(n):
     # not depend on their order, so no state matrix of the family is built.
     rng = np.random.default_rng(n)
     table = rng.normal(size=n) + 1j * rng.normal(size=n)
-    record = usdsep.instance._table(n)
-    rader = usdsep.instance._rader_sums(record.pw, record.roots, table)
-    gather = usdsep.instance._gather_sums(record.pw, record.roots, table)
+    pw, roots = usdsep.instance._power_cycle(n), usdsep.instance._table(n).roots
+    rader = usdsep.instance._rader_sums(pw, roots, table)
+    gather = usdsep.instance._gather_sums(pw, roots, table)
     assert np.max(np.abs(rader[0] - gather[0])) <= 1e-13 * gather[0][1].real  # A(1) = sum |t|^2
     assert np.max(np.abs(rader[1] - gather[1])) <= 1e-13 * np.sqrt(n) * np.abs(table).max()
     dense = gathered_audits(table, np.arange(n - 1))
