@@ -66,7 +66,8 @@ t = roots / sqrt(D) itself, which is bitwise every state a read returns (a
 gather and an elementwise divide commute), and a fourth, exact audit
 counts the entries of pw that break the cycle, so the sums run over every
 residue.  The index j e of a read is below N^2, which must fit in int64:
-an N with N^2 >= 2^63 is refused before anything is allocated.  Each N's
+an N with N^2 >= 2^63 is refused before anything is allocated, as are a
+composite N and an N whose build would not fit in the memory left.  Each N's
 roots and residuals are built once and cached, within _TABLE_BYTES, and
 the cycle lives only while they are built; make_instance checks the
 residuals against numerics.BOUNDS: none may break the cycle (the "log
@@ -206,7 +207,25 @@ _table = _TableCache()
 
 
 def _build_table(n: int) -> _Table:
-    """The roots and four audit residuals of prime n; the power cycle they read is dropped."""
+    """The roots and four audit residuals of prime n; the power cycle they read is dropped.
+
+    Refused before anything is allocated: an n with n^2 >= 2^63, as a
+    read's index j e < n^2 must fit in int64 (ValueError); a composite n,
+    by trial division of under 55,000 steps below that bound (ValueError);
+    and an n whose build would not fit in memory (MemoryError).
+    """
+    if n * n >= 1 << 63:
+        raise ValueError(f"n = {n} is too large for its tables: n^2 must stay below 2^63")
+    if not is_prime(n):
+        raise ValueError(f"n must be a prime >= 5, got {n}")
+    need = _build_bytes(n)
+    if need > _TABLE_BYTES:  # a build the cache could hold needs no query
+        limit, source = _memory_limit()
+        if need > limit:
+            raise MemoryError(
+                f"n = {n} needs about {need / 2**20:.0f} MiB to build its tables, "
+                f"over the {limit / 2**20:.0f} MiB of {source}"
+            )
     pw, roots = _power_cycle(n), _roots(n)
     roots.setflags(write=False)
     # roots / sqrt(D) is bitwise every state read: a gather and a divide commute.
@@ -214,18 +233,44 @@ def _build_table(n: int) -> _Table:
     return _Table(roots, residuals)
 
 
-def _power_cycle(n: int) -> np.ndarray:
-    """pw[k] = g^k mod prime n for k < n - 1, g the least primitive root.
+def _build_bytes(n: int) -> int:
+    """The peak bytes of _build_table(n): at most 1.25 times the traced peak from N = 128 up.
 
-    An n with n^2 >= 2^63 is refused first, as a read's index j e < n^2 must
-    fit in int64; pw is then allocated before any trial division, so an n
-    past memory is a MemoryError at once; a composite n is a ValueError.
+    The cycle, the roots and the audited table hold 40 B N, and Python's
+    own objects about 1.2 kB.  The fft route adds 36 B per entry of its
+    length and of D (traced: 72 B D at length D, 36-40 B per padded entry),
+    the (N, N) gather below _RADER_FROM 32 B N^2.
     """
-    if n * n >= 1 << 63:
-        raise ValueError(f"n = {n} is too large for its tables: n^2 must stay below 2^63")
+    d = n - 1
+    return 2048 + 40 * n + (36 * (_fft_size(d) + d) if n >= _RADER_FROM else 32 * n * n)
+
+
+def _memory_limit() -> tuple[float, str]:
+    """The bytes this process may still allocate, and their source.
+
+    The smaller of MemAvailable (/proc/meminfo) and the soft RLIMIT_AS; one
+    that cannot be read limits nothing.
+    """
+    limits = [(math.inf, "no limit")]
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(line.split()[1]) for line in f if line.startswith("MemAvailable:"))
+        limits.append((1024 * kib, "MemAvailable"))
+    except (OSError, StopIteration, ValueError):
+        pass
+    try:
+        import resource
+    except ImportError:  # not every platform has resource limits
+        return min(limits)
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY:
+        limits.append((soft, "the soft RLIMIT_AS"))
+    return min(limits)
+
+
+def _power_cycle(n: int) -> np.ndarray:
+    """pw[k] = g^k mod prime n for k < n - 1, g the least primitive root."""
     pw = np.empty(n - 1, dtype=np.int64)
-    if not is_prime(n):
-        raise ValueError(f"n must be a prime >= 5, got {n}")
     order, qs = n - 1, set(prime_factors(n - 1))
     g = next(g for g in range(2, n) if all(pow(g, order // q, n) != 1 for q in qs))
     pw[0], filled = 1, 1
@@ -292,12 +337,10 @@ def _gather_sums(pw, roots, table) -> tuple[np.ndarray, np.ndarray]:
 def _rader_sums(pw, roots, table) -> tuple[np.ndarray, np.ndarray]:
     """The sums of _gather_sums as correlations over g^a sharing one fft (module docstring).
 
-    Transforms run in place where they can: at N = 10^6 the peak of a
-    table's build and audits, the record included, is about 125 B N.
+    Transforms run in place where they can; _build_bytes bounds the peak.
     """
     n, d, t0 = len(table), len(table) - 1, table[0]
-    # Length D when its prime factors have fixed fft passes, else a padded power of two.
-    size = d if max(prime_factors(d)) <= _FFT_RADIX else 1 << (2 * d - 1).bit_length()
+    size = _fft_size(d)
     cross = np.fft.fft(roots[pw].conj(), size)
     x = np.fft.fft(table[pw], size)
     np.conjugate(cross, out=cross)
@@ -312,6 +355,11 @@ def _rader_sums(pw, roots, table) -> tuple[np.ndarray, np.ndarray]:
     ratios = np.full(n, t0 * table.conj().sum())
     ratios[pw] = _circular(x, d, abs(t0) ** 2)
     return ratios, relation
+
+
+def _fft_size(d: int) -> int:
+    """Length D when its prime factors have fixed fft passes, else a padded power of two."""
+    return d if max(prime_factors(d)) <= _FFT_RADIX else 1 << (2 * d - 1).bit_length()
 
 
 def _circular(spectrum: np.ndarray, d: int, shift) -> np.ndarray:
@@ -458,10 +506,10 @@ def make_instance(n: int, dims=None, omit: int = 1) -> Instance:
     ------
     ValueError for a float, bool or string where an integer belongs (it is
     never truncated), non-prime n, a bad factorization, or omit out of
-    range or n^2 >= 2^63; MemoryError for an n whose tables (24 B N) cannot
-    be allocated.  The checks that need no trial division run first, and
-    the tables are allocated before it.  InvariantError when a residual of
-    n's table is past its numerics.BOUNDS law.
+    range or n^2 >= 2^63; MemoryError, before anything is allocated, for
+    an n whose table build would not fit in the memory left (_build_table).
+    InvariantError when a residual of n's table is past its numerics.BOUNDS
+    law.
     """
     if not all(map(_is_integer, [n, omit] if dims is None else [n, omit, *dims])):
         raise ValueError(

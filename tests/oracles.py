@@ -213,14 +213,25 @@ def reference_vec_herm(h):
 
 
 def reference_stack(ops) -> np.ndarray:
-    """The validated (R, d, d) stack, positivity decided by eigvalsh alone."""
+    """The validated (R, d, d) stack, positivity decided by eigvalsh alone; refused, as
+    cone.LocalOperatorSet refuses it, when a squared Frobenius norm is zero, underflows
+    or overflows."""
     stack = np.array(ops, dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
         raise ValueError("operators must share one square dimension")
     if not np.all(np.isfinite(stack)):
         raise ValueError("operators must have finite entries")
-    if np.any(np.linalg.norm(stack, axis=(1, 2)) < np.finfo(float).tiny):
+    # Each norm from the stack over its largest entry, which neither squares
+    # to an overflow nor underflows: the refusals read the exact norm.
+    largest = np.abs(stack).max(axis=(1, 2))
+    if np.any(largest == 0.0):
         raise ValueError("zero operator has no ray")
+    norms = largest * np.linalg.norm(stack / largest[:, None, None], axis=(1, 2))
+    # The certificate squares each norm, so the square must be a finite normal float64.
+    if np.any(norms < np.sqrt(np.finfo(float).tiny)):
+        raise ValueError("operator entries too small: a squared Frobenius norm underflows float64")
+    if np.any(norms > np.sqrt(np.finfo(float).max)):
+        raise ValueError("operator entries too large: a squared Frobenius norm overflows float64")
     if eigvalsh_rejects(stack):
         raise ValueError("operators must be positive semidefinite")
     return stack

@@ -513,6 +513,55 @@ def test_family_whose_reads_pass_int64_is_an_input_error(capsys):
     assert err.startswith("error: n = 3037000507 is too large for its tables")
 
 
+def test_a_table_past_the_memory_left_is_refused_before_any_allocation(capsys, monkeypatch):
+    # The build at N = 1000003 peaks near 123 MB (the padded fft route);
+    # with 100 MiB left it is refused from the estimate alone.
+    import usdsep.instance
+
+    monkeypatch.setattr(usdsep.instance, "_memory_limit", lambda: (100 * 2**20, "MemAvailable"))
+    usdsep.instance._table.cache_clear()
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(capsys, "generate", "--n", "1000003")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (2, "")
+    assert err == "error: n = 1000003 needs about 144 MiB to build its tables, over the 100 MiB of MemAvailable\n"
+    assert peak < 1 << 20, peak
+    assert not usdsep.instance._table.records
+
+
+# Runs the CLI with its address space capped at 1 GiB: an allocation past
+# the cap is a MemoryError, never an out-of-memory kill of the machine.
+CAPPED_MAIN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+    "from usdsep.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def test_a_table_past_the_address_space_limit_exits_2_with_its_estimate():
+    # N = 10000019 (D = 2 7^2 67 1523, the padded route) needs about
+    # 1.9 GiB to build, over the 1 GiB the child may map.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, "generate", "--n", "10000019"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: n = 10000019 needs about 1877 MiB to build its tables, "
+        "over the 1024 MiB of the soft RLIMIT_AS\n"
+    )
+
+
 def test_simulate_default(capsys):
     payload, _ = run_json(
         capsys, "simulate", "--n", "5", "--trials", "2000", "--seed", "7"

@@ -181,6 +181,22 @@ def test_operator_set_tells_an_underflowing_norm_from_a_zero_operator():
     assert distinct_rays(LocalOperatorSet((1e-150 * np.eye(2), np.eye(2)))).count == 1
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+@pytest.mark.parametrize("n, dims, copies", [(5, None, 1), (29, (4, 7), 1), (5, None, 2)])
+def test_certify_and_the_reference_route_refuse_the_same_scales(n, dims, copies, scale):
+    # A factor whose squared Frobenius norm leaves the normal float64 range,
+    # in any party, is refused by both routes with the same reason.
+    entries = [list(entry) for entry in family_product_ops(make_instance(n, dims), copies)]
+    for alpha in range(len(entries[0])):
+        scaled = [list(entry) for entry in entries]
+        scaled[3][alpha] = scale * scaled[3][alpha]
+        with pytest.raises(ValueError, match="squared Frobenius norm") as want:
+            reference_certify(scaled)
+        with pytest.raises(ValueError) as got:
+            certify(scaled)
+        assert str(got.value).startswith(str(want.value))
+
+
 def test_operator_set_rejects_one_indefinite_factor_among_many():
     good = tuple(np.diag([1.0, t]).astype(complex) for t in np.linspace(0.0, 1.0, 20))
     LocalOperatorSet(good)

@@ -162,6 +162,21 @@ def test_table_cache_holds_a_bounded_number_of_bytes(monkeypatch):
         cache.cache_clear()
 
 
+@pytest.mark.parametrize("n", [131, 211, 2003, 4051, 32771, 65537, 100003])
+def test_build_bytes_bounds_the_traced_peak(n):
+    # Both fft routes: length D at 211, 4051 and 65537, padded at 131,
+    # 2003, 32771 and 100003.  The estimate that admits a build is never
+    # under its traced peak, and at most 1.25 times it.
+    usdsep.instance._build_table(n)
+    tracemalloc.start()
+    try:
+        usdsep.instance._build_table(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= usdsep.instance._build_bytes(n) <= 1.25 * peak, peak
+
+
 def test_completeness_residual_peak_memory():
     # Building and auditing a table holds the 16 B N record, the audited
     # roots / sqrt(D) and a few length-N fft buffers, no (N, N) gather and
