@@ -234,12 +234,13 @@ def _build_table(n: int) -> _Table:
 
 
 def _build_bytes(n: int) -> int:
-    """The peak bytes of _build_table(n): at most 1.25 times the traced peak from N = 128 up.
+    """The peak bytes of _build_table(n), never under its traced peak.
 
     The cycle, the roots and the audited table hold 40 B N, and Python's
     own objects about 1.2 kB.  The fft route adds 36 B per entry of its
-    length and of D (traced: 72 B D at length D, 36-40 B per padded entry),
-    the (N, N) gather below _RADER_FROM 32 B N^2.
+    length P and of D (traced: 72 B D when P = D, 36-40 B P when padded),
+    at most 1.25 times the traced peak in all; the (N, N) gather below
+    _RADER_FROM adds 32 B N^2, at most 1.33 times.
     """
     d = n - 1
     return 2048 + 40 * n + (36 * (_fft_size(d) + d) if n >= _RADER_FROM else 32 * n * n)

@@ -22,6 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import usdsep.cli
+import usdsep.instance
 import usdsep.numerics
 import usdsep.usd
 from usdsep import (
@@ -516,8 +517,6 @@ def test_family_whose_reads_pass_int64_is_an_input_error(capsys):
 def test_a_table_past_the_memory_left_is_refused_before_any_allocation(capsys, monkeypatch):
     # The build at N = 1000003 peaks near 123 MB (the padded fft route);
     # with 100 MiB left it is refused from the estimate alone.
-    import usdsep.instance
-
     monkeypatch.setattr(usdsep.instance, "_memory_limit", lambda: (100 * 2**20, "MemAvailable"))
     usdsep.instance._table.cache_clear()
     tracemalloc.start()
