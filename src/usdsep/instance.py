@@ -104,7 +104,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import check
-from .serialize import pairs_to_matrix
 
 __all__ = [
     "Instance",
@@ -588,30 +587,22 @@ def instance_from_dict(payload: dict) -> Instance:
 
     ``n``, ``omit`` and every entry of the ``dims`` list must be integers;
     a float, a bool or a string is a malformed payload, not truncated.
-    A ``states`` array, which files of earlier versions carry, is compared
-    against the rebuilt family; a mismatch beyond 1e-9 means the file was
-    edited or corrupted and is rejected rather than trusted.
+    A ``states`` array, which files of earlier versions carry, is refused
+    before anything is built: the parameters fix the family, and a fresh
+    ``usdsep generate`` writes them alone.
     """
     try:
         n, dims, omit = payload["n"], payload["dims"], payload["omit"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance payload: {exc}") from exc
+    if "states" in payload:
+        raise ValueError(
+            "instance payload holds 'states', as files of earlier versions do; "
+            "write a fresh file with usdsep generate"
+        )
     if not isinstance(dims, list) or not all(map(_is_integer, [n, omit, *dims])):
         raise ValueError(
             f"malformed instance payload: n, omit and each of dims must be integers, "
             f"got n={n!r}, dims={dims!r}, omit={omit!r}"
         )
-    inst = make_instance(n, dims, omit)
-    if "states" not in payload:
-        return inst
-    try:
-        stored = pairs_to_matrix(payload["states"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed state array: {exc}") from exc
-    shape = (inst.n, inst.total_dim)
-    if stored.shape != shape:
-        raise ValueError(f"state array shape {stored.shape} does not match {shape}")
-    gap = float(np.max(np.abs(stored - inst.states)))
-    if gap > 1e-9:
-        raise ValueError(f"stored states deviate from the family by {gap:.3e}")
-    return inst
+    return make_instance(n, dims, omit)

@@ -5,17 +5,13 @@ module writes them.  Floats take the shortest text that parses back to the
 same double, so loading an emitted file and emitting it again reproduces
 the same bytes.  A 1-D float64 array at the top level of a report (the
 per-label weights and overlaps of ``optimize``) is written here rather than
-as a list: the distinct values, told apart by their bits so that -0.0 and
-0.0 stay two values, are written once by json itself, and its texts are
-repeated where the values repeat and joined with json's ", " separator.
-The bytes are those of ``json.dumps(array.tolist())``; an optimal report's
-2D entries hold two distinct values, so they cost two formats rather than
-2D.  An array in which nothing repeats is written as its list, at the cost
-of one sort more.  NaN and infinities are not JSON and raise ValueError,
-both when written (in a list or in an array) and when read as [re, im]
-pairs.  Complex matrices are only read, never written: the nested [re, im]
-pairs of a certify measurement file, or of the states in an instance file
-from an earlier version.
+as a list, with the bytes of ``json.dumps(array.tolist())``.  When all its
+entries share one bit pattern, as every array of an optimal report does,
+that value is formatted once and its text repeated; any other array is
+written as its list.  NaN and infinities are not JSON and raise
+ValueError, both when written (in a list or in an array) and when read as
+[re, im] pairs.  Complex matrices are only read, never written: the nested
+[re, im] pairs of a certify measurement file.
 """
 
 from __future__ import annotations
@@ -52,21 +48,18 @@ def _is_float_vector(value) -> bool:
 
 
 def _array_text(arr: np.ndarray) -> str:
-    """``json.dumps(arr.tolist(), allow_nan=False)``, formatting each distinct value once."""
+    """``json.dumps(arr.tolist(), allow_nan=False)``, formatting an all-equal array's value once."""
     bits = arr.view(np.int64)
-    if arr.size and (bits == bits[0]).all():  # an optimal report's arrays, with no sort
+    if arr.size and (bits == bits[0]).all():  # an optimal report's arrays
         return f"[{', '.join([json.dumps(float(arr[0]), allow_nan=False)] * arr.size)}]"
-    ordered = np.sort(bits)
-    if (ordered[1:] != ordered[:-1]).all():  # nothing repeats, so json formats each value once too
-        return json.dumps(arr.tolist(), allow_nan=False)
-    bits, inverse = np.unique(bits, return_inverse=True)
-    # json writes the distinct values as a list, no float text holds ", ", and non-finite ones raise.
-    texts = json.dumps(bits.view(np.float64).tolist(), allow_nan=False)[1:-1].split(", ")
-    return f"[{', '.join(np.array(texts, dtype=object)[inverse].tolist())}]"
+    return json.dumps(arr.tolist(), allow_nan=False)
 
 
 def pairs_to_matrix(rows) -> np.ndarray:
-    """Complex matrix from nested [re, im] pairs of finite numbers; else a ValueError."""
+    """Complex matrix from nested [re, im] pairs of finite numbers; else a ValueError.
+
+    It reads the factor matrices of a certify measurement file.
+    """
     arr = np.asarray(rows)
     if arr.ndim != 3 or arr.shape[-1] != 2 or arr.dtype.kind not in "iuf":
         raise ValueError(

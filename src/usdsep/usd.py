@@ -72,10 +72,6 @@ class WeightedMeasurement:
     # secular equation; it matches a dense eigvalsh to a few D * eps.
     min_eigenvalue: float
 
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
-
 
 @dataclass(frozen=True)
 class UsdReport:

@@ -187,6 +187,23 @@ def test_optimize_bad_instance_files(tmp_path, capsys):
     assert "malformed instance payload" in err
 
 
+def test_optimize_refuses_an_instance_file_with_states(tmp_path, capsys):
+    # Earlier versions wrote the amplitudes too; such a file is refused
+    # with a request for a fresh one, which then reads as before.
+    path = tmp_path / "inst.json"
+    states = [[[0.5, 0.0]] * 4] * 5
+    path.write_text(json.dumps({"n": 5, "dims": [2, 2], "omit": 1, "states": states}))
+    rc, out, err = run_cli(capsys, "optimize", "--instance", str(path))
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: instance payload holds 'states', as files of earlier versions do; "
+        "write a fresh file with usdsep generate\n"
+    )
+    run_cli(capsys, "generate", "--n", "5", "--out", str(path))
+    payload, _ = run_json(capsys, "optimize", "--instance", str(path))
+    assert payload["failure_probability"] == 0.5
+
+
 def test_optimize_requires_a_source(capsys):
     rc, _, err = run_cli(capsys, "optimize")
     assert rc == 2
@@ -370,6 +387,10 @@ def test_certify_measurement_file_must_be_a_list(tmp_path, capsys):
         path.write_text(json.dumps(payload))
         rc, _, _ = run_cli(capsys, "certify", "--measurement", str(path))
         assert rc == 2
+    # One product operator with no factor at all.
+    path.write_text("[[]]")
+    rc, out, err = run_cli(capsys, "certify", "--measurement", str(path))
+    assert (rc, out, err) == (2, "", "error: product operators need at least one factor\n")
 
 
 def test_certify_measurement_file_with_overflowing_norms(tmp_path, capsys):
@@ -791,6 +812,21 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
     assert "all checks passed" in out
     assert "closed-form states" in out
+
+
+def test_a_failing_verify_row_exits_3(capsys, monkeypatch):
+    # A row past its bound is printed FAIL, the other rows still run, and
+    # verify ends as an invariant violation.
+    bound = usdsep.cli.bound
+    monkeypatch.setattr(
+        usdsep.cli, "bound", lambda name, n: -1.0 if name == "failure 1/2" else bound(name, n)
+    )
+    rc, out, err = run_cli(capsys, "verify", "--n", "5")
+    assert rc == 3
+    *rows, last = out.splitlines()
+    assert [row.split()[1:4] for row in rows if " FAIL " in row] == [["failure", "1/2", "FAIL"]]
+    assert "closed-form reciprocals" in rows[-1] and last == "verify: CHECKS FAILED"
+    assert err == "invariant violation: verification checks failed\n"
 
 
 def test_verify_rejects_empty(capsys):

@@ -154,6 +154,8 @@ def test_operator_set_validation():
         LocalOperatorSet((empty, empty))
     with pytest.raises(ValueError, match="one square dimension"):
         certify([[empty, empty]])
+    with pytest.raises(ValueError, match="product operators need at least one factor"):
+        certify([[]])
 
 
 def test_operator_set_rejects_norms_that_overflow():

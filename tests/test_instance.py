@@ -1,7 +1,11 @@
 """Tests for the product-state family construction and its dual structures."""
 
 import dataclasses
+import io
+import math
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -123,6 +127,9 @@ def test_a_state_label_of_any_integer_type_reads_the_same_row():
     inst = make_instance(13, (2, 6))
     for j in (np.int32(3), np.int64(3), np.uint8(3), np.uint64(3)):
         assert inst.state(j).tobytes() == inst.state(3).tobytes() == inst.states[2].tobytes()
+    for j in (0, 14):
+        with pytest.raises(ValueError, match=f"state label {j} out of range 1..13"):
+            inst.state(j)
 
 
 def test_local_states_are_built_once_and_kept():
@@ -160,6 +167,35 @@ def test_table_cache_holds_a_bounded_number_of_bytes(monkeypatch):
         assert list(cache.records) == [4051] and cache.held == 16 * 4051 > 16 * 3000
     finally:
         cache.cache_clear()
+
+
+def _fake_rlimit(soft):
+    """A stand-in for the resource module whose soft RLIMIT_AS is ``soft``."""
+    return types.SimpleNamespace(RLIMIT_AS=9, RLIM_INFINITY=-1, getrlimit=lambda which: (soft, -1))
+
+
+def test_memory_limit_reads_each_source_it_can(monkeypatch):
+    # Each source is faked in process; no limit of this process changes.
+    meminfo = "MemTotal: 16777216 kB\nMemAvailable: 8388608 kB\n"
+    monkeypatch.setattr(usdsep.instance, "open", lambda path: io.StringIO(meminfo), raising=False)
+    monkeypatch.setitem(sys.modules, "resource", _fake_rlimit(-1))
+    assert usdsep.instance._memory_limit() == (8 << 30, "MemAvailable")
+    monkeypatch.setitem(sys.modules, "resource", _fake_rlimit(64 << 20))
+    assert usdsep.instance._memory_limit() == (64 << 20, "the soft RLIMIT_AS")
+    # From the limit, a build past it is refused before anything is allocated.
+    refused = "n = 1000003 needs about 144 MiB to build its tables, over the 64 MiB of the soft"
+    with pytest.raises(MemoryError, match=refused):
+        usdsep.instance._build_table(1000003)
+
+    def unreadable(path):
+        raise PermissionError(path)
+
+    monkeypatch.setattr(usdsep.instance, "open", unreadable, raising=False)
+    assert usdsep.instance._memory_limit() == (64 << 20, "the soft RLIMIT_AS")
+    monkeypatch.setitem(sys.modules, "resource", None)  # import resource fails
+    assert usdsep.instance._memory_limit() == (math.inf, "no limit")
+    monkeypatch.setattr(usdsep.instance, "open", lambda path: io.StringIO(meminfo), raising=False)
+    assert usdsep.instance._memory_limit() == (8 << 30, "MemAvailable")
 
 
 @pytest.mark.parametrize("n", [131, 211, 2003, 4051, 32771, 65537, 100003])
@@ -200,6 +236,10 @@ def test_prime_helpers():
     assert [n for n in (0, 1, 2, 3, 4, 9, 25, 2003) if is_prime(n)] == [2, 3, 2003]
     assert prime_factors(12) == (2, 2, 3)
     assert sorted(ascending_factorizations(12)) == [(2, 2, 3), (2, 6), (3, 4), (12,)]
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        prime_factors(1)
+    with pytest.raises(ValueError, match="d must be >= 2"):
+        ascending_factorizations(1)
 
 
 def test_make_instance_matches_closed_form_states():
@@ -563,31 +603,9 @@ def test_instance_dict_round_trip():
     assert np.max(np.abs(back.states - inst.states)) <= 1e-12
 
 
-def _legacy_payload(inst):
-    """An instance file as earlier versions wrote it, with [re, im] states."""
-    states = np.stack([inst.states.real, inst.states.imag], -1).tolist()
-    return {**instance_to_dict(inst), "states": states}
-
-
 def test_instance_from_dict_rejects_tampering():
-    payload = _legacy_payload(make_instance(5))
-    payload["states"][0][0][0] += 1e-3
-    with pytest.raises(ValueError):
-        instance_from_dict(payload)
     with pytest.raises(ValueError):
         instance_from_dict({"n": 5, "dims": [2, 2]})
-    good = _legacy_payload(make_instance(5))["states"]
-    not_a_number = [[[float("nan"), 0.0]] + row[1:] for row in good]
-    for states in (
-        [[["1", "0"]] * 4] * 5,
-        [row[:3] for row in good[:1]] + good[1:],
-        not_a_number,
-    ):
-        with pytest.raises(ValueError, match="malformed state array"):
-            instance_from_dict({"n": 5, "dims": [2, 2], "omit": 1, "states": states})
-    for states in (_legacy_payload(make_instance(7))["states"], good[:4]):
-        with pytest.raises(ValueError, match="does not match"):
-            instance_from_dict({"n": 5, "dims": [2, 2], "omit": 1, "states": states})
     # Parameters must be JSON integers: floats, bools, strings and an
     # overflowing 1e400 (which json reads as inf) are not truncated.
     for params in (
@@ -604,24 +622,22 @@ def test_instance_from_dict_rejects_tampering():
             instance_from_dict(params)
 
 
-def test_instance_from_dict_gathers_the_states_once(monkeypatch):
-    # A wrong shape is rejected from the parameters alone; a matching array
-    # is compared against one gather of the (N, D) states.
-    good = _legacy_payload(make_instance(13))
-    wrong = {**good, "states": good["states"][:12]}
-    reads = []
-    gather = usdsep.instance.Instance.states.fget
-    counted = property(lambda inst: reads.append(inst.n) or gather(inst))
-    monkeypatch.setattr(usdsep.instance.Instance, "states", counted)
-    with pytest.raises(ValueError, match=r"shape \(12, 12\) does not match \(13, 12\)"):
-        instance_from_dict(wrong)
-    assert reads == []
-    instance_from_dict(good)
-    assert reads == [13]
-
-
-def test_instance_from_legacy_dict_with_states():
+def test_instance_from_dict_refuses_a_states_array(monkeypatch):
+    # Files of earlier versions carry the [re, im] amplitudes under
+    # "states".  The parameters fix the family, so the array is refused
+    # unread, whatever it holds, before any family is built or gathered.
     inst = make_instance(13, (2, 6), 4)
-    back = instance_from_dict(_legacy_payload(inst))
-    assert (back.n, back.dims, back.omit) == (13, (2, 6), 4)
-    assert np.array_equal(back.states, inst.states)
+    matching = np.stack([inst.states.real, inst.states.imag], -1).tolist()
+    tampered = [[[re + 1e-3, im] for re, im in row] for row in matching]
+    malformed = [[["1", "0"]] * 12] * 13
+    calls = []
+    build, gather = usdsep.instance.make_instance, usdsep.instance.Instance.states.fget
+    monkeypatch.setattr(usdsep.instance, "make_instance", lambda *a: calls.append(a) or build(*a))
+    counted = property(lambda inst: calls.append(inst.n) or gather(inst))
+    monkeypatch.setattr(usdsep.instance.Instance, "states", counted)
+    for states in (matching, tampered, malformed, matching[:12]):
+        with pytest.raises(ValueError, match=r"holds 'states'.*usdsep generate"):
+            instance_from_dict({**instance_to_dict(inst), "states": states})
+    assert calls == []
+    assert instance_from_dict(instance_to_dict(inst)).dims == (2, 6)
+    assert calls == [(13, [2, 6], 4)]

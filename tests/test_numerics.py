@@ -177,6 +177,8 @@ def test_nnls_matches_reference_implementation():
 
 
 def test_nnls_input_validation_and_cap():
+    with pytest.raises(ValueError, match="a must be a matrix"):
+        nnls(np.ones(3), np.ones(3))
     with pytest.raises(ValueError):
         nnls(np.ones((2, 0)), np.ones(2))
     with pytest.raises(ValueError):

