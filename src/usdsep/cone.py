@@ -12,16 +12,25 @@ outcomes obeys
 The certifier counts the left-hand side for a concrete measurement.  Each
 party's factors travel as one read-only (R, d, d) stack.  Rays are grouped
 up to positive scaling, and a representative r_c is extreme exactly when it
-is not a nonnegative combination of the other classes.  One vec_herm call
-per party maps the stack to isometric real coordinates, where that is a
-question about the columns of one real matrix V.
+is not a nonnegative combination of the other classes.  vec_herm maps the
+stack to isometric real coordinates, where that is a question about the
+columns of one real matrix V.
 
-A party's pass forms each quantity once and reads it wherever it is needed.
+certify runs the parties of one factor dimension d through one pass, on a
+(G, R, d, d) stack: validation and unit scaling, vec_herm, the ray screen,
+the witness and the identity test each take the leading party axis, so G
+parties cost about the numpy calls of one.  A pass holds at most
+_CHUNK_ENTRIES array entries, counted as G R max(R, d^2); a party past that
+bound runs alone.  LocalOperatorSet, distinct_rays and count_extreme are
+the one-party case, G = 1.  NNLS and the report lines run per party, in
+party order.
+
+A pass forms each quantity once and reads it wherever it is needed.
 A ray does not depend on scale, and K_1 x K_2 = (c K_1) x (K_2 / c) names
-the same outcome, so LocalOperatorSet divides the scale out once: finite
-Frobenius norms clear every entry at once, a norm of 0 or below the normal
-range names no ray, and it keeps only the unit stack M / ||M||_F, which
-every later test reads.
+the same outcome, so the validation (_unit_forms, which LocalOperatorSet
+calls) divides the scale out once: finite Frobenius norms clear every entry
+at once, a norm of 0 or below the normal range names no ray, and it keeps
+only the unit stack M / ||M||_F, which every later test reads.
 The one vec_herm call splits it into its diagonal and triangles once; both
 the coordinates V and the asymmetry check read that split.  The ray screen
 is one Gram matrix of V, the witness reads V and the representatives, and
@@ -30,7 +39,7 @@ no pass forms M - (Tr M / d) I.
 
 Every factor must be positive semidefinite relative to its scale:
 lambda_min(H) >= -PSD_INPUT_TOL for the Hermitian part H of its unit
-form.  One batched Cholesky of 2 (H + s I) per party, formed in one
+form.  One batched Cholesky of 2 (H + s I) per pass, formed in one
 buffer, proves it, s = PSD_INPUT_TOL - 8 d (d + 1) u with u the unit
 roundoff: the backward error of a completed Cholesky (Higham, Accuracy
 and Stability of Numerical Algorithms, 2nd ed., 2002, Thm 10.3, and
@@ -62,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _frob, _strict_upper, nnls, vec_herm
+from .numerics import ConvergenceError, _frob, _strict_upper, nnls, vec_herm
 
 __all__ = [
     "LocalOperatorSet",
@@ -81,6 +90,7 @@ IDENTITY_RTOL = 1e-8
 WARN_BAND = (1e-8, 1e-6)
 _EPS = float(np.finfo(float).eps)
 _TINY_NORM = float(np.finfo(float).tiny) ** 0.5  # the least norm whose square is a normal float64
+_CHUNK_ENTRIES = 2**18  # the most array entries one certify pass of several parties holds
 
 
 @dataclass(frozen=True)
@@ -98,60 +108,66 @@ class LocalOperatorSet:
     def __post_init__(self):
         if len(self.ops) == 0:
             raise ValueError("operator set must be non-empty")
-        try:
-            stack = np.array(self.ops, dtype=complex)
-            square = stack.ndim == 3 and stack.shape[1] == stack.shape[2] > 0
-        except ValueError:  # ragged: numpy cannot stack operators of different shapes
-            square = False
-        if not square:
-            raise ValueError("operators must share one square dimension")
-        with np.errstate(over="ignore"):  # an overflowing square is refused below
-            norms = _frob(stack)
-        # A non-finite entry makes its operator's norm non-finite, so finite
-        # norms clear every entry; only an infinite norm needs the entries
-        # read again, to tell them from finite ones too large to square.
-        if not np.isfinite(norms).all():
-            if not np.isfinite(stack).all():
-                raise ValueError("operators must have finite entries")
-            raise ValueError(
-                "operator entries too large: a squared Frobenius norm overflows float64 "
-                "(entries must stay below about 1e154)"
-            )
-        # Below _TINY_NORM the squares lose their digits, and the unit forms with them.
-        if norms.min() < _TINY_NORM:
-            if not stack[norms < _TINY_NORM].any(axis=(1, 2)).all():
-                raise ValueError("zero operator has no ray")
-            raise ValueError(
-                "operator entries too small: a squared Frobenius norm underflows float64 "
-                "(a nonzero operator needs an entry above about 1e-154)"
-            )
-        # The float view times 1 / norm, in place: the bits of complex division by a real.
-        flat = stack.view(float)
-        flat *= (1.0 / norms)[:, None, None]
-        _require_psd(stack)
-        stack.setflags(write=False)
-        object.__setattr__(self, "ops", stack)
+        object.__setattr__(self, "ops", _unit_forms([self.ops])[0])
 
-    @property
-    def dim(self) -> int:
-        return self.ops.shape[1]
+
+def _unit_forms(parties) -> np.ndarray:
+    """The validated read-only (G, R, d, d) stack of G parties' unit forms M / ||M||_F.
+
+    ``parties`` holds G sequences of R equal square matrices each.  Every
+    refusal of LocalOperatorSet is raised here, for the first check that
+    any of the G parties fails.
+    """
+    try:
+        stack = np.array(parties, dtype=complex)
+        square = stack.ndim == 4 and stack.shape[2] == stack.shape[3] > 0
+    except ValueError:  # ragged: numpy cannot stack operators of different shapes
+        square = False
+    if not square:
+        raise ValueError("operators must share one square dimension")
+    with np.errstate(over="ignore"):  # an overflowing square is refused below
+        norms = _frob(stack)
+    # A non-finite entry makes its operator's norm non-finite, so finite
+    # norms clear every entry; only an infinite norm needs the entries
+    # read again, to tell them from finite ones too large to square.
+    if not np.isfinite(norms).all():
+        if not np.isfinite(stack).all():
+            raise ValueError("operators must have finite entries")
+        raise ValueError(
+            "operator entries too large: a squared Frobenius norm overflows float64 "
+            "(entries must stay below about 1e154)"
+        )
+    # Below _TINY_NORM the squares lose their digits, and the unit forms with them.
+    if norms.min() < _TINY_NORM:
+        if not stack[norms < _TINY_NORM].any(axis=(1, 2)).all():
+            raise ValueError("zero operator has no ray")
+        raise ValueError(
+            "operator entries too small: a squared Frobenius norm underflows float64 "
+            "(a nonzero operator needs an entry above about 1e-154)"
+        )
+    # The float view times 1 / norm, in place: the bits of complex division by a real.
+    flat = stack.view(float)
+    flat *= (1.0 / norms)[..., None, None]
+    _require_psd(stack)
+    stack.setflags(write=False)
+    return stack
 
 
 def _require_psd(units: np.ndarray) -> None:
     """Raise unless each unit operator's Hermitian part H has lambda_min(H) >= -PSD_INPUT_TOL."""
-    count, d = units.shape[:2]
+    d = units.shape[-1]
     shift = PSD_INPUT_TOL - 4.0 * d * (d + 1) * _EPS
     if shift > 0.0:
-        twice = np.conjugate(units.transpose(0, 2, 1), order="C")
+        twice = np.conjugate(units.swapaxes(-1, -2), order="C")
         twice += units  # 2 H, and below 2 (H + shift I), in the one buffer
-        twice.reshape(count, d * d)[:, :: d + 1] += 2.0 * shift
+        twice.reshape(-1, d * d)[:, :: d + 1] += 2.0 * shift
         try:
             np.linalg.cholesky(twice)
             return
         except np.linalg.LinAlgError:
             pass
-    hermitian = (units + np.conjugate(units.transpose(0, 2, 1))) * 0.5
-    if float(np.linalg.eigvalsh(hermitian)[:, 0].min()) < -PSD_INPUT_TOL:
+    hermitian = (units + np.conjugate(units.swapaxes(-1, -2))) * 0.5
+    if float(np.linalg.eigvalsh(hermitian)[..., 0].min()) < -PSD_INPUT_TOL:
         raise ValueError("operators must be positive semidefinite")
 
 
@@ -227,89 +243,124 @@ def distinct_rays(s: LocalOperatorSet, tol: float = RAY_TOL) -> RayGroups:
     are ``s.ops``, already of unit norm; LocalOperatorSet refused zero operators.
     """
     units = s.ops
-    coords = vec_herm(units)
-    # Screen: unit vectors within tol have a Gram entry of at least
-    # 1 - tol**2 / 2.  Rounding in the normalization, in vec_herm and in a
-    # dot product of d**2 terms stays below a small multiple of d**2 eps
-    # (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1), so
-    # 16 d**2 eps of slack never drops a pair; a pair that passes only costs
-    # a confirmation.  Each operator matches itself, so the diagonal is
-    # masked, and the pairs are listed only when some entry passes.  Unit
-    # vectors lie at most 2 apart: a tol past 2, whose square may overflow, screens as 2.
-    slack = 16.0 * s.dim**2 * _EPS
-    gram = coords @ coords.T
-    gram.flat[:: len(gram) + 1] = -np.inf
-    cut = 1.0 - min(tol, 2.0) ** 2 / 2.0 - slack
-    rows = cols = np.zeros(0, dtype=np.intp)
-    if gram.max() >= cut:
-        rows, cols = np.nonzero(gram >= cut)
-        earlier = cols < rows
-        rows, cols = rows[earlier], cols[earlier]
-    if not rows.size:  # no pair passed the screen: every operator is its own class
+    coords, head, is_head = _class_heads(units[None], tol)
+    coords, head = coords[0], head[0]
+    if is_head.all():
         groups = tuple((i,) for i in range(len(units)))
     else:
-        head = np.arange(len(units))  # head[i]: the operator representing i's class
-        splits = np.flatnonzero(np.diff(rows)) + 1
-        for i, cand in zip(rows[np.r_[0, splits]], np.split(cols, splits)):
-            cand = cand[head[cand] == cand]
-            # Confirm by difference norms, in class order: 2 - 2 Re<u, r>
-            # would round at about 1e-16, which is the size of tol**2 itself.
-            near = np.flatnonzero(_frob(units[cand] - units[i]) <= tol)
-            if near.size:
-                head[i] = cand[near[0]]
         order = np.argsort(head, kind="stable")  # class by class, members ascending
         heads, starts = np.unique(head[order], return_index=True)
         groups = tuple(tuple(g.tolist()) for g in np.split(order, starts[1:]))
         units, coords = units[heads], coords[heads]
-    units.setflags(write=False)
-    coords.setflags(write=False)
+        units.setflags(write=False)
+        coords.setflags(write=False)
     return RayGroups(groups=groups, representatives=units, coords=coords)
 
 
-def _witness_bounds(rays: RayGroups) -> np.ndarray:
+def _class_heads(units: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only vec_herm rows of a (G, R, d, d) stack of unit forms, the (G, R)
+    array whose entry head[g, i] is the operator heading i's class in party g, and
+    the (G, R) mask of the heads.
+
+    Screen: unit vectors within tol have a Gram entry of at least
+    1 - tol**2 / 2.  Rounding in the normalization, in vec_herm and in a dot
+    product of d**2 terms stays below a small multiple of d**2 eps (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 3.1), so 16 d**2
+    eps of slack never drops a pair; a pair that passes only costs a
+    confirmation.  Each operator matches itself, so the diagonals are
+    masked, and the pairs are listed only when some entry passes.  Unit
+    vectors lie at most 2 apart: a tol past 2, whose square may overflow,
+    screens as 2.
+    """
+    count, r, d = units.shape[:3]
+    coords = vec_herm(units)
+    coords.setflags(write=False)
+    slack = 16.0 * d**2 * _EPS
+    gram = coords @ coords.swapaxes(1, 2)
+    gram.reshape(count, r * r)[:, :: r + 1] = -np.inf
+    cut = 1.0 - min(tol, 2.0) ** 2 / 2.0 - slack
+    ids = np.arange(r)
+    head = np.empty((count, r), dtype=np.intp)
+    head[:] = ids  # until a pair passes the screen, every operator heads its own class
+    if gram.max() >= cut:
+        party, rows, cols = np.nonzero(gram >= cut)
+        earlier = cols < rows
+        party, rows, cols = party[earlier], rows[earlier], cols[earlier]
+        splits = np.flatnonzero(np.diff(party * r + rows)) + 1  # one run per (party, row)
+        firsts = np.r_[0, splits][: len(rows)]
+        for g, i, cand in zip(party[firsts], rows[firsts], np.split(cols, splits)):
+            cand = cand[head[g, cand] == cand]
+            # Confirm by difference norms, in class order: 2 - 2 Re<u, r>
+            # would round at about 1e-16, which is the size of tol**2 itself.
+            near = np.flatnonzero(_frob(units[g, cand] - units[g, i]) <= tol)
+            if near.size:
+                head[g, i] = cand[near[0]]
+    return coords, head, head == ids
+
+
+def _witness_bounds(units: np.ndarray, coords: np.ndarray, is_head: np.ndarray) -> np.ndarray:
     """Checked Farkas lower bound on each class's NNLS residual, -inf where unchecked.
 
-    The guess for class c is Y_c = I - t_c |u_c><u_c|, u_c close to the
-    top eigenvector of r_c and t_c = 1 + eps_c just below the largest value
-    that keeps <Y_c, r_k> = Tr r_k - t_c <u_c|r_k|u_c> >= 0 for every other
-    k.  Whatever the guess, W = vec_herm(Y) V^T is then computed from Y
-    alone; a row whose off-diagonal entries are all nonnegative proves
+    ``units`` is a (G, R, d, d) stack of unit forms, ``coords`` its vec_herm
+    rows and ``is_head`` the (G, R) mask of the class representatives.  The
+    (G, R) result is read at the representatives, NaN elsewhere; each
+    inequality runs over the other representatives of the same party, and
+    a class with none is infinitely far from their cone.  The guess for class
+    c is Y_c = I - t_c |u_c><u_c|, u_c close to the top eigenvector of r_c
+    and t_c = 1 + eps_c just below the largest value that keeps
+    <Y_c, r_k> = Tr r_k - t_c <u_c|r_k|u_c> >= 0 for every other k.
+    Whatever the guess, W = vec_herm(Y) V^T is then computed from Y alone;
+    a row whose off-diagonal entries are all nonnegative proves
     ||V x - v_c|| >= -W[c, c] / ||Y_c|| for every x >= 0.  W holds rounding
     of order t_c d**2 eps, and a residual below 1 has ||x||_1 <= 2 sqrt(d)
     (each Tr r_k >= 1), so rounding moves a bound by far less than 1e-6.
     """
-    v, reps = rays.coords, rays.representatives
-    count, d = reps.shape[:2]
+    v = coords
+    count, r, d = units.shape[:3]
     # u_c by power iteration from the column of r_c with the largest
     # diagonal entry (vec_herm puts the diagonal first): exact for a rank-1
     # r_c, and for any other r_c a guess like the rest of Y_c.  Batched eigh
     # would do as well but adds about 1 MiB of LAPACK code to the resident
     # set.  Only the direction matters, so u_c is normalized once, at the end.
-    u = reps[np.arange(count), :, v[:, :d].argmax(axis=1), None]
+    flat = units.reshape(count * r, d, d)
+    u = flat[np.arange(count * r), :, v[..., :d].argmax(axis=-1).ravel(), None]
     for _ in range(3):
-        u = reps @ u
-    u = u[:, :, 0]
-    u /= np.sqrt(np.vecdot(u, u).real)[:, None]
-    # y[c] = vec_herm(|u_c><u_c|), written from u_c in vec_herm's layout:
+        u = flat @ u
+    u = u.reshape(count, r, d)
+    u /= np.sqrt(np.vecdot(u, u).real)[..., None]
+    # y[g, c] = vec_herm(|u_c><u_c|), written from u_c in vec_herm's layout:
     # an (R, d, d) stack and vec_herm's temporaries would set the peak
     # memory of the whole certificate.  It becomes vec_herm(Y_c) in place.
     rows, cols = _strict_upper(d)
     y = np.empty_like(v)
-    np.vecdot(u[:, :, None].view(float), u[:, :, None].view(float), out=y[:, :d])  # |u_i|^2
-    np.multiply(u.take(rows, axis=1), u.conj().take(cols, axis=1), out=y[:, d:].view(complex))
-    y[:, d:] *= np.sqrt(2.0)
-    q = y @ v.T
-    q /= v[:, :d].sum(axis=1)  # <u_c|r_k|u_c> / Tr r_k
-    q.flat[:: count + 1] = -np.inf
+    pairs = u[..., None].view(float)  # (Re, Im) of each u_i
+    np.vecdot(pairs, pairs, out=y[..., :d])  # |u_i|^2
+    np.multiply(u.take(rows, axis=-1), u.conj().take(cols, axis=-1), out=y[..., d:].view(complex))
+    y[..., d:] *= math.sqrt(2.0)
+    traces = v[:, None, :, :d].sum(axis=-1)
+    v = v.swapaxes(1, 2)
+    q = y @ v
+    q /= traces  # <u_c|r_k|u_c> / Tr r_k
+    # A class is not compared with itself, nor with a member of any class.
+    members = None if is_head.all() else ~is_head[:, None]
+    q.reshape(count, r * r)[:, :: r + 1] = -np.inf
+    if members is not None:
+        np.copyto(q, -np.inf, where=members)
     # 1 / t_c is the largest ratio, shrunk by 1e-12 so the binding class
     # does not land at 0 +- rounding.  A class nearly orthogonal to all the
     # others would take t_c -> infinity; capping t_c at 1e3 keeps Y finite.
-    y *= ((1e-12 - 1.0) / np.maximum(q.max(axis=1), 1e-3))[:, None]
-    y[:, :d] += 1.0  # vec_herm(I)
-    w = np.matmul(y, v.T, out=q)
-    bounds = -w.diagonal() / np.sqrt(np.vecdot(y, y))
-    w.flat[:: count + 1] = np.inf
-    bounds[w.min(axis=1) < 0.0] = -np.inf
+    y *= ((1e-12 - 1.0) / np.maximum(q.max(axis=-1), 1e-3))[..., None]
+    y[..., :d] += 1.0  # vec_herm(I)
+    w = np.matmul(y, v, out=q)
+    bounds = -w.diagonal(axis1=1, axis2=2) / np.sqrt(np.vecdot(y, y))
+    w.reshape(count, r * r)[:, :: r + 1] = np.inf
+    if members is not None:
+        np.copyto(w, np.inf, where=members)
+    least = w.min(axis=-1)
+    bounds[least < 0.0] = -np.inf
+    bounds[least == np.inf] = np.inf  # no other class: one ray alone is extreme in its cone
+    if members is not None:
+        bounds[members[:, 0]] = np.nan
     return bounds
 
 
@@ -327,45 +378,119 @@ def count_extreme(s: LocalOperatorSet, tol: float = RAY_TOL) -> Extremality:
     always extreme in the cone it generates.
     """
     rays = distinct_rays(s, tol)
-    if rays.count == 1:
-        residuals, witnessed, undecided = np.full(1, np.inf), np.zeros(1, dtype=bool), ()
-    else:
-        bounds = _witness_bounds(rays)
-        witnessed = bounds > max(tol, WARN_BAND[1])
-        residuals = np.where(witnessed, bounds, np.inf)
-        undecided = np.flatnonzero(~witnessed)
-        v = rays.coords.T
-        for c in undecided:
-            _, residuals[c] = nnls(np.delete(v, c, axis=1), v[:, c], tol=max(tol * 1e-4, 1e-14))
+    heads = np.ones((1, rays.count), dtype=bool)  # the classes' representatives only
+    residuals, witnessed, solves = _extremality(rays.representatives[None], rays.coords[None], heads, tol)
     return Extremality(
         count=int(np.count_nonzero(residuals > tol)),
         rays=rays,
-        residuals=residuals,
-        witnessed=witnessed,
-        nnls_solves=len(undecided),
+        residuals=residuals[0],
+        witnessed=witnessed[0],
+        nnls_solves=int(solves[0]),
     )
 
 
-def _near_identity(s: LocalOperatorSet) -> bool:
-    """Whether every operator M has ||M - (Tr M / d) I|| <= IDENTITY_RTOL ||M||.
+def _extremality(units: np.ndarray, coords: np.ndarray, is_head: np.ndarray, tol: float):
+    """count_extreme's decisions for every party of a (G, R, d, d) stack, in one pass.
 
-    On the unit forms U = M / ||M|| that distance squared is 1 - |Tr U|^2 / d,
-    so the trace alone rules out any operator with |Tr U|^2 below
-    (1 - 1e-6) d, far beyond rounding.  Near the identity that difference
-    keeps no digits, so a party that passes is measured directly: the
-    diagonal's spread about its mean, plus the off-diagonal entries, which
-    in the flattened matrix are the first d of each run of d + 1 entries
-    after a diagonal one.
+    ``coords`` holds the stack's vec_herm rows and ``is_head`` marks each
+    party's class representatives, as _class_heads returns them.  Returns
+    (G, R) arrays read at the representatives, the residual (NaN
+    elsewhere) and whether a witness decided it, and the (G,) count of NNLS
+    solves.  The witness serves all G parties at once; the classes it
+    leaves undecided go to NNLS party by party.
     """
-    units, d = s.ops, s.dim
-    diag = units.diagonal(axis1=1, axis2=2)
-    mean = diag.sum(axis=1) / d
-    if np.abs(mean).min() < math.sqrt((1.0 - 1e-6) / d):
-        return False
-    spread = diag - mean[:, None]
-    off = units.reshape(len(units), d * d)[:, 1:].reshape(len(units), d - 1, d + 1)[:, :, :d].view(float)
-    gap = np.vecdot(spread, spread).real + np.vecdot(off, off).sum(axis=1)
-    return bool(np.all(np.sqrt(gap) <= IDENTITY_RTOL))
+    bounds = _witness_bounds(units, coords, is_head)
+    undecided = bounds <= max(tol, WARN_BAND[1])  # a lone class's infinite bound is decided
+    residuals = np.where(undecided, np.inf, bounds)
+    witnessed = residuals < np.inf
+    solves = undecided.sum(axis=1)
+    for g in solves.nonzero()[0]:
+        heads = is_head[g].nonzero()[0]
+        v = coords[g, heads].T
+        for c in undecided[g, heads].nonzero()[0]:
+            _, residuals[g, heads[c]] = nnls(np.delete(v, c, axis=1), v[:, c], tol=max(tol * 1e-4, 1e-14))
+    return residuals, witnessed, solves
+
+
+def _near_identity(units: np.ndarray) -> np.ndarray:
+    """Whether, per party of a (G, R, d, d) stack of unit forms U = M / ||M||, every
+    operator M has ||M - (Tr M / d) I|| <= IDENTITY_RTOL ||M||.
+
+    That distance squared is 1 - |Tr U|^2 / d, so the trace alone rules out
+    any operator with |Tr U|^2 below (1 - 1e-6) d, far beyond rounding.
+    Near the identity that difference keeps no digits, so a party that
+    passes is measured directly: the diagonal's spread about its mean, plus
+    the off-diagonal entries, which in the flattened matrix are the first d
+    of each run of d + 1 entries after a diagonal one.
+    """
+    count, r, d = units.shape[:3]
+    diag = units.diagonal(axis1=2, axis2=3)
+    mean = diag.sum(axis=2) / d
+    near = np.abs(mean).min(axis=1) >= math.sqrt((1.0 - 1e-6) / d)
+    if near.any():
+        spread = diag - mean[..., None]
+        off = units.reshape(count, r, d * d)[..., 1:].reshape(count, r, d - 1, d + 1)[..., :d]
+        gap = np.vecdot(spread, spread).real + np.vecdot(off.view(float), off.view(float)).sum(axis=2)
+        near &= np.all(np.sqrt(gap) <= IDENTITY_RTOL, axis=1)
+    return near
+
+
+def _chunks(parties) -> list[list[int]]:
+    """The party indices of each pass, sorted by their first.
+
+    Parties whose first factors are arrays of one shape share passes, in
+    runs of at most _CHUNK_ENTRIES counted as G R max(R, d^2), the size of
+    a pass's largest arrays; a party over that bound, or whose first factor
+    is not an array, runs alone.
+    """
+    r = len(parties[0])
+    by_shape: dict = {}
+    for alpha, factors in enumerate(parties):
+        shape = getattr(factors[0], "shape", None)
+        by_shape.setdefault(alpha if shape is None else shape, []).append(alpha)
+    chunks = []
+    for key, members in by_shape.items():
+        size = 1 if isinstance(key, int) else max(1, _CHUNK_ENTRIES // (r * max(r, math.prod(key))))
+        chunks += [members[i : i + size] for i in range(0, len(members), size)]
+    return sorted(chunks)
+
+
+def _party_lines(chunk: list[int], parties, tol: float) -> dict:
+    """party -> (PartyConeStat, borderline warnings) for the parties ``chunk`` names."""
+    units = _unit_forms(parties)
+    count, r = units.shape[:2]
+    coords, _, is_head = _class_heads(units, tol)
+    residuals, witnessed, solves = _extremality(units, coords, is_head, tol)
+    proven = np.where(witnessed, residuals, np.inf).min(axis=1)
+    lo, hi = WARN_BAND
+    lines = {}
+    for g, alpha, rays, extreme, solved, least, skipped in zip(
+        range(count),
+        chunk,
+        is_head.sum(axis=1).tolist(),
+        (residuals > tol).sum(axis=1).tolist(),
+        solves.tolist(),
+        proven.tolist(),
+        _near_identity(units).tolist(),
+    ):
+        warnings = []
+        if solved:  # a witnessed bound clears the band, and a lone class is infinite
+            found = residuals[g, is_head[g]]
+            warnings = [
+                f"party {alpha} ray class {c}: NNLS residual {found[c]:.3e} is borderline"
+                for c in np.flatnonzero((lo <= found) & (found <= hi))
+            ]
+        stat = PartyConeStat(
+            party=alpha,
+            generators=r,
+            rays=rays,
+            extreme=extreme,
+            skipped=skipped,
+            nnls_solves=solved,
+            min_witness_bound=least if least < np.inf else None,
+        )
+        lines[alpha] = (stat, warnings)
+    return lines
 
 
 def certify(product_ops, tol: float = RAY_TOL) -> ConeReport:
@@ -399,34 +524,25 @@ def certify(product_ops, tol: float = RAY_TOL) -> ConeReport:
     if any(len(entry) != p for entry in entries):
         raise ValueError("all product operators must have the same party count")
 
-    lo, hi = WARN_BAND
-    warnings: list[str] = []
-    stats: list[PartyConeStat] = []
-    total = 0
-    for alpha in range(p):
-        ops = LocalOperatorSet([entry[alpha] for entry in entries])
-        found = count_extreme(ops, tol)
-        residuals = found.residuals
-        proven = residuals[found.witnessed]
-        if found.nnls_solves:  # a witnessed bound clears the band, and a lone class is infinite
-            warnings += [
-                f"party {alpha} ray class {c}: NNLS residual {residuals[c]:.3e} is borderline"
-                for c in np.flatnonzero((lo <= residuals) & (residuals <= hi))
-            ]
-        skipped = _near_identity(ops)
-        stats.append(
-            PartyConeStat(
-                party=alpha,
-                generators=len(ops.ops),
-                rays=found.rays.count,
-                extreme=found.count,
-                skipped=skipped,
-                nnls_solves=found.nnls_solves,
-                min_witness_bound=float(proven.min()) if proven.size else None,
-            )
-        )
-        if not skipped:
-            total += found.count
+    parties = list(zip(*entries))
+    lines: dict = {}  # party -> (its PartyConeStat, its warnings)
+    # Passes run in the order of their first party.  A pass stops at its
+    # first failing check, which need not be its first failing party's, so
+    # a failed pass of several parties runs again one party at a time; the
+    # first one-party pass to fail is then the lowest-index party that
+    # fails, as party by party.
+    pending = _chunks(parties)
+    while pending:
+        chunk = pending.pop(0)
+        try:
+            lines.update(_party_lines(chunk, [parties[alpha] for alpha in chunk], tol))
+        except (ValueError, TypeError, ConvergenceError):
+            if len(chunk) == 1:
+                raise
+            pending = sorted(pending + [[alpha] for alpha in chunk])
+    stats = tuple(lines[alpha][0] for alpha in range(p))
+    warnings = tuple(line for alpha in range(p) for line in lines[alpha][1])
+    total = sum(stat.extreme for stat in stats if not stat.skipped)
 
     bound = 2 * (len(entries) - 1)
     note = ""
@@ -436,11 +552,10 @@ def certify(product_ops, tol: float = RAY_TOL) -> ConeReport:
     else:
         verdict = "VIOLATES" if total > bound else "SATISFIES"
     return ConeReport(
-        parties=tuple(stats),
+        parties=stats,
         total=total,
         bound=bound,
         verdict=verdict,
-        warnings=tuple(warnings),
+        warnings=warnings,
         note=note,
     )
-

@@ -160,7 +160,7 @@ def vec_herm(h):
     out = np.empty(flat.shape)
     out[..., :d] = diag.real
     np.add(upper, lower, out=out[..., d:].view(complex))  # 2 h_rc: Re, Im interleaved
-    out[..., d:] *= np.sqrt(2.0) / 2.0
+    out[..., d:] *= math.sqrt(0.5)
     # ||M - M^dag||_F^2 = 4 sum_i (Im m_ii)^2 + 2 sum_(r<c) |m_rc - conj(m_cr)|^2 may reach
     # 1e-24 max(||M||_F^2, 1) in each matrix, so a stack whose total is below passes whole.
     upper -= lower
@@ -177,9 +177,10 @@ def nnls(a, b, tol=1e-10, max_iter=None):
     Classical active-set iteration after Lawson & Hanson (Solving Least
     Squares Problems, 1974, ch. 23).  Coordinates move between the passive
     (free) and active (clamped to zero) sets; each outer step frees the
-    coordinate with the largest dual value a.T @ (b - a @ x) and inner steps
-    retreat along the segment to the unconstrained solution until the
-    passive iterate is strictly positive.
+    coordinate with the largest dual value a.T @ (b - a @ x) whose trial
+    value comes out positive, and inner steps retreat along the segment to
+    the unconstrained solution until the passive iterate is strictly
+    positive.
 
     Parameters
     ----------
@@ -215,32 +216,43 @@ def nnls(a, b, tol=1e-10, max_iter=None):
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     iters = 0
+
+    def solve():
+        """Least squares over the passive columns, zero elsewhere; each call is one iteration."""
+        nonlocal iters
+        iters += 1
+        if iters > max_iter:
+            raise ConvergenceError(f"nnls exceeded {max_iter} iterations")
+        z = np.zeros(n)
+        z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        return z
+
     while True:
         w = a.T @ (b - a @ x)
         w[passive] = -np.inf
-        if passive.all() or np.max(w) <= tol * scale:
-            break
-        passive[int(np.argmax(w))] = True
-        while True:
-            iters += 1
-            if iters > max_iter:
-                raise ConvergenceError(f"nnls exceeded {max_iter} iterations")
-            z = np.zeros(n)
-            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
-            if np.all(z[passive] > 0.0):
-                x = z
+        # Lawson & Hanson's entering test: coordinate t enters only when its
+        # first trial value is positive.  Otherwise its dual was lifted past
+        # tol by rounding alone; it is set aside until x moves, and the
+        # next-largest dual is tried.  With none left, x is optimal.
+        while np.max(w) > tol * scale:
+            t = int(np.argmax(w))
+            passive[t] = True
+            z = solve()
+            if z[t] > 0.0:
                 break
-            # Retreat toward the previous iterate until the first passive
-            # coordinate reaches zero, then clamp it back into the active set.
-            blocking = passive & (z <= 0.0) & (x - z > 0.0)
-            if not blocking.any():
-                stuck = passive & (z <= 0.0)
-                x[stuck] = 0.0
-                passive[stuck] = False
-                continue
+            passive[t] = False
+            w[t] = -np.inf
+        else:
+            return x, float(np.linalg.norm(b - a @ x))
+        # Every other passive coordinate of x is positive, so each one with
+        # z <= 0 blocks: retreat toward z until the first reaches zero, clamp
+        # it back into the active set, and solve again.
+        while not np.all(z[passive] > 0.0):
+            blocking = passive & (z <= 0.0)
             alpha = float(np.min(x[blocking] / (x[blocking] - z[blocking])))
             x = x + alpha * (z - x)
             hit_zero = passive & (x <= 1e-14)
             x[hit_zero] = 0.0
             passive[hit_zero] = False
-    return x, float(np.linalg.norm(b - a @ x))
+            z = solve()
+        x = z

@@ -84,12 +84,11 @@ class SimReport:
 
 @dataclass(frozen=True)
 class MulticopyMeasurement:
-    """The symmetric measurement's n copies: the factors certify counts and the exact failure."""
+    """The symmetric measurement's n copies, as the factors certify counts."""
 
     # Per label tuple, in family_product_ops order: one factor per party,
     # that party's copies tensored together.
     party_factors: tuple
-    theoretical_failure: float
 
 
 def _checked_rows(rows: np.ndarray) -> np.ndarray:
@@ -219,19 +218,14 @@ def multicopy_measurement(inst: Instance, copies: int) -> MulticopyMeasurement:
 
     One outcome per label tuple (j_1, ..., j_n), with element
     (D/N)^n * P_(j_1) x ... x P_(j_n), kept as its per-party factors from
-    family_product_ops.  The failure probability, exactly 2^(-n), is the
-    mean failure cell of the (D, 2) law that run_discrimination samples.
+    family_product_ops.  Its failure probability, exactly 2^(-n), is the
+    theoretical_failure of run_discrimination with n copies.
 
     Raises ValueError, from family_product_ops and before anything is
     allocated, for copies not an integer >= 1 and for factors past
     usd.MAX_FAMILY_ENTRIES.
     """
-    factors = family_product_ops(inst, copies)
-    cells = _single_rows(reciprocal_set(inst), optimal_measurement(inst))
-    return MulticopyMeasurement(
-        party_factors=tuple(tuple(f) for f in factors),
-        theoretical_failure=float(_named_rows(cells, copies)[:, 1].mean()),
-    )
+    return MulticopyMeasurement(party_factors=tuple(tuple(f) for f in family_product_ops(inst, copies)))
 
 
 def run_multicopy_discrimination(inst: Instance, cfg: SimConfig) -> SimReport:

@@ -151,7 +151,11 @@ def _top_secular_root(w: np.ndarray, n: int) -> float:
         terms = c / (values - mu)
         excess = float(terms.sum()) - 1.0
         lo, hi = (mu, hi) if excess < 0.0 else (lo, mu)
-        newton = mu - excess / float((terms * terms / c).sum())
+        # Subnormal weights overflow the slope, and its Newton step would
+        # round to 0 and read as converged: those steps bisect.
+        with np.errstate(over="ignore"):
+            slope = float((terms * terms / c).sum())
+        newton = mu - excess / slope if math.isfinite(slope) else math.nan
         if newton == mu:
             return mu
         mu = newton if lo < newton < hi else 0.5 * (lo + hi)

@@ -21,10 +21,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "usdsep"
 EXCLUDED = {
     "cli:entry": "the installed usdsep script's entry; the CLI tests call main",
     "cli:__main__": "runs only as python -m usdsep.cli, in another process",
-    "numerics:nnls | if not blocking.any():": (
-        "needs lstsq to return an exact 0.0 for the entering coordinate, which only "
-        "a dual lifted past tol by rounding allows; no input does so on every LAPACK build"
-    ),
 }
 _hits = {str(path): set() for path in SRC.glob("*.py")}
 

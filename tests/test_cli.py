@@ -155,6 +155,14 @@ def test_optimize_infeasible_weights(capsys):
         assert "weights must be finite" in err
 
 
+def test_subnormal_weights_optimize_without_a_warning(capsys):
+    # The secular root's slope overflows at these weights; the suite turns
+    # any RuntimeWarning into an error, so a clean run shows none was raised.
+    payload, err = run_json(capsys, "optimize", "--n", "5", "--weights", "1e-320,0,0,0")
+    assert err == ""
+    assert payload["psd_min_eigenvalue"] == 1.0
+
+
 def test_weights_far_past_the_pair_cap_end_without_a_rounding_defect(capsys):
     # Rounding in the Born traces grows with the weights; at
     # weights near 1e6 it is no defect of the program, so no exit 3.

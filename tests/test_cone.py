@@ -114,13 +114,15 @@ def test_count_extreme_vectorizes_each_class_once(monkeypatch):
     s = LocalOperatorSet(tuple(proj(v) for v in inst.local_states[0]))
     found = count_extreme(s)
     assert found.count == found.rays.count == 13
-    # One call per party, on the stack of all its class representatives.
-    assert calls == [(13, 2, 2)]
+    # One call per party, on the stack of all its operators.
+    assert calls == [(1, 13, 2, 2)]
 
     calls.clear()
     rep = certify(family_product_ops(inst))
     assert sum(p.rays for p in rep.parties) == 13 * len(inst.dims)
-    assert calls == [(13, d, d) for d in inst.dims]
+    # One call per dimension group: the two d = 2 parties share a pass.
+    assert inst.dims == (2, 2, 3)
+    assert calls == [(2, 13, 2, 2), (1, 13, 3, 3)]
 
 
 def test_distinct_rays_family_has_n_classes():
@@ -514,11 +516,12 @@ def random_unitary(rng, d):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def party_factors(rng, kind, r, tol):
-    """r factors of one party of dimension 1 to 14: near-duplicate rays at the tolerance
-    edge, near-identity factors, rank > 1 factors or rank-1 ones, each at a random
-    positive scale.  At d = 1 every factor is a positive number: one ray, the identity."""
-    d = int(rng.integers(1, 15))
+def party_factors(rng, kind, r, tol, d=None):
+    """r factors of one party of dimension d, drawn from 1 to 14 unless given: near-duplicate
+    rays at the tolerance edge, near-identity factors, rank > 1 factors or rank-1 ones, each
+    at a random positive scale.  At d = 1 every factor is a positive number: one ray, the
+    identity."""
+    d = int(rng.integers(1, 15)) if d is None else d
     if kind == "near duplicates":
         planted = planted_rays(rng, tol, max(d, 2))
         ops = [planted[k % len(planted)] for k in range(r)]
@@ -575,10 +578,14 @@ def assert_matches_reference(entries, tol, well_posed=True, rng=None):
     st.lists(st.sampled_from(KINDS), min_size=1, max_size=3),
     st.integers(2, 12),
     st.sampled_from([1e-8, 1e-6, 1e-3, 0.05]),
+    st.booleans(),
 )
-def test_certify_matches_the_reference_route(seed, kinds, r, tol):
+def test_certify_matches_the_reference_route(seed, kinds, r, tol, shared):
+    # With ``shared`` every party has one dimension from 2 to 14, so two or
+    # three parties of mixed kinds share one pass.
     rng = np.random.default_rng(seed)
-    parties = [party_factors(rng, kind, r, tol) for kind in kinds]
+    d = int(rng.integers(2, 15)) if shared else None
+    parties = [party_factors(rng, kind, r, tol, d) for kind in kinds]
     entries = [[party[j] for party in parties] for j in range(r)]
     # Near-identity rays lie 0.5e-8 to 4e-8 apart, so at tol = 1e-8 they
     # stay separate classes whose NNLS columns differ only at 1e-8.  The
@@ -599,6 +606,46 @@ FAMILY_CASES = [(n, dims, 1) for n, dims in SWEEP_FAMILIES] + [(5, None, 2)]
 @pytest.mark.parametrize("n, dims, copies", FAMILY_CASES)
 def test_certify_families_match_the_reference_route(n, dims, copies):
     assert_matches_reference(family_product_ops(make_instance(n, dims), copies), RAY_TOL)
+
+
+def one_party_error(factors):
+    """The message the one-party entry points raise for these factors."""
+    with pytest.raises(ValueError) as info:
+        count_extreme(LocalOperatorSet(factors))
+    return str(info.value)
+
+
+# Two factors of dimension d, refused at different stages: the
+# stacking, the norms, the positivity test and vec_herm's asymmetry check.
+INVALID = {
+    "ragged": lambda d: [np.eye(d), np.eye(d + 1)],
+    "zero": lambda d: [np.eye(d), np.zeros((d, d))],
+    "indefinite": lambda d: [np.eye(d), np.diag([1.0] * (d - 1) + [-0.5])],
+    "not Hermitian": lambda d: [np.eye(d), np.eye(d) + np.triu(np.ones((d, d)), 1) * 0.1],
+}
+
+
+@pytest.mark.parametrize(
+    "early, late",
+    [("ragged", "not Hermitian"), ("zero", "not Hermitian"), ("indefinite", "not Hermitian"),
+     ("ragged", "indefinite"), ("zero", "indefinite")],
+)
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2)])
+def test_certify_raises_the_lowest_invalid_partys_error(dims, early, late):
+    # Party 1 fails a later check than party 2, which fails an earlier one;
+    # with dims (2, 3, 2) they lie in different passes, with (3, 2, 2) in
+    # one.  Either way party 1's own error is raised, as party by party.
+    parties = [
+        [np.eye(dims[0])] * 2,
+        INVALID[late](dims[1]),
+        INVALID[early](dims[2]),
+    ]
+    entries = [[party[j] for party in parties] for j in range(2)]
+    want = one_party_error(parties[1])
+    assert want != one_party_error(parties[2])
+    with pytest.raises(ValueError) as info:
+        certify(entries)
+    assert str(info.value) == want
 
 
 def test_positivity_at_the_tolerance_edge_follows_eigvalsh():
@@ -665,6 +712,22 @@ def test_certify_peak_memory_holds_one_stack_per_party():
     finally:
         tracemalloc.stop()
     assert peak < 850 * 1024, peak
+
+
+def test_certify_peak_memory_at_n_1009_holds_one_party_at_a_time():
+    # Every party of the default family at N = 1009 (dims 2, 2, 2, 2, 3, 3,
+    # 7) is past the bound of a shared pass, R^2 > 2^18, so each runs
+    # alone.  The traced peak was 10,389,121 B when certify ran party by
+    # party and is 10,162,385 B in passes; the pin is the former plus 5%.
+    entries = family_product_ops(make_instance(1009))
+    certify(entries)
+    tracemalloc.start()
+    try:
+        certify(entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 10_389_121, peak
 
 
 # certify on the benchmark's families and two copies of N = 5, pinned from

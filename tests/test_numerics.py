@@ -189,6 +189,41 @@ def test_nnls_input_validation_and_cap():
         nnls(np.eye(3), np.ones(3), max_iter=1)
 
 
+def test_nnls_ends_where_rounding_lifts_an_entering_dual():
+    # At tol = 1e-300 rounding alone lifts coordinate 1's dual past tol, and
+    # its trial value comes out exactly 0.0; before the entering test the
+    # solver re-added it until ConvergenceError.
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    a = np.array([[2.0, 0.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
+    b = np.array([-2.0, 0.0])
+    x, rnorm = nnls(a, b, tol=1e-300)
+    assert np.all(x >= 0.0)
+    _, ref_rnorm = scipy_opt.nnls(a, b)
+    assert abs(rnorm - ref_rnorm) <= 1e-12
+    assert abs(rnorm - float(np.linalg.norm(b - a @ x))) <= 1e-15
+
+
+@pytest.mark.parametrize("trial", [0.0, -1.0])
+def test_nnls_sets_aside_an_entering_coordinate_until_x_moves(monkeypatch, trial):
+    # The largest dual is coordinate 1's.  A faked first solve gives it a
+    # non-positive trial value, so it is set aside and coordinate 0 enters;
+    # once x has moved, coordinate 1 is tried again and enters.
+    original = np.linalg.lstsq
+    passives = []
+
+    def faked(sub, b, rcond=None):
+        passives.append(sub.shape[1])
+        solution = original(sub, b, rcond=rcond)
+        if len(passives) == 1:
+            solution[0][:] = trial
+        return solution
+
+    monkeypatch.setattr(np.linalg, "lstsq", faked)
+    x, rnorm = nnls(np.eye(2), np.array([1.0, 2.0]))
+    assert passives == [1, 1, 2]
+    assert x.tolist() == [1.0, 2.0] and rnorm == 0.0
+
+
 def test_entropy_of_reduced_reciprocal_states():
     # Frozen from the oracle run: 0.29811751339456366 in base 2 (the base in
     # which the value sits near 0.3; base e gives 0.20663931388498344).
