@@ -12,28 +12,18 @@ overshoots that budget, so the certificate returns VIOLATES.
 
 import numpy as np
 
-from usdsep import (
-    LocalOperatorSet,
-    certify,
-    count_extreme,
-    distinct_rays,
-    family_product_ops,
-    make_instance,
-    proj,
-)
+from usdsep import certify, family_product_ops, make_instance, proj
 
 inst = make_instance(5)
 
 # Party 0 contributes five factor operators, one per outcome.  They fall
 # into five distinct rays and every one is extreme (rank-1 operators always
-# are).
-party0 = LocalOperatorSet(tuple(proj(v) for v in inst.local_states[0]))
-rays = distinct_rays(party0)
-# A checked Farkas witness decides each class; here its proven bound equals
-# the NNLS residual, so the printed residuals are the NNLS ones.
-found = count_extreme(party0)
-print("party 0: %d factors, %d rays, %d extreme" % (len(party0.ops), rays.count, found.count))
-print("NNLS residuals per ray class:", np.round(found.residuals, 4))
+# are).  Certified alone, they are a one-party measurement.  A checked
+# Farkas witness decides each class, so NNLS solves none; the least bound
+# it proves equals the NNLS residual here.
+party0 = certify([[proj(v)] for v in inst.local_states[0]]).parties[0]
+print(f"party 0: {party0.generators} factors, {party0.rays} rays, {party0.extreme} extreme, "
+      f"{party0.nnls_solves} NNLS solves, least witness bound {party0.min_witness_bound:.4f}")
 
 # Both parties contribute 5 extreme rays; 10 > 2 * (5 - 1) = 8.
 report = certify(family_product_ops(inst))

@@ -52,7 +52,10 @@ def _manifest(command: str, params: dict, seed=None) -> dict:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(payload: dict, out_path=None) -> None:

@@ -21,16 +21,15 @@ certify runs the parties of one factor dimension d through one pass, on a
 the witness and the identity test each take the leading party axis, so G
 parties cost about the numpy calls of one.  A pass holds at most
 _CHUNK_ENTRIES array entries, counted as G R max(R, d^2); a party past that
-bound runs alone.  LocalOperatorSet, distinct_rays and count_extreme are
-the one-party case, G = 1.  NNLS and the report lines run per party, in
-party order.
+bound runs alone.  NNLS and the report lines run per party, in party
+order.
 
 A pass forms each quantity once and reads it wherever it is needed.
 A ray does not depend on scale, and K_1 x K_2 = (c K_1) x (K_2 / c) names
-the same outcome, so the validation (_unit_forms, which LocalOperatorSet
-calls) divides the scale out once: finite Frobenius norms clear every entry
-at once, a norm of 0 or below the normal range names no ray, and it keeps
-only the unit stack M / ||M||_F, which every later test reads.
+the same outcome, so the validation (_unit_forms) divides the scale out
+once: finite Frobenius norms clear every entry at once, a norm of 0 or
+below the normal range names no ray, and it keeps only the unit stack
+M / ||M||_F, which every later test reads.
 The one vec_herm call splits it into its diagonal and triangles once; both
 the coordinates V and the asymmetry check read that split.  The ray screen
 is one Gram matrix of V, the witness reads V and the representatives, and
@@ -73,16 +72,7 @@ import numpy as np
 
 from .numerics import ConvergenceError, _frob, _strict_upper, nnls, vec_herm
 
-__all__ = [
-    "LocalOperatorSet",
-    "RayGroups",
-    "Extremality",
-    "PartyConeStat",
-    "ConeReport",
-    "distinct_rays",
-    "count_extreme",
-    "certify",
-]
+__all__ = ["PartyConeStat", "ConeReport", "certify"]
 
 RAY_TOL = 1e-8
 PSD_INPUT_TOL = 1e-10
@@ -93,30 +83,12 @@ _TINY_NORM = float(np.finfo(float).tiny) ** 0.5  # the least norm whose square i
 _CHUNK_ENTRIES = 2**18  # the most array entries one certify pass of several parties holds
 
 
-@dataclass(frozen=True)
-class LocalOperatorSet:
-    """The factors one party contributes across all measurement outcomes, as rays.
-
-    ``ops`` may be given as any sequence of equal square matrices, d >= 1.
-    It is kept as one validated read-only (R, d, d) complex stack, copied
-    once, of their unit forms M / ||M||_F: a ray does not depend on scale,
-    so the raw scale is not kept.
-    """
-
-    ops: np.ndarray
-
-    def __post_init__(self):
-        if len(self.ops) == 0:
-            raise ValueError("operator set must be non-empty")
-        object.__setattr__(self, "ops", _unit_forms([self.ops])[0])
-
-
 def _unit_forms(parties) -> np.ndarray:
     """The validated read-only (G, R, d, d) stack of G parties' unit forms M / ||M||_F.
 
     ``parties`` holds G sequences of R equal square matrices each.  Every
-    refusal of LocalOperatorSet is raised here, for the first check that
-    any of the G parties fails.
+    refusal of a factor is raised here, for the first check that any of
+    the G parties fails.
     """
     try:
         stack = np.array(parties, dtype=complex)
@@ -172,40 +144,6 @@ def _require_psd(units: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class RayGroups:
-    """Partition of operator indices into equal-ray classes.
-
-    ``groups[c]`` lists the operator indices in class c; ``representatives``
-    is the read-only (count, d, d) stack of one Frobenius-normalized
-    operator per class, and ``coords`` its read-only (count, d^2) vec_herm
-    rows.
-    """
-
-    groups: tuple[tuple[int, ...], ...]
-    representatives: np.ndarray
-    coords: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return len(self.groups)
-
-
-@dataclass(frozen=True)
-class Extremality:
-    """What count_extreme found for one party.
-
-    ``witnessed[c]`` marks the classes a checked witness decided, and
-    ``nnls_solves`` counts the classes NNLS decided.
-    """
-
-    count: int
-    rays: RayGroups
-    residuals: np.ndarray
-    witnessed: np.ndarray
-    nnls_solves: int
-
-
-@dataclass(frozen=True)
 class PartyConeStat:
     """One party's line of the certificate.
 
@@ -233,34 +171,12 @@ class ConeReport:
     note: str = ""
 
 
-def distinct_rays(s: LocalOperatorSet, tol: float = RAY_TOL) -> RayGroups:
-    """Group the operators into classes equal up to positive scale.
+def _class_heads(units: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only vec_herm rows of a (G, R, d, d) stack of unit forms, and the
+    (G, R) array whose entry head[g, i] is the operator heading i's class in party g.
 
-    Two operators land in one class when their Frobenius-normalized forms
-    differ by at most ``tol``; positive operators leave no sign ambiguity.
-    Each operator joins the first class whose representative is that close,
-    and otherwise becomes the representative of a new class.  The forms
-    are ``s.ops``, already of unit norm; LocalOperatorSet refused zero operators.
-    """
-    units = s.ops
-    coords, head, is_head = _class_heads(units[None], tol)
-    coords, head = coords[0], head[0]
-    if is_head.all():
-        groups = tuple((i,) for i in range(len(units)))
-    else:
-        order = np.argsort(head, kind="stable")  # class by class, members ascending
-        heads, starts = np.unique(head[order], return_index=True)
-        groups = tuple(tuple(g.tolist()) for g in np.split(order, starts[1:]))
-        units, coords = units[heads], coords[heads]
-        units.setflags(write=False)
-        coords.setflags(write=False)
-    return RayGroups(groups=groups, representatives=units, coords=coords)
-
-
-def _class_heads(units: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only vec_herm rows of a (G, R, d, d) stack of unit forms, the (G, R)
-    array whose entry head[g, i] is the operator heading i's class in party g, and
-    the (G, R) mask of the heads.
+    Each operator joins the first class whose representative lies within tol
+    of it, and otherwise heads a new class.
 
     Screen: unit vectors within tol have a Gram entry of at least
     1 - tol**2 / 2.  Rounding in the normalization, in vec_herm and in a dot
@@ -279,9 +195,8 @@ def _class_heads(units: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray,
     gram = coords @ coords.swapaxes(1, 2)
     gram.reshape(count, r * r)[:, :: r + 1] = -np.inf
     cut = 1.0 - min(tol, 2.0) ** 2 / 2.0 - slack
-    ids = np.arange(r)
     head = np.empty((count, r), dtype=np.intp)
-    head[:] = ids  # until a pair passes the screen, every operator heads its own class
+    head[:] = np.arange(r)  # until a pair passes the screen, every operator heads its own class
     if gram.max() >= cut:
         party, rows, cols = np.nonzero(gram >= cut)
         earlier = cols < rows
@@ -295,7 +210,7 @@ def _class_heads(units: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray,
             near = np.flatnonzero(_frob(units[g, cand] - units[g, i]) <= tol)
             if near.size:
                 head[g, i] = cand[near[0]]
-    return coords, head, head == ids
+    return coords, head
 
 
 def _witness_bounds(units: np.ndarray, coords: np.ndarray, is_head: np.ndarray) -> np.ndarray:
@@ -364,54 +279,6 @@ def _witness_bounds(units: np.ndarray, coords: np.ndarray, is_head: np.ndarray) 
     return bounds
 
 
-def count_extreme(s: LocalOperatorSet, tol: float = RAY_TOL) -> Extremality:
-    """Number of extreme ray classes, plus per-class diagnostics.
-
-    The class representatives are unit Frobenius norm and their vec_herm
-    rows form V, so each class's distance to the cone of the others is
-    already relative.  Class c is extreme when that distance exceeds
-    ``tol``.  A checked witness decides c first, when it proves a distance
-    above both ``tol`` and the warning band; otherwise NNLS of column c over
-    the other columns of V decides.  ``residuals[c]`` is the witness's
-    proven lower bound where the witness decided and the NNLS residual
-    elsewhere; a lone class resolves to infinity, since one ray alone is
-    always extreme in the cone it generates.
-    """
-    rays = distinct_rays(s, tol)
-    heads = np.ones((1, rays.count), dtype=bool)  # the classes' representatives only
-    residuals, witnessed, solves = _extremality(rays.representatives[None], rays.coords[None], heads, tol)
-    return Extremality(
-        count=int(np.count_nonzero(residuals > tol)),
-        rays=rays,
-        residuals=residuals[0],
-        witnessed=witnessed[0],
-        nnls_solves=int(solves[0]),
-    )
-
-
-def _extremality(units: np.ndarray, coords: np.ndarray, is_head: np.ndarray, tol: float):
-    """count_extreme's decisions for every party of a (G, R, d, d) stack, in one pass.
-
-    ``coords`` holds the stack's vec_herm rows and ``is_head`` marks each
-    party's class representatives, as _class_heads returns them.  Returns
-    (G, R) arrays read at the representatives, the residual (NaN
-    elsewhere) and whether a witness decided it, and the (G,) count of NNLS
-    solves.  The witness serves all G parties at once; the classes it
-    leaves undecided go to NNLS party by party.
-    """
-    bounds = _witness_bounds(units, coords, is_head)
-    undecided = bounds <= max(tol, WARN_BAND[1])  # a lone class's infinite bound is decided
-    residuals = np.where(undecided, np.inf, bounds)
-    witnessed = residuals < np.inf
-    solves = undecided.sum(axis=1)
-    for g in solves.nonzero()[0]:
-        heads = is_head[g].nonzero()[0]
-        v = coords[g, heads].T
-        for c in undecided[g, heads].nonzero()[0]:
-            _, residuals[g, heads[c]] = nnls(np.delete(v, c, axis=1), v[:, c], tol=max(tol * 1e-4, 1e-14))
-    return residuals, witnessed, solves
-
-
 def _near_identity(units: np.ndarray) -> np.ndarray:
     """Whether, per party of a (G, R, d, d) stack of unit forms U = M / ||M||, every
     operator M has ||M - (Tr M / d) I|| <= IDENTITY_RTOL ||M||.
@@ -456,12 +323,25 @@ def _chunks(parties) -> list[list[int]]:
 
 
 def _party_lines(chunk: list[int], parties, tol: float) -> dict:
-    """party -> (PartyConeStat, borderline warnings) for the parties ``chunk`` names."""
+    """party -> (PartyConeStat, borderline warnings) for the parties ``chunk`` names.
+
+    The witness serves every party of the pass at once; the classes it
+    leaves undecided go to NNLS party by party.
+    """
     units = _unit_forms(parties)
     count, r = units.shape[:2]
-    coords, _, is_head = _class_heads(units, tol)
-    residuals, witnessed, solves = _extremality(units, coords, is_head, tol)
-    proven = np.where(witnessed, residuals, np.inf).min(axis=1)
+    coords, head = _class_heads(units, tol)
+    is_head = head == np.arange(r)
+    bounds = _witness_bounds(units, coords, is_head)
+    undecided = bounds <= max(tol, WARN_BAND[1])  # a lone class's infinite bound is decided
+    residuals = np.where(undecided, np.inf, bounds)  # NaN off the representatives
+    proven = np.where(is_head, residuals, np.inf).min(axis=1)  # the least witnessed bound
+    solves = undecided.sum(axis=1)
+    for g in solves.nonzero()[0]:
+        heads = is_head[g].nonzero()[0]
+        v = coords[g, heads].T
+        for c in undecided[g, heads].nonzero()[0]:
+            _, residuals[g, heads[c]] = nnls(np.delete(v, c, axis=1), v[:, c], tol=max(tol * 1e-4, 1e-14))
     lo, hi = WARN_BAND
     lines = {}
     for g, alpha, rays, extreme, solved, least, skipped in zip(

@@ -591,9 +591,11 @@ def instance_from_dict(payload: dict) -> Instance:
     before anything is built: the parameters fix the family, and a fresh
     ``usdsep generate`` writes them alone.
     """
+    if not isinstance(payload, dict):
+        raise ValueError("instance payload must be a JSON object")
     try:
         n, dims, omit = payload["n"], payload["dims"], payload["omit"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed instance payload: {exc}") from exc
     if "states" in payload:
         raise ValueError(

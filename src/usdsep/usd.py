@@ -146,6 +146,9 @@ def _top_secular_root(w: np.ndarray, n: int) -> float:
     if values.size > 1:
         lo = max(lo, float(values[-2]))
     hi = top
+    # A coefficient that underflowed to 0 adds nothing to the sum, and its
+    # slope term would be 0 / 0: it deflates like a zero weight.
+    values, c = values[c > 0.0], c[c > 0.0]
     mu = 0.5 * (lo + hi)
     while lo < mu < hi:
         terms = c / (values - mu)

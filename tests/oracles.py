@@ -214,7 +214,7 @@ def reference_vec_herm(h):
 
 def reference_stack(ops) -> np.ndarray:
     """The validated (R, d, d) stack, positivity decided by eigvalsh alone; refused, as
-    cone.LocalOperatorSet refuses it, when a squared Frobenius norm is zero, underflows
+    cone.certify refuses it, when a squared Frobenius norm is zero, underflows
     or overflows."""
     stack = np.array(ops, dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:

@@ -22,9 +22,7 @@ import numpy as np
 
 from usdsep import (
     SimConfig,
-    LocalOperatorSet,
     certify,
-    count_extreme,
     family_product_ops,
     make_instance,
     optimal_measurement,
@@ -262,25 +260,27 @@ def test_09_complement_decomposition_randomized():
 
 def test_10_extremality_oracle_equivalence():
     from tests.lp_oracle import conic_representable_lp, random_operator_sets
+    from tests.test_cone import nnls_only_residuals, party_stat, ray_classes
 
     rng = np.random.default_rng(314159)
     cases = 0
     disagreements = 0
     for ops in random_operator_sets(rng, 100):
-        s = LocalOperatorSet(ops)
-        found = count_extreme(s)
-        rays, residuals = found.rays, found.residuals
-        for c in range(rays.count):
-            others = [rays.representatives[k] for k in range(rays.count) if k != c]
+        _, reps, coords, bounds = ray_classes(ops)
+        residuals = nnls_only_residuals(coords, 1e-8)
+        lp = []
+        for c in range(len(reps)):
+            others = [reps[k] for k in range(len(reps)) if k != c]
+            lp_extreme = not others or not conic_representable_lp(reps[c], others)
             nnls_extreme = residuals[c] > 1e-8
-            lp_extreme = (
-                True
-                if not others
-                else not conic_representable_lp(rays.representatives[c], others)
-            )
+            # A checked witness bound past the band proves the class extreme.
+            witnessed = bounds[c] > 1e-6
             cases += 1
-            if nnls_extreme != lp_extreme:
+            if nnls_extreme != lp_extreme or (witnessed and not lp_extreme):
                 disagreements += 1
+            lp.append(lp_extreme)
+        if party_stat(ops).extreme != sum(lp):
+            disagreements += 1
     ok = disagreements == 0 and cases >= 200
     report(
         "10 oracle equivalence",

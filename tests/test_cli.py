@@ -156,11 +156,13 @@ def test_optimize_infeasible_weights(capsys):
 
 
 def test_subnormal_weights_optimize_without_a_warning(capsys):
-    # The secular root's slope overflows at these weights; the suite turns
-    # any RuntimeWarning into an error, so a clean run shows none was raised.
-    payload, err = run_json(capsys, "optimize", "--n", "5", "--weights", "1e-320,0,0,0")
-    assert err == ""
-    assert payload["psd_min_eigenvalue"] == 1.0
+    # The secular root's slope overflows at these weights, and 5e-324's
+    # coefficient underflows to 0; the suite turns any RuntimeWarning into
+    # an error, so a clean run shows none was raised.
+    for weights in ("1e-320,0,0,0", "1e-320,5e-324,0,0"):
+        payload, err = run_json(capsys, "optimize", "--n", "5", "--weights", weights)
+        assert err == ""
+        assert payload["psd_min_eigenvalue"] == 1.0
 
 
 def test_weights_far_past_the_pair_cap_end_without_a_rounding_defect(capsys):
@@ -193,6 +195,23 @@ def test_optimize_bad_instance_files(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "optimize", "--instance", str(overflow))
     assert rc == 2
     assert "malformed instance payload" in err
+
+
+@pytest.mark.parametrize("command, option", [("certify", "--measurement"), ("optimize", "--instance")])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, command, option):
+    # json.load recurses once per level, so 100000 levels exhaust the stack.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    rc, out, err = run_cli(capsys, command, option, str(path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
+def test_optimize_refuses_an_instance_file_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[5]")
+    rc, out, err = run_cli(capsys, "optimize", "--instance", str(path))
+    assert (rc, out, err) == (2, "", "error: instance payload must be a JSON object\n")
 
 
 def test_optimize_refuses_an_instance_file_with_states(tmp_path, capsys):

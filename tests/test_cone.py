@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 
 import usdsep.cone
 from usdsep import (
-    LocalOperatorSet,
     certify,
-    count_extreme,
-    distinct_rays,
     family_product_ops,
     make_instance,
     nnls,
@@ -29,45 +26,60 @@ pytest.importorskip("scipy")
 from tests.lp_oracle import conic_representable_lp, rand_psd, random_operator_sets
 
 
-def class_of(rays, i):
-    """The class holding operator i, read from the groups."""
-    (c,) = [c for c, members in enumerate(rays.groups) if i in members]
+def party_stat(ops, tol=RAY_TOL):
+    """certify's line for one party's factors alone."""
+    return certify([[op] for op in ops], tol).parties[0]
+
+
+def ray_classes(ops, tol=RAY_TOL):
+    """One party's ray classes by certify's kernels: the groups, members ascending
+    and in the order of their heads; the heads' unit forms and vec_herm rows; and
+    each class's checked witness bound."""
+    units = usdsep.cone._unit_forms([ops])
+    coords, head = usdsep.cone._class_heads(units, tol)
+    is_head = head == np.arange(len(ops))
+    bounds = usdsep.cone._witness_bounds(units, coords, is_head)
+    groups = {}
+    for i, h in enumerate(head[0].tolist()):
+        groups.setdefault(h, []).append(i)
+    return tuple(map(tuple, groups.values())), units[is_head], coords[is_head], bounds[is_head]
+
+
+def class_of(groups, i):
+    """The class holding operator i."""
+    (c,) = [c for c, members in enumerate(groups) if i in members]
     return c
 
 
-def extreme_per_operator(s):
-    """Whether each operator's ray class is extreme, from count_extreme's residuals."""
-    found = count_extreme(s)
-    return [bool(found.residuals[class_of(found.rays, i)] > RAY_TOL) for i in range(len(s.ops))]
+def extreme_per_operator(ops):
+    """Whether each operator's ray class is extreme, by NNLS alone."""
+    groups, _, coords, _ = ray_classes(ops)
+    residuals = nnls_only_residuals(coords, RAY_TOL)
+    return [bool(residuals[class_of(groups, i)] > RAY_TOL) for i in range(len(ops))]
 
 
 def test_distinct_rays_groups_by_positive_scale():
     a = np.diag([1.0, 0.0]).astype(complex)
     b = np.diag([0.0, 1.0]).astype(complex)
-    s = LocalOperatorSet((a, 3.0 * a, b))
-    assert s.ops.shape == (3, 2, 2) and not s.ops.flags.writeable
-    rays = distinct_rays(s)
-    assert rays.count == 2
-    assert rays.groups == ((0, 1), (2,))
-    assert class_of(rays, 1) == 0
-    assert not any(5 in members for members in rays.groups)
-    assert rays.representatives.shape == (2, 2, 2)
-    assert not rays.representatives.flags.writeable
-    assert np.array_equal(rays.representatives, np.stack([a, b]))
+    groups, reps, _, _ = ray_classes((a, 3.0 * a, b))
+    assert groups == ((0, 1), (2,))
+    assert class_of(groups, 1) == 0
+    assert not any(5 in members for members in groups)
+    assert np.array_equal(reps, np.stack([a, b]))
+    stat = party_stat((a, 3.0 * a, b))
+    assert (stat.generators, stat.rays, stat.extreme) == (3, 2, 2)
 
 
 def test_operator_set_keeps_one_unit_stack():
-    # A ray does not depend on scale, so the set keeps the unit forms
-    # M / ||M||_F in place of the operators: one read-only (R, d, d) array.
+    # A ray does not depend on scale, so the validation keeps the unit forms
+    # M / ||M||_F in place of the operators: one read-only (G, R, d, d) array.
     rng = np.random.default_rng(35)
     ops = [10.0 ** rng.uniform(-100, 100) * rand_psd(rng, 4) for _ in range(6)]
-    s = LocalOperatorSet(ops)
-    assert s.ops.shape == (6, 4, 4) and not s.ops.flags.writeable
-    assert np.max(np.abs(np.linalg.norm(s.ops, axis=(1, 2)) - 1.0)) <= 1e-15
-    for got, op in zip(s.ops, ops):
+    units = usdsep.cone._unit_forms([ops])
+    assert units.shape == (1, 6, 4, 4) and not units.flags.writeable
+    assert np.max(np.abs(np.linalg.norm(units, axis=(2, 3)) - 1.0)) <= 1e-15
+    for got, op in zip(units[0], ops):
         assert np.allclose(got, op / np.linalg.norm(op), rtol=0.0, atol=1e-15)
-    arrays = [v for v in vars(s).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 1 and arrays[0] is s.ops
 
 
 def first_match_rays(ops, tol):
@@ -92,13 +104,13 @@ def test_distinct_rays_tolerance_boundary_follows_first_match():
     near = a + 0.5 * RAY_TOL * bump  # unit a moves by just under 0.5 RAY_TOL
     far = a + 2.0 * RAY_TOL * bump  # and here by just under 2 RAY_TOL
     ops = (a, b, near, far, 7.0 * b, 3.0 * far)
-    rays = distinct_rays(LocalOperatorSet(ops))
-    groups, reps = first_match_rays(ops, RAY_TOL)
-    assert rays.groups == groups == ((0, 2), (1, 4), (3, 5))
-    assert len(rays.representatives) == len(reps)
-    for got, want in zip(rays.representatives, reps):
+    groups, got_reps, _, _ = ray_classes(ops)
+    want_groups, reps = first_match_rays(ops, RAY_TOL)
+    assert groups == want_groups == ((0, 2), (1, 4), (3, 5))
+    assert len(got_reps) == len(reps)
+    for got, want in zip(got_reps, reps):
         assert np.array_equal(got, want)
-    assert [class_of(rays, i) for i in range(len(ops))] == [0, 1, 0, 2, 1, 2]
+    assert [class_of(groups, i) for i in range(len(ops))] == [0, 1, 0, 2, 1, 2]
 
 
 def test_count_extreme_vectorizes_each_class_once(monkeypatch):
@@ -111,9 +123,8 @@ def test_count_extreme_vectorizes_each_class_once(monkeypatch):
 
     monkeypatch.setattr(usdsep.cone, "vec_herm", counting)
     inst = make_instance(13)
-    s = LocalOperatorSet(tuple(proj(v) for v in inst.local_states[0]))
-    found = count_extreme(s)
-    assert found.count == found.rays.count == 13
+    stat = party_stat([proj(v) for v in inst.local_states[0]])
+    assert stat.rays == stat.extreme == 13
     # One call per party, on the stack of all its operators.
     assert calls == [(1, 13, 2, 2)]
 
@@ -128,32 +139,31 @@ def test_count_extreme_vectorizes_each_class_once(monkeypatch):
 def test_distinct_rays_family_has_n_classes():
     inst = make_instance(5)
     ops = tuple(proj(v) for v in inst.local_states[0])
-    rays = distinct_rays(LocalOperatorSet(ops))
-    assert rays.count == 5
+    assert party_stat(ops).rays == 5
 
 
 def test_zero_operator_has_no_ray():
     z = np.zeros((2, 2), dtype=complex)
     a = np.eye(2, dtype=complex)
-    with pytest.raises(ValueError):
-        distinct_rays(LocalOperatorSet((a, z)))
+    with pytest.raises(ValueError, match="zero operator has no ray"):
+        party_stat((a, z))
 
 
 def test_operator_set_validation():
+    with pytest.raises(ValueError, match="need at least one product operator"):
+        certify([])
     with pytest.raises(ValueError):
-        LocalOperatorSet(())
-    with pytest.raises(ValueError):
-        LocalOperatorSet((np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
+        party_stat((np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
     not_psd = np.diag([1.0, -0.2]).astype(complex)
     with pytest.raises(ValueError):
-        LocalOperatorSet((not_psd,))
+        party_stat((not_psd,))
     for value in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
-            LocalOperatorSet((np.eye(2), np.diag([1.0, value]).astype(complex)))
+            party_stat((np.eye(2), np.diag([1.0, value]).astype(complex)))
     # Zero-size operators name no dimension at all.
     empty = np.zeros((0, 0))
     with pytest.raises(ValueError, match="one square dimension"):
-        LocalOperatorSet((empty, empty))
+        party_stat((empty, empty))
     with pytest.raises(ValueError, match="one square dimension"):
         certify([[empty, empty]])
     with pytest.raises(ValueError, match="product operators need at least one factor"):
@@ -167,7 +177,7 @@ def test_operator_set_rejects_norms_that_overflow():
     full_rank = [1e160 * np.diag([1.0, t]).astype(complex) for t in (0.5, 1.0, 2.0)]
     for ops in (rank_one, full_rank):
         with pytest.raises(ValueError, match="squared Frobenius norm overflows"):
-            LocalOperatorSet(ops)
+            party_stat(ops)
         with pytest.raises(ValueError, match="squared Frobenius norm overflows"):
             certify([[op, np.eye(2)] for op in ops])
 
@@ -181,8 +191,8 @@ def test_operator_set_tells_an_underflowing_norm_from_a_zero_operator():
         with pytest.raises(ValueError, match="too small: a squared Frobenius norm underflows"):
             certify([[scale * np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)]])
     with pytest.raises(ValueError, match="zero operator has no ray"):
-        LocalOperatorSet((np.eye(2), np.zeros((2, 2)), 1e-160 * np.eye(2)))
-    assert distinct_rays(LocalOperatorSet((1e-150 * np.eye(2), np.eye(2)))).count == 1
+        party_stat((np.eye(2), np.zeros((2, 2)), 1e-160 * np.eye(2)))
+    assert party_stat((1e-150 * np.eye(2), np.eye(2))).rays == 1
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e160])
@@ -203,21 +213,22 @@ def test_certify_and_the_reference_route_refuse_the_same_scales(n, dims, copies,
 
 def test_operator_set_rejects_one_indefinite_factor_among_many():
     good = tuple(np.diag([1.0, t]).astype(complex) for t in np.linspace(0.0, 1.0, 20))
-    LocalOperatorSet(good)
+    party_stat(good)
     bad = np.diag([1.0, -1e-6]).astype(complex)
     with pytest.raises(ValueError, match="positive semidefinite"):
-        LocalOperatorSet(good[:7] + (bad,) + good[7:])
+        party_stat(good[:7] + (bad,) + good[7:])
     with pytest.raises(ValueError, match="one square dimension"):
-        LocalOperatorSet(good + (np.eye(2, 3, dtype=complex),))
+        party_stat(good + (np.eye(2, 3, dtype=complex),))
 
 
 def test_rank_one_projectors_are_extreme():
     inst = make_instance(5)
-    s = LocalOperatorSet(tuple(proj(v) for v in inst.local_states[0]))
-    assert extreme_per_operator(s) == [True] * 5
-    found = count_extreme(s)
-    assert found.count == found.rays.count == 5
-    assert np.all(found.residuals > 1e-6)
+    ops = tuple(proj(v) for v in inst.local_states[0])
+    assert extreme_per_operator(ops) == [True] * 5
+    # The witness decides every class, with a bound past the warning band.
+    stat = party_stat(ops)
+    assert (stat.rays, stat.extreme, stat.nnls_solves) == (5, 5, 0)
+    assert stat.min_witness_bound > 1e-6
 
 
 def test_planted_combination_is_not_extreme():
@@ -225,19 +236,19 @@ def test_planted_combination_is_not_extreme():
     a = rand_psd(rng, 3, rank=1)
     b = rand_psd(rng, 3, rank=1)
     c = 0.4 * a + 0.6 * b
-    s = LocalOperatorSet((a, b, c))
-    assert extreme_per_operator(s) == [True, True, False]
-    found = count_extreme(s)
-    assert found.rays.groups == ((0,), (1,), (2,))
-    assert found.count == 2
+    assert extreme_per_operator((a, b, c)) == [True, True, False]
+    assert ray_classes((a, b, c))[0] == ((0,), (1,), (2,))
+    # No witness can prove c extreme, so NNLS decides it.
+    stat = party_stat((a, b, c))
+    assert (stat.rays, stat.extreme, stat.nnls_solves) == (3, 2, 1)
 
 
 def test_lone_class_is_extreme():
     a = np.diag([1.0, 2.0]).astype(complex)
-    s = LocalOperatorSet((a, 2.0 * a))
-    found = count_extreme(s)
-    assert found.rays.count == 1 and found.count == 1
-    assert np.isinf(found.residuals[0])
+    assert np.isinf(ray_classes((a, 2.0 * a))[3]).all()
+    stat = party_stat((a, 2.0 * a))
+    assert (stat.rays, stat.extreme, stat.nnls_solves) == (1, 1, 0)
+    assert stat.min_witness_bound is None
 
 
 def test_certify_symmetric_family_violates():
@@ -397,20 +408,20 @@ def test_nnls_extremality_matches_lp_oracle():
     rng = np.random.default_rng(2718)
     cases = 0
     for ops in random_operator_sets(rng, 30):
-        s = LocalOperatorSet(ops)
-        found = count_extreme(s)
-        rays, residuals = found.rays, found.residuals
-        for c in range(rays.count):
-            others = [rays.representatives[k] for k in range(rays.count) if k != c]
-            nnls_extreme = residuals[c] > 1e-8
-            if not others:
-                lp_extreme = True
-            else:
-                lp_extreme = not conic_representable_lp(
-                    rays.representatives[c], others
-                )
-            assert nnls_extreme == lp_extreme, (cases, c)
+        _, reps, coords, bounds = ray_classes(ops)
+        residuals = nnls_only_residuals(coords, RAY_TOL)
+        witnessed = bounds > max(RAY_TOL, WARN_BAND[1])
+        lp = []
+        for c in range(len(reps)):
+            others = [reps[k] for k in range(len(reps)) if k != c]
+            lp_extreme = not others or not conic_representable_lp(reps[c], others)
+            # NNLS decides as the LP does, and a checked witness only ever
+            # proves an extreme class.
+            assert (residuals[c] > 1e-8) == lp_extreme, (cases, c)
+            assert lp_extreme or not witnessed[c], (cases, c)
+            lp.append(lp_extreme)
             cases += 1
+        assert party_stat(ops).extreme == sum(lp)
     assert cases >= 60
 
 
@@ -439,20 +450,21 @@ def planted_rays(rng, tol, d=None):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5]))
 def test_distinct_rays_screen_matches_first_match(seed, tol):
     ops = planted_rays(np.random.default_rng(seed), tol)
-    rays = distinct_rays(LocalOperatorSet(ops), tol)
-    groups, reps = first_match_rays(ops, tol)
-    assert rays.groups == groups
-    assert len(rays.representatives) == len(reps)
-    np.testing.assert_allclose(rays.representatives, np.stack(reps), rtol=0, atol=1e-15)
-    np.testing.assert_allclose(rays.coords, vec_herm(rays.representatives), rtol=0, atol=1e-15)
+    groups, got_reps, coords, _ = ray_classes(ops, tol)
+    want_groups, reps = first_match_rays(ops, tol)
+    assert groups == want_groups
+    assert len(got_reps) == len(reps)
+    np.testing.assert_allclose(got_reps, np.stack(reps), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(coords, vec_herm(got_reps), rtol=0, atol=1e-15)
 
 
-def nnls_only_residuals(rays, tol):
-    """Reference: every class decided by NNLS over vec_herm columns."""
-    v = vec_herm(rays.representatives).T
-    residuals = np.full(rays.count, np.inf)
-    if rays.count > 1:
-        for c in range(rays.count):
+def nnls_only_residuals(coords, tol):
+    """Reference: every class decided by NNLS over the columns of its representatives'
+    vec_herm rows."""
+    v = coords.T
+    residuals = np.full(len(coords), np.inf)
+    if len(coords) > 1:
+        for c in range(len(coords)):
             _, residuals[c] = nnls(np.delete(v, c, axis=1), v[:, c], tol=max(tol * 1e-4, 1e-14))
     return residuals
 
@@ -495,20 +507,26 @@ def operator_sets(draw):
 @settings(max_examples=60, deadline=None, database=None)
 @given(operator_sets(), st.sampled_from([1e-8, 1e-6, 1e-3, 0.05]))
 def test_witness_decisions_match_nnls_only(ops, tol):
-    found = count_extreme(LocalOperatorSet(ops), tol)
-    reference = nnls_only_residuals(found.rays, tol)
+    _, _, coords, bounds = ray_classes(ops, tol)
+    reference = nnls_only_residuals(coords, tol)
     lo, hi = WARN_BAND
-    assert list(found.residuals > tol) == list(reference > tol)
-    assert list((lo <= found.residuals) & (found.residuals <= hi)) == list(
-        (lo <= reference) & (reference <= hi)
-    )
-    decided = found.witnessed
-    assert found.nnls_solves == (np.count_nonzero(~decided) if found.rays.count > 1 else 0)
-    # Where the witness decided, its bound cleared both cuts and stays below
-    # the NNLS residual, up to rounding.
-    assert np.all(found.residuals[decided] > max(tol, hi))
-    assert np.all(found.residuals[decided] <= reference[decided] + 1e-12)
-    assert np.array_equal(found.residuals[~decided], reference[~decided])
+    # The witness decides where its bound clears both cuts; that bound stays
+    # below the NNLS residual, up to rounding, so NNLS decides those classes
+    # alike.  A lone class is decided by its infinite bound.
+    decided = bounds > max(tol, hi)
+    assert np.all(bounds[decided] <= reference[decided] + 1e-12)
+    assert np.all(reference[decided] > max(tol, hi))
+    # certify's line and warnings are then the NNLS-only ones.
+    rep = certify([[op] for op in ops], tol)
+    (stat,) = rep.parties
+    assert stat.extreme == np.count_nonzero(reference > tol)
+    assert stat.nnls_solves == np.count_nonzero(~decided)
+    proven = bounds[decided & (bounds < np.inf)]
+    assert stat.min_witness_bound == (proven.min() if proven.size else None)
+    assert list(rep.warnings) == [
+        f"party 0 ray class {c}: NNLS residual {reference[c]:.3e} is borderline"
+        for c in np.flatnonzero((lo <= reference) & (reference <= hi))
+    ]
 
 
 def random_unitary(rng, d):
@@ -554,7 +572,7 @@ def assert_matches_reference(entries, tol, well_posed=True, rng=None):
         entries = [[f * 10.0 ** rng.uniform(-100.0, 100.0) for f in entry] for entry in entries]
     got = certify(entries, tol)
     parties = [[entry[alpha] for entry in entries] for alpha in range(len(entries[0]))]
-    assert [distinct_rays(LocalOperatorSet(p), tol).groups for p in parties] == want_groups
+    assert [ray_classes(p, tol)[0] for p in parties] == want_groups
     for g, w in zip(got.parties, want.parties, strict=True):
         assert (g.party, g.generators, g.rays, g.skipped) == (w.party, w.generators, w.rays, w.skipped)
     if not well_posed:
@@ -609,9 +627,9 @@ def test_certify_families_match_the_reference_route(n, dims, copies):
 
 
 def one_party_error(factors):
-    """The message the one-party entry points raise for these factors."""
+    """The message certify raises for these factors as its one party."""
     with pytest.raises(ValueError) as info:
-        count_extreme(LocalOperatorSet(factors))
+        party_stat(factors)
     return str(info.value)
 
 
@@ -670,9 +688,9 @@ def test_positivity_at_the_tolerance_edge_follows_eigvalsh():
         decisions.add(rejects)
         if rejects:
             with pytest.raises(ValueError, match="positive semidefinite"):
-                LocalOperatorSet(stack)
+                party_stat(stack)
         else:
-            LocalOperatorSet(stack)
+            party_stat(stack)
     assert decisions == {True, False}
 
 

@@ -311,11 +311,14 @@ def test_tied_top_weight_needs_no_sort(monkeypatch):
         assert optimal_measurement(inst).min_eigenvalue == 1.0 - inst.n / d * (d / inst.n)
 
 
-@pytest.mark.parametrize("weights", [(1e-320, 0.0, 0.0, 0.0), (3e-310, 1e-310, 0.0, 0.0)])
+@pytest.mark.parametrize(
+    "weights", [(1e-320, 0.0, 0.0, 0.0), (3e-310, 1e-310, 0.0, 0.0), (1e-320, 5e-324, 0.0, 0.0)]
+)
 def test_secular_root_of_subnormal_weights(weights):
-    # The slope overflows here, so the search bisects.  Scaling by a power
-    # of two is exact: the root of the weights times 2^1000, divided back,
-    # is the reference, to a few ulps of the subnormal spacing.
+    # The slope overflows here, so the search bisects, and 5e-324's
+    # coefficient w / 5 underflows to 0.  Scaling by a power of two is
+    # exact: the root of the weights times 2^1000, divided back, is the
+    # reference, to a few ulps of the subnormal spacing.
     w = np.array(weights)
     want = _top_secular_root(w * 2.0**1000, 5) / 2.0**1000
     assert abs(_top_secular_root(w, 5) - want) <= 4.0 * np.spacing(want)
