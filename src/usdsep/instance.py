@@ -435,8 +435,8 @@ class ReciprocalSet:
 
     Row i of ``states`` is the reciprocal state for label ``indices[i]``: it
     is orthogonal to every retained state except its own partner, and the
-    partner overlap is real positive.  ``overlaps`` holds q_j, the squared
-    partner overlap, which for these families is N / (2 D) for every j.
+    partner overlap is real positive.  ``overlaps`` holds q_j = N / (2 D), row
+    j's squared overlap with its partner and the omitted state: its two Born cells.
     Nothing (D, D) is stored: ``states`` and ``state`` build the closed
     form phi_k (module docstring, l = omit) from the table of roots when
     read, ``state`` in O(D).
@@ -447,8 +447,7 @@ class ReciprocalSet:
     omit: int
     indices: tuple[int, ...]
     exponents: np.ndarray  # (D,) the instance's read-only exponents, shared
-    overlaps: np.ndarray  # (D,)
-    born: np.ndarray  # (D, 2) nonzero Born cells of row i: its partner's, the omitted label's
+    overlaps: np.ndarray  # (D,) read-only; row i's two nonzero Born cells are both q
     residuals: dict  # the derived overlap bound, by its numerics.BOUNDS row name
 
     @property
@@ -556,15 +555,14 @@ def reciprocal_set(inst: Instance) -> ReciprocalSet:
     The reciprocal state for label k is the dual xi_k with l = omit (module
     docstring), normalized: the unique direction orthogonal to every other
     retained state.  Its squared overlap is q = N / (2 D) with its partner
-    and with the omitted state alike.  Overlaps and Born cells are these
-    closed forms, and the "derived overlap bound" row checks their audits.
+    and with the omitted state alike: ``overlaps`` is this closed form and
+    every nonzero Born cell, and the "derived overlap bound" row checks its audits.
     The set shares the instance's exponents and stores no (D, D) array.
     """
     n, d = inst.n, inst.total_dim
-    overlaps, born = np.empty(d), np.empty((d, 2))
-    for a in (overlaps, born):
-        a.fill(n / (2.0 * d))  # q, the one squared overlap
-        a.setflags(write=False)
+    overlaps = np.empty(d)
+    overlaps.fill(n / (2.0 * d))  # q, the one squared overlap
+    overlaps.setflags(write=False)
     return ReciprocalSet(
         n=n,
         dims=inst.dims,
@@ -572,7 +570,6 @@ def reciprocal_set(inst: Instance) -> ReciprocalSet:
         indices=inst.retained,
         exponents=inst.exponents,
         overlaps=overlaps,
-        born=born,
         residuals={"derived overlap bound": check("derived overlap bound", _derived_bound(inst))},
     )
 

@@ -54,7 +54,7 @@ BOUNDS = {
     # The next residual grows with the weights, so it is divided by
     # max(1, N max(w) / (2D)).  That is 1 whenever every weight is within the
     # pair cap 2D/N, as on every PSD measurement, where the bound is raw.
-    "born vs closed form": 1e-12,  # Born failure average against 1 - sum q w / D
+    "born vs closed form": 1e-12,  # Born average of the two q cells vs 1 - sum q w / D
     "negative outcome probability": 1e-12,  # most negative exact probability, negated
     "outcome probabilities miss 1": 1e-10,  # largest |row sum - 1| of the outcome rows
     "stray outcome weight": 1e-10,  # derived: sum(w) b^2, a copy's weight naming another input

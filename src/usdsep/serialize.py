@@ -58,13 +58,17 @@ def _array_text(arr: np.ndarray) -> str:
 def pairs_to_matrix(rows) -> np.ndarray:
     """Complex matrix from nested [re, im] pairs of finite numbers; else a ValueError.
 
-    It reads the factor matrices of a certify measurement file.
+    It reads the factor matrices of a certify measurement file.  A JSON
+    true or false is not a number, although np.asarray reads one that sits
+    beside numbers as 1 or 0, so one pass over the entries refuses it.
     """
     arr = np.asarray(rows)
     if arr.ndim != 3 or arr.shape[-1] != 2 or arr.dtype.kind not in "iuf":
         raise ValueError(
             f"expected rows of [re, im] number pairs, got shape {arr.shape} of {arr.dtype}"
         )
+    if any(type(x) is bool for row in rows for pair in row for x in pair):
+        raise ValueError("[re, im] pairs must be numbers, not true or false")
     if not np.all(np.isfinite(arr)):
         raise ValueError("[re, im] pairs must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -124,10 +124,10 @@ def _sample_counts(rows: np.ndarray, trials: int, seed: int) -> np.ndarray:
 def _single_rows(r: ReciprocalSet, m: WeightedMeasurement) -> np.ndarray:
     """Checked (D, 2) outcome rows of one copy of ``m`` on the reciprocal inputs.
 
-    Column 0 is input i's partner label, weighing w_i |<psi_i|phi_i>|^2;
+    Column 0 is input i's partner label, weighing w_i q_i (its overlap);
     column 1 is the failure <phi_i|F|phi_i> from failure_probability.  F's
     coefficients there are not the complement of the weights, so a row
-    that misses 1 shows a Born table that misses completeness.  Labels
+    that misses 1 shows overlaps that miss completeness.  Labels
     naming another input weigh at most sum(w) b^2, b the derived overlap bound.
     A weight past the pair cap 2D/N = 1/q, which a loosened positivity
     tolerance admits, leaves a negative failure cell: ValueError.  Both
@@ -143,7 +143,7 @@ def _single_rows(r: ReciprocalSet, m: WeightedMeasurement) -> np.ndarray:
         )
     check("stray outcome weight", float(m.weights.sum()) * r.residuals["derived overlap bound"] ** 2)
     single = np.empty((d, 2))
-    np.multiply(m.weights, r.born[:, 0], out=single[:, 0])
+    np.multiply(m.weights, r.overlaps, out=single[:, 0])
     single[:, 1] = failure_probability(m, r).per_state_failure
     return _checked_rows(single)
 

@@ -14,7 +14,7 @@ The weights are the whole measurement; no operator is stored.  By the same
 completeness identity the failure operator is sum_j (D/N - w~_j) P_j over
 every label, w~ being the weights with 0 at the omitted label, so an
 input's failure <phi|F|phi> is one weighted row of the reciprocal set's
-Born table: its two cells, the partner's and the omitted label's.
+Born table: its two nonzero cells, the partner's and the omitted label's, both q.
 Positivity needs only the spectrum: the nonzero eigenvalues of
 sum_j w_j P_j are those of (N/D)(diag(w) - z z^dag) with
 |z_j|^2 = w_j / N, because the Gram matrix of the retained states is
@@ -182,18 +182,18 @@ def failure_probability(m: WeightedMeasurement, r: ReciprocalSet) -> UsdReport:
 
     Evaluated two ways that must agree to 1e-12: the Born-rule average of
     the per-input failures <phi_i|F|phi_i> and the closed form
-    1 - (1/D) sum_j q_j w_j.  Each failure is input i's two Born cells
-    weighted by F's coefficients D/N - w~_j (module docstring),
-    q (D/N - w_i) + q D/N in O(D), so a row sums to 1 only if the cells
-    hold completeness.  The report carries the Born value and the per-input
-    failures it averages.
+    1 - (1/D) sum_j q_j w_j.  Each failure is input i's two Born cells,
+    both its overlap q_i, weighted by F's coefficients D/N - w~_j (module
+    docstring): q_i (D/N - w_i) + q_i D/N in O(D), so a row sums to 1 only
+    if the overlaps hold completeness.  The report carries the Born value
+    and the per-input failures it averages.
     """
     _check_match(m, r)
     d, w = len(r.indices), m.weights
     scale = d / m.n
     traces = np.subtract(scale, w)
-    traces *= r.born[:, 0]
-    traces += r.born[:, 1] * scale
+    traces *= r.overlaps
+    traces += r.overlaps * scale
     born = float(traces.sum()) / d
     closed = 1.0 - float(np.multiply(r.overlaps, w).sum()) / d
     top = float(w.max())

@@ -112,8 +112,8 @@ def group_by_label(rows, labels, n) -> np.ndarray:
 
 
 def two_cell_table(r) -> np.ndarray:
-    """r.born scattered into the (D, N) Born table."""
-    return by_label(r.born, r.indices, r.n, r.omit)
+    """r.overlaps as both cells of each row (partner, omitted label) in the (D, N) Born table."""
+    return by_label(np.stack([r.overlaps, r.overlaps], axis=1), r.indices, r.n, r.omit)
 
 
 def dense_reciprocal_residuals(inst, r) -> dict:
@@ -360,7 +360,7 @@ def reference_failure_probability(m, r):
     """(Born failure, per-input failures, optimal) as failure_probability once formed them."""
     _check_match(m, r)
     d = len(r.indices)
-    traces = r.born[:, 0] * (d / m.n - m.weights) + r.born[:, 1] * (d / m.n)
+    traces = r.overlaps * (d / m.n - m.weights) + r.overlaps * (d / m.n)
     born = float(traces.mean())
     closed = 1.0 - float((r.overlaps * m.weights).sum()) / d
     cap_units = max(1.0, m.n * float(m.weights.max()) / (2.0 * d))
@@ -389,7 +389,7 @@ def _reference_single_rows(r, m):
             f"so its failure probability 1 - q w would be negative"
         )
     check("stray outcome weight", float(m.weights.sum()) * r.residuals["derived overlap bound"] ** 2)
-    single = np.stack([m.weights * r.born[:, 0], reference_failure_probability(m, r)[1]], 1)
+    single = np.stack([m.weights * r.overlaps, reference_failure_probability(m, r)[1]], 1)
     return _reference_checked_rows(single)
 
 

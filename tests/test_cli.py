@@ -133,6 +133,9 @@ def test_optimize_default(capsys):
     assert payload["optimal"] is True
     assert payload["psd_min_eigenvalue"] >= -1e-10
     assert payload["manifest"]["command"] == "optimize"
+    # The Born average reads the one overlap array for both cells; its bits are pinned.
+    payload, _ = run_json(capsys, "optimize", "--n", "199", "--dims", "2,99", "--omit", "5")
+    assert payload["failure_probability"] == 0.49999999999999994
 
 
 def test_optimize_with_weights(capsys):
@@ -418,6 +421,24 @@ def test_certify_measurement_file_must_be_a_list(tmp_path, capsys):
     path.write_text("[[]]")
     rc, out, err = run_cli(capsys, "certify", "--measurement", str(path))
     assert (rc, out, err) == (2, "", "error: product operators need at least one factor\n")
+
+
+def test_certify_measurement_file_refuses_json_booleans(tmp_path, capsys):
+    # np.asarray reads a bool beside a number as 1 or 0: [true, 0] would be
+    # certified as the matrix [[1]], and [true, 0.5] fail as not Hermitian.
+    path = tmp_path / "meas.json"
+    for text in ("[[[[[true,0]]]]]", "[[[[[true,0.5]]]]]", "[[[[[1,0]]],[[[0,false]]]]]"):
+        path.write_text(text)
+        rc, out, err = run_cli(capsys, "certify", "--measurement", str(path))
+        assert (rc, out) == (2, "")
+        assert err == (
+            "error: malformed product operator array: "
+            "[re, im] pairs must be numbers, not true or false\n"
+        )
+    # The integers 1 and 0, which equal true and false, still read as numbers.
+    path.write_text("[[[[[1,0]]]]]")
+    payload, _ = run_json(capsys, "certify", "--measurement", str(path))
+    assert payload["verdict"] == "SATISFIES"
 
 
 def test_certify_measurement_file_with_overflowing_norms(tmp_path, capsys):

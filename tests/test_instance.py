@@ -549,6 +549,22 @@ def test_reciprocal_set_checks_its_one_row_once(monkeypatch):
     assert reads == ["derived overlap bound"]
 
 
+def test_reciprocal_set_holds_one_float_per_label():
+    # q is both nonzero Born cells of every row, so the set holds one (D,)
+    # float array.  The retained labels, built on their first read, are the
+    # instance's and are shared as the set's indices.
+    inst = make_instance(100003)
+    assert len(inst.retained) == inst.total_dim
+    tracemalloc.start()
+    try:
+        r = reciprocal_set(inst)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert r.indices is inst.retained
+    assert held <= 8 * inst.total_dim + 4096, held
+
+
 def test_reciprocal_overlap_value_across_families():
     for inst in all_instances():
         r = reciprocal_set(inst)

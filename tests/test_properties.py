@@ -283,11 +283,10 @@ def test_born_table_holds_every_overlap_and_the_audits(inst, seed):
     # under the bound the audits read.
     r = reciprocal_set(inst)
     n, d = inst.n, inst.total_dim
-    assert r.born.shape == (d, 2)
+    assert r.overlaps.shape == (d,)
     with pytest.raises(ValueError):
-        r.born[0, 0] = 0.0
+        r.overlaps[0] = 0.0
     assert np.all(r.overlaps == n / (2.0 * d))
-    assert np.array_equal(r.born, np.stack([r.overlaps, r.overlaps], axis=1))
     assert np.max(np.abs(two_cell_table(r) - dense_born_table(inst, r))) <= DENSE_ROUNDING
 
     derived = derived_bound(inst)

@@ -108,18 +108,19 @@ def test_outcome_distribution_on_reciprocal_input():
 
 
 def test_outcome_distribution_rejections():
-    # Rows that are not a probability distribution come from a broken Born
-    # table.  The tampering moves delta from row 1's omitted cell to row 0's,
-    # which keeps the average failure, so only the per-input rows can catch
-    # it; a failure cell read as 1 minus the conclusive cells would not.
+    # Rows that are not a probability distribution come from broken
+    # overlaps.  The tampering moves delta from row 1's overlap to row 0's,
+    # which shifts both Born cells of the two rows and, at these equal
+    # weights, keeps the average failure, so only the per-input rows can
+    # catch it; a failure cell read as 1 minus the conclusive cells would not.
     inst = make_instance(5)
     r = reciprocal_set(inst)
     m = optimal_measurement(inst)
 
     def tampered(delta):
-        born = r.born.copy()
-        born[[0, 1], 1] += [delta, -delta]  # column 1: the omitted label's cell
-        return dataclasses.replace(r, born=born)
+        overlaps = r.overlaps.copy()
+        overlaps[[0, 1]] += [delta, -delta]
+        return dataclasses.replace(r, overlaps=overlaps)
 
     for copies in (1, 2):
         cfg = SimConfig(seed=0, trials=10, copies=copies)
@@ -544,20 +545,21 @@ def test_run_discrimination_matches_the_earlier_route_at_huge_trials():
     st.data(),
 )
 def test_tampered_tables_fail_alike_on_both_routes(case, copies, how, delta, data):
-    # "move" shifts delta of failure cell between two rows, keeping the
-    # average, so only the per-row checks can catch it; "scale" grows every
-    # partner cell, which the Born average catches; "stray" inflates the
-    # derived overlap bound; "cap" admits a weight past the pair cap 2D/N.
+    # "move" shifts delta of overlap, and so both Born cells, between two
+    # rows; it keeps the overlaps' sum, so the Born average and the closed
+    # form move alike and only the per-row checks can catch it; "scale"
+    # grows every overlap, which the Born average catches; "stray" inflates
+    # the derived overlap bound; "cap" admits a weight past the pair cap 2D/N.
     inst, m = case
     r = reciprocal_set(inst)
     d = inst.total_dim
     if how == "move":
-        born = r.born.copy()
+        overlaps = r.overlaps.copy()
         i, k = data.draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
-        born[[i, k], 1] += [delta, -delta]
-        r = dataclasses.replace(r, born=born)
+        overlaps[[i, k]] += [delta, -delta]
+        r = dataclasses.replace(r, overlaps=overlaps)
     elif how == "scale":
-        r = dataclasses.replace(r, born=r.born * [1.0 + delta, 1.0])
+        r = dataclasses.replace(r, overlaps=r.overlaps * (1.0 + delta))
     elif how == "stray":
         r = dataclasses.replace(r, residuals={"derived overlap bound": delta**0.25})
     else:
