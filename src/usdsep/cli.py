@@ -17,6 +17,7 @@ import datetime
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -50,8 +51,24 @@ def _manifest(command: str, params: dict, seed=None) -> dict:
     }
 
 
-def _load_json(path: str) -> dict:
+# A fresh generate file holds n, dims, omit and a manifest, under 1 KiB.  An
+# instance file past this many bytes holds more, such as the states array
+# of an earlier version (47 MB at N = 1009), and is refused unread.
+MAX_INSTANCE_BYTES = 2**20
+
+
+def _load_json(path: str, limit: int | None = None):
+    """The JSON value in the file at ``path``.
+
+    With a ``limit``, a file whose size is over that many bytes is refused
+    before any of it is read (a pipe reports no size and is read whole).
+    """
     with open(path, "r", encoding="utf-8") as fh:
+        if limit is not None and os.fstat(fh.fileno()).st_size > limit:
+            raise ValueError(
+                f"{path}: instance file over {limit} bytes, more than its parameters; "
+                "write a fresh file with usdsep generate"
+            )
         try:
             return json.load(fh)
         except RecursionError:
@@ -106,7 +123,7 @@ def _comma_list(option: str, text: str, parse=int, noun: str = "integers") -> li
 
 def _instance_from_args(args) -> "Instance":
     if getattr(args, "instance", None):
-        return instance_from_dict(_load_json(args.instance))
+        return instance_from_dict(_load_json(args.instance, MAX_INSTANCE_BYTES))
     if getattr(args, "n", None) is None:
         raise ValueError("provide --instance PATH or --n N")
     dims = None if args.dims is None else _comma_list("--dims", args.dims)

@@ -32,7 +32,7 @@ below the normal range names no ray, and it keeps only the unit stack
 M / ||M||_F, which every later test reads.
 The one vec_herm call splits it into its diagonal and triangles once; both
 the coordinates V and the asymmetry check read that split.  The ray screen
-is one Gram matrix of V, the witness reads V and the representatives, and
+is one Gram matrix of V, whose buffer the witness reads and overwrites, and
 certify's identity test reads the unit diagonal (see _near_identity), so
 no pass forms M - (Tr M / d) I.
 
@@ -53,11 +53,17 @@ nonnegative least squares of Lawson & Hanson, Solving Least Squares
 Problems, 1974, ch. 23): a Hermitian Y_c with <Y_c, r_k> >= 0 for every
 other class k proves that the distance from r_c to the cone of the others
 is at least -<Y_c, r_c> / ||Y_c||.  The witness is a guess,
-Y_c = I - (1 + eps_c) |u_c><u_c| with u_c near the top eigenvector of
-r_c, and is trusted only after one matmul against V has checked every
-inequality.
+Y_c = I - (1 + eps_c) |u_c><u_c|, and is trusted only after one matmul
+against V has checked every inequality.  A rank-1 unit form is its own
+|u_c><u_c|, and among PSD unit forms exactly those have trace 1, so a
+pass whose forms all have trace 1 to within _RANK_ONE_TRACE d eps (every
+factor of the paper's families and their copies) takes V itself as the
+guess and the screen's Gram entries as its overlaps; any other pass
+finds u_c near the top eigenvector of r_c by power iteration.  Either
+route writes into the Gram buffer, so a pass holds one (R, R) array.
 A class whose checked bound clears both the extremality tolerance and the
-warning band is extreme, with no rank-1 shortcut; every other class is
+warning band is extreme, the guess's route taking no part in the
+decision; every other class is
 decided by NNLS of its column over the remaining columns of V, exactly as
 without the witness.  Counts, verdicts and warnings therefore do not depend
 on the witness, which only saves solves.
@@ -70,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ConvergenceError, _frob, _strict_upper, nnls, vec_herm
+from .numerics import ConvergenceError, _frob, nnls, vec_herm
 
 __all__ = ["PartyConeStat", "ConeReport", "certify"]
 
@@ -81,6 +87,7 @@ WARN_BAND = (1e-8, 1e-6)
 _EPS = float(np.finfo(float).eps)
 _TINY_NORM = float(np.finfo(float).tiny) ** 0.5  # the least norm whose square is a normal float64
 _CHUNK_ENTRIES = 2**18  # the most array entries one certify pass of several parties holds
+_RANK_ONE_TRACE = 64  # |Tr r - 1| <= this d eps marks a unit form of rank 1 (_witness_bounds)
 
 
 def _unit_forms(parties) -> np.ndarray:
@@ -171,9 +178,11 @@ class ConeReport:
     note: str = ""
 
 
-def _class_heads(units: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only vec_herm rows of a (G, R, d, d) stack of unit forms, and the
-    (G, R) array whose entry head[g, i] is the operator heading i's class in party g.
+def _class_heads(units: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only vec_herm rows V of a (G, R, d, d) stack of unit forms, the
+    (G, R) array whose entry head[g, i] is the operator heading i's class in
+    party g, and the screen's (G, R, R) Gram buffer V V^T, its diagonal -inf,
+    which the witness reads and then overwrites.
 
     Each operator joins the first class whose representative lies within tol
     of it, and otherwise heads a new class.
@@ -210,51 +219,77 @@ def _class_heads(units: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
             near = np.flatnonzero(_frob(units[g, cand] - units[g, i]) <= tol)
             if near.size:
                 head[g, i] = cand[near[0]]
-    return coords, head
+    return coords, head, gram
 
 
-def _witness_bounds(units: np.ndarray, coords: np.ndarray, is_head: np.ndarray) -> np.ndarray:
-    """Checked Farkas lower bound on each class's NNLS residual, -inf where unchecked.
+def _top_eigenvector_rows(units: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """vec_herm(|u_c><u_c|) for each form r_c of a (G, R, d, d) stack of unit
+    forms whose vec_herm rows are ``v``, u_c close to the top eigenvector of r_c.
 
-    ``units`` is a (G, R, d, d) stack of unit forms, ``coords`` its vec_herm
-    rows and ``is_head`` the (G, R) mask of the class representatives.  The
-    (G, R) result is read at the representatives, NaN elsewhere; each
-    inequality runs over the other representatives of the same party, and
-    a class with none is infinitely far from their cone.  The guess for class
-    c is Y_c = I - t_c |u_c><u_c|, u_c close to the top eigenvector of r_c
-    and t_c = 1 + eps_c just below the largest value that keeps
-    <Y_c, r_k> = Tr r_k - t_c <u_c|r_k|u_c> >= 0 for every other k.
-    Whatever the guess, W = vec_herm(Y) V^T is then computed from Y alone;
-    a row whose off-diagonal entries are all nonnegative proves
-    ||V x - v_c|| >= -W[c, c] / ||Y_c|| for every x >= 0.  W holds rounding
-    of order t_c d**2 eps, and a residual below 1 has ||x||_1 <= 2 sqrt(d)
-    (each Tr r_k >= 1), so rounding moves a bound by far less than 1e-6.
+    u_c comes by power iteration from the column of r_c with the largest
+    diagonal entry (vec_herm puts the diagonal first): exact for a rank-1
+    r_c, and for any other r_c a guess.  Batched eigh would do as well but
+    adds about 1 MiB of LAPACK code to the resident set.  Only the direction
+    matters, so u_c is normalized once, at the end.  The rows are written
+    from u_c in vec_herm's layout: an (R, d, d) stack and vec_herm's
+    temporaries would set the peak memory of the whole certificate, and the
+    triangle is written row by row, since this runs beside the Gram buffer.
     """
-    v = coords
     count, r, d = units.shape[:3]
-    # u_c by power iteration from the column of r_c with the largest
-    # diagonal entry (vec_herm puts the diagonal first): exact for a rank-1
-    # r_c, and for any other r_c a guess like the rest of Y_c.  Batched eigh
-    # would do as well but adds about 1 MiB of LAPACK code to the resident
-    # set.  Only the direction matters, so u_c is normalized once, at the end.
     flat = units.reshape(count * r, d, d)
     u = flat[np.arange(count * r), :, v[..., :d].argmax(axis=-1).ravel(), None]
     for _ in range(3):
         u = flat @ u
     u = u.reshape(count, r, d)
     u /= np.sqrt(np.vecdot(u, u).real)[..., None]
-    # y[g, c] = vec_herm(|u_c><u_c|), written from u_c in vec_herm's layout:
-    # an (R, d, d) stack and vec_herm's temporaries would set the peak
-    # memory of the whole certificate.  It becomes vec_herm(Y_c) in place.
-    rows, cols = _strict_upper(d)
     y = np.empty_like(v)
     pairs = u[..., None].view(float)  # (Re, Im) of each u_i
     np.vecdot(pairs, pairs, out=y[..., :d])  # |u_i|^2
-    np.multiply(u.take(rows, axis=-1), u.conj().take(cols, axis=-1), out=y[..., d:].view(complex))
+    off, start = y[..., d:].view(complex), 0
+    for i in range(d - 1):  # u_i conj(u_j) for j > i
+        row = off[..., start : start + d - 1 - i]
+        np.conjugate(u[..., i + 1 :], out=row)
+        np.multiply(u[..., i, None], row, out=row)
+        start += d - 1 - i
     y[..., d:] *= math.sqrt(2.0)
-    traces = v[:, None, :, :d].sum(axis=-1)
-    v = v.swapaxes(1, 2)
-    q = y @ v
+    return y
+
+
+def _witness_bounds(
+    units: np.ndarray, coords: np.ndarray, is_head: np.ndarray, gram: np.ndarray
+) -> np.ndarray:
+    """Checked Farkas lower bound on each class's NNLS residual, -inf where unchecked.
+
+    ``units`` is a (G, R, d, d) stack of unit forms, ``coords`` its vec_herm
+    rows V, ``is_head`` the (G, R) mask of the class representatives and
+    ``gram`` the screen's (G, R, R) Gram buffer V V^T, which this call
+    overwrites: it is the pass's one (R, R) array.  The (G, R) result is
+    read at the representatives, NaN elsewhere; each inequality runs over
+    the other representatives of the same party, and a class with none is
+    infinitely far from their cone.  The guess for class c is
+    Y_c = I - t_c |u_c><u_c|, t_c = 1 + eps_c just below the largest value
+    that keeps <Y_c, r_k> = Tr r_k - t_c <u_c|r_k|u_c> >= 0 for every other k.
+
+    A PSD unit form has Tr r >= ||r||_F = 1, with equality exactly at rank
+    1.  So when every form of the pass has |Tr r - 1| <= _RANK_ONE_TRACE d
+    eps, |u_c><u_c| is r_c itself: its rows are V, and <u_c|r_k|u_c> is the
+    Gram entry <r_c, r_k>.  Any other pass takes u_c from
+    _top_eigenvector_rows and writes those overlaps into the Gram buffer.
+    Whatever the guess, W = vec_herm(Y) V^T is then computed from Y alone;
+    a row whose off-diagonal entries are all nonnegative proves
+    ||V x - v_c|| >= -W[c, c] / ||Y_c|| for every x >= 0.  W holds rounding
+    of order t_c d**2 eps, and a residual below 1 has ||x||_1 <= 2 sqrt(d)
+    (each Tr r_k >= 1), so rounding moves a bound by far less than 1e-6.
+    """
+    count, r, d = units.shape[:3]
+    v = coords.swapaxes(1, 2)
+    traces = coords[:, None, :, :d].sum(axis=-1)
+    if np.abs(traces - 1.0).max() <= _RANK_ONE_TRACE * d * _EPS:
+        y = coords.copy()  # it becomes vec_herm(Y) in place, and V stays for NNLS
+        q = gram
+    else:
+        y = _top_eigenvector_rows(units, coords)
+        q = np.matmul(y, v, out=gram)
     q /= traces  # <u_c|r_k|u_c> / Tr r_k
     # A class is not compared with itself, nor with a member of any class.
     members = None if is_head.all() else ~is_head[:, None]
@@ -330,9 +365,10 @@ def _party_lines(chunk: list[int], parties, tol: float) -> dict:
     """
     units = _unit_forms(parties)
     count, r = units.shape[:2]
-    coords, head = _class_heads(units, tol)
+    coords, head, gram = _class_heads(units, tol)
     is_head = head == np.arange(r)
-    bounds = _witness_bounds(units, coords, is_head)
+    bounds = _witness_bounds(units, coords, is_head, gram)
+    del gram  # the witness's (R, R) buffer, not held through NNLS
     undecided = bounds <= max(tol, WARN_BAND[1])  # a lone class's infinite bound is decided
     residuals = np.where(undecided, np.inf, bounds)  # NaN off the representatives
     proven = np.where(is_head, residuals, np.inf).min(axis=1)  # the least witnessed bound

@@ -214,8 +214,9 @@ def family_product_ops(inst: Instance, copies: int = 1) -> list[list[np.ndarray]
     with each party's copies grouped together.  With copies = 1 these are
     the N outcomes (D/N) P_j, the omitted label's being the failure
     operator.  Each party's factors are read-only views into one
-    (N^n, d^n, d^n) stack: one reshaped outer product per copy builds the
-    n-copy local states, and one batched outer product their projectors.
+    (N^n, d^n, d^n) stack: one reshaped outer product per copy after the
+    first builds the n-copy local states, and one batched outer product
+    their projectors.
 
     Raises ValueError for a copies that is not an integer >= 1 and for
     families past MAX_FAMILY_ENTRIES, before anything is allocated.
@@ -236,8 +237,8 @@ def family_product_ops(inst: Instance, copies: int = 1) -> list[list[np.ndarray]
         )
     stacks = []
     for states in inst.local_states:
-        tensor = np.ones((1, 1), dtype=complex)
-        for _ in range(copies):
+        tensor = states
+        for _ in range(copies - 1):
             # Row t * N + j holds tensor row t (x) state j, first copy most significant.
             tensor = (tensor[:, None, :, None] * states[None, :, None, :]).reshape(
                 len(tensor) * n, -1

@@ -234,6 +234,30 @@ def test_optimize_refuses_an_instance_file_with_states(tmp_path, capsys):
     assert payload["failure_probability"] == 0.5
 
 
+def test_an_instance_file_past_the_size_bound_is_refused_unparsed(tmp_path, capsys, monkeypatch):
+    # A fresh generate file is under 1 KiB.  A file of MAX_INSTANCE_BYTES
+    # bytes still reads; one more byte is refused before json.load runs.
+    limit = usdsep.cli.MAX_INSTANCE_BYTES
+    path = tmp_path / "inst.json"
+    text = json.dumps({"n": 5, "dims": [2, 2], "omit": 1})
+    path.write_text(text + " " * (limit - len(text)))
+    payload, _ = run_json(capsys, "optimize", "--instance", str(path))
+    assert payload["failure_probability"] == 0.5
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the instance file was parsed")
+
+    monkeypatch.setattr(json, "load", refuse)
+    path.write_text(text + " " * (limit + 1 - len(text)))
+    for command in ("optimize", "certify", "simulate"):
+        rc, out, err = run_cli(capsys, command, "--instance", str(path))
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"error: {path}: instance file over {limit} bytes, more than its parameters; "
+            "write a fresh file with usdsep generate\n"
+        )
+
+
 def test_optimize_requires_a_source(capsys):
     rc, _, err = run_cli(capsys, "optimize")
     assert rc == 2

@@ -36,9 +36,9 @@ def ray_classes(ops, tol=RAY_TOL):
     and in the order of their heads; the heads' unit forms and vec_herm rows; and
     each class's checked witness bound."""
     units = usdsep.cone._unit_forms([ops])
-    coords, head = usdsep.cone._class_heads(units, tol)
+    coords, head, gram = usdsep.cone._class_heads(units, tol)
     is_head = head == np.arange(len(ops))
-    bounds = usdsep.cone._witness_bounds(units, coords, is_head)
+    bounds = usdsep.cone._witness_bounds(units, coords, is_head, gram)
     groups = {}
     for i, h in enumerate(head[0].tolist()):
         groups.setdefault(h, []).append(i)
@@ -736,7 +736,8 @@ def test_certify_peak_memory_at_n_1009_holds_one_party_at_a_time():
     # Every party of the default family at N = 1009 (dims 2, 2, 2, 2, 3, 3,
     # 7) is past the bound of a shared pass, R^2 > 2^18, so each runs
     # alone.  The traced peak was 10,389,121 B when certify ran party by
-    # party and is 10,162,385 B in passes; the pin is the former plus 5%.
+    # party, 10,162,385 B in passes, and is 10,048,849 B with the rank-1
+    # witness route; the pin is the first plus 5%.
     entries = family_product_ops(make_instance(1009))
     certify(entries)
     tracemalloc.start()
@@ -746,6 +747,79 @@ def test_certify_peak_memory_at_n_1009_holds_one_party_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * 10_389_121, peak
+
+
+def test_certify_peak_memory_of_a_rank_two_party_at_n_1009():
+    # Factors P_j + 0.1 P_(j+1) on the d = 7 party of the N = 1009 family:
+    # 1009 rank-2 classes, all decided by the witness, whose pass takes the
+    # power-iteration guess.  That guess writes its overlaps into the ray
+    # screen's Gram buffer, so the pass holds one (R, R) array, 8.1 MB.
+    # The traced peak was 10,062,777 B when the witness allocated its own
+    # (R, R) array after the screen's was freed, and is 10,240,577 B; the
+    # pin is the former plus 5%, and a pass holding both arrays peaks at
+    # 18,094,033 B.
+    states = make_instance(1009).local_states[6]
+    entries = [[proj(states[j]) + 0.1 * proj(states[(j + 1) % 1009])] for j in range(1009)]
+    stat = certify(entries).parties[0]
+    assert (stat.rays, stat.extreme, stat.nnls_solves) == (1009, 1009, 0)
+    tracemalloc.start()
+    try:
+        certify(entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 10_062_777, peak
+
+
+def count_power_iterations(monkeypatch, fail=False):
+    """The stack shapes certify hands the power-iteration guess, recorded as it runs;
+    with ``fail`` any call raises."""
+    calls = []
+    original = usdsep.cone._top_eigenvector_rows
+
+    def counting(units, v):
+        if fail:
+            raise AssertionError("a rank-1 pass ran the power iteration")
+        calls.append(units.shape)
+        return original(units, v)
+
+    monkeypatch.setattr(usdsep.cone, "_top_eigenvector_rows", counting)
+    return calls
+
+
+N13_BOUNDS = (0.060639538095576366, 0.060639538095576324, 0.12086228543774243)
+
+
+def test_rank_one_passes_run_no_power_iteration(monkeypatch):
+    # Every factor of these families is rank 1, so each unit form's trace
+    # is 1 and the witness guess is the form itself: no pass runs the power
+    # iteration, and the reports are the ones it gave.
+    count_power_iterations(monkeypatch, fail=True)
+    rep = certify(family_product_ops(make_instance(13)))
+    assert (rep.total, rep.bound, rep.verdict, rep.warnings) == (39, 24, "VIOLATES", ())
+    assert [(s.rays, s.extreme, s.nnls_solves) for s in rep.parties] == [(13, 13, 0)] * 3
+    assert [s.min_witness_bound for s in rep.parties] == pytest.approx(N13_BOUNDS, rel=1e-12)
+    total, bound, bounds = PINNED_REPORTS[5, None, 2]
+    rep = certify(family_product_ops(make_instance(5), 2))
+    assert (rep.total, rep.bound, rep.verdict) == (total, bound, "VIOLATES")
+    assert [s.nnls_solves for s in rep.parties] == [0, 0]
+    assert [s.min_witness_bound for s in rep.parties] == pytest.approx(bounds, rel=1e-12)
+
+
+def test_a_rank_two_factor_sends_its_pass_to_the_power_iteration(monkeypatch):
+    # One rank-2 factor on party 1 at N = 13: the pass of the two d = 2
+    # parties takes the power-iteration guess, the d = 3 pass does not,
+    # and the report is the one every pass gave with that guess.
+    calls = count_power_iterations(monkeypatch)
+    entries = [list(entry) for entry in family_product_ops(make_instance(13))]
+    entries[4][1] = entries[4][1] + 0.5 * entries[5][1]
+    rep = certify(entries)
+    assert calls == [(2, 13, 2, 2)]
+    assert (rep.total, rep.bound, rep.verdict, rep.warnings) == (38, 24, "VIOLATES", ())
+    assert [(s.rays, s.extreme, s.nnls_solves) for s in rep.parties] == [
+        (13, 13, 0), (13, 12, 1), (13, 13, 0)
+    ]
+    assert [s.min_witness_bound for s in rep.parties] == pytest.approx(N13_BOUNDS, rel=1e-12)
 
 
 # certify on the benchmark's families and two copies of N = 5, pinned from
