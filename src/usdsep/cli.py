@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, instance
 from .cone import RAY_TOL, certify
 from .instance import instance_from_dict, instance_to_dict, make_instance, reciprocal_set
 from .numerics import ConvergenceError, InvariantError, bound, check
@@ -56,19 +56,35 @@ def _manifest(command: str, params: dict, seed=None) -> dict:
 # of an earlier version (47 MB at N = 1009), and is refused unread.
 MAX_INSTANCE_BYTES = 2**20
 
+# json.load holds its Python objects beside the text.  By tracemalloc, a
+# measurement file of full-precision floats (a family's) peaks at 4.3-5.1
+# times its size, and the densest one, one-digit [re, im] pairs without
+# spaces, at 17.3-17.8 times (Python 3.11); this many times a file's size
+# bounds its parse, with room for other Python versions' object sizes.
+PARSE_BYTES_PER_BYTE = 20
+
 
 def _load_json(path: str, limit: int | None = None):
     """The JSON value in the file at ``path``.
 
-    With a ``limit``, a file whose size is over that many bytes is refused
-    before any of it is read (a pipe reports no size and is read whole).
+    Before any of it is read, a file over ``limit`` bytes is refused and,
+    without a limit, so is one whose parse would outgrow the memory left
+    (a pipe reports no size and is read whole).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        if limit is not None and os.fstat(fh.fileno()).st_size > limit:
+        size = os.fstat(fh.fileno()).st_size
+        if limit is not None and size > limit:
             raise ValueError(
                 f"{path}: instance file over {limit} bytes, more than its parameters; "
                 "write a fresh file with usdsep generate"
             )
+        if limit is None:
+            need, (left, source) = PARSE_BYTES_PER_BYTE * size, instance._memory_limit()
+            if need > left:
+                raise MemoryError(
+                    f"{path}: its {size} bytes need about {need / 2**20:.0f} MiB to parse, "
+                    f"over the {left / 2**20:.0f} MiB of {source}"
+                )
         try:
             return json.load(fh)
         except RecursionError:

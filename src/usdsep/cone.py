@@ -52,16 +52,16 @@ Each class is first put to a Farkas witness (the dual of the active-set
 nonnegative least squares of Lawson & Hanson, Solving Least Squares
 Problems, 1974, ch. 23): a Hermitian Y_c with <Y_c, r_k> >= 0 for every
 other class k proves that the distance from r_c to the cone of the others
-is at least -<Y_c, r_c> / ||Y_c||.  The witness is a guess,
-Y_c = I - (1 + eps_c) |u_c><u_c|, and is trusted only after one matmul
-against V has checked every inequality.  A rank-1 unit form is its own
-|u_c><u_c|, and among PSD unit forms exactly those have trace 1, so a
+is at least -<Y_c, r_c> / ||Y_c||.  The witness is Y_c = I - t_c |u_c><u_c|,
+and its inequalities hold by the choice of t_c: with overlaps
+q_ck = <u_c|r_k|u_c> / Tr r_k, each <Y_c, r_k> = Tr r_k (1 - t_c q_ck) is
+positive for t_c just below the least 1 / q_ck.  A rank-1 unit form is its
+own |u_c><u_c|, and among PSD unit forms exactly those have trace 1, so a
 pass whose forms all have trace 1 to within _RANK_ONE_TRACE d eps (every
-factor of the paper's families and their copies) takes V itself as the
-guess and the screen's Gram entries as its overlaps; any other pass
-finds u_c near the top eigenvector of r_c by power iteration.  Either
-route writes into the Gram buffer, so a pass holds one (R, R) array.
-A class whose checked bound clears both the extremality tolerance and the
+factor of the paper's families and their copies) reads q from the screen's
+Gram entries and makes no product of its own; any other pass finds u_c by
+power iteration and writes q into the Gram buffer with one matmul.
+A class whose bound clears both the extremality tolerance and the
 warning band is extreme, the guess's route taking no part in the
 decision; every other class is
 decided by NNLS of its column over the remaining columns of V, exactly as
@@ -258,59 +258,48 @@ def _top_eigenvector_rows(units: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _witness_bounds(
     units: np.ndarray, coords: np.ndarray, is_head: np.ndarray, gram: np.ndarray
 ) -> np.ndarray:
-    """Checked Farkas lower bound on each class's NNLS residual, -inf where unchecked.
+    """Farkas lower bound on each class's NNLS residual.
 
     ``units`` is a (G, R, d, d) stack of unit forms, ``coords`` its vec_herm
     rows V, ``is_head`` the (G, R) mask of the class representatives and
     ``gram`` the screen's (G, R, R) Gram buffer V V^T, which this call
-    overwrites: it is the pass's one (R, R) array.  The (G, R) result is
-    read at the representatives, NaN elsewhere; each inequality runs over
-    the other representatives of the same party, and a class with none is
-    infinitely far from their cone.  The guess for class c is
-    Y_c = I - t_c |u_c><u_c|, t_c = 1 + eps_c just below the largest value
-    that keeps <Y_c, r_k> = Tr r_k - t_c <u_c|r_k|u_c> >= 0 for every other k.
+    overwrites as q: it is the pass's one (R, R) array.  The (G, R) result
+    is read at the representatives, NaN elsewhere; q runs over the other
+    representatives of the same party, and a class with none is infinitely
+    far from their cone.  With g_c = vec_herm(|u_c><u_c|) every inequality
+    holds by the choice of t_c, so the bound -<Y_c, r_c> / ||Y_c|| =
+    (t_c <g_c, r_c> - Tr r_c) / ||I - t_c g_c|| takes three scalars per
+    class: <g_c, r_c>, Tr g_c and ||g_c||^2.
 
-    A PSD unit form has Tr r >= ||r||_F = 1, with equality exactly at rank
-    1.  So when every form of the pass has |Tr r - 1| <= _RANK_ONE_TRACE d
-    eps, |u_c><u_c| is r_c itself: its rows are V, and <u_c|r_k|u_c> is the
-    Gram entry <r_c, r_k>.  Any other pass takes u_c from
-    _top_eigenvector_rows and writes those overlaps into the Gram buffer.
-    Whatever the guess, W = vec_herm(Y) V^T is then computed from Y alone;
-    a row whose off-diagonal entries are all nonnegative proves
-    ||V x - v_c|| >= -W[c, c] / ||Y_c|| for every x >= 0.  W holds rounding
-    of order t_c d**2 eps, and a residual below 1 has ||x||_1 <= 2 sqrt(d)
+    Each q entry is a dot product of d**2 terms, off by about
+    d**2 eps ||g_c|| (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3), and a residual below 1 has ||x||_1 <= 2 sqrt(d)
     (each Tr r_k >= 1), so rounding moves a bound by far less than 1e-6.
     """
     count, r, d = units.shape[:3]
-    v = coords.swapaxes(1, 2)
-    traces = coords[:, None, :, :d].sum(axis=-1)
+    traces = coords[..., :d].sum(axis=-1)
     if np.abs(traces - 1.0).max() <= _RANK_ONE_TRACE * d * _EPS:
-        y = coords.copy()  # it becomes vec_herm(Y) in place, and V stays for NNLS
-        q = gram
+        g, q = coords, gram
     else:
-        y = _top_eigenvector_rows(units, coords)
-        q = np.matmul(y, v, out=gram)
-    q /= traces  # <u_c|r_k|u_c> / Tr r_k
+        g = _top_eigenvector_rows(units, coords)
+        q = np.matmul(g, coords.swapaxes(1, 2), out=gram)
+    q /= traces[:, None, :]  # <g_c, r_k> / Tr r_k
     # A class is not compared with itself, nor with a member of any class.
-    members = None if is_head.all() else ~is_head[:, None]
     q.reshape(count, r * r)[:, :: r + 1] = -np.inf
-    if members is not None:
-        np.copyto(q, -np.inf, where=members)
+    if not is_head.all():
+        np.copyto(q, -np.inf, where=~is_head[:, None])
+    most = q.max(axis=-1)
     # 1 / t_c is the largest ratio, shrunk by 1e-12 so the binding class
     # does not land at 0 +- rounding.  A class nearly orthogonal to all the
     # others would take t_c -> infinity; capping t_c at 1e3 keeps Y finite.
-    y *= ((1e-12 - 1.0) / np.maximum(q.max(axis=-1), 1e-3))[..., None]
-    y[..., :d] += 1.0  # vec_herm(I)
-    w = np.matmul(y, v, out=q)
-    bounds = -w.diagonal(axis1=1, axis2=2) / np.sqrt(np.vecdot(y, y))
-    w.reshape(count, r * r)[:, :: r + 1] = np.inf
-    if members is not None:
-        np.copyto(w, np.inf, where=members)
-    least = w.min(axis=-1)
-    bounds[least < 0.0] = -np.inf
-    bounds[least == np.inf] = np.inf  # no other class: one ray alone is extreme in its cone
-    if members is not None:
-        bounds[members[:, 0]] = np.nan
+    t = (1.0 - 1e-12) / np.maximum(most, 1e-3)
+    # ||I - t g||^2 = d - 2 t Tr g + t^2 ||g||^2, completed to a square so
+    # that it does not cancel at d = 1.
+    trace_g, square_g = g[..., :d].sum(axis=-1), np.vecdot(g, g)  # Tr g, ||g||^2
+    centre = trace_g / square_g
+    bounds = (t * np.vecdot(g, coords) - traces) / np.sqrt(d - trace_g * centre + square_g * (t - centre) ** 2)
+    bounds[most == -np.inf] = np.inf  # no other class: one ray alone is extreme in its cone
+    bounds[~is_head] = np.nan
     return bounds
 
 

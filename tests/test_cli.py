@@ -423,6 +423,53 @@ def test_certify_measurement_file(tmp_path, capsys):
     assert "verdict: SATISFIES" in err
 
 
+def test_a_measurement_file_past_the_memory_left_is_refused_unparsed(tmp_path, capsys, monkeypatch):
+    # A measurement file is admitted while PARSE_BYTES_PER_BYTE times its
+    # size fits the memory left; one byte less of memory refuses it before
+    # json.load runs.
+    path = tmp_path / "meas.json"
+    write_measurement(path, family_product_ops(make_instance(5)))
+    size = path.stat().st_size
+    need = usdsep.cli.PARSE_BYTES_PER_BYTE * size
+    monkeypatch.setattr(usdsep.instance, "_memory_limit", lambda: (need, "MemAvailable"))
+    payload, _ = run_json(capsys, "certify", "--measurement", str(path))
+    assert payload["verdict"] == "VIOLATES"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the measurement file was parsed")
+
+    monkeypatch.setattr(json, "load", refuse)
+    monkeypatch.setattr(usdsep.instance, "_memory_limit", lambda: (need - 1, "the soft RLIMIT_AS"))
+    rc, out, err = run_cli(capsys, "certify", "--measurement", str(path))
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"error: {path}: its {size} bytes need about {need / 2**20:.0f} MiB to parse, "
+        f"over the {(need - 1) / 2**20:.0f} MiB of the soft RLIMIT_AS\n"
+    )
+
+
+def test_the_parse_bound_holds_for_the_densest_measurement_file(tmp_path):
+    # One-digit [re, im] pairs without spaces make the most Python objects
+    # per byte of any well-formed measurement file; a family's
+    # full-precision floats make about a quarter as many.
+    pair = "[1,0]"
+    matrix = "[" + ",".join(["[" + ",".join([pair] * 8) + "]"] * 8) + "]"
+    dense = tmp_path / "dense.json"
+    dense.write_text("[" + ",".join([f"[{matrix},{matrix}]"] * 400) + "]")
+    family = tmp_path / "family.json"
+    write_measurement(family, family_product_ops(make_instance(101)))
+    ratios = []
+    for path in (dense, family):
+        tracemalloc.start()
+        try:
+            usdsep.cli._load_json(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratios.append(peak / path.stat().st_size)
+    assert ratios[1] < ratios[0] <= usdsep.cli.PARSE_BYTES_PER_BYTE, ratios
+
+
 def test_certify_measurement_file_must_be_a_list(tmp_path, capsys):
     path = tmp_path / "meas.json"
     # Not a list; then a pair array one nesting level short, which must be

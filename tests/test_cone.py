@@ -34,7 +34,7 @@ def party_stat(ops, tol=RAY_TOL):
 def ray_classes(ops, tol=RAY_TOL):
     """One party's ray classes by certify's kernels: the groups, members ascending
     and in the order of their heads; the heads' unit forms and vec_herm rows; and
-    each class's checked witness bound."""
+    each class's witness bound."""
     units = usdsep.cone._unit_forms([ops])
     coords, head, gram = usdsep.cone._class_heads(units, tol)
     is_head = head == np.arange(len(ops))
@@ -736,8 +736,9 @@ def test_certify_peak_memory_at_n_1009_holds_one_party_at_a_time():
     # Every party of the default family at N = 1009 (dims 2, 2, 2, 2, 3, 3,
     # 7) is past the bound of a shared pass, R^2 > 2^18, so each runs
     # alone.  The traced peak was 10,389,121 B when certify ran party by
-    # party, 10,162,385 B in passes, and is 10,048,849 B with the rank-1
-    # witness route; the pin is the first plus 5%.
+    # party, 10,162,385 B in passes, 10,048,849 B with the rank-1 witness
+    # route, and is 9,612,569 B now that the witness makes no checking
+    # product; the pin is the first plus 5%.
     entries = family_product_ops(make_instance(1009))
     certify(entries)
     tracemalloc.start()
@@ -820,6 +821,26 @@ def test_a_rank_two_factor_sends_its_pass_to_the_power_iteration(monkeypatch):
         (13, 13, 0), (13, 12, 1), (13, 13, 0)
     ]
     assert [s.min_witness_bound for s in rep.parties] == pytest.approx(N13_BOUNDS, rel=1e-12)
+
+
+def test_the_witness_makes_no_checking_product(monkeypatch):
+    # Its inequalities hold by the choice of t_c, so a rank-1 pass reads its
+    # overlaps from the screen's Gram and calls np.matmul never; a pass with
+    # a rank-2 factor calls it once, for the overlaps of its guess.
+    calls, matmul = [], np.matmul
+
+    def counting(a, b, *args, **kwargs):
+        calls.append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    certify(family_product_ops(make_instance(13)))
+    certify(family_product_ops(make_instance(5), 2))
+    assert calls == []
+    entries = [list(entry) for entry in family_product_ops(make_instance(13))]
+    entries[4][1] = entries[4][1] + 0.5 * entries[5][1]
+    certify(entries)
+    assert calls == [((2, 13, 4), (2, 4, 13))]
 
 
 # certify on the benchmark's families and two copies of N = 5, pinned from
