@@ -56,12 +56,16 @@ def _manifest(command: str, params: dict, seed=None) -> dict:
 # of an earlier version (47 MB at N = 1009), and is refused unread.
 MAX_INSTANCE_BYTES = 2**20
 
-# json.load holds its Python objects beside the text.  By tracemalloc, a
-# measurement file of full-precision floats (a family's) peaks at 4.3-5.1
-# times its size, and the densest one, one-digit [re, im] pairs without
-# spaces, at 17.3-17.8 times (Python 3.11); this many times a file's size
-# bounds its parse, with room for other Python versions' object sizes.
-PARSE_BYTES_PER_BYTE = 20
+# json.load holds its Python objects beside the text, and a malformed file
+# is refused only after its parse.  By tracemalloc (Python 3.10 to 3.13
+# alike), a measurement file of full-precision floats (a family's) peaks at
+# 4.3-5.1 times its size, and the densest well-formed one, one-digit
+# [re, im] pairs without spaces, at 17.3-17.8 times.  One-element lists
+# nested 16 deep peak at 41.7 times, and from 64 deep on at 43.4-44.0, the
+# 88 bytes of a list per 2 bytes of brackets; [0] or {} entries at 24,
+# nested objects at most 38.8.  This many times a file's size bounds the
+# parse of any JSON text, with room for other object sizes.
+PARSE_BYTES_PER_BYTE = 48
 
 
 def _load_json(path: str, limit: int | None = None):

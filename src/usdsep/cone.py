@@ -52,21 +52,16 @@ Each class is first put to a Farkas witness (the dual of the active-set
 nonnegative least squares of Lawson & Hanson, Solving Least Squares
 Problems, 1974, ch. 23): a Hermitian Y_c with <Y_c, r_k> >= 0 for every
 other class k proves that the distance from r_c to the cone of the others
-is at least -<Y_c, r_c> / ||Y_c||.  The witness is Y_c = I - t_c |u_c><u_c|,
-and its inequalities hold by the choice of t_c: with overlaps
-q_ck = <u_c|r_k|u_c> / Tr r_k, each <Y_c, r_k> = Tr r_k (1 - t_c q_ck) is
-positive for t_c just below the least 1 / q_ck.  A rank-1 unit form is its
-own |u_c><u_c|, and among PSD unit forms exactly those have trace 1, so a
-pass whose forms all have trace 1 to within _RANK_ONE_TRACE d eps (every
-factor of the paper's families and their copies) reads q from the screen's
-Gram entries and makes no product of its own; any other pass finds u_c by
-power iteration and writes q into the Gram buffer with one matmul.
-A class whose bound clears both the extremality tolerance and the
-warning band is extreme, the guess's route taking no part in the
-decision; every other class is
-decided by NNLS of its column over the remaining columns of V, exactly as
-without the witness.  Counts, verdicts and warnings therefore do not depend
-on the witness, which only saves solves.
+is at least -<Y_c, r_c> / ||Y_c||.  The witness is Y_c = I - t_c r_c, and
+its inequalities hold by the choice of t_c: with overlaps
+q_ck = <r_c, r_k> / Tr r_k, each <Y_c, r_k> = Tr r_k (1 - t_c q_ck) is
+positive for t_c just below the least 1 / q_ck.  The overlaps are the
+screen's Gram entries over the traces, so the witness makes no product of
+its own.  A class whose bound clears both the extremality tolerance and
+the warning band is extreme; every other class is decided by NNLS of its
+column over the remaining columns of V, exactly as without the witness.
+Counts, verdicts and warnings therefore do not depend on the witness,
+which only saves solves.
 """
 
 from __future__ import annotations
@@ -87,7 +82,6 @@ WARN_BAND = (1e-8, 1e-6)
 _EPS = float(np.finfo(float).eps)
 _TINY_NORM = float(np.finfo(float).tiny) ** 0.5  # the least norm whose square is a normal float64
 _CHUNK_ENTRIES = 2**18  # the most array entries one certify pass of several parties holds
-_RANK_ONE_TRACE = 64  # |Tr r - 1| <= this d eps marks a unit form of rank 1 (_witness_bounds)
 
 
 def _unit_forms(parties) -> np.ndarray:
@@ -222,68 +216,34 @@ def _class_heads(units: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray,
     return coords, head, gram
 
 
-def _top_eigenvector_rows(units: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """vec_herm(|u_c><u_c|) for each form r_c of a (G, R, d, d) stack of unit
-    forms whose vec_herm rows are ``v``, u_c close to the top eigenvector of r_c.
-
-    u_c comes by power iteration from the column of r_c with the largest
-    diagonal entry (vec_herm puts the diagonal first): exact for a rank-1
-    r_c, and for any other r_c a guess.  Batched eigh would do as well but
-    adds about 1 MiB of LAPACK code to the resident set.  Only the direction
-    matters, so u_c is normalized once, at the end.  The rows are written
-    from u_c in vec_herm's layout: an (R, d, d) stack and vec_herm's
-    temporaries would set the peak memory of the whole certificate, and the
-    triangle is written row by row, since this runs beside the Gram buffer.
-    """
-    count, r, d = units.shape[:3]
-    flat = units.reshape(count * r, d, d)
-    u = flat[np.arange(count * r), :, v[..., :d].argmax(axis=-1).ravel(), None]
-    for _ in range(3):
-        u = flat @ u
-    u = u.reshape(count, r, d)
-    u /= np.sqrt(np.vecdot(u, u).real)[..., None]
-    y = np.empty_like(v)
-    pairs = u[..., None].view(float)  # (Re, Im) of each u_i
-    np.vecdot(pairs, pairs, out=y[..., :d])  # |u_i|^2
-    off, start = y[..., d:].view(complex), 0
-    for i in range(d - 1):  # u_i conj(u_j) for j > i
-        row = off[..., start : start + d - 1 - i]
-        np.conjugate(u[..., i + 1 :], out=row)
-        np.multiply(u[..., i, None], row, out=row)
-        start += d - 1 - i
-    y[..., d:] *= math.sqrt(2.0)
-    return y
-
-
-def _witness_bounds(
-    units: np.ndarray, coords: np.ndarray, is_head: np.ndarray, gram: np.ndarray
-) -> np.ndarray:
+def _witness_bounds(coords: np.ndarray, is_head: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Farkas lower bound on each class's NNLS residual.
 
-    ``units`` is a (G, R, d, d) stack of unit forms, ``coords`` its vec_herm
-    rows V, ``is_head`` the (G, R) mask of the class representatives and
+    ``coords`` holds the vec_herm rows V of a (G, R, d, d) stack of unit
+    forms, ``is_head`` the (G, R) mask of the class representatives and
     ``gram`` the screen's (G, R, R) Gram buffer V V^T, which this call
     overwrites as q: it is the pass's one (R, R) array.  The (G, R) result
     is read at the representatives, NaN elsewhere; q runs over the other
     representatives of the same party, and a class with none is infinitely
-    far from their cone.  With g_c = vec_herm(|u_c><u_c|) every inequality
-    holds by the choice of t_c, so the bound -<Y_c, r_c> / ||Y_c|| =
-    (t_c <g_c, r_c> - Tr r_c) / ||I - t_c g_c|| takes three scalars per
-    class: <g_c, r_c>, Tr g_c and ||g_c||^2.
+    far from their cone.  Every inequality of Y_c = I - t_c r_c holds by the
+    choice of t_c, so the bound is -<Y_c, r_c> / ||Y_c|| =
+    (t_c ||r_c||^2 - Tr r_c) / ||Y_c||.
+
+    ||Y_c|| is summed as the squares of Y_c's coordinates.  The completed
+    square d - (Tr r_c)^2 / ||r_c||^2 + ||r_c||^2 (t_c - Tr r_c / ||r_c||^2)^2
+    loses its first term to rounding near the identity, where that term is
+    0; clamped there, ||Y_c|| comes out too small, and a class 1e-9 from the
+    identity and 0.03 from the cone of two others gets a bound of about 1.
 
     Each q entry is a dot product of d**2 terms, off by about
-    d**2 eps ||g_c|| (Higham, Accuracy and Stability of Numerical
+    d**2 eps ||r_c|| (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 3), and a residual below 1 has ||x||_1 <= 2 sqrt(d)
     (each Tr r_k >= 1), so rounding moves a bound by far less than 1e-6.
     """
-    count, r, d = units.shape[:3]
+    count, r, dd = coords.shape
+    d = math.isqrt(dd)
     traces = coords[..., :d].sum(axis=-1)
-    if np.abs(traces - 1.0).max() <= _RANK_ONE_TRACE * d * _EPS:
-        g, q = coords, gram
-    else:
-        g = _top_eigenvector_rows(units, coords)
-        q = np.matmul(g, coords.swapaxes(1, 2), out=gram)
-    q /= traces[:, None, :]  # <g_c, r_k> / Tr r_k
+    q = np.divide(gram, traces[:, None, :], out=gram)  # <r_c, r_k> / Tr r_k
     # A class is not compared with itself, nor with a member of any class.
     q.reshape(count, r * r)[:, :: r + 1] = -np.inf
     if not is_head.all():
@@ -293,11 +253,10 @@ def _witness_bounds(
     # does not land at 0 +- rounding.  A class nearly orthogonal to all the
     # others would take t_c -> infinity; capping t_c at 1e3 keeps Y finite.
     t = (1.0 - 1e-12) / np.maximum(most, 1e-3)
-    # ||I - t g||^2 = d - 2 t Tr g + t^2 ||g||^2, completed to a square so
-    # that it does not cancel at d = 1.
-    trace_g, square_g = g[..., :d].sum(axis=-1), np.vecdot(g, g)  # Tr g, ||g||^2
-    centre = trace_g / square_g
-    bounds = (t * np.vecdot(g, coords) - traces) / np.sqrt(d - trace_g * centre + square_g * (t - centre) ** 2)
+    # ||Y_c||^2: the squares of its diagonal, plus t_c^2 times those of r_c's triangles.
+    diag, off = 1.0 - t[..., None] * coords[..., :d], coords[..., d:]
+    norms = np.sqrt(np.vecdot(diag, diag) + t**2 * np.vecdot(off, off))
+    bounds = (t * np.vecdot(coords, coords) - traces) / norms
     bounds[most == -np.inf] = np.inf  # no other class: one ray alone is extreme in its cone
     bounds[~is_head] = np.nan
     return bounds
@@ -356,7 +315,7 @@ def _party_lines(chunk: list[int], parties, tol: float) -> dict:
     count, r = units.shape[:2]
     coords, head, gram = _class_heads(units, tol)
     is_head = head == np.arange(r)
-    bounds = _witness_bounds(units, coords, is_head, gram)
+    bounds = _witness_bounds(coords, is_head, gram)
     del gram  # the witness's (R, R) buffer, not held through NNLS
     undecided = bounds <= max(tol, WARN_BAND[1])  # a lone class's infinite bound is decided
     residuals = np.where(undecided, np.inf, bounds)  # NaN off the representatives

@@ -269,22 +269,14 @@ def reference_rays(stack, tol):
 
 
 def reference_witness_bounds(reps, v) -> np.ndarray:
-    """The checked Farkas bounds, power iteration by matmul and norms by np.linalg.norm."""
+    """The checked Farkas bounds of Y_c = I - t_c r_c, inequalities by matmul and norms by
+    np.linalg.norm."""
     d = reps.shape[1]
-    u = reps[np.arange(len(reps)), :, reps.diagonal(axis1=1, axis2=2).real.argmax(axis=1)]
-    for _ in range(3):
-        u = (reps @ u[:, :, None])[:, :, 0]
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-    rows, cols = np.triu_indices(d, k=1)
-    off = np.sqrt(2.0) * u[:, rows] * u[:, cols].conj()
-    p = np.empty_like(v)
-    p[:, :d] = np.abs(u) ** 2
-    p[:, d::2], p[:, d + 1 :: 2] = off.real, off.imag
-    q = p @ v.T
+    q = v @ v.T
     q /= v[:, :d].sum(axis=1)
     np.fill_diagonal(q, -np.inf)
     t = (1.0 - 1e-12) / np.maximum(q.max(axis=1), 1e-3)
-    y = -t[:, None] * p
+    y = -t[:, None] * v
     y[:, :d] += 1.0
     w = np.matmul(y, v.T, out=q)
     own = w.diagonal().copy()

@@ -451,23 +451,34 @@ def test_a_measurement_file_past_the_memory_left_is_refused_unparsed(tmp_path, c
 def test_the_parse_bound_holds_for_the_densest_measurement_file(tmp_path):
     # One-digit [re, im] pairs without spaces make the most Python objects
     # per byte of any well-formed measurement file; a family's
-    # full-precision floats make about a quarter as many.
+    # full-precision floats make about a quarter as many.  A malformed file
+    # is parsed before it is refused: one-element lists nested 100 deep
+    # make the most of any JSON text, about 44 bytes per byte, and [0]
+    # entries about 24.
     pair = "[1,0]"
     matrix = "[" + ",".join(["[" + ",".join([pair] * 8) + "]"] * 8) + "]"
-    dense = tmp_path / "dense.json"
-    dense.write_text("[" + ",".join([f"[{matrix},{matrix}]"] * 400) + "]")
-    family = tmp_path / "family.json"
-    write_measurement(family, family_product_ops(make_instance(101)))
-    ratios = []
-    for path in (dense, family):
+    texts = {
+        "dense": "[" + ",".join([f"[{matrix},{matrix}]"] * 400) + "]",
+        "nested": "[" + ",".join(["[" * 100 + "0" + "]" * 100] * 1500) + "]",
+        "zeros": "[" + ",".join(["[0]"] * 75_000) + "]",
+    }
+    paths = {"family": tmp_path / "family.json"}
+    write_measurement(paths["family"], family_product_ops(make_instance(101)))
+    for name, text in texts.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    ratios = {}
+    for name, path in paths.items():
         tracemalloc.start()
         try:
             usdsep.cli._load_json(str(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        ratios.append(peak / path.stat().st_size)
-    assert ratios[1] < ratios[0] <= usdsep.cli.PARSE_BYTES_PER_BYTE, ratios
+        ratios[name] = peak / path.stat().st_size
+    assert ratios["family"] < ratios["dense"] < ratios["zeros"] < ratios["nested"], ratios
+    assert ratios["nested"] > 40.0, ratios
+    assert max(ratios.values()) <= usdsep.cli.PARSE_BYTES_PER_BYTE, ratios
 
 
 def test_certify_measurement_file_must_be_a_list(tmp_path, capsys):

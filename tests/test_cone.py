@@ -38,7 +38,7 @@ def ray_classes(ops, tol=RAY_TOL):
     units = usdsep.cone._unit_forms([ops])
     coords, head, gram = usdsep.cone._class_heads(units, tol)
     is_head = head == np.arange(len(ops))
-    bounds = usdsep.cone._witness_bounds(units, coords, is_head, gram)
+    bounds = usdsep.cone._witness_bounds(coords, is_head, gram)
     groups = {}
     for i, h in enumerate(head[0].tolist()):
         groups.setdefault(h, []).append(i)
@@ -488,8 +488,10 @@ FIXED_SETS = {
 
 @st.composite
 def operator_sets(draw):
-    kind = draw(st.sampled_from(["family", "rank one", "lp oracle", "fixed"]))
+    kind = draw(st.sampled_from(["family", "rank one", "rank > 1", "near identity", "lp oracle", "fixed"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("rank > 1", "near identity"):
+        return tuple(party_factors(rng, kind, int(rng.integers(2, 10)), RAY_TOL))
     if kind == "family":
         inst = draw(instances([5, 7, 11, 13, 29, 31, 37]))
         alpha = draw(st.integers(0, len(inst.dims) - 1))
@@ -547,11 +549,9 @@ def party_factors(rng, kind, r, tol, d=None):
         # Off the identity by 0.5 or 2 times IDENTITY_RTOL relative: skipped or not.
         ops = []
         for _ in range(r):
-            h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            h = (h + h.conj().T) / 2.0
-            h -= np.trace(h) / d * np.eye(d)
+            h = random_traceless(rng, d) if d > 1 else 0.0
             gap = rng.choice([0.5, 2.0]) * IDENTITY_RTOL * np.sqrt(d)
-            ops.append(np.eye(d) + (gap * h / np.linalg.norm(h) if d > 1 else 0.0))
+            ops.append(np.eye(d) + gap * h)
     elif kind == "rank > 1":
         ops = [rand_psd(rng, d, rank=int(rng.integers(min(2, d), d + 1))) for _ in range(r)]
     else:
@@ -737,8 +737,9 @@ def test_certify_peak_memory_at_n_1009_holds_one_party_at_a_time():
     # 7) is past the bound of a shared pass, R^2 > 2^18, so each runs
     # alone.  The traced peak was 10,389,121 B when certify ran party by
     # party, 10,162,385 B in passes, 10,048,849 B with the rank-1 witness
-    # route, and is 9,612,569 B now that the witness makes no checking
-    # product; the pin is the first plus 5%.
+    # route and 9,612,569 B once the witness made no checking product, and
+    # is 9,725,889 B with the witness's norm summed as squares of its
+    # (R, d) diagonal; the pin is the first plus 5%.
     entries = family_product_ops(make_instance(1009))
     certify(entries)
     tracemalloc.start()
@@ -752,13 +753,13 @@ def test_certify_peak_memory_at_n_1009_holds_one_party_at_a_time():
 
 def test_certify_peak_memory_of_a_rank_two_party_at_n_1009():
     # Factors P_j + 0.1 P_(j+1) on the d = 7 party of the N = 1009 family:
-    # 1009 rank-2 classes, all decided by the witness, whose pass takes the
-    # power-iteration guess.  That guess writes its overlaps into the ray
-    # screen's Gram buffer, so the pass holds one (R, R) array, 8.1 MB.
-    # The traced peak was 10,062,777 B when the witness allocated its own
-    # (R, R) array after the screen's was freed, and is 10,240,577 B; the
-    # pin is the former plus 5%, and a pass holding both arrays peaks at
-    # 18,094,033 B.
+    # 1009 rank-2 classes, all decided by the witness I - t r_c, whose
+    # overlaps are the ray screen's Gram buffer over the traces, so the
+    # pass holds one (R, R) array, 8.1 MB.  The traced peak was 10,062,777 B
+    # when the witness allocated its own (R, R) array after the screen's
+    # was freed, 10,240,577 B with a power-iteration guess writing into the
+    # screen's buffer, and is 9,626,353 B; the pin is the first plus 5%,
+    # and a pass holding both arrays peaks at 18,094,033 B.
     states = make_instance(1009).local_states[6]
     entries = [[proj(states[j]) + 0.1 * proj(states[(j + 1) % 1009])] for j in range(1009)]
     stat = certify(entries).parties[0]
@@ -772,30 +773,13 @@ def test_certify_peak_memory_of_a_rank_two_party_at_n_1009():
     assert peak <= 1.05 * 10_062_777, peak
 
 
-def count_power_iterations(monkeypatch, fail=False):
-    """The stack shapes certify hands the power-iteration guess, recorded as it runs;
-    with ``fail`` any call raises."""
-    calls = []
-    original = usdsep.cone._top_eigenvector_rows
-
-    def counting(units, v):
-        if fail:
-            raise AssertionError("a rank-1 pass ran the power iteration")
-        calls.append(units.shape)
-        return original(units, v)
-
-    monkeypatch.setattr(usdsep.cone, "_top_eigenvector_rows", counting)
-    return calls
-
-
 N13_BOUNDS = (0.060639538095576366, 0.060639538095576324, 0.12086228543774243)
 
 
-def test_rank_one_passes_run_no_power_iteration(monkeypatch):
-    # Every factor of these families is rank 1, so each unit form's trace
-    # is 1 and the witness guess is the form itself: no pass runs the power
-    # iteration, and the reports are the ones it gave.
-    count_power_iterations(monkeypatch, fail=True)
+def test_rank_one_passes_run_no_power_iteration():
+    # Every factor of these families is rank 1, and each class's witness is
+    # I - t r_c, as for every other factor: the reports are the ones the
+    # rank-1 route gave.
     rep = certify(family_product_ops(make_instance(13)))
     assert (rep.total, rep.bound, rep.verdict, rep.warnings) == (39, 24, "VIOLATES", ())
     assert [(s.rays, s.extreme, s.nnls_solves) for s in rep.parties] == [(13, 13, 0)] * 3
@@ -807,15 +791,18 @@ def test_rank_one_passes_run_no_power_iteration(monkeypatch):
     assert [s.min_witness_bound for s in rep.parties] == pytest.approx(bounds, rel=1e-12)
 
 
-def test_a_rank_two_factor_sends_its_pass_to_the_power_iteration(monkeypatch):
-    # One rank-2 factor on party 1 at N = 13: the pass of the two d = 2
-    # parties takes the power-iteration guess, the d = 3 pass does not,
-    # and the report is the one every pass gave with that guess.
-    calls = count_power_iterations(monkeypatch)
+def n13_with_a_rank_two_factor():
+    """The N = 13 family with outcome 4's party-1 factor made rank 2."""
     entries = [list(entry) for entry in family_product_ops(make_instance(13))]
     entries[4][1] = entries[4][1] + 0.5 * entries[5][1]
-    rep = certify(entries)
-    assert calls == [(2, 13, 2, 2)]
+    return entries
+
+
+def test_a_rank_two_factor_keeps_its_report():
+    # One rank-2 factor on party 1 at N = 13: its pass takes the same witness
+    # as the rank-1 passes, and the report is the one the power-iteration
+    # guess gave.
+    rep = certify(n13_with_a_rank_two_factor())
     assert (rep.total, rep.bound, rep.verdict, rep.warnings) == (38, 24, "VIOLATES", ())
     assert [(s.rays, s.extreme, s.nnls_solves) for s in rep.parties] == [
         (13, 13, 0), (13, 12, 1), (13, 13, 0)
@@ -824,9 +811,9 @@ def test_a_rank_two_factor_sends_its_pass_to_the_power_iteration(monkeypatch):
 
 
 def test_the_witness_makes_no_checking_product(monkeypatch):
-    # Its inequalities hold by the choice of t_c, so a rank-1 pass reads its
-    # overlaps from the screen's Gram and calls np.matmul never; a pass with
-    # a rank-2 factor calls it once, for the overlaps of its guess.
+    # Its inequalities hold by the choice of t_c, so every pass, the one
+    # with a rank-2 factor too, reads its overlaps from the screen's Gram
+    # and calls np.matmul never.
     calls, matmul = [], np.matmul
 
     def counting(a, b, *args, **kwargs):
@@ -836,11 +823,54 @@ def test_the_witness_makes_no_checking_product(monkeypatch):
     monkeypatch.setattr(np, "matmul", counting)
     certify(family_product_ops(make_instance(13)))
     certify(family_product_ops(make_instance(5), 2))
+    certify(n13_with_a_rank_two_factor())
     assert calls == []
-    entries = [list(entry) for entry in family_product_ops(make_instance(13))]
-    entries[4][1] = entries[4][1] + 0.5 * entries[5][1]
-    certify(entries)
-    assert calls == [((2, 13, 4), (2, 4, 13))]
+
+
+def test_rank_two_sets_leave_no_more_classes_to_nnls():
+    # 200 seeded sets of 3 to 12 rank-2 factors of dimension 2 to 7.  Each
+    # class's witness is I - t r_c: the sets count the same 1477 extreme
+    # rays as with the power-iteration guess, and the witness leaves 51
+    # classes to NNLS where that guess left 74.
+    rng = np.random.default_rng(2024)
+    solves = extreme = 0
+    for _ in range(200):
+        d, r = int(rng.integers(2, 8)), int(rng.integers(3, 13))
+        (stat,) = certify([[rand_psd(rng, d, rank=2)] for _ in range(r)]).parties
+        solves += stat.nnls_solves
+        extreme += stat.extreme
+    assert extreme == 1477
+    assert solves <= 51, solves
+
+
+def test_the_witness_norm_keeps_its_digits_near_the_identity():
+    # A factor about 1e-9 from the identity beside two that lie on one side
+    # of it, (I - 0.06 H +- 0.15 K) for traceless unit H and K: its class is
+    # 0.03 from their cone, not extreme at tol 0.05.  ||I - t r||^2 as a
+    # completed square, d - (Tr r)^2 / ||r||^2 + ..., loses its first term
+    # to rounding here, and clamped at 0 it gave that class a bound of
+    # about 1 in 371 of 400 such draws.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        h, k = (random_traceless(rng, 4) for _ in range(2))
+        k -= np.vdot(h, k).real * h
+        k /= np.linalg.norm(k)
+        eye = np.eye(4)
+        ops = (eye + rng.uniform(0.5, 2.0) * 1e-9 * h, eye - 0.06 * h + 0.15 * k, eye - 0.06 * h - 0.15 * k)
+        _, _, coords, bounds = ray_classes(ops, 0.05)
+        residuals = nnls_only_residuals(coords, 0.05)
+        assert residuals[0] < 0.05 < residuals[1:].min()
+        assert np.all(bounds <= residuals + 1e-12), (bounds, residuals)
+        stat = party_stat(ops, 0.05)
+        assert (stat.rays, stat.extreme) == (3, 2)
+
+
+def random_traceless(rng, d):
+    """A random traceless Hermitian d x d matrix of unit Frobenius norm."""
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = (h + h.conj().T) / 2.0
+    h -= np.trace(h).real / d * np.eye(d)
+    return h / np.linalg.norm(h)
 
 
 # certify on the benchmark's families and two copies of N = 5, pinned from
