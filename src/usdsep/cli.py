@@ -53,7 +53,8 @@ def _manifest(command: str, params: dict, seed=None) -> dict:
 
 # A fresh generate file holds n, dims, omit and a manifest, under 1 KiB.  An
 # instance file past this many bytes holds more, such as the states array
-# of an earlier version (47 MB at N = 1009), and is refused unread.
+# of an earlier version (47 MB at N = 1009), and is refused unparsed after
+# at most this many bytes and one more are read.
 MAX_INSTANCE_BYTES = 2**20
 
 # json.load holds its Python objects beside the text, and a malformed file
@@ -71,28 +72,33 @@ PARSE_BYTES_PER_BYTE = 48
 def _load_json(path: str, limit: int | None = None):
     """The JSON value in the file at ``path``.
 
-    Before any of it is read, a file over ``limit`` bytes is refused and,
-    without a limit, so is one whose parse would outgrow the memory left
-    (a pipe reports no size and is read whole).
+    With a ``limit``, at most limit + 1 bytes are read and a longer file is
+    refused unparsed, so a pipe, which reports no size, is bounded too.
+    Without one, a file whose parse would outgrow the memory left is
+    refused before any of it is read (a pipe reports no size and is read
+    whole).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if limit is not None and size > limit:
-            raise ValueError(
-                f"{path}: instance file over {limit} bytes, more than its parameters; "
-                "write a fresh file with usdsep generate"
-            )
-        if limit is None:
+    try:
+        if limit is not None:
+            with open(path, "rb") as fh:
+                data = fh.read(limit + 1)
+            if len(data) > limit:
+                raise ValueError(
+                    f"{path}: instance file over {limit} bytes, more than its parameters; "
+                    "write a fresh file with usdsep generate"
+                )
+            return json.loads(data.decode("utf-8"))
+        with open(path, "r", encoding="utf-8") as fh:
+            size = os.fstat(fh.fileno()).st_size
             need, (left, source) = PARSE_BYTES_PER_BYTE * size, instance._memory_limit()
             if need > left:
                 raise MemoryError(
                     f"{path}: its {size} bytes need about {need / 2**20:.0f} MiB to parse, "
                     f"over the {left / 2**20:.0f} MiB of {source}"
                 )
-        try:
             return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(payload: dict, out_path=None) -> None:

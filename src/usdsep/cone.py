@@ -9,32 +9,32 @@ outcomes obeys
 
     sum_alpha e_alpha <= 2 (N - 1).
 
-The certifier counts the left-hand side for a concrete measurement.  Each
-party's factors travel as one read-only (R, d, d) stack.  Rays are grouped
-up to positive scaling, and a representative r_c is extreme exactly when it
-is not a nonnegative combination of the other classes.  vec_herm maps the
-stack to isometric real coordinates, where that is a question about the
-columns of one real matrix V.
+The certifier counts the left-hand side for a concrete measurement.  Rays
+are grouped up to positive scaling, and a representative r_c is extreme
+exactly when it is not a nonnegative combination of the other classes.
+vec_herm maps the Hermitian factors to isometric real coordinates, where
+Frobenius geometry is plain dot products and extremality is a question
+about the columns of one real matrix V.
 
-certify runs the parties of one factor dimension d through one pass, on a
-(G, R, d, d) stack: validation and unit scaling, vec_herm, the ray screen,
-the witness and the identity test each take the leading party axis, so G
-parties cost about the numpy calls of one.  A pass holds at most
-_CHUNK_ENTRIES array entries, counted as G R max(R, d^2); a party past that
-bound runs alone.  NNLS and the report lines run per party, in party
-order.
+certify runs the parties of one factor dimension d through one pass:
+validation and unit scaling, vec_herm, the ray screen, the witness and the
+identity test each take the leading party axis, so G parties cost about
+the numpy calls of one.  A pass holds at most _CHUNK_ENTRIES array
+entries, counted as G R max(R, d^2); a party past that bound runs alone.
+NNLS and the report lines run per party, in party order.
 
 A pass forms each quantity once and reads it wherever it is needed.
 A ray does not depend on scale, and K_1 x K_2 = (c K_1) x (K_2 / c) names
-the same outcome, so the validation (_unit_forms) divides the scale out
-once: finite Frobenius norms clear every entry at once, a norm of 0 or
-below the normal range names no ray, and it keeps only the unit stack
-M / ||M||_F, which every later test reads.
-The one vec_herm call splits it into its diagonal and triangles once; both
-the coordinates V and the asymmetry check read that split.  The ray screen
-is one Gram matrix of V, whose buffer the witness reads and overwrites, and
-certify's identity test reads the unit diagonal (see _near_identity), so
-no pass forms M - (Tr M / d) I.
+the same outcome, so the validation (_unit_rows) divides the scale out
+once, on a local (G, R, d, d) complex stack: finite Frobenius norms clear
+every entry at once, and a norm of 0 or below the normal range names no
+ray.  After the positivity proof, its one vec_herm call splits the unit
+forms M / ||M||_F into diagonal and triangles once; both the asymmetry
+check and the read-only (G, R, d^2) rows V read that split, and V is all
+the pass keeps.  The ray screen is one Gram matrix of V, whose buffer the
+witness reads and overwrites, and certify's identity test reads V's
+diagonal and triangle coordinates (see _near_identity), so no pass forms
+M - (Tr M / d) I.
 
 Every factor must be positive semidefinite relative to its scale:
 lambda_min(H) >= -PSD_INPUT_TOL for the Hermitian part H of its unit
@@ -84,12 +84,12 @@ _TINY_NORM = float(np.finfo(float).tiny) ** 0.5  # the least norm whose square i
 _CHUNK_ENTRIES = 2**18  # the most array entries one certify pass of several parties holds
 
 
-def _unit_forms(parties) -> np.ndarray:
-    """The validated read-only (G, R, d, d) stack of G parties' unit forms M / ||M||_F.
+def _unit_rows(parties) -> np.ndarray:
+    """The validated read-only (G, R, d^2) vec_herm rows V of G parties' unit forms M / ||M||_F.
 
     ``parties`` holds G sequences of R equal square matrices each.  Every
     refusal of a factor is raised here, for the first check that any of
-    the G parties fails.
+    the G parties fails; the complex unit stack stays local to this call.
     """
     try:
         stack = np.array(parties, dtype=complex)
@@ -122,8 +122,9 @@ def _unit_forms(parties) -> np.ndarray:
     flat = stack.view(float)
     flat *= (1.0 / norms)[..., None, None]
     _require_psd(stack)
-    stack.setflags(write=False)
-    return stack
+    rows = vec_herm(stack)  # after the positivity proof: its asymmetry check comes second
+    rows.setflags(write=False)
+    return rows
 
 
 def _require_psd(units: np.ndarray) -> None:
@@ -172,14 +173,16 @@ class ConeReport:
     note: str = ""
 
 
-def _class_heads(units: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only vec_herm rows V of a (G, R, d, d) stack of unit forms, the
-    (G, R) array whose entry head[g, i] is the operator heading i's class in
-    party g, and the screen's (G, R, R) Gram buffer V V^T, its diagonal -inf,
-    which the witness reads and then overwrites.
+def _class_heads(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (G, R) array whose entry head[g, i] is the operator heading i's class
+    in party g of the (G, R, d^2) vec_herm rows V of unit forms, and the
+    screen's (G, R, R) Gram buffer V V^T, its diagonal -inf, which the
+    witness reads and then overwrites.
 
     Each operator joins the first class whose representative lies within tol
-    of it, and otherwise heads a new class.
+    of it, and otherwise heads a new class.  vec_herm is an isometry on
+    Hermitian matrices, and validation refused any asymmetry above 1e-12,
+    so distances between unit forms are distances between their rows.
 
     Screen: unit vectors within tol have a Gram entry of at least
     1 - tol**2 / 2.  Rounding in the normalization, in vec_herm and in a dot
@@ -191,36 +194,35 @@ def _class_heads(units: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray,
     vectors lie at most 2 apart: a tol past 2, whose square may overflow,
     screens as 2.
     """
-    count, r, d = units.shape[:3]
-    coords = vec_herm(units)
-    coords.setflags(write=False)
-    slack = 16.0 * d**2 * _EPS
-    gram = coords @ coords.swapaxes(1, 2)
+    count, r, dd = rows.shape
+    slack = 16.0 * dd * _EPS
+    gram = rows @ rows.swapaxes(1, 2)
     gram.reshape(count, r * r)[:, :: r + 1] = -np.inf
     cut = 1.0 - min(tol, 2.0) ** 2 / 2.0 - slack
     head = np.empty((count, r), dtype=np.intp)
     head[:] = np.arange(r)  # until a pair passes the screen, every operator heads its own class
     if gram.max() >= cut:
-        party, rows, cols = np.nonzero(gram >= cut)
-        earlier = cols < rows
-        party, rows, cols = party[earlier], rows[earlier], cols[earlier]
-        splits = np.flatnonzero(np.diff(party * r + rows)) + 1  # one run per (party, row)
-        firsts = np.r_[0, splits][: len(rows)]
-        for g, i, cand in zip(party[firsts], rows[firsts], np.split(cols, splits)):
+        party, late, early = np.nonzero(gram >= cut)
+        keep = early < late
+        party, late, early = party[keep], late[keep], early[keep]
+        splits = np.flatnonzero(np.diff(party * r + late)) + 1  # one run per (party, operator)
+        firsts = np.r_[0, splits][: len(late)]
+        for g, i, cand in zip(party[firsts], late[firsts], np.split(early, splits)):
             cand = cand[head[g, cand] == cand]
             # Confirm by difference norms, in class order: 2 - 2 Re<u, r>
             # would round at about 1e-16, which is the size of tol**2 itself.
-            near = np.flatnonzero(_frob(units[g, cand] - units[g, i]) <= tol)
+            gap = rows[g, cand] - rows[g, i]
+            near = np.flatnonzero(np.sqrt(np.vecdot(gap, gap)) <= tol)
             if near.size:
                 head[g, i] = cand[near[0]]
-    return coords, head, gram
+    return head, gram
 
 
-def _witness_bounds(coords: np.ndarray, is_head: np.ndarray, gram: np.ndarray) -> np.ndarray:
+def _witness_bounds(rows: np.ndarray, is_head: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Farkas lower bound on each class's NNLS residual.
 
-    ``coords`` holds the vec_herm rows V of a (G, R, d, d) stack of unit
-    forms, ``is_head`` the (G, R) mask of the class representatives and
+    ``rows`` holds the (G, R, d^2) vec_herm rows V of unit forms,
+    ``is_head`` the (G, R) mask of the class representatives and
     ``gram`` the screen's (G, R, R) Gram buffer V V^T, which this call
     overwrites as q: it is the pass's one (R, R) array.  The (G, R) result
     is read at the representatives, NaN elsewhere; q runs over the other
@@ -240,9 +242,9 @@ def _witness_bounds(coords: np.ndarray, is_head: np.ndarray, gram: np.ndarray) -
     Algorithms, ch. 3), and a residual below 1 has ||x||_1 <= 2 sqrt(d)
     (each Tr r_k >= 1), so rounding moves a bound by far less than 1e-6.
     """
-    count, r, dd = coords.shape
+    count, r, dd = rows.shape
     d = math.isqrt(dd)
-    traces = coords[..., :d].sum(axis=-1)
+    traces = rows[..., :d].sum(axis=-1)
     q = np.divide(gram, traces[:, None, :], out=gram)  # <r_c, r_k> / Tr r_k
     # A class is not compared with itself, nor with a member of any class.
     q.reshape(count, r * r)[:, :: r + 1] = -np.inf
@@ -254,35 +256,27 @@ def _witness_bounds(coords: np.ndarray, is_head: np.ndarray, gram: np.ndarray) -
     # others would take t_c -> infinity; capping t_c at 1e3 keeps Y finite.
     t = (1.0 - 1e-12) / np.maximum(most, 1e-3)
     # ||Y_c||^2: the squares of its diagonal, plus t_c^2 times those of r_c's triangles.
-    diag, off = 1.0 - t[..., None] * coords[..., :d], coords[..., d:]
+    diag, off = 1.0 - t[..., None] * rows[..., :d], rows[..., d:]
     norms = np.sqrt(np.vecdot(diag, diag) + t**2 * np.vecdot(off, off))
-    bounds = (t * np.vecdot(coords, coords) - traces) / norms
+    bounds = (t * np.vecdot(rows, rows) - traces) / norms
     bounds[most == -np.inf] = np.inf  # no other class: one ray alone is extreme in its cone
     bounds[~is_head] = np.nan
     return bounds
 
 
-def _near_identity(units: np.ndarray) -> np.ndarray:
-    """Whether, per party of a (G, R, d, d) stack of unit forms U = M / ||M||, every
-    operator M has ||M - (Tr M / d) I|| <= IDENTITY_RTOL ||M||.
+def _near_identity(rows: np.ndarray) -> np.ndarray:
+    """Whether, per party of the (G, R, d^2) vec_herm rows of unit forms U = M / ||M||,
+    every operator M has ||M - (Tr M / d) I|| <= IDENTITY_RTOL ||M||.
 
-    That distance squared is 1 - |Tr U|^2 / d, so the trace alone rules out
-    any operator with |Tr U|^2 below (1 - 1e-6) d, far beyond rounding.
-    Near the identity that difference keeps no digits, so a party that
-    passes is measured directly: the diagonal's spread about its mean, plus
-    the off-diagonal entries, which in the flattened matrix are the first d
-    of each run of d + 1 entries after a diagonal one.
+    That distance is measured directly, since 1 - (Tr U)^2 / d keeps no
+    digits near the identity: the diagonal rows' spread about their mean,
+    plus the off-diagonal rows.
     """
-    count, r, d = units.shape[:3]
-    diag = units.diagonal(axis1=2, axis2=3)
-    mean = diag.sum(axis=2) / d
-    near = np.abs(mean).min(axis=1) >= math.sqrt((1.0 - 1e-6) / d)
-    if near.any():
-        spread = diag - mean[..., None]
-        off = units.reshape(count, r, d * d)[..., 1:].reshape(count, r, d - 1, d + 1)[..., :d]
-        gap = np.vecdot(spread, spread).real + np.vecdot(off.view(float), off.view(float)).sum(axis=2)
-        near &= np.all(np.sqrt(gap) <= IDENTITY_RTOL, axis=1)
-    return near
+    d = math.isqrt(rows.shape[-1])
+    diag, off = rows[..., :d], rows[..., d:]
+    spread = diag - diag.sum(axis=-1, keepdims=True) / d
+    gap = np.vecdot(spread, spread) + np.vecdot(off, off)
+    return (np.sqrt(gap) <= IDENTITY_RTOL).all(axis=1)
 
 
 def _chunks(parties) -> list[list[int]]:
@@ -311,19 +305,23 @@ def _party_lines(chunk: list[int], parties, tol: float) -> dict:
     The witness serves every party of the pass at once; the classes it
     leaves undecided go to NNLS party by party.
     """
-    units = _unit_forms(parties)
-    count, r = units.shape[:2]
-    coords, head, gram = _class_heads(units, tol)
+    rows = _unit_rows(parties)
+    count, r = rows.shape[:2]
+    head, gram = _class_heads(rows, tol)
     is_head = head == np.arange(r)
-    bounds = _witness_bounds(coords, is_head, gram)
+    bounds = _witness_bounds(rows, is_head, gram)
     del gram  # the witness's (R, R) buffer, not held through NNLS
+    # NNLS decides every class in the warning band, so that its warnings stay:
+    # the witness is loose away from a family's middle rays (d = 2 rays at
+    # Bloch angles -1e-3, 0, 1e-3 all have bound 2.5e-7, NNLS 7.07e-4 at both
+    # ends), and the band's top also covers the witness's rounding.
     undecided = bounds <= max(tol, WARN_BAND[1])  # a lone class's infinite bound is decided
     residuals = np.where(undecided, np.inf, bounds)  # NaN off the representatives
     proven = np.where(is_head, residuals, np.inf).min(axis=1)  # the least witnessed bound
     solves = undecided.sum(axis=1)
     for g in solves.nonzero()[0]:
         heads = is_head[g].nonzero()[0]
-        v = coords[g, heads].T
+        v = rows[g, heads].T
         for c in undecided[g, heads].nonzero()[0]:
             _, residuals[g, heads[c]] = nnls(np.delete(v, c, axis=1), v[:, c], tol=max(tol * 1e-4, 1e-14))
     lo, hi = WARN_BAND
@@ -335,7 +333,7 @@ def _party_lines(chunk: list[int], parties, tol: float) -> dict:
         (residuals > tol).sum(axis=1).tolist(),
         solves.tolist(),
         proven.tolist(),
-        _near_identity(units).tolist(),
+        _near_identity(rows).tolist(),
     ):
         warnings = []
         if solved:  # a witnessed bound clears the band, and a lone class is infinite

@@ -46,8 +46,12 @@ The sums run over the multiplicative group mod N (Rader, Proc. IEEE 56,
 1107 (1968)), the cycle pw[k] = g^k mod N of a primitive root g.  From
 N = 128 up, A(g^b) = |t_0|^2 + sum_a x_(a+b) conj(x_a), x_a = t[g^a], is
 one circular autocorrelation (an fft/ifft pair, O(N log N)); below, one
-(N, N) gather t[c s mod N] serves instead: there the fft would save under
-0.1 ms a family, and loading numpy.fft costs about half a MiB of memory.
+(N, N) gather t[c s mod N] serves instead.  There the fft route is slower
+up to about N = 100 (a cold family at N = 5 took about 90 against 60 us,
+one CPU thread) and faster only near the cut (about 120 against 180 us at
+N = 127); it would put completeness at 0.114 of its law against 0.096 for
+the gather, short of the 10x margin numerics.BOUNDS states; and loading
+numpy.fft costs about half a MiB of resident memory.
 The fft has length D when every prime factor of D has its own numpy.fft
 pass (at most 11), else it is a linear correlation zero-padded to a power
 of two, folded back to circular: below N = 30000 the generic passes for

@@ -97,7 +97,7 @@ def build_measurement(inst: Instance, weights, psd_tol: float = PSD_TOL) -> Weig
     secular equation (module docstring), so no operator is formed.
     """
     retained = inst.retained
-    w = np.asarray(weights, dtype=float).ravel()
+    w = np.array(weights, dtype=float).ravel()  # a copy: the caller may edit its own array
     if w.shape[0] != len(retained):
         raise ValueError(f"expected {len(retained)} weights, got {w.shape[0]}")
     lo, hi = float(w.min()), float(w.max())  # a NaN reads NaN in both

@@ -248,6 +248,7 @@ def test_an_instance_file_past_the_size_bound_is_refused_unparsed(tmp_path, caps
         raise AssertionError("the instance file was parsed")
 
     monkeypatch.setattr(json, "load", refuse)
+    monkeypatch.setattr(json, "loads", refuse)
     path.write_text(text + " " * (limit + 1 - len(text)))
     for command in ("optimize", "certify", "simulate"):
         rc, out, err = run_cli(capsys, command, "--instance", str(path))
@@ -256,6 +257,29 @@ def test_an_instance_file_past_the_size_bound_is_refused_unparsed(tmp_path, caps
             f"error: {path}: instance file over {limit} bytes, more than its parameters; "
             "write a fresh file with usdsep generate\n"
         )
+
+
+def test_an_instance_piped_past_the_size_bound_is_refused():
+    # A pipe reports no size, so the bound is on the bytes read: a 3 MiB
+    # payload through stdin exits 2, and a small valid one still reads.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    limit = usdsep.cli.MAX_INSTANCE_BYTES
+    small = json.dumps({"n": 5, "dims": [2, 2], "omit": 1})
+    big = json.dumps({"n": 5, "dims": [2, 2], "omit": 1, "pad": "x" * 3 * 2**20})
+    runs = {}
+    for name, payload in (("big", big), ("small", small)):
+        runs[name] = subprocess.run(
+            [sys.executable, "-m", "usdsep.cli", "optimize", "--instance", "/dev/stdin"],
+            input=payload,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    assert (runs["big"].returncode, runs["big"].stdout) == (2, "")
+    assert runs["big"].stderr.startswith(f"error: /dev/stdin: instance file over {limit} bytes")
+    assert runs["small"].returncode == 0, runs["small"].stderr
+    assert json.loads(runs["small"].stdout)["failure_probability"] == 0.5
 
 
 def test_optimize_requires_a_source(capsys):

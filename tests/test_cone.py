@@ -33,16 +33,17 @@ def party_stat(ops, tol=RAY_TOL):
 
 def ray_classes(ops, tol=RAY_TOL):
     """One party's ray classes by certify's kernels: the groups, members ascending
-    and in the order of their heads; the heads' unit forms and vec_herm rows; and
-    each class's witness bound."""
-    units = usdsep.cone._unit_forms([ops])
-    coords, head, gram = usdsep.cone._class_heads(units, tol)
+    and in the order of their heads; the heads' unit forms, taken from ``ops``,
+    and their vec_herm rows; and each class's witness bound."""
+    rows = usdsep.cone._unit_rows([ops])
+    head, gram = usdsep.cone._class_heads(rows, tol)
     is_head = head == np.arange(len(ops))
-    bounds = usdsep.cone._witness_bounds(coords, is_head, gram)
+    bounds = usdsep.cone._witness_bounds(rows, is_head, gram)
     groups = {}
     for i, h in enumerate(head[0].tolist()):
         groups.setdefault(h, []).append(i)
-    return tuple(map(tuple, groups.values())), units[is_head], coords[is_head], bounds[is_head]
+    units = np.stack([ops[h] / np.linalg.norm(ops[h]) for h in groups])
+    return tuple(map(tuple, groups.values())), units, rows[is_head], bounds[is_head]
 
 
 def class_of(groups, i):
@@ -70,16 +71,17 @@ def test_distinct_rays_groups_by_positive_scale():
     assert (stat.generators, stat.rays, stat.extreme) == (3, 2, 2)
 
 
-def test_operator_set_keeps_one_unit_stack():
-    # A ray does not depend on scale, so the validation keeps the unit forms
-    # M / ||M||_F in place of the operators: one read-only (G, R, d, d) array.
+def test_validation_keeps_only_the_unit_rows():
+    # A ray does not depend on scale, so the validation keeps the vec_herm
+    # rows of the unit forms M / ||M||_F in place of the operators: one
+    # read-only (G, R, d^2) float array.
     rng = np.random.default_rng(35)
     ops = [10.0 ** rng.uniform(-100, 100) * rand_psd(rng, 4) for _ in range(6)]
-    units = usdsep.cone._unit_forms([ops])
-    assert units.shape == (1, 6, 4, 4) and not units.flags.writeable
-    assert np.max(np.abs(np.linalg.norm(units, axis=(2, 3)) - 1.0)) <= 1e-15
-    for got, op in zip(units[0], ops):
-        assert np.allclose(got, op / np.linalg.norm(op), rtol=0.0, atol=1e-15)
+    rows = usdsep.cone._unit_rows([ops])
+    assert rows.shape == (1, 6, 16) and rows.dtype == float and not rows.flags.writeable
+    assert np.max(np.abs(np.linalg.norm(rows, axis=2) - 1.0)) <= 1e-15
+    for got, op in zip(rows[0], ops):
+        assert np.allclose(got, vec_herm(op / np.linalg.norm(op)), rtol=0.0, atol=1e-15)
 
 
 def first_match_rays(ops, tol):
@@ -717,10 +719,11 @@ def test_certify_decides_positivity_without_eigenvalues(monkeypatch):
 
 
 def test_certify_peak_memory_holds_one_stack_per_party():
-    # Each party holds one (R, d, d) stack of unit forms, with no copy of
-    # the raw operators beside it: on (71; 5, 14), whose d = 14 stack is
-    # 218 KiB, the traced peak of certify is about 807 KiB (1025 KiB with
-    # both stacks held).
+    # Each party keeps only the (R, d^2) vec_herm rows of its unit forms,
+    # with no copy of the raw operators beside them: on (71; 5, 14), whose
+    # d = 14 complex stack is 218 KiB, the traced peak of certify was about
+    # 807 KiB holding the unit stack, 1025 KiB with both stacks held, and is
+    # about 666 KiB.
     entries = family_product_ops(make_instance(71, (5, 14)))
     certify(entries)
     tracemalloc.start()
@@ -737,9 +740,10 @@ def test_certify_peak_memory_at_n_1009_holds_one_party_at_a_time():
     # 7) is past the bound of a shared pass, R^2 > 2^18, so each runs
     # alone.  The traced peak was 10,389,121 B when certify ran party by
     # party, 10,162,385 B in passes, 10,048,849 B with the rank-1 witness
-    # route and 9,612,569 B once the witness made no checking product, and
-    # is 9,725,889 B with the witness's norm summed as squares of its
-    # (R, d) diagonal; the pin is the first plus 5%.
+    # route and 9,612,569 B once the witness made no checking product,
+    # 9,725,889 B with the witness's norm summed as squares of its
+    # (R, d) diagonal, and is 8,934,793 B now that a pass keeps only the
+    # vec_herm rows after validation; the pin is the first plus 5%.
     entries = family_product_ops(make_instance(1009))
     certify(entries)
     tracemalloc.start()
@@ -758,7 +762,8 @@ def test_certify_peak_memory_of_a_rank_two_party_at_n_1009():
     # pass holds one (R, R) array, 8.1 MB.  The traced peak was 10,062,777 B
     # when the witness allocated its own (R, R) array after the screen's
     # was freed, 10,240,577 B with a power-iteration guess writing into the
-    # screen's buffer, and is 9,626,353 B; the pin is the first plus 5%,
+    # screen's buffer, 9,626,353 B holding the unit stack through the pass,
+    # and is 8,835,201 B; the pin is the first plus 5%,
     # and a pass holding both arrays peaks at 18,094,033 B.
     states = make_instance(1009).local_states[6]
     entries = [[proj(states[j]) + 0.1 * proj(states[(j + 1) % 1009])] for j in range(1009)]
@@ -863,6 +868,22 @@ def test_the_witness_norm_keeps_its_digits_near_the_identity():
         assert np.all(bounds <= residuals + 1e-12), (bounds, residuals)
         stat = party_stat(ops, 0.05)
         assert (stat.rays, stat.extreme) == (3, 2)
+
+
+def test_the_warning_band_goes_to_nnls_where_the_witness_is_loose():
+    # Rank-1 d = 2 rays at Bloch angles -phi, 0 and phi, phi = 1e-3: every
+    # witness bound is 2.5e-7, inside the warning band, but NNLS finds
+    # 7.07e-4, 2.5e-7 and 7.07e-4.  A dispatch cut at tol alone would take
+    # all three classes from the witness and drop the middle one's warning.
+    phi = 1e-3
+    ops = [proj([np.cos(a / 2.0), np.sin(a / 2.0)]) for a in (-phi, 0.0, phi)]
+    _, _, coords, bounds = ray_classes(ops)
+    np.testing.assert_allclose(bounds, 2.5e-7, rtol=1e-5)
+    np.testing.assert_allclose(nnls_only_residuals(coords, RAY_TOL), [7.07107e-4, 2.5e-7, 7.07107e-4], rtol=1e-5)
+    rep = certify([[op] for op in ops])
+    stat = rep.parties[0]
+    assert (stat.rays, stat.extreme, stat.nnls_solves, stat.min_witness_bound) == (3, 3, 3, None)
+    assert rep.warnings == ("party 0 ray class 1: NNLS residual 2.500e-07 is borderline",)
 
 
 def random_traceless(rng, d):

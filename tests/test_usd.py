@@ -48,6 +48,19 @@ def test_build_measurement_zero_weights():
     assert m.min_eigenvalue == 1.0
 
 
+def test_build_measurement_keeps_its_own_weights():
+    # The measurement holds a copy: editing the caller's array after the
+    # build leaves the weights, their checked eigenvalue and the failure
+    # probability as they were.
+    inst = make_instance(5)
+    w = np.full(4, 0.8)
+    m = build_measurement(inst, w)
+    w[:] = 5.0
+    assert np.array_equal(m.weights, np.full(4, 0.8)) and not m.weights.flags.writeable
+    assert m.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
+    assert failure_probability(m, reciprocal_set(inst)).failure_probability == pytest.approx(0.5, abs=1e-12)
+
+
 def test_build_measurement_rejects_infeasible_and_malformed():
     inst = make_instance(5)
     with pytest.raises(NotPSDError):
