@@ -28,25 +28,32 @@ A ray does not depend on scale, and K_1 x K_2 = (c K_1) x (K_2 / c) names
 the same outcome, so the validation (_unit_rows) divides the scale out
 once, on a local (G, R, d, d) complex stack: finite Frobenius norms clear
 every entry at once, and a norm of 0 or below the normal range names no
-ray.  After the positivity proof, its one vec_herm call splits the unit
-forms M / ||M||_F into diagonal and triangles once; both the asymmetry
-check and the read-only (G, R, d^2) rows V read that split, and V is all
-the pass keeps.  The ray screen is one Gram matrix of V, whose buffer the
-witness reads and overwrites, and certify's identity test reads V's
-diagonal and triangle coordinates (see _near_identity), so no pass forms
+ray.  Its one vec_herm call splits the unit forms M / ||M||_F into
+diagonal and triangles once; both the asymmetry check and the read-only
+(G, R, d^2) rows V read that split, and V is all the pass keeps.  One
+function (_classes) owns the pass's one (G, R, R) buffer, which NNLS
+never sees: the ray screen's Gram matrix of V, its diagonal -inf, which
+the witness divides in place into its overlaps.  It sums the traces and
+the off-diagonal mass once, for both the witness's norm and the identity
+test, which reads V's diagonal and triangle coordinates, so no pass forms
 M - (Tr M / d) I.
 
 Every factor must be positive semidefinite relative to its scale:
 lambda_min(H) >= -PSD_INPUT_TOL for the Hermitian part H of its unit
-form.  One batched Cholesky of 2 (H + s I) per pass, formed in one
-buffer, proves it, s = PSD_INPUT_TOL - 8 d (d + 1) u with u the unit
-roundoff: the backward error of a completed Cholesky (Higham, Accuracy
+form.  One batched Cholesky per pass proves it, run on the unit stack
+itself with its diagonal shifted in place by
+s = PSD_INPUT_TOL - 5e-13 - 8 d (d + 1) u, u the unit roundoff.  LAPACK
+reads only the lower triangle and the real part of the diagonal, and the
+Hermitian matrix H' they make lies within ||M - M^dag||_F / 2 <= 5e-13 of
+H, since vec_herm has already refused any unit form with more asymmetry.
+The backward error of a completed Cholesky of H' + s I (Higham, Accuracy
 and Stability of Numerical Algorithms, 2nd ed., 2002, Thm 10.3, and
-sec. 3.6 for complex arithmetic) stays below 3.1 d (d + 1) u (||H||_F + s),
-relative to the scale of the matrix, so the factor 2 changes nothing, and
-with ||H||_F <= 1 and the rounding of the shifted diagonal it stays below
-PSD_INPUT_TOL - s.  Only where it fails, or s <= 0, does a batched
-eigvalsh decide.
+sec. 3.6 for complex arithmetic) stays below 3.1 d (d + 1) u
+(||H'||_F + s), relative to the scale of the matrix; with ||H'||_F
+<= 1 + 5e-13 and the rounding of the shifted diagonal it stays below
+8 d (d + 1) u, so lambda_min(H) >= -PSD_INPUT_TOL.  Only where it fails,
+or s <= 0, does a batched eigvalsh of H decide, once the diagonal is put
+back.
 
 Each class is first put to a Farkas witness (the dual of the active-set
 nonnegative least squares of Lawson & Hanson, Solving Least Squares
@@ -121,25 +128,30 @@ def _unit_rows(parties) -> np.ndarray:
     # The float view times 1 / norm, in place: the bits of complex division by a real.
     flat = stack.view(float)
     flat *= (1.0 / norms)[..., None, None]
-    _require_psd(stack)
-    rows = vec_herm(stack)  # after the positivity proof: its asymmetry check comes second
+    rows = vec_herm(stack)  # its asymmetry check runs before the positivity proof
+    _require_psd(stack, rows[..., : stack.shape[-1]])
     rows.setflags(write=False)
     return rows
 
 
-def _require_psd(units: np.ndarray) -> None:
-    """Raise unless each unit operator's Hermitian part H has lambda_min(H) >= -PSD_INPUT_TOL."""
+def _require_psd(units: np.ndarray, diagonals: np.ndarray) -> None:
+    """Raise unless each unit operator's Hermitian part H has lambda_min(H) >= -PSD_INPUT_TOL.
+
+    ``units`` is the caller's own stack, whose asymmetry vec_herm has
+    bounded by 1e-12, and ``diagonals`` the real parts of its diagonals,
+    the first d coordinates of its vec_herm rows.  The Cholesky shifts the
+    stack's diagonals in place; the eigvalsh route puts them back first.
+    """
     d = units.shape[-1]
-    shift = PSD_INPUT_TOL - 4.0 * d * (d + 1) * _EPS
+    shift = PSD_INPUT_TOL - 5e-13 - 4.0 * d * (d + 1) * _EPS
     if shift > 0.0:
-        twice = np.conjugate(units.swapaxes(-1, -2), order="C")
-        twice += units  # 2 H, and below 2 (H + shift I), in the one buffer
-        twice.reshape(-1, d * d)[:, :: d + 1] += 2.0 * shift
+        diag = units.reshape(-1, d * d)[:, :: d + 1].real  # a view into the stack
+        diag += shift
         try:
-            np.linalg.cholesky(twice)
+            np.linalg.cholesky(units)  # reads the lower triangle and the diagonal's real part
             return
         except np.linalg.LinAlgError:
-            pass
+            diag[...] = diagonals.reshape(-1, d)
     hermitian = (units + np.conjugate(units.swapaxes(-1, -2))) * 0.5
     if float(np.linalg.eigvalsh(hermitian)[..., 0].min()) < -PSD_INPUT_TOL:
         raise ValueError("operators must be positive semidefinite")
@@ -173,28 +185,50 @@ class ConeReport:
     note: str = ""
 
 
-def _class_heads(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The (G, R) array whose entry head[g, i] is the operator heading i's class
-    in party g of the (G, R, d^2) vec_herm rows V of unit forms, and the
-    screen's (G, R, R) Gram buffer V V^T, its diagonal -inf, which the
-    witness reads and then overwrites.
+def _classes(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ray classes, witness bounds and identity test of G parties'
+    (G, R, d^2) vec_herm rows V of unit forms U = M / ||M||_F.
 
-    Each operator joins the first class whose representative lies within tol
-    of it, and otherwise heads a new class.  vec_herm is an isometry on
-    Hermitian matrices, and validation refused any asymmetry above 1e-12,
-    so distances between unit forms are distances between their rows.
+    Returns (head, bounds, near_identity).  head[g, i] is the operator
+    heading i's class in party g: each operator joins the first class whose
+    representative lies within tol of it, and otherwise heads a new class.
+    bounds[g, c] is the witness's lower bound on class c's NNLS residual,
+    read at the representatives and NaN elsewhere.  near_identity[g] tells
+    whether every operator M of party g has
+    ||M - (Tr M / d) I|| <= IDENTITY_RTOL ||M||.
 
-    Screen: unit vectors within tol have a Gram entry of at least
-    1 - tol**2 / 2.  Rounding in the normalization, in vec_herm and in a dot
-    product of d**2 terms stays below a small multiple of d**2 eps (Higham,
-    Accuracy and Stability of Numerical Algorithms, sec. 3.1), so 16 d**2
-    eps of slack never drops a pair; a pair that passes only costs a
-    confirmation.  Each operator matches itself, so the diagonals are
-    masked, and the pairs are listed only when some entry passes.  Unit
-    vectors lie at most 2 apart: a tol past 2, whose square may overflow,
-    screens as 2.
+    vec_herm is an isometry on Hermitian matrices, and validation refused
+    any asymmetry above 1e-12, so distances between unit forms are
+    distances between their rows.  Screen: unit vectors within tol have a
+    Gram entry of at least 1 - tol**2 / 2.  Rounding in the normalization,
+    in vec_herm and in a dot product of d**2 terms stays below a small
+    multiple of d**2 eps (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1), so 16 d**2 eps of slack never drops a pair; a
+    pair that passes only costs a confirmation.  Each operator matches
+    itself, and no class is its own witness, so the Gram diagonal is -inf;
+    the pairs are listed only when some entry passes.  Unit vectors lie at
+    most 2 apart: a tol past 2, whose square may overflow, screens as 2.
+
+    The witness's overlaps q_ck run over the other representatives of the
+    same party, and a class with none is infinitely far from their cone.
+    Every inequality of Y_c = I - t_c r_c holds by the choice of t_c, so
+    the bound is -<Y_c, r_c> / ||Y_c|| = (t_c ||r_c||^2 - Tr r_c) / ||Y_c||.
+    ||Y_c|| is summed as the squares of Y_c's coordinates.  The completed
+    square d - (Tr r_c)^2 / ||r_c||^2 + ||r_c||^2 (t_c - Tr r_c / ||r_c||^2)^2
+    loses its first term to rounding near the identity, where that term is
+    0; clamped there, ||Y_c|| comes out too small, and a class 1e-9 from the
+    identity and 0.03 from the cone of two others gets a bound of about 1.
+    Each q entry is a dot product of d**2 terms, off by about
+    d**2 eps ||r_c|| (Higham, ch. 3), and a residual below 1 has
+    ||x||_1 <= 2 sqrt(d) (each Tr r_k >= 1), so rounding moves a bound by
+    far less than 1e-6.
+
+    The identity test measures its distance directly, since
+    1 - (Tr U)^2 / d keeps no digits near the identity: the diagonal rows'
+    spread about their mean, plus the off-diagonal rows.
     """
     count, r, dd = rows.shape
+    d = math.isqrt(dd)
     slack = 16.0 * dd * _EPS
     gram = rows @ rows.swapaxes(1, 2)
     gram.reshape(count, r * r)[:, :: r + 1] = -np.inf
@@ -215,68 +249,29 @@ def _class_heads(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
             near = np.flatnonzero(np.sqrt(np.vecdot(gap, gap)) <= tol)
             if near.size:
                 head[g, i] = cand[near[0]]
-    return head, gram
-
-
-def _witness_bounds(rows: np.ndarray, is_head: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Farkas lower bound on each class's NNLS residual.
-
-    ``rows`` holds the (G, R, d^2) vec_herm rows V of unit forms,
-    ``is_head`` the (G, R) mask of the class representatives and
-    ``gram`` the screen's (G, R, R) Gram buffer V V^T, which this call
-    overwrites as q: it is the pass's one (R, R) array.  The (G, R) result
-    is read at the representatives, NaN elsewhere; q runs over the other
-    representatives of the same party, and a class with none is infinitely
-    far from their cone.  Every inequality of Y_c = I - t_c r_c holds by the
-    choice of t_c, so the bound is -<Y_c, r_c> / ||Y_c|| =
-    (t_c ||r_c||^2 - Tr r_c) / ||Y_c||.
-
-    ||Y_c|| is summed as the squares of Y_c's coordinates.  The completed
-    square d - (Tr r_c)^2 / ||r_c||^2 + ||r_c||^2 (t_c - Tr r_c / ||r_c||^2)^2
-    loses its first term to rounding near the identity, where that term is
-    0; clamped there, ||Y_c|| comes out too small, and a class 1e-9 from the
-    identity and 0.03 from the cone of two others gets a bound of about 1.
-
-    Each q entry is a dot product of d**2 terms, off by about
-    d**2 eps ||r_c|| (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3), and a residual below 1 has ||x||_1 <= 2 sqrt(d)
-    (each Tr r_k >= 1), so rounding moves a bound by far less than 1e-6.
-    """
-    count, r, dd = rows.shape
-    d = math.isqrt(dd)
-    traces = rows[..., :d].sum(axis=-1)
-    q = np.divide(gram, traces[:, None, :], out=gram)  # <r_c, r_k> / Tr r_k
-    # A class is not compared with itself, nor with a member of any class.
-    q.reshape(count, r * r)[:, :: r + 1] = -np.inf
-    if not is_head.all():
-        np.copyto(q, -np.inf, where=~is_head[:, None])
-    most = q.max(axis=-1)
+    is_head = head == np.arange(r)
+    diag, off = rows[..., :d], rows[..., d:]
+    traces = diag.sum(axis=-1)
+    off_mass = np.vecdot(off, off)
+    # The overlaps q_ck = <r_c, r_k> / Tr r_k, in place; each trace is
+    # positive, so the -inf diagonal stays -inf.
+    np.divide(gram, traces[:, None, :], out=gram)
+    if not is_head.all():  # nor is a class compared with a member of any class
+        np.copyto(gram, -np.inf, where=~is_head[:, None])
+    most = gram.max(axis=-1)
     # 1 / t_c is the largest ratio, shrunk by 1e-12 so the binding class
     # does not land at 0 +- rounding.  A class nearly orthogonal to all the
     # others would take t_c -> infinity; capping t_c at 1e3 keeps Y finite.
     t = (1.0 - 1e-12) / np.maximum(most, 1e-3)
     # ||Y_c||^2: the squares of its diagonal, plus t_c^2 times those of r_c's triangles.
-    diag, off = 1.0 - t[..., None] * rows[..., :d], rows[..., d:]
-    norms = np.sqrt(np.vecdot(diag, diag) + t**2 * np.vecdot(off, off))
+    y_diag = 1.0 - t[..., None] * diag
+    norms = np.sqrt(np.vecdot(y_diag, y_diag) + t**2 * off_mass)
     bounds = (t * np.vecdot(rows, rows) - traces) / norms
     bounds[most == -np.inf] = np.inf  # no other class: one ray alone is extreme in its cone
     bounds[~is_head] = np.nan
-    return bounds
-
-
-def _near_identity(rows: np.ndarray) -> np.ndarray:
-    """Whether, per party of the (G, R, d^2) vec_herm rows of unit forms U = M / ||M||,
-    every operator M has ||M - (Tr M / d) I|| <= IDENTITY_RTOL ||M||.
-
-    That distance is measured directly, since 1 - (Tr U)^2 / d keeps no
-    digits near the identity: the diagonal rows' spread about their mean,
-    plus the off-diagonal rows.
-    """
-    d = math.isqrt(rows.shape[-1])
-    diag, off = rows[..., :d], rows[..., d:]
-    spread = diag - diag.sum(axis=-1, keepdims=True) / d
-    gap = np.vecdot(spread, spread) + np.vecdot(off, off)
-    return (np.sqrt(gap) <= IDENTITY_RTOL).all(axis=1)
+    spread = diag - traces[..., None] / d
+    near_identity = (np.sqrt(np.vecdot(spread, spread) + off_mass) <= IDENTITY_RTOL).all(axis=1)
+    return head, bounds, near_identity
 
 
 def _chunks(parties) -> list[list[int]]:
@@ -307,10 +302,8 @@ def _party_lines(chunk: list[int], parties, tol: float) -> dict:
     """
     rows = _unit_rows(parties)
     count, r = rows.shape[:2]
-    head, gram = _class_heads(rows, tol)
+    head, bounds, near_identity = _classes(rows, tol)
     is_head = head == np.arange(r)
-    bounds = _witness_bounds(rows, is_head, gram)
-    del gram  # the witness's (R, R) buffer, not held through NNLS
     # NNLS decides every class in the warning band, so that its warnings stay:
     # the witness is loose away from a family's middle rays (d = 2 rays at
     # Bloch angles -1e-3, 0, 1e-3 all have bound 2.5e-7, NNLS 7.07e-4 at both
@@ -333,7 +326,7 @@ def _party_lines(chunk: list[int], parties, tol: float) -> dict:
         (residuals > tol).sum(axis=1).tolist(),
         solves.tolist(),
         proven.tolist(),
-        _near_identity(rows).tolist(),
+        near_identity.tolist(),
     ):
         warnings = []
         if solved:  # a witnessed bound clears the band, and a lone class is infinite

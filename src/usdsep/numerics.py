@@ -117,17 +117,9 @@ def _frob(a):
 
 
 @functools.cache
-def _strict_upper(d):
-    """Read-only (rows, cols) indices of the strict upper triangle of a d x d matrix."""
-    index = np.array(np.triu_indices(d, k=1))
-    index.setflags(write=False)
-    return index
-
-
-@functools.cache
 def _flat_triangles(d):
     """Read-only flat indices of m_rc and of m_cr, r < c, in a flattened d x d matrix."""
-    rows, cols = _strict_upper(d)
+    rows, cols = np.triu_indices(d, k=1)
     index = np.array([rows * d + cols, cols * d + rows])
     index.setflags(write=False)
     return index

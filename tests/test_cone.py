@@ -36,9 +36,8 @@ def ray_classes(ops, tol=RAY_TOL):
     and in the order of their heads; the heads' unit forms, taken from ``ops``,
     and their vec_herm rows; and each class's witness bound."""
     rows = usdsep.cone._unit_rows([ops])
-    head, gram = usdsep.cone._class_heads(rows, tol)
+    head, bounds, _ = usdsep.cone._classes(rows, tol)
     is_head = head == np.arange(len(ops))
-    bounds = usdsep.cone._witness_bounds(rows, is_head, gram)
     groups = {}
     for i, h in enumerate(head[0].tolist()):
         groups.setdefault(h, []).append(i)
@@ -636,7 +635,7 @@ def one_party_error(factors):
 
 
 # Two factors of dimension d, refused at different stages: the
-# stacking, the norms, the positivity test and vec_herm's asymmetry check.
+# stacking, the norms, vec_herm's asymmetry check and the positivity test.
 INVALID = {
     "ragged": lambda d: [np.eye(d), np.eye(d + 1)],
     "zero": lambda d: [np.eye(d), np.zeros((d, d))],
@@ -648,13 +647,14 @@ INVALID = {
 @pytest.mark.parametrize(
     "early, late",
     [("ragged", "not Hermitian"), ("zero", "not Hermitian"), ("indefinite", "not Hermitian"),
-     ("ragged", "indefinite"), ("zero", "indefinite")],
+     ("ragged", "indefinite"), ("zero", "indefinite"), ("not Hermitian", "indefinite")],
 )
 @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2)])
 def test_certify_raises_the_lowest_invalid_partys_error(dims, early, late):
-    # Party 1 fails a later check than party 2, which fails an earlier one;
-    # with dims (2, 3, 2) they lie in different passes, with (3, 2, 2) in
-    # one.  Either way party 1's own error is raised, as party by party.
+    # Party 1 and party 2 fail different checks, party 1 the later one
+    # except in ("indefinite", "not Hermitian"); with dims (2, 3, 2) they
+    # lie in different passes, with (3, 2, 2) in one.  Either way party 1's
+    # own error is raised, as party by party.
     parties = [
         [np.eye(dims[0])] * 2,
         INVALID[late](dims[1]),
@@ -718,6 +718,73 @@ def test_certify_decides_positivity_without_eigenvalues(monkeypatch):
     assert calls
 
 
+def test_an_asymmetric_indefinite_factor_is_refused_as_not_hermitian():
+    # vec_herm's asymmetry check runs before the positivity proof, whose
+    # Cholesky reads only the lower triangle: a factor failing both is
+    # refused for its asymmetry, alone or in a pass of several parties.
+    for d in (2, 3):
+        factor = np.diag([1.0] * (d - 1) + [-0.5]) + np.triu(np.ones((d, d)), 1) * 0.1
+        assert eigvalsh_rejects(np.array([factor]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            party_stat([np.eye(d), factor])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            certify([[np.eye(d), np.eye(d)], [np.eye(d), factor]])
+
+
+def test_certify_leaves_the_callers_factors_unchanged(monkeypatch):
+    # The Cholesky shifts the diagonal of the pass's own unit stack, never
+    # the caller's arrays: they stay bit-identical when the Cholesky
+    # completes, and when it fails and eigvalsh accepts or refuses.
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    family = [list(entry) for entry in family_product_ops(make_instance(13))]
+    # lambda_min / ||M||_F at 0.999 and 1.001 of -PSD_INPUT_TOL: inside the
+    # tolerance, but past what the shifted Cholesky can prove.
+    edge = [np.diag([1.0, -PSD_INPUT_TOL * factor]) for factor in (0.999, 1.001)]
+    cases = ((family, True), ([[edge[0]], [np.eye(2)]], True), ([[edge[1]], [np.eye(2)]], False))
+    for entries, accepted in cases:
+        before = [[f.copy() for f in entry] for entry in entries]
+        calls.clear()
+        if accepted:
+            certify(entries)
+        else:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                certify(entries)
+        assert bool(calls) == (entries is not family)
+        for got, want in zip(entries, before):
+            for f, g in zip(got, want):
+                assert f.dtype == g.dtype and f.tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("move, refused", [(1e-13, False), (1e-11, True)])
+def test_the_positivity_proof_reads_the_lower_triangle(move, refused):
+    # One family factor's strict upper triangle moved by ``move`` of its
+    # norm: inside vec_herm's asymmetry check (1e-12 of the norm) the
+    # report keeps its counts, verdict and warnings; past it the factor is
+    # refused as not Hermitian.
+    entries = [list(entry) for entry in family_product_ops(make_instance(13))]
+    want = certify(entries)
+    factor = entries[4][2]
+    rng = np.random.default_rng(44)
+    upper = np.triu(rng.normal(size=factor.shape) + 1j * rng.normal(size=factor.shape), 1)
+    entries[4][2] = factor + upper * (move * np.linalg.norm(factor) / np.linalg.norm(upper))
+    if refused:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            certify(entries)
+        return
+
+    def summary(rep):
+        return rep.total, rep.verdict, rep.warnings, [(s.rays, s.extreme, s.skipped) for s in rep.parties]
+
+    assert summary(certify(entries)) == summary(want)
+
+
 def test_certify_peak_memory_holds_one_stack_per_party():
     # Each party keeps only the (R, d^2) vec_herm rows of its unit forms,
     # with no copy of the raw operators beside them: on (71; 5, 14), whose
@@ -742,8 +809,9 @@ def test_certify_peak_memory_at_n_1009_holds_one_party_at_a_time():
     # party, 10,162,385 B in passes, 10,048,849 B with the rank-1 witness
     # route and 9,612,569 B once the witness made no checking product,
     # 9,725,889 B with the witness's norm summed as squares of its
-    # (R, d) diagonal, and is 8,934,793 B now that a pass keeps only the
-    # vec_herm rows after validation; the pin is the first plus 5%.
+    # (R, d) diagonal, 8,934,793 B once a pass kept only the vec_herm rows
+    # after validation, and is 9,024,209 B now that the identity test runs
+    # while the Gram buffer is held; the pin is the first plus 5%.
     entries = family_product_ops(make_instance(1009))
     certify(entries)
     tracemalloc.start()
@@ -763,7 +831,8 @@ def test_certify_peak_memory_of_a_rank_two_party_at_n_1009():
     # when the witness allocated its own (R, R) array after the screen's
     # was freed, 10,240,577 B with a power-iteration guess writing into the
     # screen's buffer, 9,626,353 B holding the unit stack through the pass,
-    # and is 8,835,201 B; the pin is the first plus 5%,
+    # 8,835,201 B, and is 8,924,537 B with the identity test run while the
+    # Gram buffer is held; the pin is the first plus 5%,
     # and a pass holding both arrays peaks at 18,094,033 B.
     states = make_instance(1009).local_states[6]
     entries = [[proj(states[j]) + 0.1 * proj(states[(j + 1) % 1009])] for j in range(1009)]
