@@ -23,10 +23,10 @@ import sys
 
 import numpy as np
 
-from . import __version__, instance
+from . import __version__
 from .cone import RAY_TOL, certify
 from .instance import instance_from_dict, instance_to_dict, make_instance, reciprocal_set
-from .numerics import ConvergenceError, InvariantError, bound, check
+from .numerics import ConvergenceError, InvariantError, admit, bound, check
 from .reference import two_qubit_reciprocal_states, two_qubit_states
 from .serialize import dumps, pairs_to_matrix
 from .simulator import SimConfig, run_discrimination
@@ -75,8 +75,8 @@ def _load_json(path: str, limit: int | None = None):
     With a ``limit``, at most limit + 1 bytes are read and a longer file is
     refused unparsed, so a pipe, which reports no size, is bounded too.
     Without one, a file whose parse would outgrow the memory left is
-    refused before any of it is read (a pipe reports no size and is read
-    whole).
+    refused before any of it is read (numerics.admit; a pipe reports no
+    size and is read whole).
     """
     try:
         if limit is not None:
@@ -90,12 +90,7 @@ def _load_json(path: str, limit: int | None = None):
             return json.loads(data.decode("utf-8"))
         with open(path, "r", encoding="utf-8") as fh:
             size = os.fstat(fh.fileno()).st_size
-            need, (left, source) = PARSE_BYTES_PER_BYTE * size, instance._memory_limit()
-            if need > left:
-                raise MemoryError(
-                    f"{path}: its {size} bytes need about {need / 2**20:.0f} MiB to parse, "
-                    f"over the {left / 2**20:.0f} MiB of {source}"
-                )
+            admit(PARSE_BYTES_PER_BYTE * size, f"{path}: its {size} bytes need", "to parse")
             return json.load(fh)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None

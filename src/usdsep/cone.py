@@ -21,7 +21,12 @@ validation and unit scaling, vec_herm, the ray screen, the witness and the
 identity test each take the leading party axis, so G parties cost about
 the numpy calls of one.  A pass holds at most _CHUNK_ENTRIES array
 entries, counted as G R max(R, d^2); a party past that bound runs alone.
-NNLS and the report lines run per party, in party order.
+Each pass is admitted (numerics.admit) by its estimated peak before its
+stack is built, and the ray screen's pair lists by their count before
+they are listed.  For R >= 2 that bound keeps a pass of several parties
+under 51 MB, below the floor at which admit asks for the memory left, so
+a pass that is refused names one party.  NNLS and the report lines run
+per party, in party order.
 
 A pass forms each quantity once and reads it wherever it is needed.
 A ray does not depend on scale, and K_1 x K_2 = (c K_1) x (K_2 / c) names
@@ -78,14 +83,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ConvergenceError, _frob, nnls, vec_herm
+from .numerics import IDENTITY_RTOL, PSD_INPUT_TOL, RAY_TOL, WARN_BAND
+from .numerics import ConvergenceError, _frob, admit, nnls, vec_herm
 
 __all__ = ["PartyConeStat", "ConeReport", "certify"]
 
-RAY_TOL = 1e-8
-PSD_INPUT_TOL = 1e-10
-IDENTITY_RTOL = 1e-8
-WARN_BAND = (1e-8, 1e-6)
 _EPS = float(np.finfo(float).eps)
 _TINY_NORM = float(np.finfo(float).tiny) ** 0.5  # the least norm whose square is a normal float64
 _CHUNK_ENTRIES = 2**18  # the most array entries one certify pass of several parties holds
@@ -236,9 +238,12 @@ def _classes(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.n
     head = np.empty((count, r), dtype=np.intp)
     head[:] = np.arange(r)  # until a pair passes the screen, every operator heads its own class
     if gram.max() >= cut:
-        party, late, early = np.nonzero(gram >= cut)
-        keep = early < late
-        party, late, early = party[keep], late[keep], early[keep]
+        near = gram >= cut
+        near &= np.tri(r, k=-1, dtype=bool)  # the pairs (late, early) with early < late
+        pairs = np.count_nonzero(near)
+        # Three int64 lists and their run index, counted before they are made.
+        admit(48.0 * pairs, f"the ray screen's {pairs} pairs within tol need", "to be listed")
+        party, late, early = np.nonzero(near)
         splits = np.flatnonzero(np.diff(party * r + late)) + 1  # one run per (party, operator)
         firsts = np.r_[0, splits][: len(late)]
         for g, i, cand in zip(party[firsts], late[firsts], np.split(early, splits)):
@@ -294,14 +299,40 @@ def _chunks(parties) -> list[list[int]]:
     return sorted(chunks)
 
 
+def _pass_bytes(count: int, r: int, dd: int) -> float:
+    """The peak bytes of a pass of ``count`` parties of r factors with dd = d^2 entries each.
+
+    Per factor, beside its 8 d^2 B of rows: validation holds the complex
+    unit stack (16 d^2) and next to it vec_herm's triangles (16 d (d - 1)),
+    the Cholesky's output (16 d^2) or the eigvalsh fallback's Hermitian
+    part and its summand (32 d^2); the screen holds 8 R of the (G, R, R)
+    Gram, 2 R of its masks and 16 d^2 of the rows one operator is
+    confirmed against.  256 B more per factor cover the vectors of up to d
+    entries and the screen's views.  Per pass, 8 KiB cover Python's own
+    objects, and 20 B per entry of its largest array, up to numpy's buffer
+    size, the ufuncs' buffers.
+    """
+    size = count * r * max(dd, r)
+    per_factor = 8.0 * dd + max(48.0 * dd, 10.0 * r + 16.0 * dd) + 256.0
+    return 8192.0 + 20.0 * min(size, np.getbufsize()) + float(count * r) * per_factor
+
+
 def _party_lines(chunk: list[int], parties, tol: float) -> dict:
     """party -> (PartyConeStat, borderline warnings) for the parties ``chunk`` names.
 
-    The witness serves every party of the pass at once; the classes it
-    leaves undecided go to NNLS party by party.
+    The pass is admitted (numerics.admit) before its stack is built.  The
+    witness serves every party of the pass at once; the classes it leaves
+    undecided go to NNLS party by party.
     """
+    count, r = len(parties), len(parties[0])
+    try:
+        dd = np.size(parties[0][0])
+    except ValueError:  # a ragged factor, refused on stacking before anything is built
+        dd = 0
+    who = f"party {chunk[0]}" if count == 1 else f"parties {', '.join(map(str, chunk))}"
+    subject = f"the certify pass of {who} ({r} factors of dimension {math.isqrt(dd)}) needs"
+    admit(_pass_bytes(count, r, dd), subject, "for its arrays")
     rows = _unit_rows(parties)
-    count, r = rows.shape[:2]
     head, bounds, near_identity = _classes(rows, tol)
     is_head = head == np.arange(r)
     # NNLS decides every class in the warning band, so that its warnings stay:

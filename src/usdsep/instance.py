@@ -107,7 +107,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check
+from .numerics import admit, check
 
 __all__ = [
     "Instance",
@@ -215,20 +215,14 @@ def _build_table(n: int) -> _Table:
     Refused before anything is allocated: an n with n^2 >= 2^63, as a
     read's index j e < n^2 must fit in int64 (ValueError); a composite n,
     by trial division of under 55,000 steps below that bound (ValueError);
-    and an n whose build would not fit in memory (MemoryError).
+    and an n whose build would not fit in memory (MemoryError, from
+    numerics.admit).
     """
     if n * n >= 1 << 63:
         raise ValueError(f"n = {n} is too large for its tables: n^2 must stay below 2^63")
     if not is_prime(n):
         raise ValueError(f"n must be a prime >= 5, got {n}")
-    need = _build_bytes(n)
-    if need > _TABLE_BYTES:  # a build the cache could hold needs no query
-        limit, source = _memory_limit()
-        if need > limit:
-            raise MemoryError(
-                f"n = {n} needs about {need / 2**20:.0f} MiB to build its tables, "
-                f"over the {limit / 2**20:.0f} MiB of {source}"
-            )
+    admit(_build_bytes(n), f"n = {n} needs", "to build its tables")
     pw, roots = _power_cycle(n), _roots(n)
     roots.setflags(write=False)
     # roots / sqrt(D) is bitwise every state read: a gather and a divide commute.
@@ -247,29 +241,6 @@ def _build_bytes(n: int) -> int:
     """
     d = n - 1
     return 2048 + 40 * n + (36 * (_fft_size(d) + d) if n >= _RADER_FROM else 32 * n * n)
-
-
-def _memory_limit() -> tuple[float, str]:
-    """The bytes this process may still allocate, and their source.
-
-    The smaller of MemAvailable (/proc/meminfo) and the soft RLIMIT_AS; one
-    that cannot be read limits nothing.
-    """
-    limits = [(math.inf, "no limit")]
-    try:
-        with open("/proc/meminfo") as f:
-            kib = next(int(line.split()[1]) for line in f if line.startswith("MemAvailable:"))
-        limits.append((1024 * kib, "MemAvailable"))
-    except (OSError, StopIteration, ValueError):
-        pass
-    try:
-        import resource
-    except ImportError:  # not every platform has resource limits
-        return min(limits)
-    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-    if soft != resource.RLIM_INFINITY:
-        limits.append((soft, "the soft RLIMIT_AS"))
-    return min(limits)
 
 
 def _power_cycle(n: int) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Everything operates on plain numpy arrays: complex vectors and matrices for
 states and operators, real vectors for the coordinates used by the cone
-feasibility tests.  All functions are pure; none mutate their arguments.
+feasibility tests.  None mutate their arguments.  The module also holds
+the table of invariant bounds, the decision tolerances, and admit, the
+one rule that lets an allocation go ahead; it and _memory_limit read the
+memory left, and every other function is pure.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ class InvariantError(RuntimeError):
 
 # Every internal invariant, name -> largest residual it may show.  A value
 # past its bound is a defect of the program, never of the input, so check
-# raises InvariantError (CLI exit 3).  Decision tolerances that callers or
-# --tol override stay with the code that decides.  A "derived" row reads a
-# bound proven from measured residuals; "derived overlap bound" covers every
-# closed-form overlap of the reciprocal states and duals (instance docstring).
+# raises InvariantError (CLI exit 3); the decision tolerances follow the
+# table.  A "derived" row reads a bound proven from measured residuals;
+# "derived overlap bound" covers every closed-form overlap of the
+# reciprocal states and duals (instance docstring).
 #
 # The three instance rows are rounding laws in the family size N, in unit
 # roundoffs U (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
@@ -66,6 +69,26 @@ BOUNDS = {
 }
 
 
+# Decision tolerances, each with its reason.  They decide a question about
+# the input, so a value past one is an input's verdict or exit 2, never
+# exit 3; --tol overrides RAY_TOL in certify and PSD_TOL under --weights.
+# Ray grouping and extremality; the d = 2 family margin (pi/N)^2 is under it from N ~ 31,416
+RAY_TOL = 1e-8
+# Least eigenvalue of a certify factor's unit form, far above its rounding 8 d (d + 1) u
+PSD_INPUT_TOL = 1e-10
+# A party whose factors all lie this near multiples of I, relative, acts trivially: skipped
+IDENTITY_RTOL = 1e-8
+# NNLS residuals reported as borderline; the top also covers the witness's rounding
+WARN_BAND = (1e-8, 1e-6)
+# Least eigenvalue of the failure operator under --weights; the secular root errs by a few D u
+PSD_TOL = 1e-10
+
+# An allocation estimated at most this many bytes is admitted without a
+# query: a table build the instance cache could hold (instance._TABLE_BYTES),
+# or the parse of a measurement file of about 1.4 MB.
+_ADMIT_FLOOR = 1 << 26
+
+
 def bound(name: str, n=None) -> float:
     """BOUNDS[name], evaluated at the family size n for a row whose bound is a law in N.
 
@@ -89,6 +112,47 @@ def check(name: str, measured, n=None):
     if not measured <= limit:
         raise InvariantError(f"{name}: {measured:.3e} exceeds the bound {limit:.3g}")
     return measured
+
+
+def _memory_limit() -> tuple[float, str]:
+    """The bytes this process may still allocate, and their source.
+
+    The smaller of MemAvailable (/proc/meminfo) and the soft RLIMIT_AS; one
+    that cannot be read limits nothing.
+    """
+    limits = [(math.inf, "no limit")]
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(line.split()[1]) for line in f if line.startswith("MemAvailable:"))
+        limits.append((1024 * kib, "MemAvailable"))
+    except (OSError, StopIteration, ValueError):
+        pass
+    try:
+        import resource
+    except ImportError:  # not every platform has resource limits
+        return min(limits)
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY:
+        limits.append((soft, "the soft RLIMIT_AS"))
+    return min(limits)
+
+
+def admit(need: float, subject: str, purpose: str) -> None:
+    """Refuse, before it is made, an allocation of about ``need`` bytes that would not fit.
+
+    The one memory-admission rule.  An estimate at or below _ADMIT_FLOOR is
+    admitted without a query.  A larger one past _memory_limit(), or one
+    that is not finite, raises MemoryError (CLI exit 2) reading
+    "<subject> about <need> MiB <purpose>, over the <limit> MiB of <source>".
+    """
+    if need <= _ADMIT_FLOOR:
+        return
+    limit, source = _memory_limit()
+    if need > limit or not math.isfinite(need):
+        raise MemoryError(
+            f"{subject} about {need / 2**20:.0f} MiB {purpose}, "
+            f"over the {limit / 2**20:.0f} MiB of {source}"
+        )
 
 
 class ConvergenceError(RuntimeError):

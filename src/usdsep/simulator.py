@@ -221,9 +221,9 @@ def multicopy_measurement(inst: Instance, copies: int) -> MulticopyMeasurement:
     family_product_ops.  Its failure probability, exactly 2^(-n), is the
     theoretical_failure of run_discrimination with n copies.
 
-    Raises ValueError, from family_product_ops and before anything is
-    allocated, for copies not an integer >= 1 and for factors past
-    usd.MAX_FAMILY_ENTRIES.
+    Raises, from family_product_ops and before anything is allocated,
+    ValueError for copies not an integer >= 1 and MemoryError for factors
+    that would not fit in the memory left.
     """
     return MulticopyMeasurement(party_factors=tuple(tuple(f) for f in family_product_ops(inst, copies)))
 

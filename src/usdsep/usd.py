@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance, ReciprocalSet, _check_match, _is_integer
-from .numerics import check
+from .numerics import PSD_TOL, admit, check
 
 __all__ = [
     "NotPSDError",
@@ -44,11 +44,9 @@ __all__ = [
     "family_product_ops",
 ]
 
-PSD_TOL = 1e-10
-# Largest product family (outcomes times the entries each carries: its label
-# tuple and its per-party factors) that family_product_ops builds, the one
-# N^n array in the library.  Sampling forms none and has no copy limit.
-MAX_FAMILY_ENTRIES = 1_000_000
+# Traced bytes, with some room, of one read-only view of a factor and of
+# one outcome's list of views (128 and 64-72 B on Python 3.11, numpy 2.4).
+_VIEW_BYTES, _OUTCOME_BYTES = 136, 80
 
 
 class NotPSDError(ValueError):
@@ -218,23 +216,27 @@ def family_product_ops(inst: Instance, copies: int = 1) -> list[list[np.ndarray]
     first builds the n-copy local states, and one batched outer product
     their projectors.
 
-    Raises ValueError for a copies that is not an integer >= 1 and for
-    families past MAX_FAMILY_ENTRIES, before anything is allocated.
+    Raises ValueError for a copies that is not an integer >= 1, and
+    MemoryError (numerics.admit), before anything is allocated, for a
+    family whose factors would not fit in the memory left.  The estimate
+    is 16 B N^n (d^2n + 2 d^n) per party of dimension d, its stack and the
+    n-copy states and their conjugates that build it, plus the views and
+    lists of the N^n outcomes and the buffers of one broadcast product.
     """
     if not _is_integer(copies) or copies < 1:
         raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
     n, d, copies = inst.n, inst.total_dim, int(copies)  # a numpy integer's powers wrap
-    # Past 64 copies every family is over the limit (N^n alone is); the
-    # shortcut keeps a huge copies from forming huge integers.
-    entries = (
-        n**copies * (copies + sum(dim ** (2 * copies) for dim in inst.dims))
-        if copies <= 64
-        else math.inf
-    )
-    if entries > MAX_FAMILY_ENTRIES:
-        raise ValueError(
-            f"{copies}-copy family of N = {n} exceeds the limit of {MAX_FAMILY_ENTRIES} entries"
-        )
+    # float powers, so a huge copies forms no huge integer: N >= 5, and from
+    # 1024 copies on N^n is infinite, as is the estimate that refuses it.
+    with np.errstate(over="ignore"):
+        power = np.float64(min(copies, 1024))
+        outcomes = np.float64(n) ** power
+        sides = [np.float64(dim) ** power for dim in inst.dims]  # d^n
+        per_outcome = sum(16.0 * side * (side + 2.0) + _VIEW_BYTES for side in sides)
+        # A broadcast product also holds two ufunc buffers of up to bufsize entries.
+        buffers = 32.0 * min(outcomes * max(sides) ** 2, np.getbufsize())
+        need = float(outcomes * (per_outcome + _OUTCOME_BYTES) + buffers)
+    admit(need, f"the {copies}-copy family of N = {n} needs", "for its factors")
     stacks = []
     for states in inst.local_states:
         tensor = states

@@ -417,13 +417,24 @@ def test_weights_runs_record_the_tol_they_used(capsys, argv):
 
 
 @pytest.mark.parametrize("command, copies", [("certify", "5")], ids=["certify"])
-def test_copies_past_the_size_limit_is_input_error(capsys, command, copies):
-    # certify stops at its per-party factors; simulate has no copy limit
+def test_copies_past_the_size_limit_is_input_error(capsys, monkeypatch, command, copies):
+    # certify's per-party factors are admitted by their bytes: 5 copies at
+    # N = 5 need about 105 MiB, so with 100 MiB left they are refused before
+    # any is built.  simulate builds no factors and has no copy limit
     # (test_simulate_any_copy_count).
-    rc, out, err = run_cli(capsys, command, "--n", "5", "--copies", copies)
-    assert rc == 2
-    assert out == ""
-    assert "limit" in err
+    monkeypatch.setattr(usdsep.numerics, "_memory_limit", lambda: (100 * 2**20, "MemAvailable"))
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(capsys, command, "--n", "5", "--copies", copies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: the 5-copy family of N = 5 needs about 105 MiB for its factors, "
+        "over the 100 MiB of MemAvailable\n"
+    )
+    assert peak < 1 << 20, peak
 
 
 def test_certify_two_copies(capsys):
@@ -455,7 +466,8 @@ def test_a_measurement_file_past_the_memory_left_is_refused_unparsed(tmp_path, c
     write_measurement(path, family_product_ops(make_instance(5)))
     size = path.stat().st_size
     need = usdsep.cli.PARSE_BYTES_PER_BYTE * size
-    monkeypatch.setattr(usdsep.instance, "_memory_limit", lambda: (need, "MemAvailable"))
+    monkeypatch.setattr(usdsep.numerics, "_ADMIT_FLOOR", 0)  # a file this small needs no query
+    monkeypatch.setattr(usdsep.numerics, "_memory_limit", lambda: (need, "MemAvailable"))
     payload, _ = run_json(capsys, "certify", "--measurement", str(path))
     assert payload["verdict"] == "VIOLATES"
 
@@ -463,7 +475,7 @@ def test_a_measurement_file_past_the_memory_left_is_refused_unparsed(tmp_path, c
         raise AssertionError("the measurement file was parsed")
 
     monkeypatch.setattr(json, "load", refuse)
-    monkeypatch.setattr(usdsep.instance, "_memory_limit", lambda: (need - 1, "the soft RLIMIT_AS"))
+    monkeypatch.setattr(usdsep.numerics, "_memory_limit", lambda: (need - 1, "the soft RLIMIT_AS"))
     rc, out, err = run_cli(capsys, "certify", "--measurement", str(path))
     assert (rc, out) == (2, "")
     assert err == (
@@ -692,7 +704,7 @@ def test_family_whose_reads_pass_int64_is_an_input_error(capsys):
 def test_a_table_past_the_memory_left_is_refused_before_any_allocation(capsys, monkeypatch):
     # The build at N = 1000003 peaks near 123 MB (the padded fft route);
     # with 100 MiB left it is refused from the estimate alone.
-    monkeypatch.setattr(usdsep.instance, "_memory_limit", lambda: (100 * 2**20, "MemAvailable"))
+    monkeypatch.setattr(usdsep.numerics, "_memory_limit", lambda: (100 * 2**20, "MemAvailable"))
     usdsep.instance._table.cache_clear()
     tracemalloc.start()
     try:
@@ -704,6 +716,64 @@ def test_a_table_past_the_memory_left_is_refused_before_any_allocation(capsys, m
     assert err == "error: n = 1000003 needs about 144 MiB to build its tables, over the 100 MiB of MemAvailable\n"
     assert peak < 1 << 20, peak
     assert not usdsep.instance._table.records
+
+
+def test_a_certify_pass_past_the_memory_left_is_refused_before_its_stack(capsys, monkeypatch):
+    # N = 12289 has dims 2 x12 and 3: its 11 MB of factors are admitted,
+    # but the first d = 2 pass, party 0, holds a 1.2 GB Gram of its 12289
+    # rays.  With 100 MiB left it is refused from its estimate alone.
+    monkeypatch.setattr(usdsep.numerics, "_memory_limit", lambda: (100 * 2**20, "MemAvailable"))
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(capsys, "certify", "--n", "12289")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: the certify pass of party 0 (12289 factors of dimension 2) needs about "
+        "1445 MiB for its arrays, over the 100 MiB of MemAvailable\n"
+    )
+    assert peak < 1 << 26, peak  # the family and the table only, far below the Gram
+
+
+def test_a_measurement_of_repeated_outcomes_is_refused_at_its_pair_lists(tmp_path, capsys, monkeypatch):
+    # 2400 equal outcomes: each pass's 8 B R^2 Gram (46 MB) is admitted, but
+    # its 2,878,800 pairs within tol would be listed in 138 MB.
+    path = tmp_path / "repeated.json"
+    write_measurement(path, [[np.diag([1.0, 0.0]), np.eye(2) / 2]] * 2400)
+    monkeypatch.setattr(usdsep.numerics, "_memory_limit", lambda: (100 * 2**20, "MemAvailable"))
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(capsys, "certify", "--measurement", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: the ray screen's 2878800 pairs within tol need about 132 MiB to be listed, "
+        "over the 100 MiB of MemAvailable\n"
+    )
+    assert peak < 48 * 2878800, peak
+
+
+def test_certify_a_family_the_entry_cap_used_to_refuse(capsys):
+    # D = 166 = 2 x 83 and 400 = 8 x 50: one large party dimension, where the
+    # 10^6-entry cap of earlier versions refused the family.
+    for argv, dims in ((["--n", "167"], [2, 83]), (["--n", "401", "--dims", "8,50"], [8, 50])):
+        payload, _ = run_json(capsys, "certify", *argv)
+        n = int(argv[1])
+        assert payload["manifest"]["parameters"]["dims"] == dims
+        assert [party["extreme"] for party in payload["parties"]] == [n, n]
+        assert (payload["total"], payload["bound"], payload["verdict"]) == (2 * n, 2 * n - 2, "VIOLATES")
+
+
+def test_verify_a_family_the_entry_cap_used_to_refuse(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "--n", "167")
+    assert rc == 0
+    assert "FAIL" not in out
+    assert "per party [167, 167]" in out
+    assert out.endswith("verify: all checks passed\n")
 
 
 # Runs the CLI with its address space capped at 1 GiB: an allocation past

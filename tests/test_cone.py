@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import usdsep.cli
 import usdsep.cone
 from usdsep import (
     certify,
@@ -18,6 +19,7 @@ from usdsep import (
 )
 from usdsep.cone import IDENTITY_RTOL, PSD_INPUT_TOL, RAY_TOL, WARN_BAND
 from tests.oracles import eigvalsh_rejects, reference_certify
+from tests.test_cli import write_measurement
 from tests.test_instance import all_instances
 from tests.test_properties import instances
 
@@ -169,6 +171,13 @@ def test_operator_set_validation():
         certify([[empty, empty]])
     with pytest.raises(ValueError, match="product operators need at least one factor"):
         certify([[]])
+
+
+def test_a_ragged_factor_is_refused_on_stacking():
+    # A nested list whose rows differ in length gives a pass no size to be
+    # admitted by; it is refused where the stack is built, before any array.
+    with pytest.raises(ValueError, match="one square dimension"):
+        certify([[[[1.0, 0.0], [0.0]], np.eye(2)]])
 
 
 def test_operator_set_rejects_norms_that_overflow():
@@ -845,6 +854,62 @@ def test_certify_peak_memory_of_a_rank_two_party_at_n_1009():
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * 10_062_777, peak
+
+
+def pass_estimates_and_peaks(entries):
+    """(estimate, traced peak) of each certify pass over these product operators,
+    checked: the estimate is never under the peak, and at most 1.4 times it
+    on a pass past 1 MiB, 2.5 times on a smaller one."""
+    parties = list(zip(*entries))
+    found = []
+    for chunk in usdsep.cone._chunks(parties):
+        members = [parties[alpha] for alpha in chunk]
+        usdsep.cone._party_lines(chunk, members, RAY_TOL)
+        tracemalloc.start()
+        try:
+            usdsep.cone._party_lines(chunk, members, RAY_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        found.append((usdsep.cone._pass_bytes(len(members), len(members[0]), members[0][0].size), peak))
+    assert found
+    for estimate, peak in found:
+        # Past 1 MiB the arrays dominate; below it, 8 KiB and the ufuncs' buffers weigh.
+        assert peak <= estimate <= (1.4 if peak > 2**20 else 2.5) * peak, (estimate, peak)
+    return found
+
+
+def read_measurement(tmp_path, entries):
+    """The product operators of a measurement file written from ``entries``."""
+    path = tmp_path / "meas.json"
+    write_measurement(path, entries)
+    return usdsep.cli._product_ops_from_file(str(path))
+
+
+@pytest.mark.parametrize("n, dims, copies", [(1009, None, 1), (71, (5, 14), 1), (5, None, 2)])
+def test_pass_estimate_bounds_the_traced_peak_of_each_family_pass(n, dims, copies):
+    # The estimate that admits a pass against its traced peak: 1.29-1.34
+    # times it on the seven 8 MB passes at N = 1009, 2.29 and 1.44 on
+    # (71; 5, 14), 2.20 on the shared two-copy pass.
+    pass_estimates_and_peaks(family_product_ops(make_instance(n, dims), copies))
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["cholesky", "eigvalsh"])
+def test_pass_estimate_bounds_the_traced_peak_of_a_measurement_file(tmp_path, monkeypatch, fallback):
+    # The N = 101 family (dims 2, 2, 5, 5) read from a file, one array per
+    # factor.  With one d = 5 factor at lambda_min = -0.999 PSD_INPUT_TOL
+    # its Cholesky fails and eigvalsh decides that pass, beside the two
+    # copies of the unit stack the estimate covers: 1.84 and 1.98 times the
+    # peak on the Cholesky route, 1.49 on the d = 5 pass where eigvalsh runs.
+    entries = [list(entry) for entry in family_product_ops(make_instance(101))]
+    if fallback:
+        state = make_instance(101).local_states[2][7]
+        other = np.eye(5)[0] - state.conj()[0] * state
+        entries[7][2] = proj(state) - 0.999 * PSD_INPUT_TOL * proj(other / np.linalg.norm(other))
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    pass_estimates_and_peaks(read_measurement(tmp_path, entries))
+    assert calls == ([(2, 101, 5, 5)] * 2 if fallback else [])
 
 
 N13_BOUNDS = (0.060639538095576366, 0.060639538095576324, 0.12086228543774243)

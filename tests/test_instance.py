@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import usdsep.instance
+import usdsep.numerics
 from usdsep import (
     SimConfig,
     ascending_factorizations,
@@ -177,11 +178,11 @@ def _fake_rlimit(soft):
 def test_memory_limit_reads_each_source_it_can(monkeypatch):
     # Each source is faked in process; no limit of this process changes.
     meminfo = "MemTotal: 16777216 kB\nMemAvailable: 8388608 kB\n"
-    monkeypatch.setattr(usdsep.instance, "open", lambda path: io.StringIO(meminfo), raising=False)
+    monkeypatch.setattr(usdsep.numerics, "open", lambda path: io.StringIO(meminfo), raising=False)
     monkeypatch.setitem(sys.modules, "resource", _fake_rlimit(-1))
-    assert usdsep.instance._memory_limit() == (8 << 30, "MemAvailable")
+    assert usdsep.numerics._memory_limit() == (8 << 30, "MemAvailable")
     monkeypatch.setitem(sys.modules, "resource", _fake_rlimit(64 << 20))
-    assert usdsep.instance._memory_limit() == (64 << 20, "the soft RLIMIT_AS")
+    assert usdsep.numerics._memory_limit() == (64 << 20, "the soft RLIMIT_AS")
     # From the limit, a build past it is refused before anything is allocated.
     refused = "n = 1000003 needs about 144 MiB to build its tables, over the 64 MiB of the soft"
     with pytest.raises(MemoryError, match=refused):
@@ -190,12 +191,12 @@ def test_memory_limit_reads_each_source_it_can(monkeypatch):
     def unreadable(path):
         raise PermissionError(path)
 
-    monkeypatch.setattr(usdsep.instance, "open", unreadable, raising=False)
-    assert usdsep.instance._memory_limit() == (64 << 20, "the soft RLIMIT_AS")
+    monkeypatch.setattr(usdsep.numerics, "open", unreadable, raising=False)
+    assert usdsep.numerics._memory_limit() == (64 << 20, "the soft RLIMIT_AS")
     monkeypatch.setitem(sys.modules, "resource", None)  # import resource fails
-    assert usdsep.instance._memory_limit() == (math.inf, "no limit")
-    monkeypatch.setattr(usdsep.instance, "open", lambda path: io.StringIO(meminfo), raising=False)
-    assert usdsep.instance._memory_limit() == (8 << 30, "MemAvailable")
+    assert usdsep.numerics._memory_limit() == (math.inf, "no limit")
+    monkeypatch.setattr(usdsep.numerics, "open", lambda path: io.StringIO(meminfo), raising=False)
+    assert usdsep.numerics._memory_limit() == (8 << 30, "MemAvailable")
 
 
 @pytest.mark.parametrize("n", [131, 211, 2003, 4051, 32771, 65537, 100003])

@@ -1,12 +1,14 @@
 """Tests for the dense linear algebra kernel and the table of invariant bounds."""
 
 import ast
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
 import usdsep
+import usdsep.numerics
 from usdsep import (
     ConvergenceError,
     InvariantError,
@@ -305,3 +307,57 @@ def test_invariant_errors_are_raised_from_one_place():
         sites.visit(ast.parse(path.read_text(encoding="utf-8")))
         found += sites.found
     assert sorted(found) == [("cli", "cmd_verify"), ("numerics", "check")]
+
+
+class _CallSites(_InvariantErrorSites):
+    """(module, innermost enclosing function) of every call to ``name``."""
+
+    def __init__(self, module, name):
+        super().__init__(module)
+        self.name = name
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) == self.name:
+            self.found.append((self.module, self.scope))
+        self.generic_visit(node)
+
+
+def call_sites(name):
+    found = []
+    for path in sorted(pathlib.Path(usdsep.__file__).parent.glob("*.py")):
+        sites = _CallSites(path.stem, name)
+        sites.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += sites.found
+    return sorted(found)
+
+
+def test_memory_is_admitted_by_one_rule():
+    # Every MemoryError and every query of the memory left is numerics.admit's,
+    # and each allocation that may outgrow the memory asks it first.
+    assert call_sites("MemoryError") == call_sites("_memory_limit") == [("numerics", "admit")]
+    assert call_sites("admit") == [
+        ("cli", "_load_json"),
+        ("cone", "_classes"),
+        ("cone", "_party_lines"),
+        ("instance", "_build_table"),
+        ("usd", "family_product_ops"),
+    ]
+
+
+def test_admit_asks_for_the_memory_left_only_past_its_floor(monkeypatch):
+    asked = []
+    left = [100 * 2**20, "MemAvailable"]
+    monkeypatch.setattr(usdsep.numerics, "_memory_limit", lambda: asked.append(1) or tuple(left))
+    floor = usdsep.numerics._ADMIT_FLOOR
+    usdsep.numerics.admit(floor, "it needs", "to run")
+    assert asked == []
+    usdsep.numerics.admit(100 * 2**20, "it needs", "to run")  # exactly the memory left
+    assert asked == [1]
+    with pytest.raises(MemoryError) as refused:
+        usdsep.numerics.admit(100 * 2**20 + 1, "it needs", "to run")
+    assert str(refused.value) == "it needs about 100 MiB to run, over the 100 MiB of MemAvailable"
+    # An estimate that is not finite is refused even where nothing limits memory.
+    left[:] = [math.inf, "no limit"]
+    for need in (math.inf, math.nan):
+        with pytest.raises(MemoryError, match="it needs about (inf|nan) MiB to run, over the inf MiB of no limit"):
+            usdsep.numerics.admit(need, "it needs", "to run")

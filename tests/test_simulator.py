@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import usdsep.cli
+import usdsep.numerics
 import usdsep.simulator
 from usdsep import (
     InvariantError,
@@ -364,12 +365,18 @@ def test_multicopy_four_copies_fit():
     assert len(mm.party_factors) == 625
 
 
-def test_multicopy_budget_guard():
+def test_multicopy_budget_guard(monkeypatch):
     inst = make_instance(5)
-    with pytest.raises(ValueError, match="limit"):
-        multicopy_measurement(inst, copies=5)
-    with pytest.raises(ValueError, match="limit"):
+    # 5 copies' factors need about 105 MiB: refused only past the memory left.
+    with monkeypatch.context() as patch:
+        patch.setattr(usdsep.numerics, "_memory_limit", lambda: (100 * 2**20, "MemAvailable"))
+        with pytest.raises(MemoryError, match="the 5-copy family of N = 5 needs about 105 MiB"):
+            multicopy_measurement(inst, copies=5)
+    # 10^9 copies: an infinite estimate, refused at once past any limit.
+    started = time.perf_counter()
+    with pytest.raises(MemoryError, match="the 1000000000-copy family of N = 5 needs about inf MiB"):
         multicopy_measurement(inst, copies=10**9)
+    assert time.perf_counter() - started < 1.0
     # Non-integer copies are refused, not truncated or passed to range().
     for bad in (0, True, 2.0, 2.5, "2"):
         with pytest.raises(ValueError):

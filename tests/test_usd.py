@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import usdsep.usd
 from usdsep import (
     NotPSDError,
     build_measurement,
@@ -340,3 +341,20 @@ def test_secular_root_of_subnormal_weights(weights):
 def test_family_product_ops_admits_n_1009():
     ops = family_product_ops(make_instance(1009))
     assert len(ops) == 1009
+
+
+@pytest.mark.parametrize("n, dims, copies", [(1009, None, 1), (71, (5, 14), 1), (5, None, 2)])
+def test_family_estimate_bounds_the_traced_peak(monkeypatch, n, dims, copies):
+    # The estimate that admits a family's factors is never under the traced
+    # peak of their build, and at most 1.5 times it (1.40, 1.11 and 1.32).
+    inst = make_instance(n, dims)
+    family_product_ops(inst, copies)  # the local states are read once
+    estimates = []
+    monkeypatch.setattr(usdsep.usd, "admit", lambda need, *text: estimates.append(need))
+    tracemalloc.start()
+    try:
+        family_product_ops(inst, copies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimates[0] <= 1.5 * peak, (peak, estimates)
