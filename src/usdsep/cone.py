@@ -21,12 +21,13 @@ validation and unit scaling, vec_herm, the ray screen, the witness and the
 identity test each take the leading party axis, so G parties cost about
 the numpy calls of one.  A pass holds at most _CHUNK_ENTRIES array
 entries, counted as G R max(R, d^2); a party past that bound runs alone.
-Each pass is admitted (numerics.admit) by its estimated peak before its
-stack is built, and the ray screen's pair lists by their count before
-they are listed.  For R >= 2 that bound keeps a pass of several parties
-under 51 MB, below the floor at which admit asks for the memory left, so
-a pass that is refused names one party.  NNLS and the report lines run
-per party, in party order.
+Each pass is admitted (numerics.admit) once, by its estimated peak,
+before its stack is built; the ray screen then reads the Gram the pass
+holds one operator's row at a time.  For R >= 2 that bound keeps a pass
+of several parties under 51 MB, below the floor at which admit asks for
+the memory left, so a pass that is refused names one party; only at
+R = 1 can a pass of several (2^18 parties of d = 1 need 78 MiB) be
+refused.  NNLS and the report lines run per party, in party order.
 
 A pass forms each quantity once and reads it wherever it is needed.
 A ray does not depend on scale, and K_1 x K_2 = (c K_1) x (K_2 / c) names
@@ -207,8 +208,10 @@ def _classes(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.n
     multiple of d**2 eps (Higham, Accuracy and Stability of Numerical
     Algorithms, sec. 3.1), so 16 d**2 eps of slack never drops a pair; a
     pair that passes only costs a confirmation.  Each operator matches
-    itself, and no class is its own witness, so the Gram diagonal is -inf;
-    the pairs are listed only when some entry passes.  Unit vectors lie at
+    itself, and no class is its own witness, so the Gram diagonal is -inf.
+    Only when some entry passes does the screen read the rows that hold
+    one, each up to its own operator, in (party, operator) order; it lists
+    no pairs.  Unit vectors lie at
     most 2 apart: a tol past 2, whose square may overflow, screens as 2.
 
     The witness's overlaps q_ck run over the other representatives of the
@@ -238,15 +241,8 @@ def _classes(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.n
     head = np.empty((count, r), dtype=np.intp)
     head[:] = np.arange(r)  # until a pair passes the screen, every operator heads its own class
     if gram.max() >= cut:
-        near = gram >= cut
-        near &= np.tri(r, k=-1, dtype=bool)  # the pairs (late, early) with early < late
-        pairs = np.count_nonzero(near)
-        # Three int64 lists and their run index, counted before they are made.
-        admit(48.0 * pairs, f"the ray screen's {pairs} pairs within tol need", "to be listed")
-        party, late, early = np.nonzero(near)
-        splits = np.flatnonzero(np.diff(party * r + late)) + 1  # one run per (party, operator)
-        firsts = np.r_[0, splits][: len(late)]
-        for g, i, cand in zip(party[firsts], late[firsts], np.split(early, splits)):
+        for g, i in zip(*np.nonzero(gram.max(axis=-1) >= cut)):  # in (party, operator) order
+            cand = np.flatnonzero(gram[g, i, :i] >= cut)
             cand = cand[head[g, cand] == cand]
             # Confirm by difference norms, in class order: 2 - 2 Re<u, r>
             # would round at about 1e-16, which is the size of tol**2 itself.
@@ -306,11 +302,12 @@ def _pass_bytes(count: int, r: int, dd: int) -> float:
     unit stack (16 d^2) and next to it vec_herm's triangles (16 d (d - 1)),
     the Cholesky's output (16 d^2) or the eigvalsh fallback's Hermitian
     part and its summand (32 d^2); the screen holds 8 R of the (G, R, R)
-    Gram, 2 R of its masks and 16 d^2 of the rows one operator is
-    confirmed against.  256 B more per factor cover the vectors of up to d
-    entries and the screen's views.  Per pass, 8 KiB cover Python's own
-    objects, and 20 B per entry of its largest array, up to numpy's buffer
-    size, the ufuncs' buffers.
+    Gram and 16 d^2 of the rows one operator is confirmed against, and 2 R
+    more are headroom: with 8 R alone, most N = 1009 and 2003 family passes
+    would sit only 1.02-1.05 times above their traced peaks.  256 B more per
+    factor cover the vectors of up to d entries and the screen's views.
+    Per pass, 8 KiB cover Python's own objects, and 20 B per entry of its
+    largest array, up to numpy's buffer size, the ufuncs' buffers.
     """
     size = count * r * max(dd, r)
     per_factor = 8.0 * dd + max(48.0 * dd, 10.0 * r + 16.0 * dd) + 256.0

@@ -22,6 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import usdsep.cli
+import usdsep.cone
 import usdsep.instance
 import usdsep.numerics
 import usdsep.usd
@@ -737,24 +738,24 @@ def test_a_certify_pass_past_the_memory_left_is_refused_before_its_stack(capsys,
     assert peak < 1 << 26, peak  # the family and the table only, far below the Gram
 
 
-def test_a_measurement_of_repeated_outcomes_is_refused_at_its_pair_lists(tmp_path, capsys, monkeypatch):
-    # 2400 equal outcomes: each pass's 8 B R^2 Gram (46 MB) is admitted, but
-    # its 2,878,800 pairs within tol would be listed in 138 MB.
+def test_a_measurement_of_repeated_outcomes_certifies_within_its_pass_estimate(tmp_path, capsys, monkeypatch):
+    # 2400 equal outcomes: every Gram entry passes the ray screen, and each
+    # pass's 8 B R^2 Gram (46 MB) is admitted under 100 MiB.  The screen
+    # reads that Gram row by row, so the run peaks below its pass estimate.
     path = tmp_path / "repeated.json"
     write_measurement(path, [[np.diag([1.0, 0.0]), np.eye(2) / 2]] * 2400)
     monkeypatch.setattr(usdsep.numerics, "_memory_limit", lambda: (100 * 2**20, "MemAvailable"))
     tracemalloc.start()
     try:
-        rc, out, err = run_cli(capsys, "certify", "--measurement", str(path))
+        payload, _ = run_json(capsys, "certify", "--measurement", str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (rc, out) == (2, "")
-    assert err == (
-        "error: the ray screen's 2878800 pairs within tol need about 132 MiB to be listed, "
-        "over the 100 MiB of MemAvailable\n"
-    )
-    assert peak < 48 * 2878800, peak
+    parties = payload["parties"]
+    assert [party["rays"] for party in parties] == [1, 1]
+    assert [party["skipped"] for party in parties] == [False, True]
+    assert (payload["total"], payload["bound"], payload["verdict"]) == (1, 4798, "SATISFIES")
+    assert peak < usdsep.cone._pass_bytes(1, 2400, 4), peak
 
 
 def test_certify_a_family_the_entry_cap_used_to_refuse(capsys):

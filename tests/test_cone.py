@@ -1,5 +1,6 @@
 """Tests for the extreme-ray certificate against finite-round protocols."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from usdsep import (
     vec_herm,
 )
 from usdsep.cone import IDENTITY_RTOL, PSD_INPUT_TOL, RAY_TOL, WARN_BAND
+from tests.locc_protocols import protocol_leaves
 from tests.oracles import eigvalsh_rejects, reference_certify
 from tests.test_cli import write_measurement
 from tests.test_instance import all_instances
@@ -295,6 +297,36 @@ def test_certify_local_control_satisfies():
     assert rep.verdict == "SATISFIES"
     assert not rep.parties[0].skipped
     assert rep.parties[1].skipped
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(2, 4), min_size=2, max_size=4),
+    st.lists(st.integers(2, 3), max_size=4),
+    st.booleans(),
+)
+def test_random_finite_round_protocols_satisfy_the_bound(seed, dims, outcomes, final_bases):
+    # The inequality of cone.py's docstring, sum_alpha e_alpha <= 2 (N - 1),
+    # holds for the N leaves of every finite-round protocol, so a VIOLATES
+    # here would be a false alarm.  A party that has stopped acting keeps
+    # one factor across many leaves, so most passes run the ray screen's
+    # confirmations.  Final bases run only up to 600 leaves.
+    final_bases = final_bases and math.prod(outcomes) * math.prod(dims) <= 600
+    rep = certify(protocol_leaves(np.random.default_rng(seed), dims, outcomes, final_bases))
+    assert (rep.verdict, rep.total <= rep.bound) == ("SATISFIES", True), (rep.total, rep.bound)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_sequential_adaptive_bases_meet_the_bound(n):
+    # n qubits measured in turn, each in a basis drawn for the outcomes
+    # before it: qubit k holds 2^k rank-1 rays, all extreme, and the total
+    # 2 + 4 + ... + 2^n = 2 (2^n - 1) meets the bound for N = 2^n exactly,
+    # so one over-counted ray fails.
+    rep = certify(protocol_leaves(np.random.default_rng(n), [2] * n, [], final_bases=True))
+    assert [s.extreme for s in rep.parties] == [2**k for k in range(1, n + 1)]
+    assert rep.total == rep.bound == 2 * (2**n - 1)
+    assert rep.verdict == "SATISFIES"
 
 
 def test_certify_multicopy_pair_violates():
@@ -910,6 +942,20 @@ def test_pass_estimate_bounds_the_traced_peak_of_a_measurement_file(tmp_path, mo
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     pass_estimates_and_peaks(read_measurement(tmp_path, entries))
     assert calls == ([(2, 101, 5, 5)] * 2 if fallback else [])
+
+
+def test_pass_estimate_bounds_the_traced_peak_of_a_measurement_of_repeated_rays():
+    # 600 outcomes cycling 3 rank-1 d = 2 rays and 5 rank-1 d = 3 rays at
+    # random positive scales: nearly every Gram entry passes the ray screen.
+    # Read row by row, the passes peak at 2.84 and 2.88 MiB against estimates
+    # of 3.80 and 3.87 MiB.  A screen that lists its passing pairs in int64
+    # arrays takes the d = 2 pass to 5.39 MiB, past its estimate.
+    rng = np.random.default_rng(27)
+    rays = [rand_psd(rng, d, 1) for d in (2, 2, 2, 3, 3, 3, 3, 3)]
+    scales = rng.uniform(0.1, 10.0, size=(600, 2))
+    entries = [[a * rays[j % 3], b * rays[3 + j % 5]] for j, (a, b) in enumerate(scales)]
+    assert [stat.rays for stat in certify(entries).parties] == [3, 5]
+    pass_estimates_and_peaks(entries)
 
 
 N13_BOUNDS = (0.060639538095576366, 0.060639538095576324, 0.12086228543774243)

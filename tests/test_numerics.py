@@ -337,7 +337,6 @@ def test_memory_is_admitted_by_one_rule():
     assert call_sites("MemoryError") == call_sites("_memory_limit") == [("numerics", "admit")]
     assert call_sites("admit") == [
         ("cli", "_load_json"),
-        ("cone", "_classes"),
         ("cone", "_party_lines"),
         ("instance", "_build_table"),
         ("usd", "family_product_ops"),
