@@ -21,13 +21,16 @@ validation and unit scaling, vec_herm, the ray screen, the witness and the
 identity test each take the leading party axis, so G parties cost about
 the numpy calls of one.  A pass holds at most _CHUNK_ENTRIES array
 entries, counted as G R max(R, d^2); a party past that bound runs alone.
-Each pass is admitted (numerics.admit) once, by its estimated peak,
-before its stack is built; the ray screen then reads the Gram the pass
-holds one operator's row at a time.  For R >= 2 that bound keeps a pass
-of several parties under 51 MB, below the floor at which admit asks for
-the memory left, so a pass that is refused names one party; only at
-R = 1 can a pass of several (2^18 parties of d = 1 need 78 MiB) be
-refused.  NNLS and the report lines run per party, in party order.
+Each pass is admitted (numerics.admit, through _admit_pass) once, by its
+estimated peak, before its stack is built; the ray screen then reads the
+Gram the pass holds one operator's row at a time.  For R >= 2 that bound
+keeps a pass of several parties under 40 MB, below the floor at which
+admit asks for the memory left, so admitting each party's pass alone,
+from its shape, covers every refusal: the CLI does so for a family
+before it builds the family's factors.  Only at R = 1 can a pass of
+several parties be refused (2^18 parties of d = 1 need 74 MiB); it is
+named by its first party and its party count.  NNLS and the report lines
+run per party, in party order.
 
 A pass forms each quantity once and reads it wherever it is needed.
 A ray does not depend on scale, and K_1 x K_2 = (c K_1) x (K_2 / c) names
@@ -58,8 +61,10 @@ sec. 3.6 for complex arithmetic) stays below 3.1 d (d + 1) u
 (||H'||_F + s), relative to the scale of the matrix; with ||H'||_F
 <= 1 + 5e-13 and the rounding of the shifted diagonal it stays below
 8 d (d + 1) u, so lambda_min(H) >= -PSD_INPUT_TOL.  Only where it fails,
-or s <= 0, does a batched eigvalsh of H decide, once the diagonal is put
-back.
+or s <= 0, does a batched eigvalsh decide, on the unit stack again: its
+diagonal is put back and H's lower triangle, which the rows V already
+hold, is written over the stack's, so LAPACK reads H itself and the pass
+holds one complex stack from validation to verdict.
 
 Each class is first put to a Farkas witness (the dual of the active-set
 nonnegative least squares of Lawson & Hanson, Solving Least Squares
@@ -85,7 +90,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import IDENTITY_RTOL, PSD_INPUT_TOL, RAY_TOL, WARN_BAND
-from .numerics import ConvergenceError, _frob, admit, nnls, vec_herm
+from .numerics import ConvergenceError, _flat_triangles, admit, nnls, vec_herm
 
 __all__ = ["PartyConeStat", "ConeReport", "certify"]
 
@@ -108,8 +113,10 @@ def _unit_rows(parties) -> np.ndarray:
         square = False
     if not square:
         raise ValueError("operators must share one square dimension")
+    # np.array made the stack contiguous, so its float view holds each operator in one row.
+    flat = stack.view(float).reshape(stack.shape[:2] + (-1,))
     with np.errstate(over="ignore"):  # an overflowing square is refused below
-        norms = _frob(stack)
+        norms = np.sqrt(np.vecdot(flat, flat))
     # A non-finite entry makes its operator's norm non-finite, so finite
     # norms clear every entry; only an infinite norm needs the entries
     # read again, to tell them from finite ones too large to square.
@@ -129,34 +136,39 @@ def _unit_rows(parties) -> np.ndarray:
             "(a nonzero operator needs an entry above about 1e-154)"
         )
     # The float view times 1 / norm, in place: the bits of complex division by a real.
-    flat = stack.view(float)
-    flat *= (1.0 / norms)[..., None, None]
+    flat *= (1.0 / norms)[..., None]
     rows = vec_herm(stack)  # its asymmetry check runs before the positivity proof
-    _require_psd(stack, rows[..., : stack.shape[-1]])
+    _require_psd(stack, rows)
     rows.setflags(write=False)
     return rows
 
 
-def _require_psd(units: np.ndarray, diagonals: np.ndarray) -> None:
+def _require_psd(units: np.ndarray, rows: np.ndarray) -> None:
     """Raise unless each unit operator's Hermitian part H has lambda_min(H) >= -PSD_INPUT_TOL.
 
     ``units`` is the caller's own stack, whose asymmetry vec_herm has
-    bounded by 1e-12, and ``diagonals`` the real parts of its diagonals,
-    the first d coordinates of its vec_herm rows.  The Cholesky shifts the
-    stack's diagonals in place; the eigvalsh route puts them back first.
+    bounded by 1e-12, and ``rows`` its vec_herm rows: the real parts of its
+    diagonals, then sqrt(2) times H's upper triangle.  Both LAPACK routines
+    read only the lower triangle and the diagonal's real part.  The
+    Cholesky shifts the stack's diagonals in place and reads its own lower
+    triangle, within 5e-13 of H's (module docstring); the eigvalsh route
+    puts the diagonals back and writes H's lower triangle,
+    conj(h_rc) = conj(row) sqrt(1/2), over the stack's, so it reads H.
     """
     d = units.shape[-1]
+    flat = units.reshape(units.shape[:-2] + (d * d,))  # a view into the stack
     shift = PSD_INPUT_TOL - 5e-13 - 4.0 * d * (d + 1) * _EPS
     if shift > 0.0:
-        diag = units.reshape(-1, d * d)[:, :: d + 1].real  # a view into the stack
+        diag = flat[..., :: d + 1].real
         diag += shift
         try:
-            np.linalg.cholesky(units)  # reads the lower triangle and the diagonal's real part
+            np.linalg.cholesky(units)
             return
         except np.linalg.LinAlgError:
-            diag[...] = diagonals.reshape(-1, d)
-    hermitian = (units + np.conjugate(units.swapaxes(-1, -2))) * 0.5
-    if float(np.linalg.eigvalsh(hermitian)[..., 0].min()) < -PSD_INPUT_TOL:
+            diag[...] = rows[..., :d]
+    lower = rows[..., d:].view(complex) * math.sqrt(0.5)  # the one triangle-sized temporary
+    flat[..., _flat_triangles(d)[1]] = np.conjugate(lower, out=lower)
+    if float(np.linalg.eigvalsh(units)[..., 0].min()) < -PSD_INPUT_TOL:
         raise ValueError("operators must be positive semidefinite")
 
 
@@ -295,40 +307,52 @@ def _chunks(parties) -> list[list[int]]:
     return sorted(chunks)
 
 
-def _pass_bytes(count: int, r: int, dd: int) -> float:
+def _pass_bytes(count: int, r: float, dd: float) -> float:
     """The peak bytes of a pass of ``count`` parties of r factors with dd = d^2 entries each.
 
     Per factor, beside its 8 d^2 B of rows: validation holds the complex
-    unit stack (16 d^2) and next to it vec_herm's triangles (16 d (d - 1)),
-    the Cholesky's output (16 d^2) or the eigvalsh fallback's Hermitian
-    part and its summand (32 d^2); the screen holds 8 R of the (G, R, R)
-    Gram and 16 d^2 of the rows one operator is confirmed against, and 2 R
-    more are headroom: with 8 R alone, most N = 1009 and 2003 family passes
-    would sit only 1.02-1.05 times above their traced peaks.  256 B more per
-    factor cover the vectors of up to d entries and the screen's views.
+    unit stack (16 d^2) and next to it vec_herm's triangles (16 d (d - 1))
+    or the Cholesky's output (16 d^2); the eigvalsh fallback decides on the
+    stack itself, through one triangle of 8 d (d - 1).  The screen holds
+    8 R of the (G, R, R) Gram and 16 d^2 of the rows one operator is
+    confirmed against, and 2 R more are headroom: with 8 R alone, most
+    N = 1009 and 2003 family passes would sit only 1.02-1.05 times above
+    their traced peaks.  256 B more per factor cover the vectors of up to d
+    entries and the screen's views.
     Per pass, 8 KiB cover Python's own objects, and 20 B per entry of its
     largest array, up to numpy's buffer size, the ufuncs' buffers.
     """
     size = count * r * max(dd, r)
-    per_factor = 8.0 * dd + max(48.0 * dd, 10.0 * r + 16.0 * dd) + 256.0
+    per_factor = 8.0 * dd + max(32.0 * dd, 10.0 * r + 16.0 * dd) + 256.0
     return 8192.0 + 20.0 * min(size, np.getbufsize()) + float(count * r) * per_factor
+
+
+def _admit_pass(first: int, count: int, r: float, d: float) -> None:
+    """Refuse (numerics.admit), from its shape alone, a pass that would not fit.
+
+    The pass runs ``count`` parties from party ``first`` on, of r factors
+    of dimension d each; a pass of several parties is named by its first
+    party and its count.  r and d may be float64 powers, infinite for a
+    family of too many copies.
+    """
+    who = f"party {first}" if count == 1 else f"{count} parties from party {first}"
+    subject = f"the certify pass of {who} ({r:.0f} factors of dimension {d:.0f}) needs"
+    admit(_pass_bytes(count, r, d * d), subject, "for its arrays")
 
 
 def _party_lines(chunk: list[int], parties, tol: float) -> dict:
     """party -> (PartyConeStat, borderline warnings) for the parties ``chunk`` names.
 
-    The pass is admitted (numerics.admit) before its stack is built.  The
-    witness serves every party of the pass at once; the classes it leaves
-    undecided go to NNLS party by party.
+    The pass is admitted before its stack is built.  The witness serves
+    every party of the pass at once; the classes it leaves undecided go to
+    NNLS party by party.
     """
     count, r = len(parties), len(parties[0])
     try:
         dd = np.size(parties[0][0])
     except ValueError:  # a ragged factor, refused on stacking before anything is built
         dd = 0
-    who = f"party {chunk[0]}" if count == 1 else f"parties {', '.join(map(str, chunk))}"
-    subject = f"the certify pass of {who} ({r} factors of dimension {math.isqrt(dd)}) needs"
-    admit(_pass_bytes(count, r, dd), subject, "for its arrays")
+    _admit_pass(chunk[0], count, r, math.isqrt(dd))
     rows = _unit_rows(parties)
     head, bounds, near_identity = _classes(rows, tol)
     is_head = head == np.arange(r)

@@ -173,13 +173,6 @@ def proj(v):
     return v[:, None] * v.conj()
 
 
-def _frob(a):
-    """Frobenius norms over the last two axes: a dot product of the float view with itself."""
-    f = np.ascontiguousarray(a).view(float)
-    f = f.reshape(f.shape[:-2] + (f.shape[-2] * f.shape[-1],))
-    return np.sqrt(np.vecdot(f, f))
-
-
 @functools.cache
 def _flat_triangles(d):
     """Read-only flat indices of m_rc and of m_cr, r < c, in a flattened d x d matrix."""
@@ -222,7 +215,8 @@ def vec_herm(h):
     upper -= lower
     if 4.0 * np.vdot(diag.imag, diag.imag) + 2.0 * np.vdot(upper, upper).real > 1e-24:
         gap = np.sqrt(4.0 * np.vecdot(diag.imag, diag.imag) + 2.0 * np.vecdot(upper, upper).real)
-        if (gap > 1e-12 * np.maximum(_frob(m), 1.0)).any():
+        # Frobenius norms by vecdot, which, unlike np.linalg.norm, forms no temporary of m's size
+        if (gap > 1e-12 * np.maximum(np.sqrt(np.vecdot(flat, flat).real), 1.0)).any():
             raise ValueError(f"matrix is not Hermitian: asymmetry {gap.max():.3e}")
     return out
 

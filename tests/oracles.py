@@ -10,6 +10,9 @@ family's gather by products and remainders mod N from the audited table
 roots / sqrt(D); every read, which gathers the roots and then divides, must
 match it bit for bit.
 
+``dense_dual_and_gram`` forms the optimum's dual certificate and the
+projectors' Gram densely, for the abstract's optimality and uniqueness.
+
 ``dense_search`` screens random weight vectors by a dense eigvalsh of
 each failure operator, the independent check that build_measurement's
 secular equation never admits a failure below 1/2.
@@ -162,6 +165,16 @@ def dense_failures(inst, r, m) -> np.ndarray:
     coefficients = np.full(inst.n, inst.total_dim / inst.n)
     coefficients[np.subtract(m.indices, 1)] -= m.weights
     return dense_born_table(inst, r) @ coefficients
+
+
+def dense_dual_and_gram(inst):
+    """The dual certificate Z = (I - P_omit) / (2 (N - 2)) as a dense (D, D)
+    matrix, and the (N, N) Hilbert-Schmidt Gram Tr(P_j P_k) = |<psi_j|psi_k>|^2
+    of the N projectors, both from the dense (N, D) states."""
+    states = inst.states
+    omitted = states[inst.omit - 1]
+    z = (np.eye(inst.total_dim) - np.outer(omitted, omitted.conj())) / (2.0 * (inst.n - 2))
+    return z, np.abs(states.conj() @ states.T) ** 2
 
 
 def dense_search(inst, samples, seed):

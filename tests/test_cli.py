@@ -419,10 +419,11 @@ def test_weights_runs_record_the_tol_they_used(capsys, argv):
 
 @pytest.mark.parametrize("command, copies", [("certify", "5")], ids=["certify"])
 def test_copies_past_the_size_limit_is_input_error(capsys, monkeypatch, command, copies):
-    # certify's per-party factors are admitted by their bytes: 5 copies at
-    # N = 5 need about 105 MiB, so with 100 MiB left they are refused before
-    # any is built.  simulate builds no factors and has no copy limit
-    # (test_simulate_any_copy_count).
+    # certify admits each party's pass from the family's shape before the
+    # factors are built: 5 copies at N = 5 give 3125 factors of dimension 32
+    # per party, whose pass needs about 167 MiB (the factors alone 105 MiB),
+    # so with 100 MiB left nothing is built.  simulate builds no factors and
+    # has no copy limit (test_simulate_any_copy_count).
     monkeypatch.setattr(usdsep.numerics, "_memory_limit", lambda: (100 * 2**20, "MemAvailable"))
     tracemalloc.start()
     try:
@@ -432,8 +433,8 @@ def test_copies_past_the_size_limit_is_input_error(capsys, monkeypatch, command,
         tracemalloc.stop()
     assert (rc, out) == (2, "")
     assert err == (
-        "error: the 5-copy family of N = 5 needs about 105 MiB for its factors, "
-        "over the 100 MiB of MemAvailable\n"
+        "error: the certify pass of party 0 (3125 factors of dimension 32) needs about 167 MiB "
+        "for its arrays, over the 100 MiB of MemAvailable\n"
     )
     assert peak < 1 << 20, peak
 
@@ -736,6 +737,26 @@ def test_a_certify_pass_past_the_memory_left_is_refused_before_its_stack(capsys,
         "1445 MiB for its arrays, over the 100 MiB of MemAvailable\n"
     )
     assert peak < 1 << 26, peak  # the family and the table only, far below the Gram
+
+
+@pytest.mark.parametrize("command", ["certify", "verify"])
+def test_a_family_pass_past_the_memory_left_is_refused_before_the_family_is_built(capsys, monkeypatch, command):
+    # N = 227 has dims 2 and 113.  Party 1's pass needs about 111 MiB, and
+    # its 227 factors alone about 45 MiB; with 100 MiB left the pass is
+    # refused from the family's shape, before any factor is built.
+    monkeypatch.setattr(usdsep.numerics, "_memory_limit", lambda: (100 * 2**20, "MemAvailable"))
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(capsys, command, "--n", "227")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: the certify pass of party 1 (227 factors of dimension 113) needs about 111 MiB "
+        "for its arrays, over the 100 MiB of MemAvailable\n"
+    )
+    assert peak < 2 << 20, peak
 
 
 def test_a_measurement_of_repeated_outcomes_certifies_within_its_pass_estimate(tmp_path, capsys, monkeypatch):

@@ -317,6 +317,45 @@ def test_random_finite_round_protocols_satisfy_the_bound(seed, dims, outcomes, f
     assert (rep.verdict, rep.total <= rep.bound) == ("SATISFIES", True), (rep.total, rep.bound)
 
 
+def report_counts(rep):
+    """Everything of a report but the witness bounds."""
+    stats = [(s.generators, s.rays, s.extreme, s.skipped, s.nnls_solves) for s in rep.parties]
+    return rep.total, rep.bound, rep.verdict, rep.warnings, stats
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(2, 4), min_size=2, max_size=4),
+    st.lists(st.integers(2, 3), max_size=4),
+    st.booleans(),
+)
+def test_a_protocol_report_keeps_under_scaling_and_repeated_leaves(seed, dims, outcomes, final_bases):
+    # A ray does not depend on scale: every factor scaled on its own over
+    # +-100 decades leaves the report as it was, its witness bounds within
+    # 1e-9 relative.  A repeated leaf, exact or with one factor moved by a
+    # PSD term of 0.05 RAY_TOL of its norm, joins the classes its copy
+    # heads: every party's rays and extreme rays stay, and the bound grows
+    # by 2.
+    rng = np.random.default_rng(seed)
+    final_bases = final_bases and math.prod(outcomes) * math.prod(dims) <= 600
+    leaves = protocol_leaves(rng, dims, outcomes, final_bases)
+    base = certify(leaves)
+    scaled = certify([[f * 10.0 ** rng.uniform(-100.0, 100.0) for f in leaf] for leaf in leaves])
+    assert report_counts(scaled) == report_counts(base)
+    for got, want in zip(scaled.parties, base.parties, strict=True):
+        assert (got.min_witness_bound is None) == (want.min_witness_bound is None)
+        if want.min_witness_bound is not None:
+            assert got.min_witness_bound == pytest.approx(want.min_witness_bound, rel=1e-9)
+    j, alpha = int(rng.integers(len(leaves))), int(rng.integers(len(dims)))
+    moved = list(leaves[j])
+    moved[alpha] = moved[alpha] + 0.05 * RAY_TOL * np.linalg.norm(moved[alpha]) * rand_psd(rng, dims[alpha], 1)
+    for extra in (leaves[j], moved):
+        rep = certify(leaves + [extra])
+        assert [(s.rays, s.extreme) for s in rep.parties] == [(s.rays, s.extreme) for s in base.parties]
+        assert rep.bound == base.bound + 2
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_sequential_adaptive_bases_meet_the_bound(n):
     # n qubits measured in turn, each in a basis drawn for the outcomes
@@ -921,8 +960,8 @@ def read_measurement(tmp_path, entries):
 @pytest.mark.parametrize("n, dims, copies", [(1009, None, 1), (71, (5, 14), 1), (5, None, 2)])
 def test_pass_estimate_bounds_the_traced_peak_of_each_family_pass(n, dims, copies):
     # The estimate that admits a pass against its traced peak: 1.29-1.34
-    # times it on the seven 8 MB passes at N = 1009, 2.29 and 1.44 on
-    # (71; 5, 14), 2.20 on the shared two-copy pass.
+    # times it on the seven 8 MB passes at N = 1009, 2.23 and 1.11 on
+    # (71; 5, 14), 1.90 on the shared two-copy pass.
     pass_estimates_and_peaks(family_product_ops(make_instance(n, dims), copies))
 
 
@@ -930,9 +969,9 @@ def test_pass_estimate_bounds_the_traced_peak_of_each_family_pass(n, dims, copie
 def test_pass_estimate_bounds_the_traced_peak_of_a_measurement_file(tmp_path, monkeypatch, fallback):
     # The N = 101 family (dims 2, 2, 5, 5) read from a file, one array per
     # factor.  With one d = 5 factor at lambda_min = -0.999 PSD_INPUT_TOL
-    # its Cholesky fails and eigvalsh decides that pass, beside the two
-    # copies of the unit stack the estimate covers: 1.84 and 1.98 times the
-    # peak on the Cholesky route, 1.49 on the d = 5 pass where eigvalsh runs.
+    # its Cholesky fails and eigvalsh decides that pass, on the unit stack
+    # itself: 1.84 and 1.99 times the peak on the Cholesky route, and 1.99
+    # on the d = 5 pass where eigvalsh runs.
     entries = [list(entry) for entry in family_product_ops(make_instance(101))]
     if fallback:
         state = make_instance(101).local_states[2][7]
@@ -956,6 +995,49 @@ def test_pass_estimate_bounds_the_traced_peak_of_a_measurement_of_repeated_rays(
     entries = [[a * rays[j % 3], b * rays[3 + j % 5]] for j, (a, b) in enumerate(scales)]
     assert [stat.rays for stat in certify(entries).parties] == [3, 5]
     pass_estimates_and_peaks(entries)
+
+
+def rank_two_passes(d, r, fallback=False):
+    """One party's r random rank-2 factors of dimension d; with ``fallback``,
+    factor 0 has lambda_min = -0.999 PSD_INPUT_TOL, so eigvalsh decides."""
+    rng = np.random.default_rng(d * r)
+    factors = [rand_psd(rng, d, 2) for _ in range(r)]
+    if fallback:
+        v = np.linalg.eigh(factors[0])[1][:, 0]  # a null vector of the rank-2 factor
+        factors[0] = factors[0] - 0.999 * PSD_INPUT_TOL * proj(v)
+    return [[f] for f in factors]
+
+
+@pytest.mark.parametrize(
+    "d, r, fallback",
+    [(d, r, False) for d in (30, 40, 60) for r in (10, 20, 50)] + [(60, 20, True), (100, 8, True)],
+)
+def test_pass_estimate_is_tight_on_few_large_factors(monkeypatch, d, r, fallback):
+    # Where 32 d^2 > 10 R + 16 d^2 the estimate counts one complex stack
+    # beside the Cholesky's output, and the eigvalsh fallback writes the
+    # Hermitian part into that stack, so no pass sits more than 1.15 times
+    # above its traced peak: 1.02-1.11 on the Cholesky route and 1.03-1.05
+    # where eigvalsh decides (1.40-1.42 and 1.34-1.35 while the estimate
+    # counted the fallback's two copies of the stack).
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    ((estimate, peak),) = pass_estimates_and_peaks(rank_two_passes(d, r, fallback))
+    assert calls == ([(1, r, d, d)] * 2 if fallback else [])
+    assert estimate <= 1.15 * peak, (estimate, peak)
+
+
+def test_a_refused_pass_of_many_parties_is_named_by_its_first_party_and_its_count(monkeypatch):
+    # One outcome of 2^18 one-dimensional factors runs as one pass of
+    # 2^18 parties, estimated at 74 MiB: under 70 MiB it is refused in a
+    # short message, not one that lists every party.
+    monkeypatch.setattr(usdsep.numerics, "_memory_limit", lambda: (70 * 2**20, "MemAvailable"))
+    with pytest.raises(MemoryError) as refused:
+        certify([[np.eye(1)] * 2**18])
+    assert str(refused.value) == (
+        "the certify pass of 262144 parties from party 0 (1 factors of dimension 1) needs "
+        "about 74 MiB for its arrays, over the 70 MiB of MemAvailable"
+    )
+    assert len(str(refused.value)) < 200
 
 
 N13_BOUNDS = (0.060639538095576366, 0.060639538095576324, 0.12086228543774243)

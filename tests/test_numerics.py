@@ -337,7 +337,7 @@ def test_memory_is_admitted_by_one_rule():
     assert call_sites("MemoryError") == call_sites("_memory_limit") == [("numerics", "admit")]
     assert call_sites("admit") == [
         ("cli", "_load_json"),
-        ("cone", "_party_lines"),
+        ("cone", "_admit_pass"),
         ("instance", "_build_table"),
         ("usd", "family_product_ops"),
     ]

@@ -6,7 +6,8 @@ of the null relation, and the reciprocal set's two-cell Born table and
 ratio-route completeness against the dense products of tests/oracles.py;
 the table audits of a random table by both routes, also at 1009 and 2003),
 5..2003 (the family's table audits against its gathered rows) or 5..601
-(closed forms), and sampled discrimination runs for N in 5..13.
+(closed forms), 5..211 (the optimum's dual certificate and the projectors'
+Gram, formed densely), and sampled discrimination runs for N in 5..13.
 
 The references are written out here from the definitions: dense loops over
 the N projectors, the dense weighted sum and its eigvalsh, a Kronecker
@@ -34,6 +35,7 @@ from usdsep import (
     is_prime,
     kron_all,
     make_instance,
+    optimal_measurement,
     proj,
     reciprocal_set,
     run_discrimination,
@@ -47,6 +49,7 @@ from tests.oracles import (
     closed_form_duals,
     dense_born_table,
     dense_completeness_residual,
+    dense_dual_and_gram,
     dense_dual_residuals,
     dense_failures,
     dense_reciprocal_residuals,
@@ -273,6 +276,31 @@ def test_closed_forms_match_the_definitions(inst, data):
     assert list(xi.ks) == [k for k in kept if k != inst.omit]
     reference = np.array([rows[kept.index(k)] for k in xi.ks])
     assert np.max(np.abs(xi.vectors - reference)) <= CLOSURE_BOUND
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(instances([p for p in range(5, 212) if is_prime(p)]))
+def test_a_dual_certificate_proves_the_optimum_and_its_uniqueness(inst):
+    # The failure minimum's SDP dual: minimize Tr Z over Z >= 0 with
+    # <psi_i|Z|psi_i> >= q_i / D.  Z = (I - P_omit) / (2 (N - 2)) is PSD,
+    # tight on every retained state, and Tr Z = 1/2 is the primal failure,
+    # so the symmetric measurement is optimal.  Its kernel is psi_omit
+    # alone, so every optimum fails on t P_omit; the projectors' Gram has
+    # least eigenvalue 1 - 1/D^2 > 0, so they are independent, and the
+    # weights, hence the optimum, are unique.
+    n, d = inst.n, inst.total_dim
+    r = reciprocal_set(inst)
+    z, gram = dense_dual_and_gram(inst)
+    spectrum = np.linalg.eigvalsh(z)
+    assert spectrum[0] >= -1e-12
+    assert abs(spectrum[1] - 1.0 / (2.0 * (n - 2))) <= 1e-12
+    retained = inst.states[np.array(r.indices) - 1]
+    tight = np.einsum("ia,ab,ib->i", retained.conj(), z, retained).real
+    assert np.max(np.abs(tight - r.overlaps / d)) <= 1e-12
+    trace = np.trace(z).real
+    assert abs(trace - 0.5) <= 1e-12
+    assert abs(trace - failure_probability(optimal_measurement(inst), r).failure_probability) <= 1e-12
+    assert abs(np.linalg.eigvalsh(gram)[0] - (1.0 - 1.0 / d**2)) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None, database=None)
