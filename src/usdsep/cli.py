@@ -212,15 +212,19 @@ def _product_ops_from_file(path: str):
 def _family_ops(inst, copies: int = 1):
     """family_product_ops(inst, copies), once each party's certify pass is admitted.
 
-    A pass of several parties stays under admit's floor (cone docstring),
-    so one pass per party, of N^n factors of dimension d^n, covers every
-    refusal.  Its float powers, as in family_product_ops, form no huge
-    integer for a huge copies.
+    Each party's pass, of N^n factors of dimension d^n, is the pass certify
+    runs for it, so admitting them covers every refusal of the certificate.
+    Its float powers, as in family_product_ops, form no huge integer for a
+    huge copies; where N^n is not finite, family_product_ops refuses the
+    family by its own estimate, which names the copy count.
     """
     power = min(copies, 1024)
     with np.errstate(over="ignore"):
-        for alpha, side in enumerate(np.array(inst.dims, float) ** power):
-            _admit_pass(alpha, 1, np.float64(inst.n) ** power, side)
+        outcomes = np.float64(inst.n) ** power
+        sides = np.array(inst.dims, float) ** power
+    if math.isfinite(outcomes):  # then so is each d^n < N^n
+        for alpha, side in enumerate(sides):
+            _admit_pass(alpha, outcomes, side)
     return family_product_ops(inst, copies)
 
 

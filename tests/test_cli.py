@@ -439,6 +439,18 @@ def test_copies_past_the_size_limit_is_input_error(capsys, monkeypatch, command,
     assert peak < 1 << 20, peak
 
 
+def test_a_family_of_too_many_copies_is_refused_by_its_copy_count(capsys, monkeypatch):
+    # N^n overflows at 10^9 copies, so no pass is admitted from it: the
+    # family's own estimate refuses it, naming the copy count.
+    monkeypatch.setattr(usdsep.numerics, "_memory_limit", lambda: (100 * 2**20, "MemAvailable"))
+    rc, out, err = run_cli(capsys, "certify", "--n", "5", "--copies", "1000000000")
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: the 1000000000-copy family of N = 5 needs about inf MiB for its factors, "
+        "over the 100 MiB of MemAvailable\n"
+    )
+
+
 def test_certify_two_copies(capsys):
     payload, _ = run_json(capsys, "certify", "--n", "5", "--copies", "2")
     assert payload["total"] == 50
@@ -776,7 +788,7 @@ def test_a_measurement_of_repeated_outcomes_certifies_within_its_pass_estimate(t
     assert [party["rays"] for party in parties] == [1, 1]
     assert [party["skipped"] for party in parties] == [False, True]
     assert (payload["total"], payload["bound"], payload["verdict"]) == (1, 4798, "SATISFIES")
-    assert peak < usdsep.cone._pass_bytes(1, 2400, 4), peak
+    assert peak < usdsep.cone._pass_bytes(2400, 4), peak
 
 
 def test_certify_a_family_the_entry_cap_used_to_refuse(capsys):

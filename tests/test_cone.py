@@ -39,14 +39,13 @@ def ray_classes(ops, tol=RAY_TOL):
     """One party's ray classes by certify's kernels: the groups, members ascending
     and in the order of their heads; the heads' unit forms, taken from ``ops``,
     and their vec_herm rows; and each class's witness bound."""
-    rows = usdsep.cone._unit_rows([ops])
+    rows = usdsep.cone._unit_rows(ops)
     head, bounds, _ = usdsep.cone._classes(rows, tol)
-    is_head = head == np.arange(len(ops))
     groups = {}
-    for i, h in enumerate(head[0].tolist()):
+    for i, h in enumerate(head.tolist()):
         groups.setdefault(h, []).append(i)
     units = np.stack([ops[h] / np.linalg.norm(ops[h]) for h in groups])
-    return tuple(map(tuple, groups.values())), units, rows[is_head], bounds[is_head]
+    return tuple(map(tuple, groups.values())), units, rows[head == np.arange(len(ops))], bounds
 
 
 def class_of(groups, i):
@@ -77,13 +76,13 @@ def test_distinct_rays_groups_by_positive_scale():
 def test_validation_keeps_only_the_unit_rows():
     # A ray does not depend on scale, so the validation keeps the vec_herm
     # rows of the unit forms M / ||M||_F in place of the operators: one
-    # read-only (G, R, d^2) float array.
+    # read-only (R, d^2) float array.
     rng = np.random.default_rng(35)
     ops = [10.0 ** rng.uniform(-100, 100) * rand_psd(rng, 4) for _ in range(6)]
-    rows = usdsep.cone._unit_rows([ops])
-    assert rows.shape == (1, 6, 16) and rows.dtype == float and not rows.flags.writeable
-    assert np.max(np.abs(np.linalg.norm(rows, axis=2) - 1.0)) <= 1e-15
-    for got, op in zip(rows[0], ops):
+    rows = usdsep.cone._unit_rows(ops)
+    assert rows.shape == (6, 16) and rows.dtype == float and not rows.flags.writeable
+    assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= 1e-15
+    for got, op in zip(rows, ops):
         assert np.allclose(got, vec_herm(op / np.linalg.norm(op)), rtol=0.0, atol=1e-15)
 
 
@@ -131,14 +130,14 @@ def test_count_extreme_vectorizes_each_class_once(monkeypatch):
     stat = party_stat([proj(v) for v in inst.local_states[0]])
     assert stat.rays == stat.extreme == 13
     # One call per party, on the stack of all its operators.
-    assert calls == [(1, 13, 2, 2)]
+    assert calls == [(13, 2, 2)]
 
     calls.clear()
     rep = certify(family_product_ops(inst))
     assert sum(p.rays for p in rep.parties) == 13 * len(inst.dims)
-    # One call per dimension group: the two d = 2 parties share a pass.
+    # One call per party, in party order.
     assert inst.dims == (2, 2, 3)
-    assert calls == [(2, 13, 2, 2), (1, 13, 3, 3)]
+    assert calls == [(13, 2, 2), (13, 2, 2), (13, 3, 3)]
 
 
 def test_distinct_rays_family_has_n_classes():
@@ -681,7 +680,7 @@ def assert_matches_reference(entries, tol, well_posed=True, rng=None):
 )
 def test_certify_matches_the_reference_route(seed, kinds, r, tol, shared):
     # With ``shared`` every party has one dimension from 2 to 14, so two or
-    # three parties of mixed kinds share one pass.
+    # three parties of mixed kinds give passes of one shape.
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 15)) if shared else None
     parties = [party_factors(rng, kind, r, tol, d) for kind in kinds]
@@ -733,8 +732,8 @@ INVALID = {
 def test_certify_raises_the_lowest_invalid_partys_error(dims, early, late):
     # Party 1 and party 2 fail different checks, party 1 the later one
     # except in ("indefinite", "not Hermitian"); with dims (2, 3, 2) they
-    # lie in different passes, with (3, 2, 2) in one.  Either way party 1's
-    # own error is raised, as party by party.
+    # have different dimensions, with (3, 2, 2) one.  Either way party 1's
+    # own error is raised.
     parties = [
         [np.eye(dims[0])] * 2,
         INVALID[late](dims[1]),
@@ -746,6 +745,28 @@ def test_certify_raises_the_lowest_invalid_partys_error(dims, early, late):
     with pytest.raises(ValueError) as info:
         certify(entries)
     assert str(info.value) == want
+
+
+def test_the_first_failing_party_raises_from_its_own_pass(monkeypatch):
+    # Three parties of one dimension: party 0 valid, party 1 indefinite and
+    # party 2 not Hermitian.  Each party runs one pass, in party order, so
+    # party 1's pass raises, and party 2's is never built.
+    calls = []
+    unit_rows = usdsep.cone._unit_rows
+    monkeypatch.setattr(usdsep.cone, "_unit_rows", lambda factors: calls.append(1) or unit_rows(factors))
+    parties = [[np.eye(2)] * 2, INVALID["indefinite"](2), INVALID["not Hermitian"](2)]
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        certify([[party[j] for party in parties] for j in range(2)])
+    assert len(calls) == 2
+
+
+def test_each_party_of_a_family_is_proved_positive_by_its_own_cholesky(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+    rep = certify(family_product_ops(make_instance(73, [2, 2, 2, 3, 3])))
+    assert [s.extreme for s in rep.parties] == [73] * 5
+    assert calls == [(73, d, d) for d in (2, 2, 2, 3, 3)]
 
 
 def test_positivity_at_the_tolerance_edge_follows_eigvalsh():
@@ -801,7 +822,7 @@ def test_certify_decides_positivity_without_eigenvalues(monkeypatch):
 def test_an_asymmetric_indefinite_factor_is_refused_as_not_hermitian():
     # vec_herm's asymmetry check runs before the positivity proof, whose
     # Cholesky reads only the lower triangle: a factor failing both is
-    # refused for its asymmetry, alone or in a pass of several parties.
+    # refused for its asymmetry, alone or beside another party.
     for d in (2, 3):
         factor = np.diag([1.0] * (d - 1) + [-0.5]) + np.triu(np.ones((d, d)), 1) * 0.1
         assert eigvalsh_rejects(np.array([factor]))
@@ -883,9 +904,8 @@ def test_certify_peak_memory_holds_one_stack_per_party():
 
 
 def test_certify_peak_memory_at_n_1009_holds_one_party_at_a_time():
-    # Every party of the default family at N = 1009 (dims 2, 2, 2, 2, 3, 3,
-    # 7) is past the bound of a shared pass, R^2 > 2^18, so each runs
-    # alone.  The traced peak was 10,389,121 B when certify ran party by
+    # Each party of the default family at N = 1009 (dims 2, 2, 2, 2, 3, 3,
+    # 7) runs its own pass, one after another.  The traced peak was 10,389,121 B when certify ran party by
     # party, 10,162,385 B in passes, 10,048,849 B with the rank-1 witness
     # route and 9,612,569 B once the witness made no checking product,
     # 9,725,889 B with the witness's norm summed as squares of its
@@ -928,21 +948,19 @@ def test_certify_peak_memory_of_a_rank_two_party_at_n_1009():
 
 
 def pass_estimates_and_peaks(entries):
-    """(estimate, traced peak) of each certify pass over these product operators,
+    """(estimate, traced peak) of each party's certify pass over these product operators,
     checked: the estimate is never under the peak, and at most 1.4 times it
     on a pass past 1 MiB, 2.5 times on a smaller one."""
-    parties = list(zip(*entries))
     found = []
-    for chunk in usdsep.cone._chunks(parties):
-        members = [parties[alpha] for alpha in chunk]
-        usdsep.cone._party_lines(chunk, members, RAY_TOL)
+    for alpha, factors in enumerate(zip(*entries)):
+        usdsep.cone._party_line(alpha, factors, RAY_TOL)
         tracemalloc.start()
         try:
-            usdsep.cone._party_lines(chunk, members, RAY_TOL)
+            usdsep.cone._party_line(alpha, factors, RAY_TOL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        found.append((usdsep.cone._pass_bytes(len(members), len(members[0]), members[0][0].size), peak))
+        found.append((usdsep.cone._pass_bytes(len(factors), factors[0].size), peak))
     assert found
     for estimate, peak in found:
         # Past 1 MiB the arrays dominate; below it, 8 KiB and the ufuncs' buffers weigh.
@@ -961,7 +979,7 @@ def read_measurement(tmp_path, entries):
 def test_pass_estimate_bounds_the_traced_peak_of_each_family_pass(n, dims, copies):
     # The estimate that admits a pass against its traced peak: 1.29-1.34
     # times it on the seven 8 MB passes at N = 1009, 2.23 and 1.11 on
-    # (71; 5, 14), 1.90 on the shared two-copy pass.
+    # (71; 5, 14), 1.98 on each two-copy party's pass.
     pass_estimates_and_peaks(family_product_ops(make_instance(n, dims), copies))
 
 
@@ -980,7 +998,7 @@ def test_pass_estimate_bounds_the_traced_peak_of_a_measurement_file(tmp_path, mo
     eigvalsh, calls = np.linalg.eigvalsh, []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     pass_estimates_and_peaks(read_measurement(tmp_path, entries))
-    assert calls == ([(2, 101, 5, 5)] * 2 if fallback else [])
+    assert calls == ([(101, 5, 5)] * 2 if fallback else [])
 
 
 def test_pass_estimate_bounds_the_traced_peak_of_a_measurement_of_repeated_rays():
@@ -1022,22 +1040,18 @@ def test_pass_estimate_is_tight_on_few_large_factors(monkeypatch, d, r, fallback
     eigvalsh, calls = np.linalg.eigvalsh, []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     ((estimate, peak),) = pass_estimates_and_peaks(rank_two_passes(d, r, fallback))
-    assert calls == ([(1, r, d, d)] * 2 if fallback else [])
+    assert calls == ([(r, d, d)] * 2 if fallback else [])
     assert estimate <= 1.15 * peak, (estimate, peak)
 
 
-def test_a_refused_pass_of_many_parties_is_named_by_its_first_party_and_its_count(monkeypatch):
-    # One outcome of 2^18 one-dimensional factors runs as one pass of
-    # 2^18 parties, estimated at 74 MiB: under 70 MiB it is refused in a
-    # short message, not one that lists every party.
-    monkeypatch.setattr(usdsep.numerics, "_memory_limit", lambda: (70 * 2**20, "MemAvailable"))
-    with pytest.raises(MemoryError) as refused:
-        certify([[np.eye(1)] * 2**18])
-    assert str(refused.value) == (
-        "the certify pass of 262144 parties from party 0 (1 factors of dimension 1) needs "
-        "about 74 MiB for its arrays, over the 70 MiB of MemAvailable"
-    )
-    assert len(str(refused.value)) < 200
+def test_one_outcome_of_many_one_dimensional_parties():
+    # 64 parties of dimension 1 run 64 passes of one factor each: every
+    # party has one ray, extreme in its cone, and acts trivially.
+    rep = certify([[np.eye(1)] * 64])
+    assert [(s.party, s.rays, s.extreme, s.skipped) for s in rep.parties] == [
+        (alpha, 1, 1, True) for alpha in range(64)
+    ]
+    assert (rep.total, rep.bound, rep.verdict) == (0, 0, "SATISFIES")
 
 
 N13_BOUNDS = (0.060639538095576366, 0.060639538095576324, 0.12086228543774243)

@@ -5,8 +5,9 @@ dropped label, for prime N in 5..251 (dense projector references), 5..401
 of the null relation, and the reciprocal set's two-cell Born table and
 ratio-route completeness against the dense products of tests/oracles.py;
 the table audits of a random table by both routes, also at 1009 and 2003),
-5..2003 (the family's table audits against its gathered rows) or 5..601
-(closed forms), 5..211 (the optimum's dual certificate and the projectors'
+5..2003 (the family's table audits against its gathered rows), 5..29989
+(the instance residuals against their laws, and the failure probability
+of the optimal measurement) or 5..601 (closed forms), 5..211 (the optimum's dual certificate and the projectors'
 Gram, formed densely), and sampled discrimination runs for N in 5..13.
 
 The references are written out here from the definitions: dense loops over
@@ -64,6 +65,8 @@ from tests.oracles import (
 PRIMES = [p for p in range(5, 252) if is_prime(p)]
 CLOSED_FORM_PRIMES = [p for p in range(5, 602) if is_prime(p)]
 STRUCTURED_PRIMES = [p for p in range(5, 402) if is_prime(p)]
+# The instance laws of numerics.BOUNDS were fit on every prime below 30,000.
+FIT_PRIMES = [p for p in range(5, 30000) if is_prime(p)]
 CLOSURE_BOUND = 1e-12
 # The structured smallest eigenvalue against a dense eigvalsh, in units of
 # D * eps (the largest gap seen over 2000 random cases was 0.38).
@@ -159,6 +162,18 @@ def test_family_table_audits_agree_with_the_gathered_rows(inst):
     for name, measured in gathered.items():
         assert measured <= bound(name, n), name
         assert inst.residuals[name] <= bound(name, n) / 10, name
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(instances(FIT_PRIMES))
+def test_the_instance_laws_hold_10x_over_the_primes_they_were_fit_on(inst):
+    # The pipeline raises nothing, each instance residual stays a tenth of
+    # its law, and the failure probability is 1/2 within its row.
+    n = inst.n
+    for name in ("completeness", "unit norm", "null relation"):
+        assert inst.residuals[name] <= bound(name, n) / 10, name
+    report = failure_probability(optimal_measurement(inst), reciprocal_set(inst))
+    assert abs(report.failure_probability - 0.5) <= bound("failure 1/2")
 
 
 @settings(max_examples=12, deadline=None, database=None)
