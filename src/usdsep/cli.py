@@ -24,19 +24,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cone import RAY_TOL, _admit_pass, certify
+from .cone import certify
 from .instance import instance_from_dict, instance_to_dict, make_instance, reciprocal_set
-from .numerics import ConvergenceError, InvariantError, admit, bound, check
+from .numerics import PSD_TOL, RAY_TOL, ConvergenceError, InvariantError, admit, bound, check
 from .reference import two_qubit_reciprocal_states, two_qubit_states
 from .serialize import dumps, pairs_to_matrix
 from .simulator import SimConfig, run_discrimination
-from .usd import (
-    PSD_TOL,
-    build_measurement,
-    failure_probability,
-    family_product_ops,
-    optimal_measurement,
-)
+from .usd import build_measurement, failure_probability, family_product_ops, optimal_measurement
 
 __all__ = ["main", "entry"]
 
@@ -209,25 +203,6 @@ def _product_ops_from_file(path: str):
         raise ValueError(f"malformed product operator array: {exc}") from exc
 
 
-def _family_ops(inst, copies: int = 1):
-    """family_product_ops(inst, copies), once each party's certify pass is admitted.
-
-    Each party's pass, of N^n factors of dimension d^n, is the pass certify
-    runs for it, so admitting them covers every refusal of the certificate.
-    Its float powers, as in family_product_ops, form no huge integer for a
-    huge copies; where N^n is not finite, family_product_ops refuses the
-    family by its own estimate, which names the copy count.
-    """
-    power = min(copies, 1024)
-    with np.errstate(over="ignore"):
-        outcomes = np.float64(inst.n) ** power
-        sides = np.array(inst.dims, float) ** power
-    if math.isfinite(outcomes):  # then so is each d^n < N^n
-        for alpha, side in enumerate(sides):
-            _admit_pass(alpha, outcomes, side)
-    return family_product_ops(inst, copies)
-
-
 def cmd_certify(args) -> int:
     tol = _tol(args, RAY_TOL)
     if args.measurement:
@@ -236,7 +211,7 @@ def cmd_certify(args) -> int:
     else:
         copies = 1 if args.copies is None else args.copies
         inst = _instance_from_args(args)
-        product_ops = _family_ops(inst, copies)
+        product_ops = family_product_ops(inst, copies)
         source = {**instance_to_dict(inst), "copies": copies}
     report = certify(product_ops, tol=tol)
     payload = dataclasses.asdict(report)
@@ -313,7 +288,7 @@ def _verify_one(n: int) -> list[tuple[str, bool, str]]:
     pr = failure_probability(m, r).failure_probability
     row("failure 1/2", abs(pr - 0.5), f"Pr(fail) {pr:.12f}")
 
-    report = certify(_family_ops(inst))
+    report = certify(family_product_ops(inst))
     rays_ok = all(s.extreme == n for s in report.parties)
     checks.append(("extreme rays", rays_ok, f"per party {[s.extreme for s in report.parties]}"))
     checks.append(
@@ -422,7 +397,7 @@ def main(argv=None) -> int:
     try:
         _check_source(args)
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvariantError, ConvergenceError) as exc:

@@ -25,8 +25,8 @@ pays it many times: one outcome of 2000 one-dimensional parties takes
 about 0.11 s.  Each pass is admitted (numerics.admit, through
 _admit_pass) once, by its estimated peak, before its stack is built; the
 ray screen then reads the Gram the pass holds one operator's row at a
-time.  A pass's estimate needs only its shape, so the CLI admits a
-family's passes before it builds the family's factors.
+time.  A pass's estimate needs only its shape, so usd.family_product_ops
+admits a family's passes before it builds the family's factors.
 
 A pass forms each quantity once and reads it wherever it is needed.
 A ray does not depend on scale, and K_1 x K_2 = (c K_1) x (K_2 / c) names
@@ -298,6 +298,9 @@ def _pass_bytes(r: float, dd: float) -> float:
     entries and the screen's views.
     Per pass, 8 KiB cover Python's own objects, and 20 B per entry of its
     largest array, up to numpy's buffer size, the ufuncs' buffers.
+    usd.family_product_ops admits a family by these passes alone: the
+    10 R Gram term is what keeps them above the factors of three or more
+    parties (its docstring).
     """
     per_factor = 8.0 * dd + max(32.0 * dd, 10.0 * r + 16.0 * dd) + 256.0
     return 8192.0 + 20.0 * min(r * max(dd, r), np.getbufsize()) + r * per_factor

@@ -222,8 +222,9 @@ def multicopy_measurement(inst: Instance, copies: int) -> MulticopyMeasurement:
     theoretical_failure of run_discrimination with n copies.
 
     Raises, from family_product_ops and before anything is allocated,
-    ValueError for copies not an integer >= 1 and MemoryError for factors
-    that would not fit in the memory left.
+    ValueError for copies not an integer >= 1 and MemoryError where a
+    party's certify pass over these factors would not fit in the memory
+    left; the factors need less than that pass.
     """
     return MulticopyMeasurement(party_factors=tuple(tuple(f) for f in family_product_ops(inst, copies)))
 
@@ -256,10 +257,12 @@ def complement_decomposition(dims, enlarged_dims):
         raise ValueError("dims must be positive")
     if any(e < d for d, e in zip(dims, enlarged)):
         raise ValueError("every enlarged dimension must be >= the original")
-    projs = [np.diag(np.arange(e) < d).astype(complex) for d, e in zip(dims, enlarged)]
+    kept = [(np.arange(e) < d).astype(complex) for d, e in zip(dims, enlarged)]  # P_a's diagonal
+    projs = [np.diag(k) for k in kept]
     eyes = [np.eye(e, dtype=complex) for e in enlarged]
     terms = [projs[:a] + [eyes[a] - projs[a]] + eyes[a + 1 :] for a in range(len(dims))]
-    assembled = sum(kron_all(t) for t in terms)
-    target = np.eye(int(np.prod(enlarged))) - kron_all(projs)
-    check("complement decomposition", float(np.linalg.norm(assembled - target)))
+    # Every factor is diagonal, so the identity holds on the prod(e)-long
+    # diagonals, each the kron of its factors' diagonals.
+    assembled = sum(kron_all([np.diagonal(f) for f in t]) for t in terms)
+    check("complement decomposition", float(np.linalg.norm(assembled - (1.0 - kron_all(kept)))))
     return terms

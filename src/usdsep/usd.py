@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cone import _admit_pass, _pass_bytes
 from .instance import Instance, ReciprocalSet, _check_match, _is_integer
 from .numerics import PSD_TOL, admit, check
 
@@ -43,11 +44,6 @@ __all__ = [
     "failure_probability",
     "family_product_ops",
 ]
-
-# Traced bytes, with some room, of one read-only view of a factor and of
-# one outcome's list of views (128 and 64-72 B on Python 3.11, numpy 2.4).
-_VIEW_BYTES, _OUTCOME_BYTES = 136, 80
-
 
 class NotPSDError(ValueError):
     """The requested weights drive the failure operator indefinite."""
@@ -218,10 +214,20 @@ def family_product_ops(inst: Instance, copies: int = 1) -> list[list[np.ndarray]
 
     Raises ValueError for a copies that is not an integer >= 1, and
     MemoryError (numerics.admit), before anything is allocated, for a
-    family whose factors would not fit in the memory left.  The estimate
-    is 16 B N^n (d^2n + 2 d^n) per party of dimension d, its stack and the
-    n-copy states and their conjugates that build it, plus the views and
-    lists of the N^n outcomes and the buffers of one broadcast product.
+    family whose certify passes would not fit in the memory left: each
+    party's pass of N^n factors of dimension d^n is admitted
+    (cone._admit_pass) in party order, so the first party refused is
+    named.  A family whose largest pass estimate is not finite, as where
+    N^n overflows, is refused by its copy count instead.  Every caller
+    certifies what it builds, and the passes dominate the factors: with
+    R = N^n and s_a = d_a^n, s the largest, the largest pass needs at
+    least R max(40 s^2, 24 s^2 + 10 R) B, and the factors with their
+    n-copy states, views and lists about R sum_a (16 s_a^2 + 32 s_a + 136)
+    B.  For one or two parties the 40 s^2 covers the squares, and for
+    three or more prod_a s_a < R, so the Gram's 10 R^2 does; from
+    numerics.admit's 64 MiB floor on, the factors need at most 0.85 times
+    the largest pass.  That rests on cone._pass_bytes keeping its 10 R
+    Gram term per factor.
     """
     if not _is_integer(copies) or copies < 1:
         raise ValueError(f"copies must be an integer >= 1, got {copies!r}")
@@ -232,11 +238,11 @@ def family_product_ops(inst: Instance, copies: int = 1) -> list[list[np.ndarray]
         power = np.float64(min(copies, 1024))
         outcomes = np.float64(n) ** power
         sides = [np.float64(dim) ** power for dim in inst.dims]  # d^n
-        per_outcome = sum(16.0 * side * (side + 2.0) + _VIEW_BYTES for side in sides)
-        # A broadcast product also holds two ufunc buffers of up to bufsize entries.
-        buffers = 32.0 * min(outcomes * max(sides) ** 2, np.getbufsize())
-        need = float(outcomes * (per_outcome + _OUTCOME_BYTES) + buffers)
-    admit(need, f"the {copies}-copy family of N = {n} needs", "for its factors")
+        largest = _pass_bytes(outcomes, max(sides) ** 2)  # the estimate grows with d
+    if not math.isfinite(largest):
+        admit(math.inf, f"the {copies}-copy family of N = {n} needs", "for its factors")
+    for alpha, side in enumerate(sides):
+        _admit_pass(alpha, outcomes, side)
     stacks = []
     for states in inst.local_states:
         tensor = states

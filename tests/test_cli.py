@@ -451,6 +451,18 @@ def test_a_family_of_too_many_copies_is_refused_by_its_copy_count(capsys, monkey
     )
 
 
+def test_a_family_whose_pass_estimate_overflows_is_refused_by_its_copy_count(capsys, monkeypatch):
+    # 5^300 is finite, but its pass estimate is not: one line names the copy
+    # count, with no overflow warning and no 210-digit factor count.
+    monkeypatch.setattr(usdsep.numerics, "_memory_limit", lambda: (100 * 2**20, "MemAvailable"))
+    rc, out, err = run_cli(capsys, "certify", "--n", "5", "--copies", "300")
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: the 300-copy family of N = 5 needs about inf MiB for its factors, "
+        "over the 100 MiB of MemAvailable\n"
+    )
+
+
 def test_certify_two_copies(capsys):
     payload, _ = run_json(capsys, "certify", "--n", "5", "--copies", "2")
     assert payload["total"] == 50

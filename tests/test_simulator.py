@@ -367,10 +367,13 @@ def test_multicopy_four_copies_fit():
 
 def test_multicopy_budget_guard(monkeypatch):
     inst = make_instance(5)
-    # 5 copies' factors need about 105 MiB: refused only past the memory left.
+    # 5 copies' factors need about 105 MiB and party 0's certify pass about
+    # 167 MiB: the pass is admitted first, and refused past the memory left.
     with monkeypatch.context() as patch:
         patch.setattr(usdsep.numerics, "_memory_limit", lambda: (100 * 2**20, "MemAvailable"))
-        with pytest.raises(MemoryError, match="the 5-copy family of N = 5 needs about 105 MiB"):
+        with pytest.raises(
+            MemoryError, match=r"the certify pass of party 0 \(3125 factors of dimension 32\) needs about 167 MiB"
+        ):
             multicopy_measurement(inst, copies=5)
     # 10^9 copies: an infinite estimate, refused at once past any limit.
     started = time.perf_counter()
@@ -613,6 +616,20 @@ def test_complement_decomposition_random_property():
                 assert np.linalg.norm(f - f.conj().T) <= 1e-12
             if enlarged[a] == dims[a]:
                 assert np.linalg.norm(kron_all(term)) <= 1e-12
+
+
+def test_complement_decomposition_checks_its_identity_on_the_diagonals():
+    # Every factor is diagonal, so the identity is checked on 343-entry
+    # diagonals: dense 343 x 343 Kronecker products would peak at 6.4 MiB.
+    complement_decomposition([6, 6, 6], [7, 7, 7])
+    tracemalloc.start()
+    try:
+        terms = complement_decomposition([6, 6, 6], [7, 7, 7])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(terms) == 3
+    assert peak < 256 << 10, peak
 
 
 def test_complement_decomposition_errors():

@@ -1,11 +1,14 @@
 """Tests for the weighted discrimination measurements."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import usdsep.cone
+import usdsep.numerics
 import usdsep.usd
 from usdsep import (
     NotPSDError,
@@ -343,18 +346,95 @@ def test_family_product_ops_admits_n_1009():
     assert len(ops) == 1009
 
 
-@pytest.mark.parametrize("n, dims, copies", [(1009, None, 1), (71, (5, 14), 1), (5, None, 2)])
-def test_family_estimate_bounds_the_traced_peak(monkeypatch, n, dims, copies):
-    # The estimate that admits a family's factors is never under the traced
-    # peak of their build, and at most 1.5 times it (1.40, 1.11 and 1.32).
+@pytest.mark.parametrize(
+    "n, dims, copies",
+    [(1009, None, 1), (71, (5, 14), 1), (5, None, 2), (5, None, 3), (401, (20, 20), 1), (73, (2, 2, 2, 3, 3), 1)],
+)
+def test_family_peak_is_within_its_largest_pass_estimate(monkeypatch, n, dims, copies):
+    # The builder admits each party's certify pass and nothing else, and
+    # the largest of those estimates bounds the traced peak of the build.
     inst = make_instance(n, dims)
     family_product_ops(inst, copies)  # the local states are read once
     estimates = []
-    monkeypatch.setattr(usdsep.usd, "admit", lambda need, *text: estimates.append(need))
+    admit_pass = usdsep.usd._admit_pass
+
+    def record(party, r, d):
+        estimates.append(usdsep.cone._pass_bytes(r, d * d))
+        admit_pass(party, r, d)
+
+    monkeypatch.setattr(usdsep.usd, "_admit_pass", record)
     tracemalloc.start()
     try:
         family_product_ops(inst, copies)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= estimates[0] <= 1.5 * peak, (peak, estimates)
+    assert len(estimates) == len(inst.dims)
+    assert peak <= max(estimates), (peak, estimates)
+
+
+def test_a_family_pass_past_the_memory_left_is_refused_before_its_factors(monkeypatch):
+    # N = 227 has dims 2 and 113: party 1's pass needs about 111 MiB, and
+    # the family's 227 factors 45 MiB, all refused before they are built.
+    inst = make_instance(227)
+    monkeypatch.setattr(usdsep.numerics, "_memory_limit", lambda: (100 * 2**20, "MemAvailable"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError) as refused:
+            family_product_ops(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == (
+        "the certify pass of party 1 (227 factors of dimension 113) needs about 111 MiB "
+        "for its arrays, over the 100 MiB of MemAvailable"
+    )
+    assert peak < 2 << 20, peak
+
+
+def test_a_family_whose_pass_estimate_overflows_is_refused_by_its_copy_count():
+    # 5^300 is finite but its pass estimate is not: the family is refused by
+    # its copy count, with no overflow warning (pytest makes one an error).
+    with pytest.raises(MemoryError, match="^the 300-copy family of N = 5 needs about inf MiB for its factors, over"):
+        family_product_ops(make_instance(5), 300)
+
+
+def _ascending(m, least=2):
+    """Every nondecreasing tuple of factors >= least whose product is m."""
+    if m == 1:
+        yield ()
+    for f in range(least, m + 1):
+        if m % f == 0:
+            yield from ((f,) + rest for rest in _ascending(m // f, f))
+
+
+def _factor_bytes(n, dims, copies):
+    """What a family's build holds: every party's (N^n, d^n, d^n) stack and n-copy
+    states and conjugates, 136 B per factor view, 80 B per outcome's list, and
+    the buffers of one broadcast product."""
+    r = float(n) ** copies
+    sides = [float(d) ** copies for d in dims]
+    per_outcome = sum(16.0 * s * (s + 2.0) + 136.0 for s in sides)
+    return r * (per_outcome + 80.0) + 32.0 * min(r * max(sides) ** 2, np.getbufsize())
+
+
+def test_the_largest_pass_estimate_dominates_the_factors():
+    # Over every prime N < 2000, every ascending factorization and every copy
+    # count whose factors need from admit's floor up to 16 TiB, the largest
+    # pass needs at least 1.15 times what the factors hold (1.19 at worst,
+    # at (1601; 40, 40)), so admitting the passes admits the factors.
+    sieve = np.ones(2000, bool)
+    sieve[:5] = False
+    for p in range(2, 45):
+        sieve[p * p :: p] = False
+    least, families = math.inf, 0
+    for n in np.flatnonzero(sieve).tolist():
+        for dims in _ascending(n - 1):
+            copies = 1
+            while (need := _factor_bytes(n, dims, copies)) <= 2**44:
+                if need >= usdsep.numerics._ADMIT_FLOOR:
+                    largest = usdsep.cone._pass_bytes(float(n) ** copies, float(max(dims)) ** (2 * copies))
+                    least, families = min(least, largest / need), families + 1
+                copies += 1
+    assert families > 4000
+    assert least >= 1.15, least
